@@ -10,15 +10,9 @@ from .adjoint import adjoint_identity_check, solve_adjoint
 from .assembly import (
     Discretization,
     EnergyExtension,
-    assemble_control_mass,
-    assemble_control_seminorm,
-    assemble_coupling,
     assemble_mass_stiffness,
-    assemble_source,
-    assemble_tracking,
     bilinear_form,
     coercivity_gap,
-    l2_project_initial,
 )
 from .checks import CHECKS, CheckResult, run_checks
 from .forward import SolverError, solve_state, solve_state_sensitivity

@@ -39,15 +39,7 @@ def tracking_slabs(disc, state_values, control_values, u_d):
         pad[1:M] = control_values
         out += 0.5 * k[:, None] * (disc.mass_if @ (pad[:-1] + pad[1:]).T).T
     if u_d is not None:
-        from .assembly import spatial_load_vector
-
-        tri = mesh.triangulation
-        for m in range(mesh.num_slabs):
-            tq, wq = disc.slab_time_rule(m)
-            for t, w in zip(tq, wq):
-                out[m] -= w * spatial_load_vector(tri, u_d, t, disc.tri_rule)[
-                    disc.interior
-                ]
+        out -= disc.source_slabs(u_d)
     return out
 
 

@@ -4,7 +4,9 @@ Spatial P1 mass/stiffness matrices, 1-D temporal P1 matrices, the Kronecker
 operators acting on the control (space-time seminorm and mass), the coupling
 between boundary control and interior state, and quadrature-based load
 vectors.  Matrices are scipy CSR assembled from vectorized per-element
-triplets; slab system factorizations are cached per time-step size.
+triplets; slab system factorizations are cached per time-step size.  One
+space-time ``Quadrature`` per discretization serves every load, the
+tracking misfit and the error norms.
 
 Conventions: control coefficient arrays have shape (M-1, num_nodes) with
 level l (0-based) sitting at time t_{l+1}; state-type arrays have shape
@@ -24,10 +26,6 @@ from .spaces import ControlField
 
 class AssemblyError(ValueError):
     """Raised for geometry or data that cannot be assembled."""
-
-
-class SlabIndexError(IndexError):
-    """Slab index outside 1..M."""
 
 
 # 6-point triangle rule, exact to polynomial degree 4.  Barycentric points
@@ -161,24 +159,6 @@ def _interior_time_blocks(mesh):
     return mt[1:M, 1:M], st[1:M, 1:M]
 
 
-def assemble_control_seminorm(mesh):
-    """Space-time H1 seminorm matrix on the control space.
-
-    kron(time mass, spatial stiffness) + kron(time stiffness, spatial mass)
-    with the t_0 and t_M levels eliminated; symmetric positive definite.
-    """
-    mass, stiffness = assemble_mass_stiffness(mesh.triangulation)
-    mt, st = _interior_time_blocks(mesh)
-    return (sp.kron(mt, stiffness) + sp.kron(st, mass)).tocsr()
-
-
-def assemble_control_mass(mesh):
-    """Space-time L2 mass matrix on the control space (CSR)."""
-    mass, _ = assemble_mass_stiffness(mesh.triangulation)
-    mt, _ = _interior_time_blocks(mesh)
-    return sp.kron(mt, mass).tocsr()
-
-
 class EnergyExtension:
     """Exact solver for the interior-vertex block of the control seminorm.
 
@@ -208,53 +188,75 @@ class EnergyExtension:
         return self.modes @ solved
 
 
-def spatial_load_vector(tri, g, t, rule=None):
-    """All-vertex load vector of x, y -> g(x, y, t) by triangle quadrature."""
-    if rule is None:
-        rule = _TRI_RULE_4
-    bary, weights = rule
-    tt = tri.triangles
-    v = tri.vertices
-    p1, p2, p3 = v[tt[:, 0]], v[tt[:, 1]], v[tt[:, 2]]
-    areas = tri.signed_areas
-    out = np.zeros(tri.num_vertices)
-    for lam, w in zip(bary, weights):
-        px = lam[0] * p1[:, 0] + lam[1] * p2[:, 0] + lam[2] * p3[:, 0]
-        py = lam[0] * p1[:, 1] + lam[1] * p2[:, 1] + lam[2] * p3[:, 1]
-        vals = np.broadcast_to(
-            np.asarray(g(px, py, t), dtype=float), areas.shape
-        ) * (w * areas)
-        for i in range(3):
-            np.add.at(out, tt[:, i], vals * lam[i])
-    return out
+class Quadrature:
+    """One space-time quadrature rule on a mesh: a triangle rule of degree
+    ``quad_degree`` on every triangle times a ``time_quad_points``-point Gauss
+    rule on every slab.
 
+    Spatial arrays have shape (nq, nt), one row per rule point: ``x`` and
+    ``y`` are the points mapped onto every triangle and ``weights`` the rule
+    weights times the triangle areas.  ``bary`` holds the barycentric values
+    of the points, (nq, 3), and ``scatter`` the (nv, nq * nt) sparse map that
+    sums point values, weighted, onto the P1 test functions, so a load
+    vector is one matvec.  Temporal arrays have shape (M, time_quad_points):
+    ``times`` and ``time_weights`` are each slab's Gauss rule, and ``lo`` and
+    ``hi`` the P1-in-time hats of the slab's left and right end at ``times``.
+    """
 
-# Factorize slab systems directly below this many interior unknowns; fall
-# back to Jacobi-CG above it.
-_DIRECT_LIMIT = 200_000
-
-
-class _IterativeSlabSolver:
-    def __init__(self, matrix):
-        self.matrix = matrix.tocsr()
-        d = self.matrix.diagonal()
-        self.precond = spla.LinearOperator(
-            matrix.shape, matvec=lambda x: x / d
+    def __init__(self, mesh, quad_degree, time_quad_points):
+        tri = mesh.triangulation
+        bary, rule_weights = reference_triangle_rule(quad_degree)
+        self.triangles = tri.triangles
+        self.bary = bary
+        # The points are the P1 interpolants of the vertex coordinates.
+        self.x = self.interpolate(tri.vertices[:, 0])
+        self.y = self.interpolate(tri.vertices[:, 1])
+        self.weights = np.outer(rule_weights, tri.signed_areas)
+        nq, nt = self.x.shape
+        rows = np.broadcast_to(self.triangles, (nq, nt, 3))
+        cols = np.broadcast_to(np.arange(nq * nt).reshape(nq, nt, 1), (nq, nt, 3))
+        vals = bary[:, None, :] * self.weights[:, :, None]
+        self.scatter = sp.csr_matrix(
+            (vals.ravel(), (rows.ravel(), cols.ravel())),
+            shape=(tri.num_vertices, nq * nt),
         )
 
-    def solve(self, rhs):
-        x, info = spla.cg(self.matrix, rhs, rtol=1e-13, atol=0.0, M=self.precond)
-        if info != 0:
-            raise AssemblyError(f"slab CG failed to converge (info={info})")
-        return x
+        pts = mesh.time_partition.points
+        left, right = pts[:-1, None], pts[1:, None]
+        self.times, self.time_weights = gauss_interval(time_quad_points, left, right)
+        self.lo = (right - self.times) / (right - left)
+        self.hi = (self.times - left) / (right - left)
+
+    def interpolate(self, nodal):
+        """Values of the P1 field with vertex values ``nodal`` at the points;
+        (nq, nt)."""
+        return self.bary @ nodal[self.triangles].T
+
+    def integrate(self, integrand):
+        """Space-time integral of ``integrand(m, j, t)``, the integrand's
+        values at the points at the j-th Gauss time t of slab m."""
+        total = 0.0
+        for (m, j), t in np.ndenumerate(self.times):
+            values = integrand(m, j, t)
+            total += self.time_weights[m, j] * float(np.vdot(self.weights, values))
+        return total
+
+
+def spatial_load_vector(quad, g, t):
+    """All-vertex load vector of x, y -> g(x, y, t) by the spatial rule of
+    ``quad``."""
+    vals = np.asarray(g(quad.x, quad.y, t), dtype=float)
+    return quad.scatter @ np.broadcast_to(vals, quad.x.shape).ravel()
 
 
 class Discretization:
     """All assembled operators for one space-time mesh.
 
-    Heavy objects (matrices, slab factorizations, quadrature geometry) are
-    built once and shared by the forward, adjoint and optimization routines.
-    Instances are immutable after construction, so concurrent reads are safe.
+    Heavy objects (matrices, quadrature geometry) are built once and shared
+    by the forward, adjoint and optimization routines.  Slab factorizations
+    are built on first use by ``slab_solver`` and cached on the instance.
+    ``quad_degree`` and ``time_quad_points`` choose the space-time rule that
+    every load, the misfit and the error norms integrate with.
     """
 
     def __init__(self, mesh, quad_degree=4, time_quad_points=2):
@@ -269,10 +271,14 @@ class Discretization:
         self.stiff_if = self.stiffness[idx, :].tocsr()
         self.mass_fi = self.mass_if.T.tocsr()
         self.stiff_fi = self.stiff_if.T.tocsr()
-        self.seminorm = assemble_control_seminorm(mesh)
-        self.control_mass = assemble_control_mass(mesh)
-        self.tri_rule = reference_triangle_rule(quad_degree)
-        self.time_quad_points = time_quad_points
+        # Space-time H1 seminorm and L2 mass on the control space, with the
+        # t_0 and t_M levels eliminated; both symmetric positive definite.
+        mt, st = _interior_time_blocks(mesh)
+        self.seminorm = (
+            sp.kron(mt, self.stiffness) + sp.kron(st, self.mass)
+        ).tocsr()
+        self.control_mass = sp.kron(mt, self.mass).tocsr()
+        self.quad = Quadrature(mesh, quad_degree, time_quad_points)
         self.grads, self.areas = triangle_geometry(tri)
         self._slab_factor = {}
 
@@ -282,16 +288,12 @@ class Discretization:
         return self.mass_ii + k * self.stiff_ii
 
     def slab_solver(self, k):
-        """Cached solver for M + k*S on the interior space; key is k itself,
-        so uniform partitions factorize exactly once."""
+        """Cached LU solver for M + k*S on the interior space; key is k
+        itself, so uniform partitions factorize exactly once."""
         key = float(k)
         solver = self._slab_factor.get(key)
         if solver is None:
-            matrix = self.slab_matrix(k)
-            if matrix.shape[0] <= _DIRECT_LIMIT:
-                solver = spla.splu(matrix.tocsc())
-            else:
-                solver = _IterativeSlabSolver(matrix)
+            solver = spla.splu(self.slab_matrix(k).tocsc())
             self._slab_factor[key] = solver
         return solver
 
@@ -326,136 +328,62 @@ class Discretization:
         wk = self.mesh.time_partition.steps[:, None] * slab_values
         return 0.5 * (self.mass_fi @ (wk[:-1] + wk[1:]).T).T
 
-    def control_mass_apply(self, control_flat):
-        return self.control_mass @ control_flat
-
     # -- quadrature loads ----------------------------------------------------
 
-    def slab_time_rule(self, m):
-        """Gauss points/weights on slab m (0-based)."""
-        pts = self.mesh.time_partition.points
-        return gauss_interval(self.time_quad_points, pts[m], pts[m + 1])
+    def _time_loads(self, g):
+        """Loads of g at every slab's Gauss times, times the time weights;
+        (M, time_quad_points, nv)."""
+        q = self.quad
+        return np.array(
+            [
+                [w * spatial_load_vector(q, g, t) for t, w in zip(times, weights)]
+                for times, weights in zip(q.times, q.time_weights)
+            ]
+        )
 
     def source_slabs(self, f):
         """Slab-integrated source loads on interior vertices; (M, ni)."""
-        M = self.mesh.num_slabs
-        out = np.zeros((M, self.mesh.num_interior))
         if f is None:
-            return out
-        tri = self.mesh.triangulation
-        for m in range(M):
-            tq, wq = self.slab_time_rule(m)
-            for t, w in zip(tq, wq):
-                out[m] += w * spatial_load_vector(tri, f, t, self.tri_rule)[
-                    self.interior
-                ]
-        return out
+            return np.zeros((self.mesh.num_slabs, self.mesh.num_interior))
+        return self._time_loads(f).sum(axis=1)[:, self.interior]
 
     def control_pairing(self, g):
         """L2(space-time) pairing of a function g(x, y, t) with every control
         basis function; (M-1, nv)."""
-        M = self.mesh.num_slabs
-        pts = self.mesh.time_partition.points
-        out = np.zeros((M - 1, self.mesh.num_nodes))
         if g is None:
-            return out
-        tri = self.mesh.triangulation
-        for m in range(M):
-            k = pts[m + 1] - pts[m]
-            tq, wq = self.slab_time_rule(m)
-            for t, w in zip(tq, wq):
-                load = spatial_load_vector(tri, g, t, self.tri_rule)
-                lo = (pts[m + 1] - t) / k
-                hi = (t - pts[m]) / k
-                if m >= 1:
-                    out[m - 1] += (w * lo) * load
-                if m + 1 <= M - 1:
-                    out[m] += (w * hi) * load
-        return out
+            return np.zeros((self.mesh.num_control_levels, self.mesh.num_nodes))
+        loads = self._time_loads(g)
+        # Level l is the right end of slab l and the left end of slab l + 1.
+        left = np.einsum("mj,mjv->mv", self.quad.lo, loads)
+        right = np.einsum("mj,mjv->mv", self.quad.hi, loads)
+        return right[:-1] + left[1:]
 
     def project_initial(self, u0):
         """L2 projection of u0 onto the interior P1 space; (ni,)."""
         if u0 is None:
             return np.zeros(self.mesh.num_interior)
-        tri = self.mesh.triangulation
-        rhs = spatial_load_vector(tri, lambda x, y, t: u0(x, y), 0.0, self.tri_rule)
+        rhs = spatial_load_vector(self.quad, lambda x, y, t: u0(x, y), 0.0)
         # The mass solve is the k = 0 slab system, so it shares the cache.
         return self.slab_solver(0.0).solve(rhs[self.interior])
 
     def misfit_quadrature(self, state_values, control_values, u_d):
         """|| (w + q) - u_d ||^2 over the space-time cylinder by quadrature."""
-        tri = self.mesh.triangulation
-        tt = tri.triangles
-        v = tri.vertices
-        p = [v[tt[:, i]] for i in range(3)]
+        q = self.quad
         M = self.mesh.num_slabs
-        pts = self.mesh.time_partition.points
         full = np.zeros((M, self.mesh.num_nodes))
         full[:, self.interior] = state_values
         pad = np.zeros((M + 1, self.mesh.num_nodes))
         if control_values is not None:
             pad[1:M] = control_values
-        bary, weights = self.tri_rule
-        total = 0.0
-        for m in range(M):
-            k = pts[m + 1] - pts[m]
-            tq, wq = self.slab_time_rule(m)
-            for t, wt in zip(tq, wq):
-                lo = (pts[m + 1] - t) / k
-                hi = (t - pts[m]) / k
-                nodal = full[m] + lo * pad[m] + hi * pad[m + 1]
-                for lam, ws in zip(bary, weights):
-                    px = sum(lam[i] * p[i][:, 0] for i in range(3))
-                    py = sum(lam[i] * p[i][:, 1] for i in range(3))
-                    uh = sum(lam[i] * nodal[tt[:, i]] for i in range(3))
-                    diff = uh - (0.0 if u_d is None else u_d(px, py, t))
-                    total += wt * ws * float(self.areas @ (diff * diff))
-        return total
 
+        def squared_misfit(m, j, t):
+            nodal = full[m] + q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1]
+            diff = q.interpolate(nodal)
+            if u_d is not None:
+                diff = diff - u_d(q.x, q.y, t)
+            return diff * diff
 
-# -- single-slab operations (1-based slab index m) ---------------------------
-
-
-def _check_slab(mesh, m):
-    if not 1 <= m <= mesh.num_slabs:
-        raise SlabIndexError(f"slab {m} outside 1..{mesh.num_slabs}")
-
-
-def assemble_coupling(disc, control, m):
-    """Coupling load of a control on slab m (1-based); (ni,) vector."""
-    _check_slab(disc.mesh, m)
-    values = control.values if isinstance(control, ControlField) else control
-    return disc.coupling_all(values)[m - 1]
-
-
-def assemble_source(disc, f, m):
-    """Source load on slab m (1-based); (ni,) vector."""
-    _check_slab(disc.mesh, m)
-    return disc.source_slabs(f)[m - 1] if f is not None else np.zeros(
-        disc.mesh.num_interior
-    )
-
-
-def assemble_tracking(disc, u_d, state, control, m):
-    """Tracking load int_{I_m} (u_kh - u_d, phi_i) with u_kh = w + q."""
-    _check_slab(disc.mesh, m)
-    i = m - 1
-    k = disc.mesh.time_partition.steps[i]
-    out = k * (disc.mass_ii @ state.values[i])
-    if control is not None:
-        pad = control.padded_values()
-        out += 0.5 * k * (disc.mass_if @ (pad[i] + pad[i + 1]))
-    if u_d is not None:
-        tri = disc.mesh.triangulation
-        tq, wq = disc.slab_time_rule(i)
-        for t, w in zip(tq, wq):
-            out -= w * spatial_load_vector(tri, u_d, t, disc.tri_rule)[disc.interior]
-    return out
-
-
-def l2_project_initial(disc, u0):
-    """L2 projection of the initial datum onto the zero-trace P1 space."""
-    return disc.project_initial(u0)
+        return q.integrate(squared_misfit)
 
 
 # -- dense bilinear form (diagnostics and tests) -----------------------------

@@ -4,12 +4,12 @@ and the convergence-study driver.
 The built-in case optimizes a tracking objective whose exact optimal state,
 adjoint and boundary control are closed-form polynomials-times-exponentials
 on the unit square with T = 1.  The shifted regularizer |q - q_d| with
-q_d equal to the exact control makes that triple optimal while keeping the
-box constraints partially active, so the study exercises the full
-variational-inequality path.  Errors are measured in the norms the estimates
-are stated in: spatial energy norm for state and adjoint, full space-time
-H1 seminorm for the control, against the combined parameter
-sigma = sqrt(h^2 + k^2).
+q_d equal to the exact control makes that triple optimal.  The bounds are
+inactive at that optimum (the exact control lies in [0, 1/16], the box is
+[0, 0.8]), so the study never makes a bound active.  Errors are measured in
+the norms the estimates are stated in: spatial energy norm for state and
+adjoint, full space-time H1 seminorm for the control, against the combined
+parameter sigma = sqrt(h^2 + k^2).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import Discretization, gauss_interval, reference_triangle_rule
+from .assembly import Discretization
 from .mesh import SpaceTimeMesh, uniform_time_partition, unit_square_mesh
 from .optimizer import PdasNonconvergence, ReducedProblem, pdas_solve
 from .forward import SolverError
@@ -153,108 +153,56 @@ def _check_same_mesh(disc, *fields):
             raise MeshMismatchError("field mesh differs from the discretization")
 
 
-def _quad_setup(disc, quad_degree, time_points):
-    rule = (
-        disc.tri_rule
-        if quad_degree is None
-        else reference_triangle_rule(quad_degree)
-    )
-    tqn = disc.time_quad_points if time_points is None else time_points
-    return rule, tqn
+def _gradient(disc, nodal):
+    """Per-triangle gradient (d/dx, d/dy) of a P1 field; each (nt,)."""
+    tt = disc.mesh.triangulation.triangles
+    return np.einsum("ti,tid->dt", nodal[tt], disc.grads)
 
 
-def _triangle_points(tri, lam):
-    v = tri.vertices
-    t = tri.triangles
-    px = lam[0] * v[t[:, 0], 0] + lam[1] * v[t[:, 1], 0] + lam[2] * v[t[:, 2], 0]
-    py = lam[0] * v[t[:, 0], 1] + lam[1] * v[t[:, 1], 1] + lam[2] * v[t[:, 2], 1]
-    return px, py
-
-
-def energy_error_state(disc, case, state, control=None, quad_degree=None,
-                       time_points=None):
+def energy_error_state(disc, case, state, control=None):
     """|| grad(u_exact - (w + q)) || over the space-time cylinder."""
     _check_same_mesh(disc, state, control)
-    rule, tqn = _quad_setup(disc, quad_degree, time_points)
     return _grad_error(disc, case.state_grad, state.full_values(),
-                       control.padded_values() if control is not None else None,
-                       rule, tqn)
+                       control.padded_values() if control is not None else None)
 
 
-def energy_error_adjoint(disc, case, adjoint, quad_degree=None, time_points=None):
+def energy_error_adjoint(disc, case, adjoint):
     """|| grad(z_exact - z_kh) || over the space-time cylinder."""
     _check_same_mesh(disc, adjoint)
-    rule, tqn = _quad_setup(disc, quad_degree, time_points)
-    return _grad_error(disc, case.adjoint_grad, adjoint.full_values(), None,
-                       rule, tqn)
+    return _grad_error(disc, case.adjoint_grad, adjoint.full_values(), None)
 
 
-def _grad_error(disc, grad_exact, slab_full, control_pad, rule, tqn):
-    mesh = disc.mesh
-    tri = mesh.triangulation
-    tt = tri.triangles
-    pts = mesh.time_partition.points
-    bary, ws = rule
-    total = 0.0
-    for m in range(mesh.num_slabs):
-        k = pts[m + 1] - pts[m]
-        tq, wq = gauss_interval(tqn, pts[m], pts[m + 1])
-        for t, wt in zip(tq, wq):
-            nodal = slab_full[m].copy()
-            if control_pad is not None:
-                lo = (pts[m + 1] - t) / k
-                hi = (t - pts[m]) / k
-                nodal += lo * control_pad[m] + hi * control_pad[m + 1]
-            coef = nodal[tt]
-            gx = np.einsum("ti,ti->t", coef, disc.grads[:, :, 0])
-            gy = np.einsum("ti,ti->t", coef, disc.grads[:, :, 1])
-            for lam, w in zip(bary, ws):
-                px, py = _triangle_points(tri, lam)
-                ex, ey = grad_exact(px, py, t)
-                dx = ex - gx
-                dy = ey - gy
-                total += wt * w * float(disc.areas @ (dx * dx + dy * dy))
-    return math.sqrt(total)
+def _grad_error(disc, grad_exact, slab_full, control_pad):
+    q = disc.quad
+
+    def squared_error(m, j, t):
+        nodal = slab_full[m]
+        if control_pad is not None:
+            lo, hi = q.lo[m, j], q.hi[m, j]
+            nodal = nodal + lo * control_pad[m] + hi * control_pad[m + 1]
+        gx, gy = _gradient(disc, nodal)
+        ex, ey = grad_exact(q.x, q.y, t)
+        return (ex - gx) ** 2 + (ey - gy) ** 2
+
+    return math.sqrt(q.integrate(squared_error))
 
 
-def control_error(disc, case, control, quad_degree=None, time_points=None):
+def control_error(disc, case, control):
     """Space-time H1 seminorm of q_exact - q_sigma."""
     _check_same_mesh(disc, control)
-    rule, tqn = _quad_setup(disc, quad_degree, time_points)
-    mesh = disc.mesh
-    tri = mesh.triangulation
-    tt = tri.triangles
-    pts = mesh.time_partition.points
+    q = disc.quad
     pad = control.padded_values()
-    bary, ws = rule
-    total = 0.0
-    for m in range(mesh.num_slabs):
-        k = pts[m + 1] - pts[m]
-        dt_nodal = (pad[m + 1] - pad[m]) / k
-        dt_coef = dt_nodal[tt]
-        tq, wq = gauss_interval(tqn, pts[m], pts[m + 1])
-        for t, wt in zip(tq, wq):
-            lo = (pts[m + 1] - t) / k
-            hi = (t - pts[m]) / k
-            nodal = lo * pad[m] + hi * pad[m + 1]
-            coef = nodal[tt]
-            gx = np.einsum("ti,ti->t", coef, disc.grads[:, :, 0])
-            gy = np.einsum("ti,ti->t", coef, disc.grads[:, :, 1])
-            for lam, w in zip(bary, ws):
-                px, py = _triangle_points(tri, lam)
-                dval = (
-                    lam[0] * dt_coef[:, 0]
-                    + lam[1] * dt_coef[:, 1]
-                    + lam[2] * dt_coef[:, 2]
-                )
-                dt_err = case.control_t(px, py, t) - dval
-                ex, ey = case.control_grad(px, py, t)
-                dx = ex - gx
-                dy = ey - gy
-                total += wt * w * float(
-                    disc.areas @ (dt_err * dt_err + dx * dx + dy * dy)
-                )
-    return math.sqrt(total)
+    steps = disc.mesh.time_partition.steps
+
+    def squared_error(m, j, t):
+        dt_err = case.control_t(q.x, q.y, t) - q.interpolate(
+            (pad[m + 1] - pad[m]) / steps[m]
+        )
+        gx, gy = _gradient(disc, q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1])
+        ex, ey = case.control_grad(q.x, q.y, t)
+        return dt_err**2 + (ex - gx) ** 2 + (ey - gy) ** 2
+
+    return math.sqrt(q.integrate(squared_error))
 
 
 # -- convergence study -------------------------------------------------------
@@ -372,10 +320,10 @@ def build_space_time_mesh(n, M, final_time=1.0):
     )
 
 
-def setup_problem(n, M, case, quad_degree=4):
+def setup_problem(n, M, case):
     """Discretization + reduced problem for one level of a case."""
     mesh = build_space_time_mesh(n, M)
-    disc = Discretization(mesh, quad_degree=quad_degree)
+    disc = Discretization(mesh)
     bounds = BoundSet(mesh, case.q_a, case.q_b, control_nodes=case.control_boundary)
     problem = ReducedProblem(
         disc,
@@ -390,8 +338,8 @@ def setup_problem(n, M, case, quad_degree=4):
 
 
 def _study_level(args):
-    n, M, case, tol, max_outer, quad_degree = args
-    problem = setup_problem(n, M, case, quad_degree)
+    n, M, case, tol, max_outer = args
+    problem = setup_problem(n, M, case)
     disc = problem.disc
     result = pdas_solve(problem, tol=tol, max_outer=max_outer)
     record = LevelRecord(
@@ -408,14 +356,14 @@ def _study_level(args):
     return record
 
 
-def run_study(levels, case, tol=1e-9, max_outer=50, jobs=1, quad_degree=4):
+def run_study(levels, case, tol=1e-9, max_outer=50, jobs=1):
     """Solve every (n, M) level and collect errors, rates and diagnostics.
 
     A solver failure stops the study; the report keeps the completed levels
     and carries the failure message."""
     levels = list(levels)
     report = StudyReport(case_name=case.name, records=[])
-    tasks = [(n, M, case, tol, max_outer, quad_degree) for (n, M) in levels]
+    tasks = [(n, M, case, tol, max_outer) for (n, M) in levels]
     try:
         if jobs > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:

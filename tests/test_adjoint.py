@@ -9,7 +9,7 @@ from dbc.adjoint import (
     sweep_backward,
     tracking_slabs,
 )
-from dbc.assembly import Discretization, assemble_tracking
+from dbc.assembly import Discretization
 from dbc.manufactured import build_space_time_mesh
 from dbc.mesh import SpaceTimeMesh, TimePartition, unit_square_mesh
 from dbc.spaces import ControlField, StateField
@@ -40,7 +40,10 @@ def test_zero_tracking_gives_zero_adjoint(disc):
     assert not z.values.any()
 
 
-def test_tracking_slabs_match_single_slab_assembly(disc):
+def test_tracking_slabs_match_midpoint_mass_oracle(disc):
+    """For u_d P1 in space and affine in t, w + q - u_d is P1 in space and
+    affine in t on every slab, so its slab load is exactly k_m times the
+    interior mass rows applied to its nodal values at the slab midpoint."""
     rng = np.random.default_rng(1)
     mesh = disc.mesh
     state = StateField(
@@ -51,12 +54,18 @@ def test_tracking_slabs_match_single_slab_assembly(disc):
     )
 
     def u_d(x, y, t):
-        return x * y + t
+        return (1.0 + 2.0 * x - y) * (0.5 + t)
 
     batch = tracking_slabs(disc, state.values, control.values, u_d)
-    for m in range(1, mesh.num_slabs + 1):
-        single = assemble_tracking(disc, u_d, state, control, m)
-        assert np.allclose(batch[m - 1], single, rtol=1e-12, atol=1e-14)
+    vx, vy = mesh.triangulation.vertices.T
+    pts = mesh.time_partition.points
+    pad = control.padded_values()
+    full = state.full_values()
+    for m in range(mesh.num_slabs):
+        t_mid = 0.5 * (pts[m] + pts[m + 1])
+        nodal = full[m] + 0.5 * (pad[m] + pad[m + 1]) - u_d(vx, vy, t_mid)
+        oracle = (pts[m + 1] - pts[m]) * (disc.mass_if @ nodal)
+        assert np.allclose(batch[m], oracle, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize(

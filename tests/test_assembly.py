@@ -9,12 +9,7 @@ from dbc.assembly import (
     AssemblyError,
     Discretization,
     EnergyExtension,
-    SlabIndexError,
-    assemble_control_mass,
-    assemble_control_seminorm,
-    assemble_coupling,
     assemble_mass_stiffness,
-    assemble_source,
     bilinear_form,
     coercivity_gap,
     control_state_form,
@@ -146,7 +141,7 @@ def test_control_seminorm_matches_quadrature(disc):
 
 def test_control_mass_matches_constant_integral():
     mesh = build_space_time_mesh(2, 4)
-    mass = assemble_control_mass(mesh)
+    mass = Discretization(mesh).control_mass
     # The field equal to 1 at every node of every interior level is the
     # standard time hat profile: integral of its square over the cylinder is
     # the 1-D mass quadratic form of (0, 1, 1, 1, 0) times |Omega| = 1.
@@ -193,7 +188,7 @@ def _quadrature_coupling_form(disc, control, v_values):
     pad = control.padded_values()
     full = np.zeros((mesh.num_slabs, mesh.num_nodes))
     full[:, disc.interior] = v_values
-    bary, ws = disc.tri_rule
+    bary, ws = reference_triangle_rule(4)
     total = 0.0
     for m in range(mesh.num_slabs):
         k = pts[m + 1] - pts[m]
@@ -261,8 +256,9 @@ def test_pair_state_control_is_l2_pairing(disc):
 
 
 def test_spatial_load_vector_constant():
-    tri = unit_square_mesh(4)
-    load = spatial_load_vector(tri, lambda x, y, t: np.ones_like(x), 0.0)
+    disc = Discretization(build_space_time_mesh(4, 1))
+    tri = disc.mesh.triangulation
+    load = spatial_load_vector(disc.quad, lambda x, y, t: np.ones_like(x), 0.0)
     # Loads of 1 are the hat-function integrals; they sum to the area.
     assert load.sum() == pytest.approx(1.0, rel=1e-14)
     interior = tri.interior_indices
@@ -307,9 +303,9 @@ def test_project_initial(disc):
     proj = disc.project_initial(u0)
     # Galerkin property: the projection error is mass-orthogonal to the
     # interior space, so the projected coefficients reproduce the load.
-    rhs = spatial_load_vector(
-        disc.mesh.triangulation, lambda x, y, t: u0(x, y), 0.0, disc.tri_rule
-    )[disc.interior]
+    rhs = spatial_load_vector(disc.quad, lambda x, y, t: u0(x, y), 0.0)[
+        disc.interior
+    ]
     assert np.allclose(disc.mass_ii @ proj, rhs, rtol=1e-12, atol=1e-15)
 
 
@@ -354,7 +350,7 @@ def test_bilinear_form_is_bilinear(disc):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-# -- slab helpers and caching ----------------------------------------------------
+# -- slab solver cache and matrix export --------------------------------------
 
 
 def test_slab_solver_cache_and_accuracy(disc):
@@ -365,27 +361,6 @@ def test_slab_solver_cache_and_accuracy(disc):
     x = disc.slab_solver(0.3).solve(rhs)
     dense = np.linalg.solve(disc.slab_matrix(0.3).toarray(), rhs)
     assert np.allclose(x, dense, rtol=1e-12, atol=1e-14)
-
-
-def test_single_slab_helpers_match_batch(disc):
-    rng = np.random.default_rng(11)
-    mesh = disc.mesh
-    q = ControlField(
-        mesh, rng.standard_normal((mesh.num_control_levels, mesh.num_nodes))
-    )
-
-    def f(x, y, t):
-        return x + t * y
-
-    for m in range(1, mesh.num_slabs + 1):
-        assert np.allclose(
-            assemble_coupling(disc, q, m), disc.coupling_all(q.values)[m - 1]
-        )
-        assert np.allclose(assemble_source(disc, f, m), disc.source_slabs(f)[m - 1])
-    with pytest.raises(SlabIndexError):
-        assemble_coupling(disc, q, 0)
-    with pytest.raises(SlabIndexError):
-        assemble_source(disc, f, mesh.num_slabs + 1)
 
 
 def test_export_matrix_market(disc, tmp_path):

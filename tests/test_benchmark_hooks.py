@@ -1,0 +1,34 @@
+"""The benchmark's trace hooks name functions that exist.
+
+``perfbench/spans.py`` wraps ``dbc`` functions and methods by module and
+attribute name from outside the package.  A rename inside ``dbc`` would
+only show when a traced benchmark run crashes; this test catches it first.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    spans = _load_spans()
+    targets = spans.PHASES + spans.LAYERS
+    assert targets
+    for module_name, attr, *_ in targets:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            if not hasattr(owner, part):
+                pytest.fail(f"{module_name}.{attr} does not resolve at {part!r}")
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module_name}.{attr} is not callable"

@@ -159,19 +159,15 @@ def exact_norms():
 
 
 def test_error_norms_of_zero_fields_are_exact_norms(case, exact_norms):
-    disc = Discretization(build_space_time_mesh(6, 6))
+    disc = Discretization(
+        build_space_time_mesh(6, 6), quad_degree=8, time_quad_points=4
+    )
     mesh = disc.mesh
-    err_u = energy_error_state(
-        disc, case, StateField(mesh), None, quad_degree=8, time_points=4
-    )
+    err_u = energy_error_state(disc, case, StateField(mesh), None)
     assert err_u == pytest.approx(exact_norms["state"], rel=1e-6)
-    err_p = energy_error_adjoint(
-        disc, case, AdjointField(mesh), quad_degree=8, time_points=4
-    )
+    err_p = energy_error_adjoint(disc, case, AdjointField(mesh))
     assert err_p == pytest.approx(exact_norms["adjoint"], rel=1e-5)
-    err_q = control_error(
-        disc, case, ControlField(mesh), quad_degree=8, time_points=4
-    )
+    err_q = control_error(disc, case, ControlField(mesh))
     assert err_q == pytest.approx(exact_norms["control"], rel=1e-6)
 
 
