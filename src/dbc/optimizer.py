@@ -9,9 +9,9 @@ no constraint and at any optimum must be stationary for the regularizer
 control as data), so they are eliminated exactly by the minimal-seminorm
 extension about q_d.  That leaves a dense-free quadratic in the trace
 values q = E v + anchor, with grad j = H v - b constant-shifted, which the
-PDAS loop exploits: every outer iteration costs two Hessian applications
-plus a warm-started CG solve on the inactive set, preconditioned by the
-diagonal of lam * seminorm (restricted to the trace).
+PDAS loop exploits: every outer iteration costs at most two Hessian
+applications plus a warm-started CG solve on the inactive set,
+preconditioned by the diagonal of lam * seminorm (restricted to the trace).
 
 Full-space gradient and Hessian actions (the variational-inequality form
 on the whole prismatic control space) remain available as
@@ -214,7 +214,7 @@ class ReducedProblem:
         """Homogeneous extension (the linear part of ``extend``)."""
         q = np.zeros(self.dim)
         q[self.trace_indices] = trace_values
-        rhs = -(self._A_interior_rows @ q)
+        rhs = -(self._A_interior_trace @ trace_values)
         q[self.interior_indices] = self._interior_solve(rhs)
         return q
 
@@ -452,9 +452,11 @@ def pdas_solve(
         if solves >= max_outer:
             raise PdasNonconvergence(diagnostics)
 
-        v[lower] = qa
-        v[upper] = qb
-        defect = problem.trace_b - problem.trace_hessian(v)
+        clamped = np.where(lower, qa, np.where(upper, qb, v))
+        moved = not np.array_equal(clamped, v)
+        v = clamped
+        # When the clamp moved no DOF, hv from the top of the loop is H v.
+        defect = problem.trace_b - (problem.trace_hessian(v) if moved else hv)
         ii = np.flatnonzero(inactive)
 
         def op(x_inactive):

@@ -359,8 +359,18 @@ def test_slab_solver_cache_and_accuracy(disc):
     rng = np.random.default_rng(10)
     rhs = rng.standard_normal(disc.mesh.num_interior)
     x = disc.slab_solver(0.3).solve(rhs)
-    dense = np.linalg.solve(disc.slab_matrix(0.3).toarray(), rhs)
+    dense = np.linalg.solve(disc.slab_solver(0.3).matrix.toarray(), rhs)
     assert np.allclose(x, dense, rtol=1e-12, atol=1e-14)
+
+
+def test_uniform_partition_shares_one_slab_system():
+    disc = Discretization(build_space_time_mesh(8, 6))
+    steps = disc.mesh.time_partition.steps
+    # The steps differ in their last bits, but are one step size.
+    assert len(np.unique(steps)) > 1
+    systems = {id(disc.slab_solver(k)) for k in steps}
+    assert len(systems) == 1
+    assert disc.slab_solver(0.5) is not disc.slab_solver(0.5 + 1e-9)
 
 
 def test_export_matrix_market(disc, tmp_path):

@@ -10,6 +10,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg as spla
+
+from dbc.manufactured import bump_case, setup_problem
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,3 +35,19 @@ def test_every_traced_name_resolves():
                 pytest.fail(f"{module_name}.{attr} does not resolve at {part!r}")
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attr} is not callable"
+
+
+def test_every_factor_goes_through_splu(monkeypatch):
+    """The ``assembly.splu`` span counts factors by wrapping ``spla.splu``;
+    at 8x6 that is one per extension time mode and one slab system."""
+    calls = []
+    splu = spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    problem = setup_problem(8, 6, bump_case())
+    assert problem.disc.mesh.num_control_levels == 5
+    assert len(calls) == 5 + 1

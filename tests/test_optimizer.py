@@ -290,6 +290,25 @@ def test_objective_descends_to_convergence():
     assert history[-1] == pytest.approx(direct, rel=1e-9)
 
 
+def test_unchanged_clamp_reuses_the_hessian_action(monkeypatch):
+    """Without active bounds the clamp moves no DOF, so each outer step
+    needs one Hessian action for the multiplier and one per CG iteration."""
+    problem = setup_problem(8, 6, bump_case())
+    calls = []
+    trace_hessian = ReducedProblem.trace_hessian
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return trace_hessian(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReducedProblem, "trace_hessian", counted)
+    result = pdas_solve(problem)
+    diagnostics = result.diagnostics
+    assert diagnostics.num_lower_active == diagnostics.num_upper_active == 0
+    assert diagnostics.outer_iterations == 1
+    assert len(calls) == diagnostics.cg_iterations + 2
+
+
 def test_objective_history_strictly_descends_without_set_changes():
     """With inactive bounds there is one solve and no set flips, so the
     two-entry history must descend outright."""
