@@ -39,7 +39,7 @@ def tracking_slabs(disc, state_values, control_values, u_d):
         pad[1:M] = control_values
         out += 0.5 * k[:, None] * (disc.mass_if @ (pad[:-1] + pad[1:]).T).T
     if u_d is not None:
-        out -= disc.source_slabs(u_d)
+        out -= disc.source_slabs(disc.time_loads(u_d))
     return out
 
 

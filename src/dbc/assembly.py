@@ -4,10 +4,13 @@ Spatial P1 mass/stiffness matrices, 1-D temporal P1 matrices, the Kronecker
 operators acting on the control (space-time seminorm and mass), the coupling
 between boundary control and interior state, and quadrature-based load
 vectors.  Matrices are scipy CSR assembled from vectorized per-element
-triplets; every symmetric positive definite factor comes from ``spd_lu``,
-and each slab's matrix and factor live in one ``SlabSystem``, cached per
-time-step size.  One space-time ``Quadrature`` per discretization serves
-every load, the tracking misfit and the error norms.
+triplets.  The control operators are ``KroneckerSum``s that keep only their
+temporal and spatial factors, so no matrix of the control-space size is
+assembled except for export.  Every symmetric positive definite factor
+comes from ``spd_lu``, and each slab's matrix and factor live in one
+``SlabSystem``, cached per time-step size.  One space-time ``Quadrature``
+per discretization serves every load, the tracking misfit and the error
+norms.
 
 Conventions: control coefficient arrays have shape (M-1, num_nodes) with
 level l (0-based) sitting at time t_{l+1}; state-type arrays have shape
@@ -185,6 +188,42 @@ class SlabSystem:
         return self._lu.solve(rhs)
 
 
+class KroneckerSum:
+    """The operator sum_k kron(T_k, S_k) on level-major vectors, kept as its
+    temporal factors T_k (levels x levels) and spatial factors S_k (nv x nv).
+
+    ``@`` applies it factor by factor, T_k @ (S_k @ X.T).T with X the
+    (levels, nv) view of the vector, so the space-time matrix is never
+    assembled.  ``block`` assembles the rows and columns of spatial vertex
+    subsets at every level; ``tocsr`` assembles the whole matrix, for
+    export and for tests."""
+
+    def __init__(self, *terms):
+        self.terms = terms
+        time, space = terms[0]
+        self._grid = (time.shape[0], space.shape[0])
+        self.shape = (time.shape[0] * space.shape[0],) * 2
+
+    def __matmul__(self, flat):
+        X = flat.reshape(self._grid)
+        return sum(time @ (space @ X.T).T for time, space in self.terms).ravel()
+
+    def diagonal(self):
+        return sum(
+            np.outer(time.diagonal(), space.diagonal()) for time, space in self.terms
+        ).ravel()
+
+    def block(self, rows, cols):
+        """CSR block of the vertex rows ``rows`` and columns ``cols`` at every
+        level, level-major on both sides."""
+        return sum(
+            sp.kron(time, space[rows][:, cols]) for time, space in self.terms
+        ).tocsr()
+
+    def tocsr(self):
+        return self.block(slice(None), slice(None))
+
+
 def _interior_time_blocks(mesh):
     mt, st = time_mass_stiffness(mesh.time_partition.points)
     M = mesh.num_slabs
@@ -280,11 +319,14 @@ def spatial_load_vector(quad, g, t):
 
 
 class Discretization:
-    """All assembled operators for one space-time mesh.
+    """All operators for one space-time mesh.
 
-    Heavy objects (matrices, quadrature geometry) are built once and shared
-    by the forward, adjoint and optimization routines.  Slab systems are
-    built on first use by ``slab_solver`` and cached on the instance.
+    Heavy objects (spatial matrices, quadrature geometry) are built once and
+    shared by the forward, adjoint and optimization routines.  ``seminorm``
+    and ``control_mass``, the space-time H1 seminorm and L2 mass of the
+    control, are ``KroneckerSum``s of the temporal and spatial matrices.
+    Slab systems are built on first use by ``slab_solver`` and cached on the
+    instance.
     ``quad_degree`` and ``time_quad_points`` choose the space-time rule that
     every load, the misfit and the error norms integrate with.
     """
@@ -302,12 +344,11 @@ class Discretization:
         self.mass_fi = self.mass_if.T.tocsr()
         self.stiff_fi = self.stiff_if.T.tocsr()
         # Space-time H1 seminorm and L2 mass on the control space, with the
-        # t_0 and t_M levels eliminated; both symmetric positive definite.
+        # t_0 and t_M levels eliminated; both symmetric positive definite,
+        # and both kept as their temporal and spatial factors.
         mt, st = _interior_time_blocks(mesh)
-        self.seminorm = (
-            sp.kron(mt, self.stiffness) + sp.kron(st, self.mass)
-        ).tocsr()
-        self.control_mass = sp.kron(mt, self.mass).tocsr()
+        self.seminorm = KroneckerSum((mt, self.stiffness), (st, self.mass))
+        self.control_mass = KroneckerSum((mt, self.mass))
         self.quad = Quadrature(mesh, quad_degree, time_quad_points)
         self.grads, self.areas = triangle_geometry(tri)
         # Two steps of a uniform partition differ only by the rounding of
@@ -366,10 +407,13 @@ class Discretization:
 
     # -- quadrature loads ----------------------------------------------------
 
-    def _time_loads(self, g):
+    def time_loads(self, g):
         """Loads of g at every slab's Gauss times, times the time weights;
-        (M, time_quad_points, nv)."""
+        (M, time_quad_points, nv), zero for g None.  ``source_slabs`` and
+        ``control_pairing`` integrate them in time."""
         q = self.quad
+        if g is None:
+            return np.zeros(q.times.shape + (self.mesh.num_nodes,))
         return np.array(
             [
                 [w * spatial_load_vector(q, g, t) for t, w in zip(times, weights)]
@@ -377,18 +421,14 @@ class Discretization:
             ]
         )
 
-    def source_slabs(self, f):
-        """Slab-integrated source loads on interior vertices; (M, ni)."""
-        if f is None:
-            return np.zeros((self.mesh.num_slabs, self.mesh.num_interior))
-        return self._time_loads(f).sum(axis=1)[:, self.interior]
+    def source_slabs(self, loads):
+        """Slab integrals on interior vertices of the function whose
+        ``time_loads`` are ``loads``; (M, ni)."""
+        return loads.sum(axis=1)[:, self.interior]
 
-    def control_pairing(self, g):
-        """L2(space-time) pairing of a function g(x, y, t) with every control
-        basis function; (M-1, nv)."""
-        if g is None:
-            return np.zeros((self.mesh.num_control_levels, self.mesh.num_nodes))
-        loads = self._time_loads(g)
+    def control_pairing(self, loads):
+        """L2(space-time) pairing of the function whose ``time_loads`` are
+        ``loads`` with every control basis function; (M-1, nv)."""
         # Level l is the right end of slab l and the left end of slab l + 1.
         left = np.einsum("mj,mjv->mv", self.quad.lo, loads)
         right = np.einsum("mj,mjv->mv", self.quad.hi, loads)
@@ -469,4 +509,6 @@ def export_matrix_market(disc, directory):
     os.makedirs(directory, exist_ok=True)
     sio.mmwrite(os.path.join(directory, "mass.mtx"), disc.mass)
     sio.mmwrite(os.path.join(directory, "stiffness.mtx"), disc.stiffness)
-    sio.mmwrite(os.path.join(directory, "control_seminorm.mtx"), disc.seminorm)
+    sio.mmwrite(
+        os.path.join(directory, "control_seminorm.mtx"), disc.seminorm.tocsr()
+    )

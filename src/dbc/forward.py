@@ -61,7 +61,7 @@ def solve_state(disc, f=None, u0=None, control=None):
     control q; returns the zero-trace part w as a StateField.
 
     The full discrete state is w + q; evaluate it by adding the control."""
-    rhs = disc.source_slabs(f)
+    rhs = disc.source_slabs(disc.time_loads(f))
     if control is not None:
         rhs = rhs - disc.coupling_all(control.values)
     w0 = disc.project_initial(u0)

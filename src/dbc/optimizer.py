@@ -125,13 +125,17 @@ class ReducedProblem:
         mesh = disc.mesh
         self.dim = mesh.num_control_levels * mesh.num_nodes
 
-        self._source = disc.source_slabs(f)
+        self._source = disc.source_slabs(disc.time_loads(f))
         self._w0 = disc.project_initial(u0)
         self.state_base = sweep_forward(disc, self._source, self._w0)
+        # u_d is evaluated once, for its slab loads and its control pairing.
+        target = disc.time_loads(u_d)
         self.adjoint_base = sweep_backward(
-            disc, tracking_slabs(disc, self.state_base, None, u_d)
+            disc,
+            tracking_slabs(disc, self.state_base, None, None)
+            - disc.source_slabs(target),
         )
-        self._target_pairing = disc.control_pairing(u_d).ravel()
+        self._target_pairing = disc.control_pairing(target).ravel()
         if q_d is not None:
             self.q_shift = interpolate_control(mesh, q_d).ravel()
         else:
@@ -153,10 +157,11 @@ class ReducedProblem:
         self.interior_indices = np.flatnonzero(np.tile(interior, (levels, 1)).ravel())
         self.trace_dim = len(self.trace_indices)
         self.extension = EnergyExtension(disc)
-        A = disc.seminorm.tocsr()
-        self._A_interior_rows = A[self.interior_indices]
-        self._A_interior_trace = self._A_interior_rows[:, self.trace_indices].tocsr()
-        self._num_interior = len(np.flatnonzero(interior))
+        # The trace DOFs are every level of the boxed vertices, so this is
+        # the seminorm block of the interior rows and the trace columns.
+        self._A_interior_trace = disc.seminorm.block(
+            disc.interior, bounds.boxed_vertices
+        )
 
         self.anchor = self.extend(np.zeros(self.trace_dim))
         anchor_h, sens, second = self.hessian_apply(self.anchor, want_fields=True)
@@ -192,9 +197,9 @@ class ReducedProblem:
     # -- trace layer -----------------------------------------------------------
 
     def _interior_solve(self, rhs_flat):
-        levels = self.disc.mesh.num_control_levels
+        mesh = self.disc.mesh
         return self.extension.solve(
-            rhs_flat.reshape(levels, self._num_interior)
+            rhs_flat.reshape(mesh.num_control_levels, mesh.num_interior)
         ).ravel()
 
     def extend(self, trace_values):
@@ -204,7 +209,7 @@ class ReducedProblem:
         q[self.trace_indices] = trace_values
         offset = q - self.q_shift
         offset[self.interior_indices] = 0.0
-        rhs = -(self._A_interior_rows @ offset)
+        rhs = -(self.disc.seminorm @ offset)[self.interior_indices]
         q[self.interior_indices] = (
             self.q_shift[self.interior_indices] + self._interior_solve(rhs)
         )

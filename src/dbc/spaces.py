@@ -183,6 +183,7 @@ class BoundSet:
             boxed = flags & np.asarray(control_nodes(x, y), dtype=bool)
         fixed = flags & ~boxed
         levels = mesh.num_control_levels
+        self.boxed_vertices = np.flatnonzero(boxed)
         self.mask = np.tile(boxed, (levels, 1))
         self.fixed_mask = np.tile(fixed, (levels, 1))
         self.constrained_indices = np.flatnonzero(self.mask.ravel())

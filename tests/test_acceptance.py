@@ -189,7 +189,7 @@ def test_criterion_09_hessian_symmetry_and_curvature(criterion):
             rng.standard_normal((2, dim)) for _ in range(20)
         )
     ) / scale
-    A = problem.disc.seminorm.toarray()
+    A = problem.disc.seminorm.tocsr().toarray()
     min_gap = float(np.linalg.eigvalsh(H - problem.lam * A).min())
     ok = sym < 1e-10 and min_gap >= -1e-12 * scale
     criterion(

@@ -21,7 +21,7 @@ from dbc.assembly import (
 )
 from dbc.manufactured import build_space_time_mesh
 from dbc.mesh import SpaceTimeMesh, TimePartition, Triangulation, unit_square_mesh
-from dbc.spaces import ControlField, interpolate_control
+from dbc.spaces import BoundSet, ControlField, interpolate_control
 
 
 @pytest.fixture
@@ -158,6 +158,37 @@ def test_seminorm_positive_definite(disc):
     assert float(flat @ (disc.seminorm @ flat)) > 0
 
 
+def test_kronecker_operators_match_their_assembly():
+    """Seminorm and control mass, applied from their factors, against the
+    ``sp.kron`` assembly on a non-uniform partition."""
+    mesh = SpaceTimeMesh(unit_square_mesh(3), TimePartition([0, 0.2, 0.5, 0.7, 1.3]))
+    disc = Discretization(mesh)
+    M = mesh.num_slabs
+    tmass, tstiff = time_mass_stiffness(mesh.time_partition.points)
+    mt, st = tmass[1:M, 1:M], tstiff[1:M, 1:M]
+    interior = disc.interior
+    boxed = BoundSet(mesh, 0.0, 1.0, control_nodes=lambda x, y: y < 0.5).boxed_vertices
+    assert 0 < len(boxed) < mesh.num_nodes - len(interior)
+    levels = np.arange(mesh.num_control_levels)[:, None] * mesh.num_nodes
+    rows, cols = (levels + interior).ravel(), (levels + boxed).ravel()
+    rng = np.random.default_rng(8)
+    for operator, oracle in (
+        (disc.seminorm, sp.kron(mt, disc.stiffness) + sp.kron(st, disc.mass)),
+        (disc.control_mass, sp.kron(mt, disc.mass)),
+    ):
+        oracle = oracle.tocsr()
+        assert operator.shape == oracle.shape
+        x = rng.standard_normal(oracle.shape[1])
+        exact = oracle @ x
+        assert np.linalg.norm(operator @ x - exact) <= 1e-14 * np.linalg.norm(exact)
+        assert np.array_equal(operator.diagonal(), oracle.diagonal())
+        assert np.array_equal(
+            operator.block(interior, boxed).toarray(),
+            oracle[rows][:, cols].toarray(),
+        )
+        assert np.array_equal(operator.tocsr().toarray(), oracle.toarray())
+
+
 def test_energy_extension_solves_interior_block():
     for mesh in (
         build_space_time_mesh(4, 3),
@@ -268,10 +299,10 @@ def test_spatial_load_vector_constant():
 def test_source_slabs_constant(disc):
     k = disc.mesh.time_partition.steps[0]
     n = disc.mesh.triangulation.n
-    slabs = disc.source_slabs(lambda x, y, t: np.ones_like(x))
+    slabs = disc.source_slabs(disc.time_loads(lambda x, y, t: np.ones_like(x)))
     assert slabs.shape == (3, disc.mesh.num_interior)
     assert np.allclose(slabs, k / n**2)
-    assert not disc.source_slabs(None).any()
+    assert not disc.source_slabs(disc.time_loads(None)).any()
 
 
 def test_control_pairing_matches_mass_for_discrete_function(disc):
@@ -287,11 +318,12 @@ def test_control_pairing_matches_mass_for_discrete_function(disc):
         # representable in the control space.
         return (0.5 + 0.25 * x) * np.interp(t, pts, profile)
 
-    paired = disc.control_pairing(g_disc).ravel()
+    paired = disc.control_pairing(disc.time_loads(g_disc)).ravel()
     oracle = disc.control_mass @ interpolate_control(mesh, g_disc).ravel()
     assert np.allclose(paired, oracle, rtol=1e-12, atol=1e-15)
-    assert disc.control_pairing(None).shape == (2, mesh.num_nodes)
-    assert not disc.control_pairing(None).any()
+    zero = disc.control_pairing(disc.time_loads(None))
+    assert zero.shape == (2, mesh.num_nodes)
+    assert not zero.any()
 
 
 def test_project_initial(disc):
@@ -377,10 +409,14 @@ def test_export_matrix_market(disc, tmp_path):
     import scipy.io as sio
 
     export_matrix_market(disc, tmp_path)
+    M = disc.mesh.num_slabs
+    tmass, tstiff = time_mass_stiffness(disc.mesh.time_partition.points)
+    mt, st = tmass[1:M, 1:M], tstiff[1:M, 1:M]
+    seminorm = sp.kron(mt, disc.stiffness) + sp.kron(st, disc.mass)
     for name, matrix in (
         ("mass.mtx", disc.mass),
         ("stiffness.mtx", disc.stiffness),
-        ("control_seminorm.mtx", disc.seminorm),
+        ("control_seminorm.mtx", seminorm),
     ):
         path = tmp_path / name
         assert path.is_file()

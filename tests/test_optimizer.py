@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dbc.manufactured import bump_case, setup_problem
 from dbc.optimizer import (
@@ -191,7 +192,7 @@ def test_dense_hessian_symmetry_and_curvature(problem33):
     H = dense_full_hessian(problem33)
     scale = np.abs(H).max()
     assert np.abs(H - H.T).max() < 1e-10 * scale
-    A = problem33.disc.seminorm.toarray()
+    A = problem33.disc.seminorm.tocsr().toarray()
     gap = np.linalg.eigvalsh(H - problem33.lam * A)
     assert gap.min() >= -1e-12 * scale
 
@@ -307,6 +308,35 @@ def test_unchanged_clamp_reuses_the_hessian_action(monkeypatch):
     assert diagnostics.num_lower_active == diagnostics.num_upper_active == 0
     assert diagnostics.outer_iterations == 1
     assert len(calls) == diagnostics.cg_iterations + 2
+
+
+def test_no_control_space_matrix_is_assembled(monkeypatch):
+    """The seminorm and the control mass act from their Kronecker factors:
+    no ``sp.kron`` product as wide as the control space is ever formed."""
+    widths = []
+    kron = sp.kron
+
+    def recorded(*args, **kwargs):
+        product = kron(*args, **kwargs)
+        widths.append(product.shape[1])
+        return product
+
+    monkeypatch.setattr(sp, "kron", recorded)
+    problem = setup_problem(8, 6, bump_case())
+    pdas_solve(problem)
+    assert widths
+    assert problem.dim not in widths
+
+
+def test_one_slab_has_no_control_levels():
+    """With one slab the control space is empty, and so is every trace
+    vector; set-up and the solve still go through."""
+    problem = setup_problem(4, 1, bump_case())
+    assert problem.disc.mesh.num_control_levels == 0
+    assert problem.dim == problem.trace_dim == 0
+    result = pdas_solve(problem)
+    assert result.control.values.shape == (0, problem.disc.mesh.num_nodes)
+    assert result.state.values.shape == (1, problem.disc.mesh.num_interior)
 
 
 def test_objective_history_strictly_descends_without_set_changes():
