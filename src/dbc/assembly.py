@@ -7,10 +7,13 @@ vectors.  Matrices are scipy CSR assembled from vectorized per-element
 triplets.  The control operators are ``KroneckerSum``s that keep only their
 temporal and spatial factors, so no matrix of the control-space size is
 assembled except for export.  Every symmetric positive definite factor
-comes from ``spd_lu``, and each slab's matrix and factor live in one
-``SlabSystem``, cached per time-step size.  One space-time ``Quadrature``
-per discretization serves every load, the tracking misfit and the error
-norms.
+is a ``BandCholesky``: a LAPACK band Cholesky factor in an ordering that
+keeps the band narrow, reverse Cuthill-McKee for the slab systems and the
+level sets of the distance from the controlled edge for the extension's
+time modes.  Each
+slab's matrix and factor live in one ``SlabSystem``, cached per time-step
+size.  One space-time ``Quadrature`` per discretization serves every load,
+the tracking misfit and the error norms.
 
 Conventions: control coefficient arrays have shape (M-1, num_nodes) with
 level l (0-based) sitting at time t_{l+1}; state-type arrays have shape
@@ -23,7 +26,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
+from scipy.sparse import csgraph
 
 from .spaces import ControlField
 
@@ -157,35 +161,84 @@ def time_mass_stiffness(points):
     return mass, stiff
 
 
-def spd_lu(matrix):
-    """Sparse LU of a symmetric positive definite matrix.
+class BandCholesky:
+    """Cholesky factor of a symmetric positive definite matrix, reordered.
 
-    Minimum degree on the pattern of A^T + A, diagonal pivots and SuperLU's
-    symmetric mode keep the factor of an SPD matrix symmetric in structure;
-    on the slab matrices of the 48x34 and 64x46 meshes this ordering fills
-    26-30% less than SuperLU's default COLAMD, which is meant for
-    unsymmetric matrices.  Every factor in ``dbc`` is made here, through
-    ``spla.splu``.
+    With P the permutation ``order`` (P A P^T = A[order][:, order]), the
+    factor L of P A P^T is kept in LAPACK lower band storage: kd + 1 rows of
+    length n, where kd is the widest coupling of the permuted matrix.  So
+    ``order`` sets both the memory, n (kd + 1) doubles, and the cost of a
+    solve.  The factor comes from LAPACK's dpbtrf and ``solve`` is dpbtrs.
+
+    The last positions of ``order`` are its tail.  A right-hand side that
+    is zero off the tail makes the forward substitution zero until the
+    tail, and an answer read only on the tail needs the backward
+    substitution on the tail alone.  ``solve_from_tail`` and
+    ``solve_to_tail`` therefore run one full triangular solve and one on
+    the trailing block of L (BLAS dtbsv).
     """
-    return spla.splu(
-        matrix.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+
+    def __init__(self, matrix, order):
+        permuted = matrix.tocsr()[order][:, order].tocoo()
+        lower = permuted.row >= permuted.col
+        rows, cols = permuted.row[lower], permuted.col[lower]
+        self.kd = int((rows - cols).max(initial=0))
+        band = np.zeros((self.kd + 1, permuted.shape[0]), order="F")
+        band[rows - cols, cols] = permuted.data[lower]
+        # dpbtrf factors in place, so the band is never held twice.
+        self._band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise AssemblyError(
+                f"matrix is not positive definite: leading minor {info} "
+                f"of the reordered matrix"
+            )
+        self._order = order
+
+    def _unpermute(self, permuted):
+        out = np.empty_like(permuted)
+        out[self._order] = permuted
+        return out
+
+    def solve(self, rhs):
+        x, _ = lapack.dpbtrs(self._band, rhs[self._order], lower=1, overwrite_b=1)
+        return self._unpermute(x)
+
+    def solve_from_tail(self, tail_rhs):
+        """``solve`` of the right-hand side that is ``tail_rhs`` on the last
+        ``len(tail_rhs)`` positions of ``order`` and zero elsewhere."""
+        n = self._band.shape[1]
+        start = n - len(tail_rhs)
+        y = np.zeros(n)
+        if start < n:  # BLAS rejects an empty vector
+            y[start:] = blas.dtbsv(self.kd, self._band[:, start:], tail_rhs, lower=1)
+        x = blas.dtbsv(self.kd, self._band, y, lower=1, trans=1, overwrite_x=1)
+        return self._unpermute(x)
+
+    def solve_to_tail(self, rhs, size):
+        """The last ``size`` positions of ``order`` of ``solve(rhs)``."""
+        if size == 0:  # BLAS rejects an empty vector
+            return np.zeros(0)
+        start = self._band.shape[1] - size
+        y = blas.dtbsv(self.kd, self._band, rhs[self._order], lower=1, overwrite_x=1)
+        return blas.dtbsv(
+            self.kd, self._band[:, start:], y[start:], lower=1, trans=1, overwrite_x=1
+        )
 
 
 class SlabSystem:
-    """One slab system: ``matrix``, the CSR M_ii + k S_ii, and its factor,
-    both built once.  ``solve`` applies the inverse; callers check residuals
-    against ``matrix``."""
+    """One slab system: ``matrix``, the CSR M_ii + k S_ii, and its
+    ``BandCholesky`` factor in the permutation ``order``, both built once.
+    With the reverse Cuthill-McKee order of ``Discretization`` the band of a
+    structured n x n mesh is n - 1 wide (63 at 64x46).
+    ``solve`` applies the inverse; callers check residuals against
+    ``matrix``."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, order):
         self.matrix = matrix
-        self._lu = spd_lu(matrix)
+        self._factor = BandCholesky(matrix, order)
 
     def solve(self, rhs):
-        return self._lu.solve(rhs)
+        return self._factor.solve(rhs)
 
 
 class KroneckerSum:
@@ -239,22 +292,70 @@ class EnergyExtension:
     DOFs.  A_ii = kron(Mt, S_ii) + kron(St, M_ii) is separable, so instead
     of factoring one large space-time operator we eigen-decompose the small
     interior time pencil St Z = Mt Z diag(theta) (Z^T Mt Z = I) and factor
-    the 2-D operator S_ii + theta_j M_ii once per time mode.
+    the 2-D operator S_ii + theta_j M_ii once per time mode, as a
+    ``BandCholesky``.
+
+    The trace reaches the interior only through ``tail``, the interior
+    vertices coupled to one of ``boxed_vertices``: an extension's
+    right-hand side lives there, and its transpose reads only there.  The
+    factor order puts the interior vertices by decreasing graph distance
+    from the tail, so the tail is the last block and ``solve_from_tail`` and
+    ``solve_to_tail`` skip the other half of a substitution.  The level
+    sets of that distance set the band width.  With one edge of the unit
+    square boxed they are grid rows, so the band is n - 1 for
+    ``unit_square_mesh(n)``, as narrow as the slab systems'.  With the whole
+    boundary boxed the tail is a ring and so is every level set: at 64 the
+    band is 303 wide and each mode factor holds 9.7 MB, against 63 and
+    2.0 MB for the bottom edge.
     """
 
-    def __init__(self, disc):
+    def __init__(self, disc, boxed_vertices):
         mt, st = _interior_time_blocks(disc.mesh)
         theta, modes = sla.eigh(st.toarray(), mt.toarray())
         self.modes = modes
-        self._solvers = [spd_lu(disc.stiff_ii + th * disc.mass_ii) for th in theta]
+        self._levels, self._size = len(theta), disc.mesh.num_interior
+        coupled = disc.mass_if[:, boxed_vertices]
+        self.tail = np.flatnonzero(np.diff(coupled.indptr))
+        distance = csgraph.dijkstra(
+            disc.mass_ii, unweighted=True, indices=self.tail, min_only=True
+        )
+        # Farthest first; a stable sort keeps the tail, at distance 0, last
+        # and in the ascending order of ``tail``.
+        self.order = np.argsort(-distance, kind="stable")
+        self._factors = [
+            BandCholesky(disc.stiff_ii + th * disc.mass_ii, self.order)
+            for th in theta
+        ]
+
+    def _by_mode(self, rhs, width, solve):
+        """Transform ``rhs`` to the time modes, apply ``solve(factor, row)``
+        to the row of each mode and transform back; (levels, width)."""
+        transformed = self.modes.T @ rhs
+        solved = np.empty((self._levels, width))
+        for j, factor in enumerate(self._factors):
+            solved[j] = solve(factor, transformed[j])
+        return self.modes @ solved
 
     def solve(self, rhs):
-        """Solve A_ii X = rhs for rhs of shape (levels, num_interior)."""
-        transformed = self.modes.T @ rhs
-        solved = np.empty_like(transformed)
-        for j, solver in enumerate(self._solvers):
-            solved[j] = solver.solve(transformed[j])
-        return self.modes @ solved
+        """Solve A_ii X = rhs for a level-major rhs, flat or of shape
+        (levels, num_interior); X has shape (levels, num_interior)."""
+        rhs = rhs.reshape(self._levels, self._size)
+        return self._by_mode(rhs, self._size, BandCholesky.solve)
+
+    def solve_from_tail(self, tail_rhs):
+        """``solve`` of the right-hand side that is ``tail_rhs``, level-major
+        over the tail, on the tail and zero elsewhere; (levels,
+        num_interior)."""
+        tail_rhs = tail_rhs.reshape(self._levels, len(self.tail))
+        return self._by_mode(tail_rhs, self._size, BandCholesky.solve_from_tail)
+
+    def solve_to_tail(self, rhs):
+        """The tail columns of ``solve(rhs)``; (levels, len(tail))."""
+        rhs = rhs.reshape(self._levels, self._size)
+        size = len(self.tail)
+        return self._by_mode(
+            rhs, size, lambda factor, row: factor.solve_to_tail(row, size)
+        )
 
 
 class Quadrature:
@@ -325,8 +426,9 @@ class Discretization:
     shared by the forward, adjoint and optimization routines.  ``seminorm``
     and ``control_mass``, the space-time H1 seminorm and L2 mass of the
     control, are ``KroneckerSum``s of the temporal and spatial matrices.
-    Slab systems are built on first use by ``slab_solver`` and cached on the
-    instance.
+    Slab systems are built on first use by ``slab_solver``, factored in the
+    one ``slab_order``, and cached on the instance; ``max_slab_residual`` is
+    the largest relative residual that ``forward`` has checked so far.
     ``quad_degree`` and ``time_quad_points`` choose the space-time rule that
     every load, the misfit and the error norms integrate with.
     """
@@ -355,6 +457,13 @@ class Discretization:
         # the points T*i/M, at most one ulp of T per point.
         self._same_step = 4.0 * np.spacing(mesh.time_partition.final_time)
         self._slab_systems = {}
+        # Every slab matrix has the pattern of mass_ii, so one reverse
+        # Cuthill-McKee order narrows the band of all of them.
+        self.slab_order = csgraph.reverse_cuthill_mckee(
+            self.mass_ii, symmetric_mode=True
+        )
+        # Largest relative residual of a checked slab solve so far.
+        self.max_slab_residual = 0.0
 
     # -- slab systems ------------------------------------------------------
 
@@ -370,7 +479,7 @@ class Discretization:
             for step, cached in self._slab_systems.items():
                 if abs(step - key) <= self._same_step:
                     return cached
-            system = SlabSystem(self.mass_ii + key * self.stiff_ii)
+            system = SlabSystem(self.mass_ii + key * self.stiff_ii, self.slab_order)
             self._slab_systems[key] = system
         return system
 

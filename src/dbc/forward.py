@@ -4,8 +4,9 @@ The dG(0)-in-time discretization decouples into one backward-Euler-type slab
 system per step: (M + k_m S) w_m = M w_{m-1} + F_m - C_m(q), with w_0 the L2
 projection of the initial datum.  ``Discretization.slab_solver`` hands out
 one cached ``SlabSystem`` per step size, holding the slab matrix and its
-factor, so repeated solves on the same mesh cost one triangular solve and
-one residual check per slab.
+band Cholesky factor, so repeated solves on the same mesh cost one band
+solve and one residual check per slab.  The largest residual checked is
+kept on the discretization as ``max_slab_residual``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ def _checked_solve(disc, k, rhs, slab):
     residual = np.linalg.norm(system.matrix @ x - rhs) / scale
     if not residual <= _RESIDUAL_TOL:
         raise SolverError(slab, residual)
+    disc.max_slab_residual = max(disc.max_slab_residual, float(residual))
     return x
 
 

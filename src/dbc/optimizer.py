@@ -60,7 +60,9 @@ class KKTDiagnostics:
 
     All residuals are nonnegative maxima over DOFs: stationarity over the
     inactive DOFs, complementarity as the wrong-sign multiplier magnitude on
-    the active sets, infeasibility as the bound violation."""
+    the active sets, infeasibility as the bound violation.
+    ``max_slab_residual`` is the largest relative residual of a slab solve
+    on the problem's discretization, set-up included."""
 
     stationarity: float
     complementarity: float
@@ -69,6 +71,7 @@ class KKTDiagnostics:
     num_upper_active: int
     outer_iterations: int
     cg_iterations: int
+    max_slab_residual: float
     objective_history: list = field(default_factory=list)
 
     def as_dict(self):
@@ -80,6 +83,7 @@ class KKTDiagnostics:
             "num_upper_active": self.num_upper_active,
             "outer_iterations": self.outer_iterations,
             "cg_iterations": self.cg_iterations,
+            "max_slab_residual": self.max_slab_residual,
             "objective_history": list(self.objective_history),
         }
 
@@ -156,11 +160,12 @@ class ReducedProblem:
         self.pinned_indices = bounds.fixed_indices
         self.interior_indices = np.flatnonzero(np.tile(interior, (levels, 1)).ravel())
         self.trace_dim = len(self.trace_indices)
-        self.extension = EnergyExtension(disc)
-        # The trace DOFs are every level of the boxed vertices, so this is
-        # the seminorm block of the interior rows and the trace columns.
-        self._A_interior_trace = disc.seminorm.block(
-            disc.interior, bounds.boxed_vertices
+        self.extension = EnergyExtension(disc, bounds.boxed_vertices)
+        # The trace DOFs are every level of the boxed vertices, and only the
+        # extension's tail couples to them, so this is the seminorm block of
+        # the tail rows and the trace columns.
+        self._A_tail_trace = disc.seminorm.block(
+            disc.interior[self.extension.tail], bounds.boxed_vertices
         )
 
         self.anchor = self.extend(np.zeros(self.trace_dim))
@@ -196,12 +201,6 @@ class ReducedProblem:
 
     # -- trace layer -----------------------------------------------------------
 
-    def _interior_solve(self, rhs_flat):
-        mesh = self.disc.mesh
-        return self.extension.solve(
-            rhs_flat.reshape(mesh.num_control_levels, mesh.num_interior)
-        ).ravel()
-
     def extend(self, trace_values):
         """Full control vector for trace unknowns v: pinned DOFs zero,
         interior DOFs at the minimal-seminorm extension about q_d."""
@@ -211,7 +210,8 @@ class ReducedProblem:
         offset[self.interior_indices] = 0.0
         rhs = -(self.disc.seminorm @ offset)[self.interior_indices]
         q[self.interior_indices] = (
-            self.q_shift[self.interior_indices] + self._interior_solve(rhs)
+            self.q_shift[self.interior_indices]
+            + self.extension.solve(rhs).ravel()
         )
         return q
 
@@ -219,14 +219,14 @@ class ReducedProblem:
         """Homogeneous extension (the linear part of ``extend``)."""
         q = np.zeros(self.dim)
         q[self.trace_indices] = trace_values
-        rhs = -(self._A_interior_trace @ trace_values)
-        q[self.interior_indices] = self._interior_solve(rhs)
+        rhs = -(self._A_tail_trace @ trace_values)
+        q[self.interior_indices] = self.extension.solve_from_tail(rhs).ravel()
         return q
 
     def restrict_gradient(self, full_grad):
         """Transpose of ``extend_direction``: trace components of a gradient."""
-        lifted = self._interior_solve(full_grad[self.interior_indices])
-        return full_grad[self.trace_indices] - self._A_interior_trace.T @ lifted
+        lifted = self.extension.solve_to_tail(full_grad[self.interior_indices])
+        return full_grad[self.trace_indices] - self._A_tail_trace.T @ lifted.ravel()
 
     def trace_hessian(self, trace_values, want_fields=False):
         """Reduced Hessian E^T H E applied to trace unknowns."""
@@ -385,7 +385,13 @@ def pdas_solve(
     seen_sets = set()
 
     for _ in range(max_outer + 1):
-        hv, sens, second = problem.trace_hessian(v, want_fields=True)
+        if v.any():
+            hv, sens, second = problem.trace_hessian(v, want_fields=True)
+        else:
+            # H 0 = 0, and so are its state and adjoint parts, bit for bit.
+            hv = np.zeros(dim)
+            sens = np.zeros_like(problem.state_anchor)
+            second = np.zeros_like(problem.adjoint_anchor)
         mu = hv - problem.trace_b
         while True:
             indicator = v - mu / c
@@ -429,16 +435,19 @@ def pdas_solve(
             num_upper_active=int(upper.sum()),
             outer_iterations=solves,
             cg_iterations=total_cg,
+            max_slab_residual=problem.disc.max_slab_residual,
             objective_history=history,
         )
         log.info(
-            "pdas outer=%d lower=%d upper=%d stat=%.3e comp=%.3e cg=%d j=%.9e",
+            "pdas outer=%d lower=%d upper=%d stat=%.3e comp=%.3e cg=%d "
+            "slab_res=%.1e j=%.9e",
             solves,
             diagnostics.num_lower_active,
             diagnostics.num_upper_active,
             stationarity,
             complementarity,
             total_cg,
+            diagnostics.max_slab_residual,
             history[-1],
         )
 

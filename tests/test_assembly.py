@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import _symbolic
 from dbc.assembly import (
     AssemblyError,
+    BandCholesky,
     Discretization,
     EnergyExtension,
     assemble_mass_stiffness,
@@ -19,7 +22,7 @@ from dbc.assembly import (
     spatial_load_vector,
     time_mass_stiffness,
 )
-from dbc.manufactured import build_space_time_mesh
+from dbc.manufactured import build_space_time_mesh, bump_case
 from dbc.mesh import SpaceTimeMesh, TimePartition, Triangulation, unit_square_mesh
 from dbc.spaces import BoundSet, ControlField, interpolate_control
 
@@ -189,21 +192,111 @@ def test_kronecker_operators_match_their_assembly():
         assert np.array_equal(operator.tocsr().toarray(), oracle.toarray())
 
 
+def _bottom_edge(mesh):
+    """The boxed vertices of the bump case: the open bottom edge."""
+    case = bump_case()
+    return BoundSet(mesh, case.q_a, case.q_b, case.control_boundary).boxed_vertices
+
+
+_NONUNIFORM = TimePartition([0, 0.2, 0.5, 0.7, 1.3])
+
+
 def test_energy_extension_solves_interior_block():
-    for mesh in (
-        build_space_time_mesh(4, 3),
-        SpaceTimeMesh(unit_square_mesh(3), TimePartition([0, 0.2, 0.5, 0.7, 1.3])),
+    for mesh, whole_boundary in (
+        (build_space_time_mesh(4, 3), False),
+        (SpaceTimeMesh(unit_square_mesh(3), _NONUNIFORM), True),
     ):
         disc = Discretization(mesh)
+        boxed = (
+            BoundSet(mesh, 0.0, 1.0).boxed_vertices
+            if whole_boundary
+            else _bottom_edge(mesh)
+        )
         M = mesh.num_slabs
         tmass, tstiff = time_mass_stiffness(mesh.time_partition.points)
         mt, st = tmass[1:M, 1:M], tstiff[1:M, 1:M]
         block = sp.kron(mt, disc.stiff_ii) + sp.kron(st, disc.mass_ii)
         rng = np.random.default_rng(7)
         rhs = rng.standard_normal((mesh.num_control_levels, mesh.num_interior))
-        x = EnergyExtension(disc).solve(rhs)
+        x = EnergyExtension(disc, boxed).solve(rhs)
         residual = block @ x.ravel() - rhs.ravel()
         assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(rhs)
+
+
+def test_band_cholesky_matches_spsolve():
+    """The 8x6 slab matrix, and the mode matrices of the smallest and the
+    largest time eigenvalue, each in the order its solver uses."""
+    mesh = build_space_time_mesh(8, 6)
+    disc = Discretization(mesh)
+    extension = EnergyExtension(disc, _bottom_edge(mesh))
+    tmass, tstiff = time_mass_stiffness(mesh.time_partition.points)
+    theta = sla.eigh(
+        tstiff[1:6, 1:6].toarray(), tmass[1:6, 1:6].toarray(), eigvals_only=True
+    )
+    rng = np.random.default_rng(11)
+    for matrix, order in (
+        (disc.slab_solver(1 / 6).matrix, disc.slab_order),
+        (disc.stiff_ii + theta[0] * disc.mass_ii, extension.order),
+        (disc.stiff_ii + theta[-1] * disc.mass_ii, extension.order),
+    ):
+        rhs = rng.standard_normal(matrix.shape[0])
+        x = BandCholesky(matrix, order).solve(rhs)
+        reference = spla.spsolve(matrix.tocsc(), rhs)
+        assert np.linalg.norm(x - reference) <= 1e-13 * np.linalg.norm(reference)
+        assert np.linalg.norm(matrix @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+
+def test_band_cholesky_rejects_indefinite_matrix():
+    matrix = sp.csr_matrix(
+        np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 2.0]])
+    )
+    with pytest.raises(AssemblyError, match="not positive definite"):
+        BandCholesky(matrix, np.arange(3))
+
+
+def test_tail_solves_match_full_solves():
+    mesh = SpaceTimeMesh(unit_square_mesh(6), _NONUNIFORM)
+    disc = Discretization(mesh)
+    extension = EnergyExtension(disc, _bottom_edge(mesh))
+    tail = extension.tail
+    levels = mesh.num_control_levels
+    rng = np.random.default_rng(12)
+
+    tail_rhs = rng.standard_normal((levels, len(tail)))
+    padded = np.zeros((levels, mesh.num_interior))
+    padded[:, tail] = tail_rhs
+    expected = extension.solve(padded)
+    got = extension.solve_from_tail(tail_rhs)
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    rhs = rng.standard_normal((levels, mesh.num_interior))
+    expected = extension.solve(rhs)[:, tail]
+    got = extension.solve_to_tail(rhs)
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    # With nothing boxed the tail is empty, and so is every tail solve.
+    untouched = EnergyExtension(disc, np.array([], dtype=int))
+    assert untouched.tail.size == 0
+    assert not untouched.solve_from_tail(np.zeros((levels, 0))).any()
+    assert untouched.solve_to_tail(rhs).shape == (levels, 0)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_tail_order_puts_the_bottom_row_last(n):
+    """With the bottom edge boxed the tail is the first interior row, and
+    the level sets of the distance from it are the rows, so the band of
+    every mode factor is one row of n - 1 vertices wide."""
+    mesh = SpaceTimeMesh(unit_square_mesh(n), TimePartition([0, 0.5, 1]))
+    disc = Discretization(mesh)
+    extension = EnergyExtension(disc, _bottom_edge(mesh))
+    tail = extension.tail
+    ys = mesh.triangulation.vertices[disc.interior, 1]
+    assert np.array_equal(tail, np.flatnonzero(np.isclose(ys, 1.0 / n)))
+    assert np.array_equal(extension.order[-len(tail):], tail)
+    # Rows come farthest first: y never increases along the order.
+    assert np.all(np.diff(ys[extension.order]) <= 1e-12)
+    (factor,) = extension._factors
+    assert factor.kd == n - 1
 
 
 # -- coupling, pairings, loads --------------------------------------------------

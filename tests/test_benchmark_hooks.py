@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from dbc.manufactured import bump_case, setup_problem
 
@@ -37,17 +37,18 @@ def test_every_traced_name_resolves():
         assert callable(owner), f"{module_name}.{attr} is not callable"
 
 
-def test_every_factor_goes_through_splu(monkeypatch):
-    """The ``assembly.splu`` span counts factors by wrapping ``spla.splu``;
-    at 8x6 that is one per extension time mode and one slab system."""
+def test_every_factor_goes_through_dpbtrf(monkeypatch):
+    """Every factor in ``dbc`` is one ``BandCholesky``, which calls
+    ``scipy.linalg.lapack.dpbtrf`` through the module attribute; at 8x6
+    that is one per extension time mode and one slab system."""
     calls = []
-    splu = spla.splu
+    dpbtrf = lapack.dpbtrf
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return splu(*args, **kwargs)
+        return dpbtrf(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counted)
+    monkeypatch.setattr(lapack, "dpbtrf", counted)
     problem = setup_problem(8, 6, bump_case())
     assert problem.disc.mesh.num_control_levels == 5
     assert len(calls) == 5 + 1

@@ -293,7 +293,8 @@ def test_objective_descends_to_convergence():
 
 def test_unchanged_clamp_reuses_the_hessian_action(monkeypatch):
     """Without active bounds the clamp moves no DOF, so each outer step
-    needs one Hessian action for the multiplier and one per CG iteration."""
+    needs one Hessian action for the multiplier and one per CG iteration,
+    except at the zero start, where H 0 = 0 needs none."""
     problem = setup_problem(8, 6, bump_case())
     calls = []
     trace_hessian = ReducedProblem.trace_hessian
@@ -307,7 +308,14 @@ def test_unchanged_clamp_reuses_the_hessian_action(monkeypatch):
     diagnostics = result.diagnostics
     assert diagnostics.num_lower_active == diagnostics.num_upper_active == 0
     assert diagnostics.outer_iterations == 1
-    assert len(calls) == diagnostics.cg_iterations + 2
+    assert len(calls) == diagnostics.cg_iterations + 1
+
+
+def test_diagnostics_report_the_largest_slab_residual():
+    problem = setup_problem(8, 6, bump_case())
+    diagnostics = pdas_solve(problem).diagnostics
+    assert 0.0 < diagnostics.max_slab_residual <= 1e-12
+    assert diagnostics.max_slab_residual == problem.disc.max_slab_residual
 
 
 def test_no_control_space_matrix_is_assembled(monkeypatch):
@@ -405,6 +413,7 @@ def test_kkt_diagnostics_as_dict(problem33):
         "num_upper_active",
         "outer_iterations",
         "cg_iterations",
+        "max_slab_residual",
         "objective_history",
     }
     assert isinstance(payload["objective_history"], list)
