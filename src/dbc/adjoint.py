@@ -4,28 +4,22 @@ The adjoint of the dG(0) state discretization marches the same slab systems
 backward: (M + k_m S) z_m = M z_{m+1} + G_m with z_{M+1} = 0 and tracking
 load G_m = int_{I_m} (u_kh - u_d, phi_i), u_kh = w + q.  Because the slab
 matrices are symmetric, the backward sweep is the exact transpose of the
-forward sweep, which is what the identity check exercises.
+forward sweep, which is what the identity check exercises.  Both sweeps are
+``forward.march``, in opposite directions, so they share its band order and
+its residual check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forward import _checked_solve, solve_state_sensitivity
+from .forward import march, solve_state_sensitivity
 from .spaces import AdjointField, ControlField
 
 
 def sweep_backward(disc, slab_rhs):
     """March the slab systems backward; slab_rhs has shape (M, ni)."""
-    mesh = disc.mesh
-    steps = mesh.time_partition.steps
-    out = np.empty((mesh.num_slabs, mesh.num_interior))
-    nxt = np.zeros(mesh.num_interior)
-    for m in reversed(range(mesh.num_slabs)):
-        rhs = disc.mass_ii @ nxt + slab_rhs[m]
-        out[m] = _checked_solve(disc, steps[m], rhs, m + 1)
-        nxt = out[m]
-    return out
+    return march(disc, slab_rhs, reverse=True)
 
 
 def tracking_slabs(disc, state_values, control_values, u_d):

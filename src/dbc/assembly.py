@@ -10,9 +10,9 @@ assembled except for export.  Every symmetric positive definite factor
 is a ``BandCholesky``: a LAPACK band Cholesky factor in an ordering that
 keeps the band narrow, reverse Cuthill-McKee for the slab systems and the
 level sets of the distance from the controlled edge for the extension's
-time modes.  Each
-slab's matrix and factor live in one ``SlabSystem``, cached per time-step
-size.  One space-time ``Quadrature`` per discretization serves every load,
+time modes.  Each slab's matrix and factor live in one ``SlabSystem``,
+cached per time-step size, which also keeps the factor's transpose so that
+the sweeps solve in band order with non-transposed substitutions only.  One space-time ``Quadrature`` per discretization serves every load,
 the tracking misfit and the error norms.
 
 Conventions: control coefficient arrays have shape (M-1, num_nodes) with
@@ -161,6 +161,33 @@ def time_mass_stiffness(points):
     return mass, stiff
 
 
+def _reorder(matrix, order):
+    """CSR P A P^T = A[order][:, order], with sorted column indices."""
+    permuted = matrix.tocsr()[order][:, order]
+    permuted.sort_indices()
+    return permuted
+
+
+def _band_cholesky(permuted):
+    """(kd, L) for a symmetric positive definite sparse matrix already in its
+    band order: kd is its widest coupling and L its Cholesky factor from
+    LAPACK's dpbtrf, in lower band storage, (kd + 1, n) Fortran-ordered."""
+    permuted = permuted.tocoo()
+    lower = permuted.row >= permuted.col
+    rows, cols = permuted.row[lower], permuted.col[lower]
+    kd = int((rows - cols).max(initial=0))
+    band = np.zeros((kd + 1, permuted.shape[0]), order="F")
+    band[rows - cols, cols] = permuted.data[lower]
+    # dpbtrf factors in place, so the band is never held twice.
+    band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise AssemblyError(
+            f"matrix is not positive definite: leading minor {info} "
+            f"of the reordered matrix"
+        )
+    return kd, band
+
+
 class BandCholesky:
     """Cholesky factor of a symmetric positive definite matrix, reordered.
 
@@ -179,19 +206,7 @@ class BandCholesky:
     """
 
     def __init__(self, matrix, order):
-        permuted = matrix.tocsr()[order][:, order].tocoo()
-        lower = permuted.row >= permuted.col
-        rows, cols = permuted.row[lower], permuted.col[lower]
-        self.kd = int((rows - cols).max(initial=0))
-        band = np.zeros((self.kd + 1, permuted.shape[0]), order="F")
-        band[rows - cols, cols] = permuted.data[lower]
-        # dpbtrf factors in place, so the band is never held twice.
-        self._band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
-        if info != 0:
-            raise AssemblyError(
-                f"matrix is not positive definite: leading minor {info} "
-                f"of the reordered matrix"
-            )
+        self.kd, self._band = _band_cholesky(_reorder(matrix, order))
         self._order = order
 
     def _unpermute(self, permuted):
@@ -226,19 +241,42 @@ class BandCholesky:
 
 
 class SlabSystem:
-    """One slab system: ``matrix``, the CSR M_ii + k S_ii, and its
-    ``BandCholesky`` factor in the permutation ``order``, both built once.
-    With the reverse Cuthill-McKee order of ``Discretization`` the band of a
-    structured n x n mesh is n - 1 wide (63 at 64x46).
-    ``solve`` applies the inverse; callers check residuals against
-    ``matrix``."""
+    """One slab system: ``matrix``, the CSR M_ii + k S_ii, and its Cholesky
+    factor in the permutation ``order``, both built once.
+
+    ``ordered_matrix`` is the matrix in ``order``, P A P^T.  The factor L
+    of it is kept twice, in LAPACK lower band storage and as L^T in upper
+    band storage, so that both substitutions of ``solve_ordered`` are
+    non-transposed BLAS dtbsv calls.  The transposed dtbsv on the lower
+    band takes about twice as long as the non-transposed one on the upper
+    copy, because it runs row-oriented dot products.  With the reverse
+    Cuthill-McKee order of ``Discretization`` the band of a structured
+    n x n mesh is n - 1 wide, so each of the two bands holds 2.0 MB at
+    64x46.  ``solve`` permutes, solves and unpermutes; the slab sweeps stay
+    in ``order`` and check residuals against ``ordered_matrix`` themselves.
+    """
 
     def __init__(self, matrix, order):
         self.matrix = matrix
-        self._factor = BandCholesky(matrix, order)
+        self.order = order
+        self.ordered_matrix = _reorder(matrix, order)
+        self.kd, self._lower = _band_cholesky(self.ordered_matrix)
+        n = self._lower.shape[1]
+        # Upper band storage: row kd - d holds the d-th superdiagonal of L^T,
+        # which is the d-th subdiagonal of L.
+        self._upper = np.zeros_like(self._lower)
+        for d in range(self.kd + 1):
+            self._upper[self.kd - d, d:] = self._lower[d, : n - d]
+
+    def solve_ordered(self, rhs):
+        """Solve P A P^T x = rhs, with rhs and x in ``order``."""
+        y = blas.dtbsv(self.kd, self._lower, rhs, lower=1)
+        return blas.dtbsv(self.kd, self._upper, y, overwrite_x=1)
 
     def solve(self, rhs):
-        return self._factor.solve(rhs)
+        x = np.empty_like(rhs)
+        x[self.order] = self.solve_ordered(rhs[self.order])
+        return x
 
 
 class KroneckerSum:
@@ -419,6 +457,10 @@ def spatial_load_vector(quad, g, t):
     return quad.scatter @ np.broadcast_to(vals, quad.x.shape).ravel()
 
 
+# Bytes of g values that ``Discretization.time_loads`` evaluates at once.
+_LOAD_CHUNK_BYTES = 4 * 2**20
+
+
 class Discretization:
     """All operators for one space-time mesh.
 
@@ -427,8 +469,10 @@ class Discretization:
     and ``control_mass``, the space-time H1 seminorm and L2 mass of the
     control, are ``KroneckerSum``s of the temporal and spatial matrices.
     Slab systems are built on first use by ``slab_solver``, factored in the
-    one ``slab_order``, and cached on the instance; ``max_slab_residual`` is
-    the largest relative residual that ``forward`` has checked so far.
+    one ``slab_order``, and cached on the instance.  The sweeps march in
+    that order too, with ``ordered_mass_ii`` and the ``sweep_buffers``;
+    ``max_slab_residual`` is the largest relative residual that they have
+    checked so far.
     ``quad_degree`` and ``time_quad_points`` choose the space-time rule that
     every load, the misfit and the error norms integrate with.
     """
@@ -462,6 +506,9 @@ class Discretization:
         self.slab_order = csgraph.reverse_cuthill_mckee(
             self.mass_ii, symmetric_mode=True
         )
+        # The sweeps march in that order, so they apply mass_ii in it too.
+        self.ordered_mass_ii = _reorder(self.mass_ii, self.slab_order)
+        self._sweep_buffers = None
         # Largest relative residual of a checked slab solve so far.
         self.max_slab_residual = 0.0
 
@@ -482,6 +529,18 @@ class Discretization:
             system = SlabSystem(self.mass_ii + key * self.stiff_ii, self.slab_order)
             self._slab_systems[key] = system
         return system
+
+    def sweep_buffers(self):
+        """Work arrays of a slab sweep, allocated on first use and shared by
+        every sweep: right-hand sides and solutions in ``slab_order``,
+        (M, ni) each, and the solutions transposed, (ni, M), for the
+        residual check."""
+        if self._sweep_buffers is None:
+            shape = (self.mesh.num_slabs, self.mesh.num_interior)
+            self._sweep_buffers = (
+                np.empty(shape), np.empty(shape), np.empty(shape[::-1])
+            )
+        return self._sweep_buffers
 
     # -- control coupling and pairings --------------------------------------
 
@@ -519,16 +578,25 @@ class Discretization:
     def time_loads(self, g):
         """Loads of g at every slab's Gauss times, times the time weights;
         (M, time_quad_points, nv), zero for g None.  ``source_slabs`` and
-        ``control_pairing`` integrate them in time."""
+        ``control_pairing`` integrate them in time.
+
+        g is evaluated on a chunk of Gauss times at once, broadcasting t
+        over a leading axis, and one product with ``Quadrature.scatter``
+        turns the chunk into its loads."""
         q = self.quad
-        if g is None:
-            return np.zeros(q.times.shape + (self.mesh.num_nodes,))
-        return np.array(
-            [
-                [w * spatial_load_vector(q, g, t) for t, w in zip(times, weights)]
-                for times, weights in zip(q.times, q.time_weights)
-            ]
-        )
+        times = q.times.ravel()
+        loads = np.zeros((times.size, self.mesh.num_nodes))
+        if g is not None:
+            chunk = max(1, _LOAD_CHUNK_BYTES // (8 * q.x.size))
+            for start in range(0, times.size, chunk):
+                t = times[start : start + chunk]
+                vals = np.asarray(g(q.x, q.y, t[:, None, None]), dtype=float)
+                vals = np.broadcast_to(vals, t.shape + q.x.shape)
+                loads[start : start + chunk] = (
+                    q.scatter @ vals.reshape(len(t), -1).T
+                ).T
+            loads *= q.time_weights.reshape(-1, 1)
+        return loads.reshape(q.times.shape + (self.mesh.num_nodes,))
 
     def source_slabs(self, loads):
         """Slab integrals on interior vertices of the function whose

@@ -41,9 +41,13 @@ class MeshMismatchError(ValueError):
 class ManufacturedCase:
     """Closed-form optimal triple plus the data that produces it.
 
-    All callables are vectorized over x and y (numpy arrays) with scalar t;
-    gradients return (d/dx, d/dy) tuples.  ``initial`` may be None when the
-    exact initial state vanishes."""
+    All callables broadcast over x, y and t as numpy arrays:
+    ``Discretization.time_loads`` evaluates ``source`` and ``target`` on a
+    chunk of Gauss times at once, with t of shape (times, 1, 1) against x
+    and y of shape (points, triangles), while the error norms and the
+    interpolants pass a scalar t.  Gradients return (d/dx, d/dy) tuples.
+    ``initial`` takes x and y only, and may be None when the exact initial
+    state vanishes."""
 
     name: str
     lam: float

@@ -3,20 +3,27 @@ primal-dual active set (PDAS) solver for box-constrained boundary control.
 
 The reduced objective is j(q) = 1/2 ||u(q) - u_d||^2 + lam/2 |q - q_d|_1^2
 with u(q) = w(q) + q the affine discrete state map.  The optimization
-unknowns are the control's boundary-trace DOFs: interior-vertex DOFs carry
-no constraint and at any optimum must be stationary for the regularizer
-(the misfit sees only the state, and the state equation is driven by the
-control as data), so they are eliminated exactly by the minimal-seminorm
-extension about q_d.  That leaves a dense-free quadratic in the trace
-values q = E v + anchor, with grad j = H v - b constant-shifted, which the
-PDAS loop exploits: every outer iteration costs at most two Hessian
+unknowns are the control's boundary-trace DOFs.  The interior-vertex DOFs
+carry no constraint and follow the trace through the minimal-seminorm
+extension about q_d, so the solver solves the variational inequality
+restricted to that extension subspace.  That is not the problem over all
+prismatic control DOFs: the discrete state w + q is dG(0) in time in w but
+cG(1) in q, so the interior values of q reach the misfit, and at the
+optimum the full-space gradient does not vanish on them.  On the bump
+study it is 1.5e-4, 1.6e-5, 8.2e-7 and 4.9e-8 at 4x4, 8x6, 16x12 and 32x23,
+faster than h^2, so the restricted problem is consistent.  (Optimizing over
+all prismatic DOFs instead lets the interior act as a nearly free
+distributed control at lam = 1e-3, and the control error loses its rate.)
+
+The restriction leaves a dense-free quadratic in the trace values
+q = E v + anchor, with grad j = H v - b constant-shifted, which the PDAS
+loop exploits: every outer iteration costs at most two Hessian
 applications plus a warm-started CG solve on the inactive set,
 preconditioned by the diagonal of lam * seminorm (restricted to the trace).
 
-Full-space gradient and Hessian actions (the variational-inequality form
-on the whole prismatic control space) remain available as
-``reduced_gradient`` / ``hessian_vec``; the trace machinery composes them
-with the extension and its transpose.
+Full-space gradient and Hessian actions on the whole prismatic control
+space remain available as ``reduced_gradient`` / ``hessian_vec``; the trace
+machinery composes them with the extension and its transpose.
 """
 
 from __future__ import annotations
@@ -110,14 +117,16 @@ class ReducedProblem:
     """Precomputed reduced problem on one discretization.
 
     Two layers share the sweeps.  The full-space layer (``hessian_apply``,
-    ``full_gradient``) realizes the quadratic in all prismatic control DOFs
-    and backs the variational-inequality checks.  The trace layer eliminates
-    the unconstrained DOFs: boundary vertices outside the control boundary
-    are pinned to zero, interior vertices follow the trace through the
-    minimal-seminorm extension anchored at q_d, and the optimization runs in
-    the remaining trace unknowns v with q = extend(v).  ``trace_dim``,
-    ``trace_b`` and ``trace_hessian`` describe that quadratic; ``dim`` stays
-    the full control-space dimension."""
+    ``full_gradient``) realizes the quadratic in all prismatic control DOFs.
+    The trace layer restricts it: boundary vertices outside the control
+    boundary are pinned to zero, interior vertices follow the trace through
+    the minimal-seminorm extension anchored at q_d, and the optimization
+    runs in the remaining trace unknowns v with q = extend(v).
+    ``trace_dim``, ``trace_b`` and ``trace_hessian`` describe that
+    quadratic, whose optimum solves the variational inequality over the
+    extension subspace only: there ``restrict_gradient`` of the full-space
+    gradient vanishes, its interior-vertex components do not (see the
+    module docstring).  ``dim`` stays the full control-space dimension."""
 
     def __init__(self, disc, lam, bounds, f=None, u0=None, u_d=None, q_d=None):
         if not lam > 0:

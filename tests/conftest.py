@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from dbc.assembly import SlabSystem
 from dbc.manufactured import StudyReport, bump_case, run_study
 
 STUDY_LEVELS = [(4, 4), (8, 6), (16, 12), (32, 23), (64, 46)]
@@ -33,6 +34,31 @@ def study():
     assert report.failure is None, f"study failed: {report.failure}"
     assert len(report.records) == len(STUDY_LEVELS)
     return StudyRun(report=report, seconds=seconds)
+
+
+@pytest.fixture
+def corrupt_slab_solve(monkeypatch):
+    """Make some band-order slab solves return wrong answers.
+
+    ``corrupt(*calls, size=None)`` adds 1 to every entry of the answer of
+    each listed ``SlabSystem.solve_ordered`` call (1-based), counting only
+    systems with ``size`` unknowns when ``size`` is given."""
+    solve = SlabSystem.solve_ordered
+
+    def corrupt(*calls, size=None):
+        count = []
+
+        def corrupted(self, rhs):
+            x = solve(self, rhs)
+            if size is None or len(rhs) == size:
+                count.append(None)
+                if len(count) in calls:
+                    x = x + 1.0
+            return x
+
+        monkeypatch.setattr(SlabSystem, "solve_ordered", corrupted)
+
+    return corrupt
 
 
 @pytest.fixture(scope="session")

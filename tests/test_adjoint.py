@@ -21,18 +21,24 @@ def disc():
 
 
 def test_sweep_backward_matches_dense_recursion(disc):
-    rng = np.random.default_rng(0)
-    mesh = disc.mesh
-    rhs = rng.standard_normal((mesh.num_slabs, mesh.num_interior))
-    out = sweep_backward(disc, rhs)
-    mass = disc.mass_ii.toarray()
-    nxt = np.zeros(mesh.num_interior)
-    for m in reversed(range(mesh.num_slabs)):
-        k = mesh.time_partition.steps[m]
-        system = mass + k * disc.stiff_ii.toarray()
-        expected = np.linalg.solve(system, mass @ nxt + rhs[m])
-        assert np.allclose(out[m], expected, rtol=1e-12, atol=1e-14)
-        nxt = expected
+    # The non-uniform partition has three distinct steps, so three slab
+    # systems and three residual batches in one sweep.
+    nonuniform = SpaceTimeMesh(
+        unit_square_mesh(3), TimePartition([0, 0.2, 0.5, 0.7, 1.3])
+    )
+    for disc in (disc, Discretization(nonuniform)):
+        rng = np.random.default_rng(0)
+        mesh = disc.mesh
+        rhs = rng.standard_normal((mesh.num_slabs, mesh.num_interior))
+        out = sweep_backward(disc, rhs)
+        mass = disc.mass_ii.toarray()
+        nxt = np.zeros(mesh.num_interior)
+        for m in reversed(range(mesh.num_slabs)):
+            k = mesh.time_partition.steps[m]
+            system = mass + k * disc.stiff_ii.toarray()
+            expected = np.linalg.solve(system, mass @ nxt + rhs[m])
+            assert np.allclose(out[m], expected, rtol=1e-12, atol=1e-14)
+            nxt = expected
 
 
 def test_zero_tracking_gives_zero_adjoint(disc):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import _symbolic
+from dbc import assembly
 from dbc.assembly import (
     AssemblyError,
     BandCholesky,
@@ -225,7 +226,8 @@ def test_energy_extension_solves_interior_block():
 
 def test_band_cholesky_matches_spsolve():
     """The 8x6 slab matrix, and the mode matrices of the smallest and the
-    largest time eigenvalue, each in the order its solver uses."""
+    largest time eigenvalue, each in the order its solver uses; the slab
+    matrix also through the two-band ``SlabSystem.solve``."""
     mesh = build_space_time_mesh(8, 6)
     disc = Discretization(mesh)
     extension = EnergyExtension(disc, _bottom_edge(mesh))
@@ -233,14 +235,17 @@ def test_band_cholesky_matches_spsolve():
     theta = sla.eigh(
         tstiff[1:6, 1:6].toarray(), tmass[1:6, 1:6].toarray(), eigvals_only=True
     )
+    slab = disc.slab_solver(1 / 6)
+    low, high = (disc.stiff_ii + th * disc.mass_ii for th in (theta[0], theta[-1]))
     rng = np.random.default_rng(11)
-    for matrix, order in (
-        (disc.slab_solver(1 / 6).matrix, disc.slab_order),
-        (disc.stiff_ii + theta[0] * disc.mass_ii, extension.order),
-        (disc.stiff_ii + theta[-1] * disc.mass_ii, extension.order),
+    for matrix, solve in (
+        (slab.matrix, BandCholesky(slab.matrix, disc.slab_order).solve),
+        (slab.matrix, slab.solve),
+        (low, BandCholesky(low, extension.order).solve),
+        (high, BandCholesky(high, extension.order).solve),
     ):
         rhs = rng.standard_normal(matrix.shape[0])
-        x = BandCholesky(matrix, order).solve(rhs)
+        x = solve(rhs)
         reference = spla.spsolve(matrix.tocsc(), rhs)
         assert np.linalg.norm(x - reference) <= 1e-13 * np.linalg.norm(reference)
         assert np.linalg.norm(matrix @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
@@ -387,6 +392,22 @@ def test_spatial_load_vector_constant():
     assert load.sum() == pytest.approx(1.0, rel=1e-14)
     interior = tri.interior_indices
     assert np.allclose(load[interior], 1.0 / 16.0)
+
+
+@pytest.mark.parametrize("chunk_times", [1, 3, None], ids=["one", "three", "all"])
+def test_time_loads_match_one_load_vector_per_time(monkeypatch, chunk_times):
+    """The chunked loads equal, bit for bit, one ``spatial_load_vector`` per
+    Gauss time times its weight; chunks of 3 do not divide the 10 times."""
+    disc = Discretization(build_space_time_mesh(4, 5))
+    q = disc.quad
+    if chunk_times is not None:
+        monkeypatch.setattr(assembly, "_LOAD_CHUNK_BYTES", 8 * q.x.size * chunk_times)
+    for g in (bump_case().target, lambda x, y, t: np.ones_like(x)):
+        expected = [
+            [w * spatial_load_vector(q, g, t) for t, w in zip(times, weights)]
+            for times, weights in zip(q.times, q.time_weights)
+        ]
+        assert np.array_equal(disc.time_loads(g), np.array(expected))
 
 
 def test_source_slabs_constant(disc):

@@ -118,6 +118,26 @@ def test_study_nonconvergence_exits_two(tmp_path, capsys):
     assert "did not converge" in payload["failure"]
 
 
+def test_study_slab_failure_exits_two(tmp_path, capsys, corrupt_slab_solve):
+    """A wrong slab solve on the 6x6 level (25 interior vertices) stops the
+    study with exit code 2; table.csv and report.json keep the 3x3 level."""
+    corrupt_slab_solve(1, size=25)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "study.cfg", f"[study]\nlevels = 3x3, 6x6\noutput_dir = {out}\n"
+    )
+    assert main(["study", "--config", cfg]) == 2
+    assert "study failed: level (n=6, M=6): slab 1 solve failed" in (
+        capsys.readouterr().err
+    )
+    with open(out / "table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[:2] for row in rows[1:]] == [["3", "3"]]
+    payload = json.loads((out / "report.json").read_text())
+    assert "slab 1 solve failed" in payload["failure"]
+    assert len(payload["levels"]) == 1
+
+
 # -- check ------------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dbc.adjoint import sweep_backward
 from dbc.assembly import Discretization
 from dbc.forward import SolverError, solve_state, solve_state_sensitivity, sweep_forward
 from dbc.manufactured import (
@@ -11,6 +12,7 @@ from dbc.manufactured import (
     energy_error_state,
     setup_problem,
 )
+from dbc.mesh import SpaceTimeMesh, TimePartition, unit_square_mesh
 from dbc.spaces import ControlField, interpolate_control
 
 
@@ -20,18 +22,24 @@ def disc():
 
 
 def test_sweep_forward_matches_dense_recursion(disc):
-    rng = np.random.default_rng(0)
-    mesh = disc.mesh
-    rhs = rng.standard_normal((mesh.num_slabs, mesh.num_interior))
-    w0 = rng.standard_normal(mesh.num_interior)
-    out = sweep_forward(disc, rhs, w0)
-    mass = disc.mass_ii.toarray()
-    prev = w0
-    for m, k in enumerate(mesh.time_partition.steps):
-        system = mass + k * disc.stiff_ii.toarray()
-        expected = np.linalg.solve(system, mass @ prev + rhs[m])
-        assert np.allclose(out[m], expected, rtol=1e-12, atol=1e-14)
-        prev = expected
+    # The non-uniform partition has three distinct steps, so three slab
+    # systems and three residual batches in one sweep.
+    nonuniform = SpaceTimeMesh(
+        unit_square_mesh(3), TimePartition([0, 0.2, 0.5, 0.7, 1.3])
+    )
+    for disc in (disc, Discretization(nonuniform)):
+        rng = np.random.default_rng(0)
+        mesh = disc.mesh
+        rhs = rng.standard_normal((mesh.num_slabs, mesh.num_interior))
+        w0 = rng.standard_normal(mesh.num_interior)
+        out = sweep_forward(disc, rhs, w0)
+        mass = disc.mass_ii.toarray()
+        prev = w0
+        for m, k in enumerate(mesh.time_partition.steps):
+            system = mass + k * disc.stiff_ii.toarray()
+            expected = np.linalg.solve(system, mass @ prev + rhs[m])
+            assert np.allclose(out[m], expected, rtol=1e-12, atol=1e-14)
+            prev = expected
 
 
 def test_zero_data_gives_zero_state(disc):
@@ -84,3 +92,35 @@ def test_solver_error_reports_slab():
     assert err.slab == 3
     assert err.residual == 1e-5
     assert "slab 3" in str(err)
+
+
+# -- the slab residual guard ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sweep,slab", [(sweep_forward, 2), (sweep_backward, 3)], ids=["forward", "backward"]
+)
+def test_sweep_stops_at_the_first_corrupted_slab(corrupt_slab_solve, sweep, slab):
+    """Solves 2 and 3 of a sweep over 4 slabs are wrong by 1 in every entry.
+    The sweep names the first of them in march order, slab ``slab``, and its
+    residual ||K 1|| / (||b|| + 1)."""
+    disc = Discretization(build_space_time_mesh(3, 4))
+    rng = np.random.default_rng(2)
+    rhs = rng.standard_normal((disc.mesh.num_slabs, disc.mesh.num_interior))
+    exact = sweep(disc, rhs)
+    previous = slab - 2 if sweep is sweep_forward else slab
+    b = disc.mass_ii @ exact[previous] + rhs[slab - 1]
+    system = disc.slab_solver(disc.mesh.time_partition.steps[slab - 1])
+    expected = np.linalg.norm(system.matrix @ np.ones(len(b))) / (
+        np.linalg.norm(b) + 1.0
+    )
+    checked = disc.max_slab_residual
+
+    corrupt_slab_solve(2, 3)
+    with pytest.raises(SolverError, match=f"slab {slab} solve failed") as info:
+        sweep(disc, rhs)
+    assert info.value.slab == slab
+    assert info.value.residual == pytest.approx(expected, rel=1e-9)
+    assert f"{info.value.residual:.3e}" in str(info.value)
+    # Only the slabs before the failing one count as checked.
+    assert disc.max_slab_residual == checked

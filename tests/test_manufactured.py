@@ -266,3 +266,15 @@ def test_run_study_records_failure(case):
     assert "(n=3, M=3)" in report.failure
     assert report.records == []
     assert report.rate_state_h == []
+
+
+def test_run_study_stops_at_a_corrupted_slab_solve(case, corrupt_slab_solve, tmp_path):
+    """A wrong slab solve on the second level (6x6 has 25 interior vertices)
+    fails the study there, and the table keeps the first level."""
+    corrupt_slab_solve(1, size=25)
+    report = run_study([(3, 3), (6, 6)], case)
+    assert report.failure.startswith("level (n=6, M=6): slab 1 solve failed")
+    assert [(r.n, r.M) for r in report.records] == [(3, 3)]
+    report.write_csv(tmp_path / "table.csv")
+    rows = (tmp_path / "table.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("3,3,")

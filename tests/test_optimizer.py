@@ -269,6 +269,24 @@ def test_signorini_conditions_with_active_bounds():
     assert d.num_upper_active == int(upper.sum())
 
 
+def test_interior_gradient_is_not_stationary_and_decays():
+    """The solver solves the variational inequality over the minimal-seminorm
+    extension subspace, not over all prismatic control DOFs.  At the PDAS
+    optimum of the bump study the reduced trace gradient vanishes, but the
+    full-space gradient at the interior-vertex DOFs does not: the state
+    w + q is cG(1) in time in q, so interior values of q reach the misfit.
+    That gap decays faster than h^2 over the first four study levels."""
+    measured = []
+    for n, M in ((4, 4), (8, 6), (16, 12), (32, 23)):
+        problem = setup_problem(n, M, bump_case())
+        control = pdas_solve(problem).control.ravel()
+        gradient, _, _ = problem.full_gradient(control)
+        assert np.abs(problem.restrict_gradient(gradient)).max() < 1e-14
+        measured.append(np.abs(gradient[problem.interior_indices]).max())
+    assert measured == pytest.approx([1.5e-4, 1.6e-5, 8.2e-7, 4.9e-8], rel=0.05)
+    assert all(coarse > 4.0 * fine for coarse, fine in zip(measured, measured[1:]))
+
+
 def test_objective_descends_to_convergence():
     """Fixing a DOF to its bound can raise the quadratic slightly before the
     next inactive-set solve recovers it, so the history need not fall at
