@@ -7,12 +7,17 @@ vectors.  Matrices are scipy CSR assembled from vectorized per-element
 triplets.  The control operators are ``KroneckerSum``s that keep only their
 temporal and spatial factors, so no matrix of the control-space size is
 assembled except for export.  Every symmetric positive definite factor
-is a ``BandCholesky``: a LAPACK band Cholesky factor in an ordering that
-keeps the band narrow, reverse Cuthill-McKee for the slab systems and the
+is a LAPACK band Cholesky factor made by ``dpbtrf``, in an ordering that
+keeps the band narrow: reverse Cuthill-McKee for the slab systems and the
 level sets of the distance from the controlled edge for the extension's
-time modes.  Each slab's matrix and factor live in one ``SlabSystem``,
-cached per time-step size, which also keeps the factor's transpose so that
-the sweeps solve in band order with non-transposed substitutions only.  One space-time ``Quadrature`` per discretization serves every load,
+time modes.  ``dpbtrf`` and ``dtbsv`` call LAPACK and BLAS through scipy's
+Cython capsules with ctypes, which releases the GIL, so the
+``EnergyExtension`` runs its time modes on every CPU the process may use.
+Each slab's matrix and factor live in one ``SlabSystem``, cached per
+time-step size, which also keeps the factor's transpose so that the
+sweeps solve in band order with non-transposed substitutions only; the
+sweeps are sequential and call scipy's dtbsv wrapper, which costs less
+per call.  One space-time ``Quadrature`` per discretization serves every load,
 the tracking misfit and the error norms.
 
 Conventions: control coefficient arrays have shape (M-1, num_nodes) with
@@ -23,10 +28,16 @@ vectors are level-major, matching kron(time, space) ordering.
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
+from queue import SimpleQueue
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas, cython_blas, cython_lapack
 from scipy.sparse import csgraph
 
 from .spaces import ControlField
@@ -168,76 +179,113 @@ def _reorder(matrix, order):
     return permuted
 
 
-def _band_cholesky(permuted):
-    """(kd, L) for a symmetric positive definite sparse matrix already in its
-    band order: kd is its widest coupling and L its Cholesky factor from
-    LAPACK's dpbtrf, in lower band storage, (kd + 1, n) Fortran-ordered."""
+def _band_width(permuted):
+    """Widest coupling i - j, i >= j, among a CSR matrix's stored entries."""
+    rows = np.repeat(np.arange(permuted.shape[0]), np.diff(permuted.indptr))
+    return int((rows - permuted.indices).max(initial=0))
+
+
+def _lower_band(permuted, kd):
+    """LAPACK lower band storage of a symmetric sparse matrix already in its
+    band order, for a band of width ``kd`` that covers it: (kd + 1, n),
+    Fortran-ordered, row d holding the d-th subdiagonal."""
     permuted = permuted.tocoo()
     lower = permuted.row >= permuted.col
     rows, cols = permuted.row[lower], permuted.col[lower]
-    kd = int((rows - cols).max(initial=0))
     band = np.zeros((kd + 1, permuted.shape[0]), order="F")
     band[rows - cols, cols] = permuted.data[lower]
-    # dpbtrf factors in place, so the band is never held twice.
-    band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
-    if info != 0:
+    return band
+
+
+# -- GIL-free band kernels -----------------------------------------------------
+#
+# scipy's f2py wrappers of LAPACK and BLAS hold the GIL for the length of a
+# call, so threads that call them run one at a time.  scipy also exports the
+# routines as C function pointers in the Cython capsules of cython_lapack and
+# cython_blas; a ctypes function made from such a pointer releases the GIL
+# while it runs.  A pointer is taken only from an array whose dtype, shape
+# and memory order ``_address`` has checked.
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+)(("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _capsule_function(module, name, *argtypes):
+    capsule = module.__pyx_capi__[name]
+    address = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+# dpbtrf(uplo, n, kd, ab, ldab, info)
+_DPBTRF = _capsule_function(
+    cython_lapack, "dpbtrf",
+    ctypes.c_char_p, _INT_P, _INT_P, ctypes.c_void_p, _INT_P, _INT_P,
+)
+# dtbsv(uplo, trans, diag, n, k, a, lda, x, incx)
+_DTBSV = _capsule_function(
+    cython_blas, "dtbsv",
+    ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P,
+    ctypes.c_void_p, _INT_P, ctypes.c_void_p, _INT_P,
+)
+_ONE = ctypes.c_int(1)
+_DOUBLE = np.dtype(np.float64).itemsize
+
+
+def _address(array, shape, order):
+    """Data address of ``array`` once it is known to be a writeable float64
+    array of ``shape``, contiguous in ``order`` ("C" or "F")."""
+    flags = array.flags
+    contiguous = flags.f_contiguous if order == "F" else flags.c_contiguous
+    if not (
+        array.dtype == np.float64
+        and array.shape == shape
+        and contiguous
+        and flags.writeable
+    ):
+        raise ValueError(
+            f"a band kernel needs a writeable float64 array of shape {shape} "
+            f"in {order} order, not {array.dtype} {array.shape} with strides "
+            f"{array.strides}"
+        )
+    return array.ctypes.data
+
+
+def dpbtrf(band):
+    """Factor, in place, the symmetric positive definite matrix whose lower
+    band is ``band``, (kd + 1, n) float64 in Fortran order, into its
+    Cholesky factor L in the same storage (LAPACK dpbtrf, GIL released).
+    Every factor in ``dbc`` is made here."""
+    kd1, n = band.shape
+    address = _address(band, (kd1, n), "F")
+    info = ctypes.c_int()
+    _DPBTRF(
+        b"L", ctypes.c_int(n), ctypes.c_int(kd1 - 1), address,
+        ctypes.c_int(kd1), ctypes.byref(info),
+    )
+    if info.value != 0:
         raise AssemblyError(
-            f"matrix is not positive definite: leading minor {info} "
+            f"matrix is not positive definite: leading minor {info.value} "
             f"of the reordered matrix"
         )
-    return kd, band
+    return band
 
 
-class BandCholesky:
-    """Cholesky factor of a symmetric positive definite matrix, reordered.
-
-    With P the permutation ``order`` (P A P^T = A[order][:, order]), the
-    factor L of P A P^T is kept in LAPACK lower band storage: kd + 1 rows of
-    length n, where kd is the widest coupling of the permuted matrix.  So
-    ``order`` sets both the memory, n (kd + 1) doubles, and the cost of a
-    solve.  The factor comes from LAPACK's dpbtrf and ``solve`` is dpbtrs.
-
-    The last positions of ``order`` are its tail.  A right-hand side that
-    is zero off the tail makes the forward substitution zero until the
-    tail, and an answer read only on the tail needs the backward
-    substitution on the tail alone.  ``solve_from_tail`` and
-    ``solve_to_tail`` therefore run one full triangular solve and one on
-    the trailing block of L (BLAS dtbsv).
-    """
-
-    def __init__(self, matrix, order):
-        self.kd, self._band = _band_cholesky(_reorder(matrix, order))
-        self._order = order
-
-    def _unpermute(self, permuted):
-        out = np.empty_like(permuted)
-        out[self._order] = permuted
-        return out
-
-    def solve(self, rhs):
-        x, _ = lapack.dpbtrs(self._band, rhs[self._order], lower=1, overwrite_b=1)
-        return self._unpermute(x)
-
-    def solve_from_tail(self, tail_rhs):
-        """``solve`` of the right-hand side that is ``tail_rhs`` on the last
-        ``len(tail_rhs)`` positions of ``order`` and zero elsewhere."""
-        n = self._band.shape[1]
-        start = n - len(tail_rhs)
-        y = np.zeros(n)
-        if start < n:  # BLAS rejects an empty vector
-            y[start:] = blas.dtbsv(self.kd, self._band[:, start:], tail_rhs, lower=1)
-        x = blas.dtbsv(self.kd, self._band, y, lower=1, trans=1, overwrite_x=1)
-        return self._unpermute(x)
-
-    def solve_to_tail(self, rhs, size):
-        """The last ``size`` positions of ``order`` of ``solve(rhs)``."""
-        if size == 0:  # BLAS rejects an empty vector
-            return np.zeros(0)
-        start = self._band.shape[1] - size
-        y = blas.dtbsv(self.kd, self._band, rhs[self._order], lower=1, overwrite_x=1)
-        return blas.dtbsv(
-            self.kd, self._band[:, start:], y[start:], lower=1, trans=1, overwrite_x=1
-        )
+def dtbsv(band, x, trans=False):
+    """x <- L^-1 x, or L^-T x with ``trans``, in place, for the lower band
+    ``band`` of L, (kd + 1, n) float64 in Fortran order, and x float64 and
+    contiguous of length n (BLAS dtbsv, GIL released)."""
+    kd1, n = band.shape
+    a = _address(band, (kd1, n), "F")
+    _DTBSV(
+        b"L", b"T" if trans else b"N", b"N", ctypes.c_int(n),
+        ctypes.c_int(kd1 - 1), a, ctypes.c_int(kd1), _address(x, (n,), "C"), _ONE,
+    )
+    return x
 
 
 class SlabSystem:
@@ -252,15 +300,20 @@ class SlabSystem:
     copy, because it runs row-oriented dot products.  With the reverse
     Cuthill-McKee order of ``Discretization`` the band of a structured
     n x n mesh is n - 1 wide, so each of the two bands holds 2.0 MB at
-    64x46.  ``solve`` permutes, solves and unpermutes; the slab sweeps stay
-    in ``order`` and check residuals against ``ordered_matrix`` themselves.
+    64x46.  The factor comes from ``dpbtrf``.  A sweep solves its slabs
+    one after another, so the substitutions call scipy's dtbsv wrapper,
+    which costs less per call than the GIL-free kernel, whose arguments
+    ctypes converts one by one.  ``solve`` permutes, solves and unpermutes;
+    the slab sweeps stay in ``order`` and check residuals against
+    ``ordered_matrix`` themselves.
     """
 
     def __init__(self, matrix, order):
         self.matrix = matrix
         self.order = order
         self.ordered_matrix = _reorder(matrix, order)
-        self.kd, self._lower = _band_cholesky(self.ordered_matrix)
+        self.kd = _band_width(self.ordered_matrix)
+        self._lower = dpbtrf(_lower_band(self.ordered_matrix, self.kd))
         n = self._lower.shape[1]
         # Upper band storage: row kd - d holds the d-th superdiagonal of L^T,
         # which is the d-th subdiagonal of L.
@@ -321,6 +374,33 @@ def _interior_time_blocks(mesh):
     return mt[1:M, 1:M], st[1:M, 1:M]
 
 
+# Below this many band entries over all time modes, levels * n * (kd + 1),
+# the extension runs its modes in the calling thread: handing them to the
+# pool and waiting for it cost about as much as the split saves.  Two
+# extension solves on a 2-core host, one thread against two: 0.73 -> 0.99
+# ms at 24x17 (0.2 M entries), 2.0 -> 1.75 ms at 32x23 (0.68 M), 11.4 ->
+# 6.8 ms at 48x34 (3.5 M).
+_SPLIT_WORK = 400_000
+
+
+def _usable_cpus():
+    """The CPUs this process may run on, ascending; none where the platform
+    does not say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _pin_thread(cpus):
+    """Pool initializer: keep this thread on the next CPU of ``cpus``.  A
+    new thread starts on its creator's CPU, and the scheduler can take a
+    second or more to move one of two busy threads to an idle CPU."""
+    try:
+        os.sched_setaffinity(0, {cpus.get_nowait()})
+    except OSError:  # the CPU has left the affinity set: run unpinned
+        pass
+
+
 class EnergyExtension:
     """Exact solver for the interior-vertex block of the control seminorm.
 
@@ -330,8 +410,10 @@ class EnergyExtension:
     DOFs.  A_ii = kron(Mt, S_ii) + kron(St, M_ii) is separable, so instead
     of factoring one large space-time operator we eigen-decompose the small
     interior time pencil St Z = Mt Z diag(theta) (Z^T Mt Z = I) and factor
-    the 2-D operator S_ii + theta_j M_ii once per time mode, as a
-    ``BandCholesky``.
+    the 2-D operator S_ii + theta_j M_ii once per time mode, as a band
+    Cholesky factor in ``order``.  S_ii and M_ii are put into lower band
+    storage once, and each mode's band is formed from the two bands, with
+    the values of the sparse sum entry by entry.
 
     The trace reaches the interior only through ``tail``, the interior
     vertices coupled to one of ``boxed_vertices``: an extension's
@@ -339,19 +421,31 @@ class EnergyExtension:
     factor order puts the interior vertices by decreasing graph distance
     from the tail, so the tail is the last block and ``solve_from_tail`` and
     ``solve_to_tail`` skip the other half of a substitution.  The level
-    sets of that distance set the band width.  With one edge of the unit
-    square boxed they are grid rows, so the band is n - 1 for
+    sets of that distance set the band width ``kd``.  With one edge of the
+    unit square boxed they are grid rows, so the band is n - 1 for
     ``unit_square_mesh(n)``, as narrow as the slab systems'.  With the whole
     boundary boxed the tail is a ring and so is every level set: at 64 the
     band is 303 wide and each mode factor holds 9.7 MB, against 63 and
     2.0 MB for the bottom edge.
+
+    The modes are independent, so the factorization and every solve split
+    them into contiguous ranges, one per CPU in the process's affinity set,
+    and run each range on a thread of a pool that the extension owns, each
+    thread kept on its own CPU, while the caller waits.  The kernels
+    (``dpbtrf``, ``dtbsv``) release the GIL, so the ranges run at the same
+    time.  A mode's arithmetic does not depend on the split, so the answers
+    are the same bits on any number of CPUs.  With one CPU, or fewer than
+    ``_SPLIT_WORK`` band entries in all, everything runs in the calling
+    thread and no pool is made.  The time transforms and the permutation
+    into ``order`` are applied to all modes at once, outside the ranges.
     """
 
     def __init__(self, disc, boxed_vertices):
         mt, st = _interior_time_blocks(disc.mesh)
         theta, modes = sla.eigh(st.toarray(), mt.toarray())
         self.modes = modes
-        self._levels, self._size = len(theta), disc.mesh.num_interior
+        levels, n = len(theta), disc.mesh.num_interior
+        self._levels, self._size = levels, n
         coupled = disc.mass_if[:, boxed_vertices]
         self.tail = np.flatnonzero(np.diff(coupled.indptr))
         distance = csgraph.dijkstra(
@@ -360,40 +454,111 @@ class EnergyExtension:
         # Farthest first; a stable sort keeps the tail, at distance 0, last
         # and in the ascending order of ``tail``.
         self.order = np.argsort(-distance, kind="stable")
-        self._factors = [
-            BandCholesky(disc.stiff_ii + th * disc.mass_ii, self.order)
-            for th in theta
-        ]
+        self._unorder = np.argsort(self.order)
+        stiff = _reorder(disc.stiff_ii, self.order)
+        mass = _reorder(disc.mass_ii, self.order)
+        self.kd = max(_band_width(stiff), _band_width(mass))
+        # Mode j's factor is bands[j].T: (kd + 1, n) in Fortran order.
+        self._bands = np.empty((levels, n, self.kd + 1))
+        self._bands_address = _address(self._bands, self._bands.shape, "C")
 
-    def _by_mode(self, rhs, width, solve):
-        """Transform ``rhs`` to the time modes, apply ``solve(factor, row)``
-        to the row of each mode and transform back; (levels, width)."""
-        transformed = self.modes.T @ rhs
-        solved = np.empty((self._levels, width))
-        for j, factor in enumerate(self._factors):
-            solved[j] = solve(factor, transformed[j])
-        return self.modes @ solved
+        cpus = _usable_cpus()[:levels]
+        if levels * n * (self.kd + 1) < _SPLIT_WORK:
+            cpus = cpus[:1]
+        parts = max(len(cpus), 1)
+        edges = [levels * i // parts for i in range(parts + 1)]
+        self._ranges = list(zip(edges[:-1], edges[1:]))
+        self._pool = None
+        if parts > 1:
+            free_cpus = SimpleQueue()
+            for cpu in cpus:
+                free_cpus.put(cpu)
+            self._pool = ThreadPoolExecutor(
+                parts, thread_name_prefix="dbc-extension",
+                initializer=_pin_thread, initargs=(free_cpus,),
+            )
+        self._run(
+            self._factor, theta,
+            _lower_band(stiff, self.kd), _lower_band(mass, self.kd),
+        )
+
+    def _run(self, task, *args):
+        """``task(lo, hi, *args)`` on every mode range: in the calling
+        thread if there is one range, else one range per pool thread while
+        the caller waits.  Raises the failure of the first range that
+        failed, once every range is done."""
+        if self._pool is None:
+            task(*self._ranges[0], *args)
+            return
+        pending = [
+            self._pool.submit(task, lo, hi, *args) for lo, hi in self._ranges
+        ]
+        futures.wait(pending)
+        for future in pending:
+            future.result()
+
+    def _factor(self, lo, hi, theta, stiff_band, mass_band):
+        for j in range(lo, hi):
+            band = self._bands[j].T
+            np.multiply(mass_band, theta[j], out=band)
+            band += stiff_band
+            dpbtrf(band)
+
+    def _substitute(self, lo, hi, work, steps):
+        """Apply ``steps`` to the rows lo:hi of ``work``, the address of a
+        checked (levels, n) array in ``order``.  A step (trans, start)
+        solves in place on row j from ``start`` on with the trailing block
+        of mode j's L, or of its transpose."""
+        n, ld = self._size, self.kd + 1
+        kd, ldab = ctypes.c_int(self.kd), ctypes.c_int(ld)
+        calls = [(trans, ctypes.c_int(n - start), start) for trans, start in steps]
+        for j in range(lo, hi):
+            for trans, size, start in calls:
+                first = j * n + start
+                _DTBSV(
+                    b"L", trans, b"N", size, kd,
+                    self._bands_address + first * ld * _DOUBLE, ldab,
+                    work + first * _DOUBLE, _ONE,
+                )
+
+    def _solve_modes(self, work, *steps):
+        address = _address(work, (self._levels, self._size), "C")
+        self._run(self._substitute, address, steps)
+
+    def _to_modes(self, rhs):
+        """The (levels, n) ``rhs`` in the time modes and in ``order``."""
+        return np.take(self.modes.T @ rhs, self.order, axis=1)
+
+    def _from_modes(self, solved):
+        return self.modes @ np.take(solved, self._unorder, axis=1)
 
     def solve(self, rhs):
         """Solve A_ii X = rhs for a level-major rhs, flat or of shape
         (levels, num_interior); X has shape (levels, num_interior)."""
-        rhs = rhs.reshape(self._levels, self._size)
-        return self._by_mode(rhs, self._size, BandCholesky.solve)
+        work = self._to_modes(rhs.reshape(self._levels, self._size))
+        self._solve_modes(work, (b"N", 0), (b"T", 0))
+        return self._from_modes(work)
 
     def solve_from_tail(self, tail_rhs):
         """``solve`` of the right-hand side that is ``tail_rhs``, level-major
         over the tail, on the tail and zero elsewhere; (levels,
-        num_interior)."""
+        num_interior).  Zero off the tail, the right-hand side makes the
+        forward substitution zero until the tail."""
         tail_rhs = tail_rhs.reshape(self._levels, len(self.tail))
-        return self._by_mode(tail_rhs, self._size, BandCholesky.solve_from_tail)
+        start = self._size - len(self.tail)
+        work = np.zeros((self._levels, self._size))
+        work[:, start:] = self.modes.T @ tail_rhs
+        self._solve_modes(work, (b"N", start), (b"T", 0))
+        return self._from_modes(work)
 
     def solve_to_tail(self, rhs):
-        """The tail columns of ``solve(rhs)``; (levels, len(tail))."""
-        rhs = rhs.reshape(self._levels, self._size)
-        size = len(self.tail)
-        return self._by_mode(
-            rhs, size, lambda factor, row: factor.solve_to_tail(row, size)
-        )
+        """The tail columns of ``solve(rhs)``; (levels, len(tail)).  Read
+        only on the tail, the answer needs the backward substitution on the
+        tail alone."""
+        start = self._size - len(self.tail)
+        work = self._to_modes(rhs.reshape(self._levels, self._size))
+        self._solve_modes(work, (b"N", 0), (b"T", start))
+        return self.modes @ work[:, start:]
 
 
 class Quadrature:

@@ -18,6 +18,7 @@ import csv
 import json
 import logging
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -370,7 +371,10 @@ def run_study(levels, case, tol=1e-9, max_outer=50, jobs=1):
     tasks = [(n, M, case, tol, max_outer) for (n, M) in levels]
     try:
         if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # Spawned, not forked: a forked child would inherit the thread
+            # pools of this process's extensions without their threads.
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
                 for record in pool.map(_study_level, tasks):
                     report.records.append(record)
                     log.info("level n=%d M=%d done", record.n, record.M)

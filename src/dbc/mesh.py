@@ -100,10 +100,6 @@ class Triangulation:
         return len(self.triangles)
 
     @property
-    def areas(self):
-        return self.signed_areas
-
-    @property
     def interior_indices(self):
         """Indices of vertices not on the boundary, in vertex order."""
         return np.flatnonzero(~self.boundary_vertex_flags)

@@ -1,29 +1,36 @@
 """Assembled operators against symbolic and quadrature oracles."""
 
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 import _symbolic
 from dbc import assembly
 from dbc.assembly import (
     AssemblyError,
-    BandCholesky,
     Discretization,
     EnergyExtension,
     assemble_mass_stiffness,
     bilinear_form,
     coercivity_gap,
     control_state_form,
+    dpbtrf,
+    dtbsv,
     export_matrix_market,
     gauss_interval,
     reference_triangle_rule,
     spatial_load_vector,
     time_mass_stiffness,
 )
-from dbc.manufactured import build_space_time_mesh, bump_case
+from dbc.manufactured import build_space_time_mesh, bump_case, setup_problem
 from dbc.mesh import SpaceTimeMesh, TimePartition, Triangulation, unit_square_mesh
 from dbc.spaces import BoundSet, ControlField, interpolate_control
 
@@ -224,6 +231,22 @@ def test_energy_extension_solves_interior_block():
         assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(rhs)
 
 
+def _band_solver(matrix, order):
+    """Solve with ``matrix`` through its band Cholesky factor in ``order``,
+    built and applied by the GIL-free kernels alone."""
+    permuted = assembly._reorder(matrix, order)
+    band = dpbtrf(assembly._lower_band(permuted, assembly._band_width(permuted)))
+
+    def solve(rhs):
+        x = rhs[order]
+        dtbsv(band, dtbsv(band, x), trans=True)
+        out = np.empty_like(x)
+        out[order] = x
+        return out
+
+    return solve
+
+
 def test_band_cholesky_matches_spsolve():
     """The 8x6 slab matrix, and the mode matrices of the smallest and the
     largest time eigenvalue, each in the order its solver uses; the slab
@@ -239,10 +262,10 @@ def test_band_cholesky_matches_spsolve():
     low, high = (disc.stiff_ii + th * disc.mass_ii for th in (theta[0], theta[-1]))
     rng = np.random.default_rng(11)
     for matrix, solve in (
-        (slab.matrix, BandCholesky(slab.matrix, disc.slab_order).solve),
+        (slab.matrix, _band_solver(slab.matrix, disc.slab_order)),
         (slab.matrix, slab.solve),
-        (low, BandCholesky(low, extension.order).solve),
-        (high, BandCholesky(high, extension.order).solve),
+        (low, _band_solver(low, extension.order)),
+        (high, _band_solver(high, extension.order)),
     ):
         rhs = rng.standard_normal(matrix.shape[0])
         x = solve(rhs)
@@ -256,7 +279,63 @@ def test_band_cholesky_rejects_indefinite_matrix():
         np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 2.0]])
     )
     with pytest.raises(AssemblyError, match="not positive definite"):
-        BandCholesky(matrix, np.arange(3))
+        dpbtrf(assembly._lower_band(matrix, 1))
+
+
+def _random_band(rng, kd, n):
+    """Lower band (kd + 1, n) of a diagonally dominant SPD band matrix."""
+    band = rng.uniform(-1.0, 1.0, (kd + 1, n))
+    band[0] = 2.0 * (kd + 1)
+    return np.asfortranarray(band)
+
+
+def test_gil_free_kernels_match_scipy_bit_for_bit():
+    """``dpbtrf`` and ``dtbsv`` against scipy's f2py wrappers of the same
+    routines: lower band, both transposes, and a trailing block."""
+    rng = np.random.default_rng(21)
+    kd, n, start = 4, 37, 29
+    band = _random_band(rng, kd, n)
+    expected, info = lapack.dpbtrf(band, lower=1)
+    assert info == 0
+    factor = dpbtrf(band.copy(order="F"))
+    assert np.array_equal(factor, expected)
+    x = rng.standard_normal(n)
+    for trans in (False, True):
+        reference = blas.dtbsv(kd, factor, x, lower=1, trans=int(trans))
+        assert np.array_equal(dtbsv(factor, x.copy(), trans=trans), reference)
+        block, tail = factor[:, start:], x[start:].copy()
+        reference = blas.dtbsv(kd, block, tail, lower=1, trans=int(trans))
+        assert np.array_equal(dtbsv(block, tail, trans=trans), reference)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda x: x.astype(np.float32),
+        lambda x: np.repeat(x, 2)[::2],
+        lambda x: x[:-1],
+        lambda x: x.reshape(1, -1),
+    ],
+    ids=["float32", "strided", "short", "two-d"],
+)
+def test_band_kernels_reject_a_vector_they_cannot_read(bad):
+    """A float32, strided, short or 2-D vector is refused before a pointer
+    is taken, so it is left untouched."""
+    rng = np.random.default_rng(22)
+    factor = dpbtrf(_random_band(rng, 3, 12))
+    x = bad(rng.standard_normal(12))
+    before = x.copy()
+    with pytest.raises(ValueError, match="band kernel needs"):
+        dtbsv(factor, x)
+    assert np.array_equal(x, before)
+
+
+def test_band_kernels_reject_a_band_in_c_order():
+    band = np.ascontiguousarray(_random_band(np.random.default_rng(23), 3, 12))
+    before = band.copy()
+    with pytest.raises(ValueError, match="band kernel needs"):
+        dpbtrf(band)
+    assert np.array_equal(band, before)
 
 
 def test_tail_solves_match_full_solves():
@@ -286,6 +365,86 @@ def test_tail_solves_match_full_solves():
     assert untouched.solve_to_tail(rhs).shape == (levels, 0)
 
 
+def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
+    """Three time modes on three workers, one mode each, so more threads
+    than a two-core host has cores, and the interpreter switching between
+    threads as often as it can: the factors and all three solves give the
+    bits of the one-worker loop.  The split runs in a thread of its own,
+    so that a deadlock fails the test instead of hanging it."""
+    mesh = SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)
+    disc = Discretization(mesh)
+    boxed = _bottom_edge(mesh)
+    levels = mesh.num_control_levels
+    assert levels == 3
+    monkeypatch.setattr(assembly, "_SPLIT_WORK", 0)
+    cpus = assembly._usable_cpus()
+    if not cpus:
+        pytest.skip("the platform does not report the CPUs a process may use")
+    monkeypatch.setattr(assembly, "_usable_cpus", lambda: cpus[:1])
+    serial = EnergyExtension(disc, boxed)
+    assert serial._pool is None and serial._ranges == [(0, levels)]
+    rng = np.random.default_rng(24)
+    rhs = rng.standard_normal((levels, mesh.num_interior))
+    tail_rhs = rng.standard_normal((levels, len(serial.tail)))
+
+    def solves(extension):
+        return (
+            extension.solve(rhs),
+            extension.solve_from_tail(tail_rhs),
+            extension.solve_to_tail(rhs),
+        )
+
+    expected = solves(serial)
+    monkeypatch.setattr(
+        assembly, "_usable_cpus", lambda: (cpus * levels)[:levels]
+    )
+    outcome = {}
+
+    def run():
+        try:
+            split = EnergyExtension(disc, boxed)
+            outcome["ranges"] = split._ranges
+            outcome["factors"] = split._bands.copy()
+            outcome["solves"] = [solves(split) for _ in range(20)]
+        except BaseException as err:  # re-raised in the test's thread
+            outcome["error"] = err
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), "the split extension did not finish in 120 s"
+    if "error" in outcome:
+        raise outcome["error"]
+    assert outcome["ranges"] == [(0, 1), (1, 2), (2, 3)]
+    assert np.array_equal(outcome["factors"], serial._bands)
+    for repeat in outcome["solves"]:
+        for got, want in zip(repeat, expected):
+            assert np.array_equal(got, want)
+
+
+def test_importing_dbc_starts_no_thread_and_small_levels_split_nothing():
+    """Importing the package starts no thread, and a level below
+    ``_SPLIT_WORK`` band entries makes no pool: its modes run in the
+    calling thread."""
+    code = "import threading, dbc; print(threading.active_count())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "1"
+    extension = setup_problem(8, 6, bump_case()).extension
+    levels, n = extension.modes.shape[0], extension.order.size
+    assert levels * n * (extension.kd + 1) < assembly._SPLIT_WORK
+    assert extension._pool is None
+    assert extension._ranges == [(0, levels)]
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_tail_order_puts_the_bottom_row_last(n):
     """With the bottom edge boxed the tail is the first interior row, and
@@ -300,8 +459,7 @@ def test_tail_order_puts_the_bottom_row_last(n):
     assert np.array_equal(extension.order[-len(tail):], tail)
     # Rows come farthest first: y never increases along the order.
     assert np.all(np.diff(ys[extension.order]) <= 1e-12)
-    (factor,) = extension._factors
-    assert factor.kd == n - 1
+    assert extension.kd == n - 1
 
 
 # -- coupling, pairings, loads --------------------------------------------------

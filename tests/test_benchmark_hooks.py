@@ -10,8 +10,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
-from scipy.linalg import lapack
 
+from dbc import assembly
 from dbc.manufactured import bump_case, setup_problem
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -38,17 +38,17 @@ def test_every_traced_name_resolves():
 
 
 def test_every_factor_goes_through_dpbtrf(monkeypatch):
-    """Every factor in ``dbc`` is one ``BandCholesky``, which calls
-    ``scipy.linalg.lapack.dpbtrf`` through the module attribute; at 8x6
-    that is one per extension time mode and one slab system."""
+    """Every factor in ``dbc`` is made by ``dbc.assembly.dpbtrf``, the
+    GIL-free LAPACK kernel; at 8x6 that is one call per extension time
+    mode and one for the slab system."""
     calls = []
-    dpbtrf = lapack.dpbtrf
+    dpbtrf = assembly.dpbtrf
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return dpbtrf(*args, **kwargs)
+    def counted(band):
+        calls.append(band.shape)
+        return dpbtrf(band)
 
-    monkeypatch.setattr(lapack, "dpbtrf", counted)
+    monkeypatch.setattr(assembly, "dpbtrf", counted)
     problem = setup_problem(8, 6, bump_case())
     assert problem.disc.mesh.num_control_levels == 5
     assert len(calls) == 5 + 1

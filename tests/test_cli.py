@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from dbc import cli
 from dbc.cli import ConfigError, load_config, main
+from dbc.manufactured import bump_case
 
 
 def write_config(path, text):
@@ -208,6 +210,29 @@ def test_solve_wide_bounds_have_empty_active_sets(tmp_path):
     assert payload["kkt"]["num_lower_active"] == 0
     assert payload["kkt"]["num_upper_active"] == 0
     assert payload["kkt"]["outer_iterations"] == 1
+
+
+def test_solve_lambda_override_reaches_the_problem(tmp_path, monkeypatch):
+    """``lambda`` in [problem] replaces the case's regularization weight in
+    the problem that ``dbc solve`` solves."""
+    solved = []
+    setup_problem = cli.setup_problem
+
+    def recorded(*args, **kwargs):
+        problem = setup_problem(*args, **kwargs)
+        solved.append(problem)
+        return problem
+
+    monkeypatch.setattr(cli, "setup_problem", recorded)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "solve.cfg",
+        f"[problem]\nlambda = 0.02\n[solve]\nn = 3\nm = 3\noutput_dir = {out}\n",
+    )
+    assert main(["solve", "--config", cfg]) == 0
+    (problem,) = solved
+    assert problem.lam == 0.02
+    assert bump_case().lam != 0.02
 
 
 def test_solve_requires_level_keys(tmp_path, capsys):

@@ -354,6 +354,25 @@ def test_no_control_space_matrix_is_assembled(monkeypatch):
     assert problem.dim not in widths
 
 
+def test_unshifted_regularizer_solves_to_tolerance():
+    """With q_d None the regularizer is |q|, not |q - q_d|: no shift, the
+    anchor is the zero control, and PDAS still meets the KKT tolerance at
+    8x6, at a control other than the shifted problem's."""
+    tol = 1e-9
+    problem = setup_problem(
+        8, 6, dataclasses.replace(bump_case(), control_shift=None)
+    )
+    assert not problem.q_shift.any()
+    assert not problem.anchor.any()
+    result = pdas_solve(problem, tol=tol)
+    d = result.diagnostics
+    assert d.stationarity <= tol
+    assert d.complementarity <= tol
+    assert d.infeasibility == 0.0
+    shifted = pdas_solve(setup_problem(8, 6, bump_case()), tol=tol)
+    assert np.abs(result.control.values - shifted.control.values).max() > 1e-3
+
+
 def test_one_slab_has_no_control_levels():
     """With one slab the control space is empty, and so is every trace
     vector; set-up and the solve still go through."""
