@@ -11,14 +11,25 @@ is a LAPACK band Cholesky factor made by ``dpbtrf``, in an ordering that
 keeps the band narrow: reverse Cuthill-McKee for the slab systems and the
 level sets of the distance from the controlled edge for the extension's
 time modes.  ``dpbtrf`` and ``dtbsv`` call LAPACK and BLAS through scipy's
-Cython capsules with ctypes, which releases the GIL, so the
-``EnergyExtension`` runs its time modes on every CPU the process may use.
-Each slab's matrix and factor live in one ``SlabSystem``, cached per
-time-step size, which also keeps the factor's transpose so that the
-sweeps solve in band order with non-transposed substitutions only; the
-sweeps are sequential and call scipy's dtbsv wrapper, which costs less
-per call.  One space-time ``Quadrature`` per discretization serves every load,
-the tracking misfit and the error norms.
+Cython capsules with ctypes, which releases the GIL.  Each slab's matrix and
+factor live in one ``SlabSystem``, cached per time-step size, which also
+keeps the factor's transpose so that the sweeps solve in band order with
+non-transposed substitutions only; the sweeps are sequential and call
+scipy's dtbsv wrapper, which costs less per call.  One space-time
+``Quadrature`` per discretization serves every load, the tracking misfit
+and the error norms.
+
+One process-wide pool, one thread kept on each CPU the process may use and
+made on first use, runs the work that splits into independent ranges: the
+``EnergyExtension``'s time modes from ``_SPLIT_WORK`` band entries up, and
+the Gauss times of ``Quadrature.integrate`` and
+``Discretization.time_loads`` from ``_QUADRATURE_SPLIT_WORK`` point
+evaluations up.  Below its gate, with one CPU, or on a pool thread, the
+work runs in the calling thread.  The ranges write disjoint results, which
+the caller combines in a fixed order, so every answer is the same bits on
+any number of CPUs.  While ``Quadrature.integrate`` runs, the process's
+OpenBLAS runs on one thread, so its dot products sum alike whatever the
+BLAS thread count.
 
 Conventions: control coefficient arrays have shape (M-1, num_nodes) with
 level l (0-based) sitting at time t_{l+1}; state-type arrays have shape
@@ -28,8 +39,10 @@ vectors are level-major, matching kron(time, space) ordering.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
+import threading
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from queue import SimpleQueue
@@ -374,13 +387,11 @@ def _interior_time_blocks(mesh):
     return mt[1:M, 1:M], st[1:M, 1:M]
 
 
-# Below this many band entries over all time modes, levels * n * (kd + 1),
-# the extension runs its modes in the calling thread: handing them to the
-# pool and waiting for it cost about as much as the split saves.  Two
-# extension solves on a 2-core host, one thread against two: 0.73 -> 0.99
-# ms at 24x17 (0.2 M entries), 2.0 -> 1.75 ms at 32x23 (0.68 M), 11.4 ->
-# 6.8 ms at 48x34 (3.5 M).
-_SPLIT_WORK = 400_000
+# -- one pool of pinned threads (see the module docstring) ---------------------
+
+_pool = None
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
 
 
 def _usable_cpus():
@@ -392,13 +403,135 @@ def _usable_cpus():
 
 
 def _pin_thread(cpus):
-    """Pool initializer: keep this thread on the next CPU of ``cpus``.  A
-    new thread starts on its creator's CPU, and the scheduler can take a
-    second or more to move one of two busy threads to an idle CPU."""
+    """Pool initializer: mark this thread as a pool thread and keep it on
+    the next CPU of ``cpus``.  A new thread starts on its creator's CPU, and
+    the scheduler can take a second or more to move one of two busy threads
+    to an idle CPU."""
+    _pool_thread.active = True
     try:
         os.sched_setaffinity(0, {cpus.get_nowait()})
     except OSError:  # the CPU has left the affinity set: run unpinned
         pass
+
+
+def _openblas_thread_setters():
+    """``openblas_set_num_threads_local`` of each OpenBLAS loaded in this
+    process (numpy and scipy may each load their own), found through
+    /proc/self/maps; none where the file or the function is missing.
+    Despite its name the function sets the library's thread count for the
+    whole process; it returns the count it replaces."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    setters = []
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        setters.append(setter)
+    return setters
+
+
+_blas_setters = None  # looked up on first use
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_threads = []
+
+
+@contextlib.contextmanager
+def _blas_on_one_thread():
+    """Run the body with every OpenBLAS of the process on one thread: the
+    dot products of ``Quadrature.integrate``, which may run on the pool.
+    The pool keeps every CPU busy already; BLAS threads of their own
+    compete with it for the same CPUs (with two BLAS threads on a 2-core
+    host the split error norms at 64x46 took 0.63-0.73 s against 0.35-0.47
+    s in one thread), and a threaded dot product sums in another order, so
+    its answer would depend on the thread count.  Concurrent callers share
+    one saved count, restored by the last to leave."""
+    global _blas_setters, _blas_users, _blas_threads
+    with _blas_lock:
+        if _blas_setters is None:
+            _blas_setters = _openblas_thread_setters()
+        if _blas_users == 0:
+            _blas_threads = [setter(1) for setter in _blas_setters]
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                for setter, threads in zip(_blas_setters, _blas_threads):
+                    setter(threads)
+
+
+def _shared_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cpus = _usable_cpus()
+            free_cpus = SimpleQueue()
+            for cpu in cpus:
+                free_cpus.put(cpu)
+            _pool = ThreadPoolExecutor(
+                len(cpus), thread_name_prefix="dbc",
+                initializer=_pin_thread, initargs=(free_cpus,),
+            )
+        return _pool
+
+
+def _forget_pool():
+    """In a forked child: the pool's threads were not copied into it, so a
+    task submitted to the inherited pool would never run.  Drop the pool;
+    the child makes its own on first use."""
+    global _pool, _pool_lock, _blas_lock, _blas_users
+    _pool = None
+    _pool_lock = threading.Lock()
+    _blas_lock = threading.Lock()
+    _blas_users = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split_ranges(size, work, gate):
+    """Contiguous ranges that cover range(size): one per usable CPU, at most
+    ``size``, if ``work`` reaches ``gate``, else the one range (0, size)."""
+    parts = len(_usable_cpus()) if work >= gate else 1
+    parts = max(1, min(parts, size))
+    edges = [size * i // parts for i in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _run_ranges(task, ranges, *args):
+    """``task(lo, hi, *args)`` on every range: in the calling thread if
+    there is one range or the caller is a pool thread, else one range per
+    pool task while the caller waits.  Raises the failure of the first range
+    that failed, once every range is done."""
+    if len(ranges) == 1 or getattr(_pool_thread, "active", False):
+        for lo, hi in ranges:
+            task(lo, hi, *args)
+        return
+    pool = _shared_pool()
+    pending = [pool.submit(task, lo, hi, *args) for lo, hi in ranges]
+    futures.wait(pending)
+    for future in pending:
+        future.result()
+
+
+# Below this many band entries over all time modes, levels * n * (kd + 1),
+# the extension runs its modes in the calling thread: handing them to the
+# pool and waiting for it cost about as much as the split saves.  Two
+# extension solves on a 2-core host, one thread against two: 0.73 -> 0.99
+# ms at 24x17 (0.2 M entries), 2.0 -> 1.75 ms at 32x23 (0.68 M), 11.4 ->
+# 6.8 ms at 48x34 (3.5 M).
+_SPLIT_WORK = 400_000
 
 
 class EnergyExtension:
@@ -430,14 +563,14 @@ class EnergyExtension:
 
     The modes are independent, so the factorization and every solve split
     them into contiguous ranges, one per CPU in the process's affinity set,
-    and run each range on a thread of a pool that the extension owns, each
-    thread kept on its own CPU, while the caller waits.  The kernels
-    (``dpbtrf``, ``dtbsv``) release the GIL, so the ranges run at the same
-    time.  A mode's arithmetic does not depend on the split, so the answers
-    are the same bits on any number of CPUs.  With one CPU, or fewer than
+    and run each range on the module's shared pool, one thread kept on each
+    CPU, while the caller waits.  The kernels (``dpbtrf``, ``dtbsv``)
+    release the GIL, so the ranges run at the same time.  A mode's
+    arithmetic does not depend on the split, so the answers are the same
+    bits on any number of CPUs.  With one CPU, or fewer than
     ``_SPLIT_WORK`` band entries in all, everything runs in the calling
-    thread and no pool is made.  The time transforms and the permutation
-    into ``order`` are applied to all modes at once, outside the ranges.
+    thread.  The time transforms and the permutation into ``order`` are
+    applied to all modes at once, outside the ranges.
     """
 
     def __init__(self, disc, boxed_vertices):
@@ -462,40 +595,13 @@ class EnergyExtension:
         self._bands = np.empty((levels, n, self.kd + 1))
         self._bands_address = _address(self._bands, self._bands.shape, "C")
 
-        cpus = _usable_cpus()[:levels]
-        if levels * n * (self.kd + 1) < _SPLIT_WORK:
-            cpus = cpus[:1]
-        parts = max(len(cpus), 1)
-        edges = [levels * i // parts for i in range(parts + 1)]
-        self._ranges = list(zip(edges[:-1], edges[1:]))
-        self._pool = None
-        if parts > 1:
-            free_cpus = SimpleQueue()
-            for cpu in cpus:
-                free_cpus.put(cpu)
-            self._pool = ThreadPoolExecutor(
-                parts, thread_name_prefix="dbc-extension",
-                initializer=_pin_thread, initargs=(free_cpus,),
-            )
-        self._run(
-            self._factor, theta,
+        self._ranges = _split_ranges(
+            levels, levels * n * (self.kd + 1), _SPLIT_WORK
+        )
+        _run_ranges(
+            self._factor, self._ranges, theta,
             _lower_band(stiff, self.kd), _lower_band(mass, self.kd),
         )
-
-    def _run(self, task, *args):
-        """``task(lo, hi, *args)`` on every mode range: in the calling
-        thread if there is one range, else one range per pool thread while
-        the caller waits.  Raises the failure of the first range that
-        failed, once every range is done."""
-        if self._pool is None:
-            task(*self._ranges[0], *args)
-            return
-        pending = [
-            self._pool.submit(task, lo, hi, *args) for lo, hi in self._ranges
-        ]
-        futures.wait(pending)
-        for future in pending:
-            future.result()
 
     def _factor(self, lo, hi, theta, stiff_band, mass_band):
         for j in range(lo, hi):
@@ -523,7 +629,7 @@ class EnergyExtension:
 
     def _solve_modes(self, work, *steps):
         address = _address(work, (self._levels, self._size), "C")
-        self._run(self._substitute, address, steps)
+        _run_ranges(self._substitute, self._ranges, address, steps)
 
     def _to_modes(self, rhs):
         """The (levels, n) ``rhs`` in the time modes and in ``order``."""
@@ -561,6 +667,16 @@ class EnergyExtension:
         return self.modes @ work[:, start:]
 
 
+# Below this many point evaluations, quadrature points * triangles * Gauss
+# times, ``Quadrature.integrate`` and ``Discretization.time_loads`` run in the
+# calling thread: two threads that hand the GIL back and forth between small
+# numpy calls lose more than the second CPU gains.  Three error norms at
+# bump-case levels on a 2-core host, one thread against two: 25 -> 28 ms at
+# 24x17 (0.24 M evaluations), 58 -> 41-68 ms at 32x23 (0.57 M), 180 -> 111
+# ms at 48x34 (1.9 M); the loads gain from 24x17 up.
+_QUADRATURE_SPLIT_WORK = 400_000
+
+
 class Quadrature:
     """One space-time quadrature rule on a mesh: a triangle rule of degree
     ``quad_degree`` on every triangle times a ``time_quad_points``-point Gauss
@@ -574,6 +690,15 @@ class Quadrature:
     vector is one matvec.  Temporal arrays have shape (M, time_quad_points):
     ``times`` and ``time_weights`` are each slab's Gauss rule, and ``lo`` and
     ``hi`` the P1-in-time hats of the slab's left and right end at ``times``.
+
+    From ``_QUADRATURE_SPLIT_WORK`` point evaluations, nq * nt * M *
+    time_quad_points, up, ``integrate`` and ``Discretization.time_loads``
+    split the Gauss times into one contiguous range per CPU (``split``) and
+    run the ranges on the module's shared pool.  Each Gauss time's result
+    does not depend on the split, and the caller combines them in a fixed
+    order, so both give the same bits on any number of CPUs.  ``integrate``
+    runs the process's OpenBLAS on one thread (``_blas_on_one_thread``),
+    so its dot products do not depend on the BLAS thread count either.
     """
 
     def __init__(self, mesh, quad_degree, time_quad_points):
@@ -605,13 +730,35 @@ class Quadrature:
         (nq, nt)."""
         return self.bary @ nodal[self.triangles].T
 
+    def split(self):
+        """The ranges of Gauss times, in ``times.ravel()`` order, that a
+        quadrature over all of them splits into."""
+        times = self.times.size
+        return _split_ranges(times, self.x.size * times, _QUADRATURE_SPLIT_WORK)
+
     def integrate(self, integrand):
         """Space-time integral of ``integrand(m, j, t)``, the integrand's
-        values at the points at the j-th Gauss time t of slab m."""
+        values at the points at the j-th Gauss time t of slab m.
+
+        Each range of ``split`` evaluates its integrand values and their
+        spatial sums on a pool thread; the caller adds the time-weighted
+        sums in slab and time order, so the integral is the same bits on
+        any number of CPUs.  The integrand is called from several threads
+        at once, so it must not change shared state."""
+        times = self.times.ravel()
+        per_slab = self.times.shape[1]
+        sums = np.empty(times.size)
+
+        def evaluate(lo, hi):
+            for i in range(lo, hi):
+                m, j = divmod(i, per_slab)
+                sums[i] = np.vdot(self.weights, integrand(m, j, times[i]))
+
+        with _blas_on_one_thread():
+            _run_ranges(evaluate, self.split())
         total = 0.0
-        for (m, j), t in np.ndenumerate(self.times):
-            values = integrand(m, j, t)
-            total += self.time_weights[m, j] * float(np.vdot(self.weights, values))
+        for weight, spatial in zip(self.time_weights.ravel(), sums):
+            total += weight * float(spatial)
         return total
 
 
@@ -622,7 +769,8 @@ def spatial_load_vector(quad, g, t):
     return quad.scatter @ np.broadcast_to(vals, quad.x.shape).ravel()
 
 
-# Bytes of g values that ``Discretization.time_loads`` evaluates at once.
+# Bytes of g values that ``Discretization.time_loads`` evaluates at once,
+# over all the ranges it runs at the same time.
 _LOAD_CHUNK_BYTES = 4 * 2**20
 
 
@@ -747,19 +895,29 @@ class Discretization:
 
         g is evaluated on a chunk of Gauss times at once, broadcasting t
         over a leading axis, and one product with ``Quadrature.scatter``
-        turns the chunk into its loads."""
+        turns the chunk into its loads.  Each range of ``Quadrature.split``
+        runs its chunks on a pool thread, so g is called from several
+        threads at once, and the chunks in flight hold at most
+        ``_LOAD_CHUNK_BYTES`` of g values together.  A load's sums run over
+        one row of ``scatter`` in its stored order, whatever the chunk, so
+        the loads are the same bits on any number of CPUs."""
         q = self.quad
         times = q.times.ravel()
         loads = np.zeros((times.size, self.mesh.num_nodes))
         if g is not None:
-            chunk = max(1, _LOAD_CHUNK_BYTES // (8 * q.x.size))
-            for start in range(0, times.size, chunk):
-                t = times[start : start + chunk]
-                vals = np.asarray(g(q.x, q.y, t[:, None, None]), dtype=float)
-                vals = np.broadcast_to(vals, t.shape + q.x.shape)
-                loads[start : start + chunk] = (
-                    q.scatter @ vals.reshape(len(t), -1).T
-                ).T
+            ranges = q.split()
+            chunk = max(1, _LOAD_CHUNK_BYTES // (8 * q.x.size * len(ranges)))
+
+            def load(lo, hi):
+                for start in range(lo, hi, chunk):
+                    t = times[start : min(start + chunk, hi)]
+                    vals = np.asarray(g(q.x, q.y, t[:, None, None]), dtype=float)
+                    vals = np.broadcast_to(vals, t.shape + q.x.shape)
+                    loads[start : start + len(t)] = (
+                        q.scatter @ vals.reshape(len(t), -1).T
+                    ).T
+
+            _run_ranges(load, ranges)
             loads *= q.time_weights.reshape(-1, 1)
         return loads.reshape(q.times.shape + (self.mesh.num_nodes,))
 

@@ -27,6 +27,7 @@ from .assembly import export_matrix_market
 from .checks import CHECKS, run_checks
 from .forward import SolverError
 from .manufactured import CASES, run_study, setup_problem
+from .mesh import MeshError
 from .optimizer import PdasNonconvergence, pdas_solve
 
 log = logging.getLogger("dbc.cli")
@@ -293,7 +294,8 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, MeshError) as err:
+        # A MeshError here comes from the level sizes the config names.
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except (PdasNonconvergence, SolverError) as err:

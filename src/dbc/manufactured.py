@@ -48,7 +48,11 @@ class ManufacturedCase:
     and y of shape (points, triangles), while the error norms and the
     interpolants pass a scalar t.  Gradients return (d/dx, d/dy) tuples.
     ``initial`` takes x and y only, and may be None when the exact initial
-    state vanishes."""
+    state vanishes.  On large levels (32x23 and up; see
+    ``dbc.assembly._QUADRATURE_SPLIT_WORK``) the error norms, the misfit and
+    the loads call these callables from several pool threads at once, so
+    they must be pure: they change no shared state and give the same values
+    for the same arguments."""
 
     name: str
     lam: float
@@ -371,8 +375,10 @@ def run_study(levels, case, tol=1e-9, max_outer=50, jobs=1):
     tasks = [(n, M, case, tol, max_outer) for (n, M) in levels]
     try:
         if jobs > 1 and len(tasks) > 1:
-            # Spawned, not forked: a forked child would inherit the thread
-            # pools of this process's extensions without their threads.
+            # Spawned, not forked: a forked child inherits this process's
+            # thread pool without its threads (``dbc.assembly`` drops the
+            # pool in the child, but fork in a process with threads can still
+            # copy a lock that one of them held).
             spawn = multiprocessing.get_context("spawn")
             with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
                 for record in pool.map(_study_level, tasks):

@@ -393,7 +393,7 @@ def pdas_solve(
     history = []
     seen_sets = set()
 
-    for _ in range(max_outer + 1):
+    while True:
         if v.any():
             hv, sens, second = problem.trace_hessian(v, want_fields=True)
         else:
@@ -498,5 +498,3 @@ def pdas_solve(
         total_cg += iters
         solves += 1
         lower_prev, upper_prev = lower, upper
-
-    raise AssertionError("unreachable")

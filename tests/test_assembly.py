@@ -1,9 +1,11 @@
 """Assembled operators against symbolic and quadrature oracles."""
 
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,9 +32,22 @@ from dbc.assembly import (
     spatial_load_vector,
     time_mass_stiffness,
 )
-from dbc.manufactured import build_space_time_mesh, bump_case, setup_problem
+from dbc.manufactured import (
+    build_space_time_mesh,
+    bump_case,
+    control_error,
+    energy_error_adjoint,
+    energy_error_state,
+    setup_problem,
+)
 from dbc.mesh import SpaceTimeMesh, TimePartition, Triangulation, unit_square_mesh
-from dbc.spaces import BoundSet, ControlField, interpolate_control
+from dbc.spaces import (
+    AdjointField,
+    BoundSet,
+    ControlField,
+    StateField,
+    interpolate_control,
+)
 
 
 @pytest.fixture
@@ -382,7 +397,7 @@ def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
         pytest.skip("the platform does not report the CPUs a process may use")
     monkeypatch.setattr(assembly, "_usable_cpus", lambda: cpus[:1])
     serial = EnergyExtension(disc, boxed)
-    assert serial._pool is None and serial._ranges == [(0, levels)]
+    assert serial._ranges == [(0, levels)]
     rng = np.random.default_rng(24)
     rhs = rng.standard_normal((levels, mesh.num_interior))
     tail_rhs = rng.standard_normal((levels, len(serial.tail)))
@@ -427,22 +442,195 @@ def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
             assert np.array_equal(got, want)
 
 
+def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
+    """The three error norms, the misfit and the loads, their Gauss times
+    split over three workers, so more threads than a two-core host has
+    cores, with loads in chunks of one and of three times and the
+    interpreter switching between threads as often as it can: every value
+    is the bits of one worker.  Each split runs in a thread of its own, so
+    that a deadlock fails the test instead of hanging it."""
+    mesh = SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)
+    disc = Discretization(mesh)
+    q = disc.quad
+    case = bump_case()
+    rng = np.random.default_rng(36)
+    slabs = (mesh.num_slabs, mesh.num_interior)
+    state = StateField(mesh, rng.standard_normal(slabs))
+    adjoint = AdjointField(mesh, rng.standard_normal(slabs))
+    control = ControlField(
+        mesh, rng.standard_normal((mesh.num_control_levels, mesh.num_nodes))
+    )
+
+    def quadratures():
+        return (
+            energy_error_state(disc, case, state, control),
+            energy_error_adjoint(disc, case, adjoint),
+            control_error(disc, case, control),
+            disc.misfit_quadrature(state.values, control.values, case.target),
+            disc.time_loads(case.source),
+            disc.time_loads(case.target),
+        )
+
+    cpus = assembly._usable_cpus()
+    if not cpus:
+        pytest.skip("the platform does not report the CPUs a process may use")
+    workers = 3
+    monkeypatch.setattr(assembly, "_QUADRATURE_SPLIT_WORK", 0)
+    monkeypatch.setattr(assembly, "_usable_cpus", lambda: cpus[:1])
+    assert q.split() == [(0, q.times.size)]
+    expected = quadratures()
+    monkeypatch.setattr(
+        assembly, "_usable_cpus", lambda: (cpus * workers)[:workers]
+    )
+    assert q.split() == [(0, 2), (2, 5), (5, 8)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for chunk_times in (1, 3):
+            monkeypatch.setattr(
+                assembly, "_LOAD_CHUNK_BYTES", 8 * q.x.size * workers * chunk_times
+            )
+            outcome = {}
+
+            def run():
+                try:
+                    outcome["values"] = [quadratures() for _ in range(5)]
+                except BaseException as err:  # re-raised in the test's thread
+                    outcome["error"] = err
+
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive(), "the split quadrature did not finish in 120 s"
+            if "error" in outcome:
+                raise outcome["error"]
+            for values in outcome["values"]:
+                for got, want in zip(values[:4], expected[:4]):
+                    assert got == want
+                for got, want in zip(values[4:], expected[4:]):
+                    assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_split_integral_runs_blas_on_one_thread(monkeypatch):
+    """While a split integral runs, every OpenBLAS that the process loaded
+    runs on one thread, so that BLAS threads do not compete with the pool
+    and the dot products sum as on one thread; the thread counts come back
+    afterwards."""
+    setters = assembly._openblas_thread_setters()
+    if not setters:
+        pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
+
+    def counts():
+        found = []
+        for setter in setters:
+            threads = setter(1)
+            setter(threads)
+            found.append(threads)
+        return found
+
+    q = Discretization(SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)).quad
+    cpus = assembly._usable_cpus()
+    if not cpus:
+        pytest.skip("the platform does not report the CPUs a process may use")
+    monkeypatch.setattr(assembly, "_QUADRATURE_SPLIT_WORK", 0)
+    monkeypatch.setattr(assembly, "_usable_cpus", lambda: (cpus * 2)[:2])
+    seen = []
+
+    def integrand(m, j, t):
+        seen.append(counts())
+        return np.ones_like(q.x)
+
+    before = [setter(2) for setter in setters]
+    try:
+        q.integrate(integrand)
+        after = counts()
+    finally:
+        for setter, threads in zip(setters, before):
+            setter(threads)
+    assert len(seen) == q.times.size
+    assert all(found == [1] * len(setters) for found in seen)
+    assert after == [2] * len(setters)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_after_its_parent(monkeypatch):
+    """A split in the parent makes the shared pool.  A child forked after
+    it has none of the pool's threads, so it makes a pool of its own, and
+    its split finishes with the parent's bits.  The parent waits at most
+    120 s for the child."""
+    disc = Discretization(SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM))
+    q = disc.quad
+    cpus = assembly._usable_cpus()
+    if not cpus:
+        pytest.skip("the platform does not report the CPUs a process may use")
+    monkeypatch.setattr(assembly, "_QUADRATURE_SPLIT_WORK", 0)
+    monkeypatch.setattr(assembly, "_usable_cpus", lambda: (cpus * 2)[:2])
+    assert len(q.split()) == 2
+
+    def squares(m, j, t):
+        return (q.x + t) ** 2
+
+    expected = q.integrate(squares)
+    assert assembly._pool is not None
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only if its split gave the bits
+        code = 1
+        try:
+            code = 0 if q.integrate(squares) == expected else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 120
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split did not finish in 120 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
 def test_importing_dbc_starts_no_thread_and_small_levels_split_nothing():
-    """Importing the package starts no thread, and a level below
-    ``_SPLIT_WORK`` band entries makes no pool: its modes run in the
-    calling thread."""
-    code = "import threading, dbc; print(threading.active_count())"
+    """Importing the package starts no thread, and set-up, solve and error
+    norms at 8x6, below ``_SPLIT_WORK`` band entries and
+    ``_QUADRATURE_SPLIT_WORK`` point evaluations, start none either: the
+    modes and the Gauss times run in the calling thread.  A fresh process,
+    since the shared pool of this one may already exist."""
+    code = """if True:
+        import threading
+        import dbc
+        from dbc.manufactured import (
+            bump_case, control_error, energy_error_adjoint,
+            energy_error_state, setup_problem,
+        )
+        print(threading.active_count())
+        case = bump_case()
+        problem = setup_problem(8, 6, case)
+        result = dbc.pdas_solve(problem)
+        energy_error_state(problem.disc, case, result.state, result.control)
+        energy_error_adjoint(problem.disc, case, result.adjoint)
+        control_error(problem.disc, case, result.control)
+        print(threading.active_count())
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
-    assert out.stdout.strip() == "1"
-    extension = setup_problem(8, 6, bump_case()).extension
+    assert out.stdout.split() == ["1", "1"]
+    problem = setup_problem(8, 6, bump_case())
+    extension = problem.extension
     levels, n = extension.modes.shape[0], extension.order.size
     assert levels * n * (extension.kd + 1) < assembly._SPLIT_WORK
-    assert extension._pool is None
     assert extension._ranges == [(0, levels)]
+    quad = problem.disc.quad
+    assert quad.x.size * quad.times.size < assembly._QUADRATURE_SPLIT_WORK
+    assert quad.split() == [(0, quad.times.size)]
 
 
 @pytest.mark.parametrize("n", [8, 16])

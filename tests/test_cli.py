@@ -65,6 +65,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ("[problem]\ncase = typo\n[study]\nlevels = 2x2\n", "available: bump"),
         ("[problem]\nlambda = abc\n[study]\nlevels = 2x2\n", "not a number"),
         ("[solver]\nmax_outer = 1.5\n[study]\nlevels = 2x2\n", "not an integer"),
+        ("levels = 2x2\n[study]\n", "malformed config"),
+        ("[study]\nlevels = 2x2, eightx6\n", "bad level 'eightx6' (expected NxM)"),
+        ("[study]\nlevels = 0x6\n", "subdivision count must be a positive"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, capsys, body, message):
@@ -158,6 +161,12 @@ def test_check_unknown_name_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path / "check.cfg", "[check]\nchecks = nope\n")
     assert main(["check", "--config", cfg]) == 1
     assert "unknown check" in capsys.readouterr().err
+
+
+def test_check_selecting_no_check_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path / "check.cfg", "[check]\nchecks = , ,\n")
+    assert main(["check", "--config", cfg]) == 1
+    assert "selects no checks" in capsys.readouterr().err
 
 
 def test_check_defaults_run_everything(tmp_path, capsys):

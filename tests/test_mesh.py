@@ -57,6 +57,21 @@ def test_triangulation_rejects_bad_input():
         Triangulation([[0, 0, 0]], [[0, 0, 0]])
 
 
+def test_triangulation_shape_errors_name_the_array():
+    with pytest.raises(MeshError, match=r"vertices must be an \(nv, 2\) array"):
+        Triangulation([0.0, 1.0], [[0, 1, 2]])
+    with pytest.raises(MeshError, match=r"triangles must be an \(nt, 3\) array"):
+        Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1]])
+
+
+def test_triangulation_rejects_an_edge_of_three_triangles():
+    # Three triangles on the edge from vertex 0 to vertex 1.
+    vertices = [[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, 3]]
+    triangles = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
+    with pytest.raises(MeshError, match="non-conforming mesh"):
+        Triangulation(vertices, triangles)
+
+
 def test_triangulation_validate_false_allows_flipped():
     tri = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]], validate=False)
     assert tri.signed_areas[0] < 0
