@@ -6,7 +6,7 @@ active set solver for pointwise control bounds, and a manufactured-solution
 convergence harness.
 """
 
-from .adjoint import adjoint_identity_check, solve_adjoint
+from .adjoint import adjoint_identity_check
 from .assembly import (
     Discretization,
     EnergyExtension,
@@ -15,7 +15,7 @@ from .assembly import (
     coercivity_gap,
 )
 from .checks import CHECKS, CheckResult, run_checks
-from .forward import SolverError, solve_state, solve_state_sensitivity
+from .forward import SolverError, solve_state_sensitivity
 from .manufactured import (
     CASES,
     LevelRecord,
@@ -36,10 +36,8 @@ from .mesh import (
     SpaceTimeMesh,
     TimePartition,
     Triangulation,
-    refine,
     uniform_time_partition,
     unit_square_mesh,
-    write_mesh_text,
 )
 from .optimizer import (
     CGBreakdownError,
@@ -48,20 +46,15 @@ from .optimizer import (
     PdasNonconvergence,
     PdasResult,
     ReducedProblem,
-    hessian_vec,
     pdas_solve,
-    reduced_gradient,
 )
 from .spaces import (
     AdjointField,
     BoundSet,
     ControlField,
     FieldShapeError,
-    OutOfDomainError,
     StateField,
-    eval_state,
     interpolate_control,
-    project_onto_bounds,
 )
 
 __version__ = "0.1.0"

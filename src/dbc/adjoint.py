@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forward import march, solve_state_sensitivity
-from .spaces import AdjointField, ControlField
+from .spaces import ControlField
 
 
 def sweep_backward(disc, slab_rhs):
@@ -35,13 +35,6 @@ def tracking_slabs(disc, state_values, control_values, u_d):
     if u_d is not None:
         out -= disc.source_slabs(disc.time_loads(u_d))
     return out
-
-
-def solve_adjoint(disc, state, control=None, u_d=None):
-    """Solve the adjoint equation with tracking data u_kh - u_d."""
-    cv = control.values if control is not None else None
-    rhs = tracking_slabs(disc, state.values, cv, u_d)
-    return AdjointField(disc.mesh, sweep_backward(disc, rhs))
 
 
 def adjoint_identity_check(disc, seed=0):

@@ -53,8 +53,6 @@ import scipy.sparse as sp
 from scipy.linalg import blas, cython_blas, cython_lapack
 from scipy.sparse import csgraph
 
-from .spaces import ControlField
-
 
 class AssemblyError(ValueError):
     """Raised for geometry or data that cannot be assembled."""
@@ -77,40 +75,6 @@ _TRI_RULE_4 = (
     ),
     np.array([_TRI4_W1] * 3 + [_TRI4_W2] * 3),
 )
-
-def _collapsed_triangle_rule(points_per_axis):
-    """Tensor-product Gauss rule collapsed onto the reference triangle.
-
-    The square-to-triangle map (u, v) -> (u(1-v), v) with Jacobian (1-v)
-    turns an n x n Gauss grid into a triangle rule exact for total degree
-    2n - 2: the map raises the v-degree of a monomial by at most one plus
-    the Jacobian.  Nodes and weights derive from leggauss, so the rule is
-    accurate to rounding rather than to transcribed-table precision.
-    Weights are normalized to sum to one (multiply by the element area).
-    """
-    x, w = np.polynomial.legendre.leggauss(points_per_axis)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    U, V = np.meshgrid(u, u)
-    WU, WV = np.meshgrid(wu, wu)
-    lam2 = (U * (1.0 - V)).ravel()
-    lam3 = V.ravel()
-    bary = np.column_stack([1.0 - lam2 - lam3, lam2, lam3])
-    weights = 2.0 * (WU * WV * (1.0 - V)).ravel()
-    return bary, weights
-
-
-# 25-point rule, exact to degree 8; used for oracle-grade integration only.
-_TRI_RULE_8 = _collapsed_triangle_rule(5)
-
-
-def reference_triangle_rule(degree):
-    """Barycentric points and unit-sum weights for the requested degree."""
-    if degree <= 4:
-        return _TRI_RULE_4
-    if degree <= 8:
-        return _TRI_RULE_8
-    raise AssemblyError(f"no triangle rule of degree {degree}")
 
 
 def gauss_interval(num_points, a, b):
@@ -146,12 +110,6 @@ _MASS_REF = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 def assemble_mass_stiffness(tri):
     """Spatial P1 mass and stiffness matrices over all vertices (CSR)."""
-    bad = np.flatnonzero(tri.signed_areas <= 0)
-    if bad.size:
-        raise AssemblyError(
-            f"cannot assemble on triangle {bad[0]}: non-positive area "
-            f"{tri.signed_areas[bad[0]]:.3e}"
-        )
     grads, areas = triangle_geometry(tri)
     stiff_loc = areas[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
     mass_loc = areas[:, None, None] * _MASS_REF
@@ -678,21 +636,21 @@ _QUADRATURE_SPLIT_WORK = 400_000
 
 
 class Quadrature:
-    """One space-time quadrature rule on a mesh: a triangle rule of degree
-    ``quad_degree`` on every triangle times a ``time_quad_points``-point Gauss
-    rule on every slab.
+    """One space-time quadrature rule on a mesh: the triangle rule ``rule``,
+    barycentric points and unit-sum weights, on every triangle times a
+    ``time_points``-point Gauss rule on every slab.
 
     Spatial arrays have shape (nq, nt), one row per rule point: ``x`` and
     ``y`` are the points mapped onto every triangle and ``weights`` the rule
     weights times the triangle areas.  ``bary`` holds the barycentric values
     of the points, (nq, 3), and ``scatter`` the (nv, nq * nt) sparse map that
     sums point values, weighted, onto the P1 test functions, so a load
-    vector is one matvec.  Temporal arrays have shape (M, time_quad_points):
+    vector is one matvec.  Temporal arrays have shape (M, time_points):
     ``times`` and ``time_weights`` are each slab's Gauss rule, and ``lo`` and
     ``hi`` the P1-in-time hats of the slab's left and right end at ``times``.
 
     From ``_QUADRATURE_SPLIT_WORK`` point evaluations, nq * nt * M *
-    time_quad_points, up, ``integrate`` and ``Discretization.time_loads``
+    time_points, up, ``integrate`` and ``Discretization.time_loads``
     split the Gauss times into one contiguous range per CPU (``split``) and
     run the ranges on the module's shared pool.  Each Gauss time's result
     does not depend on the split, and the caller combines them in a fixed
@@ -701,9 +659,9 @@ class Quadrature:
     so its dot products do not depend on the BLAS thread count either.
     """
 
-    def __init__(self, mesh, quad_degree, time_quad_points):
+    def __init__(self, mesh, rule, time_points):
         tri = mesh.triangulation
-        bary, rule_weights = reference_triangle_rule(quad_degree)
+        bary, rule_weights = rule
         self.triangles = tri.triangles
         self.bary = bary
         # The points are the P1 interpolants of the vertex coordinates.
@@ -721,7 +679,7 @@ class Quadrature:
 
         pts = mesh.time_partition.points
         left, right = pts[:-1, None], pts[1:, None]
-        self.times, self.time_weights = gauss_interval(time_quad_points, left, right)
+        self.times, self.time_weights = gauss_interval(time_points, left, right)
         self.lo = (right - self.times) / (right - left)
         self.hi = (self.times - left) / (right - left)
 
@@ -785,12 +743,12 @@ class Discretization:
     one ``slab_order``, and cached on the instance.  The sweeps march in
     that order too, with ``ordered_mass_ii`` and the ``sweep_buffers``;
     ``max_slab_residual`` is the largest relative residual that they have
-    checked so far.
-    ``quad_degree`` and ``time_quad_points`` choose the space-time rule that
-    every load, the misfit and the error norms integrate with.
+    checked so far.  Every load, the misfit and the error norms integrate
+    with one ``quad``: the degree-4 triangle rule times 2 Gauss points per
+    slab.
     """
 
-    def __init__(self, mesh, quad_degree=4, time_quad_points=2):
+    def __init__(self, mesh):
         self.mesh = mesh
         tri = mesh.triangulation
         self.mass, self.stiffness = assemble_mass_stiffness(tri)
@@ -808,7 +766,7 @@ class Discretization:
         mt, st = _interior_time_blocks(mesh)
         self.seminorm = KroneckerSum((mt, self.stiffness), (st, self.mass))
         self.control_mass = KroneckerSum((mt, self.mass))
-        self.quad = Quadrature(mesh, quad_degree, time_quad_points)
+        self.quad = Quadrature(mesh, _TRI_RULE_4, 2)
         self.grads, self.areas = triangle_geometry(tri)
         # Two steps of a uniform partition differ only by the rounding of
         # the points T*i/M, at most one ulp of T per point.
@@ -890,7 +848,7 @@ class Discretization:
 
     def time_loads(self, g):
         """Loads of g at every slab's Gauss times, times the time weights;
-        (M, time_quad_points, nv), zero for g None.  ``source_slabs`` and
+        (M, time_points, nv), zero for g None.  ``source_slabs`` and
         ``control_pairing`` integrate them in time.
 
         g is evaluated on a chunk of Gauss times at once, broadcasting t
@@ -991,13 +949,6 @@ def coercivity_gap(disc, v_values):
         k[m] * float(V[m] @ (disc.stiff_ii @ V[m])) for m in range(len(k))
     )
     return bilinear_form(disc, V, V) - grad
-
-
-def control_state_form(disc, control, v_values):
-    """B(q, v) of a control against a state-type field: the coupling pairing
-    sum_m C_m(q)^T v_m."""
-    values = control.values if isinstance(control, ControlField) else control
-    return float(np.sum(disc.coupling_all(values) * np.asarray(v_values)))
 
 
 def export_matrix_market(disc, directory):

@@ -100,18 +100,6 @@ def sweep_forward(disc, slab_rhs, w0=None):
     return march(disc, slab_rhs, w0)
 
 
-def solve_state(disc, f=None, u0=None, control=None):
-    """Solve the state equation for source f, initial datum u0 and boundary
-    control q; returns the zero-trace part w as a StateField.
-
-    The full discrete state is w + q; evaluate it by adding the control."""
-    rhs = disc.source_slabs(disc.time_loads(f))
-    if control is not None:
-        rhs = rhs - disc.coupling_all(control.values)
-    w0 = disc.project_initial(u0)
-    return StateField(disc.mesh, sweep_forward(disc, rhs, w0))
-
-
 def solve_state_sensitivity(disc, delta_control):
     """Derivative of the state map: zero data, control perturbation only."""
     rhs = -disc.coupling_all(delta_control.values)

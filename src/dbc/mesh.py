@@ -28,9 +28,6 @@ class Triangulation:
         Vertex coordinates.
     triangles : (nt, 3) array_like
         Vertex indices per triangle, counterclockwise.
-    validate : bool
-        Check positive areas and edge conformity.  Disable only to build
-        deliberately broken meshes in tests.
 
     Attributes
     ----------
@@ -44,7 +41,7 @@ class Triangulation:
         as the mesh size reported in convergence tables.
     """
 
-    def __init__(self, vertices, triangles, validate=True):
+    def __init__(self, vertices, triangles):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -61,19 +58,18 @@ class Triangulation:
         d1 = v[t[:, 1]] - v[t[:, 0]]
         d2 = v[t[:, 2]] - v[t[:, 0]]
         self.signed_areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if validate:
-            bad = np.flatnonzero(self.signed_areas <= 0)
-            if bad.size:
-                raise MeshError(
-                    f"triangle {bad[0]} has non-positive area "
-                    f"{self.signed_areas[bad[0]]:.3e} (vertices {t[bad[0]]})"
-                )
+        bad = np.flatnonzero(self.signed_areas <= 0)
+        if bad.size:
+            raise MeshError(
+                f"triangle {bad[0]} has non-positive area "
+                f"{self.signed_areas[bad[0]]:.3e} (vertices {t[bad[0]]})"
+            )
 
         edges = np.sort(
             np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1
         )
         uniq, counts = np.unique(edges, axis=0, return_counts=True)
-        if validate and counts.max(initial=1) > 2:
+        if counts.max(initial=1) > 2:
             raise MeshError("non-conforming mesh: an edge is shared by >2 triangles")
         boundary_edges = uniq[counts == 1]
         flags = np.zeros(len(v), dtype=bool)
@@ -88,16 +84,11 @@ class Triangulation:
             ]
         )
         self.h = float(edge_len.max(initial=0.0))
-        self.n = None
         self.cell_width = None
 
     @property
     def num_vertices(self):
         return len(self.vertices)
-
-    @property
-    def num_triangles(self):
-        return len(self.triangles)
 
     @property
     def interior_indices(self):
@@ -133,7 +124,6 @@ def unit_square_mesh(n):
     triangles = np.concatenate([np.stack([lower, upper], axis=1).reshape(-1, 3)])
 
     tri = Triangulation(vertices, triangles)
-    tri.n = n
     tri.cell_width = 1.0 / n
     return tri
 
@@ -215,42 +205,7 @@ class SpaceTimeMesh:
         return self.triangulation.num_interior
 
     @property
-    def num_prisms(self):
-        return self.triangulation.num_triangles * self.time_partition.num_steps
-
-    @property
     def num_control_levels(self):
         """Interior time levels t_1 .. t_{M-1} carrying control DOFs."""
         return self.time_partition.num_steps - 1
 
-
-def refine(mesh, spatial_factor=2, temporal_factor=2):
-    """Uniformly refined copy of a structured space-time mesh.
-
-    Both factors must be positive integers; the coarse vertices are a subset
-    of the fine ones.  Only meshes built by ``unit_square_mesh`` carry the
-    structure needed to refine.
-    """
-    tri = mesh.triangulation
-    if tri.n is None:
-        raise MeshError("refine requires a structured unit-square mesh")
-    for name, f in (("spatial", spatial_factor), ("temporal", temporal_factor)):
-        if int(f) != f or f < 1:
-            raise MeshError(f"{name} refinement factor must be a positive integer")
-    fine_tri = unit_square_mesh(tri.n * int(spatial_factor))
-    tp = mesh.time_partition
-    fine_tp = uniform_time_partition(
-        tp.num_steps * int(temporal_factor), tp.final_time
-    )
-    return SpaceTimeMesh(fine_tri, fine_tp)
-
-
-def write_mesh_text(triangulation, stream):
-    """Dump a triangulation as text: one "x y flag" line per vertex, then one
-    "i j k" line per triangle.  ``stream`` is a writable text file object."""
-    for (x, y), flag in zip(
-        triangulation.vertices, triangulation.boundary_vertex_flags
-    ):
-        stream.write(f"{x:.17g} {y:.17g} {int(flag)}\n")
-    for i, j, k in triangulation.triangles:
-        stream.write(f"{i} {j} {k}\n")

@@ -20,10 +20,6 @@ q = E v + anchor, with grad j = H v - b constant-shifted, which the PDAS
 loop exploits: every outer iteration costs at most two Hessian
 applications plus a warm-started CG solve on the inactive set,
 preconditioned by the diagonal of lam * seminorm (restricted to the trace).
-
-Full-space gradient and Hessian actions on the whole prismatic control
-space remain available as ``reduced_gradient`` / ``hessian_vec``; the trace
-machinery composes them with the extension and its transpose.
 """
 
 from __future__ import annotations
@@ -114,19 +110,19 @@ class PdasResult:
 
 
 class ReducedProblem:
-    """Precomputed reduced problem on one discretization.
+    """Precomputed reduced problem on one discretization, in the trace
+    unknowns that ``pdas_solve`` optimizes.
 
-    Two layers share the sweeps.  The full-space layer (``hessian_apply``,
-    ``full_gradient``) realizes the quadratic in all prismatic control DOFs.
-    The trace layer restricts it: boundary vertices outside the control
-    boundary are pinned to zero, interior vertices follow the trace through
-    the minimal-seminorm extension anchored at q_d, and the optimization
-    runs in the remaining trace unknowns v with q = extend(v).
-    ``trace_dim``, ``trace_b`` and ``trace_hessian`` describe that
-    quadratic, whose optimum solves the variational inequality over the
-    extension subspace only: there ``restrict_gradient`` of the full-space
-    gradient vanishes, its interior-vertex components do not (see the
-    module docstring).  ``dim`` stays the full control-space dimension."""
+    Boundary vertices outside the control boundary are pinned to zero,
+    interior vertices follow the trace through the minimal-seminorm
+    extension anchored at q_d, and the optimization runs in the remaining
+    trace unknowns v with q = extend(v).  ``trace_dim``, ``trace_b`` and
+    ``trace_hessian`` describe that quadratic; ``trace_hessian`` composes
+    ``hessian_apply``, the Hessian action on all prismatic control DOFs,
+    with ``extend_direction`` and its transpose ``restrict_gradient``.  Its
+    optimum solves the variational inequality over the extension subspace
+    only (see the module docstring).  ``dim`` stays the full control-space
+    dimension."""
 
     def __init__(self, disc, lam, bounds, f=None, u0=None, u_d=None, q_d=None):
         if not lam > 0:
@@ -202,11 +198,6 @@ class ReducedProblem:
         if want_fields:
             return out, sens, second
         return out
-
-    def full_gradient(self, flat):
-        """Full-space grad j(q) = H q - b, plus the state/adjoint at q."""
-        hq, sens, second = self.hessian_apply(flat, want_fields=True)
-        return hq - self.b, self.state_base + sens, self.adjoint_base + second
 
     # -- trace layer -----------------------------------------------------------
 
@@ -293,19 +284,6 @@ class ReducedProblem:
             - float(self.trace_b @ trace_values)
             + self.objective_at_anchor
         )
-
-
-def reduced_gradient(problem, control):
-    """Full-space gradient of the reduced objective as a ControlField."""
-    g, _, _ = problem.full_gradient(control.ravel())
-    return ControlField.from_flat(problem.disc.mesh, g)
-
-
-def hessian_vec(problem, delta):
-    """Full-space reduced Hessian applied to a direction, as a ControlField."""
-    return ControlField.from_flat(
-        problem.disc.mesh, problem.hessian_apply(delta.ravel())
-    )
 
 
 def _pcg(apply_op, rhs, precond_diag, rel_tol, max_iter):

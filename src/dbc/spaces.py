@@ -14,10 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class OutOfDomainError(ValueError):
-    """Point evaluation outside the space-time cylinder."""
-
-
 class FieldShapeError(ValueError):
     """Coefficient array does not match the mesh."""
 
@@ -41,9 +37,6 @@ class StateField:
                 )
         self.mesh = mesh
         self.values = values
-
-    def copy(self):
-        return type(self)(self.mesh, self.values.copy())
 
     def full_values(self):
         """Coefficients on all vertices, zeros on the boundary; shape (M, nv)."""
@@ -78,9 +71,6 @@ class ControlField:
         self.mesh = mesh
         self.values = values
 
-    def copy(self):
-        return ControlField(self.mesh, self.values.copy())
-
     def ravel(self):
         return self.values.ravel()
 
@@ -113,43 +103,6 @@ def interpolate_control(mesh, g):
             np.asarray(g(xy[:, 0], xy[:, 1], t), dtype=float), (mesh.num_nodes,)
         )
     return ControlField(mesh, values)
-
-
-def _locate_triangle(tri, x, y, tol=1e-12):
-    """Barycentric coordinates of (x, y) in the first triangle containing it."""
-    v = tri.vertices
-    t = tri.triangles
-    x1, y1 = v[t[:, 0], 0], v[t[:, 0], 1]
-    x2, y2 = v[t[:, 1], 0], v[t[:, 1], 1]
-    x3, y3 = v[t[:, 2], 0], v[t[:, 2], 1]
-    det = (y2 - y3) * (x1 - x3) + (x3 - x2) * (y1 - y3)
-    l1 = ((y2 - y3) * (x - x3) + (x3 - x2) * (y - y3)) / det
-    l2 = ((y3 - y1) * (x - x3) + (x1 - x3) * (y - y3)) / det
-    l3 = 1.0 - l1 - l2
-    inside = (l1 >= -tol) & (l2 >= -tol) & (l3 >= -tol)
-    hits = np.flatnonzero(inside)
-    if not hits.size:
-        raise OutOfDomainError(f"point ({x}, {y}) lies outside the triangulation")
-    idx = hits[0]
-    return idx, np.array([l1[idx], l2[idx], l3[idx]])
-
-
-def _slab_of(time_partition, t):
-    pts = time_partition.points
-    if not pts[0] < t <= pts[-1]:
-        raise OutOfDomainError(f"time {t} outside ({pts[0]}, {pts[-1]}]")
-    return int(np.searchsorted(pts, t, side="left")) - 1
-
-
-def eval_state(field, x, y, t):
-    """Point value of a state or adjoint field at (x, y) and time t in (0, T]."""
-    mesh = field.mesh
-    m = _slab_of(mesh.time_partition, t)
-    idx, lam = _locate_triangle(mesh.triangulation, x, y)
-    nodes = mesh.triangulation.triangles[idx]
-    full = np.zeros(mesh.num_nodes)
-    full[mesh.triangulation.interior_indices] = field.values[m]
-    return float(lam @ full[nodes])
 
 
 class BoundSet:
@@ -188,19 +141,3 @@ class BoundSet:
         self.fixed_mask = np.tile(fixed, (levels, 1))
         self.constrained_indices = np.flatnonzero(self.mask.ravel())
         self.fixed_indices = np.flatnonzero(self.fixed_mask.ravel())
-
-    @property
-    def num_constrained(self):
-        return len(self.constrained_indices)
-
-
-def project_onto_bounds(control, bounds):
-    """Clamp the box-constrained DOFs of a control into [lower, upper]
-    and zero out the fixed (homogeneous-trace) DOFs.
-
-    Interior-vertex DOFs pass through untouched.  Idempotent."""
-    values = control.values.copy()
-    m = bounds.mask
-    values[m] = np.clip(values[m], bounds.lower, bounds.upper)
-    values[bounds.fixed_mask] = 0.0
-    return ControlField(control.mesh, values)

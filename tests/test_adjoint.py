@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from dbc.adjoint import (
-    adjoint_identity_check,
-    solve_adjoint,
-    sweep_backward,
-    tracking_slabs,
-)
+from _oracles import solve_adjoint
+from dbc.adjoint import adjoint_identity_check, sweep_backward, tracking_slabs
 from dbc.assembly import Discretization
 from dbc.manufactured import build_space_time_mesh
 from dbc.mesh import SpaceTimeMesh, TimePartition, unit_square_mesh

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from _oracles import solve_state
 from dbc.adjoint import sweep_backward
 from dbc.assembly import Discretization
-from dbc.forward import SolverError, solve_state, solve_state_sensitivity, sweep_forward
+from dbc.forward import SolverError, solve_state_sensitivity, sweep_forward
 from dbc.manufactured import (
     build_space_time_mesh,
     bump_case,

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from _oracles import TRI_RULE_8
 from dbc.manufactured import (
     CASES,
     MeshMismatchError,
@@ -18,7 +19,7 @@ from dbc.manufactured import (
     run_study,
     setup_problem,
 )
-from dbc.assembly import Discretization
+from dbc.assembly import Discretization, Quadrature
 from dbc.spaces import AdjointField, ControlField, StateField, interpolate_control
 
 
@@ -159,10 +160,9 @@ def exact_norms():
 
 
 def test_error_norms_of_zero_fields_are_exact_norms(case, exact_norms):
-    disc = Discretization(
-        build_space_time_mesh(6, 6), quad_degree=8, time_quad_points=4
-    )
+    disc = Discretization(build_space_time_mesh(6, 6))
     mesh = disc.mesh
+    disc.quad = Quadrature(mesh, TRI_RULE_8, 4)
     err_u = energy_error_state(disc, case, StateField(mesh), None)
     assert err_u == pytest.approx(exact_norms["state"], rel=1e-6)
     err_p = energy_error_adjoint(disc, case, AdjointField(mesh))

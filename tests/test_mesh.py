@@ -1,7 +1,5 @@
 """Triangulations, time partitions, and the prismatic product mesh."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -10,17 +8,15 @@ from dbc.mesh import (
     SpaceTimeMesh,
     TimePartition,
     Triangulation,
-    refine,
     uniform_time_partition,
     unit_square_mesh,
-    write_mesh_text,
 )
 
 
 def test_unit_square_counts_and_geometry():
     tri = unit_square_mesh(4)
     assert tri.num_vertices == 25
-    assert tri.num_triangles == 32
+    assert len(tri.triangles) == 32
     assert tri.num_interior == 9
     # 2 n^2 congruent right triangles of area 1 / (2 n^2).
     assert np.allclose(tri.signed_areas, 1.0 / 32.0)
@@ -72,11 +68,6 @@ def test_triangulation_rejects_an_edge_of_three_triangles():
         Triangulation(vertices, triangles)
 
 
-def test_triangulation_validate_false_allows_flipped():
-    tri = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]], validate=False)
-    assert tri.signed_areas[0] < 0
-
-
 def test_single_triangle_is_all_boundary():
     tri = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
     assert tri.boundary_vertex_flags.all()
@@ -119,7 +110,6 @@ def test_space_time_mesh_dimensions():
     assert mesh.num_control_levels == 5
     assert mesh.num_nodes == 25
     assert mesh.num_interior == 9
-    assert mesh.num_prisms == 32 * 6
     assert mesh.width == 0.25
     assert mesh.sigma == pytest.approx(np.hypot(0.25, 1.0 / 6.0))
 
@@ -128,40 +118,3 @@ def test_space_time_mesh_warns_on_skewed_prisms(caplog):
     with caplog.at_level("WARNING", logger="dbc.mesh"):
         SpaceTimeMesh(unit_square_mesh(2), uniform_time_partition(50))
     assert "skewed prisms" in caplog.text
-
-
-def test_refine_doubles_structured_mesh():
-    mesh = SpaceTimeMesh(unit_square_mesh(2), uniform_time_partition(3))
-    fine = refine(mesh)
-    assert fine.triangulation.n == 4
-    assert fine.num_slabs == 6
-    coarse_pts = mesh.time_partition.points
-    assert np.allclose(fine.time_partition.points[::2], coarse_pts)
-    tricky = refine(mesh, spatial_factor=3, temporal_factor=1)
-    assert tricky.triangulation.n == 6
-    assert tricky.num_slabs == 3
-
-
-def test_refine_rejects_unstructured_and_bad_factors():
-    custom = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    mesh = SpaceTimeMesh(custom, uniform_time_partition(2))
-    with pytest.raises(MeshError):
-        refine(mesh)
-    structured = SpaceTimeMesh(unit_square_mesh(2), uniform_time_partition(2))
-    with pytest.raises(MeshError):
-        refine(structured, spatial_factor=0)
-    with pytest.raises(MeshError):
-        refine(structured, temporal_factor=1.5)
-
-
-def test_write_mesh_text_roundtrip():
-    tri = unit_square_mesh(2)
-    buf = io.StringIO()
-    write_mesh_text(tri, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == tri.num_vertices + tri.num_triangles
-    x, y, flag = lines[0].split()
-    assert (float(x), float(y)) == tuple(tri.vertices[0])
-    assert int(flag) == int(tri.boundary_vertex_flags[0])
-    i, j, k = map(int, lines[tri.num_vertices].split())
-    assert [i, j, k] == list(tri.triangles[0])

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from _oracles import full_gradient, solve_adjoint, solve_state
 from dbc.manufactured import bump_case, setup_problem
 from dbc.optimizer import (
     CGBreakdownError,
     PdasNonconvergence,
     ReducedProblem,
     _pcg,
-    hessian_vec,
     pdas_solve,
-    reduced_gradient,
 )
 from dbc.spaces import BoundSet, ControlField
 
@@ -141,8 +140,8 @@ def test_trace_gradient_matches_full_composition(problem33):
     rng = np.random.default_rng(3)
     v = 0.1 * rng.standard_normal(problem33.trace_dim)
     g_trace, state, adjoint = problem33.trace_gradient(v)
-    g_full, state_full, adjoint_full = problem33.full_gradient(
-        problem33.extend(v)
+    g_full, state_full, adjoint_full = full_gradient(
+        problem33, problem33.extend(v)
     )
     assert np.allclose(
         g_trace, problem33.restrict_gradient(g_full), rtol=1e-10, atol=1e-14
@@ -160,7 +159,7 @@ def test_full_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     shape = (mesh.num_control_levels, mesh.num_nodes)
     q = ControlField(mesh, 0.1 * rng.standard_normal(shape))
-    g = reduced_gradient(problem, q)
+    g, _, _ = full_gradient(problem, q.ravel())
     eps = 1e-4
     for _ in range(20):
         delta = rng.standard_normal(shape)
@@ -172,7 +171,7 @@ def test_full_gradient_matches_finite_differences():
             ControlField(mesh, q.values - eps * delta)
         )
         fd = (jp - jm) / (2.0 * eps)
-        exact = float(g.ravel() @ delta.ravel())
+        exact = float(g @ delta.ravel())
         assert abs(fd - exact) <= 1e-6 * max(abs(exact), 1e-12)
 
 
@@ -181,11 +180,11 @@ def test_gradient_is_affine_in_control(problem33):
     mesh = problem33.disc.mesh
     q = ControlField.from_flat(mesh, rng.standard_normal(problem33.dim))
     zero = ControlField(mesh)
-    g_q = reduced_gradient(problem33, q).ravel()
-    g_0 = reduced_gradient(problem33, zero).ravel()
-    hq = hessian_vec(problem33, q).ravel()
+    g_q, _, _ = full_gradient(problem33, q.ravel())
+    g_0, _, _ = full_gradient(problem33, zero.ravel())
+    hq = problem33.hessian_apply(q.ravel())
     assert np.allclose(g_q - g_0, hq, rtol=1e-11, atol=1e-13)
-    assert not hessian_vec(problem33, zero).ravel().any()
+    assert not problem33.hessian_apply(zero.ravel()).any()
 
 
 def test_dense_hessian_symmetry_and_curvature(problem33):
@@ -229,7 +228,7 @@ def test_unconstrained_equals_single_cg():
     g, _, _ = problem.trace_gradient(v_pdas)
     assert np.abs(g).max() < 1e-9
     # The converged full-space control is trace-stationary as well.
-    g_full, _, _ = problem.full_gradient(result.control.ravel())
+    g_full, _, _ = full_gradient(problem, result.control.ravel())
     assert np.abs(problem.restrict_gradient(g_full)).max() < 1e-9
 
 
@@ -280,7 +279,7 @@ def test_interior_gradient_is_not_stationary_and_decays():
     for n, M in ((4, 4), (8, 6), (16, 12), (32, 23)):
         problem = setup_problem(n, M, bump_case())
         control = pdas_solve(problem).control.ravel()
-        gradient, _, _ = problem.full_gradient(control)
+        gradient, _, _ = full_gradient(problem, control)
         assert np.abs(problem.restrict_gradient(gradient)).max() < 1e-14
         measured.append(np.abs(gradient[problem.interior_indices]).max())
     assert measured == pytest.approx([1.5e-4, 1.6e-5, 8.2e-7, 4.9e-8], rel=0.05)
@@ -427,9 +426,6 @@ def test_nonconvergence_carries_diagnostics():
 def test_solution_state_and_adjoint_are_consistent(problem33):
     """Returned fields equal independent forward/adjoint solves at the
     returned control."""
-    from dbc.adjoint import solve_adjoint
-    from dbc.forward import solve_state
-
     case = bump_case()
     result = pdas_solve(problem33, tol=1e-10)
     disc = problem33.disc

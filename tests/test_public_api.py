@@ -1,0 +1,146 @@
+"""Every function, class and public method of ``dbc`` has a caller outside
+the tests.
+
+The package's API is what the CLI, the study and the benchmark use.  This
+test parses each module of ``src/dbc`` (not ``__init__.py``, whose
+re-exports are no use) and each ``perfbench/*.py`` script, and collects the
+names that their code reads: plain names, attribute names, and the dotted
+name strings by which ``perfbench/spans.py`` wraps ``dbc`` callables.
+Docstrings and comments are not code, so they do not count.
+
+A top-level function or class, or a public method of a top-level class,
+fails the test when no use of its name is left outside its own definition.
+Uses inside a definition that fails do not count either, so code that only
+dead code calls fails with it.
+
+Matching is by name.  An attribute of a NumPy array, a SciPy sparse matrix
+or a builtin container has a name that array code reads all the time
+(``x.copy()``), so a method with such a name counts as used only through
+``self`` or ``cls``; the methods that the package calls on other receivers
+are in ``ALLOWED``, each with its caller.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(
+    p for p in (ROOT / "src" / "dbc").glob("*.py") if p.name != "__init__.py"
+)
+SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
+SPANS = ROOT / "perfbench" / "spans.py"
+
+AMBIGUOUS = set(dir(np.ndarray)) | set(dir(sp.csr_matrix))
+for _container in (dict, list, set, str, tuple):
+    AMBIGUOUS |= set(dir(_container))
+
+ALLOWED = {
+    "assembly.KroneckerSum.diagonal": (
+        "pdas_solve preconditions CG with seminorm.diagonal()"
+    ),
+    "assembly.KroneckerSum.tocsr": "export_matrix_market writes seminorm.tocsr()",
+    "spaces.ControlField.ravel": (
+        "pdas_solve flattens a ControlField start with q_init.ravel()"
+    ),
+}
+
+
+def _definitions(path, tree):
+    """(label, name, node) of each top-level function or class and each
+    public method of a top-level class."""
+    module = path.stem
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((f"{module}.{node.name}", node.name, node))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(
+                    item, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and not item.name.startswith("_"):
+                    out.append((f"{module}.{node.name}.{item.name}", item.name, item))
+    return out
+
+
+def _uses(tree, defined, dotted_strings):
+    """(name, enclosing definition nodes) of every name the code reads."""
+    out = []
+
+    def visit(node, enclosing):
+        if node in defined:
+            enclosing = enclosing + (node,)
+        if isinstance(node, ast.Name):
+            out.append((node.id, enclosing))
+        elif isinstance(node, ast.Attribute):
+            receiver = getattr(node.value, "id", None)
+            if receiver in ("self", "cls") or node.attr not in AMBIGUOUS:
+                out.append((node.attr, enclosing))
+        elif (
+            dotted_strings
+            and isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+        ):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out.extend((part, enclosing) for part in parts)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, ())
+    return out
+
+
+def unused_definitions():
+    """Labels of the definitions with no use left, by line order."""
+    definitions = []
+    trees = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        definitions += _definitions(path, tree)
+        trees.append((tree, False))
+    for path in SCRIPTS:
+        trees.append((ast.parse(path.read_text(), str(path)), path == SPANS))
+    nodes = {node for _, _, node in definitions}
+    uses = []
+    for tree, dotted in trees:
+        uses += _uses(tree, nodes, dotted)
+
+    dead = set()
+    while True:
+        live = {}
+        for name, enclosing in uses:
+            if dead.isdisjoint(enclosing):
+                live.setdefault(name, []).append(enclosing)
+        newly = {
+            node
+            for _, name, node in definitions
+            if node not in dead
+            and all(node in enclosing for enclosing in live.get(name, ()))
+        }
+        if not newly:
+            break
+        dead |= newly
+    return [label for label, _, node in definitions if node in dead]
+
+
+@pytest.fixture(scope="module")
+def flagged():
+    return unused_definitions()
+
+
+def test_every_definition_has_a_caller_outside_the_tests(flagged):
+    unused = [label for label in flagged if label not in ALLOWED]
+    assert not unused, (
+        "only tests reach these, or nothing does; delete them or move the "
+        f"oracles among them to tests/_oracles.py: {', '.join(unused)}"
+    )
+
+
+def test_every_allowed_name_is_defined_and_needs_its_entry(flagged):
+    for label, reason in ALLOWED.items():
+        assert reason
+        assert label in flagged, f"{label} no longer needs its ALLOWED entry"

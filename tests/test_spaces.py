@@ -1,4 +1,4 @@
-"""Discrete fields, interpolation, point evaluation, and bound sets."""
+"""Discrete fields, interpolation, and bound sets."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,8 @@ from dbc.spaces import (
     BoundSet,
     ControlField,
     FieldShapeError,
-    OutOfDomainError,
     StateField,
-    eval_state,
     interpolate_control,
-    project_onto_bounds,
 )
 
 
@@ -28,9 +25,6 @@ def test_state_field_shapes(mesh):
     assert not f.values.any()
     with pytest.raises(FieldShapeError):
         StateField(mesh, np.zeros((3, 8)))
-    g = f.copy()
-    g.values[0, 0] = 1.0
-    assert f.values[0, 0] == 0.0
 
 
 def test_state_full_values_scatter(mesh):
@@ -75,37 +69,11 @@ def test_interpolate_control_is_nodal(mesh):
     assert (qc.values == 2.5).all()
 
 
-def test_eval_state_matches_nodal_values(mesh):
-    rng = np.random.default_rng(2)
-    f = StateField(mesh, rng.standard_normal((3, 9)))
-    full = f.full_values()
-    # At a vertex, P1 evaluation returns the nodal value of the slab
-    # containing t (slabs are left-open, right-closed).
-    node = mesh.triangulation.interior_indices[0]
-    x, y = mesh.triangulation.vertices[node]
-    assert eval_state(f, x, y, 0.5) == pytest.approx(full[1, node])
-    assert eval_state(f, x, y, 1.0 / 3.0) == pytest.approx(full[0, node])
-    # Inside a triangle the value is the barycentric combination, hence
-    # bounded by the nodal values.
-    vals = [eval_state(f, 0.1 + 0.02 * i, 0.15, 0.9) for i in range(3)]
-    assert max(map(abs, vals)) <= np.abs(full[2]).max() + 1e-12
-
-
-def test_eval_state_domain_errors(mesh):
-    f = StateField(mesh)
-    with pytest.raises(OutOfDomainError):
-        eval_state(f, 0.5, 0.5, 0.0)  # fields live on (0, T]
-    with pytest.raises(OutOfDomainError):
-        eval_state(f, 0.5, 0.5, 1.5)
-    with pytest.raises(OutOfDomainError):
-        eval_state(f, 1.5, 0.5, 0.5)
-
-
 def test_bound_set_default_boxes_whole_boundary(mesh):
     bounds = BoundSet(mesh, -1.0, 2.0)
     tri = mesh.triangulation
     nb = int(tri.boundary_vertex_flags.sum())
-    assert bounds.num_constrained == mesh.num_control_levels * nb
+    assert len(bounds.constrained_indices) == mesh.num_control_levels * nb
     assert len(bounds.fixed_indices) == 0
     assert bounds.mask.shape == (mesh.num_control_levels, mesh.num_nodes)
     assert not bounds.mask[:, tri.interior_indices].any()
@@ -115,7 +83,7 @@ def test_bound_set_with_predicate(mesh):
     bottom = lambda x, y: (y == 0.0) & (x > 0.0) & (x < 1.0)
     bounds = BoundSet(mesh, 0.0, 0.8, control_nodes=bottom)
     # Open bottom edge of the n=4 square: 3 vertices per level.
-    assert bounds.num_constrained == mesh.num_control_levels * 3
+    assert len(bounds.constrained_indices) == mesh.num_control_levels * 3
     tri = mesh.triangulation
     nb = int(tri.boundary_vertex_flags.sum())
     assert len(bounds.fixed_indices) == mesh.num_control_levels * (nb - 3)
@@ -132,18 +100,3 @@ def test_bound_set_requires_zero_admissible(mesh):
         BoundSet(mesh, 0.5, 1.0)
     with pytest.raises(ValueError):
         BoundSet(mesh, -2.0, -1.0)
-
-
-def test_project_onto_bounds(mesh):
-    bottom = lambda x, y: (y == 0.0) & (x > 0.0) & (x < 1.0)
-    bounds = BoundSet(mesh, -0.5, 0.5, control_nodes=bottom)
-    rng = np.random.default_rng(3)
-    q = ControlField(mesh, 2.0 * rng.standard_normal((2, 25)))
-    p = project_onto_bounds(q, bounds)
-    assert p.values[bounds.mask].min() >= -0.5
-    assert p.values[bounds.mask].max() <= 0.5
-    assert not p.values[bounds.fixed_mask].any()
-    interior = ~(bounds.mask | bounds.fixed_mask)
-    assert np.array_equal(p.values[interior], q.values[interior])
-    again = project_onto_bounds(p, bounds)
-    assert np.array_equal(again.values, p.values)
