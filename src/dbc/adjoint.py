@@ -22,8 +22,10 @@ def sweep_backward(disc, slab_rhs):
     return march(disc, slab_rhs, reverse=True)
 
 
-def tracking_slabs(disc, state_values, control_values, u_d):
-    """Slab loads int_{I_m} (w + q - u_d, phi_i); (M, ni)."""
+def tracking_slabs(disc, state_values, control_values):
+    """Slab loads int_{I_m} (w + q, phi_i); (M, ni).  The tracking load of
+    the adjoint subtracts those of u_d, ``source_slabs`` of its
+    ``time_loads``."""
     mesh = disc.mesh
     k = mesh.time_partition.steps
     out = k[:, None] * (disc.mass_ii @ state_values.T).T
@@ -32,8 +34,6 @@ def tracking_slabs(disc, state_values, control_values, u_d):
         pad = np.zeros((M + 1, mesh.num_nodes))
         pad[1:M] = control_values
         out += 0.5 * k[:, None] * (disc.mass_if @ (pad[:-1] + pad[1:]).T).T
-    if u_d is not None:
-        out -= disc.source_slabs(disc.time_loads(u_d))
     return out
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import os
 import threading
 from concurrent import futures
@@ -260,13 +261,13 @@ def dtbsv(band, x, trans=False):
 
 
 class SlabSystem:
-    """One slab system: ``matrix``, the CSR M_ii + k S_ii, and its Cholesky
+    """One slab system: the CSR ``matrix`` M_ii + k S_ii, and its Cholesky
     factor in the permutation ``order``, both built once.
 
-    ``ordered_matrix`` is the matrix in ``order``, P A P^T.  The factor L
-    of it is kept twice, in LAPACK lower band storage and as L^T in upper
-    band storage, so that both substitutions of ``solve_ordered`` are
-    non-transposed BLAS dtbsv calls.  The transposed dtbsv on the lower
+    ``ordered_matrix`` is the matrix in ``order``, P A P^T, the only form in
+    which the matrix is kept.  The factor L of it is kept twice, in LAPACK
+    lower band storage and as L^T in upper band storage, so that both
+    substitutions of ``solve_ordered`` are non-transposed BLAS dtbsv calls.  The transposed dtbsv on the lower
     band takes about twice as long as the non-transposed one on the upper
     copy, because it runs row-oriented dot products.  With the reverse
     Cuthill-McKee order of ``Discretization`` the band of a structured
@@ -280,7 +281,6 @@ class SlabSystem:
     """
 
     def __init__(self, matrix, order):
-        self.matrix = matrix
         self.order = order
         self.ordered_matrix = _reorder(matrix, order)
         self.kd = _band_width(self.ordered_matrix)
@@ -317,7 +317,6 @@ class KroneckerSum:
         self.terms = terms
         time, space = terms[0]
         self._grid = (time.shape[0], space.shape[0])
-        self.shape = (time.shape[0] * space.shape[0],) * 2
 
     def __matmul__(self, flat):
         X = flat.reshape(self._grid)
@@ -714,6 +713,12 @@ class Quadrature:
 
         with _blas_on_one_thread():
             _run_ranges(evaluate, self.split())
+        return self.time_sum(sums)
+
+    def time_sum(self, sums):
+        """Sum of ``sums``, one spatial integral per Gauss time in
+        ``times.ravel()`` order, times the time weights, added in slab and
+        time order."""
         total = 0.0
         for weight, spatial in zip(self.time_weights.ravel(), sums):
             total += weight * float(spatial)
@@ -767,7 +772,7 @@ class Discretization:
         self.seminorm = KroneckerSum((mt, self.stiffness), (st, self.mass))
         self.control_mass = KroneckerSum((mt, self.mass))
         self.quad = Quadrature(mesh, _TRI_RULE_4, 2)
-        self.grads, self.areas = triangle_geometry(tri)
+        self.grads = triangle_geometry(tri)[0]
         # Two steps of a uniform partition differ only by the rounding of
         # the points T*i/M, at most one ulp of T per point.
         self._same_step = 4.0 * np.spacing(mesh.time_partition.final_time)
@@ -847,9 +852,11 @@ class Discretization:
     # -- quadrature loads ----------------------------------------------------
 
     def time_loads(self, g):
-        """Loads of g at every slab's Gauss times, times the time weights;
-        (M, time_points, nv), zero for g None.  ``source_slabs`` and
-        ``control_pairing`` integrate them in time.
+        """Loads of g at every slab's Gauss times, times the time weights,
+        and the integral of g^2 over the space-time cylinder, both by
+        ``quad`` in one evaluation of g; ((M, time_points, nv), float),
+        zero for g None.  ``source_slabs`` and ``control_pairing``
+        integrate the loads in time, and ``misfit_from_loads`` takes both.
 
         g is evaluated on a chunk of Gauss times at once, broadcasting t
         over a leading axis, and one product with ``Quadrature.scatter``
@@ -857,11 +864,14 @@ class Discretization:
         runs its chunks on a pool thread, so g is called from several
         threads at once, and the chunks in flight hold at most
         ``_LOAD_CHUNK_BYTES`` of g values together.  A load's sums run over
-        one row of ``scatter`` in its stored order, whatever the chunk, so
-        the loads are the same bits on any number of CPUs."""
+        one row of ``scatter`` in its stored order, whatever the chunk; the
+        spatial integral of g^2 is one dot product per Gauss time, with
+        OpenBLAS on one thread, and ``Quadrature.time_sum`` adds them in
+        order.  So both are the same bits on any number of CPUs."""
         q = self.quad
         times = q.times.ravel()
         loads = np.zeros((times.size, self.mesh.num_nodes))
+        squares = np.zeros(times.size)
         if g is not None:
             ranges = q.split()
             chunk = max(1, _LOAD_CHUNK_BYTES // (8 * q.x.size * len(ranges)))
@@ -874,10 +884,14 @@ class Discretization:
                     loads[start : start + len(t)] = (
                         q.scatter @ vals.reshape(len(t), -1).T
                     ).T
+                    for i, values in enumerate(vals, start):
+                        squares[i] = np.vdot(q.weights, values * values)
 
-            _run_ranges(load, ranges)
+            with _blas_on_one_thread():
+                _run_ranges(load, ranges)
             loads *= q.time_weights.reshape(-1, 1)
-        return loads.reshape(q.times.shape + (self.mesh.num_nodes,))
+        shape = q.times.shape + (self.mesh.num_nodes,)
+        return loads.reshape(shape), q.time_sum(squares)
 
     def source_slabs(self, loads):
         """Slab integrals on interior vertices of the function whose
@@ -899,6 +913,27 @@ class Discretization:
         rhs = spatial_load_vector(self.quad, lambda x, y, t: u0(x, y), 0.0)
         # The mass solve is the k = 0 slab system, so it shares the cache.
         return self.slab_solver(0.0).solve(rhs[self.interior])
+
+    def misfit_from_loads(self, state_values, control_values, loads, square):
+        """|| (w + q) - g ||^2 over the space-time cylinder for the g whose
+        ``time_loads`` are ``(loads, square)``, without evaluating g.
+
+        At a Gauss time, w + q is the P1 function with nodal values u, and
+        ``quad`` integrates a product of two such functions exactly, so the
+        terms at that time are u . (mass u) times the time weight, minus
+        twice u . loads.  This equals ``misfit_quadrature`` up to rounding;
+        ``math.fsum`` adds the per-time terms, so their order does not
+        matter."""
+        q = self.quad
+        M, nv = self.mesh.num_slabs, self.mesh.num_nodes
+        pad = np.zeros((M + 1, nv))
+        pad[1:M] = control_values
+        nodal = q.lo[:, :, None] * pad[:-1, None] + q.hi[:, :, None] * pad[1:, None]
+        nodal[:, :, self.interior] += state_values[:, None, :]
+        nodal = nodal.reshape(-1, nv)
+        own = np.einsum("ij,ij->i", nodal, (self.mass @ nodal.T).T)
+        cross = np.einsum("ij,ij->i", nodal, loads.reshape(-1, nv))
+        return math.fsum(q.time_weights.ravel() * own - 2.0 * cross) + square
 
     def misfit_quadrature(self, state_values, control_values, u_d):
         """|| (w + q) - u_d ||^2 over the space-time cylinder by quadrature."""

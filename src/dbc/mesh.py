@@ -65,15 +65,19 @@ class Triangulation:
                 f"{self.signed_areas[bad[0]]:.3e} (vertices {t[bad[0]]})"
             )
 
+        # Each edge as the one integer lo * nv + hi of its sorted endpoints,
+        # so one 1-D sort counts the triangles on every edge.
         edges = np.sort(
             np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1
         )
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        nv = len(v)
+        keys, counts = np.unique(edges[:, 0] * nv + edges[:, 1], return_counts=True)
         if counts.max(initial=1) > 2:
             raise MeshError("non-conforming mesh: an edge is shared by >2 triangles")
-        boundary_edges = uniq[counts == 1]
-        flags = np.zeros(len(v), dtype=bool)
-        flags[boundary_edges.ravel()] = True
+        boundary_keys = keys[counts == 1]
+        flags = np.zeros(nv, dtype=bool)
+        flags[boundary_keys // nv] = True
+        flags[boundary_keys % nv] = True
         self.boundary_vertex_flags = flags
 
         edge_len = np.stack(

@@ -122,7 +122,15 @@ class ReducedProblem:
     with ``extend_direction`` and its transpose ``restrict_gradient``.  Its
     optimum solves the variational inequality over the extension subspace
     only (see the module docstring).  ``dim`` stays the full control-space
-    dimension."""
+    dimension.
+
+    Set-up fixes the quadratic's affine data at ``anchor = extend(0)``:
+    ``state_anchor`` from one forward sweep, ``adjoint_anchor`` from one
+    backward sweep, ``trace_b`` as minus the restricted gradient there, and
+    ``objective_at_anchor`` as j(anchor) from discrete L2 products and the
+    u_d loads (``Discretization.misfit_from_loads``).  f and u_d are each
+    evaluated once, by ``time_loads``.  ``objective`` stays the independent
+    path: a forward sweep and a space-time quadrature of u_d per call."""
 
     def __init__(self, disc, lam, bounds, f=None, u0=None, u_d=None, q_d=None):
         if not lam > 0:
@@ -132,37 +140,16 @@ class ReducedProblem:
         self.bounds = bounds
         self.u_d = u_d
         mesh = disc.mesh
-        self.dim = mesh.num_control_levels * mesh.num_nodes
-
-        self._source = disc.source_slabs(disc.time_loads(f))
-        self._w0 = disc.project_initial(u0)
-        self.state_base = sweep_forward(disc, self._source, self._w0)
-        # u_d is evaluated once, for its slab loads and its control pairing.
-        target = disc.time_loads(u_d)
-        self.adjoint_base = sweep_backward(
-            disc,
-            tracking_slabs(disc, self.state_base, None, None)
-            - disc.source_slabs(target),
-        )
-        self._target_pairing = disc.control_pairing(target).ravel()
+        levels = mesh.num_control_levels
+        self.dim = levels * mesh.num_nodes
         if q_d is not None:
             self.q_shift = interpolate_control(mesh, q_d).ravel()
         else:
             self.q_shift = np.zeros(self.dim)
 
-        grad0 = (
-            -self.lam * (disc.seminorm @ self.q_shift)
-            - disc.coupling_transpose(self.adjoint_base).ravel()
-            + disc.pair_state_control(self.state_base).ravel()
-            - self._target_pairing
-        )
-        self.b = -grad0
-
         # Trace layer: index split, extension solver, anchored affine map.
-        levels = mesh.num_control_levels
         interior = ~mesh.triangulation.boundary_vertex_flags
         self.trace_indices = bounds.constrained_indices
-        self.pinned_indices = bounds.fixed_indices
         self.interior_indices = np.flatnonzero(np.tile(interior, (levels, 1)).ravel())
         self.trace_dim = len(self.trace_indices)
         self.extension = EnergyExtension(disc, bounds.boxed_vertices)
@@ -172,14 +159,36 @@ class ReducedProblem:
         self._A_tail_trace = disc.seminorm.block(
             disc.interior[self.extension.tail], bounds.boxed_vertices
         )
-
         self.anchor = self.extend(np.zeros(self.trace_dim))
-        anchor_h, sens, second = self.hessian_apply(self.anchor, want_fields=True)
-        self.state_anchor = self.state_base + sens
-        self.adjoint_anchor = self.adjoint_base + second
-        self.trace_b = self.restrict_gradient(self.b - anchor_h)
-        self.objective_at_anchor = self.objective(
-            ControlField.from_flat(mesh, self.anchor)
+        anchor = self.anchor.reshape(levels, mesh.num_nodes)
+
+        # State and adjoint at the anchor, one sweep each.
+        self._source = disc.source_slabs(disc.time_loads(f)[0])
+        self._w0 = disc.project_initial(u0)
+        self.state_anchor = sweep_forward(
+            disc, self._source - disc.coupling_all(anchor), self._w0
+        )
+        target, target_square = disc.time_loads(u_d)
+        self.adjoint_anchor = sweep_backward(
+            disc,
+            tracking_slabs(disc, self.state_anchor, anchor)
+            - disc.source_slabs(target),
+        )
+
+        # grad j(anchor) on all control DOFs, restricted to the trace.
+        shifted = self.anchor - self.q_shift
+        seminorm_shifted = disc.seminorm @ shifted
+        gradient = self.lam * seminorm_shifted
+        gradient += disc.control_mass @ self.anchor
+        gradient += disc.pair_state_control(self.state_anchor).ravel()
+        gradient -= disc.coupling_transpose(self.adjoint_anchor).ravel()
+        gradient -= disc.control_pairing(target).ravel()
+        self.trace_b = -self.restrict_gradient(gradient)
+        misfit = disc.misfit_from_loads(
+            self.state_anchor, anchor, target, target_square
+        )
+        self.objective_at_anchor = 0.5 * misfit + 0.5 * self.lam * float(
+            shifted @ seminorm_shifted
         )
 
     # -- full-space layer ----------------------------------------------------
@@ -190,7 +199,7 @@ class ReducedProblem:
         mesh = disc.mesh
         values = flat.reshape(mesh.num_control_levels, mesh.num_nodes)
         sens = sweep_forward(disc, -disc.coupling_all(values))
-        second = sweep_backward(disc, tracking_slabs(disc, sens, values, None))
+        second = sweep_backward(disc, tracking_slabs(disc, sens, values))
         out = self.lam * (disc.seminorm @ flat)
         out += disc.control_mass @ flat
         out += disc.pair_state_control(sens).ravel()

@@ -134,10 +134,7 @@ class BoundSet:
         else:
             x, y = tri.vertices[:, 0], tri.vertices[:, 1]
             boxed = flags & np.asarray(control_nodes(x, y), dtype=bool)
-        fixed = flags & ~boxed
         levels = mesh.num_control_levels
         self.boxed_vertices = np.flatnonzero(boxed)
         self.mask = np.tile(boxed, (levels, 1))
-        self.fixed_mask = np.tile(fixed, (levels, 1))
         self.constrained_indices = np.flatnonzero(self.mask.ravel())
-        self.fixed_indices = np.flatnonzero(self.fixed_mask.ravel())

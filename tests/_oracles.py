@@ -3,7 +3,8 @@
 The solver reaches the state, the adjoint and the gradient only through the
 trace-space ``ReducedProblem``.  The functions here take the other road: a
 whole forward or backward solve from the data, and the gradient on all
-prismatic control DOFs, so tests can check the trace path against them.
+prismatic control DOFs from those two solves, so tests can check the trace
+path against them.
 ``TRI_RULE_8`` is a higher-degree triangle rule for reference integrals.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from dbc.adjoint import sweep_backward, tracking_slabs
 from dbc.forward import sweep_forward
-from dbc.spaces import AdjointField, StateField
+from dbc.spaces import AdjointField, ControlField, StateField, interpolate_control
 
 
 def solve_state(disc, f=None, u0=None, control=None):
@@ -19,7 +20,7 @@ def solve_state(disc, f=None, u0=None, control=None):
     control q; returns the zero-trace part w as a StateField.
 
     The full discrete state is w + q; evaluate it by adding the control."""
-    rhs = disc.source_slabs(disc.time_loads(f))
+    rhs = disc.source_slabs(disc.time_loads(f)[0])
     if control is not None:
         rhs = rhs - disc.coupling_all(control.values)
     w0 = disc.project_initial(u0)
@@ -29,15 +30,35 @@ def solve_state(disc, f=None, u0=None, control=None):
 def solve_adjoint(disc, state, control=None, u_d=None):
     """Solve the adjoint equation with tracking data u_kh - u_d."""
     cv = control.values if control is not None else None
-    rhs = tracking_slabs(disc, state.values, cv, u_d)
+    rhs = tracking_slabs(disc, state.values, cv)
+    rhs -= disc.source_slabs(disc.time_loads(u_d)[0])
     return AdjointField(disc.mesh, sweep_backward(disc, rhs))
 
 
-def full_gradient(problem, flat):
-    """Gradient of the reduced objective on all prismatic control DOFs,
-    grad j(q) = H q - b, plus the state and adjoint at q."""
-    hq, sens, second = problem.hessian_apply(flat, want_fields=True)
-    return hq - problem.b, problem.state_base + sens, problem.adjoint_base + second
+def full_gradient(disc, case, flat):
+    """Gradient of the reduced objective of ``case`` on all prismatic control
+    DOFs at the control ``flat``, plus the state and adjoint there, from one
+    state solve, one adjoint solve and the u_d pairing:
+
+        grad j(q) = lam A (q - q_d) + M_c q + P^T w - C^T z - (u_d, .),
+
+    with P^T the pairing of the state with the control basis and C^T the
+    transpose of the control's slab loads."""
+    mesh = disc.mesh
+    control = ControlField.from_flat(mesh, flat)
+    state = solve_state(disc, case.source, case.initial, control)
+    adjoint = solve_adjoint(disc, state, control, case.target)
+    shifted = control.ravel()
+    if case.control_shift is not None:
+        shifted = shifted - interpolate_control(mesh, case.control_shift).ravel()
+    gradient = (
+        case.lam * (disc.seminorm @ shifted)
+        + disc.control_mass @ control.ravel()
+        + disc.pair_state_control(state.values).ravel()
+        - disc.coupling_transpose(adjoint.values).ravel()
+        - disc.control_pairing(disc.time_loads(case.target)[0]).ravel()
+    )
+    return gradient, state.values, adjoint.values
 
 
 def collapsed_triangle_rule(points_per_axis):

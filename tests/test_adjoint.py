@@ -44,8 +44,9 @@ def test_zero_tracking_gives_zero_adjoint(disc):
 
 def test_tracking_slabs_match_midpoint_mass_oracle(disc):
     """For u_d P1 in space and affine in t, w + q - u_d is P1 in space and
-    affine in t on every slab, so its slab load is exactly k_m times the
-    interior mass rows applied to its nodal values at the slab midpoint."""
+    affine in t on every slab, so its slab load, ``tracking_slabs`` minus
+    the slab loads of u_d, is exactly k_m times the interior mass rows
+    applied to its nodal values at the slab midpoint."""
     rng = np.random.default_rng(1)
     mesh = disc.mesh
     state = StateField(
@@ -58,7 +59,8 @@ def test_tracking_slabs_match_midpoint_mass_oracle(disc):
     def u_d(x, y, t):
         return (1.0 + 2.0 * x - y) * (0.5 + t)
 
-    batch = tracking_slabs(disc, state.values, control.values, u_d)
+    batch = tracking_slabs(disc, state.values, control.values)
+    batch -= disc.source_slabs(disc.time_loads(u_d)[0])
     vx, vy = mesh.triangulation.vertices.T
     pts = mesh.time_partition.points
     pad = control.padded_values()

@@ -168,7 +168,10 @@ def test_control_mass_matches_constant_integral():
 
 
 def test_seminorm_positive_definite(disc):
-    flat = np.random.default_rng(0).standard_normal(disc.seminorm.shape[0])
+    mesh = disc.mesh
+    flat = np.random.default_rng(0).standard_normal(
+        mesh.num_control_levels * mesh.num_nodes
+    )
     assert float(flat @ (disc.seminorm @ flat)) > 0
 
 
@@ -191,7 +194,7 @@ def test_kronecker_operators_match_their_assembly():
         (disc.control_mass, sp.kron(mt, disc.mass)),
     ):
         oracle = oracle.tocsr()
-        assert operator.shape == oracle.shape
+        assert operator.tocsr().shape == oracle.shape
         x = rng.standard_normal(oracle.shape[1])
         exact = oracle @ x
         assert np.linalg.norm(operator @ x - exact) <= 1e-14 * np.linalg.norm(exact)
@@ -262,11 +265,12 @@ def test_band_cholesky_matches_spsolve():
         tstiff[1:6, 1:6].toarray(), tmass[1:6, 1:6].toarray(), eigvals_only=True
     )
     slab = disc.slab_solver(1 / 6)
+    slab_matrix = disc.mass_ii + (1 / 6) * disc.stiff_ii
     low, high = (disc.stiff_ii + th * disc.mass_ii for th in (theta[0], theta[-1]))
     rng = np.random.default_rng(11)
     for matrix, solve in (
-        (slab.matrix, _band_solver(slab.matrix, disc.slab_order)),
-        (slab.matrix, slab.solve),
+        (slab_matrix, _band_solver(slab_matrix, disc.slab_order)),
+        (slab_matrix, slab.solve),
         (low, _band_solver(low, extension.order)),
         (high, _band_solver(high, extension.order)),
     ):
@@ -431,7 +435,8 @@ def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
 
 
 def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
-    """The three error norms, the misfit and the loads, their Gauss times
+    """The three error norms, the misfit and the loads with their squares,
+    and the misfit from the loads, their Gauss times
     split over three workers, so more threads than a two-core host has
     cores, with loads in chunks of one and of three times and the
     interpreter switching between threads as often as it can: every value
@@ -455,8 +460,11 @@ def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
             energy_error_adjoint(disc, case, adjoint),
             control_error(disc, case, control),
             disc.misfit_quadrature(state.values, control.values, case.target),
-            disc.time_loads(case.source),
-            disc.time_loads(case.target),
+            disc.misfit_from_loads(
+                state.values, control.values, *disc.time_loads(case.target)
+            ),
+            *disc.time_loads(case.source),
+            *disc.time_loads(case.target),
         )
 
     cpus = assembly._usable_cpus()
@@ -494,9 +502,7 @@ def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
             if "error" in outcome:
                 raise outcome["error"]
             for values in outcome["values"]:
-                for got, want in zip(values[:4], expected[:4]):
-                    assert got == want
-                for got, want in zip(values[4:], expected[4:]):
+                for got, want in zip(values, expected, strict=True):
                     assert np.array_equal(got, want)
     finally:
         sys.setswitchinterval(interval)
@@ -652,6 +658,7 @@ def _quadrature_coupling_form(disc, control, v_values):
     full = np.zeros((mesh.num_slabs, mesh.num_nodes))
     full[:, disc.interior] = v_values
     bary, ws = assembly._TRI_RULE_4
+    areas = tri.signed_areas
     total = 0.0
     for m in range(mesh.num_slabs):
         k = pts[m + 1] - pts[m]
@@ -666,11 +673,11 @@ def _quadrature_coupling_form(disc, control, v_values):
             qy = np.einsum("ti,ti->t", q_nodal[tt], disc.grads[:, :, 1])
             vx = np.einsum("ti,ti->t", v_nodal[tt], disc.grads[:, :, 0])
             vy = np.einsum("ti,ti->t", v_nodal[tt], disc.grads[:, :, 1])
-            total += wt * float(disc.areas @ (qx * vx + qy * vy))
+            total += wt * float(areas @ (qx * vx + qy * vy))
             for lam, w in zip(bary, ws):
                 dq = sum(lam[i] * dt_nodal[tt[:, i]] for i in range(3))
                 vv = sum(lam[i] * v_nodal[tt[:, i]] for i in range(3))
-                total += wt * w * float(disc.areas @ (dq * vv))
+                total += wt * w * float(areas @ (dq * vv))
     return total
 
 
@@ -731,9 +738,11 @@ def test_spatial_load_vector_constant():
 @pytest.mark.parametrize("chunk_times", [1, 3, None], ids=["one", "three", "all"])
 def test_time_loads_match_one_load_vector_per_time(monkeypatch, chunk_times):
     """The chunked loads equal, bit for bit, one ``spatial_load_vector`` per
-    Gauss time times its weight; chunks of 3 do not divide the 10 times."""
+    Gauss time times its weight, and the square is the misfit of the zero
+    state and control; chunks of 3 do not divide the 10 times."""
     disc = Discretization(build_space_time_mesh(4, 5))
     q = disc.quad
+    zero_state = np.zeros((disc.mesh.num_slabs, disc.mesh.num_interior))
     if chunk_times is not None:
         monkeypatch.setattr(assembly, "_LOAD_CHUNK_BYTES", 8 * q.x.size * chunk_times)
     for g in (bump_case().target, lambda x, y, t: np.ones_like(x)):
@@ -741,16 +750,24 @@ def test_time_loads_match_one_load_vector_per_time(monkeypatch, chunk_times):
             [w * spatial_load_vector(q, g, t) for t, w in zip(times, weights)]
             for times, weights in zip(q.times, q.time_weights)
         ]
-        assert np.array_equal(disc.time_loads(g), np.array(expected))
+        loads, square = disc.time_loads(g)
+        assert np.array_equal(loads, np.array(expected))
+        assert square == pytest.approx(
+            disc.misfit_quadrature(zero_state, None, g), rel=1e-14
+        )
 
 
 def test_source_slabs_constant(disc):
     k = disc.mesh.time_partition.steps[0]
     h = disc.mesh.triangulation.cell_width
-    slabs = disc.source_slabs(disc.time_loads(lambda x, y, t: np.ones_like(x)))
+    loads, square = disc.time_loads(lambda x, y, t: np.ones_like(x))
+    slabs = disc.source_slabs(loads)
     assert slabs.shape == (3, disc.mesh.num_interior)
     assert np.allclose(slabs, k * h**2)
-    assert not disc.source_slabs(disc.time_loads(None)).any()
+    assert square == pytest.approx(1.0, rel=1e-14)  # |Omega| * T
+    loads, square = disc.time_loads(None)
+    assert not disc.source_slabs(loads).any()
+    assert square == 0.0
 
 
 def test_control_pairing_matches_mass_for_discrete_function(disc):
@@ -766,10 +783,10 @@ def test_control_pairing_matches_mass_for_discrete_function(disc):
         # representable in the control space.
         return (0.5 + 0.25 * x) * np.interp(t, pts, profile)
 
-    paired = disc.control_pairing(disc.time_loads(g_disc)).ravel()
+    paired = disc.control_pairing(disc.time_loads(g_disc)[0]).ravel()
     oracle = disc.control_mass @ interpolate_control(mesh, g_disc).ravel()
     assert np.allclose(paired, oracle, rtol=1e-12, atol=1e-15)
-    zero = disc.control_pairing(disc.time_loads(None))
+    zero = disc.control_pairing(disc.time_loads(None)[0])
     assert zero.shape == (2, mesh.num_nodes)
     assert not zero.any()
 
@@ -839,7 +856,8 @@ def test_slab_solver_cache_and_accuracy(disc):
     rng = np.random.default_rng(10)
     rhs = rng.standard_normal(disc.mesh.num_interior)
     x = disc.slab_solver(0.3).solve(rhs)
-    dense = np.linalg.solve(disc.slab_solver(0.3).matrix.toarray(), rhs)
+    matrix = disc.mass_ii + 0.3 * disc.stiff_ii
+    dense = np.linalg.solve(matrix.toarray(), rhs)
     assert np.allclose(x, dense, rtol=1e-12, atol=1e-14)
 
 

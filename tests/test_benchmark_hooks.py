@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from dbc import assembly
+from dbc import adjoint, assembly, forward
+from dbc.assembly import Discretization
 from dbc.manufactured import bump_case, setup_problem
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -52,3 +53,40 @@ def test_every_factor_goes_through_dpbtrf(monkeypatch):
     problem = setup_problem(8, 6, bump_case())
     assert problem.disc.mesh.num_control_levels == 5
     assert len(calls) == 5 + 1
+
+
+def test_setup_sweeps_once_each_way_and_evaluates_the_data_once(monkeypatch):
+    """Set-up at 8x6 marches the slabs once forward, for the state at the
+    anchor, and once in reverse, for the adjoint there.  It evaluates f and
+    u_d once each, by ``time_loads``, and the objective at the anchor comes
+    from their loads, with no ``misfit_quadrature``."""
+    marches = []
+    march = forward.march
+
+    def counted_march(disc, slab_rhs, start=None, reverse=False):
+        marches.append(reverse)
+        return march(disc, slab_rhs, start, reverse)
+
+    loads = []
+    time_loads = Discretization.time_loads
+
+    def counted_loads(self, g):
+        loads.append(g)
+        return time_loads(self, g)
+
+    misfits = []
+    misfit_quadrature = Discretization.misfit_quadrature
+
+    def counted_misfit(self, *args):
+        misfits.append(args)
+        return misfit_quadrature(self, *args)
+
+    monkeypatch.setattr(forward, "march", counted_march)
+    monkeypatch.setattr(adjoint, "march", counted_march)
+    monkeypatch.setattr(Discretization, "time_loads", counted_loads)
+    monkeypatch.setattr(Discretization, "misfit_quadrature", counted_misfit)
+    case = bump_case()
+    setup_problem(8, 6, case)
+    assert marches == [False, True]
+    assert loads == [case.source, case.target]
+    assert not misfits

@@ -118,3 +118,45 @@ def test_space_time_mesh_warns_on_skewed_prisms(caplog):
     with caplog.at_level("WARNING", logger="dbc.mesh"):
         SpaceTimeMesh(unit_square_mesh(2), uniform_time_partition(50))
     assert "skewed prisms" in caplog.text
+
+
+def _row_unique_boundary_flags(tri):
+    """Boundary flags from the rows of the sorted edge array that occur once."""
+    t = tri.triangles
+    edges = np.sort(
+        np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1
+    )
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    flags = np.zeros(tri.num_vertices, dtype=bool)
+    flags[uniq[counts == 1].ravel()] = True
+    return flags
+
+
+def _jittered_l_shape(n, seed):
+    """The unit square mesh with its upper right quarter of cells removed and
+    its interior vertices moved by up to a tenth of a cell: a re-entrant
+    corner, cells of many shapes, and unreferenced vertices."""
+    square = unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(-0.1 / n, 0.1 / n, square.vertices.shape)
+    jitter[square.boundary_vertex_flags] = 0.0
+    centroids = square.vertices[square.triangles].mean(axis=1)
+    keep = ~((centroids[:, 0] > 0.5) & (centroids[:, 1] > 0.5))
+    return Triangulation(square.vertices + jitter, square.triangles[keep])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+def test_boundary_flags_match_the_row_unique_edges(n):
+    for tri in (unit_square_mesh(n), _jittered_l_shape(2 * n, seed=n)):
+        assert np.array_equal(
+            tri.boundary_vertex_flags, _row_unique_boundary_flags(tri)
+        )
+
+
+def test_l_shape_boundary_has_the_reentrant_corner():
+    tri = _jittered_l_shape(4, seed=0)
+    x, y = unit_square_mesh(4).vertices.T
+    corner = (x == 0.5) & (y == 0.5)
+    assert tri.boundary_vertex_flags[corner].all()
+    # The removed quarter's own vertices lie on no triangle, so on no edge.
+    assert not tri.boundary_vertex_flags[(x > 0.5) & (y > 0.5)].any()

@@ -50,6 +50,15 @@ def dense_full_hessian(problem):
     return H
 
 
+def pinned_indices(problem):
+    """Control DOFs on the boundary vertices outside the control boundary,
+    which the trace layer holds at zero; level-major."""
+    mesh = problem.disc.mesh
+    pinned = mesh.triangulation.boundary_vertex_flags.copy()
+    pinned[problem.bounds.boxed_vertices] = False
+    return np.flatnonzero(np.tile(pinned, mesh.num_control_levels))
+
+
 def projected_gradient_oracle(problem, iterations=300_000):
     """Brute-force projected gradient on the dense trace quadratic, run to
     stagnation of the fixed-point residual."""
@@ -86,7 +95,7 @@ def test_dimensions(problem33):
     split = np.concatenate(
         [
             problem33.trace_indices,
-            problem33.pinned_indices,
+            pinned_indices(problem33),
             problem33.interior_indices,
         ]
     )
@@ -106,7 +115,7 @@ def test_extension_values_and_stationarity(problem33):
     v = rng.standard_normal(problem33.trace_dim)
     q = problem33.extend(v)
     assert np.allclose(q[problem33.trace_indices], v)
-    assert not q[problem33.pinned_indices].any()
+    assert not q[pinned_indices(problem33)].any()
     # Minimal-seminorm extension about q_d: the shifted field is
     # A-stationary on interior-vertex DOFs.
     residual = problem33.disc.seminorm @ (q - problem33.q_shift)
@@ -141,13 +150,55 @@ def test_trace_gradient_matches_full_composition(problem33):
     v = 0.1 * rng.standard_normal(problem33.trace_dim)
     g_trace, state, adjoint = problem33.trace_gradient(v)
     g_full, state_full, adjoint_full = full_gradient(
-        problem33, problem33.extend(v)
+        problem33.disc, bump_case(), problem33.extend(v)
     )
     assert np.allclose(
         g_trace, problem33.restrict_gradient(g_full), rtol=1e-10, atol=1e-14
     )
     assert np.allclose(state, state_full, rtol=1e-12, atol=1e-14)
     assert np.allclose(adjoint, adjoint_full, rtol=1e-12, atol=1e-14)
+
+
+# -- set-up at the anchor -----------------------------------------------------------
+
+
+def _initial(x, y):
+    return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
+@pytest.mark.parametrize(
+    "n,M,case",
+    [
+        (4, 4, bump_case()),
+        (8, 6, bump_case()),
+        (4, 4, dataclasses.replace(bump_case(), initial=_initial)),
+        (8, 6, dataclasses.replace(bump_case(), target=None)),
+    ],
+    ids=["bump-4x4", "bump-8x6", "initial-4x4", "no-target-8x6"],
+)
+def test_anchor_data_match_the_oracles(n, M, case):
+    """Set-up's state, adjoint, trace gradient and objective at the anchor
+    equal whole solves from the data, the full-space gradient oracle and
+    ``objective``, to 1e-12 relative.  Nonzero initial data reaches
+    ``project_initial`` and the start of the forward march."""
+    problem = setup_problem(n, M, case)
+    disc = problem.disc
+    if case.initial is not None:
+        assert disc.project_initial(case.initial).any()
+    control = ControlField.from_flat(disc.mesh, problem.anchor)
+    state = solve_state(disc, case.source, case.initial, control)
+    adjoint = solve_adjoint(disc, state, control, case.target)
+    gradient, _, _ = full_gradient(disc, case, problem.anchor)
+
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    assert_close(problem.state_anchor, state.values)
+    assert_close(problem.adjoint_anchor, adjoint.values)
+    assert_close(problem.trace_b, -problem.restrict_gradient(gradient))
+    assert problem.objective_at_anchor == pytest.approx(
+        problem.objective(control), rel=1e-12
+    )
 
 
 # -- gradients and Hessians --------------------------------------------------------
@@ -159,7 +210,7 @@ def test_full_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     shape = (mesh.num_control_levels, mesh.num_nodes)
     q = ControlField(mesh, 0.1 * rng.standard_normal(shape))
-    g, _, _ = full_gradient(problem, q.ravel())
+    g, _, _ = full_gradient(problem.disc, bump_case(), q.ravel())
     eps = 1e-4
     for _ in range(20):
         delta = rng.standard_normal(shape)
@@ -180,8 +231,8 @@ def test_gradient_is_affine_in_control(problem33):
     mesh = problem33.disc.mesh
     q = ControlField.from_flat(mesh, rng.standard_normal(problem33.dim))
     zero = ControlField(mesh)
-    g_q, _, _ = full_gradient(problem33, q.ravel())
-    g_0, _, _ = full_gradient(problem33, zero.ravel())
+    g_q, _, _ = full_gradient(problem33.disc, bump_case(), q.ravel())
+    g_0, _, _ = full_gradient(problem33.disc, bump_case(), zero.ravel())
     hq = problem33.hessian_apply(q.ravel())
     assert np.allclose(g_q - g_0, hq, rtol=1e-11, atol=1e-13)
     assert not problem33.hessian_apply(zero.ravel()).any()
@@ -228,7 +279,9 @@ def test_unconstrained_equals_single_cg():
     g, _, _ = problem.trace_gradient(v_pdas)
     assert np.abs(g).max() < 1e-9
     # The converged full-space control is trace-stationary as well.
-    g_full, _, _ = full_gradient(problem, result.control.ravel())
+    g_full, _, _ = full_gradient(
+        problem.disc, wide_case(), result.control.ravel()
+    )
     assert np.abs(problem.restrict_gradient(g_full)).max() < 1e-9
 
 
@@ -279,7 +332,7 @@ def test_interior_gradient_is_not_stationary_and_decays():
     for n, M in ((4, 4), (8, 6), (16, 12), (32, 23)):
         problem = setup_problem(n, M, bump_case())
         control = pdas_solve(problem).control.ravel()
-        gradient, _, _ = full_gradient(problem, control)
+        gradient, _, _ = full_gradient(problem.disc, bump_case(), control)
         assert np.abs(problem.restrict_gradient(gradient)).max() < 1e-14
         measured.append(np.abs(gradient[problem.interior_indices]).max())
     assert measured == pytest.approx([1.5e-4, 1.6e-5, 8.2e-7, 4.9e-8], rel=0.05)

@@ -1,5 +1,5 @@
 """Every function, class and public method of ``dbc`` has a caller outside
-the tests.
+the tests, and every public data attribute a reader outside them.
 
 The package's API is what the CLI, the study and the benchmark use.  This
 test parses each module of ``src/dbc`` (not ``__init__.py``, whose
@@ -13,11 +13,17 @@ fails the test when no use of its name is left outside its own definition.
 Uses inside a definition that fails do not count either, so code that only
 dead code calls fails with it.
 
+A public data attribute, set by ``self.<name> = ...`` in a method of a
+top-level class, fails the test when no code in ``src/dbc`` or
+``perfbench`` reads an attribute of that name.  Reads through ``self``
+count, so an attribute that only its own class reads stays.
+
 Matching is by name.  An attribute of a NumPy array, a SciPy sparse matrix
 or a builtin container has a name that array code reads all the time
-(``x.copy()``), so a method with such a name counts as used only through
-``self`` or ``cls``; the methods that the package calls on other receivers
-are in ``ALLOWED``, each with its caller.
+(``x.copy()``), so a method or data attribute with such a name counts as
+used only through ``self`` or ``cls``; the ones that the package reads on
+other receivers are in ``ALLOWED``, each with its reader.  So are the
+payloads of exceptions, which only a caller that catches one reads.
 """
 
 import ast
@@ -46,6 +52,17 @@ ALLOWED = {
     "spaces.ControlField.ravel": (
         "pdas_solve flattens a ControlField start with q_init.ravel()"
     ),
+    "spaces.BoundSet.lower": "pdas_solve reads bounds.lower (str.lower)",
+    "spaces.BoundSet.upper": "pdas_solve reads bounds.upper (str.upper)",
+    "forward.SolverError.slab": (
+        "exception payload: the number of the slab whose solve failed"
+    ),
+    "forward.SolverError.residual": (
+        "exception payload: the relative residual of the failed slab solve"
+    ),
+    "optimizer.CGBreakdownError.iterations": (
+        "exception payload: the CG iterations run before the breakdown"
+    ),
 }
 
 
@@ -66,6 +83,12 @@ def _definitions(path, tree):
     return out
 
 
+def _read(node):
+    """Whether an attribute node's name counts as a use (see AMBIGUOUS)."""
+    receiver = getattr(node.value, "id", None)
+    return receiver in ("self", "cls") or node.attr not in AMBIGUOUS
+
+
 def _uses(tree, defined, dotted_strings):
     """(name, enclosing definition nodes) of every name the code reads."""
     out = []
@@ -76,8 +99,7 @@ def _uses(tree, defined, dotted_strings):
         if isinstance(node, ast.Name):
             out.append((node.id, enclosing))
         elif isinstance(node, ast.Attribute):
-            receiver = getattr(node.value, "id", None)
-            if receiver in ("self", "cls") or node.attr not in AMBIGUOUS:
+            if _read(node):
                 out.append((node.attr, enclosing))
         elif (
             dotted_strings
@@ -127,9 +149,44 @@ def unused_definitions():
     return [label for label, _, node in definitions if node in dead]
 
 
+def unread_attributes():
+    """Labels of the public data attributes that no code reads, by line
+    order."""
+    assigned = {}
+    reads = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in ast.walk(node):
+                if (
+                    isinstance(item, ast.Attribute)
+                    and isinstance(item.ctx, ast.Store)
+                    and getattr(item.value, "id", None) == "self"
+                    and not item.attr.startswith("_")
+                ):
+                    label = f"{path.stem}.{node.name}.{item.attr}"
+                    assigned.setdefault(label, item.attr)
+    for path in SOURCES + SCRIPTS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and _read(node)
+            ):
+                reads.add(node.attr)
+    return [label for label, name in assigned.items() if name not in reads]
+
+
 @pytest.fixture(scope="module")
 def flagged():
     return unused_definitions()
+
+
+@pytest.fixture(scope="module")
+def unread():
+    return unread_attributes()
 
 
 def test_every_definition_has_a_caller_outside_the_tests(flagged):
@@ -140,7 +197,17 @@ def test_every_definition_has_a_caller_outside_the_tests(flagged):
     )
 
 
-def test_every_allowed_name_is_defined_and_needs_its_entry(flagged):
+def test_every_data_attribute_is_read_outside_the_tests(unread):
+    unused = [label for label in unread if label not in ALLOWED]
+    assert not unused, (
+        "only tests read these data attributes, or nothing does; delete them "
+        f"or compute what the tests need in the tests: {', '.join(unused)}"
+    )
+
+
+def test_every_allowed_name_is_defined_and_needs_its_entry(flagged, unread):
     for label, reason in ALLOWED.items():
         assert reason
-        assert label in flagged, f"{label} no longer needs its ALLOWED entry"
+        assert label in flagged or label in unread, (
+            f"{label} no longer needs its ALLOWED entry"
+        )

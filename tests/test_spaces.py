@@ -74,7 +74,8 @@ def test_bound_set_default_boxes_whole_boundary(mesh):
     tri = mesh.triangulation
     nb = int(tri.boundary_vertex_flags.sum())
     assert len(bounds.constrained_indices) == mesh.num_control_levels * nb
-    assert len(bounds.fixed_indices) == 0
+    # No boundary vertex is held at zero.
+    assert np.array_equal(bounds.mask.all(axis=0), tri.boundary_vertex_flags)
     assert bounds.mask.shape == (mesh.num_control_levels, mesh.num_nodes)
     assert not bounds.mask[:, tri.interior_indices].any()
 
@@ -86,13 +87,13 @@ def test_bound_set_with_predicate(mesh):
     assert len(bounds.constrained_indices) == mesh.num_control_levels * 3
     tri = mesh.triangulation
     nb = int(tri.boundary_vertex_flags.sum())
-    assert len(bounds.fixed_indices) == mesh.num_control_levels * (nb - 3)
-    # Constrained and fixed sets partition the boundary DOFs.
-    assert not (bounds.mask & bounds.fixed_mask).any()
-    assert np.array_equal(
-        (bounds.mask | bounds.fixed_mask).any(axis=0),
-        tri.boundary_vertex_flags,
-    )
+    # The boxed vertices are boundary vertices, the same on every level;
+    # the other nb - 3 boundary vertices are held at zero.
+    assert np.array_equal(bounds.mask.any(axis=0), bounds.mask.all(axis=0))
+    boxed = bounds.mask[0]
+    assert np.array_equal(np.flatnonzero(boxed), bounds.boxed_vertices)
+    assert not boxed[~tri.boundary_vertex_flags].any()
+    assert int((tri.boundary_vertex_flags & ~boxed).sum()) == nb - 3
 
 
 def test_bound_set_requires_zero_admissible(mesh):
