@@ -921,19 +921,23 @@ class Discretization:
         At a Gauss time, w + q is the P1 function with nodal values u, and
         ``quad`` integrates a product of two such functions exactly, so the
         terms at that time are u . (mass u) times the time weight, minus
-        twice u . loads.  This equals ``misfit_quadrature`` up to rounding;
-        ``math.fsum`` adds the per-time terms, so their order does not
+        twice u . loads.  This equals ``misfit_quadrature`` up to rounding.
+        The terms are made one slab at a time, which keeps the temporaries
+        small, and ``math.fsum`` adds them, so their order does not
         matter."""
         q = self.quad
         M, nv = self.mesh.num_slabs, self.mesh.num_nodes
         pad = np.zeros((M + 1, nv))
         pad[1:M] = control_values
-        nodal = q.lo[:, :, None] * pad[:-1, None] + q.hi[:, :, None] * pad[1:, None]
-        nodal[:, :, self.interior] += state_values[:, None, :]
-        nodal = nodal.reshape(-1, nv)
-        own = np.einsum("ij,ij->i", nodal, (self.mass @ nodal.T).T)
-        cross = np.einsum("ij,ij->i", nodal, loads.reshape(-1, nv))
-        return math.fsum(q.time_weights.ravel() * own - 2.0 * cross) + square
+        full = np.zeros(nv)
+        terms = []
+        for m in range(M):
+            full[self.interior] = state_values[m]
+            nodal = full + q.lo[m, :, None] * pad[m] + q.hi[m, :, None] * pad[m + 1]
+            own = np.einsum("ij,ij->i", nodal, (self.mass @ nodal.T).T)
+            cross = np.einsum("ij,ij->i", nodal, loads[m])
+            terms.extend(q.time_weights[m] * own - 2.0 * cross)
+        return math.fsum(terms) + square
 
     def misfit_quadrature(self, state_values, control_values, u_d):
         """|| (w + q) - u_d ||^2 over the space-time cylinder by quadrature."""
