@@ -27,9 +27,9 @@ the Gauss times of ``Quadrature.integrate`` and
 evaluations up.  Below its gate, with one CPU, or on a pool thread, the
 work runs in the calling thread.  The ranges write disjoint results, which
 the caller combines in a fixed order, so every answer is the same bits on
-any number of CPUs.  While ``Quadrature.integrate`` runs, the process's
-OpenBLAS runs on one thread, so its dot products sum alike whatever the
-BLAS thread count.
+any number of CPUs.  While ``Quadrature.integrate`` or
+``Discretization.time_loads`` runs, the process's OpenBLAS runs on one
+thread, so its dot products sum alike whatever the BLAS thread count.
 
 Conventions: control coefficient arrays have shape (M-1, num_nodes) with
 level l (0-based) sitting at time t_{l+1}; state-type arrays have shape
@@ -267,9 +267,10 @@ class SlabSystem:
     ``ordered_matrix`` is the matrix in ``order``, P A P^T, the only form in
     which the matrix is kept.  The factor L of it is kept twice, in LAPACK
     lower band storage and as L^T in upper band storage, so that both
-    substitutions of ``solve_ordered`` are non-transposed BLAS dtbsv calls.  The transposed dtbsv on the lower
-    band takes about twice as long as the non-transposed one on the upper
-    copy, because it runs row-oriented dot products.  With the reverse
+    substitutions of ``solve_ordered`` are non-transposed BLAS dtbsv calls.
+    The transposed dtbsv on the lower band takes about twice as long as the
+    non-transposed one on the upper copy, because it runs row-oriented dot
+    products.  With the reverse
     Cuthill-McKee order of ``Discretization`` the band of a structured
     n x n mesh is n - 1 wide, so each of the two bands holds 2.0 MB at
     64x46.  The factor comes from ``dpbtrf``.  A sweep solves its slabs
@@ -403,7 +404,8 @@ _blas_threads = []
 @contextlib.contextmanager
 def _blas_on_one_thread():
     """Run the body with every OpenBLAS of the process on one thread: the
-    dot products of ``Quadrature.integrate``, which may run on the pool.
+    dot products of ``Quadrature.integrate`` and
+    ``Discretization.time_loads``, which may run on the pool.
     The pool keeps every CPU busy already; BLAS threads of their own
     compete with it for the same CPUs (with two BLAS threads on a 2-core
     host the split error norms at 64x46 took 0.63-0.73 s against 0.35-0.47
@@ -653,9 +655,9 @@ class Quadrature:
     split the Gauss times into one contiguous range per CPU (``split``) and
     run the ranges on the module's shared pool.  Each Gauss time's result
     does not depend on the split, and the caller combines them in a fixed
-    order, so both give the same bits on any number of CPUs.  ``integrate``
-    runs the process's OpenBLAS on one thread (``_blas_on_one_thread``),
-    so its dot products do not depend on the BLAS thread count either.
+    order, so both give the same bits on any number of CPUs.  Both run the
+    process's OpenBLAS on one thread (``_blas_on_one_thread``), so their
+    dot products do not depend on the BLAS thread count either.
     """
 
     def __init__(self, mesh, rule, time_points):
