@@ -27,9 +27,9 @@ the Gauss times of ``Quadrature.integrate`` and
 evaluations up.  Below its gate, with one CPU, or on a pool thread, the
 work runs in the calling thread.  The ranges write disjoint results, which
 the caller combines in a fixed order, so every answer is the same bits on
-any number of CPUs.  While ``Quadrature.integrate`` or
-``Discretization.time_loads`` runs, the process's OpenBLAS runs on one
-thread, so its dot products sum alike whatever the BLAS thread count.
+any number of CPUs.  Importing the module sets every OpenBLAS that the
+process has loaded to one thread for good, so no BLAS threads compete with
+the pool, and every product sums alike whatever the BLAS thread count.
 
 Conventions: control coefficient arrays have shape (M-1, num_nodes) with
 level l (0-based) sitting at time t_{l+1}; state-type arrays have shape
@@ -39,7 +39,6 @@ vectors are level-major, matching kron(time, space) ordering.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import math
 import os
@@ -395,38 +394,15 @@ def _openblas_thread_setters():
     return setters
 
 
-_blas_setters = None  # looked up on first use
-_blas_lock = threading.Lock()
-_blas_users = 0
-_blas_threads = []
-
-
-@contextlib.contextmanager
-def _blas_on_one_thread():
-    """Run the body with every OpenBLAS of the process on one thread: the
-    dot products of ``Quadrature.integrate`` and
-    ``Discretization.time_loads``, which may run on the pool.
-    The pool keeps every CPU busy already; BLAS threads of their own
-    compete with it for the same CPUs (with two BLAS threads on a 2-core
-    host the split error norms at 64x46 took 0.63-0.73 s against 0.35-0.47
-    s in one thread), and a threaded dot product sums in another order, so
-    its answer would depend on the thread count.  Concurrent callers share
-    one saved count, restored by the last to leave."""
-    global _blas_setters, _blas_users, _blas_threads
-    with _blas_lock:
-        if _blas_setters is None:
-            _blas_setters = _openblas_thread_setters()
-        if _blas_users == 0:
-            _blas_threads = [setter(1) for setter in _blas_setters]
-        _blas_users += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                for setter, threads in zip(_blas_setters, _blas_threads):
-                    setter(threads)
+# ``dbc`` keeps every usable CPU busy with its own pool, so OpenBLAS threads
+# would only compete with it (with two BLAS threads on a 2-core host the split
+# error norms at 64x46 took 0.63-0.73 s against 0.35-0.47 s in one thread).
+# A threaded product also sums in an order that depends on the thread count:
+# the extension's mode transforms did, and the state's last bits then
+# differed between one and two CPUs.  So every OpenBLAS loaded by now,
+# numpy's and scipy's, runs on one thread from this import on.
+for _setter in _openblas_thread_setters():
+    _setter(1)
 
 
 def _shared_pool():
@@ -448,11 +424,9 @@ def _forget_pool():
     """In a forked child: the pool's threads were not copied into it, so a
     task submitted to the inherited pool would never run.  Drop the pool;
     the child makes its own on first use."""
-    global _pool, _pool_lock, _blas_lock, _blas_users
+    global _pool, _pool_lock
     _pool = None
     _pool_lock = threading.Lock()
-    _blas_lock = threading.Lock()
-    _blas_users = 0
 
 
 if hasattr(os, "register_at_fork"):
@@ -655,9 +629,9 @@ class Quadrature:
     split the Gauss times into one contiguous range per CPU (``split``) and
     run the ranges on the module's shared pool.  Each Gauss time's result
     does not depend on the split, and the caller combines them in a fixed
-    order, so both give the same bits on any number of CPUs.  Both run the
-    process's OpenBLAS on one thread (``_blas_on_one_thread``), so their
-    dot products do not depend on the BLAS thread count either.
+    order, so both give the same bits on any number of CPUs.  OpenBLAS runs
+    on one thread (see the module docstring), so their dot products do not
+    depend on the BLAS thread count either.
     """
 
     def __init__(self, mesh, rule, time_points):
@@ -713,8 +687,7 @@ class Quadrature:
                 m, j = divmod(i, per_slab)
                 sums[i] = np.vdot(self.weights, integrand(m, j, times[i]))
 
-        with _blas_on_one_thread():
-            _run_ranges(evaluate, self.split())
+        _run_ranges(evaluate, self.split())
         return self.time_sum(sums)
 
     def time_sum(self, sums):
@@ -867,9 +840,9 @@ class Discretization:
         threads at once, and the chunks in flight hold at most
         ``_LOAD_CHUNK_BYTES`` of g values together.  A load's sums run over
         one row of ``scatter`` in its stored order, whatever the chunk; the
-        spatial integral of g^2 is one dot product per Gauss time, with
-        OpenBLAS on one thread, and ``Quadrature.time_sum`` adds them in
-        order.  So both are the same bits on any number of CPUs."""
+        spatial integral of g^2 is one dot product per Gauss time, and
+        ``Quadrature.time_sum`` adds them in order.  So both are the same
+        bits on any number of CPUs."""
         q = self.quad
         times = q.times.ravel()
         loads = np.zeros((times.size, self.mesh.num_nodes))
@@ -889,8 +862,7 @@ class Discretization:
                     for i, values in enumerate(vals, start):
                         squares[i] = np.vdot(q.weights, values * values)
 
-            with _blas_on_one_thread():
-                _run_ranges(load, ranges)
+            _run_ranges(load, ranges)
             loads *= q.time_weights.reshape(-1, 1)
         shape = q.times.shape + (self.mesh.num_nodes,)
         return loads.reshape(shape), q.time_sum(squares)
@@ -994,8 +966,6 @@ def coercivity_gap(disc, v_values):
 
 def export_matrix_market(disc, directory):
     """Write mass, stiffness and control seminorm in Matrix Market format."""
-    import os
-
     import scipy.io as sio
 
     os.makedirs(directory, exist_ok=True)

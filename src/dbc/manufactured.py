@@ -20,7 +20,7 @@ import logging
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -294,20 +294,7 @@ class StudyReport:
         return {
             "case": self.case_name,
             "failure": self.failure,
-            "levels": [
-                {
-                    "n": r.n,
-                    "M": r.M,
-                    "h": r.h,
-                    "k": r.k,
-                    "sigma": r.sigma,
-                    "err_state": r.err_state,
-                    "err_adjoint": r.err_adjoint,
-                    "err_control": r.err_control,
-                    "kkt": r.kkt,
-                }
-                for r in self.records
-            ],
+            "levels": [asdict(r) for r in self.records],
             "rates": {
                 "state_h": self.rate_state_h,
                 "adjoint_h": self.rate_adjoint_h,

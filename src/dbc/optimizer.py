@@ -25,7 +25,7 @@ preconditioned by the diagonal of lam * seminorm (restricted to the trace).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,17 +78,7 @@ class KKTDiagnostics:
     objective_history: list = field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "stationarity": self.stationarity,
-            "complementarity": self.complementarity,
-            "infeasibility": self.infeasibility,
-            "num_lower_active": self.num_lower_active,
-            "num_upper_active": self.num_upper_active,
-            "outer_iterations": self.outer_iterations,
-            "cg_iterations": self.cg_iterations,
-            "max_slab_residual": self.max_slab_residual,
-            "objective_history": list(self.objective_history),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -456,12 +446,7 @@ def pdas_solve(
             history[-1],
         )
 
-        sets_stable = (
-            lower_prev is not None
-            and np.array_equal(lower, lower_prev)
-            and np.array_equal(upper, upper_prev)
-        )
-        if sets_stable and stationarity < tol and complementarity < tol:
+        if stable_now and stationarity < tol and complementarity < tol:
             control = ControlField.from_flat(mesh, problem.extend(v))
             state = StateField(mesh, problem.state_anchor + sens)
             adjoint = AdjointField(mesh, problem.adjoint_anchor + second)

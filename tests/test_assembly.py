@@ -508,45 +508,42 @@ def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_a_split_integral_runs_blas_on_one_thread(monkeypatch):
-    """While a split integral runs, every OpenBLAS that the process loaded
-    runs on one thread, so that BLAS threads do not compete with the pool
-    and the dot products sum as on one thread; the thread counts come back
-    afterwards."""
+def test_importing_dbc_runs_every_openblas_on_one_thread():
+    """Once ``dbc`` is imported, every OpenBLAS that the process loaded runs
+    on one thread, so BLAS threads do not compete with the pool."""
     setters = assembly._openblas_thread_setters()
     if not setters:
         pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
+    # The setter returns the count it replaces; setting 1 again changes nothing.
+    assert [setter(1) for setter in setters] == [1] * len(setters)
 
-    def counts():
-        found = []
-        for setter in setters:
-            threads = setter(1)
-            setter(threads)
-            found.append(threads)
-        return found
 
-    q = Discretization(SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)).quad
-    cpus = assembly._usable_cpus()
-    if not cpus:
-        pytest.skip("the platform does not report the CPUs a process may use")
-    monkeypatch.setattr(assembly, "_QUADRATURE_SPLIT_WORK", 0)
-    monkeypatch.setattr(assembly, "_usable_cpus", lambda: (cpus * 2)[:2])
-    seen = []
-
-    def integrand(m, j, t):
-        seen.append(counts())
-        return np.ones_like(q.x)
-
-    before = [setter(2) for setter in setters]
-    try:
-        q.integrate(integrand)
-        after = counts()
-    finally:
-        for setter, threads in zip(setters, before):
-            setter(threads)
-    assert len(seen) == q.times.size
-    assert all(found == [1] * len(setters) for found in seen)
-    assert after == [2] * len(setters)
+def test_a_product_after_importing_dbc_ignores_the_blas_thread_variable():
+    """The extension's mode transform at 64x46, a 45x45 by 45x3969 product,
+    gives the same bits under OPENBLAS_NUM_THREADS=1 and =2 once ``dbc`` is
+    imported.  Fresh processes, since OpenBLAS reads the variable when it
+    is loaded."""
+    code = """if True:
+        import sys
+        import numpy as np
+        import dbc
+        rng = np.random.default_rng(45)
+        modes = rng.standard_normal((45, 45))
+        values = rng.standard_normal((45, 3969))
+        sys.stdout.buffer.write((modes @ values).tobytes())
+    """
+    products = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            timeout=120, check=True,
+        )
+        products.append(np.frombuffer(out.stdout).reshape(45, 3969))
+    assert np.array_equal(*products)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
