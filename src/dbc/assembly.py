@@ -10,12 +10,13 @@ assembled except for export.  Every symmetric positive definite factor
 is a LAPACK band Cholesky factor made by ``dpbtrf``, in an ordering that
 keeps the band narrow: reverse Cuthill-McKee for the slab systems and the
 level sets of the distance from the controlled edge for the extension's
-time modes.  ``dpbtrf`` and ``dtbsv`` call LAPACK and BLAS through scipy's
-Cython capsules with ctypes, which releases the GIL.  Each slab's matrix and
-factor live in one ``SlabSystem``, cached per time-step size, which also
-keeps the factor's transpose so that the sweeps solve in band order with
-non-transposed substitutions only; the sweeps are sequential and call
-scipy's dtbsv wrapper, which costs less per call.  One space-time
+time modes.  ``dpbtrf`` and the extension's substitutions call LAPACK
+dpbtrf and BLAS dtbsv through scipy's Cython capsules with ctypes, which
+releases the GIL.  Each slab's matrix and factor live in one
+``SlabSystem``, cached per time-step size, which also keeps the factor's
+transpose so that the sweeps solve in band order with non-transposed
+substitutions only; the sweeps are sequential and call scipy's dtbsv
+wrapper, which costs less per call.  One space-time
 ``Quadrature`` per discretization serves every load, the tracking misfit
 and the error norms.
 
@@ -244,19 +245,6 @@ def dpbtrf(band):
             f"of the reordered matrix"
         )
     return band
-
-
-def dtbsv(band, x, trans=False):
-    """x <- L^-1 x, or L^-T x with ``trans``, in place, for the lower band
-    ``band`` of L, (kd + 1, n) float64 in Fortran order, and x float64 and
-    contiguous of length n (BLAS dtbsv, GIL released)."""
-    kd1, n = band.shape
-    a = _address(band, (kd1, n), "F")
-    _DTBSV(
-        b"L", b"T" if trans else b"N", b"N", ctypes.c_int(n),
-        ctypes.c_int(kd1 - 1), a, ctypes.c_int(kd1), _address(x, (n,), "C"), _ONE,
-    )
-    return x
 
 
 class SlabSystem:
@@ -497,10 +485,10 @@ class EnergyExtension:
     The modes are independent, so the factorization and every solve split
     them into contiguous ranges, one per CPU in the process's affinity set,
     and run each range on the module's shared pool, one thread kept on each
-    CPU, while the caller waits.  The kernels (``dpbtrf``, ``dtbsv``)
-    release the GIL, so the ranges run at the same time.  A mode's
-    arithmetic does not depend on the split, so the answers are the same
-    bits on any number of CPUs.  With one CPU, or fewer than
+    CPU, while the caller waits.  The kernels (``dpbtrf`` and the capsule's
+    BLAS dtbsv) release the GIL, so the ranges run at the same time.  A
+    mode's arithmetic does not depend on the split, so the answers are the
+    same bits on any number of CPUs.  With one CPU, or fewer than
     ``_SPLIT_WORK`` band entries in all, everything runs in the calling
     thread.  The time transforms and the permutation into ``order`` are
     applied to all modes at once, outside the ranges.

@@ -2,9 +2,9 @@
 
 Three subcommands, all driven by an INI-style config file:
 
-  dbc study --config study.cfg [--jobs N]   run a convergence study
-  dbc check --config study.cfg              run verification checks
-  dbc solve --config study.cfg              solve one level, dump fields
+  dbc study --config study.cfg   run a convergence study
+  dbc check --config study.cfg   run verification checks
+  dbc solve --config study.cfg   solve one level, dump fields
 
 Exit codes: 0 success, 1 usage or config errors, 2 numerical nonconvergence
 or failed checks.  The DBC_LOG environment variable sets the log level
@@ -49,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 _SCHEMA = {
     "problem": {"case", "lambda", "q_a", "q_b"},
     "study": {"levels", "output_dir"},
-    "solver": {"tol", "max_outer", "cg_tol", "pdas_scaling"},
+    "solver": {"tol", "max_outer"},
     "solve": {"n", "m", "output_dir"},
     "check": {"checks", "seed"},
 }
@@ -139,8 +139,6 @@ def _solver_options(cp):
     return {
         "tol": _get_float(cp, "solver", "tol", 1e-9),
         "max_outer": _get_int(cp, "solver", "max_outer", 50),
-        "cg_tol": _get_float(cp, "solver", "cg_tol", None),
-        "active_set_scale": _get_float(cp, "solver", "pdas_scaling", None),
     }
 
 
@@ -151,9 +149,7 @@ def cmd_study(args):
     opts = _solver_options(cp)
     out_dir = cp.get("study", "output_dir", fallback="out")
     os.makedirs(out_dir, exist_ok=True)
-    report = run_study(
-        levels, case, tol=opts["tol"], max_outer=opts["max_outer"], jobs=args.jobs
-    )
+    report = run_study(levels, case, **opts)
     report.write_csv(os.path.join(out_dir, "table.csv"))
     report.write_json(os.path.join(out_dir, "report.json"))
     if report.failure:
@@ -196,13 +192,7 @@ def cmd_solve(args):
     opts = _solver_options(cp)
     out_dir = cp.get("solve", "output_dir", fallback="out")
     problem = setup_problem(n, M, case)
-    result = pdas_solve(
-        problem,
-        tol=opts["tol"],
-        max_outer=opts["max_outer"],
-        cg_tol=opts["cg_tol"],
-        active_set_scale=opts["active_set_scale"],
-    )
+    result = pdas_solve(problem, **opts)
 
     mesh = problem.disc.mesh
     snap_dir = os.path.join(out_dir, "snapshots")
@@ -266,7 +256,6 @@ def build_parser():
 
     p_study = sub.add_parser("study", help="run a convergence study")
     p_study.add_argument("--config", required=True)
-    p_study.add_argument("--jobs", type=int, default=1)
     p_study.set_defaults(func=cmd_study)
 
     p_check = sub.add_parser("check", help="run verification checks")

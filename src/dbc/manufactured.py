@@ -18,8 +18,6 @@ import csv
 import json
 import logging
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -333,8 +331,7 @@ def setup_problem(n, M, case):
     return problem
 
 
-def _study_level(args):
-    n, M, case, tol, max_outer = args
+def _study_level(n, M, case, tol, max_outer):
     problem = setup_problem(n, M, case)
     disc = problem.disc
     result = pdas_solve(problem, tol=tol, max_outer=max_outer)
@@ -352,34 +349,21 @@ def _study_level(args):
     return record
 
 
-def run_study(levels, case, tol=1e-9, max_outer=50, jobs=1):
-    """Solve every (n, M) level and collect errors, rates and diagnostics.
+def run_study(levels, case, tol=1e-9, max_outer=50):
+    """Solve every (n, M) level in turn and collect errors, rates and
+    diagnostics.
 
     A solver failure stops the study; the report keeps the completed levels
-    and carries the failure message."""
-    levels = list(levels)
+    and carries the failure message, which names the level that failed."""
     report = StudyReport(case_name=case.name, records=[])
-    tasks = [(n, M, case, tol, max_outer) for (n, M) in levels]
-    try:
-        if jobs > 1 and len(tasks) > 1:
-            # Spawned, not forked: a forked child inherits this process's
-            # thread pool without its threads (``dbc.assembly`` drops the
-            # pool in the child, but fork in a process with threads can still
-            # copy a lock that one of them held).
-            spawn = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-                for record in pool.map(_study_level, tasks):
-                    report.records.append(record)
-                    log.info("level n=%d M=%d done", record.n, record.M)
-        else:
-            for task in tasks:
-                record = _study_level(task)
-                report.records.append(record)
-                log.info("level n=%d M=%d done", record.n, record.M)
-    except (PdasNonconvergence, SolverError) as err:
-        done = len(report.records)
-        n, M = levels[done] if done < len(levels) else (-1, -1)
-        report.failure = f"level (n={n}, M={M}): {err}"
-        log.error("study aborted: %s", report.failure)
+    for n, M in levels:
+        try:
+            record = _study_level(n, M, case, tol, max_outer)
+        except (PdasNonconvergence, SolverError) as err:
+            report.failure = f"level (n={n}, M={M}): {err}"
+            log.error("study aborted: %s", report.failure)
+            break
+        report.records.append(record)
+        log.info("level n=%d M=%d done", n, M)
     report.compute_rates()
     return report

@@ -328,32 +328,28 @@ def _pcg(apply_op, rhs, precond_diag, rel_tol, max_iter):
     )
 
 
-def pdas_solve(
-    problem,
-    q_init=None,
-    tol=1e-9,
-    max_outer=50,
-    cg_tol=None,
-    active_set_scale=None,
-):
+def pdas_solve(problem, q_init=None, tol=1e-9, max_outer=50):
     """Primal-dual active set solve of the box-constrained reduced problem.
 
     Every optimization unknown is a box-constrained trace DOF.  The
     multiplier estimate is the trace gradient; a DOF joins the lower/upper
     active set when v - mu/c falls strictly outside the bounds (ties stay
-    inactive), with c = lam by default.  Active DOFs are fixed at their
-    bound and the remaining inactive block is solved matrix-free by
-    preconditioned CG.  Convergence is declared when the active sets repeat
-    and the stationarity and complementarity residuals are below tol.
+    inactive), with the scale c starting at lam.  Active DOFs are fixed at
+    their bound and the remaining inactive block is solved matrix-free by
+    preconditioned CG to the relative residual min(1e-10, 1e-2 tol).
+    Convergence is declared when the active sets repeat and the
+    stationarity and complementarity residuals are below tol.
+
+    The start ``q_init`` (a ControlField, or a vector of length
+    ``trace_dim`` or ``dim``; zero by default) is clipped to the bounds.
 
     The fixed points of the set update are the KKT points for every c > 0,
     but small c classifies aggressively far from the solution and can cycle
     (the indicator swings DOFs bound-to-bound).  When an active-set pair
     recurs without convergence the scale is raised tenfold and the iterate
     reclassified; this breaks cycles without changing the solution."""
-    if cg_tol is None:
-        cg_tol = min(1e-10, 1e-2 * tol)
-    c = problem.lam if active_set_scale is None else float(active_set_scale)
+    cg_tol = min(1e-10, 1e-2 * tol)
+    c = problem.lam
     bounds = problem.bounds
     mesh = problem.disc.mesh
     qa, qb = bounds.lower, bounds.upper
@@ -370,6 +366,11 @@ def pdas_solve(
         )
         if flat.size == problem.dim:
             flat = flat[problem.trace_indices]
+        elif flat.size != dim:
+            raise ValueError(
+                f"expected a ControlField or a start vector of length {dim} "
+                f"or {problem.dim}, got length {flat.size}"
+            )
         v = np.clip(flat, qa, qb)
 
     lower_prev = None

@@ -6,10 +6,15 @@ whole forward or backward solve from the data, and the gradient on all
 prismatic control DOFs from those two solves, so tests can check the trace
 path against them.
 ``TRI_RULE_8`` is a higher-degree triangle rule for reference integrals.
+``dtbsv`` calls the GIL-free BLAS kernel that ``EnergyExtension`` uses on
+a whole band, so tests can check that kernel against scipy's.
 """
+
+import ctypes
 
 import numpy as np
 
+from dbc import assembly
 from dbc.adjoint import sweep_backward, tracking_slabs
 from dbc.forward import sweep_forward
 from dbc.spaces import AdjointField, ControlField, StateField, interpolate_control
@@ -85,3 +90,17 @@ def collapsed_triangle_rule(points_per_axis):
 
 # 25-point rule, exact to degree 8.
 TRI_RULE_8 = collapsed_triangle_rule(5)
+
+
+def dtbsv(band, x, trans=False):
+    """x <- L^-1 x, or L^-T x with ``trans``, in place, for the lower band
+    ``band`` of L, (kd + 1, n) float64 in Fortran order, and x float64 and
+    contiguous of length n (BLAS dtbsv through ``assembly._DTBSV``)."""
+    kd1, n = band.shape
+    a = assembly._address(band, (kd1, n), "F")
+    assembly._DTBSV(
+        b"L", b"T" if trans else b"N", b"N", ctypes.c_int(n),
+        ctypes.c_int(kd1 - 1), a, ctypes.c_int(kd1),
+        assembly._address(x, (n,), "C"), ctypes.c_int(1),
+    )
+    return x

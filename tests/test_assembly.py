@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 import _symbolic
-from _oracles import TRI_RULE_8
+from _oracles import TRI_RULE_8, dtbsv
 from dbc import assembly
 from dbc.assembly import (
     AssemblyError,
@@ -25,7 +25,6 @@ from dbc.assembly import (
     bilinear_form,
     coercivity_gap,
     dpbtrf,
-    dtbsv,
     export_matrix_market,
     gauss_interval,
     spatial_load_vector,

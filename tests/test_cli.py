@@ -50,10 +50,14 @@ def test_load_config_validates_sections_and_keys(tmp_path):
         load_config(bad_key)
 
 
-def test_usage_errors_exit_one(tmp_path, capsys):
+def test_usage_errors_exit_one(tmp_path, capsys, study_config):
     assert main([]) == 1
     assert main(["study"]) == 1  # missing --config
     assert "usage error" in capsys.readouterr().err
+    cfg, out = study_config
+    assert main(["study", "--config", cfg, "--jobs", "2"]) == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -68,9 +72,19 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ("levels = 2x2\n[study]\n", "malformed config"),
         ("[study]\nlevels = 2x2, eightx6\n", "bad level 'eightx6' (expected NxM)"),
         ("[study]\nlevels = 0x6\n", "subdivision count must be a positive"),
+        (
+            "[solver]\ncg_tol = 1e-12\n[study]\nlevels = 2x2\n",
+            "unknown key 'cg_tol'",
+        ),
+        (
+            "[solver]\npdas_scaling = 10\n[study]\nlevels = 2x2\n",
+            "unknown key 'pdas_scaling'",
+        ),
     ],
 )
-def test_config_errors_exit_one(tmp_path, capsys, body, message):
+def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, body, message):
+    # Some bodies fail after the default output directory "out" is made.
+    monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "bad.cfg", body)
     assert main(["study", "--config", cfg]) == 1
     assert message in capsys.readouterr().err

@@ -253,13 +253,6 @@ def test_run_study_small_levels(tmp_path, case):
     assert len(payload["rates"]["control_sigma"]) == 2
 
 
-def test_run_study_parallel_matches_serial(case):
-    levels = [(2, 2), (3, 3)]
-    serial = run_study(levels, case)
-    parallel = run_study(levels, case, jobs=2)
-    assert serial.as_dict() == parallel.as_dict()
-
-
 def test_run_study_records_failure(case):
     report = run_study([(3, 3)], case, max_outer=0)
     assert report.failure is not None

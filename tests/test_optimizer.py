@@ -460,6 +460,15 @@ def test_warm_start_converges_in_one_iteration():
     assert warm2.diagnostics.outer_iterations == 1
 
 
+@pytest.mark.parametrize("length", [1, 5])
+def test_start_of_a_wrong_length_is_rejected(length):
+    """At 8x6 a start must have length 35 (trace) or 405 (all DOFs)."""
+    problem = setup_problem(8, 6, bump_case())
+    assert (problem.trace_dim, problem.dim) == (35, 405)
+    with pytest.raises(ValueError, match=f"35 or 405, got length {length}"):
+        pdas_solve(problem, q_init=np.zeros(length))
+
+
 def test_infeasible_init_is_clipped():
     problem = setup_problem(3, 3, dataclasses.replace(bump_case(), q_b=0.03))
     v0 = np.full(problem.trace_dim, 5.0)  # far above the upper bound

@@ -18,12 +18,13 @@ top-level class, fails the test when no code in ``src/dbc`` or
 ``perfbench`` reads an attribute of that name.  Reads through ``self``
 count, so an attribute that only its own class reads stays.
 
-Matching is by name.  An attribute of a NumPy array, a SciPy sparse matrix
-or a builtin container has a name that array code reads all the time
-(``x.copy()``), so a method or data attribute with such a name counts as
-used only through ``self`` or ``cls``; the ones that the package reads on
-other receivers are in ``ALLOWED``, each with its reader.  So are the
-payloads of exceptions, which only a caller that catches one reads.
+Matching is by name.  An attribute of a NumPy array, a SciPy sparse matrix,
+a builtin container or scipy's BLAS and LAPACK modules has a name that
+array code reads all the time (``x.copy()``, ``blas.dtbsv(...)``), so a
+method or data attribute with such a name counts as used only through
+``self`` or ``cls``; the ones that the package reads on other receivers
+are in ``ALLOWED``, each with its reader.  So are the payloads of
+exceptions, which only a caller that catches one reads.
 """
 
 import ast
@@ -32,6 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
@@ -41,6 +43,7 @@ SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 SPANS = ROOT / "perfbench" / "spans.py"
 
 AMBIGUOUS = set(dir(np.ndarray)) | set(dir(sp.csr_matrix))
+AMBIGUOUS |= set(dir(blas)) | set(dir(lapack))
 for _container in (dict, list, set, str, tuple):
     AMBIGUOUS |= set(dir(_container))
 
