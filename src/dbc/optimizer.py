@@ -348,7 +348,7 @@ def pdas_solve(problem, q_init=None, tol=1e-9, max_outer=50):
     (the indicator swings DOFs bound-to-bound).  When an active-set pair
     recurs without convergence the scale is raised tenfold and the iterate
     reclassified; this breaks cycles without changing the solution."""
-    cg_tol = min(1e-10, 1e-2 * tol)
+    cg_rel_tol = min(1e-10, 1e-2 * tol)
     c = problem.lam
     bounds = problem.bounds
     mesh = problem.disc.mesh
@@ -473,7 +473,7 @@ def pdas_solve(problem, q_init=None, tol=1e-9, max_outer=50):
             op,
             defect[ii],
             precond[ii],
-            cg_tol,
+            cg_rel_tol,
             max_iter=min(dim + 10, 30_000),
         )
         v[ii] += delta
