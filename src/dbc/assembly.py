@@ -10,15 +10,14 @@ assembled except for export.  Every symmetric positive definite factor
 is a LAPACK band Cholesky factor made by ``dpbtrf``, in an ordering that
 keeps the band narrow: reverse Cuthill-McKee for the slab systems and the
 level sets of the distance from the controlled edge for the extension's
-time modes.  ``dpbtrf`` and the extension's substitutions call LAPACK
-dpbtrf and BLAS dtbsv through scipy's Cython capsules with ctypes, which
-releases the GIL.  Each slab's matrix and factor live in one
+time modes.  Every factorization and every band substitution, the
+extension's and the slab sweeps', calls LAPACK dpbtrf or BLAS dtbsv
+through scipy's Cython capsules with ctypes, which releases the GIL; no
+other band kernel is used.  Each slab's matrix and factor live in one
 ``SlabSystem``, cached per time-step size, which also keeps the factor's
-transpose so that the sweeps solve in band order with non-transposed
-substitutions only; the sweeps are sequential and call scipy's dtbsv
-wrapper, which costs less per call.  One space-time
-``Quadrature`` per discretization serves every load, the tracking misfit
-and the error norms.
+transpose so that the sweeps solve in place, in band order, with
+non-transposed substitutions only.  One space-time ``Quadrature`` per
+discretization serves every load, the tracking misfit and the error norms.
 
 One process-wide pool, one thread kept on each CPU the process may use and
 made on first use, runs the work that splits into independent ranges: the
@@ -51,7 +50,7 @@ from queue import SimpleQueue
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg import blas, cython_blas, cython_lapack
+from scipy.linalg import cython_blas, cython_lapack
 from scipy.sparse import csgraph
 
 
@@ -260,12 +259,11 @@ class SlabSystem:
     products.  With the reverse
     Cuthill-McKee order of ``Discretization`` the band of a structured
     n x n mesh is n - 1 wide, so each of the two bands holds 2.0 MB at
-    64x46.  The factor comes from ``dpbtrf``.  A sweep solves its slabs
-    one after another, so the substitutions call scipy's dtbsv wrapper,
-    which costs less per call than the GIL-free kernel, whose arguments
-    ctypes converts one by one.  ``solve`` permutes, solves and unpermutes;
-    the slab sweeps stay in ``order`` and check residuals against
-    ``ordered_matrix`` themselves.
+    64x46.  The factor comes from ``dpbtrf``, and both substitutions call
+    the same GIL-free dtbsv kernel as the extension, with the band
+    addresses and sizes converted for ctypes once, here.  ``solve``
+    permutes, solves and unpermutes; the slab sweeps stay in ``order`` and
+    check residuals against ``ordered_matrix`` themselves.
     """
 
     def __init__(self, matrix, order):
@@ -273,21 +271,32 @@ class SlabSystem:
         self.ordered_matrix = _reorder(matrix, order)
         self.kd = _band_width(self.ordered_matrix)
         self._lower = dpbtrf(_lower_band(self.ordered_matrix, self.kd))
-        n = self._lower.shape[1]
+        ld, n = self._lower.shape
         # Upper band storage: row kd - d holds the d-th superdiagonal of L^T,
         # which is the d-th subdiagonal of L.
         self._upper = np.zeros_like(self._lower)
         for d in range(self.kd + 1):
             self._upper[self.kd - d, d:] = self._lower[d, : n - d]
+        self._kernel = (
+            ctypes.c_int(n), ctypes.c_int(self.kd), ctypes.c_int(ld),
+            _address(self._lower, (ld, n), "F"),
+            _address(self._upper, (ld, n), "F"),
+        )
 
-    def solve_ordered(self, rhs):
-        """Solve P A P^T x = rhs, with rhs and x in ``order``."""
-        y = blas.dtbsv(self.kd, self._lower, rhs, lower=1)
-        return blas.dtbsv(self.kd, self._upper, y, overwrite_x=1)
+    def solve_ordered(self, x):
+        """Overwrite ``x``, a right-hand side in ``order`` (float64,
+        contiguous, one entry per unknown), with the solution of
+        P A P^T y = x."""
+        address = _address(x, self.order.shape, "C")
+        n, kd, ld, lower, upper = self._kernel
+        _DTBSV(b"L", b"N", b"N", n, kd, lower, ld, address, _ONE)
+        _DTBSV(b"U", b"N", b"N", n, kd, upper, ld, address, _ONE)
 
     def solve(self, rhs):
+        y = rhs[self.order]
+        self.solve_ordered(y)
         x = np.empty_like(rhs)
-        x[self.order] = self.solve_ordered(rhs[self.order])
+        x[self.order] = y
         return x
 
 

@@ -27,7 +27,7 @@ from .assembly import export_matrix_market
 from .checks import CHECKS, run_checks
 from .forward import SolverError
 from .manufactured import CASES, run_study, setup_problem
-from .mesh import MeshError
+from .mesh import MeshError, uniform_time_partition, unit_square_mesh
 from .optimizer import PdasNonconvergence, pdas_solve
 
 log = logging.getLogger("dbc.cli")
@@ -148,6 +148,11 @@ def cmd_study(args):
     levels = _parse_levels(cp.get("study", "levels", fallback=None))
     opts = _solver_options(cp)
     out_dir = cp.get("study", "output_dir", fallback="out")
+    # The mesh's own checks reject a bad level size before the output
+    # directory is made.
+    for n, M in levels:
+        unit_square_mesh(n)
+        uniform_time_partition(M)
     os.makedirs(out_dir, exist_ok=True)
     report = run_study(levels, case, **opts)
     report.write_csv(os.path.join(out_dir, "table.csv"))

@@ -9,7 +9,8 @@ band Cholesky factor.
 ``march`` runs the slabs in either direction.  It permutes the right-hand
 sides and the start vector into ``Discretization.slab_order`` once, marches
 entirely in that band order (``ordered_mass_ii`` and
-``SlabSystem.solve_ordered``), and unpermutes once at the end.  Every slab
+``SlabSystem.solve_ordered``, which solves each slab in place in its row
+of the solution buffer), and unpermutes once at the end.  Every slab
 solve is checked after the march, with one sparse product per distinct
 slab system; the first slab in march order whose relative residual exceeds
 the tolerance raises ``SolverError``.  The largest residual checked is
@@ -56,7 +57,8 @@ def march(disc, slab_rhs, start=None, reverse=False):
         users.setdefault(system, []).append(m)
         if prev is not None:
             rhs[m] += disc.ordered_mass_ii @ prev
-        x[m] = system.solve_ordered(rhs[m])
+        x[m] = rhs[m]
+        system.solve_ordered(x[m])
         prev = x[m]
     np.copyto(xt, x.T)
     _check_residuals(disc, users, rhs, xt, slabs)

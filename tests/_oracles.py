@@ -6,8 +6,9 @@ whole forward or backward solve from the data, and the gradient on all
 prismatic control DOFs from those two solves, so tests can check the trace
 path against them.
 ``TRI_RULE_8`` is a higher-degree triangle rule for reference integrals.
-``dtbsv`` calls the GIL-free BLAS kernel that ``EnergyExtension`` uses on
-a whole band, so tests can check that kernel against scipy's.
+``dtbsv`` calls the GIL-free BLAS kernel, the only band substitution in
+``dbc`` (``EnergyExtension`` and ``SlabSystem`` both use it), on a whole
+band, so tests can check that kernel against scipy's.
 """
 
 import ctypes

@@ -38,23 +38,23 @@ def study():
 
 @pytest.fixture
 def corrupt_slab_solve(monkeypatch):
-    """Make some band-order slab solves return wrong answers.
+    """Make some band-order slab solves leave wrong answers.
 
-    ``corrupt(*calls, size=None)`` adds 1 to every entry of the answer of
-    each listed ``SlabSystem.solve_ordered`` call (1-based), counting only
-    systems with ``size`` unknowns when ``size`` is given."""
+    ``corrupt(*calls, size=None)`` adds 1 to every entry of the answer that
+    each listed ``SlabSystem.solve_ordered`` call (1-based) leaves in its
+    argument, counting only systems with ``size`` unknowns when ``size`` is
+    given."""
     solve = SlabSystem.solve_ordered
 
     def corrupt(*calls, size=None):
         count = []
 
-        def corrupted(self, rhs):
-            x = solve(self, rhs)
-            if size is None or len(rhs) == size:
+        def corrupted(self, x):
+            solve(self, x)
+            if size is None or len(x) == size:
                 count.append(None)
                 if len(count) in calls:
-                    x = x + 1.0
-            return x
+                    x += 1.0
 
         monkeypatch.setattr(SlabSystem, "solve_ordered", corrupted)
 

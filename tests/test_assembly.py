@@ -314,6 +314,30 @@ def test_gil_free_kernels_match_scipy_bit_for_bit():
         assert np.array_equal(dtbsv(block, tail, trans=trans), reference)
 
 
+def test_slab_solves_in_place_to_the_bits_of_scipys_dtbsv():
+    """``SlabSystem.solve_ordered`` overwrites its argument, also a row of a
+    sweep-like buffer, with the answer of scipy's f2py dtbsv on the lower
+    band and then on the upper copy, for every cached slab system of a
+    uniform and of a graded partition."""
+    rng = np.random.default_rng(24)
+    graded = TimePartition([0, 0.1, 0.25, 0.45, 0.7, 1.0])
+    for mesh, distinct in (
+        (build_space_time_mesh(8, 6), 1),
+        (SpaceTimeMesh(unit_square_mesh(8), graded), 5),
+    ):
+        disc = Discretization(mesh)
+        systems = {disc.slab_solver(k) for k in mesh.time_partition.steps}
+        assert len(systems) == distinct
+        for system in systems:
+            rhs = rng.standard_normal((3, mesh.num_interior))
+            y = blas.dtbsv(system.kd, system._lower, rhs[1], lower=1)
+            reference = blas.dtbsv(system.kd, system._upper, y)
+            x = rhs.copy()
+            assert system.solve_ordered(x[1]) is None
+            assert np.array_equal(x[1], reference)
+            assert np.array_equal(x[::2], rhs[::2])
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -326,14 +350,16 @@ def test_gil_free_kernels_match_scipy_bit_for_bit():
 )
 def test_band_kernels_reject_a_vector_they_cannot_read(bad):
     """A float32, strided, short or 2-D vector is refused before a pointer
-    is taken, so it is left untouched."""
+    is taken, so it is left untouched, by the kernel and by a slab solve."""
     rng = np.random.default_rng(22)
     factor = dpbtrf(_random_band(rng, 3, 12))
-    x = bad(rng.standard_normal(12))
-    before = x.copy()
-    with pytest.raises(ValueError, match="band kernel needs"):
-        dtbsv(factor, x)
-    assert np.array_equal(x, before)
+    slab = Discretization(build_space_time_mesh(4, 4)).slab_solver(0.25)
+    for solve, n in ((lambda x: dtbsv(factor, x), 12), (slab.solve_ordered, 9)):
+        x = bad(rng.standard_normal(n))
+        before = x.copy()
+        with pytest.raises(ValueError, match="band kernel needs"):
+            solve(x)
+        assert np.array_equal(x, before)
 
 
 def test_band_kernels_reject_a_band_in_c_order():

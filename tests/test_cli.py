@@ -83,11 +83,13 @@ def test_usage_errors_exit_one(tmp_path, capsys, study_config):
     ],
 )
 def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, body, message):
-    # Some bodies fail after the default output directory "out" is made.
+    # Run where the default output directory "out" would be made, so that
+    # an output directory left behind by a rejected config shows.
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "bad.cfg", body)
     assert main(["study", "--config", cfg]) == 1
     assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 # -- study ------------------------------------------------------------------------
