@@ -224,9 +224,10 @@ def _address(array, shape, order):
             f"in {order} order, not {array.dtype} {array.shape} with strides "
             f"{array.strides}"
         )
-    # The address of a zero-length ctypes view of the C-ordered buffer:
-    # ``array.ctypes.data`` builds a helper object and costs about 1 us
-    # more, which a slab sweep would pay on every slab.
+    # The address of a zero-length ctypes view of the buffer (of the
+    # transpose, which starts there too, in Fortran order): ``ctypes.data``
+    # builds a helper object and costs about 1 us more, which a slab sweep
+    # would pay on every slab.
     view = _BYTES.from_buffer(array if order == "C" else array.T)
     return ctypes.addressof(view)
 

@@ -148,8 +148,7 @@ def cmd_study(args):
     levels = _parse_levels(cp.get("study", "levels", fallback=None))
     opts = _solver_options(cp)
     out_dir = cp.get("study", "output_dir", fallback="out")
-    # The mesh's own checks reject a bad level size before the output
-    # directory is made.
+    # The mesh's own checks reject a bad level size before out_dir is made.
     for n, M in levels:
         unit_square_mesh(n)
         uniform_time_partition(M)
