@@ -8,16 +8,17 @@ triplets.  The control operators are ``KroneckerSum``s that keep only their
 temporal and spatial factors, so no matrix of the control-space size is
 assembled except for export.  Every symmetric positive definite factor
 is a LAPACK band Cholesky factor made by ``dpbtrf``, in an ordering that
-keeps the band narrow: reverse Cuthill-McKee for the slab systems and the
-level sets of the distance from the controlled edge for the extension's
-time modes.  Every factorization and every band substitution, the
-extension's and the slab sweeps', calls LAPACK dpbtrf or BLAS dtbsv
+keeps the band narrow: the mesh's reverse Cuthill-McKee ``interior_indices``,
+which every interior array follows, for the slab systems, and the level
+sets of the distance from the controlled edge for the extension's time
+modes.  Every factorization and every band substitution, the extension's
+and the slab sweeps', calls LAPACK dpbtrf or BLAS dtbsv
 through scipy's Cython capsules with ctypes, which releases the GIL; no
 other band kernel is used.  Each slab's matrix and factor live in one
 ``SlabSystem``, cached per time-step size, which also keeps the factor's
-transpose so that the sweeps solve in place, in band order, with
-non-transposed substitutions only.  One space-time ``Quadrature`` per
-discretization serves every load, the tracking misfit and the error norms.
+transpose so that the sweeps solve in place with non-transposed
+substitutions only.  One space-time ``Quadrature`` per discretization
+serves every load, the tracking misfit and the error norms.
 
 One process-wide pool, one thread kept on each CPU the process may use and
 made on first use, runs the work that splits into independent ranges: the
@@ -144,27 +145,27 @@ def time_mass_stiffness(points):
 
 
 def _reorder(matrix, order):
-    """CSR P A P^T = A[order][:, order], with sorted column indices."""
+    """CSR A[order][:, order], with sorted column indices."""
     permuted = matrix.tocsr()[order][:, order]
     permuted.sort_indices()
     return permuted
 
 
-def _band_width(permuted):
+def _band_width(matrix):
     """Widest coupling i - j, i >= j, among a CSR matrix's stored entries."""
-    rows = np.repeat(np.arange(permuted.shape[0]), np.diff(permuted.indptr))
-    return int((rows - permuted.indices).max(initial=0))
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return int((rows - matrix.indices).max(initial=0))
 
 
-def _lower_band(permuted, kd):
+def _lower_band(matrix, kd):
     """LAPACK lower band storage of a symmetric sparse matrix already in its
     band order, for a band of width ``kd`` that covers it: (kd + 1, n),
     Fortran-ordered, row d holding the d-th subdiagonal."""
-    permuted = permuted.tocoo()
-    lower = permuted.row >= permuted.col
-    rows, cols = permuted.row[lower], permuted.col[lower]
-    band = np.zeros((kd + 1, permuted.shape[0]), order="F")
-    band[rows - cols, cols] = permuted.data[lower]
+    matrix = matrix.tocoo()
+    lower = matrix.row >= matrix.col
+    rows, cols = matrix.row[lower], matrix.col[lower]
+    band = np.zeros((kd + 1, matrix.shape[0]), order="F")
+    band[rows - cols, cols] = matrix.data[lower]
     return band
 
 
@@ -253,57 +254,51 @@ def dpbtrf(band):
 
 
 class SlabSystem:
-    """One slab system: the CSR ``matrix`` M_ii + k S_ii, and its Cholesky
-    factor in the permutation ``order``, both built once.
+    """One slab system: the CSR ``matrix`` M_ii + k S_ii, in the band order
+    of the mesh's ``interior_indices``, and its Cholesky factor L, both
+    built once.
 
-    ``ordered_matrix`` is the matrix in ``order``, P A P^T, the only form in
-    which the matrix is kept.  The factor L of it is kept twice, in LAPACK
-    lower band storage and as L^T in upper band storage, so that both
-    substitutions of ``solve_ordered`` are non-transposed BLAS dtbsv calls.
-    The transposed dtbsv on the lower band takes about twice as long as the
-    non-transposed one on the upper copy, because it runs row-oriented dot
-    products.  With the reverse
-    Cuthill-McKee order of ``Discretization`` the band of a structured
-    n x n mesh is n - 1 wide, so each of the two bands holds 2.0 MB at
-    64x46.  The factor comes from ``dpbtrf``, and both substitutions call
-    the same GIL-free dtbsv kernel as the extension, with the band
-    addresses and sizes converted for ctypes once, here.  ``solve``
-    permutes, solves and unpermutes; the slab sweeps stay in ``order`` and
-    check residuals against ``ordered_matrix`` themselves.
+    L is kept twice, in LAPACK lower band storage and as L^T in upper band
+    storage, so that both substitutions of a solve are non-transposed BLAS
+    dtbsv calls.  The transposed dtbsv on the lower band takes about twice
+    as long as the non-transposed one on the upper copy, because it runs
+    row-oriented dot products.  The band of a structured n x n mesh is
+    n - 1 wide, so each of the two bands holds 2.0 MB at 64x46.  The factor
+    comes from ``dpbtrf``, and both substitutions call the same GIL-free
+    dtbsv kernel as the extension, with every argument but the vector's
+    address made once, here.  A slab sweep checks its solution buffer once
+    and passes each row's address to ``solve_at``.
     """
 
-    def __init__(self, matrix, order):
-        self.order = order
-        self.ordered_matrix = _reorder(matrix, order)
-        self.kd = _band_width(self.ordered_matrix)
-        self._lower = dpbtrf(_lower_band(self.ordered_matrix, self.kd))
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.kd = _band_width(matrix)
+        self._lower = dpbtrf(_lower_band(matrix, self.kd))
         ld, n = self._lower.shape
         # Upper band storage: row kd - d holds the d-th superdiagonal of L^T,
         # which is the d-th subdiagonal of L.
         self._upper = np.zeros_like(self._lower)
         for d in range(self.kd + 1):
             self._upper[self.kd - d, d:] = self._lower[d, : n - d]
+        self.size = n
         self._kernel = (
             ctypes.c_int(n), ctypes.c_int(self.kd), ctypes.c_int(ld),
             _address(self._lower, (ld, n), "F"),
             _address(self._upper, (ld, n), "F"),
         )
 
-    def solve_ordered(self, x):
-        """Overwrite ``x``, a right-hand side in ``order`` (float64,
-        contiguous, one entry per unknown), with the solution of
-        P A P^T y = x."""
-        address = _address(x, self.order.shape, "C")
+    def solve_at(self, address):
+        """Overwrite the ``size`` float64 values at ``address``, the address
+        of a C-contiguous vector or row that ``_address`` has checked, with
+        the solution of ``matrix`` y = those values."""
         n, kd, ld, lower, upper = self._kernel
         _DTBSV(b"L", b"N", b"N", n, kd, lower, ld, address, _ONE)
         _DTBSV(b"U", b"N", b"N", n, kd, upper, ld, address, _ONE)
 
-    def solve(self, rhs):
-        y = rhs[self.order]
-        self.solve_ordered(y)
-        x = np.empty_like(rhs)
-        x[self.order] = y
-        return x
+    def solve_in_place(self, x):
+        """Overwrite ``x``, a writeable contiguous float64 vector of ``size``
+        entries, with the solution of ``matrix`` y = x."""
+        self.solve_at(_address(x, (self.size,), "C"))
 
 
 class KroneckerSum:
@@ -488,14 +483,14 @@ class EnergyExtension:
     vertices coupled to one of ``boxed_vertices``: an extension's
     right-hand side lives there, and its transpose reads only there.  The
     factor order puts the interior vertices by decreasing graph distance
-    from the tail, so the tail is the last block and ``solve_from_tail`` and
-    ``solve_to_tail`` skip the other half of a substitution.  The level
-    sets of that distance set the band width ``kd``.  With one edge of the
-    unit square boxed they are grid rows, so the band is n - 1 for
-    ``unit_square_mesh(n)``, as narrow as the slab systems'.  With the whole
-    boundary boxed the tail is a ring and so is every level set: at 64 the
-    band is 303 wide and each mode factor holds 9.7 MB, against 63 and
-    2.0 MB for the bottom edge.
+    from the tail, then by vertex id, so the tail, in that order, is the
+    last block and ``solve_from_tail`` and ``solve_to_tail`` skip the other
+    half of a substitution.  The level sets of that distance set the band
+    width ``kd``.  With one edge of the unit square boxed they are grid
+    rows, so the band is n - 1 for ``unit_square_mesh(n)``, as narrow as
+    the slab systems'.  With the whole boundary boxed the tail is a ring
+    and so is every level set: at 64 the band is 303 wide and each mode
+    factor holds 9.7 MB, against 63 and 2.0 MB for the bottom edge.
 
     The modes are independent, so the factorization and every solve split
     them into contiguous ranges, one per CPU in the process's affinity set,
@@ -516,13 +511,14 @@ class EnergyExtension:
         levels, n = len(theta), disc.mesh.num_interior
         self._levels, self._size = levels, n
         coupled = disc.mass_if[:, boxed_vertices]
-        self.tail = np.flatnonzero(np.diff(coupled.indptr))
+        touched = np.flatnonzero(np.diff(coupled.indptr))
         distance = csgraph.dijkstra(
-            disc.mass_ii, unweighted=True, indices=self.tail, min_only=True
+            disc.mass_ii, unweighted=True, indices=touched, min_only=True
         )
-        # Farthest first; a stable sort keeps the tail, at distance 0, last
-        # and in the ascending order of ``tail``.
-        self.order = np.argsort(-distance, kind="stable")
+        # Farthest first, then by vertex id, whatever the interior order;
+        # the tail, at distance 0, comes last.
+        self.order = np.lexsort((disc.interior, -distance))
+        self.tail = self.order[n - len(touched) :]
         self._unorder = np.argsort(self.order)
         stiff = _reorder(disc.stiff_ii, self.order)
         mass = _reorder(disc.mass_ii, self.order)
@@ -722,13 +718,13 @@ class Discretization:
     shared by the forward, adjoint and optimization routines.  ``seminorm``
     and ``control_mass``, the space-time H1 seminorm and L2 mass of the
     control, are ``KroneckerSum``s of the temporal and spatial matrices.
-    Slab systems are built on first use by ``slab_solver``, factored in the
-    one ``slab_order``, and cached on the instance.  The sweeps march in
-    that order too, with ``ordered_mass_ii`` and the ``sweep_buffers``;
-    ``max_slab_residual`` is the largest relative residual that they have
-    checked so far.  Every load, the misfit and the error norms integrate
-    with one ``quad``: the degree-4 triangle rule times 2 Gauss points per
-    slab.
+    Interior blocks follow the band order of the mesh's
+    ``interior_indices``, so slab systems, built on first use by
+    ``slab_solver`` and cached on the instance, factor their matrices as
+    they are.  The sweeps share the ``sweep_buffers``; ``max_slab_residual``
+    is the largest relative residual that they have checked so far.  Every load,
+    the misfit and the error norms integrate with one ``quad``: the
+    degree-4 triangle rule times 2 Gauss points per slab.
     """
 
     def __init__(self, mesh):
@@ -737,8 +733,8 @@ class Discretization:
         self.mass, self.stiffness = assemble_mass_stiffness(tri)
         idx = tri.interior_indices
         self.interior = idx
-        self.mass_ii = self.mass[idx][:, idx].tocsr()
-        self.stiff_ii = self.stiffness[idx][:, idx].tocsr()
+        self.mass_ii = _reorder(self.mass, idx)
+        self.stiff_ii = _reorder(self.stiffness, idx)
         self.mass_if = self.mass[idx, :].tocsr()
         self.stiff_if = self.stiffness[idx, :].tocsr()
         self.mass_fi = self.mass_if.T.tocsr()
@@ -755,13 +751,6 @@ class Discretization:
         # the points T*i/M, at most one ulp of T per point.
         self._same_step = 4.0 * np.spacing(mesh.time_partition.final_time)
         self._slab_systems = {}
-        # Every slab matrix has the pattern of mass_ii, so one reverse
-        # Cuthill-McKee order narrows the band of all of them.
-        self.slab_order = csgraph.reverse_cuthill_mckee(
-            self.mass_ii, symmetric_mode=True
-        )
-        # The sweeps march in that order, so they apply mass_ii in it too.
-        self.ordered_mass_ii = _reorder(self.mass_ii, self.slab_order)
         self._sweep_buffers = None
         # Largest relative residual of a checked slab solve so far.
         self.max_slab_residual = 0.0
@@ -780,15 +769,14 @@ class Discretization:
             for step, cached in self._slab_systems.items():
                 if abs(step - key) <= self._same_step:
                     return cached
-            system = SlabSystem(self.mass_ii + key * self.stiff_ii, self.slab_order)
+            system = SlabSystem(self.mass_ii + key * self.stiff_ii)
             self._slab_systems[key] = system
         return system
 
     def sweep_buffers(self):
         """Work arrays of a slab sweep, allocated on first use and shared by
-        every sweep: right-hand sides and solutions in ``slab_order``,
-        (M, ni) each, and the solutions transposed, (ni, M), for the
-        residual check."""
+        every sweep: right-hand sides and solutions, (M, ni) each, and the
+        solutions transposed, (ni, M), for the residual check."""
         if self._sweep_buffers is None:
             shape = (self.mesh.num_slabs, self.mesh.num_interior)
             self._sweep_buffers = (
@@ -889,7 +877,9 @@ class Discretization:
             return np.zeros(self.mesh.num_interior)
         rhs = spatial_load_vector(self.quad, lambda x, y, t: u0(x, y), 0.0)
         # The mass solve is the k = 0 slab system, so it shares the cache.
-        return self.slab_solver(0.0).solve(rhs[self.interior])
+        projection = rhs[self.interior]
+        self.slab_solver(0.0).solve_in_place(projection)
+        return projection
 
     def misfit_from_loads(self, state_values, control_values, loads, square):
         """|| (w + q) - g ||^2 over the space-time cylinder for the g whose

@@ -6,21 +6,22 @@ projection of the initial datum.  ``Discretization.slab_solver`` hands out
 one cached ``SlabSystem`` per step size, holding the slab matrix and its
 band Cholesky factor.
 
-``march`` runs the slabs in either direction.  It permutes the right-hand
-sides and the start vector into ``Discretization.slab_order`` once, marches
-entirely in that band order (``ordered_mass_ii`` and
-``SlabSystem.solve_ordered``, which solves each slab in place in its row
-of the solution buffer), and unpermutes once at the end.  Every slab
-solve is checked after the march, with one sparse product per distinct
-slab system; the first slab in march order whose relative residual exceeds
-the tolerance raises ``SolverError``.  The largest residual checked is
-kept on the discretization as ``max_slab_residual``.
+``march`` runs the slabs in either direction.  Its arrays are in the
+band order of the mesh's ``interior_indices``, the order in which the slab
+factors are made, so it permutes nothing: it copies the right-hand sides
+into the sweep buffers, checks the solution buffer once, and solves each
+slab in place in its row with ``SlabSystem.solve_at``.  Every slab solve is
+checked after the march, with one sparse product per distinct slab system;
+the first slab in march order whose relative residual exceeds the
+tolerance raises ``SolverError``.  The largest residual checked is kept on
+the discretization as ``max_slab_residual``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .assembly import _address
 from .spaces import StateField
 
 # Relative residual each slab solve must meet.
@@ -43,28 +44,27 @@ def march(disc, slab_rhs, start=None, reverse=False):
     """Solve K_m x_m = M x_prev + slab_rhs[m] slab by slab, from slab 1 with
     x_prev = start (zero for None), or from slab M backward when
     ``reverse``; returns the (M, ni) array x."""
-    order = disc.slab_order
     steps = disc.mesh.time_partition.steps
     slabs = np.arange(len(steps))
     if reverse:
         slabs = slabs[::-1]
     rhs, x, xt = disc.sweep_buffers()
-    np.take(slab_rhs, order, axis=1, out=rhs)
+    np.copyto(rhs, slab_rhs)
+    # The solution buffer is checked once; each slab solves at its row.
+    address = _address(x, x.shape, "C")
     users = {}
-    prev = None if start is None else start[order]
+    prev = start
     for m in slabs:
         system = disc.slab_solver(steps[m])
         users.setdefault(system, []).append(m)
         if prev is not None:
-            rhs[m] += disc.ordered_mass_ii @ prev
+            rhs[m] += disc.mass_ii @ prev
         x[m] = rhs[m]
-        system.solve_ordered(x[m])
+        system.solve_at(address + int(m) * x.strides[0])
         prev = x[m]
     np.copyto(xt, x.T)
     _check_residuals(disc, users, rhs, xt, slabs)
-    out = np.empty_like(x)
-    out[:, order] = x
-    return out
+    return x.copy()
 
 
 def _check_residuals(disc, users, rhs, xt, slabs):
@@ -79,7 +79,7 @@ def _check_residuals(disc, users, rhs, xt, slabs):
             # copying the buffers.
             mine = slice(None)
         b = rhs[mine]
-        defect = system.ordered_matrix @ xt[:, mine]
+        defect = system.matrix @ xt[:, mine]
         defect -= b.T
         residual[mine] = np.sqrt(np.einsum("ij,ij->j", defect, defect)) / (
             np.sqrt(np.einsum("ij,ij->i", b, b)) + 1.0

@@ -99,21 +99,21 @@ def _f(x, y, t):
 
 
 def _phi(x, y, t):
-    return (x * x - x**3) * (y * y - y**3) * t * (1.0 - t)
+    return (x * x - x * x * x) * (y * y - y * y * y) * t * (1.0 - t)
 
 
 def _phi_grad(x, y, t):
     tau = t * (1.0 - t)
-    px = (2.0 * x - 3.0 * x * x) * (y * y - y**3) * tau
-    py = (x * x - x**3) * (2.0 * y - 3.0 * y * y) * tau
+    px = (2.0 * x - 3.0 * x * x) * (y * y - y * y * y) * tau
+    py = (x * x - x * x * x) * (2.0 * y - 3.0 * y * y) * tau
     return px, py
 
 
 def _u_target(x, y, t):
     # u + d(phi)/dt + Laplace(phi): the adjoint equation then holds exactly.
     tau = t * (1.0 - t)
-    a = x * x - x**3
-    b = y * y - y**3
+    a = x * x - x * x * x
+    b = y * y - y * y * y
     lap = (2.0 - 6.0 * x) * b + a * (2.0 - 6.0 * y)
     return _u(x, y, t) + a * b * (1.0 - 2.0 * t) + lap * tau
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 log = logging.getLogger("dbc.mesh")
 
@@ -34,6 +36,10 @@ class Triangulation:
     boundary_vertex_flags : (nv,) bool array
         True for vertices lying on the domain boundary, derived from edge
         incidence (an edge on the boundary belongs to exactly one triangle).
+    interior_indices : (ni,) int array
+        The vertices not on the boundary, in the reverse Cuthill-McKee order
+        of their adjacency (a triangle holds both), the band order that
+        every interior-indexed array and slab factor of the package shares.
     h : float
         Longest edge over all triangles.
     cell_width : float or None
@@ -80,6 +86,15 @@ class Triangulation:
         flags[boundary_keys % nv] = True
         self.boundary_vertex_flags = flags
 
+        interior = np.flatnonzero(~flags)
+        if interior.size:
+            ends = (np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel())
+            adjacency = sp.csr_matrix((np.ones(t.size * 3), ends), shape=(nv, nv))
+            adjacency = adjacency[interior][:, interior]
+            order = csgraph.reverse_cuthill_mckee(adjacency, symmetric_mode=True)
+            interior = interior[order]
+        self.interior_indices = interior
+
         edge_len = np.stack(
             [
                 np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1),
@@ -93,11 +108,6 @@ class Triangulation:
     @property
     def num_vertices(self):
         return len(self.vertices)
-
-    @property
-    def interior_indices(self):
-        """Indices of vertices not on the boundary, in vertex order."""
-        return np.flatnonzero(~self.boundary_vertex_flags)
 
     @property
     def num_interior(self):

@@ -143,9 +143,10 @@ class ReducedProblem:
         target, target_square = disc.time_loads(u_d)
 
         # Trace layer: index split, extension solver, anchored affine map.
-        interior = ~mesh.triangulation.boundary_vertex_flags
         self.trace_indices = bounds.constrained_indices
-        self.interior_indices = np.flatnonzero(np.tile(interior, (levels, 1)).ravel())
+        # Each level's interior DOFs in the order of the extension's arrays.
+        levels_start = np.arange(levels)[:, None] * mesh.num_nodes
+        self.interior_indices = (levels_start + disc.interior).ravel()
         self.trace_dim = len(self.trace_indices)
         self.extension = EnergyExtension(disc, bounds.boxed_vertices)
         # The trace DOFs are every level of the boxed vertices, and only the

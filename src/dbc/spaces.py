@@ -22,7 +22,9 @@ class StateField:
     """dG(0) x P1 field with homogeneous Dirichlet data.
 
     ``values[m]`` holds the interior-vertex coefficients on slab
-    I_{m+1} = (t_m, t_{m+1}]; boundary vertices are implicitly zero.
+    I_{m+1} = (t_m, t_{m+1}], in the band order of the mesh's
+    ``interior_indices``, which the slab factors share; boundary vertices
+    are implicitly zero.
     """
 
     def __init__(self, mesh, values=None):

@@ -6,9 +6,11 @@ tests record one verdict line per criterion; the lines are replayed in the
 terminal summary so the full pass/fail table is visible in one place.
 """
 
+import ctypes
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from dbc.assembly import SlabSystem
@@ -38,25 +40,27 @@ def study():
 
 @pytest.fixture
 def corrupt_slab_solve(monkeypatch):
-    """Make some band-order slab solves leave wrong answers.
+    """Make some slab solves leave wrong answers.
 
     ``corrupt(*calls, size=None)`` adds 1 to every entry of the answer that
-    each listed ``SlabSystem.solve_ordered`` call (1-based) leaves in its
-    argument, counting only systems with ``size`` unknowns when ``size`` is
+    each listed ``SlabSystem.solve_at`` call (1-based) leaves at its
+    address, counting only systems with ``size`` unknowns when ``size`` is
     given."""
-    solve = SlabSystem.solve_ordered
+    solve = SlabSystem.solve_at
 
     def corrupt(*calls, size=None):
         count = []
 
-        def corrupted(self, x):
-            solve(self, x)
-            if size is None or len(x) == size:
+        def corrupted(self, address):
+            solve(self, address)
+            if size is None or self.size == size:
                 count.append(None)
                 if len(count) in calls:
+                    answer = (ctypes.c_double * self.size).from_address(address)
+                    x = np.ctypeslib.as_array(answer)
                     x += 1.0
 
-        monkeypatch.setattr(SlabSystem, "solve_ordered", corrupted)
+        monkeypatch.setattr(SlabSystem, "solve_at", corrupted)
 
     return corrupt
 

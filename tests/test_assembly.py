@@ -252,10 +252,19 @@ def _band_solver(matrix, order):
     return solve
 
 
+def _solved_copy(solve_in_place):
+    def solve(rhs):
+        x = rhs.copy()
+        solve_in_place(x)
+        return x
+
+    return solve
+
+
 def test_band_cholesky_matches_spsolve():
     """The 8x6 slab matrix, and the mode matrices of the smallest and the
     largest time eigenvalue, each in the order its solver uses; the slab
-    matrix also through the two-band ``SlabSystem.solve``."""
+    matrix also through the two-band ``SlabSystem.solve_in_place``."""
     mesh = build_space_time_mesh(8, 6)
     disc = Discretization(mesh)
     extension = EnergyExtension(disc, _bottom_edge(mesh))
@@ -268,8 +277,9 @@ def test_band_cholesky_matches_spsolve():
     low, high = (disc.stiff_ii + th * disc.mass_ii for th in (theta[0], theta[-1]))
     rng = np.random.default_rng(11)
     for matrix, solve in (
-        (slab_matrix, _band_solver(slab_matrix, disc.slab_order)),
-        (slab_matrix, slab.solve),
+        # The slab matrix is in the band order of the mesh already.
+        (slab_matrix, _band_solver(slab_matrix, np.arange(slab.size))),
+        (slab_matrix, _solved_copy(slab.solve_in_place)),
         (low, _band_solver(low, extension.order)),
         (high, _band_solver(high, extension.order)),
     ):
@@ -315,7 +325,7 @@ def test_gil_free_kernels_match_scipy_bit_for_bit():
 
 
 def test_slab_solves_in_place_to_the_bits_of_scipys_dtbsv():
-    """``SlabSystem.solve_ordered`` overwrites its argument, also a row of a
+    """``SlabSystem.solve_in_place`` overwrites its argument, also a row of a
     sweep-like buffer, with the answer of scipy's f2py dtbsv on the lower
     band and then on the upper copy, for every cached slab system of a
     uniform and of a graded partition."""
@@ -333,7 +343,7 @@ def test_slab_solves_in_place_to_the_bits_of_scipys_dtbsv():
             y = blas.dtbsv(system.kd, system._lower, rhs[1], lower=1)
             reference = blas.dtbsv(system.kd, system._upper, y)
             x = rhs.copy()
-            assert system.solve_ordered(x[1]) is None
+            assert system.solve_in_place(x[1]) is None
             assert np.array_equal(x[1], reference)
             assert np.array_equal(x[::2], rhs[::2])
 
@@ -354,7 +364,7 @@ def test_band_kernels_reject_a_vector_they_cannot_read(bad):
     rng = np.random.default_rng(22)
     factor = dpbtrf(_random_band(rng, 3, 12))
     slab = Discretization(build_space_time_mesh(4, 4)).slab_solver(0.25)
-    for solve, n in ((lambda x: dtbsv(factor, x), 12), (slab.solve_ordered, 9)):
+    for solve, n in ((lambda x: dtbsv(factor, x), 12), (slab.solve_in_place, 9)):
         x = bad(rng.standard_normal(n))
         before = x.copy()
         with pytest.raises(ValueError, match="band kernel needs"):
@@ -661,8 +671,12 @@ def test_tail_order_puts_the_bottom_row_last(n):
     ys = mesh.triangulation.vertices[disc.interior, 1]
     assert np.array_equal(tail, np.flatnonzero(np.isclose(ys, 1.0 / n)))
     assert np.array_equal(extension.order[-len(tail):], tail)
-    # Rows come farthest first: y never increases along the order.
+    # Rows come farthest first: y never increases along the order, and
+    # within a row the vertex ids increase.
     assert np.all(np.diff(ys[extension.order]) <= 1e-12)
+    same_row = np.isclose(np.diff(ys[extension.order]), 0.0)
+    assert same_row.sum() == len(ys) - (n - 1)
+    assert np.all(np.diff(disc.interior[extension.order])[same_row] > 0)
     assert extension.kd == n - 1
 
 
@@ -877,7 +891,7 @@ def test_slab_solver_cache_and_accuracy(disc):
     assert disc.slab_solver(0.5) is not disc.slab_solver(0.25)
     rng = np.random.default_rng(10)
     rhs = rng.standard_normal(disc.mesh.num_interior)
-    x = disc.slab_solver(0.3).solve(rhs)
+    x = _solved_copy(disc.slab_solver(0.3).solve_in_place)(rhs)
     matrix = disc.mass_ii + 0.3 * disc.stiff_ii
     dense = np.linalg.solve(matrix.toarray(), rhs)
     assert np.allclose(x, dense, rtol=1e-12, atol=1e-14)

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
+from dbc.assembly import assemble_mass_stiffness
 from dbc.mesh import (
     MeshError,
     SpaceTimeMesh,
@@ -30,8 +32,9 @@ def test_unit_square_boundary_flags():
     x, y = tri.vertices[:, 0], tri.vertices[:, 1]
     expected = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
     assert np.array_equal(tri.boundary_vertex_flags, expected)
+    # The interior vertices, each once, in the band order of the mesh.
     assert np.array_equal(
-        tri.interior_indices, np.flatnonzero(~expected)
+        np.sort(tri.interior_indices), np.flatnonzero(~expected)
     )
 
 
@@ -160,3 +163,17 @@ def test_l_shape_boundary_has_the_reentrant_corner():
     assert tri.boundary_vertex_flags[corner].all()
     # The removed quarter's own vertices lie on no triangle, so on no edge.
     assert not tri.boundary_vertex_flags[(x > 0.5) & (y > 0.5)].any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+def test_interior_order_is_reverse_cuthill_mckee(n):
+    """The interior vertices come in the reverse Cuthill-McKee order of
+    their adjacency in vertex order, where two vertices are adjacent when a
+    triangle holds both: the pattern of the P1 mass matrix."""
+    for tri in (unit_square_mesh(n), _jittered_l_shape(2 * n, seed=n)):
+        interior = np.flatnonzero(~tri.boundary_vertex_flags)
+        mass = assemble_mass_stiffness(tri)[0]
+        order = csgraph.reverse_cuthill_mckee(
+            mass[interior][:, interior].tocsr(), symmetric_mode=True
+        )
+        assert np.array_equal(tri.interior_indices, interior[order])
