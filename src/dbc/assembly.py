@@ -6,31 +6,14 @@ between boundary control and interior state, and quadrature-based load
 vectors.  Matrices are scipy CSR assembled from vectorized per-element
 triplets.  The control operators are ``KroneckerSum``s that keep only their
 temporal and spatial factors, so no matrix of the control-space size is
-assembled except for export.  Every symmetric positive definite factor
-is a LAPACK band Cholesky factor made by ``dpbtrf``, in an ordering that
-keeps the band narrow: the mesh's reverse Cuthill-McKee ``interior_indices``,
-which every interior array follows, for the slab systems, and the level
-sets of the distance from the controlled edge for the extension's time
-modes.  Every factorization and every band substitution, the extension's
-and the slab sweeps', calls LAPACK dpbtrf or BLAS dtbsv
-through scipy's Cython capsules with ctypes, which releases the GIL; no
-other band kernel is used.  Each slab's matrix and factor live in one
-``SlabSystem``, cached per time-step size, which also keeps the factor's
-transpose so that the sweeps solve in place with non-transposed
-substitutions only.  One space-time ``Quadrature`` per discretization
-serves every load, the tracking misfit and the error norms.
-
-One process-wide pool, one thread kept on each CPU the process may use and
-made on first use, runs the work that splits into independent ranges: the
-``EnergyExtension``'s time modes from ``_SPLIT_WORK`` band entries up, and
-the Gauss times of ``Quadrature.integrate`` and
-``Discretization.time_loads`` from ``_QUADRATURE_SPLIT_WORK`` point
-evaluations up.  Below its gate, with one CPU, or on a pool thread, the
-work runs in the calling thread.  The ranges write disjoint results, which
-the caller combines in a fixed order, so every answer is the same bits on
-any number of CPUs.  Importing the module sets every OpenBLAS that the
-process has loaded to one thread for good, so no BLAS threads compete with
-the pool, and every product sums alike whatever the BLAS thread count.
+assembled except for export.  Every interior block follows the mesh's
+reverse Cuthill-McKee ``interior_indices``, the band order in which the
+slab systems are factored; the extension's time modes are factored in the
+level sets of the distance from the controlled edge.  The factors, the
+substitutions and the pool that splits the time modes and the quadratures'
+Gauss times over the CPUs are in ``dbc.kernels``.  One space-time
+``Quadrature`` per discretization serves every load, the tracking misfit
+and the error norms.
 
 Conventions: control coefficient arrays have shape (M-1, num_nodes) with
 level l (0-based) sitting at time t_{l+1}; state-type arrays have shape
@@ -40,23 +23,23 @@ vectors are level-major, matching kron(time, space) ordering.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
-import threading
-from concurrent import futures
-from concurrent.futures import ThreadPoolExecutor
-from queue import SimpleQueue
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg import cython_blas, cython_lapack
 from scipy.sparse import csgraph
 
-
-class AssemblyError(ValueError):
-    """Raised for geometry or data that cannot be assembled."""
+from .kernels import (
+    AssemblyError,
+    SlabSystem,
+    band_width,
+    factor_shifted,
+    run_ranges,
+    split_ranges,
+    substitute_bands,
+)
 
 
 # 6-point triangle rule, exact to polynomial degree 4.  Barycentric points
@@ -151,156 +134,6 @@ def _reorder(matrix, order):
     return permuted
 
 
-def _band_width(matrix):
-    """Widest coupling i - j, i >= j, among a CSR matrix's stored entries."""
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    return int((rows - matrix.indices).max(initial=0))
-
-
-def _lower_band(matrix, kd):
-    """LAPACK lower band storage of a symmetric sparse matrix already in its
-    band order, for a band of width ``kd`` that covers it: (kd + 1, n),
-    Fortran-ordered, row d holding the d-th subdiagonal."""
-    matrix = matrix.tocoo()
-    lower = matrix.row >= matrix.col
-    rows, cols = matrix.row[lower], matrix.col[lower]
-    band = np.zeros((kd + 1, matrix.shape[0]), order="F")
-    band[rows - cols, cols] = matrix.data[lower]
-    return band
-
-
-# -- GIL-free band kernels -----------------------------------------------------
-#
-# scipy's f2py wrappers of LAPACK and BLAS hold the GIL for the length of a
-# call, so threads that call them run one at a time.  scipy also exports the
-# routines as C function pointers in the Cython capsules of cython_lapack and
-# cython_blas; a ctypes function made from such a pointer releases the GIL
-# while it runs.  A pointer is taken only from an array whose dtype, shape
-# and memory order ``_address`` has checked.
-
-_INT_P = ctypes.POINTER(ctypes.c_int)
-_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi)
-)
-_CAPSULE_POINTER = ctypes.PYFUNCTYPE(
-    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
-)(("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _capsule_function(module, name, *argtypes):
-    capsule = module.__pyx_capi__[name]
-    address = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
-
-
-# dpbtrf(uplo, n, kd, ab, ldab, info)
-_DPBTRF = _capsule_function(
-    cython_lapack, "dpbtrf",
-    ctypes.c_char_p, _INT_P, _INT_P, ctypes.c_void_p, _INT_P, _INT_P,
-)
-# dtbsv(uplo, trans, diag, n, k, a, lda, x, incx)
-_DTBSV = _capsule_function(
-    cython_blas, "dtbsv",
-    ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P,
-    ctypes.c_void_p, _INT_P, ctypes.c_void_p, _INT_P,
-)
-_ONE = ctypes.c_int(1)
-_BYTES = ctypes.c_char * 0
-_DOUBLE = np.dtype(np.float64).itemsize
-
-
-def _address(array, shape, order):
-    """Data address of ``array`` once it is known to be a writeable float64
-    array of ``shape``, contiguous in ``order`` ("C" or "F")."""
-    flags = array.flags
-    contiguous = flags.f_contiguous if order == "F" else flags.c_contiguous
-    if not (
-        array.dtype == np.float64
-        and array.shape == shape
-        and contiguous
-        and flags.writeable
-    ):
-        raise ValueError(
-            f"a band kernel needs a writeable float64 array of shape {shape} "
-            f"in {order} order, not {array.dtype} {array.shape} with strides "
-            f"{array.strides}"
-        )
-    # The address of a zero-length ctypes view of the buffer (of the
-    # transpose, which starts there too, in Fortran order): ``ctypes.data``
-    # builds a helper object and costs about 1 us more, which a slab sweep
-    # would pay on every slab.
-    view = _BYTES.from_buffer(array if order == "C" else array.T)
-    return ctypes.addressof(view)
-
-
-def dpbtrf(band):
-    """Factor, in place, the symmetric positive definite matrix whose lower
-    band is ``band``, (kd + 1, n) float64 in Fortran order, into its
-    Cholesky factor L in the same storage (LAPACK dpbtrf, GIL released).
-    Every factor in ``dbc`` is made here."""
-    kd1, n = band.shape
-    address = _address(band, (kd1, n), "F")
-    info = ctypes.c_int()
-    _DPBTRF(
-        b"L", ctypes.c_int(n), ctypes.c_int(kd1 - 1), address,
-        ctypes.c_int(kd1), ctypes.byref(info),
-    )
-    if info.value != 0:
-        raise AssemblyError(
-            f"matrix is not positive definite: leading minor {info.value} "
-            f"of the reordered matrix"
-        )
-    return band
-
-
-class SlabSystem:
-    """One slab system: the CSR ``matrix`` M_ii + k S_ii, in the band order
-    of the mesh's ``interior_indices``, and its Cholesky factor L, both
-    built once.
-
-    L is kept twice, in LAPACK lower band storage and as L^T in upper band
-    storage, so that both substitutions of a solve are non-transposed BLAS
-    dtbsv calls.  The transposed dtbsv on the lower band takes about twice
-    as long as the non-transposed one on the upper copy, because it runs
-    row-oriented dot products.  The band of a structured n x n mesh is
-    n - 1 wide, so each of the two bands holds 2.0 MB at 64x46.  The factor
-    comes from ``dpbtrf``, and both substitutions call the same GIL-free
-    dtbsv kernel as the extension, with every argument but the vector's
-    address made once, here.  A slab sweep checks its solution buffer once
-    and passes each row's address to ``solve_at``.
-    """
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.kd = _band_width(matrix)
-        self._lower = dpbtrf(_lower_band(matrix, self.kd))
-        ld, n = self._lower.shape
-        # Upper band storage: row kd - d holds the d-th superdiagonal of L^T,
-        # which is the d-th subdiagonal of L.
-        self._upper = np.zeros_like(self._lower)
-        for d in range(self.kd + 1):
-            self._upper[self.kd - d, d:] = self._lower[d, : n - d]
-        self.size = n
-        self._kernel = (
-            ctypes.c_int(n), ctypes.c_int(self.kd), ctypes.c_int(ld),
-            _address(self._lower, (ld, n), "F"),
-            _address(self._upper, (ld, n), "F"),
-        )
-
-    def solve_at(self, address):
-        """Overwrite the ``size`` float64 values at ``address``, the address
-        of a C-contiguous vector or row that ``_address`` has checked, with
-        the solution of ``matrix`` y = those values."""
-        n, kd, ld, lower, upper = self._kernel
-        _DTBSV(b"L", b"N", b"N", n, kd, lower, ld, address, _ONE)
-        _DTBSV(b"U", b"N", b"N", n, kd, upper, ld, address, _ONE)
-
-    def solve_in_place(self, x):
-        """Overwrite ``x``, a writeable contiguous float64 vector of ``size``
-        entries, with the solution of ``matrix`` y = x."""
-        self.solve_at(_address(x, (self.size,), "C"))
-
-
 class KroneckerSum:
     """The operator sum_k kron(T_k, S_k) on level-major vectors, kept as its
     temporal factors T_k (levels x levels) and spatial factors S_k (nv x nv).
@@ -342,120 +175,6 @@ def _interior_time_blocks(mesh):
     return mt[1:M, 1:M], st[1:M, 1:M]
 
 
-# -- one pool of pinned threads (see the module docstring) ---------------------
-
-_pool = None
-_pool_lock = threading.Lock()
-_pool_thread = threading.local()
-
-
-def _usable_cpus():
-    """The CPUs this process may run on, ascending; none where the platform
-    does not say."""
-    if not hasattr(os, "sched_getaffinity"):
-        return []
-    return sorted(os.sched_getaffinity(0))
-
-
-def _pin_thread(cpus):
-    """Pool initializer: mark this thread as a pool thread and keep it on
-    the next CPU of ``cpus``.  A new thread starts on its creator's CPU, and
-    the scheduler can take a second or more to move one of two busy threads
-    to an idle CPU."""
-    _pool_thread.active = True
-    try:
-        os.sched_setaffinity(0, {cpus.get_nowait()})
-    except OSError:  # the CPU has left the affinity set: run unpinned
-        pass
-
-
-def _openblas_thread_setters():
-    """``openblas_set_num_threads_local`` of each OpenBLAS loaded in this
-    process (numpy and scipy may each load their own), found through
-    /proc/self/maps; none where the file or the function is missing.
-    Despite its name the function sets the library's thread count for the
-    whole process; it returns the count it replaces."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return []
-    setters = []
-    for path in paths:
-        try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-        setters.append(setter)
-    return setters
-
-
-# ``dbc`` keeps every usable CPU busy with its own pool, so OpenBLAS threads
-# would only compete with it (with two BLAS threads on a 2-core host the split
-# error norms at 64x46 took 0.63-0.73 s against 0.35-0.47 s in one thread).
-# A threaded product also sums in an order that depends on the thread count:
-# the extension's mode transforms did, and the state's last bits then
-# differed between one and two CPUs.  So every OpenBLAS loaded by now,
-# numpy's and scipy's, runs on one thread from this import on.
-for _setter in _openblas_thread_setters():
-    _setter(1)
-
-
-def _shared_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            cpus = _usable_cpus()
-            free_cpus = SimpleQueue()
-            for cpu in cpus:
-                free_cpus.put(cpu)
-            _pool = ThreadPoolExecutor(
-                len(cpus), thread_name_prefix="dbc",
-                initializer=_pin_thread, initargs=(free_cpus,),
-            )
-        return _pool
-
-
-def _forget_pool():
-    """In a forked child: the pool's threads were not copied into it, so a
-    task submitted to the inherited pool would never run.  Drop the pool;
-    the child makes its own on first use."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _split_ranges(size, work, gate):
-    """Contiguous ranges that cover range(size): one per usable CPU, at most
-    ``size``, if ``work`` reaches ``gate``, else the one range (0, size)."""
-    parts = len(_usable_cpus()) if work >= gate else 1
-    parts = max(1, min(parts, size))
-    edges = [size * i // parts for i in range(parts + 1)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _run_ranges(task, ranges, *args):
-    """``task(lo, hi, *args)`` on every range: in the calling thread if
-    there is one range or the caller is a pool thread, else one range per
-    pool task while the caller waits.  Raises the failure of the first range
-    that failed, once every range is done."""
-    if len(ranges) == 1 or getattr(_pool_thread, "active", False):
-        for lo, hi in ranges:
-            task(lo, hi, *args)
-        return
-    pool = _shared_pool()
-    pending = [pool.submit(task, lo, hi, *args) for lo, hi in ranges]
-    futures.wait(pending)
-    for future in pending:
-        future.result()
-
-
 # Below this many band entries over all time modes, levels * n * (kd + 1),
 # the extension runs its modes in the calling thread: handing them to the
 # pool and waiting for it cost about as much as the split saves.  Two
@@ -475,9 +194,7 @@ class EnergyExtension:
     of factoring one large space-time operator we eigen-decompose the small
     interior time pencil St Z = Mt Z diag(theta) (Z^T Mt Z = I) and factor
     the 2-D operator S_ii + theta_j M_ii once per time mode, as a band
-    Cholesky factor in ``order``.  S_ii and M_ii are put into lower band
-    storage once, and each mode's band is formed from the two bands, with
-    the values of the sparse sum entry by entry.
+    Cholesky factor in ``order``.
 
     The trace reaches the interior only through ``tail``, the interior
     vertices coupled to one of ``boxed_vertices``: an extension's
@@ -493,14 +210,10 @@ class EnergyExtension:
     factor holds 9.7 MB, against 63 and 2.0 MB for the bottom edge.
 
     The modes are independent, so the factorization and every solve split
-    them into contiguous ranges, one per CPU in the process's affinity set,
-    and run each range on the module's shared pool, one thread kept on each
-    CPU, while the caller waits.  The kernels (``dpbtrf`` and the capsule's
-    BLAS dtbsv) release the GIL, so the ranges run at the same time.  A
-    mode's arithmetic does not depend on the split, so the answers are the
-    same bits on any number of CPUs.  With one CPU, or fewer than
-    ``_SPLIT_WORK`` band entries in all, everything runs in the calling
-    thread.  The time transforms and the permutation into ``order`` are
+    them into contiguous ranges, one per CPU, on the pool of ``dbc.kernels``
+    from ``_SPLIT_WORK`` band entries up.  A mode's arithmetic does not
+    depend on the split, so the answers are the same bits on any number of
+    CPUs.  The time transforms and the permutation into ``order`` are
     applied to all modes at once, outside the ranges.
     """
 
@@ -522,46 +235,9 @@ class EnergyExtension:
         self._unorder = np.argsort(self.order)
         stiff = _reorder(disc.stiff_ii, self.order)
         mass = _reorder(disc.mass_ii, self.order)
-        self.kd = max(_band_width(stiff), _band_width(mass))
-        # Mode j's factor is bands[j].T: (kd + 1, n) in Fortran order.
-        self._bands = np.empty((levels, n, self.kd + 1))
-        self._bands_address = _address(self._bands, self._bands.shape, "C")
-
-        self._ranges = _split_ranges(
-            levels, levels * n * (self.kd + 1), _SPLIT_WORK
-        )
-        _run_ranges(
-            self._factor, self._ranges, theta,
-            _lower_band(stiff, self.kd), _lower_band(mass, self.kd),
-        )
-
-    def _factor(self, lo, hi, theta, stiff_band, mass_band):
-        for j in range(lo, hi):
-            band = self._bands[j].T
-            np.multiply(mass_band, theta[j], out=band)
-            band += stiff_band
-            dpbtrf(band)
-
-    def _substitute(self, lo, hi, work, steps):
-        """Apply ``steps`` to the rows lo:hi of ``work``, the address of a
-        checked (levels, n) array in ``order``.  A step (trans, start)
-        solves in place on row j from ``start`` on with the trailing block
-        of mode j's L, or of its transpose."""
-        n, ld = self._size, self.kd + 1
-        kd, ldab = ctypes.c_int(self.kd), ctypes.c_int(ld)
-        calls = [(trans, ctypes.c_int(n - start), start) for trans, start in steps]
-        for j in range(lo, hi):
-            for trans, size, start in calls:
-                first = j * n + start
-                _DTBSV(
-                    b"L", trans, b"N", size, kd,
-                    self._bands_address + first * ld * _DOUBLE, ldab,
-                    work + first * _DOUBLE, _ONE,
-                )
-
-    def _solve_modes(self, work, *steps):
-        address = _address(work, (self._levels, self._size), "C")
-        _run_ranges(self._substitute, self._ranges, address, steps)
+        self.kd = max(band_width(stiff), band_width(mass))
+        self._ranges = split_ranges(levels, levels * n * (self.kd + 1), _SPLIT_WORK)
+        self._bands = factor_shifted(stiff, mass, theta, self.kd, self._ranges)
 
     def _to_modes(self, rhs):
         """The (levels, n) ``rhs`` in the time modes and in ``order``."""
@@ -574,7 +250,7 @@ class EnergyExtension:
         """Solve A_ii X = rhs for a level-major rhs, flat or of shape
         (levels, num_interior); X has shape (levels, num_interior)."""
         work = self._to_modes(rhs.reshape(self._levels, self._size))
-        self._solve_modes(work, (b"N", 0), (b"T", 0))
+        substitute_bands(self._bands, self._ranges, work, (b"N", 0), (b"T", 0))
         return self._from_modes(work)
 
     def solve_from_tail(self, tail_rhs):
@@ -586,7 +262,7 @@ class EnergyExtension:
         start = self._size - len(self.tail)
         work = np.zeros((self._levels, self._size))
         work[:, start:] = self.modes.T @ tail_rhs
-        self._solve_modes(work, (b"N", start), (b"T", 0))
+        substitute_bands(self._bands, self._ranges, work, (b"N", start), (b"T", 0))
         return self._from_modes(work)
 
     def solve_to_tail(self, rhs):
@@ -595,7 +271,7 @@ class EnergyExtension:
         tail alone."""
         start = self._size - len(self.tail)
         work = self._to_modes(rhs.reshape(self._levels, self._size))
-        self._solve_modes(work, (b"N", 0), (b"T", start))
+        substitute_bands(self._bands, self._ranges, work, (b"N", 0), (b"T", start))
         return self.modes @ work[:, start:]
 
 
@@ -626,11 +302,9 @@ class Quadrature:
     From ``_QUADRATURE_SPLIT_WORK`` point evaluations, nq * nt * M *
     time_points, up, ``integrate`` and ``Discretization.time_loads``
     split the Gauss times into one contiguous range per CPU (``split``) and
-    run the ranges on the module's shared pool.  Each Gauss time's result
-    does not depend on the split, and the caller combines them in a fixed
-    order, so both give the same bits on any number of CPUs.  OpenBLAS runs
-    on one thread (see the module docstring), so their dot products do not
-    depend on the BLAS thread count either.
+    run the ranges on the pool of ``dbc.kernels``.  Each Gauss time's
+    result does not depend on the split, and the caller combines them in a
+    fixed order, so both give the same bits on any number of CPUs.
     """
 
     def __init__(self, mesh, rule, time_points):
@@ -666,7 +340,7 @@ class Quadrature:
         """The ranges of Gauss times, in ``times.ravel()`` order, that a
         quadrature over all of them splits into."""
         times = self.times.size
-        return _split_ranges(times, self.x.size * times, _QUADRATURE_SPLIT_WORK)
+        return split_ranges(times, self.x.size * times, _QUADRATURE_SPLIT_WORK)
 
     def integrate(self, integrand):
         """Space-time integral of ``integrand(m, j, t)``, the integrand's
@@ -686,7 +360,7 @@ class Quadrature:
                 m, j = divmod(i, per_slab)
                 sums[i] = np.vdot(self.weights, integrand(m, j, times[i]))
 
-        _run_ranges(evaluate, self.split())
+        run_ranges(evaluate, self.split())
         return self.time_sum(sums)
 
     def time_sum(self, sums):
@@ -853,7 +527,7 @@ class Discretization:
                     for i, values in enumerate(vals, start):
                         squares[i] = np.vdot(q.weights, values * values)
 
-            _run_ranges(load, ranges)
+            run_ranges(load, ranges)
             loads *= q.time_weights.reshape(-1, 1)
         shape = q.times.shape + (self.mesh.num_nodes,)
         return loads.reshape(shape), q.time_sum(squares)

@@ -6,10 +6,10 @@ Three subcommands, all driven by an INI-style config file:
   dbc check --config study.cfg   run verification checks
   dbc solve --config study.cfg   solve one level, dump fields
 
-Exit codes: 0 success, 1 usage or config errors, 2 numerical nonconvergence
-or failed checks.  The DBC_LOG environment variable sets the log level
-(DEBUG, INFO, WARNING, ...).  Outputs are deterministic: identical config
-and seed give byte-identical files.
+Exit codes: 0 success, 1 usage, config or data errors, 2 numerical
+nonconvergence or failed checks.  The DBC_LOG environment variable sets the
+log level (DEBUG, INFO, WARNING, ...).  Outputs are deterministic: identical
+config and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import sys
 from .assembly import export_matrix_market
 from .checks import CHECKS, run_checks
 from .forward import SolverError
+from .kernels import AssemblyError
 from .manufactured import CASES, run_study, setup_problem
 from .mesh import MeshError, uniform_time_partition, unit_square_mesh
 from .optimizer import PdasNonconvergence, pdas_solve
@@ -73,26 +74,17 @@ def load_config(path):
     return cp
 
 
-def _get_float(cp, section, key, default=None):
+def _get_number(cp, section, key, kind, default=None):
+    """``kind(value)`` of the key, ``kind`` being float or int; ``default``
+    when the key is missing."""
     raw = cp.get(section, key, fallback=None)
     if raw is None:
         return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as err:
-        raise ConfigError(f"key '{key}' in [{section}] is not a number: {raw!r}") from err
-
-
-def _get_int(cp, section, key, default=None):
-    raw = cp.get(section, key, fallback=None)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise ConfigError(
-            f"key '{key}' in [{section}] is not an integer: {raw!r}"
-        ) from err
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key '{key}' in [{section}] is not {noun}: {raw!r}") from err
 
 
 def _load_case(cp):
@@ -101,18 +93,12 @@ def _load_case(cp):
         raise ConfigError(
             f"unknown case '{name}'; available: {', '.join(sorted(CASES))}"
         )
-    case = CASES[name]()
     overrides = {}
-    lam = _get_float(cp, "problem", "lambda")
-    if lam is not None:
-        overrides["lam"] = lam
-    q_a = _get_float(cp, "problem", "q_a")
-    if q_a is not None:
-        overrides["q_a"] = q_a
-    q_b = _get_float(cp, "problem", "q_b")
-    if q_b is not None:
-        overrides["q_b"] = q_b
-    return dataclasses.replace(case, **overrides) if overrides else case
+    for key, field in (("lambda", "lam"), ("q_a", "q_a"), ("q_b", "q_b")):
+        value = _get_number(cp, "problem", key, float)
+        if value is not None:
+            overrides[field] = value
+    return dataclasses.replace(CASES[name](), **overrides)
 
 
 def _parse_levels(raw):
@@ -137,8 +123,8 @@ def _parse_levels(raw):
 
 def _solver_options(cp):
     return {
-        "tol": _get_float(cp, "solver", "tol", 1e-9),
-        "max_outer": _get_int(cp, "solver", "max_outer", 50),
+        "tol": _get_number(cp, "solver", "tol", float, 1e-9),
+        "max_outer": _get_number(cp, "solver", "max_outer", int, 50),
     }
 
 
@@ -169,7 +155,7 @@ def cmd_check(args):
     names = [item.strip() for item in raw.split(",") if item.strip()]
     if not names:
         raise ConfigError("key 'checks' in [check] selects no checks")
-    seed = _get_int(cp, "check", "seed", 0)
+    seed = _get_number(cp, "check", "seed", int, 0)
     try:
         results = run_checks(names, seed=seed)
     except KeyError as err:
@@ -179,18 +165,29 @@ def cmd_check(args):
     return 0 if all(r.passed for r in results) else 2
 
 
-def _write_snapshot_csv(path, header, rows):
+def _write_snapshot_csv(path, index, values, times, xy):
+    """One row per time of ``times`` and vertex: the time's 1-based number
+    in the column named ``index``, t, the vertex, its coordinates and its
+    value in ``values``, one row per time."""
+
+    def num(x):
+        return f"{x:.8g}"
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow([index, "t", "node", "x", "y", "value"])
+        for i, t in enumerate(times):
+            writer.writerows(
+                [i + 1, num(t), j, num(x), num(y), num(value)]
+                for j, ((x, y), value) in enumerate(zip(xy, values[i]))
+            )
 
 
 def cmd_solve(args):
     cp = load_config(args.config)
     case = _load_case(cp)
-    n = _get_int(cp, "solve", "n")
-    M = _get_int(cp, "solve", "m")
+    n = _get_number(cp, "solve", "n", int)
+    M = _get_number(cp, "solve", "m", int)
     if n is None or M is None:
         raise ConfigError("section [solve] needs keys 'n' and 'm'")
     opts = _solver_options(cp)
@@ -203,38 +200,14 @@ def cmd_solve(args):
     os.makedirs(snap_dir, exist_ok=True)
     xy = mesh.triangulation.vertices
     pts = mesh.time_partition.points
-
-    def num(x):
-        return f"{x:.8g}"
-
-    rows = []
-    for l in range(mesh.num_control_levels):
-        t = pts[l + 1]
-        for j in range(mesh.num_nodes):
-            rows.append(
-                [l + 1, num(t), j, num(xy[j, 0]), num(xy[j, 1]),
-                 num(result.control.values[l, j])]
-            )
     _write_snapshot_csv(
-        os.path.join(snap_dir, "control.csv"),
-        ["level", "t", "node", "x", "y", "value"],
-        rows,
+        os.path.join(snap_dir, "control.csv"), "level", result.control.values,
+        pts[1:-1], xy,
     )
-
     for name, fld in (("state", result.state), ("adjoint", result.adjoint)):
-        full = fld.full_values()
-        rows = []
-        for m in range(mesh.num_slabs):
-            t = pts[m + 1]
-            for j in range(mesh.num_nodes):
-                rows.append(
-                    [m + 1, num(t), j, num(xy[j, 0]), num(xy[j, 1]),
-                     num(full[m, j])]
-                )
         _write_snapshot_csv(
-            os.path.join(snap_dir, f"{name}.csv"),
-            ["slab", "t", "node", "x", "y", "value"],
-            rows,
+            os.path.join(snap_dir, f"{name}.csv"), "slab", fld.full_values(),
+            pts[1:], xy,
         )
 
     with open(os.path.join(out_dir, "diagnostics.json"), "w") as fh:
@@ -290,6 +263,9 @@ def main(argv=None):
     except (ConfigError, MeshError) as err:
         # A MeshError here comes from the level sizes the config names.
         print(f"config error: {err}", file=sys.stderr)
+        return 1
+    except AssemblyError as err:
+        print(f"data error: {err}", file=sys.stderr)
         return 1
     except (PdasNonconvergence, SolverError) as err:
         print(f"solver failure: {err}", file=sys.stderr)

@@ -9,19 +9,17 @@ band Cholesky factor.
 ``march`` runs the slabs in either direction.  Its arrays are in the
 band order of the mesh's ``interior_indices``, the order in which the slab
 factors are made, so it permutes nothing: it copies the right-hand sides
-into the sweep buffers, checks the solution buffer once, and solves each
-slab in place in its row with ``SlabSystem.solve_at``.  Every slab solve is
-checked after the march, with one sparse product per distinct slab system;
-the first slab in march order whose relative residual exceeds the
-tolerance raises ``SolverError``.  The largest residual checked is kept on
-the discretization as ``max_slab_residual``.
+into the sweep buffers and solves each slab in place in its row.  Every
+slab solve is checked after the march, with one sparse product per
+distinct slab system; the first slab in march order whose relative
+residual exceeds the tolerance raises ``SolverError``.  The largest
+residual checked is kept on the discretization as ``max_slab_residual``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .assembly import _address
 from .spaces import StateField
 
 # Relative residual each slab solve must meet.
@@ -50,8 +48,6 @@ def march(disc, slab_rhs, start=None, reverse=False):
         slabs = slabs[::-1]
     rhs, x, xt = disc.sweep_buffers()
     np.copyto(rhs, slab_rhs)
-    # The solution buffer is checked once; each slab solves at its row.
-    address = _address(x, x.shape, "C")
     users = {}
     prev = start
     for m in slabs:
@@ -60,7 +56,7 @@ def march(disc, slab_rhs, start=None, reverse=False):
         if prev is not None:
             rhs[m] += disc.mass_ii @ prev
         x[m] = rhs[m]
-        system.solve_at(address + int(m) * x.strides[0])
+        system.solve_in_place(x[m])
         prev = x[m]
     np.copyto(xt, x.T)
     _check_residuals(disc, users, rhs, xt, slabs)

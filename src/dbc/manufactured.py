@@ -46,11 +46,10 @@ class ManufacturedCase:
     and y of shape (points, triangles), while the error norms and the
     interpolants pass a scalar t.  Gradients return (d/dx, d/dy) tuples.
     ``initial`` takes x and y only, and may be None when the exact initial
-    state vanishes.  On large levels (32x23 and up; see
-    ``dbc.assembly._QUADRATURE_SPLIT_WORK``) the error norms, the misfit and
-    the loads call these callables from several pool threads at once, so
-    they must be pure: they change no shared state and give the same values
-    for the same arguments."""
+    state vanishes.  From 32x23 up the quadratures call these callables
+    from several threads of the ``dbc.kernels`` pool at once, so they must
+    be pure: they change no shared state and give the same values for the
+    same arguments."""
 
     name: str
     lam: float
@@ -66,11 +65,10 @@ class ManufacturedCase:
     source: Callable
     target: Callable
     control_shift: Optional[Callable]
-    initial: Optional[Callable] = None
-    control_boundary: Optional[Callable] = None
+    control_boundary: Callable
     """Predicate (x, y) -> bool mask selecting the boundary vertices that
-    carry the box constraints; the other boundary vertices are held at zero.
-    None means the whole spatial boundary is box-constrained."""
+    carry the box constraints; the other boundary vertices are held at zero."""
+    initial: Optional[Callable] = None
 
 
 def _u(x, y, t):
@@ -143,8 +141,8 @@ def bump_case():
         source=_f,
         target=_u_target,
         control_shift=_u,
-        initial=None,  # _u(x, y, 0) = 0
         control_boundary=_bottom_edge,
+        initial=None,  # _u(x, y, 0) = 0
     )
 
 
@@ -318,8 +316,8 @@ def setup_problem(n, M, case):
     """Discretization + reduced problem for one level of a case."""
     mesh = build_space_time_mesh(n, M)
     disc = Discretization(mesh)
-    bounds = BoundSet(mesh, case.q_a, case.q_b, control_nodes=case.control_boundary)
-    problem = ReducedProblem(
+    bounds = BoundSet(mesh, case.q_a, case.q_b, case.control_boundary)
+    return ReducedProblem(
         disc,
         case.lam,
         bounds,
@@ -328,7 +326,6 @@ def setup_problem(n, M, case):
         u_d=case.target,
         q_d=case.control_shift,
     )
-    return problem
 
 
 def _study_level(n, M, case, tol, max_outer):

@@ -32,6 +32,7 @@ import numpy as np
 from .adjoint import sweep_backward, tracking_slabs
 from .assembly import EnergyExtension
 from .forward import sweep_forward
+from .kernels import AssemblyError
 from .spaces import AdjointField, ControlField, StateField, interpolate_control
 
 log = logging.getLogger("dbc.optimizer")
@@ -119,8 +120,9 @@ class ReducedProblem:
     backward sweep, ``trace_b`` as minus the restricted gradient there, and
     ``objective_at_anchor`` as j(anchor) from discrete L2 products and the
     u_d loads (``Discretization.misfit_from_loads``).  f and u_d are each
-    evaluated once, by ``time_loads``.  ``objective`` stays the independent
-    path: a forward sweep and a space-time quadrature of u_d per call."""
+    evaluated once, by ``time_loads``; data that is not finite raises
+    ``AssemblyError``.  ``objective`` stays the independent path: a forward
+    sweep and a space-time quadrature of u_d per call."""
 
     def __init__(self, disc, lam, bounds, f=None, u0=None, u_d=None, q_d=None):
         if not lam > 0:
@@ -136,11 +138,17 @@ class ReducedProblem:
             self.q_shift = interpolate_control(mesh, q_d).ravel()
         else:
             self.q_shift = np.zeros(self.dim)
+        _check_finite("control shift", self.q_shift, mesh.time_partition.points[1:-1])
 
-        # f and u_d are evaluated here, once each.
-        self._source = disc.source_slabs(disc.time_loads(f)[0])
-        self._w0 = disc.project_initial(u0)
+        # f and u_d are evaluated here, once each.  f's loads are not kept:
+        # held through set-up, they tripled a 64x46 solve's page faults.
+        gauss_times = disc.quad.times.ravel()
+        self._source = disc.source_slabs(
+            _check_finite("source", disc.time_loads(f)[0], gauss_times)
+        )
+        self._w0 = _check_finite("initial state", disc.project_initial(u0), [0.0])
         target, target_square = disc.time_loads(u_d)
+        _check_finite("target", target, gauss_times)
 
         # Trace layer: index split, extension solver, anchored affine map.
         self.trace_indices = bounds.constrained_indices
@@ -293,6 +301,18 @@ class ReducedProblem:
             - float(self.trace_b @ trace_values)
             + self.objective_at_anchor
         )
+
+
+def _check_finite(datum, values, times):
+    """``values`` if all are finite, else ``AssemblyError`` naming ``datum``
+    and the first of ``times`` at which it is not; ``values`` holds one equal
+    block per time, in time order.  The minimum and maximum tell the finite
+    case, so it makes no temporary array."""
+    if np.isfinite([values.min(initial=0.0), values.max(initial=0.0)]).all():
+        return values
+    first = np.flatnonzero(~np.isfinite(values))[0]
+    t = times[first * len(times) // values.size]
+    raise AssemblyError(f"the {datum} is not finite at t = {t:.6g}")
 
 
 def _pcg(apply_op, rhs, precond_diag, rel_tol, max_iter):

@@ -18,6 +18,18 @@ class FieldShapeError(ValueError):
     """Coefficient array does not match the mesh."""
 
 
+def _coefficients(kind, values, shape):
+    """``values`` as a float array of ``shape``; zeros for None."""
+    if values is None:
+        return np.zeros(shape)
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise FieldShapeError(
+            f"{kind} values must have shape {shape}, got {values.shape}"
+        )
+    return values
+
+
 class StateField:
     """dG(0) x P1 field with homogeneous Dirichlet data.
 
@@ -28,17 +40,9 @@ class StateField:
     """
 
     def __init__(self, mesh, values=None):
-        shape = (mesh.num_slabs, mesh.num_interior)
-        if values is None:
-            values = np.zeros(shape)
-        else:
-            values = np.asarray(values, dtype=float)
-            if values.shape != shape:
-                raise FieldShapeError(
-                    f"state values must have shape {shape}, got {values.shape}"
-                )
         self.mesh = mesh
-        self.values = values
+        shape = (mesh.num_slabs, mesh.num_interior)
+        self.values = _coefficients("state", values, shape)
 
     def full_values(self):
         """Coefficients on all vertices, zeros on the boundary; shape (M, nv)."""
@@ -61,17 +65,9 @@ class ControlField:
     """
 
     def __init__(self, mesh, values=None):
-        shape = (mesh.num_control_levels, mesh.num_nodes)
-        if values is None:
-            values = np.zeros(shape)
-        else:
-            values = np.asarray(values, dtype=float)
-            if values.shape != shape:
-                raise FieldShapeError(
-                    f"control values must have shape {shape}, got {values.shape}"
-                )
         self.mesh = mesh
-        self.values = values
+        shape = (mesh.num_control_levels, mesh.num_nodes)
+        self.values = _coefficients("control", values, shape)
 
     def ravel(self):
         return self.values.ravel()
@@ -111,15 +107,15 @@ class BoundSet:
     """Admissible set for the control: box constraints on the control
     portion of the lateral boundary, homogeneous values on the rest.
 
-    By default every boundary vertex carries the box constraint.  When a
-    ``control_nodes`` predicate is given, only boundary vertices selected
-    by it are box-constrained; the remaining boundary vertices are held
-    at zero (they belong to the homogeneous-trace part of the admissible
-    set).  Interior-vertex control DOFs are never constrained.  Requires
-    lower <= 0 <= upper so the zero control is admissible.
+    Only the boundary vertices that the ``control_nodes`` predicate,
+    (x, y) -> bool mask, selects are box-constrained; the remaining
+    boundary vertices are held at zero (they belong to the
+    homogeneous-trace part of the admissible set).  Interior-vertex control
+    DOFs are never constrained.  Requires lower <= 0 <= upper so the zero
+    control is admissible.
     """
 
-    def __init__(self, mesh, lower, upper, control_nodes=None):
+    def __init__(self, mesh, lower, upper, control_nodes):
         lower = float(lower)
         upper = float(upper)
         if not lower <= 0.0 <= upper:
@@ -130,12 +126,10 @@ class BoundSet:
         self.lower = lower
         self.upper = upper
         tri = mesh.triangulation
-        flags = tri.boundary_vertex_flags
-        if control_nodes is None:
-            boxed = flags.copy()
-        else:
-            x, y = tri.vertices[:, 0], tri.vertices[:, 1]
-            boxed = flags & np.asarray(control_nodes(x, y), dtype=bool)
+        x, y = tri.vertices[:, 0], tri.vertices[:, 1]
+        boxed = tri.boundary_vertex_flags & np.asarray(
+            control_nodes(x, y), dtype=bool
+        )
         levels = mesh.num_control_levels
         self.boxed_vertices = np.flatnonzero(boxed)
         self.mask = np.tile(boxed, (levels, 1))

@@ -5,7 +5,9 @@ trace-space ``ReducedProblem``.  The functions here take the other road: a
 whole forward or backward solve from the data, and the gradient on all
 prismatic control DOFs from those two solves, so tests can check the trace
 path against them.
-``TRI_RULE_8`` is a higher-degree triangle rule for reference integrals.
+``TRI_RULE_8`` is a higher-degree triangle rule for reference integrals,
+and ``whole_boundary`` the control boundary predicate that selects every
+boundary vertex.
 ``dtbsv`` calls the GIL-free BLAS kernel, the only band substitution in
 ``dbc`` (``EnergyExtension`` and ``SlabSystem`` both use it), on a whole
 band, so tests can check that kernel against scipy's.
@@ -15,7 +17,7 @@ import ctypes
 
 import numpy as np
 
-from dbc import assembly
+from dbc import kernels
 from dbc.adjoint import sweep_backward, tracking_slabs
 from dbc.forward import sweep_forward
 from dbc.spaces import AdjointField, ControlField, StateField, interpolate_control
@@ -67,6 +69,11 @@ def full_gradient(disc, case, flat):
     return gradient, state.values, adjoint.values
 
 
+def whole_boundary(x, y):
+    """Select every boundary vertex as a control vertex."""
+    return np.ones(x.shape, dtype=bool)
+
+
 def collapsed_triangle_rule(points_per_axis):
     """Tensor-product Gauss rule collapsed onto the reference triangle.
 
@@ -96,12 +103,12 @@ TRI_RULE_8 = collapsed_triangle_rule(5)
 def dtbsv(band, x, trans=False):
     """x <- L^-1 x, or L^-T x with ``trans``, in place, for the lower band
     ``band`` of L, (kd + 1, n) float64 in Fortran order, and x float64 and
-    contiguous of length n (BLAS dtbsv through ``assembly._DTBSV``)."""
+    contiguous of length n (BLAS dtbsv through ``kernels._DTBSV``)."""
     kd1, n = band.shape
-    a = assembly._address(band, (kd1, n), "F")
-    assembly._DTBSV(
+    a = kernels._address(band, (kd1, n), "F")
+    kernels._DTBSV(
         b"L", b"T" if trans else b"N", b"N", ctypes.c_int(n),
         ctypes.c_int(kd1 - 1), a, ctypes.c_int(kd1),
-        assembly._address(x, (n,), "C"), ctypes.c_int(1),
+        kernels._address(x, (n,), "C"), ctypes.c_int(1),
     )
     return x

@@ -6,14 +6,12 @@ tests record one verdict line per criterion; the lines are replayed in the
 terminal summary so the full pass/fail table is visible in one place.
 """
 
-import ctypes
 import time
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
-from dbc.assembly import SlabSystem
+from dbc.kernels import SlabSystem
 from dbc.manufactured import StudyReport, bump_case, run_study
 
 STUDY_LEVELS = [(4, 4), (8, 6), (16, 12), (32, 23), (64, 46)]
@@ -43,24 +41,22 @@ def corrupt_slab_solve(monkeypatch):
     """Make some slab solves leave wrong answers.
 
     ``corrupt(*calls, size=None)`` adds 1 to every entry of the answer that
-    each listed ``SlabSystem.solve_at`` call (1-based) leaves at its
-    address, counting only systems with ``size`` unknowns when ``size`` is
+    each listed ``SlabSystem.solve_in_place`` call (1-based) leaves in its
+    vector, counting only systems with ``size`` unknowns when ``size`` is
     given."""
-    solve = SlabSystem.solve_at
+    solve = SlabSystem.solve_in_place
 
     def corrupt(*calls, size=None):
         count = []
 
-        def corrupted(self, address):
-            solve(self, address)
+        def corrupted(self, x):
+            solve(self, x)
             if size is None or self.size == size:
                 count.append(None)
                 if len(count) in calls:
-                    answer = (ctypes.c_double * self.size).from_address(address)
-                    x = np.ctypeslib.as_array(answer)
                     x += 1.0
 
-        monkeypatch.setattr(SlabSystem, "solve_at", corrupted)
+        monkeypatch.setattr(SlabSystem, "solve_in_place", corrupted)
 
     return corrupt
 

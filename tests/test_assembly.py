@@ -15,21 +15,20 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 import _symbolic
-from _oracles import TRI_RULE_8, dtbsv
-from dbc import assembly
+from _oracles import TRI_RULE_8, dtbsv, whole_boundary
+from dbc import assembly, kernels
 from dbc.assembly import (
-    AssemblyError,
     Discretization,
     EnergyExtension,
     assemble_mass_stiffness,
     bilinear_form,
     coercivity_gap,
-    dpbtrf,
     export_matrix_market,
     gauss_interval,
     spatial_load_vector,
     time_mass_stiffness,
 )
+from dbc.kernels import AssemblyError, dpbtrf
 from dbc.manufactured import (
     build_space_time_mesh,
     bump_case,
@@ -215,16 +214,12 @@ _NONUNIFORM = TimePartition([0, 0.2, 0.5, 0.7, 1.3])
 
 
 def test_energy_extension_solves_interior_block():
-    for mesh, whole_boundary in (
-        (build_space_time_mesh(4, 3), False),
-        (SpaceTimeMesh(unit_square_mesh(3), _NONUNIFORM), True),
+    for mesh, control_nodes in (
+        (build_space_time_mesh(4, 3), bump_case().control_boundary),
+        (SpaceTimeMesh(unit_square_mesh(3), _NONUNIFORM), whole_boundary),
     ):
         disc = Discretization(mesh)
-        boxed = (
-            BoundSet(mesh, 0.0, 1.0).boxed_vertices
-            if whole_boundary
-            else _bottom_edge(mesh)
-        )
+        boxed = BoundSet(mesh, 0.0, 1.0, control_nodes).boxed_vertices
         M = mesh.num_slabs
         tmass, tstiff = time_mass_stiffness(mesh.time_partition.points)
         mt, st = tmass[1:M, 1:M], tstiff[1:M, 1:M]
@@ -240,7 +235,7 @@ def _band_solver(matrix, order):
     """Solve with ``matrix`` through its band Cholesky factor in ``order``,
     built and applied by the GIL-free kernels alone."""
     permuted = assembly._reorder(matrix, order)
-    band = dpbtrf(assembly._lower_band(permuted, assembly._band_width(permuted)))
+    band = dpbtrf(kernels._lower_band(permuted, kernels.band_width(permuted)))
 
     def solve(rhs):
         x = rhs[order]
@@ -295,7 +290,7 @@ def test_band_cholesky_rejects_indefinite_matrix():
         np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 2.0]])
     )
     with pytest.raises(AssemblyError, match="not positive definite"):
-        dpbtrf(assembly._lower_band(matrix, 1))
+        dpbtrf(kernels._lower_band(matrix, 1))
 
 
 def _random_band(rng, kd, n):
@@ -419,10 +414,10 @@ def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
     levels = mesh.num_control_levels
     assert levels == 3
     monkeypatch.setattr(assembly, "_SPLIT_WORK", 0)
-    cpus = assembly._usable_cpus()
+    cpus = kernels._usable_cpus()
     if not cpus:
         pytest.skip("the platform does not report the CPUs a process may use")
-    monkeypatch.setattr(assembly, "_usable_cpus", lambda: cpus[:1])
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus[:1])
     serial = EnergyExtension(disc, boxed)
     assert serial._ranges == [(0, levels)]
     rng = np.random.default_rng(24)
@@ -438,7 +433,7 @@ def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
 
     expected = solves(serial)
     monkeypatch.setattr(
-        assembly, "_usable_cpus", lambda: (cpus * levels)[:levels]
+        kernels, "_usable_cpus", lambda: (cpus * levels)[:levels]
     )
     outcome = {}
 
@@ -502,16 +497,16 @@ def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
             *disc.time_loads(case.target),
         )
 
-    cpus = assembly._usable_cpus()
+    cpus = kernels._usable_cpus()
     if not cpus:
         pytest.skip("the platform does not report the CPUs a process may use")
     workers = 3
     monkeypatch.setattr(assembly, "_QUADRATURE_SPLIT_WORK", 0)
-    monkeypatch.setattr(assembly, "_usable_cpus", lambda: cpus[:1])
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus[:1])
     assert q.split() == [(0, q.times.size)]
     expected = quadratures()
     monkeypatch.setattr(
-        assembly, "_usable_cpus", lambda: (cpus * workers)[:workers]
+        kernels, "_usable_cpus", lambda: (cpus * workers)[:workers]
     )
     assert q.split() == [(0, 2), (2, 5), (5, 8)]
 
@@ -546,7 +541,7 @@ def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
 def test_importing_dbc_runs_every_openblas_on_one_thread():
     """Once ``dbc`` is imported, every OpenBLAS that the process loaded runs
     on one thread, so BLAS threads do not compete with the pool."""
-    setters = assembly._openblas_thread_setters()
+    setters = kernels._openblas_thread_setters()
     if not setters:
         pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
     # The setter returns the count it replaces; setting 1 again changes nothing.
@@ -589,18 +584,18 @@ def test_a_forked_child_splits_after_its_parent(monkeypatch):
     120 s for the child."""
     disc = Discretization(SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM))
     q = disc.quad
-    cpus = assembly._usable_cpus()
+    cpus = kernels._usable_cpus()
     if not cpus:
         pytest.skip("the platform does not report the CPUs a process may use")
     monkeypatch.setattr(assembly, "_QUADRATURE_SPLIT_WORK", 0)
-    monkeypatch.setattr(assembly, "_usable_cpus", lambda: (cpus * 2)[:2])
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: (cpus * 2)[:2])
     assert len(q.split()) == 2
 
     def squares(m, j, t):
         return (q.x + t) ** 2
 
     expected = q.integrate(squares)
-    assert assembly._pool is not None
+    assert kernels._pool is not None
     pid = os.fork()
     if pid == 0:  # the child: exit 0 only if its split gave the bits
         code = 1

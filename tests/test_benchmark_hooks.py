@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dbc import adjoint, assembly, forward
+from dbc import adjoint, forward, kernels
 from dbc.assembly import Discretization
 from dbc.manufactured import bump_case, setup_problem
 
@@ -39,17 +39,17 @@ def test_every_traced_name_resolves():
 
 
 def test_every_factor_goes_through_dpbtrf(monkeypatch):
-    """Every factor in ``dbc`` is made by ``dbc.assembly.dpbtrf``, the
+    """Every factor in ``dbc`` is made by ``dbc.kernels.dpbtrf``, the
     GIL-free LAPACK kernel; at 8x6 that is one call per extension time
     mode and one for the slab system."""
     calls = []
-    dpbtrf = assembly.dpbtrf
+    dpbtrf = kernels.dpbtrf
 
     def counted(band):
         calls.append(band.shape)
         return dpbtrf(band)
 
-    monkeypatch.setattr(assembly, "dpbtrf", counted)
+    monkeypatch.setattr(kernels, "dpbtrf", counted)
     problem = setup_problem(8, 6, bump_case())
     assert problem.disc.mesh.num_control_levels == 5
     assert len(calls) == 5 + 1

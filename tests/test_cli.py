@@ -1,8 +1,10 @@
 """Command-line interface: config validation, subcommands, exit codes."""
 
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from dbc import cli
@@ -264,6 +266,24 @@ def test_solve_requires_level_keys(tmp_path, capsys):
     cfg = write_config(tmp_path / "solve.cfg", "[solve]\nn = 3\n")
     assert main(["solve", "--config", cfg]) == 1
     assert "'n' and 'm'" in capsys.readouterr().err
+
+
+def test_data_that_is_not_finite_exits_one(tmp_path, monkeypatch, capsys):
+    """A source that is NaN everywhere is a data error, not a solver
+    failure: ``dbc solve`` exits 1 and names the source."""
+    nan_source = lambda x, y, t: np.full_like(x * t, np.nan)
+    monkeypatch.setitem(
+        cli.CASES, "bump", lambda: dataclasses.replace(bump_case(), source=nan_source)
+    )
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "solve.cfg", f"[solve]\nn = 8\nm = 6\noutput_dir = {out}\n"
+    )
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "data error: the source is not finite at t = 0.0352208" in err
+    assert "solver failure" not in err
+    assert not out.exists()
 
 
 def test_solve_nonconvergence_exits_two(tmp_path, capsys):

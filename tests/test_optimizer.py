@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.optimize import lsq_linear
 
-from _oracles import full_gradient, solve_adjoint, solve_state
+from _oracles import full_gradient, solve_adjoint, solve_state, whole_boundary
+from dbc.kernels import AssemblyError
 from dbc.manufactured import bump_case, setup_problem
 from dbc.optimizer import (
     CGBreakdownError,
@@ -80,11 +83,43 @@ def projected_gradient_oracle(problem, iterations=300_000):
 
 def test_requires_positive_regularization(problem33):
     disc = problem33.disc
-    bounds = BoundSet(disc.mesh, -1.0, 1.0)
+    bounds = BoundSet(disc.mesh, -1.0, 1.0, whole_boundary)
     with pytest.raises(ValueError):
         ReducedProblem(disc, 0.0, bounds)
     with pytest.raises(ValueError):
         ReducedProblem(disc, -1e-3, bounds)
+
+
+def _not_finite_after(g, t0):
+    """g with NaN values at every time past t0."""
+    return lambda x, y, t: np.where(np.asarray(t) > t0, np.nan, g(x, y, t))
+
+
+@pytest.mark.parametrize(
+    "datum,name,time",
+    [
+        ("source", "source", "0.535221"),
+        ("target", "target", "0.535221"),
+        ("control_shift", "control shift", "0.666667"),
+    ],
+)
+def test_data_that_is_not_finite_is_a_data_error(datum, name, time):
+    """A NaN in f, u_d or q_d from t = 1/2 on stops set-up at 8x6 with an
+    ``AssemblyError`` that names the datum and its first Gauss time, or
+    control level, past 1/2, before any slab solve can fail on it."""
+    case = bump_case()
+    case = dataclasses.replace(
+        case, **{datum: _not_finite_after(getattr(case, datum), 0.5)}
+    )
+    with pytest.raises(AssemblyError, match=f"the {name} is not finite at t = {time}"):
+        setup_problem(8, 6, case)
+
+
+def test_initial_state_that_is_not_finite_is_a_data_error():
+    case = dataclasses.replace(bump_case(), initial=lambda x, y: x / 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(AssemblyError, match="initial state is not finite at t = 0"):
+            setup_problem(8, 6, case)
 
 
 def test_dimensions(problem33):
@@ -293,6 +328,46 @@ def test_matches_projected_gradient_oracle(n, M, q_b):
     v = result.control.ravel()[problem.trace_indices]
     assert np.abs(v - oracle).max() < 1e-8
     assert result.diagnostics.num_upper_active > 0
+
+
+@pytest.mark.parametrize("q_b,num_upper", [(0.045, 61), (0.02, 144)])
+def test_active_sets_at_16x12_match_a_dense_box_solver(q_b, num_upper):
+    """With bounds active on 61 and 144 of the 165 trace DOFs at 16x12,
+    PDAS finds the upper-active set and the trace of a dense solve of the
+    box-constrained quadratic.  With H = L L^T the objective
+    1/2 v.Hv - b.v is 1/2 |L^T v - L^-1 b|^2 up to a constant, which BVLS
+    minimizes over the box."""
+    problem = setup_problem(16, 12, dataclasses.replace(bump_case(), q_b=q_b))
+    result = pdas_solve(problem)
+    factor = np.linalg.cholesky(dense_trace_hessian(problem))
+    rhs = sla.solve_triangular(factor, problem.trace_b, lower=True)
+    qa, qb = problem.bounds.lower, problem.bounds.upper
+    oracle = lsq_linear(factor.T, rhs, bounds=(qa, qb), method="bvls")
+    v = result.control.ravel()[problem.trace_indices]
+    assert problem.trace_dim == 165
+    assert result.diagnostics.num_upper_active == num_upper
+    assert np.array_equal(v == qb, oracle.active_mask == 1)
+    assert np.array_equal(v == qa, oracle.active_mask == -1)
+    assert np.linalg.norm(v - oracle.x) <= 1e-10 * np.linalg.norm(oracle.x)
+
+
+def test_objective_converges_with_active_bounds():
+    """J at the optimum with q_b = 0.045, bounds active on part of the
+    bottom edge at every level, settles as the mesh is refined: each
+    increment is at most half the one before (it is about a quarter)."""
+    case = dataclasses.replace(bump_case(), q_b=0.045)
+    values = []
+    for n, M in ((8, 6), (16, 12), (32, 23)):
+        problem = setup_problem(n, M, case)
+        result = pdas_solve(problem)
+        assert result.diagnostics.num_upper_active > 0
+        values.append(problem.objective(result.control))
+    assert values == pytest.approx(
+        [1.8692085704e-3, 1.8764906237e-3, 1.8783281757e-3], rel=1e-10
+    )
+    increments = np.diff(values)
+    assert np.all(increments > 0)
+    assert increments[1] <= 0.5 * increments[0]
 
 
 def test_signorini_conditions_with_active_bounds():

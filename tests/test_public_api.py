@@ -25,6 +25,10 @@ method or data attribute with such a name counts as used only through
 ``self`` or ``cls``; the ones that the package reads on other receivers
 are in ``ALLOWED``, each with its reader.  So are the payloads of
 exceptions, which only a caller that catches one reads.
+
+The same parse keeps ctypes, threads and scipy's Cython capsules in
+``dbc.kernels`` alone, and keeps every module from importing another's
+``_``-prefixed names.
 """
 
 import ast
@@ -214,3 +218,39 @@ def test_every_allowed_name_is_defined_and_needs_its_entry(flagged, unread):
         assert label in flagged or label in unread, (
             f"{label} no longer needs its ALLOWED entry"
         )
+
+
+
+# Modules that only ``dbc.kernels`` may import.
+LOW_LEVEL = {
+    "ctypes", "threading", "concurrent", "queue", "cython_blas", "cython_lapack"
+}
+
+
+def _import_faults(path):
+    """The low-level modules that ``path`` imports, unless it is
+    ``kernels.py``, and the ``_``-prefixed names it imports from another
+    ``dbc`` module."""
+    faults = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [p for alias in node.names for p in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported = [alias.name for alias in node.names]
+            if node.level or module.split(".")[0] == "dbc":
+                faults += [name for name in imported if name.startswith("_")]
+            names = module.split(".") + imported
+        else:
+            continue
+        if path.name != "kernels.py":
+            faults += [name for name in names if name in LOW_LEVEL]
+    return faults
+
+
+def test_only_kernels_import_ctypes_or_threads_and_no_private_name_leaks():
+    faults = {path.name: _import_faults(path) for path in SOURCES}
+    faults = {name: found for name, found in faults.items() if found}
+    assert not faults, (
+        f"move these into dbc.kernels or give them a public name: {faults}"
+    )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import whole_boundary
 from dbc.manufactured import build_space_time_mesh
 from dbc.spaces import (
     AdjointField,
@@ -69,8 +70,8 @@ def test_interpolate_control_is_nodal(mesh):
     assert (qc.values == 2.5).all()
 
 
-def test_bound_set_default_boxes_whole_boundary(mesh):
-    bounds = BoundSet(mesh, -1.0, 2.0)
+def test_bound_set_can_box_the_whole_boundary(mesh):
+    bounds = BoundSet(mesh, -1.0, 2.0, whole_boundary)
     tri = mesh.triangulation
     nb = int(tri.boundary_vertex_flags.sum())
     assert len(bounds.constrained_indices) == mesh.num_control_levels * nb
@@ -98,6 +99,6 @@ def test_bound_set_with_predicate(mesh):
 
 def test_bound_set_requires_zero_admissible(mesh):
     with pytest.raises(ValueError):
-        BoundSet(mesh, 0.5, 1.0)
+        BoundSet(mesh, 0.5, 1.0, whole_boundary)
     with pytest.raises(ValueError):
-        BoundSet(mesh, -2.0, -1.0)
+        BoundSet(mesh, -2.0, -1.0, whole_boundary)
