@@ -42,7 +42,6 @@ from .mesh import (
 from .optimizer import (
     CGBreakdownError,
     KKTDiagnostics,
-    MultiplierField,
     PdasNonconvergence,
     PdasResult,
     ReducedProblem,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forward import march, solve_state_sensitivity
-from .spaces import ControlField
+from .spaces import ControlField, pad_levels
 
 
 def sweep_backward(disc, slab_rhs):
@@ -26,18 +26,14 @@ def tracking_slabs(disc, state_values, control_values):
     """Slab loads int_{I_m} (w + q, phi_i); (M, ni).  The tracking load of
     the adjoint subtracts those of u_d, ``source_slabs`` of its
     ``time_loads``."""
-    mesh = disc.mesh
-    k = mesh.time_partition.steps
+    k = disc.mesh.time_partition.steps
     out = k[:, None] * (disc.mass_ii @ state_values.T).T
-    if control_values is not None:
-        M = mesh.num_slabs
-        pad = np.zeros((M + 1, mesh.num_nodes))
-        pad[1:M] = control_values
-        out += 0.5 * k[:, None] * (disc.mass_if @ (pad[:-1] + pad[1:]).T).T
+    pad = pad_levels(control_values)
+    out += 0.5 * k[:, None] * (disc.mass_if @ (pad[:-1] + pad[1:]).T).T
     return out
 
 
-def adjoint_identity_check(disc, seed=0):
+def adjoint_identity_check(disc, seed):
     """Discrepancy of the forward/backward duality for random data.
 
     Draws a control perturbation dq and a state-type tracking field g, and

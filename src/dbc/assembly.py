@@ -40,6 +40,7 @@ from .kernels import (
     split_ranges,
     substitute_bands,
 )
+from .spaces import pad_levels
 
 
 # 6-point triangle rule, exact to polynomial degree 4.  Barycentric points
@@ -175,15 +176,6 @@ def _interior_time_blocks(mesh):
     return mt[1:M, 1:M], st[1:M, 1:M]
 
 
-# Below this many band entries over all time modes, levels * n * (kd + 1),
-# the extension runs its modes in the calling thread: handing them to the
-# pool and waiting for it cost about as much as the split saves.  Two
-# extension solves on a 2-core host, one thread against two: 0.73 -> 0.99
-# ms at 24x17 (0.2 M entries), 2.0 -> 1.75 ms at 32x23 (0.68 M), 11.4 ->
-# 6.8 ms at 48x34 (3.5 M).
-_SPLIT_WORK = 400_000
-
-
 class EnergyExtension:
     """Exact solver for the interior-vertex block of the control seminorm.
 
@@ -211,7 +203,7 @@ class EnergyExtension:
 
     The modes are independent, so the factorization and every solve split
     them into contiguous ranges, one per CPU, on the pool of ``dbc.kernels``
-    from ``_SPLIT_WORK`` band entries up.  A mode's arithmetic does not
+    from its split gate of band entries up.  A mode's arithmetic does not
     depend on the split, so the answers are the same bits on any number of
     CPUs.  The time transforms and the permutation into ``order`` are
     applied to all modes at once, outside the ranges.
@@ -236,7 +228,7 @@ class EnergyExtension:
         stiff = _reorder(disc.stiff_ii, self.order)
         mass = _reorder(disc.mass_ii, self.order)
         self.kd = max(band_width(stiff), band_width(mass))
-        self._ranges = split_ranges(levels, levels * n * (self.kd + 1), _SPLIT_WORK)
+        self._ranges = split_ranges(levels, levels * n * (self.kd + 1))
         self._bands = factor_shifted(stiff, mass, theta, self.kd, self._ranges)
 
     def _to_modes(self, rhs):
@@ -275,16 +267,6 @@ class EnergyExtension:
         return self.modes @ work[:, start:]
 
 
-# Below this many point evaluations, quadrature points * triangles * Gauss
-# times, ``Quadrature.integrate`` and ``Discretization.time_loads`` run in the
-# calling thread: two threads that hand the GIL back and forth between small
-# numpy calls lose more than the second CPU gains.  Three error norms at
-# bump-case levels on a 2-core host, one thread against two: 25 -> 28 ms at
-# 24x17 (0.24 M evaluations), 58 -> 41-68 ms at 32x23 (0.57 M), 180 -> 111
-# ms at 48x34 (1.9 M); the loads gain from 24x17 up.
-_QUADRATURE_SPLIT_WORK = 400_000
-
-
 class Quadrature:
     """One space-time quadrature rule on a mesh: the triangle rule ``rule``,
     barycentric points and unit-sum weights, on every triangle times a
@@ -299,8 +281,8 @@ class Quadrature:
     ``times`` and ``time_weights`` are each slab's Gauss rule, and ``lo`` and
     ``hi`` the P1-in-time hats of the slab's left and right end at ``times``.
 
-    From ``_QUADRATURE_SPLIT_WORK`` point evaluations, nq * nt * M *
-    time_points, up, ``integrate`` and ``Discretization.time_loads``
+    From the split gate of ``dbc.kernels`` in point evaluations, nq * nt *
+    M * time_points, up, ``integrate`` and ``Discretization.time_loads``
     split the Gauss times into one contiguous range per CPU (``split``) and
     run the ranges on the pool of ``dbc.kernels``.  Each Gauss time's
     result does not depend on the split, and the caller combines them in a
@@ -340,7 +322,7 @@ class Quadrature:
         """The ranges of Gauss times, in ``times.ravel()`` order, that a
         quadrature over all of them splits into."""
         times = self.times.size
-        return split_ranges(times, self.x.size * times, _QUADRATURE_SPLIT_WORK)
+        return split_ranges(times, self.x.size * times)
 
     def integrate(self, integrand):
         """Space-time integral of ``integrand(m, j, t)``, the integrand's
@@ -463,9 +445,7 @@ class Discretization:
     def coupling_all(self, control_values):
         """Slab loads of the control: row m is M(q_m - q_{m-1}) +
         (k_m/2) S (q_{m-1} + q_m) on interior test functions; (M, ni)."""
-        M = self.mesh.num_slabs
-        pad = np.zeros((M + 1, self.mesh.num_nodes))
-        pad[1:M] = control_values
+        pad = pad_levels(control_values)
         diff = pad[1:] - pad[:-1]
         ssum = pad[1:] + pad[:-1]
         k = self.mesh.time_partition.steps
@@ -494,9 +474,9 @@ class Discretization:
     def time_loads(self, g):
         """Loads of g at every slab's Gauss times, times the time weights,
         and the integral of g^2 over the space-time cylinder, both by
-        ``quad`` in one evaluation of g; ((M, time_points, nv), float),
-        zero for g None.  ``source_slabs`` and ``control_pairing``
-        integrate the loads in time, and ``misfit_from_loads`` takes both.
+        ``quad`` in one evaluation of g; ((M, time_points, nv), float).
+        ``source_slabs`` and ``control_pairing`` integrate the loads in
+        time, and ``misfit_from_loads`` takes both.
 
         g is evaluated on a chunk of Gauss times at once, broadcasting t
         over a leading axis, and one product with ``Quadrature.scatter``
@@ -512,23 +492,22 @@ class Discretization:
         times = q.times.ravel()
         loads = np.zeros((times.size, self.mesh.num_nodes))
         squares = np.zeros(times.size)
-        if g is not None:
-            ranges = q.split()
-            chunk = max(1, _LOAD_CHUNK_BYTES // (8 * q.x.size * len(ranges)))
+        ranges = q.split()
+        chunk = max(1, _LOAD_CHUNK_BYTES // (8 * q.x.size * len(ranges)))
 
-            def load(lo, hi):
-                for start in range(lo, hi, chunk):
-                    t = times[start : min(start + chunk, hi)]
-                    vals = np.asarray(g(q.x, q.y, t[:, None, None]), dtype=float)
-                    vals = np.broadcast_to(vals, t.shape + q.x.shape)
-                    loads[start : start + len(t)] = (
-                        q.scatter @ vals.reshape(len(t), -1).T
-                    ).T
-                    for i, values in enumerate(vals, start):
-                        squares[i] = np.vdot(q.weights, values * values)
+        def load(lo, hi):
+            for start in range(lo, hi, chunk):
+                t = times[start : min(start + chunk, hi)]
+                vals = np.asarray(g(q.x, q.y, t[:, None, None]), dtype=float)
+                vals = np.broadcast_to(vals, t.shape + q.x.shape)
+                loads[start : start + len(t)] = (
+                    q.scatter @ vals.reshape(len(t), -1).T
+                ).T
+                for i, values in enumerate(vals, start):
+                    squares[i] = np.vdot(q.weights, values * values)
 
-            run_ranges(load, ranges)
-            loads *= q.time_weights.reshape(-1, 1)
+        run_ranges(load, ranges)
+        loads *= q.time_weights.reshape(-1, 1)
         shape = q.times.shape + (self.mesh.num_nodes,)
         return loads.reshape(shape), q.time_sum(squares)
 
@@ -567,12 +546,10 @@ class Discretization:
         small, and ``math.fsum`` adds them, so their order does not
         matter."""
         q = self.quad
-        M, nv = self.mesh.num_slabs, self.mesh.num_nodes
-        pad = np.zeros((M + 1, nv))
-        pad[1:M] = control_values
-        full = np.zeros(nv)
+        pad = pad_levels(control_values)
+        full = np.zeros(self.mesh.num_nodes)
         terms = []
-        for m in range(M):
+        for m in range(self.mesh.num_slabs):
             full[self.interior] = state_values[m]
             nodal = full + q.lo[m, :, None] * pad[m] + q.hi[m, :, None] * pad[m + 1]
             own = np.einsum("ij,ij->i", nodal, (self.mass @ nodal.T).T)
@@ -583,18 +560,13 @@ class Discretization:
     def misfit_quadrature(self, state_values, control_values, u_d):
         """|| (w + q) - u_d ||^2 over the space-time cylinder by quadrature."""
         q = self.quad
-        M = self.mesh.num_slabs
-        full = np.zeros((M, self.mesh.num_nodes))
+        full = np.zeros((self.mesh.num_slabs, self.mesh.num_nodes))
         full[:, self.interior] = state_values
-        pad = np.zeros((M + 1, self.mesh.num_nodes))
-        if control_values is not None:
-            pad[1:M] = control_values
+        pad = pad_levels(control_values)
 
         def squared_misfit(m, j, t):
             nodal = full[m] + q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1]
-            diff = q.interpolate(nodal)
-            if u_d is not None:
-                diff = diff - u_d(q.x, q.y, t)
+            diff = q.interpolate(nodal) - u_d(q.x, q.y, t)
             return diff * diff
 
         return q.integrate(squared_misfit)

@@ -15,7 +15,6 @@ import numpy as np
 from .adjoint import adjoint_identity_check
 from .assembly import Discretization, coercivity_gap
 from .manufactured import build_space_time_mesh, bump_case, setup_problem
-from .spaces import ControlField
 
 
 @dataclass
@@ -33,25 +32,27 @@ class CheckResult:
         )
 
 
-def check_gradient(seed=0, n=2, M=2, directions=20, step=1e-4):
+def check_gradient(seed):
     """Adjoint trace gradient against central finite differences of the
-    objective composed with the interior extension.
+    objective composed with the interior extension, at 2x2 in 20 random
+    directions with step 1e-4.
 
     The quadrature evaluates every product of discrete functions exactly and
     the extension is linear, so the adjoint-based trace gradient is the
     exact derivative of the evaluated objective; the discrepancy is pure
     finite-difference truncation and rounding."""
+    step = 1e-4
     rng = np.random.default_rng(seed)
-    problem = setup_problem(n, M, bump_case())
+    problem = setup_problem(2, 2, bump_case())
     v = 0.1 * rng.standard_normal(problem.trace_dim)
     g, _, _ = problem.trace_gradient(v)
     worst = 0.0
-    for _ in range(directions):
+    for _ in range(20):
         direction = rng.standard_normal(problem.trace_dim)
         direction /= np.linalg.norm(direction)
         fd = (
-            problem.objective(v + step * direction)
-            - problem.objective(v - step * direction)
+            problem.objective(problem.extend(v + step * direction))
+            - problem.objective(problem.extend(v - step * direction))
         ) / (2.0 * step)
         exact = float(g @ direction)
         rel = abs(fd - exact) / max(abs(exact), 1e-12)
@@ -59,19 +60,20 @@ def check_gradient(seed=0, n=2, M=2, directions=20, step=1e-4):
     return CheckResult("gradient", worst < 1e-6, worst, 1e-6)
 
 
-def check_hessian(seed=0, n=4, M=3, pairs=10):
-    """Symmetry of the reduced Hessians and their curvature lower bounds.
+def check_hessian(seed):
+    """Symmetry of the reduced Hessians and their curvature lower bounds, on
+    10 random pairs at 4x3.
 
     Both the full-space Hessian and its trace reduction E^T H E must be
     symmetric to rounding, and <H d, d> must dominate lam <A d, d> (with
     A reduced the same way) because the extra terms sum to ||du||^2 >= 0."""
     rng = np.random.default_rng(seed)
-    problem = setup_problem(n, M, bump_case())
+    problem = setup_problem(4, 3, bump_case())
     lam = problem.lam
     A = problem.disc.seminorm
     sym = 0.0
     margin = np.inf
-    for _ in range(pairs):
+    for _ in range(10):
         d1 = rng.standard_normal(problem.dim)
         d2 = rng.standard_normal(problem.dim)
         h1 = problem.hessian_apply(d1)
@@ -92,27 +94,24 @@ def check_hessian(seed=0, n=4, M=3, pairs=10):
     return CheckResult("hessian", passed, max(sym, max(0.0, -margin)), 1e-10)
 
 
-def check_adjoint(seed=0, n=3, M=3, instances=10):
-    """Forward/backward duality identity for random data."""
-    mesh = build_space_time_mesh(n, M)
-    disc = Discretization(mesh)
-    worst = max(
-        adjoint_identity_check(disc, seed=seed + i) for i in range(instances)
-    )
+def check_adjoint(seed):
+    """Forward/backward duality identity for 10 random data sets at 3x3."""
+    disc = Discretization(build_space_time_mesh(3, 3))
+    worst = max(adjoint_identity_check(disc, seed + i) for i in range(10))
     return CheckResult("adjoint", worst < 1e-10, worst, 1e-10)
 
 
-def check_coercivity(seed=0, samples=100, sizes=(2, 3, 4)):
-    """B(v, v) >= sum_m k_m |grad v_m|^2 over random discrete states.
+def check_coercivity(seed):
+    """B(v, v) >= sum_m k_m |grad v_m|^2 over 33 random discrete states at
+    each of 2x2, 3x3 and 4x4.
 
     The gap equals the telescoped jump terms plus boundary values, all
     squares, so it must be nonnegative up to rounding."""
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for n in sizes:
+    for n in (2, 3, 4):
         disc = Discretization(build_space_time_mesh(n, n))
-        per = max(1, samples // len(sizes))
-        for _ in range(per):
+        for _ in range(33):
             v = rng.standard_normal((disc.mesh.num_slabs, disc.mesh.num_interior))
             worst = min(worst, coercivity_gap(disc, v) / max(1.0, np.sum(v * v)))
     return CheckResult("coercivity", worst >= -1e-12, max(0.0, -worst), 1e-12)
@@ -126,7 +125,7 @@ CHECKS = {
 }
 
 
-def run_checks(names, seed=0):
+def run_checks(names, seed):
     results = []
     for name in names:
         if name not in CHECKS:

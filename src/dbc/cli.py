@@ -7,7 +7,9 @@ Three subcommands, all driven by an INI-style config file:
   dbc solve --config study.cfg   solve one level, dump fields
 
 Exit codes: 0 success, 1 usage, config or data errors, 2 numerical
-nonconvergence or failed checks.  The DBC_LOG environment variable sets the
+nonconvergence or failed checks.  A study that stops at a level, on a data
+error or a solver failure, still writes table.csv and report.json, whose
+``failure`` names that level.  The DBC_LOG environment variable sets the
 log level (DEBUG, INFO, WARNING, ...).  Outputs are deterministic: identical
 config and seed give byte-identical files.
 """
@@ -142,6 +144,9 @@ def cmd_study(args):
     report = run_study(levels, case, **opts)
     report.write_csv(os.path.join(out_dir, "table.csv"))
     report.write_json(os.path.join(out_dir, "report.json"))
+    if isinstance(report.error, AssemblyError):
+        print(f"data error: {report.failure}", file=sys.stderr)
+        return 1
     if report.failure:
         print(f"study failed: {report.failure}", file=sys.stderr)
         return 2

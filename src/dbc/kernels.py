@@ -10,7 +10,7 @@ checked.
 One process-wide pool, one thread kept on each CPU the process may use and
 made on first use, runs the work that ``split_ranges`` splits into
 independent ranges: the extension's time modes and the quadratures' Gauss
-times, each from its own gate up.  Below its gate, with one CPU, or on a
+times, from one gate of work up.  Below the gate, with one CPU, or on a
 pool thread, the work runs in the calling thread.  The ranges write
 disjoint results, which the caller combines in a fixed order, so every
 answer is the same bits on any number of CPUs.  Importing the module sets
@@ -310,10 +310,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def split_ranges(size, work, gate):
+# Below this much work a split runs in the calling thread: handing the
+# ranges to the pool and waiting for it cost about as much as the split
+# saves.  The work is band entries over all time modes, levels * n * (kd +
+# 1), for the extension, and point evaluations, quadrature points *
+# triangles * Gauss times, for the quadratures, where two threads that hand
+# the GIL back and forth between small numpy calls lose more than the second
+# CPU gains.  On a 2-core host, one thread against two: two extension solves
+# took 0.73 -> 0.99 ms at 24x17 (0.2 M entries), 2.0 -> 1.75 ms at 32x23
+# (0.68 M), 11.4 -> 6.8 ms at 48x34 (3.5 M); three error norms at bump-case
+# levels took 25 -> 28 ms at 24x17 (0.24 M evaluations), 58 -> 41-68 ms at
+# 32x23 (0.57 M), 180 -> 111 ms at 48x34 (1.9 M), and the loads gain from
+# 24x17 up.
+_SPLIT_WORK = 400_000
+
+
+def split_ranges(size, work):
     """Contiguous ranges that cover range(size): one per usable CPU, at most
-    ``size``, if ``work`` reaches ``gate``, else the one range (0, size)."""
-    parts = len(_usable_cpus()) if work >= gate else 1
+    ``size``, if ``work`` reaches ``_SPLIT_WORK``, else the one range
+    (0, size)."""
+    parts = len(_usable_cpus()) if work >= _SPLIT_WORK else 1
     parts = max(1, min(parts, size))
     edges = [size * i // parts for i in range(parts + 1)]
     return list(zip(edges[:-1], edges[1:]))

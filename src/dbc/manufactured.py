@@ -27,7 +27,8 @@ from .assembly import Discretization
 from .mesh import SpaceTimeMesh, uniform_time_partition, unit_square_mesh
 from .optimizer import PdasNonconvergence, ReducedProblem, pdas_solve
 from .forward import SolverError
-from .spaces import BoundSet
+from .kernels import AssemblyError
+from .spaces import BoundSet, pad_levels
 
 log = logging.getLogger("dbc.study")
 
@@ -64,11 +65,11 @@ class ManufacturedCase:
     control_grad: Callable
     source: Callable
     target: Callable
-    control_shift: Optional[Callable]
+    control_shift: Callable
     control_boundary: Callable
     """Predicate (x, y) -> bool mask selecting the boundary vertices that
     carry the box constraints; the other boundary vertices are held at zero."""
-    initial: Optional[Callable] = None
+    initial: Optional[Callable]
 
 
 def _u(x, y, t):
@@ -154,7 +155,7 @@ CASES = {"bump": bump_case}
 
 def _check_same_mesh(disc, *fields):
     for f in fields:
-        if f is not None and f.mesh is not disc.mesh:
+        if f.mesh is not disc.mesh:
             raise MeshMismatchError("field mesh differs from the discretization")
 
 
@@ -164,11 +165,11 @@ def _gradient(disc, nodal):
     return np.einsum("ti,tid->dt", nodal[tt], disc.grads)
 
 
-def energy_error_state(disc, case, state, control=None):
+def energy_error_state(disc, case, state, control):
     """|| grad(u_exact - (w + q)) || over the space-time cylinder."""
     _check_same_mesh(disc, state, control)
     return _grad_error(disc, case.state_grad, state.full_values(),
-                       control.padded_values() if control is not None else None)
+                       pad_levels(control.values))
 
 
 def energy_error_adjoint(disc, case, adjoint):
@@ -196,7 +197,7 @@ def control_error(disc, case, control):
     """Space-time H1 seminorm of q_exact - q_sigma."""
     _check_same_mesh(disc, control)
     q = disc.quad
-    pad = control.padded_values()
+    pad = pad_levels(control.values)
     steps = disc.mesh.time_partition.steps
 
     def squared_error(m, j, t):
@@ -237,11 +238,15 @@ class LevelRecord:
     err_state: float
     err_adjoint: float
     err_control: float
-    kkt: dict = field(default_factory=dict)
+    kkt: dict
 
 
 @dataclass
 class StudyReport:
+    """Errors, rates and diagnostics per level.  ``failure`` names the level
+    that stopped the study and its error, which ``error`` holds; only
+    ``failure`` is written to ``report.json``."""
+
     case_name: str
     records: list
     rate_state_h: list = field(default_factory=list)
@@ -250,6 +255,7 @@ class StudyReport:
     rate_adjoint_k: list = field(default_factory=list)
     rate_control_sigma: list = field(default_factory=list)
     failure: Optional[str] = None
+    error: Optional[Exception] = None
 
     def compute_rates(self):
         hs = [r.h for r in self.records]
@@ -306,10 +312,8 @@ class StudyReport:
             fh.write("\n")
 
 
-def build_space_time_mesh(n, M, final_time=1.0):
-    return SpaceTimeMesh(
-        unit_square_mesh(n), uniform_time_partition(M, final_time)
-    )
+def build_space_time_mesh(n, M):
+    return SpaceTimeMesh(unit_square_mesh(n), uniform_time_partition(M))
 
 
 def setup_problem(n, M, case):
@@ -346,18 +350,20 @@ def _study_level(n, M, case, tol, max_outer):
     return record
 
 
-def run_study(levels, case, tol=1e-9, max_outer=50):
-    """Solve every (n, M) level in turn and collect errors, rates and
-    diagnostics.
+def run_study(levels, case, tol, max_outer):
+    """Solve every (n, M) level in turn with ``pdas_solve``'s ``tol`` and
+    ``max_outer``, and collect errors, rates and diagnostics.
 
-    A solver failure stops the study; the report keeps the completed levels
-    and carries the failure message, which names the level that failed."""
+    A data error (``AssemblyError``) or a solver failure stops the study;
+    the report keeps the completed levels and carries the failure message,
+    which names the level that failed, and the error itself."""
     report = StudyReport(case_name=case.name, records=[])
     for n, M in levels:
         try:
             record = _study_level(n, M, case, tol, max_outer)
-        except (PdasNonconvergence, SolverError) as err:
+        except (AssemblyError, PdasNonconvergence, SolverError) as err:
             report.failure = f"level (n={n}, M={M}): {err}"
+            report.error = err
             log.error("study aborted: %s", report.failure)
             break
         report.records.append(record)

@@ -40,8 +40,6 @@ class Triangulation:
         The vertices not on the boundary, in the reverse Cuthill-McKee order
         of their adjacency (a triangle holds both), the band order that
         every interior-indexed array and slab factor of the package shares.
-    h : float
-        Longest edge over all triangles.
     cell_width : float or None
         Structured-grid cell width 1/n; set by ``unit_square_mesh`` and used
         as the mesh size reported in convergence tables.
@@ -94,15 +92,6 @@ class Triangulation:
             order = csgraph.reverse_cuthill_mckee(adjacency, symmetric_mode=True)
             interior = interior[order]
         self.interior_indices = interior
-
-        edge_len = np.stack(
-            [
-                np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1),
-                np.linalg.norm(v[t[:, 2]] - v[t[:, 1]], axis=1),
-                np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1),
-            ]
-        )
-        self.h = float(edge_len.max(initial=0.0))
         self.cell_width = None
 
     @property
@@ -172,30 +161,31 @@ class TimePartition:
         return float(self.points[-1])
 
 
-def uniform_time_partition(num_steps, final_time=1.0):
-    """M equal slabs on [0, T]; endpoints are exact in floating point."""
+def uniform_time_partition(num_steps):
+    """M equal slabs on [0, 1]; endpoints are exact in floating point."""
     if int(num_steps) != num_steps or num_steps < 1:
         raise MeshError(f"step count must be a positive integer, got {num_steps!r}")
-    if final_time <= 0:
-        raise MeshError(f"final time must be positive, got {final_time!r}")
     M = int(num_steps)
-    return TimePartition(final_time * np.arange(M + 1) / M)
+    return TimePartition(np.arange(M + 1) / M)
 
 
 class SpaceTimeMesh:
     """Prismatic product of a triangulation and a time partition.
 
-    ``sigma = sqrt(width^2 + k^2)`` combines the spatial cell width (1/n on
-    structured meshes, else the element diameter) with the largest time step;
-    it is the single discretization parameter of the control space.
+    ``sigma = sqrt(width^2 + k^2)`` combines the spatial cell width 1/n of a
+    ``unit_square_mesh`` with the largest time step; it is the single
+    discretization parameter of the control space.  A triangulation without
+    a cell width raises ``MeshError``.
     """
 
     def __init__(self, triangulation, time_partition):
-        self.triangulation = triangulation
-        self.time_partition = time_partition
         width = triangulation.cell_width
         if width is None:
-            width = triangulation.h
+            raise MeshError(
+                "a space-time mesh needs a triangulation with a cell width"
+            )
+        self.triangulation = triangulation
+        self.time_partition = time_partition
         self.width = width
         self.sigma = float(np.hypot(width, time_partition.k))
         ratio = time_partition.k / width

@@ -25,7 +25,7 @@ preconditioned by the diagonal of lam * seminorm (restricted to the trace).
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,19 +76,10 @@ class KKTDiagnostics:
     outer_iterations: int
     cg_iterations: int
     max_slab_residual: float
-    objective_history: list = field(default_factory=list)
+    objective_history: list
 
     def as_dict(self):
         return asdict(self)
-
-
-@dataclass
-class MultiplierField:
-    """Discrete multiplier: gradient values on the constrained DOFs, indexed
-    into the flat control vector."""
-
-    dof_indices: np.ndarray
-    values: np.ndarray
 
 
 @dataclass
@@ -97,7 +88,6 @@ class PdasResult:
     adjoint: AdjointField
     state: StateField
     diagnostics: KKTDiagnostics
-    multiplier: MultiplierField
 
 
 class ReducedProblem:
@@ -122,9 +112,13 @@ class ReducedProblem:
     u_d loads (``Discretization.misfit_from_loads``).  f and u_d are each
     evaluated once, by ``time_loads``; data that is not finite raises
     ``AssemblyError``.  ``objective`` stays the independent path: a forward
-    sweep and a space-time quadrature of u_d per call."""
+    sweep and a space-time quadrature of u_d per call.
 
-    def __init__(self, disc, lam, bounds, f=None, u0=None, u_d=None, q_d=None):
+    The data are the source f(x, y, t), the initial state u0(x, y) (None
+    for zero), the target u_d(x, y, t) and the regularizer's shift
+    q_d(x, y, t); pass ``lambda x, y, t: 0.0`` for zero f, u_d or q_d."""
+
+    def __init__(self, disc, lam, bounds, f, u0, u_d, q_d):
         if not lam > 0:
             raise ValueError(f"regularization parameter must be positive, got {lam}")
         self.disc = disc
@@ -134,10 +128,7 @@ class ReducedProblem:
         mesh = disc.mesh
         levels = mesh.num_control_levels
         self.dim = levels * mesh.num_nodes
-        if q_d is not None:
-            self.q_shift = interpolate_control(mesh, q_d).ravel()
-        else:
-            self.q_shift = np.zeros(self.dim)
+        self.q_shift = interpolate_control(mesh, q_d).ravel()
         _check_finite("control shift", self.q_shift, mesh.time_partition.points[1:-1])
 
         # f and u_d are evaluated here, once each.  f's loads are not kept:
@@ -270,25 +261,14 @@ class ReducedProblem:
             self.adjoint_anchor + second,
         )
 
-    def objective(self, control):
-        """j(q) by an actual forward solve and space-time quadrature.
+    def objective(self, flat):
+        """j(q) by an actual forward solve and space-time quadrature, for the
+        full control vector ``flat`` of length ``dim``.
 
-        Accepts a full ControlField, or a trace vector which is extended
-        first.  Deliberately independent of the gradient path so
-        finite-difference checks of the gradient test the adjoint, not a
-        shared shortcut."""
-        if isinstance(control, ControlField):
-            values = control.values
-        else:
-            flat = np.asarray(control, dtype=float).ravel()
-            if flat.size != self.trace_dim:
-                raise ValueError(
-                    f"expected a ControlField or a trace vector of length "
-                    f"{self.trace_dim}, got length {flat.size}"
-                )
-            values = self.extend(flat).reshape(
-                self.disc.mesh.num_control_levels, self.disc.mesh.num_nodes
-            )
+        Deliberately independent of the gradient path so finite-difference
+        checks of the gradient test the adjoint, not a shared shortcut."""
+        mesh = self.disc.mesh
+        values = flat.reshape(mesh.num_control_levels, mesh.num_nodes)
         rhs = self._source - self.disc.coupling_all(values)
         w = sweep_forward(self.disc, rhs, self._w0)
         misfit = self.disc.misfit_quadrature(w, values, self.u_d)
@@ -349,7 +329,7 @@ def _pcg(apply_op, rhs, precond_diag, rel_tol, max_iter):
     )
 
 
-def pdas_solve(problem, q_init=None, tol=1e-9, max_outer=50):
+def pdas_solve(problem, tol, q_init=None, max_outer=50):
     """Primal-dual active set solve of the box-constrained reduced problem.
 
     Every optimization unknown is a box-constrained trace DOF.  The
@@ -359,16 +339,19 @@ def pdas_solve(problem, q_init=None, tol=1e-9, max_outer=50):
     their bound and the remaining inactive block is solved matrix-free by
     preconditioned CG to the relative residual min(1e-10, 1e-2 tol).
     Convergence is declared when the active sets repeat and the
-    stationarity and complementarity residuals are below tol.
+    stationarity and complementarity residuals are below tol; after
+    ``max_outer`` inactive-set solves without it, ``PdasNonconvergence``
+    is raised.
 
-    The start ``q_init`` (a ControlField, or a vector of length
-    ``trace_dim`` or ``dim``; zero by default) is clipped to the bounds.
+    The start ``q_init``, a vector of length ``trace_dim`` (zero for None),
+    is clipped to the bounds; another length raises ``ValueError``.
 
     The fixed points of the set update are the KKT points for every c > 0,
     but small c classifies aggressively far from the solution and can cycle
     (the indicator swings DOFs bound-to-bound).  When an active-set pair
     recurs without convergence the scale is raised tenfold and the iterate
-    reclassified; this breaks cycles without changing the solution."""
+    reclassified; this breaks cycles without changing the solution
+    (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002)."""
     cg_rel_tol = min(1e-10, 1e-2 * tol)
     c = problem.lam
     bounds = problem.bounds
@@ -381,18 +364,12 @@ def pdas_solve(problem, q_init=None, tol=1e-9, max_outer=50):
 
     if q_init is None:
         v = np.zeros(dim)
-    else:
-        flat = q_init.ravel() if isinstance(q_init, ControlField) else (
-            np.asarray(q_init, dtype=float).ravel()
+    elif len(q_init) != dim:
+        raise ValueError(
+            f"expected a start vector of length {dim}, got length {len(q_init)}"
         )
-        if flat.size == problem.dim:
-            flat = flat[problem.trace_indices]
-        elif flat.size != dim:
-            raise ValueError(
-                f"expected a ControlField or a start vector of length {dim} "
-                f"or {problem.dim}, got length {flat.size}"
-            )
-        v = np.clip(flat, qa, qb)
+    else:
+        v = np.clip(q_init, qa, qb)
 
     lower_prev = None
     upper_prev = None
@@ -423,8 +400,7 @@ def pdas_solve(problem, q_init=None, tol=1e-9, max_outer=50):
             if stable_now or key not in seen_sets:
                 seen_sets.add(key)
                 break
-            if c > 1e12 / max(problem.lam, 1.0):
-                break
+            # Clearing the pairs seen ends this loop on its next pass.
             c *= 10.0
             seen_sets.clear()
             log.info("pdas revisited an active-set pair; raising scale to %.3e", c)
@@ -472,8 +448,7 @@ def pdas_solve(problem, q_init=None, tol=1e-9, max_outer=50):
             control = ControlField.from_flat(mesh, problem.extend(v))
             state = StateField(mesh, problem.state_anchor + sens)
             adjoint = AdjointField(mesh, problem.adjoint_anchor + second)
-            multiplier = MultiplierField(problem.trace_indices.copy(), mu.copy())
-            return PdasResult(control, adjoint, state, diagnostics, multiplier)
+            return PdasResult(control, adjoint, state, diagnostics)
 
         if solves >= max_outer:
             raise PdasNonconvergence(diagnostics)

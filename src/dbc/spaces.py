@@ -19,9 +19,7 @@ class FieldShapeError(ValueError):
 
 
 def _coefficients(kind, values, shape):
-    """``values`` as a float array of ``shape``; zeros for None."""
-    if values is None:
-        return np.zeros(shape)
+    """``values`` as a float array of ``shape``."""
     values = np.asarray(values, dtype=float)
     if values.shape != shape:
         raise FieldShapeError(
@@ -39,7 +37,7 @@ class StateField:
     are implicitly zero.
     """
 
-    def __init__(self, mesh, values=None):
+    def __init__(self, mesh, values):
         self.mesh = mesh
         shape = (mesh.num_slabs, mesh.num_interior)
         self.values = _coefficients("state", values, shape)
@@ -64,7 +62,7 @@ class ControlField:
     ordering of the control operators.
     """
 
-    def __init__(self, mesh, values=None):
+    def __init__(self, mesh, values):
         self.mesh = mesh
         shape = (mesh.num_control_levels, mesh.num_nodes)
         self.values = _coefficients("control", values, shape)
@@ -77,14 +75,13 @@ class ControlField:
         flat = np.asarray(flat, dtype=float)
         return cls(mesh, flat.reshape(mesh.num_control_levels, mesh.num_nodes))
 
-    def padded_values(self):
-        """Level coefficients including the zero rows at t_0 and t_M;
-        shape (M+1, nv)."""
-        M = self.mesh.num_slabs
-        nv = self.mesh.num_nodes
-        padded = np.zeros((M + 1, nv))
-        padded[1:M] = self.values
-        return padded
+
+def pad_levels(values):
+    """Control level coefficients, (M-1, nv), with the zero rows at t_0 and
+    t_M added; (M+1, nv)."""
+    padded = np.zeros((len(values) + 2, values.shape[1]))
+    padded[1:-1] = values
+    return padded
 
 
 def interpolate_control(mesh, g):

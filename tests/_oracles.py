@@ -6,8 +6,9 @@ whole forward or backward solve from the data, and the gradient on all
 prismatic control DOFs from those two solves, so tests can check the trace
 path against them.
 ``TRI_RULE_8`` is a higher-degree triangle rule for reference integrals,
-and ``whole_boundary`` the control boundary predicate that selects every
-boundary vertex.
+``whole_boundary`` the control boundary predicate that selects every
+boundary vertex, and ``zero_data`` and ``zero_control`` the zero source,
+target or shift and the zero control.
 ``dtbsv`` calls the GIL-free BLAS kernel, the only band substitution in
 ``dbc`` (``EnergyExtension`` and ``SlabSystem`` both use it), on a whole
 band, so tests can check that kernel against scipy's.
@@ -23,22 +24,28 @@ from dbc.forward import sweep_forward
 from dbc.spaces import AdjointField, ControlField, StateField, interpolate_control
 
 
-def solve_state(disc, f=None, u0=None, control=None):
-    """Solve the state equation for source f, initial datum u0 and boundary
-    control q; returns the zero-trace part w as a StateField.
+def zero_data(x, y, t):
+    return 0.0
+
+
+def zero_control(mesh):
+    return ControlField(mesh, np.zeros((mesh.num_control_levels, mesh.num_nodes)))
+
+
+def solve_state(disc, f, u0, control):
+    """Solve the state equation for source f, initial datum u0 (None for
+    zero) and boundary control q; returns the zero-trace part w as a
+    StateField.
 
     The full discrete state is w + q; evaluate it by adding the control."""
-    rhs = disc.source_slabs(disc.time_loads(f)[0])
-    if control is not None:
-        rhs = rhs - disc.coupling_all(control.values)
+    rhs = disc.source_slabs(disc.time_loads(f)[0]) - disc.coupling_all(control.values)
     w0 = disc.project_initial(u0)
     return StateField(disc.mesh, sweep_forward(disc, rhs, w0))
 
 
-def solve_adjoint(disc, state, control=None, u_d=None):
+def solve_adjoint(disc, state, control, u_d):
     """Solve the adjoint equation with tracking data u_kh - u_d."""
-    cv = control.values if control is not None else None
-    rhs = tracking_slabs(disc, state.values, cv)
+    rhs = tracking_slabs(disc, state.values, control.values)
     rhs -= disc.source_slabs(disc.time_loads(u_d)[0])
     return AdjointField(disc.mesh, sweep_backward(disc, rhs))
 
@@ -56,9 +63,7 @@ def full_gradient(disc, case, flat):
     control = ControlField.from_flat(mesh, flat)
     state = solve_state(disc, case.source, case.initial, control)
     adjoint = solve_adjoint(disc, state, control, case.target)
-    shifted = control.ravel()
-    if case.control_shift is not None:
-        shifted = shifted - interpolate_control(mesh, case.control_shift).ravel()
+    shifted = control.ravel() - interpolate_control(mesh, case.control_shift).ravel()
     gradient = (
         case.lam * (disc.seminorm @ shifted)
         + disc.control_mass @ control.ravel()

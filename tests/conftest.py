@@ -29,7 +29,7 @@ class StudyRun:
 def study():
     """The full benchmark study on the standard level sequence, timed."""
     start = time.perf_counter()
-    report = run_study(STUDY_LEVELS, bump_case())
+    report = run_study(STUDY_LEVELS, bump_case(), tol=1e-9, max_outer=50)
     seconds = time.perf_counter() - start
     assert report.failure is None, f"study failed: {report.failure}"
     assert len(report.records) == len(STUDY_LEVELS)

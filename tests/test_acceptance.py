@@ -114,7 +114,7 @@ def test_criterion_04c_control_absolute_error(study, criterion):
 
 
 def test_criterion_05_gradient_vs_finite_differences(criterion):
-    result = check_gradient(seed=0, n=2, M=2, directions=20, step=1e-4)
+    result = check_gradient(seed=0)  # n=2, M=2, 20 directions, step 1e-4
     criterion(
         "5 adjoint gradient vs finite differences",
         result.passed,

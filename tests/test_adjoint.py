@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from _oracles import solve_adjoint
+from _oracles import solve_adjoint, zero_control, zero_data
 from dbc.adjoint import adjoint_identity_check, sweep_backward, tracking_slabs
 from dbc.assembly import Discretization
 from dbc.manufactured import build_space_time_mesh
 from dbc.mesh import SpaceTimeMesh, TimePartition, unit_square_mesh
-from dbc.spaces import ControlField, StateField
+from dbc.spaces import ControlField, StateField, pad_levels
 
 
 @pytest.fixture
@@ -38,7 +38,9 @@ def test_sweep_backward_matches_dense_recursion(disc):
 
 
 def test_zero_tracking_gives_zero_adjoint(disc):
-    z = solve_adjoint(disc, StateField(disc.mesh))
+    mesh = disc.mesh
+    state = StateField(mesh, np.zeros((mesh.num_slabs, mesh.num_interior)))
+    z = solve_adjoint(disc, state, zero_control(mesh), zero_data)
     assert not z.values.any()
 
 
@@ -63,7 +65,7 @@ def test_tracking_slabs_match_midpoint_mass_oracle(disc):
     batch -= disc.source_slabs(disc.time_loads(u_d)[0])
     vx, vy = mesh.triangulation.vertices.T
     pts = mesh.time_partition.points
-    pad = control.padded_values()
+    pad = pad_levels(control.values)
     full = state.full_values()
     for m in range(mesh.num_slabs):
         t_mid = 0.5 * (pts[m] + pts[m + 1])

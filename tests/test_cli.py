@@ -161,6 +161,34 @@ def test_study_slab_failure_exits_two(tmp_path, capsys, corrupt_slab_solve):
     assert len(payload["levels"]) == 1
 
 
+def test_study_data_error_writes_the_report_and_exits_one(
+    tmp_path, monkeypatch, capsys
+):
+    """A source that is NaN everywhere stops the study at its first level
+    with a data error: exit 1, ``data error: level (n=3, M=3): …``, and
+    table.csv and report.json written, the report's failure naming the
+    level."""
+    nan_source = lambda x, y, t: np.full_like(x * t, np.nan)
+    monkeypatch.setitem(
+        cli.CASES, "bump", lambda: dataclasses.replace(bump_case(), source=nan_source)
+    )
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "study.cfg", f"[study]\nlevels = 3x3, 6x6\noutput_dir = {out}\n"
+    )
+    assert main(["study", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    failure = "level (n=3, M=3): the source is not finite at t = 0.0704416"
+    assert f"data error: {failure}" in err
+    assert "study failed" not in err
+    with open(out / "table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 and rows[0][:2] == ["n", "M"]
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["failure"] == failure
+    assert payload["levels"] == []
+
+
 # -- check ------------------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import solve_state
+from _oracles import solve_state, zero_control, zero_data
 from dbc.adjoint import sweep_backward
 from dbc.assembly import Discretization
 from dbc.forward import SolverError, solve_state_sensitivity, sweep_forward
@@ -44,7 +44,7 @@ def test_sweep_forward_matches_dense_recursion(disc):
 
 
 def test_zero_data_gives_zero_state(disc):
-    w = solve_state(disc)
+    w = solve_state(disc, zero_data, None, zero_control(disc.mesh))
     assert not w.values.any()
 
 
@@ -62,7 +62,7 @@ def test_state_map_is_affine(disc):
         mesh, rng.standard_normal((mesh.num_control_levels, mesh.num_nodes))
     )
     combined = solve_state(disc, f=f, u0=u0, control=q)
-    base = solve_state(disc, f=f, u0=u0)
+    base = solve_state(disc, f=f, u0=u0, control=zero_control(mesh))
     sens = solve_state_sensitivity(disc, q)
     assert np.allclose(
         combined.values, base.values + sens.values, rtol=1e-12, atol=1e-13

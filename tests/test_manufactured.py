@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from _oracles import TRI_RULE_8
+from _oracles import TRI_RULE_8, zero_control
 from dbc.manufactured import (
     CASES,
     MeshMismatchError,
@@ -20,7 +20,7 @@ from dbc.manufactured import (
     setup_problem,
 )
 from dbc.assembly import Discretization, Quadrature
-from dbc.spaces import AdjointField, ControlField, StateField, interpolate_control
+from dbc.spaces import AdjointField, StateField, interpolate_control
 
 
 def _d1(f, x, e=1e-3):
@@ -163,11 +163,13 @@ def test_error_norms_of_zero_fields_are_exact_norms(case, exact_norms):
     disc = Discretization(build_space_time_mesh(6, 6))
     mesh = disc.mesh
     disc.quad = Quadrature(mesh, TRI_RULE_8, 4)
-    err_u = energy_error_state(disc, case, StateField(mesh), None)
+    slabs = np.zeros((mesh.num_slabs, mesh.num_interior))
+    zero = zero_control(mesh)
+    err_u = energy_error_state(disc, case, StateField(mesh, slabs), zero)
     assert err_u == pytest.approx(exact_norms["state"], rel=1e-6)
-    err_p = energy_error_adjoint(disc, case, AdjointField(mesh))
+    err_p = energy_error_adjoint(disc, case, AdjointField(mesh, slabs))
     assert err_p == pytest.approx(exact_norms["adjoint"], rel=1e-5)
-    err_q = control_error(disc, case, ControlField(mesh))
+    err_q = control_error(disc, case, zero)
     assert err_q == pytest.approx(exact_norms["control"], rel=1e-6)
 
 
@@ -185,12 +187,13 @@ def test_interpolant_error_decays_at_first_order(case):
 def test_error_norms_reject_foreign_mesh(case):
     disc = Discretization(build_space_time_mesh(3, 3))
     other = build_space_time_mesh(3, 3)
+    slabs = np.zeros((other.num_slabs, other.num_interior))
     with pytest.raises(MeshMismatchError):
-        energy_error_state(disc, case, StateField(other))
+        energy_error_state(disc, case, StateField(other, slabs), zero_control(other))
     with pytest.raises(MeshMismatchError):
-        energy_error_adjoint(disc, case, AdjointField(other))
+        energy_error_adjoint(disc, case, AdjointField(other, slabs))
     with pytest.raises(MeshMismatchError):
-        control_error(disc, case, ControlField(other))
+        control_error(disc, case, zero_control(other))
 
 
 # -- EOC helper --------------------------------------------------------------------
@@ -219,7 +222,7 @@ def test_setup_problem_wires_the_case(case):
 
 
 def test_run_study_small_levels(tmp_path, case):
-    report = run_study([(3, 3), (6, 6)], case)
+    report = run_study([(3, 3), (6, 6)], case, tol=1e-9, max_outer=50)
     assert report.failure is None
     assert [
         (r.n, r.M) for r in report.records
@@ -254,7 +257,7 @@ def test_run_study_small_levels(tmp_path, case):
 
 
 def test_run_study_records_failure(case):
-    report = run_study([(3, 3)], case, max_outer=0)
+    report = run_study([(3, 3)], case, tol=1e-9, max_outer=0)
     assert report.failure is not None
     assert "(n=3, M=3)" in report.failure
     assert report.records == []
@@ -265,7 +268,7 @@ def test_run_study_stops_at_a_corrupted_slab_solve(case, corrupt_slab_solve, tmp
     """A wrong slab solve on the second level (6x6 has 25 interior vertices)
     fails the study there, and the table keeps the first level."""
     corrupt_slab_solve(1, size=25)
-    report = run_study([(3, 3), (6, 6)], case)
+    report = run_study([(3, 3), (6, 6)], case, tol=1e-9, max_outer=50)
     assert report.failure.startswith("level (n=6, M=6): slab 1 solve failed")
     assert [(r.n, r.M) for r in report.records] == [(3, 3)]
     report.write_csv(tmp_path / "table.csv")

@@ -24,7 +24,6 @@ def test_unit_square_counts_and_geometry():
     assert np.allclose(tri.signed_areas, 1.0 / 32.0)
     assert np.isclose(tri.signed_areas.sum(), 1.0)
     assert tri.cell_width == 0.25
-    assert np.isclose(tri.h, np.sqrt(2.0) / 4.0)
 
 
 def test_unit_square_boundary_flags():
@@ -75,11 +74,10 @@ def test_single_triangle_is_all_boundary():
     tri = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
     assert tri.boundary_vertex_flags.all()
     assert tri.num_interior == 0
-    assert np.isclose(tri.h, np.sqrt(2.0))
 
 
 def test_time_partition_uniform():
-    tp = uniform_time_partition(4, 1.0)
+    tp = uniform_time_partition(4)
     assert tp.num_steps == 4
     assert tp.final_time == 1.0
     assert tp.points[0] == 0.0 and tp.points[-1] == 1.0
@@ -103,8 +101,6 @@ def test_time_partition_rejects_bad_input():
         TimePartition([0.0, 0.5, 0.5])  # not strictly increasing
     with pytest.raises(MeshError):
         uniform_time_partition(0)
-    with pytest.raises(MeshError):
-        uniform_time_partition(3, -1.0)
 
 
 def test_space_time_mesh_dimensions():
@@ -115,6 +111,9 @@ def test_space_time_mesh_dimensions():
     assert mesh.num_interior == 9
     assert mesh.width == 0.25
     assert mesh.sigma == pytest.approx(np.hypot(0.25, 1.0 / 6.0))
+    single = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
+    with pytest.raises(MeshError, match="needs a triangulation with a cell width"):
+        SpaceTimeMesh(single, uniform_time_partition(1))
 
 
 def test_space_time_mesh_warns_on_skewed_prisms(caplog):

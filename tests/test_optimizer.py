@@ -8,7 +8,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.optimize import lsq_linear
 
-from _oracles import full_gradient, solve_adjoint, solve_state, whole_boundary
+from _oracles import (
+    full_gradient,
+    solve_adjoint,
+    solve_state,
+    whole_boundary,
+    zero_control,
+    zero_data,
+)
 from dbc.kernels import AssemblyError
 from dbc.manufactured import bump_case, setup_problem
 from dbc.optimizer import (
@@ -62,6 +69,25 @@ def pinned_indices(problem):
     return np.flatnonzero(np.tile(pinned, mesh.num_control_levels))
 
 
+def dense_box_oracle(problem):
+    """``lsq_linear``'s BVLS result for the box-constrained trace quadratic.
+    With H = L L^T the objective 1/2 v.Hv - b.v is 1/2 |L^T v - L^-1 b|^2
+    up to a constant, which BVLS minimizes over the box."""
+    factor = np.linalg.cholesky(dense_trace_hessian(problem))
+    rhs = sla.solve_triangular(factor, problem.trace_b, lower=True)
+    bounds = (problem.bounds.lower, problem.bounds.upper)
+    return lsq_linear(factor.T, rhs, bounds=bounds, method="bvls")
+
+
+def assert_matches_dense_box_oracle(problem, result):
+    """The PDAS trace has the oracle's active sets and its value."""
+    oracle = dense_box_oracle(problem)
+    v = result.control.ravel()[problem.trace_indices]
+    assert np.array_equal(v == problem.bounds.upper, oracle.active_mask == 1)
+    assert np.array_equal(v == problem.bounds.lower, oracle.active_mask == -1)
+    assert np.linalg.norm(v - oracle.x) <= 1e-10 * np.linalg.norm(oracle.x)
+
+
 def projected_gradient_oracle(problem, iterations=300_000):
     """Brute-force projected gradient on the dense trace quadratic, run to
     stagnation of the fixed-point residual."""
@@ -84,10 +110,9 @@ def projected_gradient_oracle(problem, iterations=300_000):
 def test_requires_positive_regularization(problem33):
     disc = problem33.disc
     bounds = BoundSet(disc.mesh, -1.0, 1.0, whole_boundary)
-    with pytest.raises(ValueError):
-        ReducedProblem(disc, 0.0, bounds)
-    with pytest.raises(ValueError):
-        ReducedProblem(disc, -1e-3, bounds)
+    for lam in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="must be positive"):
+            ReducedProblem(disc, lam, bounds, zero_data, None, zero_data, zero_data)
 
 
 def _not_finite_after(g, t0):
@@ -138,8 +163,11 @@ def test_dimensions(problem33):
 
 
 def test_objective_rejects_bad_trace_length(problem33):
-    with pytest.raises(ValueError):
-        problem33.objective(np.zeros(problem33.trace_dim + 1))
+    """``objective`` takes the full control vector: a trace vector, or a
+    vector one entry too long, is rejected."""
+    for length in (problem33.trace_dim, problem33.dim + 1):
+        with pytest.raises(ValueError):
+            problem33.objective(np.zeros(length))
 
 
 # -- extension and restriction ----------------------------------------------------
@@ -207,7 +235,7 @@ def _initial(x, y):
         (4, 4, bump_case()),
         (8, 6, bump_case()),
         (4, 4, dataclasses.replace(bump_case(), initial=_initial)),
-        (8, 6, dataclasses.replace(bump_case(), target=None)),
+        (8, 6, dataclasses.replace(bump_case(), target=zero_data)),
     ],
     ids=["bump-4x4", "bump-8x6", "initial-4x4", "no-target-8x6"],
 )
@@ -232,7 +260,7 @@ def test_anchor_data_match_the_oracles(n, M, case):
     assert_close(problem.adjoint_anchor, adjoint.values)
     assert_close(problem.trace_b, -problem.restrict_gradient(gradient))
     assert problem.objective_at_anchor == pytest.approx(
-        problem.objective(control), rel=1e-12
+        problem.objective(problem.anchor), rel=1e-12
     )
 
 
@@ -250,12 +278,8 @@ def test_full_gradient_matches_finite_differences():
     for _ in range(20):
         delta = rng.standard_normal(shape)
         delta /= np.linalg.norm(delta)
-        jp = problem.objective(
-            ControlField(mesh, q.values + eps * delta)
-        )
-        jm = problem.objective(
-            ControlField(mesh, q.values - eps * delta)
-        )
+        jp = problem.objective(q.ravel() + eps * delta.ravel())
+        jm = problem.objective(q.ravel() - eps * delta.ravel())
         fd = (jp - jm) / (2.0 * eps)
         exact = float(g @ delta.ravel())
         assert abs(fd - exact) <= 1e-6 * max(abs(exact), 1e-12)
@@ -265,7 +289,7 @@ def test_gradient_is_affine_in_control(problem33):
     rng = np.random.default_rng(5)
     mesh = problem33.disc.mesh
     q = ControlField.from_flat(mesh, rng.standard_normal(problem33.dim))
-    zero = ControlField(mesh)
+    zero = zero_control(mesh)
     g_q, _, _ = full_gradient(problem33.disc, bump_case(), q.ravel())
     g_0, _, _ = full_gradient(problem33.disc, bump_case(), zero.ravel())
     hq = problem33.hessian_apply(q.ravel())
@@ -334,21 +358,27 @@ def test_matches_projected_gradient_oracle(n, M, q_b):
 def test_active_sets_at_16x12_match_a_dense_box_solver(q_b, num_upper):
     """With bounds active on 61 and 144 of the 165 trace DOFs at 16x12,
     PDAS finds the upper-active set and the trace of a dense solve of the
-    box-constrained quadratic.  With H = L L^T the objective
-    1/2 v.Hv - b.v is 1/2 |L^T v - L^-1 b|^2 up to a constant, which BVLS
-    minimizes over the box."""
+    box-constrained quadratic."""
     problem = setup_problem(16, 12, dataclasses.replace(bump_case(), q_b=q_b))
-    result = pdas_solve(problem)
-    factor = np.linalg.cholesky(dense_trace_hessian(problem))
-    rhs = sla.solve_triangular(factor, problem.trace_b, lower=True)
-    qa, qb = problem.bounds.lower, problem.bounds.upper
-    oracle = lsq_linear(factor.T, rhs, bounds=(qa, qb), method="bvls")
-    v = result.control.ravel()[problem.trace_indices]
+    result = pdas_solve(problem, tol=1e-9)
     assert problem.trace_dim == 165
     assert result.diagnostics.num_upper_active == num_upper
-    assert np.array_equal(v == qb, oracle.active_mask == 1)
-    assert np.array_equal(v == qa, oracle.active_mask == -1)
-    assert np.linalg.norm(v - oracle.x) <= 1e-10 * np.linalg.norm(oracle.x)
+    assert_matches_dense_box_oracle(problem, result)
+
+
+@pytest.mark.parametrize("lam,raises", [(1e-4, 1), (1e-5, 2)])
+def test_a_revisited_active_set_pair_raises_the_scale(caplog, lam, raises):
+    """At 8x6 with q_b = 0.045 and a small lam the set update at the
+    starting scale c = lam revisits an active-set pair, so PDAS raises c
+    tenfold, once at 1e-4 and twice at 1e-5; it still ends at the dense
+    box oracle's solution, with 16 of 35 trace DOFs upper-active."""
+    case = dataclasses.replace(bump_case(), q_b=0.045, lam=lam)
+    problem = setup_problem(8, 6, case)
+    with caplog.at_level("INFO", logger="dbc.optimizer"):
+        result = pdas_solve(problem, tol=1e-9)
+    assert caplog.text.count("raising scale") == raises
+    assert result.diagnostics.num_upper_active == 16
+    assert_matches_dense_box_oracle(problem, result)
 
 
 def test_objective_converges_with_active_bounds():
@@ -359,9 +389,9 @@ def test_objective_converges_with_active_bounds():
     values = []
     for n, M in ((8, 6), (16, 12), (32, 23)):
         problem = setup_problem(n, M, case)
-        result = pdas_solve(problem)
+        result = pdas_solve(problem, tol=1e-9)
         assert result.diagnostics.num_upper_active > 0
-        values.append(problem.objective(result.control))
+        values.append(problem.objective(result.control.ravel()))
     assert values == pytest.approx(
         [1.8692085704e-3, 1.8764906237e-3, 1.8783281757e-3], rel=1e-10
     )
@@ -376,8 +406,7 @@ def test_signorini_conditions_with_active_bounds():
     result = pdas_solve(problem, tol=tol)
     qa, qb = problem.bounds.lower, problem.bounds.upper
     v = result.control.ravel()[problem.trace_indices]
-    mu = result.multiplier.values
-    assert np.array_equal(result.multiplier.dof_indices, problem.trace_indices)
+    mu, _, _ = problem.trace_gradient(v)
 
     lower = v <= qa
     upper = v >= qb
@@ -406,7 +435,7 @@ def test_interior_gradient_is_not_stationary_and_decays():
     measured = []
     for n, M in ((4, 4), (8, 6), (16, 12), (32, 23)):
         problem = setup_problem(n, M, bump_case())
-        control = pdas_solve(problem).control.ravel()
+        control = pdas_solve(problem, tol=1e-9).control.ravel()
         gradient, _, _ = full_gradient(problem.disc, bump_case(), control)
         assert np.abs(problem.restrict_gradient(gradient)).max() < 1e-14
         measured.append(np.abs(gradient[problem.interior_indices]).max())
@@ -432,7 +461,7 @@ def test_objective_descends_to_convergence():
     assert upticks.max() <= 0.02 * total_drop
     # The history tracks the true objective: its last entry matches a direct
     # evaluation at the returned control.
-    direct = problem.objective(result.control)
+    direct = problem.objective(result.control.ravel())
     assert history[-1] == pytest.approx(direct, rel=1e-9)
 
 
@@ -449,7 +478,7 @@ def test_unchanged_clamp_reuses_the_hessian_action(monkeypatch):
         return trace_hessian(self, *args, **kwargs)
 
     monkeypatch.setattr(ReducedProblem, "trace_hessian", counted)
-    result = pdas_solve(problem)
+    result = pdas_solve(problem, tol=1e-9)
     diagnostics = result.diagnostics
     assert diagnostics.num_lower_active == diagnostics.num_upper_active == 0
     assert diagnostics.outer_iterations == 1
@@ -458,7 +487,7 @@ def test_unchanged_clamp_reuses_the_hessian_action(monkeypatch):
 
 def test_diagnostics_report_the_largest_slab_residual():
     problem = setup_problem(8, 6, bump_case())
-    diagnostics = pdas_solve(problem).diagnostics
+    diagnostics = pdas_solve(problem, tol=1e-9).diagnostics
     assert 0.0 < diagnostics.max_slab_residual <= 1e-12
     assert diagnostics.max_slab_residual == problem.disc.max_slab_residual
 
@@ -476,18 +505,18 @@ def test_no_control_space_matrix_is_assembled(monkeypatch):
 
     monkeypatch.setattr(sp, "kron", recorded)
     problem = setup_problem(8, 6, bump_case())
-    pdas_solve(problem)
+    pdas_solve(problem, tol=1e-9)
     assert widths
     assert problem.dim not in widths
 
 
 def test_unshifted_regularizer_solves_to_tolerance():
-    """With q_d None the regularizer is |q|, not |q - q_d|: no shift, the
+    """With q_d zero the regularizer is |q|, not |q - q_d|: no shift, the
     anchor is the zero control, and PDAS still meets the KKT tolerance at
     8x6, at a control other than the shifted problem's."""
     tol = 1e-9
     problem = setup_problem(
-        8, 6, dataclasses.replace(bump_case(), control_shift=None)
+        8, 6, dataclasses.replace(bump_case(), control_shift=zero_data)
     )
     assert not problem.q_shift.any()
     assert not problem.anchor.any()
@@ -506,7 +535,7 @@ def test_one_slab_has_no_control_levels():
     problem = setup_problem(4, 1, bump_case())
     assert problem.disc.mesh.num_control_levels == 0
     assert problem.dim == problem.trace_dim == 0
-    result = pdas_solve(problem)
+    result = pdas_solve(problem, tol=1e-9)
     assert result.control.values.shape == (0, problem.disc.mesh.num_nodes)
     assert result.state.values.shape == (1, problem.disc.mesh.num_interior)
 
@@ -524,24 +553,22 @@ def test_objective_history_strictly_descends_without_set_changes():
 def test_warm_start_converges_in_one_iteration():
     problem = setup_problem(3, 3, dataclasses.replace(bump_case(), q_b=0.03))
     cold = pdas_solve(problem, tol=1e-10)
-    warm = pdas_solve(problem, q_init=cold.control, tol=1e-10)
+    v0 = cold.control.ravel()[problem.trace_indices]
+    warm = pdas_solve(problem, q_init=v0, tol=1e-10)
     assert warm.diagnostics.outer_iterations == 1
     assert np.allclose(
         warm.control.values, cold.control.values, rtol=0, atol=1e-9
     )
-    # Trace-vector initialization takes the same path.
-    v0 = cold.control.ravel()[problem.trace_indices]
-    warm2 = pdas_solve(problem, q_init=v0, tol=1e-10)
-    assert warm2.diagnostics.outer_iterations == 1
 
 
-@pytest.mark.parametrize("length", [1, 5])
+@pytest.mark.parametrize("length", [1, 5, 405])
 def test_start_of_a_wrong_length_is_rejected(length):
-    """At 8x6 a start must have length 35 (trace) or 405 (all DOFs)."""
+    """At 8x6 a start must have length 35, the trace's; one on all 405
+    control DOFs is rejected too."""
     problem = setup_problem(8, 6, bump_case())
     assert (problem.trace_dim, problem.dim) == (35, 405)
-    with pytest.raises(ValueError, match=f"35 or 405, got length {length}"):
-        pdas_solve(problem, q_init=np.zeros(length))
+    with pytest.raises(ValueError, match=f"length 35, got length {length}"):
+        pdas_solve(problem, tol=1e-9, q_init=np.zeros(length))
 
 
 def test_infeasible_init_is_clipped():
@@ -554,7 +581,7 @@ def test_infeasible_init_is_clipped():
 def test_nonconvergence_carries_diagnostics():
     problem = setup_problem(3, 3, bump_case())
     with pytest.raises(PdasNonconvergence) as excinfo:
-        pdas_solve(problem, max_outer=0)
+        pdas_solve(problem, tol=1e-9, max_outer=0)
     diag = excinfo.value.diagnostics
     assert diag.outer_iterations == 0
     assert diag.stationarity > 0

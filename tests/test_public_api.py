@@ -26,6 +26,16 @@ method or data attribute with such a name counts as used only through
 are in ``ALLOWED``, each with its reader.  So are the payloads of
 exceptions, which only a caller that catches one reads.
 
+A defaulted parameter of a top-level function, a public method or an
+``__init__`` fails the test unless calls in ``src/dbc`` or ``perfbench``
+both omit it and set it: a default that no caller outside the tests
+overrides is a constant, and one that every caller sets is a required
+parameter.  Calls match by the name of the function, the method or the
+class.  A position or a keyword sets a parameter, a ``**`` expansion sets
+every keyword, and a keyword in a call through a dict, such as
+``CHECKS[name](seed=seed)``, sets the parameter of that name wherever it
+is defined.
+
 The same parse keeps ctypes, threads and scipy's Cython capsules in
 ``dbc.kernels`` alone, and keeps every module from importing another's
 ``_``-prefixed names.
@@ -57,7 +67,7 @@ ALLOWED = {
     ),
     "assembly.KroneckerSum.tocsr": "export_matrix_market writes seminorm.tocsr()",
     "spaces.ControlField.ravel": (
-        "pdas_solve flattens a ControlField start with q_init.ravel()"
+        "ReducedProblem flattens q_d with interpolate_control(mesh, q_d).ravel()"
     ),
     "spaces.BoundSet.lower": "pdas_solve reads bounds.lower (str.lower)",
     "spaces.BoundSet.upper": "pdas_solve reads bounds.upper (str.upper)",
@@ -218,6 +228,114 @@ def test_every_allowed_name_is_defined_and_needs_its_entry(flagged, unread):
         assert label in flagged or label in unread, (
             f"{label} no longer needs its ALLOWED entry"
         )
+
+
+def _defaulted(function, bound):
+    """(name, position) of each defaulted parameter of ``function``, with
+    the position that a call's positional argument fills, counted after
+    ``self`` when ``bound``; None for a keyword-only parameter."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [
+        (arg.arg, i - bound) for i, arg in enumerate(positional[first:], first)
+    ]
+    out += [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def _callables(path, tree):
+    """(label, called name, defaulted parameters) of each top-level
+    function, public method and ``__init__`` of a top-level class; an
+    ``__init__`` is called by its class's name."""
+    module = path.stem
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((f"{module}.{node.name}", node.name, _defaulted(node, 0)))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef):
+                continue
+            if item.name == "__init__":
+                out.append((f"{module}.{node.name}", node.name, _defaulted(item, 1)))
+            elif not item.name.startswith("_"):
+                label = f"{module}.{node.name}.{item.name}"
+                out.append((label, item.name, _defaulted(item, 1)))
+    return out
+
+
+def _call_sites(tree):
+    """(called name, positional arguments before any ``*``, whether a ``*``
+    follows, keywords set, whether a ``**`` expands) of each call; the name
+    is None for a call through a subscript."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        elif isinstance(func, ast.Subscript):
+            name = None
+        else:
+            continue
+        starred = [isinstance(arg, ast.Starred) for arg in node.args]
+        positional = starred.index(True) if any(starred) else len(starred)
+        keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+        expands = any(kw.arg is None for kw in node.keywords)
+        out.append((name, positional, any(starred), keywords, expands))
+    return out
+
+
+def defaults_not_omitted_and_set():
+    """Labels ``module.callable(parameter)`` of the defaulted parameters
+    that calls in ``src/dbc`` and ``perfbench`` do not both omit and set."""
+    callables = []
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        callables += _callables(path, tree)
+        sites += _call_sites(tree)
+    for path in SCRIPTS:
+        sites += _call_sites(ast.parse(path.read_text(), str(path)))
+    out = []
+    for label, called, params in callables:
+        for param, position in params:
+            ways = set()
+            for name, positional, starred, keywords, expands in sites:
+                if name is None:
+                    if param in keywords:
+                        ways.add("set")
+                    continue
+                if name != called:
+                    continue
+                by_position = position is not None and (
+                    position < positional or starred
+                )
+                ways.add(
+                    "set" if by_position or expands or param in keywords
+                    else "omitted"
+                )
+            if ways != {"set", "omitted"}:
+                out.append(f"{label}({param})")
+    return out
+
+
+def test_every_default_is_both_omitted_and_set_outside_the_tests():
+    fixed = defaults_not_omitted_and_set()
+    assert not fixed, (
+        "no call outside the tests both omits and sets these defaulted "
+        "parameters; make each required, or a constant at its default: "
+        f"{', '.join(fixed)}"
+    )
 
 
 
