@@ -267,6 +267,15 @@ class EnergyExtension:
         return self.modes @ work[:, start:]
 
 
+# ``Quadrature.integrate`` evaluates its integrand on blocks of at most
+# _BLOCK_TIMES Gauss times by a slice of triangles, at most _BLOCK_VALUES
+# point values in all: 256 KiB per array of them, so the integrand's
+# temporaries stay in cache while its time-independent factors are made
+# once per _BLOCK_TIMES Gauss times.
+_BLOCK_TIMES = 8
+_BLOCK_VALUES = 2**15
+
+
 class Quadrature:
     """One space-time quadrature rule on a mesh: the triangle rule ``rule``,
     barycentric points and unit-sum weights, on every triangle times a
@@ -281,12 +290,15 @@ class Quadrature:
     ``times`` and ``time_weights`` are each slab's Gauss rule, and ``lo`` and
     ``hi`` the P1-in-time hats of the slab's left and right end at ``times``.
 
-    From the split gate of ``dbc.kernels`` in point evaluations, nq * nt *
-    M * time_points, up, ``integrate`` and ``Discretization.time_loads``
-    split the Gauss times into one contiguous range per CPU (``split``) and
-    run the ranges on the pool of ``dbc.kernels``.  Each Gauss time's
-    result does not depend on the split, and the caller combines them in a
-    fixed order, so both give the same bits on any number of CPUs.
+    ``integrate`` works on blocks of Gauss times by slices of triangles, and
+    ``corners``, ``level_corners`` and ``at_points`` give a block the values
+    of discrete fields on its triangles alone.  From the split gate of
+    ``dbc.kernels`` in point evaluations, nq * nt * M * time_points, up,
+    ``integrate`` and ``Discretization.time_loads`` split the Gauss times
+    into one contiguous range per CPU (``split``) and run the ranges on the
+    pool of ``dbc.kernels``.  Each Gauss time's result does not depend on
+    the split, and the caller combines them in a fixed order, so both give
+    the same bits on any number of CPUs.
     """
 
     def __init__(self, mesh, rule, time_points):
@@ -318,6 +330,30 @@ class Quadrature:
         (nq, nt)."""
         return self.bary @ nodal[self.triangles].T
 
+    def corners(self, nodal, rows, cells):
+        """Rows ``rows``, (c,) and ascending, of the vertex values ``nodal``,
+        (levels, nv), at the corners of the triangles ``cells``; (c, 3,
+        triangles), corner i of every triangle in row i."""
+        return self._gather(nodal, rows[0], rows[-1] + 1, cells)[rows - rows[0]]
+
+    def level_corners(self, levels, m, j, cells):
+        """``corners`` at the j[i]-th Gauss time of slab m[i] of the
+        P1-in-time field whose time levels are ``levels``, (M + 1, nv)."""
+        ends = self._gather(levels, m[0], m[-1] + 2, cells)
+        return (
+            self.lo[m, j][:, None, None] * ends[m - m[0]]
+            + self.hi[m, j][:, None, None] * ends[m + 1 - m[0]]
+        )
+
+    def _gather(self, nodal, first, stop, cells):
+        # The Gauss times of a slab share its rows: gather each row once.
+        return np.take(nodal[first:stop], self.triangles[cells].T, axis=1)
+
+    def at_points(self, corners):
+        """Values at the points of P1 fields from their ``corners``; (c, nq,
+        triangles)."""
+        return np.matmul(self.bary, corners)
+
     def split(self):
         """The ranges of Gauss times, in ``times.ravel()`` order, that a
         quadrature over all of them splits into."""
@@ -325,22 +361,47 @@ class Quadrature:
         return split_ranges(times, self.x.size * times)
 
     def integrate(self, integrand):
-        """Space-time integral of ``integrand(m, j, t)``, the integrand's
-        values at the points at the j-th Gauss time t of slab m.
+        """Space-time integral of ``integrand(m, j, t, cells)``, the
+        integrand's values, (c, nq, triangles), at the points of the
+        triangles of the slice ``cells`` at c Gauss times: the j[i]-th Gauss
+        time t[i] of slab m[i].  m and j have shape (c,) and t (c, 1, 1), so
+        a callable of x, y and t broadcasts over the block, and its factors
+        that do not depend on t are made once per block.
 
-        Each range of ``split`` evaluates its integrand values and their
-        spatial sums on a pool thread; the caller adds the time-weighted
-        sums in slab and time order, so the integral is the same bits on
+        Each range of ``split`` runs on a pool thread.  It takes its Gauss
+        times in chunks of at most ``_BLOCK_TIMES``, and each chunk the
+        triangles in slices of ``_BLOCK_VALUES // (_BLOCK_TIMES * nq)``, so
+        no block holds more than ``_BLOCK_VALUES`` values.  A Gauss time's
+        weighted sum is one dot product per slice, added slice by slice in
+        triangle order whatever its chunk, and ``time_sum`` adds the Gauss
+        times in slab and time order, so the integral is the same bits on
         any number of CPUs.  The integrand is called from several threads
         at once, so it must not change shared state."""
         times = self.times.ravel()
         per_slab = self.times.shape[1]
-        sums = np.empty(times.size)
+        nq, nt = self.x.shape
+        count = -(-nt // (_BLOCK_VALUES // (_BLOCK_TIMES * nq)))
+        edges = [nt * i // count for i in range(count + 1)]
+        slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        weights = [np.ascontiguousarray(self.weights[:, cells]) for cells in slices]
+        sums = np.zeros(times.size)
 
         def evaluate(lo, hi):
-            for i in range(lo, hi):
-                m, j = divmod(i, per_slab)
-                sums[i] = np.vdot(self.weights, integrand(m, j, times[i]))
+            for start in range(lo, hi, _BLOCK_TIMES):
+                stop = min(start + _BLOCK_TIMES, hi)
+                m, j = np.divmod(np.arange(start, stop), per_slab)
+                t = times[start:stop, None, None]
+                for cells, w in zip(slices, weights):
+                    values = integrand(m, j, t, cells)
+                    if values.shape != (len(m),) + w.shape:
+                        raise ValueError(
+                            f"integrand values have shape {values.shape}, "
+                            f"expected {(len(m),) + w.shape}"
+                        )
+                    # One dot product of w per Gauss time, as np.vdot.
+                    sums[start:stop] += (
+                        values.reshape(len(m), 1, -1) @ w.reshape(-1, 1)
+                    ).ravel()
 
         run_ranges(evaluate, self.split())
         return self.time_sum(sums)
@@ -402,7 +463,10 @@ class Discretization:
         self.seminorm = KroneckerSum((mt, self.stiffness), (st, self.mass))
         self.control_mass = KroneckerSum((mt, self.mass))
         self.quad = Quadrature(mesh, _TRI_RULE_4, 2)
-        self.grads = triangle_geometry(tri)[0]
+        # Component d of the gradient of the hat of corner i of triangle t
+        # at [d, i, t], so the gradients on a slice of triangles are
+        # contiguous rows.
+        self.grads = np.ascontiguousarray(triangle_geometry(tri)[0].T)
         # Two steps of a uniform partition differ only by the rounding of
         # the points T*i/M, at most one ulp of T per point.
         self._same_step = 4.0 * np.spacing(mesh.time_partition.final_time)
@@ -564,10 +628,11 @@ class Discretization:
         full[:, self.interior] = state_values
         pad = pad_levels(control_values)
 
-        def squared_misfit(m, j, t):
-            nodal = full[m] + q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1]
-            diff = q.interpolate(nodal) - u_d(q.x, q.y, t)
-            return diff * diff
+        def squared_misfit(m, j, t, cells):
+            nodal = q.corners(full, m, cells) + q.level_corners(pad, m, j, cells)
+            diff = q.at_points(nodal) - u_d(q.x[:, cells], q.y[:, cells], t)
+            diff *= diff
+            return diff
 
         return q.integrate(squared_misfit)
 

@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -31,7 +32,7 @@ from .forward import SolverError
 from .kernels import AssemblyError
 from .manufactured import CASES, run_study, setup_problem
 from .mesh import MeshError, uniform_time_partition, unit_square_mesh
-from .optimizer import PdasNonconvergence, pdas_solve
+from .optimizer import CGBreakdownError, PdasNonconvergence, pdas_solve
 
 log = logging.getLogger("dbc.cli")
 
@@ -89,6 +90,14 @@ def _get_number(cp, section, key, kind, default=None):
         raise ConfigError(f"key '{key}' in [{section}] is not {noun}: {raw!r}") from err
 
 
+def _require(holds, section, key, value, condition):
+    """Raise ``ConfigError`` naming the key unless its value ``holds``."""
+    if not holds:
+        raise ConfigError(
+            f"key '{key}' in [{section}] must be {condition}, got {value!r}"
+        )
+
+
 def _load_case(cp):
     name = cp.get("problem", "case", fallback="bump")
     if name not in CASES:
@@ -100,7 +109,15 @@ def _load_case(cp):
         value = _get_number(cp, "problem", key, float)
         if value is not None:
             overrides[field] = value
-    return dataclasses.replace(CASES[name](), **overrides)
+    case = dataclasses.replace(CASES[name](), **overrides)
+    _require(math.isfinite(case.lam) and case.lam > 0, "problem", "lambda",
+             case.lam, "a finite number > 0")
+    # The zero control must be admissible: q_a <= 0 <= q_b.
+    _require(math.isfinite(case.q_a) and case.q_a <= 0, "problem", "q_a",
+             case.q_a, "a finite number <= 0")
+    _require(math.isfinite(case.q_b) and case.q_b >= 0, "problem", "q_b",
+             case.q_b, "a finite number >= 0")
+    return case
 
 
 def _parse_levels(raw):
@@ -124,10 +141,12 @@ def _parse_levels(raw):
 
 
 def _solver_options(cp):
-    return {
-        "tol": _get_number(cp, "solver", "tol", float, 1e-9),
-        "max_outer": _get_number(cp, "solver", "max_outer", int, 50),
-    }
+    tol = _get_number(cp, "solver", "tol", float, 1e-9)
+    _require(math.isfinite(tol) and tol > 0, "solver", "tol", tol,
+             "a finite number > 0")
+    max_outer = _get_number(cp, "solver", "max_outer", int, 50)
+    _require(max_outer >= 0, "solver", "max_outer", max_outer, "an integer >= 0")
+    return {"tol": tol, "max_outer": max_outer}
 
 
 def cmd_study(args):
@@ -161,6 +180,7 @@ def cmd_check(args):
     if not names:
         raise ConfigError("key 'checks' in [check] selects no checks")
     seed = _get_number(cp, "check", "seed", int, 0)
+    _require(seed >= 0, "check", "seed", seed, "an integer >= 0")
     try:
         results = run_checks(names, seed=seed)
     except KeyError as err:
@@ -272,7 +292,7 @@ def main(argv=None):
     except AssemblyError as err:
         print(f"data error: {err}", file=sys.stderr)
         return 1
-    except (PdasNonconvergence, SolverError) as err:
+    except (CGBreakdownError, PdasNonconvergence, SolverError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,12 @@ import numpy as np
 
 from .assembly import Discretization
 from .mesh import SpaceTimeMesh, uniform_time_partition, unit_square_mesh
-from .optimizer import PdasNonconvergence, ReducedProblem, pdas_solve
+from .optimizer import (
+    CGBreakdownError,
+    PdasNonconvergence,
+    ReducedProblem,
+    pdas_solve,
+)
 from .forward import SolverError
 from .kernels import AssemblyError
 from .spaces import BoundSet, pad_levels
@@ -41,11 +46,16 @@ class MeshMismatchError(ValueError):
 class ManufacturedCase:
     """Closed-form optimal triple plus the data that produces it.
 
-    All callables broadcast over x, y and t as numpy arrays:
+    All callables broadcast over x, y and t as numpy arrays.
     ``Discretization.time_loads`` evaluates ``source`` and ``target`` on a
     chunk of Gauss times at once, with t of shape (times, 1, 1) against x
-    and y of shape (points, triangles), while the error norms and the
-    interpolants pass a scalar t.  Gradients return (d/dx, d/dy) tuples.
+    and y of shape (points, triangles).  The error norms and the misfit
+    evaluate the exact solution and ``target`` on the blocks of
+    ``Quadrature.integrate``: x and y of shape (points, triangles) on a
+    slice of the triangles, and t of shape (c, 1, 1) for c Gauss times;
+    the values have shape (c, points, triangles), so the factors that do
+    not depend on t are made once per block.  The interpolants of
+    ``dbc.spaces`` pass a scalar t.  Gradients return (d/dx, d/dy) tuples.
     ``initial`` takes x and y only, and may be None when the exact initial
     state vanishes.  From 32x23 up the quadratures call these callables
     from several threads of the ``dbc.kernels`` pool at once, so they must
@@ -159,10 +169,22 @@ def _check_same_mesh(disc, *fields):
             raise MeshMismatchError("field mesh differs from the discretization")
 
 
-def _gradient(disc, nodal):
-    """Per-triangle gradient (d/dx, d/dy) of a P1 field; each (nt,)."""
-    tt = disc.mesh.triangulation.triangles
-    return np.einsum("ti,tid->dt", nodal[tt], disc.grads)
+def _gradient(disc, corners, cells):
+    """Per-triangle gradients (d/dx, d/dy) of P1 fields on the triangles
+    ``cells`` from their ``corners``, (c, 3, triangles); each (c, 1,
+    triangles), to broadcast against the points."""
+    grad = np.einsum("cit,dit->cdt", corners, disc.grads[:, :, cells])
+    return grad[:, :1], grad[:, 1:]
+
+
+def _sum_of_squares(first, *rest):
+    """first**2 + rest[0]**2 + ..., added in that order; squares the
+    arguments, fresh arrays of one shape, in place and returns ``first``."""
+    first *= first
+    for diff in rest:
+        diff *= diff
+        first += diff
+    return first
 
 
 def energy_error_state(disc, case, state, control):
@@ -181,14 +203,19 @@ def energy_error_adjoint(disc, case, adjoint):
 def _grad_error(disc, grad_exact, slab_full, control_pad):
     q = disc.quad
 
-    def squared_error(m, j, t):
-        nodal = slab_full[m]
+    def field_corners(m, j, cells):
+        nodal = q.corners(slab_full, m, cells)
         if control_pad is not None:
-            lo, hi = q.lo[m, j], q.hi[m, j]
-            nodal = nodal + lo * control_pad[m] + hi * control_pad[m + 1]
-        gx, gy = _gradient(disc, nodal)
-        ex, ey = grad_exact(q.x, q.y, t)
-        return (ex - gx) ** 2 + (ey - gy) ** 2
+            nodal += q.level_corners(control_pad, m, j, cells)
+        return nodal
+
+    def squared_error(m, j, t, cells):
+        gx, gy = _gradient(disc, field_corners(m, j, cells), cells)
+        ex, ey = grad_exact(q.x[:, cells], q.y[:, cells], t)
+        # Rebinding frees each exact component once its error is made.
+        ex = ex - gx
+        ey = ey - gy
+        return _sum_of_squares(ex, ey)
 
     return math.sqrt(q.integrate(squared_error))
 
@@ -200,13 +227,18 @@ def control_error(disc, case, control):
     pad = pad_levels(control.values)
     steps = disc.mesh.time_partition.steps
 
-    def squared_error(m, j, t):
-        dt_err = case.control_t(q.x, q.y, t) - q.interpolate(
-            (pad[m + 1] - pad[m]) / steps[m]
-        )
-        gx, gy = _gradient(disc, q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1])
-        ex, ey = case.control_grad(q.x, q.y, t)
-        return dt_err**2 + (ex - gx) ** 2 + (ey - gy) ** 2
+    def squared_error(m, j, t, cells):
+        x, y = q.x[:, cells], q.y[:, cells]
+        slope = (q.corners(pad, m + 1, cells) - q.corners(pad, m, cells)) / steps[
+            m
+        ][:, None, None]
+        dt_err = case.control_t(x, y, t) - q.at_points(slope)
+        gx, gy = _gradient(disc, q.level_corners(pad, m, j, cells), cells)
+        ex, ey = case.control_grad(x, y, t)
+        # Rebinding frees each exact component once its error is made.
+        ex = ex - gx
+        ey = ey - gy
+        return _sum_of_squares(dt_err, ex, ey)
 
     return math.sqrt(q.integrate(squared_error))
 
@@ -336,6 +368,9 @@ def _study_level(n, M, case, tol, max_outer):
     problem = setup_problem(n, M, case)
     disc = problem.disc
     result = pdas_solve(problem, tol=tol, max_outer=max_outer)
+    # The extension's mode factors are the largest arrays of a level, and
+    # only the solve needs them: free them before the error norms.
+    del problem
     record = LevelRecord(
         n=n,
         M=M,
@@ -361,7 +396,9 @@ def run_study(levels, case, tol, max_outer):
     for n, M in levels:
         try:
             record = _study_level(n, M, case, tol, max_outer)
-        except (AssemblyError, PdasNonconvergence, SolverError) as err:
+        except (
+            AssemblyError, CGBreakdownError, PdasNonconvergence, SolverError
+        ) as err:
             report.failure = f"level (n={n}, M={M}): {err}"
             report.error = err
             log.error("study aborted: %s", report.failure)

@@ -9,6 +9,11 @@ path against them.
 ``whole_boundary`` the control boundary predicate that selects every
 boundary vertex, and ``zero_data`` and ``zero_control`` the zero source,
 target or shift and the zero control.
+``per_time_state_error``, ``per_time_adjoint_error``,
+``per_time_control_error`` and ``per_time_misfit`` are the error norms and
+the tracking misfit integrated one Gauss time at a time over the whole
+mesh, with one ``np.vdot`` per Gauss time, so tests can check the blocks
+of ``Quadrature.integrate`` against them.
 ``dtbsv`` calls the GIL-free BLAS kernel, the only band substitution in
 ``dbc`` (``EnergyExtension`` and ``SlabSystem`` both use it), on a whole
 band, so tests can check that kernel against scipy's.
@@ -21,7 +26,13 @@ import numpy as np
 from dbc import kernels
 from dbc.adjoint import sweep_backward, tracking_slabs
 from dbc.forward import sweep_forward
-from dbc.spaces import AdjointField, ControlField, StateField, interpolate_control
+from dbc.spaces import (
+    AdjointField,
+    ControlField,
+    StateField,
+    interpolate_control,
+    pad_levels,
+)
 
 
 def zero_data(x, y, t):
@@ -72,6 +83,83 @@ def full_gradient(disc, case, flat):
         - disc.control_pairing(disc.time_loads(case.target)[0]).ravel()
     )
     return gradient, state.values, adjoint.values
+
+
+def per_time_integral(quad, integrand):
+    """Space-time integral of ``integrand(m, j, t)``, the values, (nq, nt),
+    at every point at the j-th Gauss time t of slab m: one ``np.vdot`` with
+    the weights per Gauss time, added by ``Quadrature.time_sum``."""
+    sums = [
+        np.vdot(quad.weights, integrand(m, j, t))
+        for (m, j), t in np.ndenumerate(quad.times)
+    ]
+    return quad.time_sum(sums)
+
+
+def _gradient(disc, nodal):
+    """Per-triangle gradient (d/dx, d/dy) of a P1 field; each (nt,)."""
+    tt = disc.mesh.triangulation.triangles
+    return np.einsum("ti,dit->dt", nodal[tt], disc.grads)
+
+
+def _per_time_gradient_error(disc, grad_exact, slab_full, control_pad):
+    q = disc.quad
+
+    def squared_error(m, j, t):
+        lo, hi = q.lo[m, j], q.hi[m, j]
+        nodal = slab_full[m] + lo * control_pad[m] + hi * control_pad[m + 1]
+        gx, gy = _gradient(disc, nodal)
+        ex, ey = grad_exact(q.x, q.y, t)
+        return (ex - gx) ** 2 + (ey - gy) ** 2
+
+    return np.sqrt(per_time_integral(q, squared_error))
+
+
+def per_time_state_error(disc, case, state, control):
+    """``energy_error_state`` one Gauss time at a time."""
+    return _per_time_gradient_error(
+        disc, case.state_grad, state.full_values(), pad_levels(control.values)
+    )
+
+
+def per_time_adjoint_error(disc, case, adjoint):
+    """``energy_error_adjoint`` one Gauss time at a time."""
+    full = adjoint.full_values()
+    return _per_time_gradient_error(
+        disc, case.adjoint_grad, full, np.zeros((len(full) + 1, full.shape[1]))
+    )
+
+
+def per_time_control_error(disc, case, control):
+    """``control_error`` one Gauss time at a time."""
+    q = disc.quad
+    pad = pad_levels(control.values)
+    steps = disc.mesh.time_partition.steps
+
+    def squared_error(m, j, t):
+        dt_err = case.control_t(q.x, q.y, t) - q.interpolate(
+            (pad[m + 1] - pad[m]) / steps[m]
+        )
+        gx, gy = _gradient(disc, q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1])
+        ex, ey = case.control_grad(q.x, q.y, t)
+        return dt_err**2 + (ex - gx) ** 2 + (ey - gy) ** 2
+
+    return np.sqrt(per_time_integral(q, squared_error))
+
+
+def per_time_misfit(disc, state_values, control_values, u_d):
+    """``Discretization.misfit_quadrature`` one Gauss time at a time."""
+    q = disc.quad
+    full = np.zeros((disc.mesh.num_slabs, disc.mesh.num_nodes))
+    full[:, disc.interior] = state_values
+    pad = pad_levels(control_values)
+
+    def squared_misfit(m, j, t):
+        nodal = full[m] + q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1]
+        diff = q.interpolate(nodal) - u_d(q.x, q.y, t)
+        return diff * diff
+
+    return per_time_integral(q, squared_misfit)
 
 
 def whole_boundary(x, y):

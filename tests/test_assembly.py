@@ -14,12 +14,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
+import _oracles
 import _symbolic
 from _oracles import TRI_RULE_8, dtbsv, whole_boundary, zero_data
 from dbc import assembly, kernels
 from dbc.assembly import (
     Discretization,
     EnergyExtension,
+    Quadrature,
     assemble_mass_stiffness,
     bilinear_form,
     coercivity_gap,
@@ -37,6 +39,7 @@ from dbc.manufactured import (
     energy_error_state,
     setup_problem,
 )
+from dbc.optimizer import pdas_solve
 from dbc.mesh import SpaceTimeMesh, TimePartition, Triangulation, unit_square_mesh
 from dbc.spaces import (
     AdjointField,
@@ -503,40 +506,127 @@ def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
         pytest.skip("the platform does not report the CPUs a process may use")
     workers = 3
     monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus[:1])
-    assert q.split() == [(0, q.times.size)]
-    expected = quadratures()
-    monkeypatch.setattr(
-        kernels, "_usable_cpus", lambda: (cpus * workers)[:workers]
-    )
-    assert q.split() == [(0, 2), (2, 5), (5, 8)]
-
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for chunk_times in (1, 3):
-            monkeypatch.setattr(
-                assembly, "_LOAD_CHUNK_BYTES", 8 * q.x.size * workers * chunk_times
-            )
-            outcome = {}
+    # One slice of all 128 triangles, and four slices of 32.
+    for block_values in (assembly._BLOCK_VALUES, 8 * q.x.shape[0] * 40):
+        monkeypatch.setattr(assembly, "_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus[:1])
+        assert q.split() == [(0, q.times.size)]
+        expected = quadratures()
+        monkeypatch.setattr(
+            kernels, "_usable_cpus", lambda: (cpus * workers)[:workers]
+        )
+        assert q.split() == [(0, 2), (2, 5), (5, 8)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for chunk_times in (1, 3):
+                monkeypatch.setattr(
+                    assembly, "_LOAD_CHUNK_BYTES",
+                    8 * q.x.size * workers * chunk_times,
+                )
+                outcome = {}
 
-            def run():
-                try:
-                    outcome["values"] = [quadratures() for _ in range(5)]
-                except BaseException as err:  # re-raised in the test's thread
-                    outcome["error"] = err
+                def run():
+                    try:
+                        outcome["values"] = [quadratures() for _ in range(5)]
+                    except BaseException as err:  # re-raised in the test's thread
+                        outcome["error"] = err
 
-            worker = threading.Thread(target=run, daemon=True)
-            worker.start()
-            worker.join(timeout=120)
-            assert not worker.is_alive(), "the split quadrature did not finish in 120 s"
-            if "error" in outcome:
-                raise outcome["error"]
-            for values in outcome["values"]:
-                for got, want in zip(values, expected, strict=True):
-                    assert np.array_equal(got, want)
-    finally:
-        sys.setswitchinterval(interval)
+                worker = threading.Thread(target=run, daemon=True)
+                worker.start()
+                worker.join(timeout=120)
+                assert not worker.is_alive(), (
+                    "the split quadrature did not finish in 120 s"
+                )
+                if "error" in outcome:
+                    raise outcome["error"]
+                for values in outcome["values"]:
+                    for got, want in zip(values, expected, strict=True):
+                        assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("level", ["8x6", "32x23", "nonuniform"])
+def test_block_quadratures_match_the_per_time_oracles(level):
+    """The three error norms and the misfit, integrated over blocks of
+    Gauss times by slices of triangles, agree within 1e-14 relative with
+    the oracles that integrate one Gauss time at a time over the whole
+    mesh: on the solved fields at 8x6 and 32x23, and on random fields on
+    the nonuniform partition."""
+    case = bump_case()
+    if level == "nonuniform":
+        mesh = SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)
+        disc = Discretization(mesh)
+        rng = np.random.default_rng(18)
+        slabs = (mesh.num_slabs, mesh.num_interior)
+        state = StateField(mesh, rng.standard_normal(slabs))
+        adjoint = AdjointField(mesh, rng.standard_normal(slabs))
+        control = ControlField(
+            mesh, rng.standard_normal((mesh.num_control_levels, mesh.num_nodes))
+        )
+    else:
+        n, M = map(int, level.split("x"))
+        problem = setup_problem(n, M, case)
+        disc = problem.disc
+        result = pdas_solve(problem, tol=1e-9)
+        state, adjoint, control = result.state, result.adjoint, result.control
+    pairs = [
+        (energy_error_state(disc, case, state, control),
+         _oracles.per_time_state_error(disc, case, state, control)),
+        (energy_error_adjoint(disc, case, adjoint),
+         _oracles.per_time_adjoint_error(disc, case, adjoint)),
+        (control_error(disc, case, control),
+         _oracles.per_time_control_error(disc, case, control)),
+        (disc.misfit_quadrature(state.values, control.values, case.target),
+         _oracles.per_time_misfit(disc, state.values, control.values, case.target)),
+    ]
+    for got, want in pairs:
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("rule", ["degree 4", "degree 8"])
+def test_no_block_holds_more_than_the_block_values(rule):
+    """At 64x46 ``integrate`` calls its integrand on every Gauss time and
+    triangle exactly once, with t of shape (c, 1, 1), in blocks of at most
+    ``_BLOCK_VALUES`` point values, with the 6-point rule and the 25-point
+    one."""
+    mesh = build_space_time_mesh(64, 46)
+    q = Quadrature(mesh, assembly._TRI_RULE_4 if rule == "degree 4" else TRI_RULE_8, 2)
+    nq, nt = q.x.shape
+    seen = np.zeros(q.times.shape + (nt,), dtype=int)
+    sizes = []
+
+    def count(m, j, t, cells):
+        assert t.shape == (len(m), 1, 1)
+        assert np.array_equal(t.ravel(), q.times[m, j])
+        seen[m, j, cells] += 1
+        values = np.ones((len(m), nq, len(range(nt)[cells])))
+        sizes.append(values.size)
+        return values
+
+    assert q.integrate(count) == pytest.approx(1.0, rel=1e-12)  # |Omega| * T
+    assert (seen == 1).all()
+    assert max(sizes) <= assembly._BLOCK_VALUES
+
+
+@pytest.mark.parametrize("level", ["8x6", "nonuniform"])
+def test_misfit_quadrature_equals_the_misfit_from_loads(level):
+    """Random state and control: the misfit by quadrature and the misfit
+    from the loads of u_d agree within 1e-14 relative."""
+    if level == "nonuniform":
+        mesh = SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)
+    else:
+        mesh = build_space_time_mesh(8, 6)
+    disc = Discretization(mesh)
+    rng = np.random.default_rng(19)
+    state = rng.standard_normal((mesh.num_slabs, mesh.num_interior))
+    control = rng.standard_normal((mesh.num_control_levels, mesh.num_nodes))
+    target = bump_case().target
+    assert disc.misfit_quadrature(state, control, target) == pytest.approx(
+        disc.misfit_from_loads(state, control, *disc.time_loads(target)),
+        rel=1e-14, abs=0,
+    )
 
 
 def test_importing_dbc_runs_every_openblas_on_one_thread():
@@ -592,8 +682,8 @@ def test_a_forked_child_splits_after_its_parent(monkeypatch):
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: (cpus * 2)[:2])
     assert len(q.split()) == 2
 
-    def squares(m, j, t):
-        return (q.x + t) ** 2
+    def squares(m, j, t, cells):
+        return (q.x[:, cells] + t) ** 2
 
     expected = q.integrate(squares)
     assert kernels._pool is not None
@@ -701,10 +791,10 @@ def _quadrature_coupling_form(disc, control, v_values):
             lo = (pts[m + 1] - t) / k
             hi = (t - pts[m]) / k
             q_nodal = lo * pad[m] + hi * pad[m + 1]
-            qx = np.einsum("ti,ti->t", q_nodal[tt], disc.grads[:, :, 0])
-            qy = np.einsum("ti,ti->t", q_nodal[tt], disc.grads[:, :, 1])
-            vx = np.einsum("ti,ti->t", v_nodal[tt], disc.grads[:, :, 0])
-            vy = np.einsum("ti,ti->t", v_nodal[tt], disc.grads[:, :, 1])
+            qx = np.einsum("ti,ti->t", q_nodal[tt], disc.grads[0].T)
+            qy = np.einsum("ti,ti->t", q_nodal[tt], disc.grads[1].T)
+            vx = np.einsum("ti,ti->t", v_nodal[tt], disc.grads[0].T)
+            vy = np.einsum("ti,ti->t", v_nodal[tt], disc.grads[1].T)
             total += wt * float(areas @ (qx * vx + qy * vy))
             for lam, w in zip(bary, ws):
                 dq = sum(lam[i] * dt_nodal[tt[:, i]] for i in range(3))

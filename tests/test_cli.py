@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from dbc import cli
+from dbc import cli, optimizer
 from dbc.cli import ConfigError, load_config, main
 from dbc.manufactured import bump_case
 
@@ -82,6 +82,34 @@ def test_usage_errors_exit_one(tmp_path, capsys, study_config):
             "[solver]\npdas_scaling = 10\n[study]\nlevels = 2x2\n",
             "unknown key 'pdas_scaling'",
         ),
+        (
+            "[problem]\nlambda = 0\n[study]\nlevels = 2x2\n",
+            "key 'lambda' in [problem] must be a finite number > 0, got 0.0",
+        ),
+        (
+            "[problem]\nlambda = inf\n[study]\nlevels = 2x2\n",
+            "key 'lambda' in [problem] must be a finite number > 0, got inf",
+        ),
+        (
+            "[problem]\nq_a = 0.1\n[study]\nlevels = 2x2\n",
+            "key 'q_a' in [problem] must be a finite number <= 0, got 0.1",
+        ),
+        (
+            "[problem]\nq_b = nan\n[study]\nlevels = 2x2\n",
+            "key 'q_b' in [problem] must be a finite number >= 0, got nan",
+        ),
+        (
+            "[solver]\ntol = -1\n[study]\nlevels = 2x2\n",
+            "key 'tol' in [solver] must be a finite number > 0, got -1.0",
+        ),
+        (
+            "[solver]\ntol = nan\n[study]\nlevels = 2x2\n",
+            "key 'tol' in [solver] must be a finite number > 0, got nan",
+        ),
+        (
+            "[solver]\nmax_outer = -1\n[study]\nlevels = 2x2\n",
+            "key 'max_outer' in [solver] must be an integer >= 0, got -1",
+        ),
     ],
 )
 def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, body, message):
@@ -90,6 +118,26 @@ def test_config_errors_exit_one(tmp_path, monkeypatch, capsys, body, message):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path / "bad.cfg", body)
     assert main(["study", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize(
+    "command,body,message",
+    [
+        ("solve", "[problem]\nlambda = 0\n", "key 'lambda' in [problem]"),
+        ("solve", "[solver]\ntol = nan\n", "key 'tol' in [solver]"),
+        ("check", "[check]\nseed = -1\n", "key 'seed' in [check] must be an integer"),
+    ],
+)
+def test_solve_and_check_reject_bad_numbers(
+    tmp_path, monkeypatch, capsys, command, body, message
+):
+    """``dbc solve`` and ``dbc check`` reject a bad number with exit 1 and
+    leave no output directory behind."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "bad.cfg", body + "[solve]\nn = 3\nm = 3\n")
+    assert main([command, "--config", cfg]) == 1
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
@@ -159,6 +207,33 @@ def test_study_slab_failure_exits_two(tmp_path, capsys, corrupt_slab_solve):
     payload = json.loads((out / "report.json").read_text())
     assert "slab 1 solve failed" in payload["failure"]
     assert len(payload["levels"]) == 1
+
+
+def _break_cg(monkeypatch):
+    def broken(*args, **kwargs):
+        raise optimizer.CGBreakdownError("curvature lost positive definiteness", 1)
+
+    monkeypatch.setattr(optimizer, "_pcg", broken)
+
+
+def test_study_cg_breakdown_writes_the_report_and_exits_two(
+    tmp_path, monkeypatch, capsys
+):
+    """A CG breakdown is a solver failure: ``dbc study`` exits 2, and
+    table.csv and report.json name the level that failed."""
+    _break_cg(monkeypatch)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "study.cfg", f"[study]\nlevels = 3x3\noutput_dir = {out}\n"
+    )
+    assert main(["study", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "study failed: level (n=3, M=3): curvature lost positive" in err
+    with open(out / "table.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["failure"].startswith("level (n=3, M=3): curvature lost")
+    assert payload["levels"] == []
 
 
 def test_study_data_error_writes_the_report_and_exits_one(
@@ -312,6 +387,16 @@ def test_data_that_is_not_finite_exits_one(tmp_path, monkeypatch, capsys):
     assert "data error: the source is not finite at t = 0.0352208" in err
     assert "solver failure" not in err
     assert not out.exists()
+
+
+def test_solve_cg_breakdown_exits_two(tmp_path, monkeypatch, capsys):
+    _break_cg(monkeypatch)
+    cfg = write_config(tmp_path / "solve.cfg", "[solve]\nn = 3\nm = 3\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", cfg]) == 2
+    assert "solver failure: curvature lost positive definiteness" in (
+        capsys.readouterr().err
+    )
 
 
 def test_solve_nonconvergence_exits_two(tmp_path, capsys):
