@@ -25,12 +25,7 @@ import numpy as np
 
 from .assembly import Discretization
 from .mesh import SpaceTimeMesh, uniform_time_partition, unit_square_mesh
-from .optimizer import (
-    CGBreakdownError,
-    PdasNonconvergence,
-    ReducedProblem,
-    pdas_solve,
-)
+from .optimizer import CGBreakdownError, PdasNonconvergence, ReducedProblem, pdas_solve
 from .forward import SolverError
 from .kernels import AssemblyError
 from .spaces import BoundSet, pad_levels
