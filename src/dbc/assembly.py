@@ -10,8 +10,8 @@ assembled except for export.  Every interior block follows the mesh's
 reverse Cuthill-McKee ``interior_indices``, the band order in which the
 slab systems are factored; the extension's time modes are factored in the
 level sets of the distance from the controlled edge.  The factors, the
-substitutions and the pool that splits the time modes and the quadratures'
-Gauss times over the CPUs are in ``dbc.kernels``.  One space-time
+substitutions and the pool that splits the time modes and the Gauss times
+of the quadrature loads over the CPUs are in ``dbc.kernels``.  One space-time
 ``Quadrature`` per discretization serves every load, the tracking misfit
 and the error norms.
 
@@ -269,12 +269,14 @@ class EnergyExtension:
 
 # ``Quadrature.integrate`` evaluates its integrand on blocks of at most
 # _BLOCK_TIMES Gauss times by a slice of triangles, at most _BLOCK_VALUES
-# point values in all, 256 KiB per array of them, and the factors of a
-# case callable that do not depend on t are made once per block.  2**16
-# values made the norms faster still, but added 2 MiB of peak memory at
-# 48x34, where the blocks' arrays live on the pool threads.
+# point values in all, 512 KiB per array of them, and the factors of a
+# case callable that do not depend on t are made once per block.  On a
+# 2-core host the three norms in one thread took, at 2**14 / 2**15 / 2**16 /
+# 2**17 values, 31 / 23 / 22 / 20 ms at 32x23, 93 / 74 / 69 / 65 ms at
+# 48x34 and 252 / 198 / 183 / 172 ms at 64x46; 2**17 raised the peak
+# memory of a 64x46 solve by 6 MiB, 2**16 by none.
 _BLOCK_TIMES = 8
-_BLOCK_VALUES = 2**15
+_BLOCK_VALUES = 2**16
 
 
 class Quadrature:
@@ -293,13 +295,10 @@ class Quadrature:
 
     ``integrate`` works on blocks of Gauss times by slices of triangles, and
     ``corners``, ``level_corners`` and ``at_points`` give a block the values
-    of discrete fields on its triangles alone.  From the split gate of
-    ``dbc.kernels`` in point evaluations, nq * nt * M * time_points, up,
-    ``integrate`` and ``Discretization.time_loads`` split the Gauss times
-    into one contiguous range per CPU (``split``) and run the ranges on the
-    pool of ``dbc.kernels``.  Each Gauss time's result does not depend on
-    the split, and the caller combines them in a fixed order, so both give
-    the same bits on any number of CPUs.
+    of discrete fields on its triangles alone.
+    ``Discretization.time_loads`` splits the Gauss times into one
+    contiguous range per CPU (``load_ranges``), from the split gate of
+    ``dbc.kernels`` in point evaluations, nq * nt * M * time_points, up.
     """
 
     def __init__(self, mesh, rule, time_points):
@@ -308,8 +307,7 @@ class Quadrature:
         self.triangles = tri.triangles
         self.bary = bary
         # The points are the P1 interpolants of the vertex coordinates.
-        self.x = self.interpolate(tri.vertices[:, 0])
-        self.y = self.interpolate(tri.vertices[:, 1])
+        self.x, self.y = self.at_points(tri.vertices[self.triangles].T)
         self.weights = np.outer(rule_weights, tri.signed_areas)
         nq, nt = self.x.shape
         rows = np.broadcast_to(self.triangles, (nq, nt, 3))
@@ -325,11 +323,6 @@ class Quadrature:
         self.times, self.time_weights = gauss_interval(time_points, left, right)
         self.lo = (right - self.times) / (right - left)
         self.hi = (self.times - left) / (right - left)
-
-    def interpolate(self, nodal):
-        """Values of the P1 field with vertex values ``nodal`` at the points;
-        (nq, nt)."""
-        return self.bary @ nodal[self.triangles].T
 
     def corners(self, nodal, rows, cells):
         """Rows ``rows``, (c,) and ascending, of the vertex values ``nodal``,
@@ -355,9 +348,9 @@ class Quadrature:
         triangles)."""
         return np.matmul(self.bary, corners)
 
-    def split(self):
-        """The ranges of Gauss times, in ``times.ravel()`` order, that a
-        quadrature over all of them splits into."""
+    def load_ranges(self):
+        """The ranges of Gauss times, in ``times.ravel()`` order, that
+        ``Discretization.time_loads`` splits them into."""
         times = self.times.size
         return split_ranges(times, self.x.size * times)
 
@@ -369,15 +362,13 @@ class Quadrature:
         a callable of x, y and t broadcasts over the block, and its factors
         that do not depend on t are made once per block.
 
-        Each range of ``split`` runs on a pool thread.  It takes its Gauss
-        times in chunks of at most ``_BLOCK_TIMES``, and each chunk the
-        triangles in slices of ``_BLOCK_VALUES // (_BLOCK_TIMES * nq)``, so
-        no block holds more than ``_BLOCK_VALUES`` values.  A Gauss time's
+        The Gauss times are taken in chunks of at most ``_BLOCK_TIMES``, and
+        each chunk the triangles in slices of ``_BLOCK_VALUES //
+        (_BLOCK_TIMES * nq)``, so no block holds more than ``_BLOCK_VALUES``
+        values.  The blocks run in the calling thread.  A Gauss time's
         weighted sum is one dot product per slice, added slice by slice in
-        triangle order whatever its chunk, and ``time_sum`` adds the Gauss
-        times in slab and time order, so the integral is the same bits on
-        any number of CPUs.  The integrand is called from several threads
-        at once, so it must not change shared state."""
+        triangle order, and ``time_sum`` adds the Gauss times in slab and
+        time order."""
         times = self.times.ravel()
         per_slab = self.times.shape[1]
         nq, nt = self.x.shape
@@ -386,25 +377,21 @@ class Quadrature:
         slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
         weights = [np.ascontiguousarray(self.weights[:, cells]) for cells in slices]
         sums = np.zeros(times.size)
-
-        def evaluate(lo, hi):
-            for start in range(lo, hi, _BLOCK_TIMES):
-                stop = min(start + _BLOCK_TIMES, hi)
-                m, j = np.divmod(np.arange(start, stop), per_slab)
-                t = times[start:stop, None, None]
-                for cells, w in zip(slices, weights):
-                    values = integrand(m, j, t, cells)
-                    if values.shape != (len(m),) + w.shape:
-                        raise ValueError(
-                            f"integrand values have shape {values.shape}, "
-                            f"expected {(len(m),) + w.shape}"
-                        )
-                    # One dot product of w per Gauss time, as np.vdot.
-                    sums[start:stop] += (
-                        values.reshape(len(m), 1, -1) @ w.reshape(-1, 1)
-                    ).ravel()
-
-        run_ranges(evaluate, self.split())
+        for start in range(0, times.size, _BLOCK_TIMES):
+            stop = min(start + _BLOCK_TIMES, times.size)
+            m, j = np.divmod(np.arange(start, stop), per_slab)
+            t = times[start:stop, None, None]
+            for cells, w in zip(slices, weights):
+                values = integrand(m, j, t, cells)
+                if values.shape != (len(m),) + w.shape:
+                    raise ValueError(
+                        f"integrand values have shape {values.shape}, "
+                        f"expected {(len(m),) + w.shape}"
+                    )
+                # One dot product of w per Gauss time, as np.vdot.
+                sums[start:stop] += (
+                    values.reshape(len(m), 1, -1) @ w.reshape(-1, 1)
+                ).ravel()
         return self.time_sum(sums)
 
     def time_sum(self, sums):
@@ -545,19 +532,19 @@ class Discretization:
 
         g is evaluated on a chunk of Gauss times at once, broadcasting t
         over a leading axis, and one product with ``Quadrature.scatter``
-        turns the chunk into its loads.  Each range of ``Quadrature.split``
-        runs its chunks on a pool thread, so g is called from several
-        threads at once, and the chunks in flight hold at most
-        ``_LOAD_CHUNK_BYTES`` of g values together.  A load's sums run over
-        one row of ``scatter`` in its stored order, whatever the chunk; the
-        spatial integral of g^2 is one dot product per Gauss time, and
-        ``Quadrature.time_sum`` adds them in order.  So both are the same
-        bits on any number of CPUs."""
+        turns the chunk into its loads.  Each range of
+        ``Quadrature.load_ranges`` runs its chunks on a pool thread, so g is
+        called from several threads at once, and the chunks in flight hold
+        at most ``_LOAD_CHUNK_BYTES`` of g values together.  A load's sums
+        run over one row of ``scatter`` in its stored order, whatever the
+        chunk; the spatial integral of g^2 is one dot product per Gauss
+        time, and ``Quadrature.time_sum`` adds them in order.  So both are
+        the same bits on any number of CPUs."""
         q = self.quad
         times = q.times.ravel()
         loads = np.zeros((times.size, self.mesh.num_nodes))
         squares = np.zeros(times.size)
-        ranges = q.split()
+        ranges = q.load_ranges()
         chunk = max(1, _LOAD_CHUNK_BYTES // (8 * q.x.size * len(ranges)))
 
         def load(lo, hi):

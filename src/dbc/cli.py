@@ -112,11 +112,10 @@ def _load_case(cp):
     case = dataclasses.replace(CASES[name](), **overrides)
     _require(math.isfinite(case.lam) and case.lam > 0, "problem", "lambda",
              case.lam, "a finite number > 0")
-    # The zero control must be admissible: q_a <= 0 <= q_b.
-    _require(math.isfinite(case.q_a) and case.q_a <= 0, "problem", "q_a",
-             case.q_a, "a finite number <= 0")
-    _require(math.isfinite(case.q_b) and case.q_b >= 0, "problem", "q_b",
-             case.q_b, "a finite number >= 0")
+    # The zero control must be admissible: q_a <= 0 <= q_b.  An infinite
+    # bound leaves that side of the box open; a NaN fails both comparisons.
+    _require(case.q_a <= 0, "problem", "q_a", case.q_a, "a number <= 0")
+    _require(case.q_b >= 0, "problem", "q_b", case.q_b, "a number >= 0")
     return case
 
 

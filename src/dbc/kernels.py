@@ -9,8 +9,8 @@ checked.
 
 One process-wide pool, one thread kept on each CPU the process may use and
 made on first use, runs the work that ``split_ranges`` splits into
-independent ranges: the extension's time modes and the quadratures' Gauss
-times, from one gate of work up.  Below the gate, with one CPU, or on a
+independent ranges: the extension's time modes and the Gauss times of
+the quadrature loads, from one gate of work up.  Below the gate, with one CPU, or on a
 pool thread, the work runs in the calling thread.  The ranges write
 disjoint results, which the caller combines in a fixed order, so every
 answer is the same bits on any number of CPUs.  Importing the module sets
@@ -272,8 +272,9 @@ def _openblas_thread_setters():
 
 
 # ``dbc`` keeps every usable CPU busy with its own pool, so OpenBLAS threads
-# would only compete with it (with two BLAS threads on a 2-core host the split
-# error norms at 64x46 took 0.63-0.73 s against 0.35-0.47 s in one thread).
+# would only compete with it (with two BLAS threads on a 2-core host the error
+# norms at 64x46, then split over the pool, took 0.63-0.73 s against
+# 0.35-0.47 s in one thread).
 # A threaded product also sums in an order that depends on the thread count:
 # the extension's mode transforms did, and the state's last bits then
 # differed between one and two CPUs.  So every OpenBLAS loaded by now,
@@ -314,14 +315,15 @@ if hasattr(os, "register_at_fork"):
 # ranges to the pool and waiting for it cost about as much as the split
 # saves.  The work is band entries over all time modes, levels * n * (kd +
 # 1), for the extension, and point evaluations, quadrature points *
-# triangles * Gauss times, for the quadratures, where two threads that hand
-# the GIL back and forth between small numpy calls lose more than the second
-# CPU gains.  On a 2-core host, one thread against two: two extension solves
-# took 0.73 -> 0.99 ms at 24x17 (0.2 M entries), 2.0 -> 1.75 ms at 32x23
-# (0.68 M), 11.4 -> 6.8 ms at 48x34 (3.5 M); three error norms at bump-case
-# levels took 25 -> 28 ms at 24x17 (0.24 M evaluations), 58 -> 41-68 ms at
-# 32x23 (0.57 M), 180 -> 111 ms at 48x34 (1.9 M), and the loads gain from
-# 24x17 up.
+# triangles * Gauss times, for the quadrature loads, where two threads that
+# hand the GIL back and forth between small numpy calls lose more than the
+# second CPU gains.  On a 2-core host, one thread against two: two extension
+# solves took 0.73 -> 0.99 ms at 24x17 (0.2 M entries), 2.0 -> 1.75 ms at
+# 32x23 (0.68 M), 11.4 -> 6.8 ms at 48x34 (3.5 M), and the loads gain from
+# 24x17 up.  The error norms do not split: on blocks of 2**15 values, one
+# thread against two took 22 -> 29 ms at 32x23, 80 -> 79 ms at 48x34 and
+# 187 -> 170 ms at 64x46, and larger blocks, which split better, grew each
+# pool thread's malloc arena by their size.
 _SPLIT_WORK = 400_000
 
 

@@ -52,10 +52,10 @@ class ManufacturedCase:
     not depend on t are made once per block.  The interpolants of
     ``dbc.spaces`` pass a scalar t.  Gradients return (d/dx, d/dy) tuples.
     ``initial`` takes x and y only, and may be None when the exact initial
-    state vanishes.  From 32x23 up the quadratures call these callables
-    from several threads of the ``dbc.kernels`` pool at once, so they must
-    be pure: they change no shared state and give the same values for the
-    same arguments."""
+    state vanishes.  From 32x23 up ``time_loads`` calls ``source`` and
+    ``target`` from several threads of the ``dbc.kernels`` pool at once, so
+    they must be pure: they change no shared state and give the same values
+    for the same arguments."""
 
     name: str
     lam: float

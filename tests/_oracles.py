@@ -13,7 +13,8 @@ target or shift and the zero control.
 ``per_time_control_error`` and ``per_time_misfit`` are the error norms and
 the tracking misfit integrated one Gauss time at a time over the whole
 mesh, with one ``np.vdot`` per Gauss time, so tests can check the blocks
-of ``Quadrature.integrate`` against them.
+of ``Quadrature.integrate`` against them; ``interpolate`` gives them a P1
+field at the points of every triangle.
 ``dtbsv`` calls the GIL-free BLAS kernel, the only band substitution in
 ``dbc`` (``EnergyExtension`` and ``SlabSystem`` both use it), on a whole
 band, so tests can check that kernel against scipy's.
@@ -96,6 +97,12 @@ def per_time_integral(quad, integrand):
     return quad.time_sum(sums)
 
 
+def interpolate(quad, nodal):
+    """Values at the points of ``quad`` of the P1 field with vertex values
+    ``nodal``; (nq, nt)."""
+    return quad.at_points(nodal[quad.triangles].T)
+
+
 def _gradient(disc, nodal):
     """Per-triangle gradient (d/dx, d/dy) of a P1 field; each (nt,)."""
     tt = disc.mesh.triangulation.triangles
@@ -137,8 +144,8 @@ def per_time_control_error(disc, case, control):
     steps = disc.mesh.time_partition.steps
 
     def squared_error(m, j, t):
-        dt_err = case.control_t(q.x, q.y, t) - q.interpolate(
-            (pad[m + 1] - pad[m]) / steps[m]
+        dt_err = case.control_t(q.x, q.y, t) - interpolate(
+            q, (pad[m + 1] - pad[m]) / steps[m]
         )
         gx, gy = _gradient(disc, q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1])
         ex, ey = case.control_grad(q.x, q.y, t)
@@ -156,7 +163,7 @@ def per_time_misfit(disc, state_values, control_values, u_d):
 
     def squared_misfit(m, j, t):
         nodal = full[m] + q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1]
-        diff = q.interpolate(nodal) - u_d(q.x, q.y, t)
+        diff = interpolate(q, nodal) - u_d(q.x, q.y, t)
         return diff * diff
 
     return per_time_integral(q, squared_misfit)

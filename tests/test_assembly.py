@@ -469,10 +469,9 @@ def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
 
 
 def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
-    """The three error norms, the misfit and the loads with their squares,
-    and the misfit from the loads, their Gauss times
-    split over three workers, so more threads than a two-core host has
-    cores, with loads in chunks of one and of three times and the
+    """The loads with their squares, and the misfit from the loads, their
+    Gauss times split over three workers, so more threads than a two-core
+    host has cores, with loads in chunks of one and of three times and the
     interpreter switching between threads as often as it can: every value
     is the bits of one worker.  Each split runs in a thread of its own, so
     that a deadlock fails the test instead of hanging it."""
@@ -481,22 +480,12 @@ def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
     q = disc.quad
     case = bump_case()
     rng = np.random.default_rng(36)
-    slabs = (mesh.num_slabs, mesh.num_interior)
-    state = StateField(mesh, rng.standard_normal(slabs))
-    adjoint = AdjointField(mesh, rng.standard_normal(slabs))
-    control = ControlField(
-        mesh, rng.standard_normal((mesh.num_control_levels, mesh.num_nodes))
-    )
+    state = rng.standard_normal((mesh.num_slabs, mesh.num_interior))
+    control = rng.standard_normal((mesh.num_control_levels, mesh.num_nodes))
 
     def quadratures():
         return (
-            energy_error_state(disc, case, state, control),
-            energy_error_adjoint(disc, case, adjoint),
-            control_error(disc, case, control),
-            disc.misfit_quadrature(state.values, control.values, case.target),
-            disc.misfit_from_loads(
-                state.values, control.values, *disc.time_loads(case.target)
-            ),
+            disc.misfit_from_loads(state, control, *disc.time_loads(case.target)),
             *disc.time_loads(case.source),
             *disc.time_loads(case.target),
         )
@@ -507,44 +496,36 @@ def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
     workers = 3
     monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
     interval = sys.getswitchinterval()
-    # One slice of all 128 triangles, and four slices of 32.
-    for block_values in (assembly._BLOCK_VALUES, 8 * q.x.shape[0] * 40):
-        monkeypatch.setattr(assembly, "_BLOCK_VALUES", block_values)
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus[:1])
-        assert q.split() == [(0, q.times.size)]
-        expected = quadratures()
-        monkeypatch.setattr(
-            kernels, "_usable_cpus", lambda: (cpus * workers)[:workers]
-        )
-        assert q.split() == [(0, 2), (2, 5), (5, 8)]
-        sys.setswitchinterval(1e-6)
-        try:
-            for chunk_times in (1, 3):
-                monkeypatch.setattr(
-                    assembly, "_LOAD_CHUNK_BYTES",
-                    8 * q.x.size * workers * chunk_times,
-                )
-                outcome = {}
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus[:1])
+    assert q.load_ranges() == [(0, q.times.size)]
+    expected = quadratures()
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: (cpus * workers)[:workers])
+    assert q.load_ranges() == [(0, 2), (2, 5), (5, 8)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for chunk_times in (1, 3):
+            monkeypatch.setattr(
+                assembly, "_LOAD_CHUNK_BYTES", 8 * q.x.size * workers * chunk_times
+            )
+            outcome = {}
 
-                def run():
-                    try:
-                        outcome["values"] = [quadratures() for _ in range(5)]
-                    except BaseException as err:  # re-raised in the test's thread
-                        outcome["error"] = err
+            def run():
+                try:
+                    outcome["values"] = [quadratures() for _ in range(5)]
+                except BaseException as err:  # re-raised in the test's thread
+                    outcome["error"] = err
 
-                worker = threading.Thread(target=run, daemon=True)
-                worker.start()
-                worker.join(timeout=120)
-                assert not worker.is_alive(), (
-                    "the split quadrature did not finish in 120 s"
-                )
-                if "error" in outcome:
-                    raise outcome["error"]
-                for values in outcome["values"]:
-                    for got, want in zip(values, expected, strict=True):
-                        assert np.array_equal(got, want)
-        finally:
-            sys.setswitchinterval(interval)
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive(), "the split quadrature did not finish in 120 s"
+            if "error" in outcome:
+                raise outcome["error"]
+            for values in outcome["values"]:
+                for got, want in zip(values, expected, strict=True):
+                    assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("level", ["8x6", "32x23", "nonuniform"])
@@ -586,18 +567,22 @@ def test_block_quadratures_match_the_per_time_oracles(level):
 
 
 @pytest.mark.parametrize("rule", ["degree 4", "degree 8"])
-def test_no_block_holds_more_than_the_block_values(rule):
+def test_no_block_holds_more_than_the_block_values(rule, monkeypatch):
     """At 64x46 ``integrate`` calls its integrand on every Gauss time and
     triangle exactly once, with t of shape (c, 1, 1), in blocks of at most
     ``_BLOCK_VALUES`` point values, with the 6-point rule and the 25-point
-    one."""
+    one.  It calls it from the calling thread alone, even where the loads
+    would split over two CPUs."""
     mesh = build_space_time_mesh(64, 46)
     q = Quadrature(mesh, assembly._TRI_RULE_4 if rule == "degree 4" else TRI_RULE_8, 2)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
+    assert len(q.load_ranges()) == 2
     nq, nt = q.x.shape
     seen = np.zeros(q.times.shape + (nt,), dtype=int)
     sizes = []
 
     def count(m, j, t, cells):
+        assert threading.get_ident() == threading.main_thread().ident
         assert t.shape == (len(m), 1, 1)
         assert np.array_equal(t.ravel(), q.times[m, j])
         seen[m, j, cells] += 1
@@ -680,18 +665,20 @@ def test_a_forked_child_splits_after_its_parent(monkeypatch):
         pytest.skip("the platform does not report the CPUs a process may use")
     monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: (cpus * 2)[:2])
-    assert len(q.split()) == 2
+    assert len(q.load_ranges()) == 2
 
-    def squares(m, j, t, cells):
-        return (q.x[:, cells] + t) ** 2
+    def squares(x, y, t):
+        return (x + t) ** 2
 
-    expected = q.integrate(squares)
+    expected = disc.time_loads(squares)
     assert kernels._pool is not None
     pid = os.fork()
     if pid == 0:  # the child: exit 0 only if its split gave the bits
         code = 1
         try:
-            code = 0 if q.integrate(squares) == expected else 2
+            loads, square = disc.time_loads(squares)
+            same = np.array_equal(loads, expected[0]) and square == expected[1]
+            code = 0 if same else 2
         finally:
             os._exit(code)
     deadline = time.monotonic() + 120
@@ -742,7 +729,7 @@ def test_importing_dbc_starts_no_thread_and_small_levels_split_nothing():
     assert extension._ranges == [(0, levels)]
     quad = problem.disc.quad
     assert quad.x.size * quad.times.size < kernels._SPLIT_WORK
-    assert quad.split() == [(0, quad.times.size)]
+    assert quad.load_ranges() == [(0, quad.times.size)]
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -92,11 +92,11 @@ def test_usage_errors_exit_one(tmp_path, capsys, study_config):
         ),
         (
             "[problem]\nq_a = 0.1\n[study]\nlevels = 2x2\n",
-            "key 'q_a' in [problem] must be a finite number <= 0, got 0.1",
+            "key 'q_a' in [problem] must be a number <= 0, got 0.1",
         ),
         (
             "[problem]\nq_b = nan\n[study]\nlevels = 2x2\n",
-            "key 'q_b' in [problem] must be a finite number >= 0, got nan",
+            "key 'q_b' in [problem] must be a number >= 0, got nan",
         ),
         (
             "[solver]\ntol = -1\n[study]\nlevels = 2x2\n",
@@ -339,6 +339,24 @@ def test_solve_wide_bounds_have_empty_active_sets(tmp_path):
     payload = json.loads((out / "diagnostics.json").read_text())
     assert payload["kkt"]["num_lower_active"] == 0
     assert payload["kkt"]["num_upper_active"] == 0
+    assert payload["kkt"]["outer_iterations"] == 1
+
+
+def test_solve_infinite_bounds_leave_the_box_open(tmp_path):
+    """``q_a = -inf`` and ``q_b = inf`` are a valid config: the box is open
+    on both sides, so no bound is active and the solve takes one outer
+    iteration."""
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "solve.cfg",
+        "[problem]\nq_a = -inf\nq_b = inf\n"
+        f"[solve]\nn = 3\nm = 3\noutput_dir = {out}\n",
+    )
+    assert main(["solve", "--config", cfg]) == 0
+    payload = json.loads((out / "diagnostics.json").read_text())
+    assert payload["kkt"]["num_lower_active"] == 0
+    assert payload["kkt"]["num_upper_active"] == 0
+    assert payload["kkt"]["infeasibility"] == 0.0
     assert payload["kkt"]["outer_iterations"] == 1
 
 
