@@ -10,10 +10,10 @@ assembled except for export.  Every interior block follows the mesh's
 reverse Cuthill-McKee ``interior_indices``, the band order in which the
 slab systems are factored; the extension's time modes are factored in the
 level sets of the distance from the controlled edge.  The factors, the
-substitutions and the pool that splits the time modes and the Gauss times
-of the quadrature loads over the CPUs are in ``dbc.kernels``.  One space-time
-``Quadrature`` per discretization serves every load, the tracking misfit
-and the error norms.
+substitutions and the pool that splits the extension's time modes over the
+CPUs are in ``dbc.kernels``.  One space-time ``Quadrature`` per
+discretization serves every load, the tracking misfit and the error norms,
+on the same blocks and in the calling thread.
 
 Conventions: control coefficient arrays have shape (M-1, num_nodes) with
 level l (0-based) sitting at time t_{l+1}; state-type arrays have shape
@@ -36,7 +36,6 @@ from .kernels import (
     SlabSystem,
     band_width,
     factor_shifted,
-    run_ranges,
     split_ranges,
     substitute_bands,
 )
@@ -267,14 +266,14 @@ class EnergyExtension:
         return self.modes @ work[:, start:]
 
 
-# ``Quadrature.integrate`` evaluates its integrand on blocks of at most
-# _BLOCK_TIMES Gauss times by a slice of triangles, at most _BLOCK_VALUES
-# point values in all, 512 KiB per array of them, and the factors of a
-# case callable that do not depend on t are made once per block.  On a
-# 2-core host the three norms in one thread took, at 2**14 / 2**15 / 2**16 /
-# 2**17 values, 31 / 23 / 22 / 20 ms at 32x23, 93 / 74 / 69 / 65 ms at
-# 48x34 and 252 / 198 / 183 / 172 ms at 64x46; 2**17 raised the peak
-# memory of a 64x46 solve by 6 MiB, 2**16 by none.
+# ``Quadrature`` evaluates every integrand and every load on blocks of at
+# most _BLOCK_TIMES Gauss times by a slice of triangles, at most
+# _BLOCK_VALUES point values in all, 512 KiB per array of them, and the
+# factors of a case callable that do not depend on t are made once per
+# block.  On a 2-core host the three norms in one thread took, at 2**14 /
+# 2**15 / 2**16 / 2**17 values, 31 / 23 / 22 / 20 ms at 32x23, 93 / 74 / 69
+# / 65 ms at 48x34 and 252 / 198 / 183 / 172 ms at 64x46; 2**17 raised the
+# peak memory of a 64x46 solve by 6 MiB, 2**16 by none.
 _BLOCK_TIMES = 8
 _BLOCK_VALUES = 2**16
 
@@ -287,18 +286,18 @@ class Quadrature:
     Spatial arrays have shape (nq, nt), one row per rule point: ``x`` and
     ``y`` are the points mapped onto every triangle and ``weights`` the rule
     weights times the triangle areas.  ``bary`` holds the barycentric values
-    of the points, (nq, 3), and ``scatter`` the (nv, nq * nt) sparse map that
-    sums point values, weighted, onto the P1 test functions, so a load
-    vector is one matvec.  Temporal arrays have shape (M, time_points):
+    of the points, (nq, 3).  Temporal arrays have shape (M, time_points):
     ``times`` and ``time_weights`` are each slab's Gauss rule, and ``lo`` and
     ``hi`` the P1-in-time hats of the slab's left and right end at ``times``.
 
-    ``integrate`` works on blocks of Gauss times by slices of triangles, and
-    ``corners``, ``level_corners`` and ``at_points`` give a block the values
-    of discrete fields on its triangles alone.
-    ``Discretization.time_loads`` splits the Gauss times into one
-    contiguous range per CPU (``load_ranges``), from the split gate of
-    ``dbc.kernels`` in point evaluations, nq * nt * M * time_points, up.
+    The triangles are cut once into ``slices``, balanced and of at most
+    ``_BLOCK_VALUES // (_BLOCK_TIMES * nq)`` triangles each, and each slice
+    keeps its weights, contiguous, and a sparse map from the corners of its
+    triangles to the vertices they touch.  ``integrate`` works on blocks of
+    Gauss times by these slices; ``corners``, ``level_corners`` and
+    ``at_points`` give a block the values of discrete fields on its
+    triangles alone, and ``add_loads`` adds a block's load vectors.  Every
+    block runs in the calling thread.
     """
 
     def __init__(self, mesh, rule, time_points):
@@ -310,13 +309,25 @@ class Quadrature:
         self.x, self.y = self.at_points(tri.vertices[self.triangles].T)
         self.weights = np.outer(rule_weights, tri.signed_areas)
         nq, nt = self.x.shape
-        rows = np.broadcast_to(self.triangles, (nq, nt, 3))
-        cols = np.broadcast_to(np.arange(nq * nt).reshape(nq, nt, 1), (nq, nt, 3))
-        vals = bary[:, None, :] * self.weights[:, :, None]
-        self.scatter = sp.csr_matrix(
-            (vals.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(tri.num_vertices, nq * nt),
-        )
+        count = -(-nt // (_BLOCK_VALUES // (_BLOCK_TIMES * nq)))
+        edges = [nt * i // count for i in range(count + 1)]
+        self.slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        self.num_vertices = tri.num_vertices
+        # Per slice, keyed by its first triangle: its weights, the span of
+        # vertices its triangles touch, and the map that adds corner i of
+        # its k-th triangle, at column i * size + k, onto that corner's row
+        # of the span.
+        self._blocks = {}
+        for cells in self.slices:
+            corners = self.triangles[cells].T.ravel()
+            span = slice(corners.min(), corners.max() + 1)
+            columns = np.arange(corners.size)
+            load_map = sp.csr_matrix(
+                (np.ones(corners.size), (corners - span.start, columns)),
+                shape=(span.stop - span.start, corners.size),
+            )
+            weights = np.ascontiguousarray(self.weights[:, cells])
+            self._blocks[cells.start] = weights, span, load_map
 
         pts = mesh.time_partition.points
         left, right = pts[:-1, None], pts[1:, None]
@@ -348,11 +359,14 @@ class Quadrature:
         triangles)."""
         return np.matmul(self.bary, corners)
 
-    def load_ranges(self):
-        """The ranges of Gauss times, in ``times.ravel()`` order, that
-        ``Discretization.time_loads`` splits them into."""
-        times = self.times.size
-        return split_ranges(times, self.x.size * times)
+    def add_loads(self, loads, values, cells):
+        """Add to ``loads``, (c, nv), the loads of point values ``values``,
+        (c, nq, triangles), on the triangles of the slice ``cells``.  The
+        weighted values go to the corners through ``bary``, and the slice's
+        map adds each vertex's corners in its stored order."""
+        weights, span, load_map = self._blocks[cells.start]
+        corners = np.matmul(self.bary.T, values * weights)
+        loads[:, span] += (load_map @ corners.reshape(len(values), -1).T).T
 
     def integrate(self, integrand):
         """Space-time integral of ``integrand(m, j, t, cells)``, the
@@ -363,25 +377,20 @@ class Quadrature:
         that do not depend on t are made once per block.
 
         The Gauss times are taken in chunks of at most ``_BLOCK_TIMES``, and
-        each chunk the triangles in slices of ``_BLOCK_VALUES //
-        (_BLOCK_TIMES * nq)``, so no block holds more than ``_BLOCK_VALUES``
-        values.  The blocks run in the calling thread.  A Gauss time's
-        weighted sum is one dot product per slice, added slice by slice in
-        triangle order, and ``time_sum`` adds the Gauss times in slab and
-        time order."""
+        each chunk the triangles by ``slices``, so no block holds more than
+        ``_BLOCK_VALUES`` values.  The blocks run in the calling thread.  A
+        Gauss time's weighted sum is one dot product per slice, added slice
+        by slice in triangle order, and ``time_sum`` adds the Gauss times in
+        slab and time order."""
         times = self.times.ravel()
         per_slab = self.times.shape[1]
-        nq, nt = self.x.shape
-        count = -(-nt // (_BLOCK_VALUES // (_BLOCK_TIMES * nq)))
-        edges = [nt * i // count for i in range(count + 1)]
-        slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-        weights = [np.ascontiguousarray(self.weights[:, cells]) for cells in slices]
         sums = np.zeros(times.size)
         for start in range(0, times.size, _BLOCK_TIMES):
             stop = min(start + _BLOCK_TIMES, times.size)
             m, j = np.divmod(np.arange(start, stop), per_slab)
             t = times[start:stop, None, None]
-            for cells, w in zip(slices, weights):
+            for cells in self.slices:
+                w = self._blocks[cells.start][0]
                 values = integrand(m, j, t, cells)
                 if values.shape != (len(m),) + w.shape:
                     raise ValueError(
@@ -404,16 +413,23 @@ class Quadrature:
         return total
 
 
+def _values(g, quad, cells, t):
+    """g at the points of the triangles ``cells`` at ``t``, a scalar or c
+    Gauss times of shape (c, 1, 1), as a float array of shape (nq,
+    triangles) or (c, nq, triangles)."""
+    x, y = quad.x[:, cells], quad.y[:, cells]
+    values = np.asarray(g(x, y, t), dtype=float)
+    return np.broadcast_to(values, np.shape(t)[:1] + x.shape)
+
+
 def spatial_load_vector(quad, g, t):
     """All-vertex load vector of x, y -> g(x, y, t) by the spatial rule of
-    ``quad``."""
-    vals = np.asarray(g(quad.x, quad.y, t), dtype=float)
-    return quad.scatter @ np.broadcast_to(vals, quad.x.shape).ravel()
-
-
-# Bytes of g values that ``Discretization.time_loads`` evaluates at once,
-# over all the ranges it runs at the same time.
-_LOAD_CHUNK_BYTES = 4 * 2**20
+    ``quad``, added slice by slice as ``Discretization.time_loads`` adds
+    the loads at a Gauss time."""
+    load = np.zeros((1, quad.num_vertices))
+    for cells in quad.slices:
+        quad.add_loads(load, _values(g, quad, cells, t)[None], cells)
+    return load[0]
 
 
 class Discretization:
@@ -530,38 +546,24 @@ class Discretization:
         ``source_slabs`` and ``control_pairing`` integrate the loads in
         time, and ``misfit_from_loads`` takes both.
 
-        g is evaluated on a chunk of Gauss times at once, broadcasting t
-        over a leading axis, and one product with ``Quadrature.scatter``
-        turns the chunk into its loads.  Each range of
-        ``Quadrature.load_ranges`` runs its chunks on a pool thread, so g is
-        called from several threads at once, and the chunks in flight hold
-        at most ``_LOAD_CHUNK_BYTES`` of g values together.  A load's sums
-        run over one row of ``scatter`` in its stored order, whatever the
-        chunk; the spatial integral of g^2 is one dot product per Gauss
-        time, and ``Quadrature.time_sum`` adds them in order.  So both are
-        the same bits on any number of CPUs."""
+        g is evaluated on the blocks of ``Quadrature.integrate``, in the
+        calling thread.  Each block adds its loads, slice by slice, to the
+        rows of its Gauss times, so a row is the bits of
+        ``spatial_load_vector`` at that time, and returns g^2, so the square
+        is ``integrate``'s own sum."""
         q = self.quad
-        times = q.times.ravel()
-        loads = np.zeros((times.size, self.mesh.num_nodes))
-        squares = np.zeros(times.size)
-        ranges = q.load_ranges()
-        chunk = max(1, _LOAD_CHUNK_BYTES // (8 * q.x.size * len(ranges)))
+        per_slab = q.times.shape[1]
+        loads = np.zeros((q.times.size, self.mesh.num_nodes))
 
-        def load(lo, hi):
-            for start in range(lo, hi, chunk):
-                t = times[start : min(start + chunk, hi)]
-                vals = np.asarray(g(q.x, q.y, t[:, None, None]), dtype=float)
-                vals = np.broadcast_to(vals, t.shape + q.x.shape)
-                loads[start : start + len(t)] = (
-                    q.scatter @ vals.reshape(len(t), -1).T
-                ).T
-                for i, values in enumerate(vals, start):
-                    squares[i] = np.vdot(q.weights, values * values)
+        def squares(m, j, t, cells):
+            values = _values(g, q, cells, t)
+            first = m[0] * per_slab + j[0]
+            q.add_loads(loads[first : first + len(m)], values, cells)
+            return values * values
 
-        run_ranges(load, ranges)
+        square = q.integrate(squares)
         loads *= q.time_weights.reshape(-1, 1)
-        shape = q.times.shape + (self.mesh.num_nodes,)
-        return loads.reshape(shape), q.time_sum(squares)
+        return loads.reshape(q.times.shape + (-1,)), square
 
     def source_slabs(self, loads):
         """Slab integrals on interior vertices of the function whose

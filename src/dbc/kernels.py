@@ -9,9 +9,9 @@ checked.
 
 One process-wide pool, one thread kept on each CPU the process may use and
 made on first use, runs the work that ``split_ranges`` splits into
-independent ranges: the extension's time modes and the Gauss times of
-the quadrature loads, from one gate of work up.  Below the gate, with one CPU, or on a
-pool thread, the work runs in the calling thread.  The ranges write
+independent ranges: the extension's time modes, from one gate of work up,
+and nothing else.  Below the gate, with one CPU, or on a pool thread, the
+work runs in the calling thread.  The ranges write
 disjoint results, which the caller combines in a fixed order, so every
 answer is the same bits on any number of CPUs.  Importing the module sets
 every OpenBLAS that the process has loaded to one thread for good, so no
@@ -314,16 +314,17 @@ if hasattr(os, "register_at_fork"):
 # Below this much work a split runs in the calling thread: handing the
 # ranges to the pool and waiting for it cost about as much as the split
 # saves.  The work is band entries over all time modes, levels * n * (kd +
-# 1), for the extension, and point evaluations, quadrature points *
-# triangles * Gauss times, for the quadrature loads, where two threads that
-# hand the GIL back and forth between small numpy calls lose more than the
-# second CPU gains.  On a 2-core host, one thread against two: two extension
-# solves took 0.73 -> 0.99 ms at 24x17 (0.2 M entries), 2.0 -> 1.75 ms at
-# 32x23 (0.68 M), 11.4 -> 6.8 ms at 48x34 (3.5 M), and the loads gain from
-# 24x17 up.  The error norms do not split: on blocks of 2**15 values, one
-# thread against two took 22 -> 29 ms at 32x23, 80 -> 79 ms at 48x34 and
-# 187 -> 170 ms at 64x46, and larger blocks, which split better, grew each
-# pool thread's malloc arena by their size.
+# 1), of the extension, the only split.  On a 2-core host, one thread
+# against two: two extension solves took 0.73 -> 0.99 ms at 24x17 (0.2 M
+# entries), 2.0 -> 1.75 ms at 32x23 (0.68 M), 11.4 -> 6.8 ms at 48x34
+# (3.5 M).  The quadrature's blocks do not split, since two threads that
+# hand the GIL back and forth between the blocks' small numpy calls gain
+# little: a load took 7.6-9.0 -> 6.4-6.5 ms at 32x23, 15.9-19.3 ->
+# 16.1-16.7 ms at 48x34 and 40-47 -> 33-37 ms at 64x46, and set-up as a
+# whole 130 -> 123 ms at 48x34 and 338 -> 344 ms at 64x46; the three error
+# norms, on blocks of 2**15 values, took 22 -> 29 ms at 32x23, 80 -> 79 ms
+# at 48x34 and 187 -> 170 ms at 64x46.  Larger blocks, which split better,
+# grew each pool thread's malloc arena by their size.
 _SPLIT_WORK = 400_000
 
 

@@ -41,21 +41,16 @@ class MeshMismatchError(ValueError):
 class ManufacturedCase:
     """Closed-form optimal triple plus the data that produces it.
 
-    All callables broadcast over x, y and t as numpy arrays.
-    ``Discretization.time_loads`` evaluates ``source`` and ``target`` on a
-    chunk of Gauss times at once, with t of shape (times, 1, 1) against x
-    and y of shape (points, triangles).  The error norms and the misfit
-    evaluate the exact solution and ``target`` on the blocks of
-    ``Quadrature.integrate``: x and y of shape (points, triangles) on a
-    slice of the triangles, and t of shape (c, 1, 1) for c Gauss times;
-    the values have shape (c, points, triangles), so the factors that do
-    not depend on t are made once per block.  The interpolants of
-    ``dbc.spaces`` pass a scalar t.  Gradients return (d/dx, d/dy) tuples.
-    ``initial`` takes x and y only, and may be None when the exact initial
-    state vanishes.  From 32x23 up ``time_loads`` calls ``source`` and
-    ``target`` from several threads of the ``dbc.kernels`` pool at once, so
-    they must be pure: they change no shared state and give the same values
-    for the same arguments."""
+    All callables broadcast over x, y and t as numpy arrays.  The loads
+    of ``source`` and ``target``, the error norms and the misfit evaluate
+    the data and the exact solution on the blocks of
+    ``Quadrature.integrate``, in the calling thread: x and y of shape
+    (points, triangles) on a slice of the triangles, and t of shape (c, 1,
+    1) for c Gauss times; the values have shape (c, points, triangles), so
+    the factors that do not depend on t are made once per block.  The
+    interpolants of ``dbc.spaces`` pass a scalar t.  Gradients return
+    (d/dx, d/dy) tuples.  ``initial`` takes x and y only, and may be None
+    when the exact initial state vanishes."""
 
     name: str
     lam: float

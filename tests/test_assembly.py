@@ -1,5 +1,6 @@
 """Assembled operators against symbolic and quadrature oracles."""
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -468,66 +469,6 @@ def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
             assert np.array_equal(got, want)
 
 
-def test_quadrature_split_gives_the_bits_of_one_worker(monkeypatch):
-    """The loads with their squares, and the misfit from the loads, their
-    Gauss times split over three workers, so more threads than a two-core
-    host has cores, with loads in chunks of one and of three times and the
-    interpreter switching between threads as often as it can: every value
-    is the bits of one worker.  Each split runs in a thread of its own, so
-    that a deadlock fails the test instead of hanging it."""
-    mesh = SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)
-    disc = Discretization(mesh)
-    q = disc.quad
-    case = bump_case()
-    rng = np.random.default_rng(36)
-    state = rng.standard_normal((mesh.num_slabs, mesh.num_interior))
-    control = rng.standard_normal((mesh.num_control_levels, mesh.num_nodes))
-
-    def quadratures():
-        return (
-            disc.misfit_from_loads(state, control, *disc.time_loads(case.target)),
-            *disc.time_loads(case.source),
-            *disc.time_loads(case.target),
-        )
-
-    cpus = kernels._usable_cpus()
-    if not cpus:
-        pytest.skip("the platform does not report the CPUs a process may use")
-    workers = 3
-    monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
-    interval = sys.getswitchinterval()
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus[:1])
-    assert q.load_ranges() == [(0, q.times.size)]
-    expected = quadratures()
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: (cpus * workers)[:workers])
-    assert q.load_ranges() == [(0, 2), (2, 5), (5, 8)]
-    sys.setswitchinterval(1e-6)
-    try:
-        for chunk_times in (1, 3):
-            monkeypatch.setattr(
-                assembly, "_LOAD_CHUNK_BYTES", 8 * q.x.size * workers * chunk_times
-            )
-            outcome = {}
-
-            def run():
-                try:
-                    outcome["values"] = [quadratures() for _ in range(5)]
-                except BaseException as err:  # re-raised in the test's thread
-                    outcome["error"] = err
-
-            worker = threading.Thread(target=run, daemon=True)
-            worker.start()
-            worker.join(timeout=120)
-            assert not worker.is_alive(), "the split quadrature did not finish in 120 s"
-            if "error" in outcome:
-                raise outcome["error"]
-            for values in outcome["values"]:
-                for got, want in zip(values, expected, strict=True):
-                    assert np.array_equal(got, want)
-    finally:
-        sys.setswitchinterval(interval)
-
-
 @pytest.mark.parametrize("level", ["8x6", "32x23", "nonuniform"])
 def test_block_quadratures_match_the_per_time_oracles(level):
     """The three error norms and the misfit, integrated over blocks of
@@ -571,12 +512,10 @@ def test_no_block_holds_more_than_the_block_values(rule, monkeypatch):
     """At 64x46 ``integrate`` calls its integrand on every Gauss time and
     triangle exactly once, with t of shape (c, 1, 1), in blocks of at most
     ``_BLOCK_VALUES`` point values, with the 6-point rule and the 25-point
-    one.  It calls it from the calling thread alone, even where the loads
-    would split over two CPUs."""
+    one.  It calls it from the calling thread alone, also with two CPUs."""
     mesh = build_space_time_mesh(64, 46)
-    q = Quadrature(mesh, assembly._TRI_RULE_4 if rule == "degree 4" else TRI_RULE_8, 2)
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
-    assert len(q.load_ranges()) == 2
+    q = Quadrature(mesh, assembly._TRI_RULE_4 if rule == "degree 4" else TRI_RULE_8, 2)
     nq, nt = q.x.shape
     seen = np.zeros(q.times.shape + (nt,), dtype=int)
     sizes = []
@@ -654,31 +593,28 @@ def test_a_product_after_importing_dbc_ignores_the_blas_thread_variable():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_splits_after_its_parent(monkeypatch):
-    """A split in the parent makes the shared pool.  A child forked after
-    it has none of the pool's threads, so it makes a pool of its own, and
-    its split finishes with the parent's bits.  The parent waits at most
-    120 s for the child."""
-    disc = Discretization(SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM))
-    q = disc.quad
+    """An extension solve split in the parent makes the shared pool.  A
+    child forked after it has none of the pool's threads, so it makes a
+    pool of its own, and its split solve finishes with the parent's bits.
+    The parent waits at most 120 s for the child."""
+    mesh = SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)
     cpus = kernels._usable_cpus()
     if not cpus:
         pytest.skip("the platform does not report the CPUs a process may use")
     monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: (cpus * 2)[:2])
-    assert len(q.load_ranges()) == 2
-
-    def squares(x, y, t):
-        return (x + t) ** 2
-
-    expected = disc.time_loads(squares)
+    extension = EnergyExtension(Discretization(mesh), _bottom_edge(mesh))
+    assert len(extension._ranges) == 2
+    rhs = np.random.default_rng(8).standard_normal(
+        (mesh.num_control_levels, mesh.num_interior)
+    )
+    expected = extension.solve(rhs)
     assert kernels._pool is not None
     pid = os.fork()
     if pid == 0:  # the child: exit 0 only if its split gave the bits
         code = 1
         try:
-            loads, square = disc.time_loads(squares)
-            same = np.array_equal(loads, expected[0]) and square == expected[1]
-            code = 0 if same else 2
+            code = 0 if np.array_equal(extension.solve(rhs), expected) else 2
         finally:
             os._exit(code)
     deadline = time.monotonic() + 120
@@ -696,10 +632,9 @@ def test_a_forked_child_splits_after_its_parent(monkeypatch):
 
 def test_importing_dbc_starts_no_thread_and_small_levels_split_nothing():
     """Importing the package starts no thread, and set-up, solve and error
-    norms at 8x6, below ``_SPLIT_WORK`` band entries and point
-    evaluations, start none either: the
-    modes and the Gauss times run in the calling thread.  A fresh process,
-    since the shared pool of this one may already exist."""
+    norms at 8x6, below ``_SPLIT_WORK`` band entries, start none either:
+    the time modes run in the calling thread.  A fresh process, since the
+    shared pool of this one may already exist."""
     code = """if True:
         import threading
         import dbc
@@ -727,9 +662,6 @@ def test_importing_dbc_starts_no_thread_and_small_levels_split_nothing():
     levels, n = extension.modes.shape[0], extension.order.size
     assert levels * n * (extension.kd + 1) < kernels._SPLIT_WORK
     assert extension._ranges == [(0, levels)]
-    quad = problem.disc.quad
-    assert quad.x.size * quad.times.size < kernels._SPLIT_WORK
-    assert quad.load_ranges() == [(0, quad.times.size)]
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -844,18 +776,34 @@ def test_spatial_load_vector_constant():
     assert np.allclose(load[interior], 1.0 / 16.0)
 
 
-@pytest.mark.parametrize("chunk_times", [1, 3, None], ids=["one", "three", "all"])
-def test_time_loads_match_one_load_vector_per_time(monkeypatch, chunk_times):
-    """The chunked loads equal, bit for bit, one ``spatial_load_vector`` per
-    Gauss time times its weight, and the square is the misfit of the zero
-    state and control; chunks of 3 do not divide the 10 times."""
+@pytest.mark.parametrize(
+    "block_times, slice_triangles",
+    [(None, None), (16, None), (3, None), (1, 3)],
+    ids=["defaults", "all", "three", "one"],
+)
+def test_time_loads_match_one_load_vector_per_time(
+    monkeypatch, block_times, slice_triangles
+):
+    """The block loads equal, bit for bit, one ``spatial_load_vector`` per
+    Gauss time times its weight, and the square is exactly the misfit of
+    the zero state and control and ``integrate`` of g * g: with the default
+    blocks, one block of all 10 Gauss times, blocks of 3, which do not
+    divide the 10, and blocks of one Gauss time by slices of 3 of the 32
+    triangles."""
+    if block_times is not None:
+        monkeypatch.setattr(assembly, "_BLOCK_TIMES", block_times)
+    if slice_triangles is not None:
+        nq = len(assembly._TRI_RULE_4[1])
+        monkeypatch.setattr(
+            assembly, "_BLOCK_VALUES", assembly._BLOCK_TIMES * nq * slice_triangles
+        )
     disc = Discretization(build_space_time_mesh(4, 5))
     q = disc.quad
+    assert q.times.size == 10
+    assert len(q.slices) == (1 if slice_triangles is None else 11)
     mesh = disc.mesh
     zero_state = np.zeros((mesh.num_slabs, mesh.num_interior))
     zero_control = np.zeros((mesh.num_control_levels, mesh.num_nodes))
-    if chunk_times is not None:
-        monkeypatch.setattr(assembly, "_LOAD_CHUNK_BYTES", 8 * q.x.size * chunk_times)
     for g in (bump_case().target, lambda x, y, t: np.ones_like(x)):
         expected = [
             [w * spatial_load_vector(q, g, t) for t, w in zip(times, weights)]
@@ -863,9 +811,38 @@ def test_time_loads_match_one_load_vector_per_time(monkeypatch, chunk_times):
         ]
         loads, square = disc.time_loads(g)
         assert np.array_equal(loads, np.array(expected))
-        assert square == pytest.approx(
-            disc.misfit_quadrature(zero_state, zero_control, g), rel=1e-14
-        )
+        assert square == disc.misfit_quadrature(zero_state, zero_control, g)
+
+        def squared(m, j, t, cells):
+            values = np.broadcast_to(
+                g(q.x[:, cells], q.y[:, cells], t), (len(m),) + q.x[:, cells].shape
+            )
+            return values * values
+
+        assert square == q.integrate(squared)
+
+
+def test_loads_call_the_data_only_from_the_calling_thread(monkeypatch):
+    """Set-up at 32x23 with two CPUs, where the extension splits its time
+    modes over the pool, calls ``source`` and ``target`` from the main
+    thread alone."""
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
+    case = bump_case()
+    threads = set()
+
+    def recorded(g):
+        def data(x, y, t):
+            threads.add(threading.get_ident())
+            return g(x, y, t)
+
+        return data
+
+    checked = dataclasses.replace(
+        case, source=recorded(case.source), target=recorded(case.target)
+    )
+    problem = setup_problem(32, 23, checked)
+    assert len(problem.extension._ranges) == 2
+    assert threads == {threading.main_thread().ident}
 
 
 def test_source_slabs_constant(disc):
