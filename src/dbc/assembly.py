@@ -206,6 +206,11 @@ class EnergyExtension:
     depend on the split, so the answers are the same bits on any number of
     CPUs.  The time transforms and the permutation into ``order`` are
     applied to all modes at once, outside the ranges.
+
+    ``__init__`` only starts the factorization there and returns, so its
+    caller can go on while the pool factors; the first solve waits for the
+    factors, once, and raises the factorization's failure if it had one.
+    Below the gate the factors are made in ``__init__``.
     """
 
     def __init__(self, disc, boxed_vertices):
@@ -228,7 +233,17 @@ class EnergyExtension:
         mass = _reorder(disc.mass_ii, self.order)
         self.kd = max(band_width(stiff), band_width(mass))
         self._ranges = split_ranges(levels, levels * n * (self.kd + 1))
-        self._bands = factor_shifted(stiff, mass, theta, self.kd, self._ranges)
+        self._bands, self._factoring = factor_shifted(
+            stiff, mass, theta, self.kd, self._ranges
+        )
+
+    def _factors(self):
+        """The mode factors, once the factorization that ``__init__``
+        started has ended."""
+        if self._factoring is not None:
+            self._factoring()
+            self._factoring = None
+        return self._bands
 
     def _to_modes(self, rhs):
         """The (levels, n) ``rhs`` in the time modes and in ``order``."""
@@ -241,7 +256,7 @@ class EnergyExtension:
         """Solve A_ii X = rhs for a level-major rhs, flat or of shape
         (levels, num_interior); X has shape (levels, num_interior)."""
         work = self._to_modes(rhs.reshape(self._levels, self._size))
-        substitute_bands(self._bands, self._ranges, work, (b"N", 0), (b"T", 0))
+        substitute_bands(self._factors(), self._ranges, work, (b"N", 0), (b"T", 0))
         return self._from_modes(work)
 
     def solve_from_tail(self, tail_rhs):
@@ -253,7 +268,7 @@ class EnergyExtension:
         start = self._size - len(self.tail)
         work = np.zeros((self._levels, self._size))
         work[:, start:] = self.modes.T @ tail_rhs
-        substitute_bands(self._bands, self._ranges, work, (b"N", start), (b"T", 0))
+        substitute_bands(self._factors(), self._ranges, work, (b"N", start), (b"T", 0))
         return self._from_modes(work)
 
     def solve_to_tail(self, rhs):
@@ -262,7 +277,7 @@ class EnergyExtension:
         tail alone."""
         start = self._size - len(self.tail)
         work = self._to_modes(rhs.reshape(self._levels, self._size))
-        substitute_bands(self._bands, self._ranges, work, (b"N", 0), (b"T", start))
+        substitute_bands(self._factors(), self._ranges, work, (b"N", 0), (b"T", start))
         return self.modes @ work[:, start:]
 
 

@@ -1,5 +1,5 @@
-"""Band kernels and the thread pool: the one module of ``dbc`` that touches
-ctypes, raw addresses, band storage or threads.
+"""Band kernels, the thread pool and the heap policy: the one module of
+``dbc`` that touches ctypes, raw addresses, band storage or threads.
 
 Every factor in ``dbc`` is a LAPACK band Cholesky factor made by ``dpbtrf``,
 and every band substitution is a BLAS dtbsv, both called through scipy's
@@ -11,12 +11,19 @@ One process-wide pool, one thread kept on each CPU the process may use and
 made on first use, runs the work that ``split_ranges`` splits into
 independent ranges: the extension's time modes, from one gate of work up,
 and nothing else.  Below the gate, with one CPU, or on a pool thread, the
-work runs in the calling thread.  The ranges write
+work runs in the calling thread.  ``start_ranges`` hands the ranges to the
+pool and returns their wait, so the caller goes on while the pool works:
+set-up evaluates the data while the pool factors the extension's modes.
+``run_ranges`` is that start followed by its wait.  The ranges write
 disjoint results, which the caller combines in a fixed order, so every
-answer is the same bits on any number of CPUs.  Importing the module sets
-every OpenBLAS that the process has loaded to one thread for good, so no
-BLAS threads compete with the pool, and every product sums alike whatever
-the BLAS thread count.
+answer is the same bits on any number of CPUs.
+
+Importing the module sets every OpenBLAS that the process has loaded to one
+thread for good, so no BLAS threads compete with the pool, and every
+product sums alike whatever the BLAS thread count.  It also fixes glibc's
+mmap and trim thresholds, where the C library has ``mallopt``, so that the
+arrays a Hessian action frees go back to the heap and are reused without
+page faults (see ``_HEAP_THRESHOLDS``).
 """
 
 from __future__ import annotations
@@ -177,11 +184,13 @@ class SlabSystem:
 
 
 def factor_shifted(stiff, mass, shifts, kd, ranges):
-    """Band Cholesky factors of stiff + s mass for every s in ``shifts``,
-    for two symmetric CSR matrices in a band order whose band ``kd`` covers
-    both: a (len(shifts), n, kd + 1) array whose j-th entry, transposed, is
-    factor j's lower band, formed from the two bands built once.  Each of
-    ``ranges`` is factored as one task of ``run_ranges``."""
+    """Start the band Cholesky factors of stiff + s mass for every s in
+    ``shifts``, for two symmetric CSR matrices in a band order whose band
+    ``kd`` covers both, and return (bands, wait).  ``bands`` is a
+    (len(shifts), n, kd + 1) array whose j-th entry, transposed, is factor
+    j's lower band, formed from the two bands built once; it holds the
+    factors once ``wait()``, the wait of ``start_ranges`` with each of
+    ``ranges`` as one task, has returned."""
     bands = np.empty((len(shifts), stiff.shape[0], kd + 1))
     stiff_band, mass_band = _lower_band(stiff, kd), _lower_band(mass, kd)
 
@@ -192,8 +201,7 @@ def factor_shifted(stiff, mass, shifts, kd, ranges):
             band += stiff_band
             dpbtrf(band)
 
-    run_ranges(factor, ranges)
-    return bands
+    return bands, start_ranges(factor, ranges)
 
 
 def substitute_bands(bands, ranges, work, *steps):
@@ -283,6 +291,37 @@ for _setter in _openblas_thread_setters():
     _setter(1)
 
 
+# glibc's malloc serves a block of 128 KiB or more with mmap and trims the
+# top of the heap once 128 KiB lie free there, and it raises both thresholds,
+# up to 32 MiB, only when a larger mmapped block is freed.  So the thresholds,
+# and the page faults of a solve, depended on what set-up had freed and in
+# which order: a Hessian action's temporaries, 128 KiB to 1.5 MB, were
+# unmapped or trimmed and faulted back in at the next action.  Fixed, the
+# thresholds keep every block below 32 MiB in the heap and trim only 64 MiB
+# of free top.  A fresh-process ``pdas_solve`` after set-up took 5,960 /
+# 31k / 41,137 minor faults at 32x23 / 48x34 with q_b = 0.045 / 64x46, and
+# takes 42 / 141 / 344; set-up at 64x46 took 29k and takes 11k-12k.  The
+# peak memory of a 64x46 solve rose 0.4 MiB for it.  Each pair is
+# (M_MMAP_THRESHOLD or M_TRIM_THRESHOLD, value); 32 MiB is the largest mmap
+# threshold glibc accepts.
+_HEAP_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def _fix_heap_thresholds():
+    """Set ``_HEAP_THRESHOLDS`` with the C library's ``mallopt``; return what
+    each call returned (1 for success), none where there is no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return []
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return [mallopt(option, value) for option, value in _HEAP_THRESHOLDS]
+
+
+_heap_thresholds_set = _fix_heap_thresholds()
+
+
 def _shared_pool():
     global _pool
     with _pool_lock:
@@ -313,13 +352,16 @@ if hasattr(os, "register_at_fork"):
 
 # Below this much work a split runs in the calling thread: handing the
 # ranges to the pool and waiting for it cost about as much as the split
-# saves.  The work is band entries over all time modes, levels * n * (kd +
-# 1), of the extension, the only split.  On a 2-core host, one thread
-# against two: two extension solves took 0.73 -> 0.99 ms at 24x17 (0.2 M
-# entries), 2.0 -> 1.75 ms at 32x23 (0.68 M), 11.4 -> 6.8 ms at 48x34
-# (3.5 M).  The quadrature's blocks do not split, since two threads that
-# hand the GIL back and forth between the blocks' small numpy calls gain
-# little: a load took 7.6-9.0 -> 6.4-6.5 ms at 32x23, 15.9-19.3 ->
+# saves.  Above it the pool also factors while its caller goes on: set-up
+# starts the extension's factorization and evaluates the data meanwhile,
+# which alone took set-up at 64x46 from 0.203 to 0.183 s (medians of 8
+# fresh processes).  The work is band entries over all time modes,
+# levels * n * (kd + 1), of the extension, the only split.  On a 2-core
+# host, one thread against two: two extension solves took 0.73 -> 0.99 ms
+# at 24x17 (0.2 M entries), 2.0 -> 1.75 ms at 32x23 (0.68 M), 11.4 -> 6.8
+# ms at 48x34 (3.5 M).  The quadrature's blocks do not split, since two
+# threads that hand the GIL back and forth between the blocks' small numpy
+# calls gain little: a load took 7.6-9.0 -> 6.4-6.5 ms at 32x23, 15.9-19.3 ->
 # 16.1-16.7 ms at 48x34 and 40-47 -> 33-37 ms at 64x46, and set-up as a
 # whole 130 -> 123 ms at 48x34 and 338 -> 344 ms at 64x46; the three error
 # norms, on blocks of 2**15 values, took 22 -> 29 ms at 32x23, 80 -> 79 ms
@@ -338,17 +380,29 @@ def split_ranges(size, work):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def run_ranges(task, ranges):
-    """``task(lo, hi)`` on every range: in the calling thread if
-    there is one range or the caller is a pool thread, else one range per
-    pool task while the caller waits.  Raises the failure of the first range
-    that failed, once every range is done."""
+def start_ranges(task, ranges):
+    """Start ``task(lo, hi)`` on every range and return a wait, a function of
+    no arguments that returns once every range is done and then raises the
+    failure of the first range that failed, if one did.  With one range, or
+    on a pool thread, the ranges run now, in the calling thread, and the
+    wait does nothing; else each range is one pool task, and the caller
+    goes on while they run."""
     if len(ranges) == 1 or getattr(_pool_thread, "active", False):
         for lo, hi in ranges:
             task(lo, hi)
-        return
+        return lambda: None
     pool = _shared_pool()
     pending = [pool.submit(task, lo, hi) for lo, hi in ranges]
-    futures.wait(pending)
-    for future in pending:
-        future.result()
+
+    def wait():
+        futures.wait(pending)
+        for future in pending:
+            future.result()
+
+    return wait
+
+
+def run_ranges(task, ranges):
+    """``task(lo, hi)`` on every range, as ``start_ranges`` runs them, while
+    the caller waits."""
+    start_ranges(task, ranges)()

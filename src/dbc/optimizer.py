@@ -111,7 +111,10 @@ class ReducedProblem:
     ``objective_at_anchor`` as j(anchor) from discrete L2 products and the
     u_d loads (``Discretization.misfit_from_loads``).  f and u_d are each
     evaluated once, by ``time_loads``; data that is not finite raises
-    ``AssemblyError``.  ``objective`` stays the independent path: a forward
+    ``AssemblyError``.  Set-up makes the extension first: from the split
+    gate of ``dbc.kernels`` up, its mode factors run on the pool while
+    this thread evaluates q_d, f, u0 and u_d, and the anchor's extension
+    solve waits for them.  ``objective`` stays the independent path: a forward
     sweep and a space-time quadrature of u_d per call.
 
     The data are the source f(x, y, t), the initial state u0(x, y) (None
@@ -128,11 +131,14 @@ class ReducedProblem:
         mesh = disc.mesh
         levels = mesh.num_control_levels
         self.dim = levels * mesh.num_nodes
+        # The pool factors the extension's modes while this thread goes on
+        # with the data; the first extension solve, in ``extend``, waits.
+        self.extension = EnergyExtension(disc, bounds.boxed_vertices)
         self.q_shift = interpolate_control(mesh, q_d).ravel()
         _check_finite("control shift", self.q_shift, mesh.time_partition.points[1:-1])
 
         # f and u_d are evaluated here, once each.  f's loads are not kept:
-        # held through set-up, they tripled a 64x46 solve's page faults.
+        # held through set-up, they raised a 64x46 solve's peak memory by 3 MiB.
         gauss_times = disc.quad.times.ravel()
         self._source = disc.source_slabs(
             _check_finite("source", disc.time_loads(f)[0], gauss_times)
@@ -147,7 +153,6 @@ class ReducedProblem:
         levels_start = np.arange(levels)[:, None] * mesh.num_nodes
         self.interior_indices = (levels_start + disc.interior).ravel()
         self.trace_dim = len(self.trace_indices)
-        self.extension = EnergyExtension(disc, bounds.boxed_vertices)
         # The trace DOFs are every level of the boxed vertices, and only the
         # extension's tail couples to them, so this is the seminorm block of
         # the tail rows and the trace columns.
@@ -182,13 +187,6 @@ class ReducedProblem:
         self.objective_at_anchor = 0.5 * misfit + 0.5 * self.lam * float(
             shifted @ seminorm_shifted
         )
-        # Made last, this long-lived copy lands at the top of the heap, above
-        # the space that set-up's temporaries freed.  glibc cannot trim that
-        # space while it lies below a live block, so the Hessian actions'
-        # temporaries reuse it without page faults: a 64x46 solve takes 41k
-        # minor faults with the copy and 125k without, and 48x34 with active
-        # bounds 0.15k and 61k.
-        self.adjoint_anchor = self.adjoint_anchor.copy()
 
     # -- full-space layer ----------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Assembled operators against symbolic and quadrature oracles."""
 
+import ctypes
 import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -446,7 +448,7 @@ def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
         try:
             split = EnergyExtension(disc, boxed)
             outcome["ranges"] = split._ranges
-            outcome["factors"] = split._bands.copy()
+            outcome["factors"] = split._factors().copy()
             outcome["solves"] = [solves(split) for _ in range(20)]
         except BaseException as err:  # re-raised in the test's thread
             outcome["error"] = err
@@ -463,7 +465,7 @@ def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
     if "error" in outcome:
         raise outcome["error"]
     assert outcome["ranges"] == [(0, 1), (1, 2), (2, 3)]
-    assert np.array_equal(outcome["factors"], serial._bands)
+    assert np.array_equal(outcome["factors"], serial._factors())
     for repeat in outcome["solves"]:
         for got, want in zip(repeat, expected):
             assert np.array_equal(got, want)
@@ -551,6 +553,30 @@ def test_misfit_quadrature_equals_the_misfit_from_loads(level):
         disc.misfit_from_loads(state, control, *disc.time_loads(target)),
         rel=1e-14, abs=0,
     )
+
+
+def test_a_start_returns_before_its_ranges_end_and_its_wait_raises_the_first():
+    """``start_ranges`` returns while its first range is still blocked on
+    the pool; its wait returns once both ranges have ended and raises the
+    failure of the first range, though the second failed earlier."""
+    if not kernels._usable_cpus():
+        pytest.skip("the platform does not report the CPUs a process may use")
+    release = threading.Event()
+    ended = []
+
+    def task(lo, hi):
+        if lo == 0:
+            release.wait(timeout=60)
+        ended.append(lo)
+        raise ValueError(f"range {lo} failed")
+
+    wait = kernels.start_ranges(task, [(0, 1), (1, 2)])
+    returned_first = 0 not in ended
+    release.set()
+    with pytest.raises(ValueError, match="range 0 failed"):
+        wait()
+    assert returned_first
+    assert sorted(ended) == [0, 1]
 
 
 def test_importing_dbc_runs_every_openblas_on_one_thread():
@@ -662,6 +688,37 @@ def test_importing_dbc_starts_no_thread_and_small_levels_split_nothing():
     levels, n = extension.modes.shape[0], extension.order.size
     assert levels * n * (extension.kd + 1) < kernels._SPLIT_WORK
     assert extension._ranges == [(0, levels)]
+
+
+def test_a_solve_after_set_up_reuses_the_heap_without_page_faults():
+    """Importing ``dbc`` fixes glibc's mmap and trim thresholds, so that a
+    32x23 ``pdas_solve`` after set-up reuses the blocks that the Hessian
+    actions free: fewer than 1,000 minor faults in a fresh process, where
+    glibc's own thresholds gave 5,920.  glibc only."""
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        pytest.skip("the C library has no mallopt")
+    code = """if True:
+        import json
+        import resource
+        import dbc
+        from dbc import kernels
+        from dbc.manufactured import bump_case, setup_problem
+        problem = setup_problem(32, 23, bump_case())
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        dbc.pdas_solve(problem, tol=1e-9)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        print(json.dumps([kernels._heap_thresholds_set, faults]))
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    thresholds_set, faults = json.loads(out.stdout)
+    assert thresholds_set == [1, 1]
+    assert faults < 1000
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -843,6 +900,106 @@ def test_loads_call_the_data_only_from_the_calling_thread(monkeypatch):
     problem = setup_problem(32, 23, checked)
     assert len(problem.extension._ranges) == 2
     assert threads == {threading.main_thread().ident}
+
+
+def test_set_up_factors_the_extension_while_it_evaluates_the_source(monkeypatch):
+    """Set-up at 32x23 with two CPUs evaluates the source while the pool
+    factors the extension's modes: the first call of the source waits until
+    a mode factor has started, and the mode factors wait until the source
+    has been called, each for at most 5 s.  The trace data and both anchors
+    are the bits of a one-CPU set-up."""
+    case = bump_case()
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0])
+    serial = setup_problem(32, 23, case)
+    started, sourced = threading.Event(), threading.Event()
+    factor_saw_source, source_saw_factor = [], []
+
+    def factor(band):
+        if getattr(kernels._pool_thread, "active", False):
+            started.set()
+            factor_saw_source.append(sourced.wait(timeout=5))
+        return dpbtrf(band)
+
+    def source(x, y, t):
+        if not sourced.is_set():
+            source_saw_factor.append(started.wait(timeout=5))
+            sourced.set()
+        return case.source(x, y, t)
+
+    monkeypatch.setattr(kernels, "dpbtrf", factor)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
+    split = setup_problem(32, 23, dataclasses.replace(case, source=source))
+    assert len(split.extension._ranges) == 2
+    assert source_saw_factor == [True]
+    assert factor_saw_source and all(factor_saw_source)
+    for name in ("trace_b", "state_anchor", "adjoint_anchor"):
+        assert np.array_equal(getattr(split, name), getattr(serial, name))
+
+
+def test_a_failed_mode_factor_stops_set_up_once_every_range_is_done(monkeypatch):
+    """The first mode factor on the pool fails while the other range goes on
+    slowly: ``setup_problem`` raises the failure, and only when no mode
+    factor is running any more and the other range is factored."""
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
+    ranges = setup_problem(32, 23, bump_case()).extension._ranges
+    sizes = {hi - lo for lo, hi in ranges}
+    lock = threading.Lock()
+    calls = {"started": 0, "running": 0, "factored": 0}
+
+    def factor(band):
+        if not getattr(kernels._pool_thread, "active", False):
+            return dpbtrf(band)
+        with lock:
+            calls["started"] += 1
+            calls["running"] += 1
+            first = calls["started"] == 1
+        try:
+            if first:
+                raise AssemblyError("the first mode factor failed")
+            time.sleep(0.02)
+            dpbtrf(band)
+            with lock:
+                calls["factored"] += 1
+        finally:
+            with lock:
+                calls["running"] -= 1
+
+    monkeypatch.setattr(kernels, "dpbtrf", factor)
+    with pytest.raises(AssemblyError, match="the first mode factor failed"):
+        setup_problem(32, 23, bump_case())
+    assert calls["running"] == 0
+    assert calls["factored"] in sizes
+
+
+def test_a_data_error_while_the_pool_factors_leaves_the_pool_working(monkeypatch):
+    """A NaN source at 32x23 with two CPUs is a data error while the mode
+    factors run on the pool, and set-up in the same process then succeeds
+    with the bits of a one-CPU set-up.  Both set-ups run in a thread of
+    their own, so that a wedged pool fails the test instead of hanging it."""
+    case = bump_case()
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0])
+    serial = setup_problem(32, 23, case)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
+    nan_source = dataclasses.replace(case, source=lambda x, y, t: x * y * t * np.nan)
+    outcome = {}
+
+    def run():
+        try:
+            with pytest.raises(AssemblyError, match="the source is not finite"):
+                setup_problem(32, 23, nan_source)
+            outcome["problem"] = setup_problem(32, 23, case)
+        except BaseException as err:  # re-raised in the test's thread
+            outcome["error"] = err
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive(), "set-up did not finish in 120 s"
+    if "error" in outcome:
+        raise outcome["error"]
+    problem = outcome["problem"]
+    assert len(problem.extension._ranges) == 2
+    assert np.array_equal(problem.trace_b, serial.trace_b)
 
 
 def test_source_slabs_constant(disc):
