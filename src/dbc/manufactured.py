@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import Discretization
+from .assembly import Discretization, difference
 from .mesh import SpaceTimeMesh, uniform_time_partition, unit_square_mesh
 from .optimizer import CGBreakdownError, PdasNonconvergence, ReducedProblem, pdas_solve
 from .forward import SolverError
@@ -45,12 +45,17 @@ class ManufacturedCase:
     of ``source`` and ``target``, the error norms and the misfit evaluate
     the data and the exact solution on the blocks of
     ``Quadrature.integrate``, in the calling thread: x and y of shape
-    (points, triangles) on a slice of the triangles, and t of shape (c, 1,
-    1) for c Gauss times; the values have shape (c, points, triangles), so
-    the factors that do not depend on t are made once per block.  The
-    interpolants of ``dbc.spaces`` pass a scalar t.  Gradients return
-    (d/dx, d/dy) tuples.  ``initial`` takes x and y only, and may be None
-    when the exact initial state vanishes."""
+    (points, triangles) on a slice of the triangles, C-contiguous float64
+    arrays that the slice keeps and that are read-only, and t of shape (c,
+    1, 1) for c Gauss times; the values have shape (c, points, triangles),
+    so the factors that do not depend on t are made once per block.  The
+    norms subtract the discrete part in place from the arrays that
+    ``state_grad``, ``adjoint_grad``, ``control_grad`` and ``control_t``
+    return, and ``misfit_quadrature`` from those of ``target``, so these
+    must return new arrays; a scalar or a read-only result is not written
+    but costs a new array.  The interpolants of ``dbc.spaces`` pass a
+    scalar t.  Gradients return (d/dx, d/dy) tuples.  ``initial`` takes x
+    and y only, and may be None when the exact initial state vanishes."""
 
     name: str
     lam: float
@@ -159,14 +164,6 @@ def _check_same_mesh(disc, *fields):
             raise MeshMismatchError("field mesh differs from the discretization")
 
 
-def _gradient(disc, corners, cells):
-    """Per-triangle gradients (d/dx, d/dy) of P1 fields on the triangles
-    ``cells`` from their ``corners``, (c, 3, triangles); each (c, 1,
-    triangles), to broadcast against the points."""
-    grad = np.einsum("cit,dit->cdt", corners, disc.grads[:, :, cells])
-    return grad[:, :1], grad[:, 1:]
-
-
 def _sum_of_squares(first, *rest):
     """first**2 + rest[0]**2 + ..., added in that order; squares the
     arguments, fresh arrays of one shape, in place and returns ``first``."""
@@ -193,19 +190,17 @@ def energy_error_adjoint(disc, case, adjoint):
 def _grad_error(disc, grad_exact, slab_full, control_pad):
     q = disc.quad
 
-    def field_corners(m, j, cells):
-        nodal = q.corners(slab_full, m, cells)
-        if control_pad is not None:
-            nodal += q.level_corners(control_pad, m, j, cells)
-        return nodal
-
     def squared_error(m, j, t, cells):
-        gx, gy = _gradient(disc, field_corners(m, j, cells), cells)
-        ex, ey = grad_exact(q.x[:, cells], q.y[:, cells], t)
-        # Rebinding frees each exact component once its error is made.
-        ex = ex - gx
-        ey = ey - gy
-        return _sum_of_squares(ex, ey)
+        x, y = q.points(cells)
+        grad = q.gradients(q.gather(slab_full, m, cells), cells)[m - m[0]]
+        if control_pad is not None:
+            ends = q.gather(control_pad, m, cells, levels=True)
+            grad += q.in_time(q.gradients(ends, cells), m, j)
+        shape = t.shape[:1] + x.shape
+        ex, ey = grad_exact(x, y, t)
+        return _sum_of_squares(
+            difference(ex, grad[:, :1], shape), difference(ey, grad[:, 1:], shape)
+        )
 
     return math.sqrt(q.integrate(squared_error))
 
@@ -218,17 +213,21 @@ def control_error(disc, case, control):
     steps = disc.mesh.time_partition.steps
 
     def squared_error(m, j, t, cells):
-        x, y = q.x[:, cells], q.y[:, cells]
-        slope = (q.corners(pad, m + 1, cells) - q.corners(pad, m, cells)) / steps[
-            m
-        ][:, None, None]
-        dt_err = case.control_t(x, y, t) - q.at_points(slope)
-        gx, gy = _gradient(disc, q.level_corners(pad, m, j, cells), cells)
+        x, y = q.points(cells)
+        shape = t.shape[:1] + x.shape
+        ends = q.gather(pad, m, cells, levels=True)
+        slopes = np.diff(ends, axis=0)
+        slopes /= steps[m[0] : m[-1] + 1, None, None]
+        dt_err = difference(
+            case.control_t(x, y, t), q.at_points(slopes)[m - m[0]], shape
+        )
+        grad = q.in_time(q.gradients(ends, cells), m, j)
         ex, ey = case.control_grad(x, y, t)
-        # Rebinding frees each exact component once its error is made.
-        ex = ex - gx
-        ey = ey - gy
-        return _sum_of_squares(dt_err, ex, ey)
+        return _sum_of_squares(
+            dt_err,
+            difference(ex, grad[:, :1], shape),
+            difference(ey, grad[:, 1:], shape),
+        )
 
     return math.sqrt(q.integrate(squared_error))
 

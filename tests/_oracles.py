@@ -24,7 +24,7 @@ import ctypes
 
 import numpy as np
 
-from dbc import kernels
+from dbc import assembly, kernels
 from dbc.adjoint import sweep_backward, tracking_slabs
 from dbc.forward import sweep_forward
 from dbc.spaces import (
@@ -86,12 +86,21 @@ def full_gradient(disc, case, flat):
     return gradient, state.values, adjoint.values
 
 
-def per_time_integral(quad, integrand):
-    """Space-time integral of ``integrand(m, j, t)``, the values, (nq, nt),
-    at every point at the j-th Gauss time t of slab m: one ``np.vdot`` with
-    the weights per Gauss time, added by ``Quadrature.time_sum``."""
+def per_time_integral(disc, integrand):
+    """Space-time integral of ``integrand(m, j, t, x, y)``, the values,
+    (nq, nt), at every point (x, y) at the j-th Gauss time t of slab m: one
+    ``np.vdot`` with the weights per Gauss time, added by
+    ``Quadrature.time_sum``.  ``disc.quad`` keeps its points and weights
+    only slice by slice, so the whole-mesh ones are made here, as
+    ``Quadrature`` makes them."""
+    quad = disc.quad
+    tri = disc.mesh.triangulation
+    bary, rule_weights = assembly._TRI_RULE_4
+    assert np.array_equal(quad.bary, bary)
+    x, y = quad.at_points(tri.vertices[tri.triangles].T)
+    weights = np.outer(rule_weights, tri.signed_areas)
     sums = [
-        np.vdot(quad.weights, integrand(m, j, t))
+        np.vdot(weights, integrand(m, j, t, x, y))
         for (m, j), t in np.ndenumerate(quad.times)
     ]
     return quad.time_sum(sums)
@@ -105,21 +114,22 @@ def interpolate(quad, nodal):
 
 def _gradient(disc, nodal):
     """Per-triangle gradient (d/dx, d/dy) of a P1 field; each (nt,)."""
-    tt = disc.mesh.triangulation.triangles
-    return np.einsum("ti,dit->dt", nodal[tt], disc.grads)
+    tri = disc.mesh.triangulation
+    grads = assembly.triangle_geometry(tri)[0]
+    return np.einsum("ti,tid->dt", nodal[tri.triangles], grads)
 
 
 def _per_time_gradient_error(disc, grad_exact, slab_full, control_pad):
     q = disc.quad
 
-    def squared_error(m, j, t):
+    def squared_error(m, j, t, x, y):
         lo, hi = q.lo[m, j], q.hi[m, j]
         nodal = slab_full[m] + lo * control_pad[m] + hi * control_pad[m + 1]
         gx, gy = _gradient(disc, nodal)
-        ex, ey = grad_exact(q.x, q.y, t)
+        ex, ey = grad_exact(x, y, t)
         return (ex - gx) ** 2 + (ey - gy) ** 2
 
-    return np.sqrt(per_time_integral(q, squared_error))
+    return np.sqrt(per_time_integral(disc, squared_error))
 
 
 def per_time_state_error(disc, case, state, control):
@@ -143,15 +153,15 @@ def per_time_control_error(disc, case, control):
     pad = pad_levels(control.values)
     steps = disc.mesh.time_partition.steps
 
-    def squared_error(m, j, t):
-        dt_err = case.control_t(q.x, q.y, t) - interpolate(
+    def squared_error(m, j, t, x, y):
+        dt_err = case.control_t(x, y, t) - interpolate(
             q, (pad[m + 1] - pad[m]) / steps[m]
         )
         gx, gy = _gradient(disc, q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1])
-        ex, ey = case.control_grad(q.x, q.y, t)
+        ex, ey = case.control_grad(x, y, t)
         return dt_err**2 + (ex - gx) ** 2 + (ey - gy) ** 2
 
-    return np.sqrt(per_time_integral(q, squared_error))
+    return np.sqrt(per_time_integral(disc, squared_error))
 
 
 def per_time_misfit(disc, state_values, control_values, u_d):
@@ -161,12 +171,12 @@ def per_time_misfit(disc, state_values, control_values, u_d):
     full[:, disc.interior] = state_values
     pad = pad_levels(control_values)
 
-    def squared_misfit(m, j, t):
+    def squared_misfit(m, j, t, x, y):
         nodal = full[m] + q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1]
-        diff = interpolate(q, nodal) - u_d(q.x, q.y, t)
+        diff = interpolate(q, nodal) - u_d(x, y, t)
         return diff * diff
 
-    return per_time_integral(q, squared_misfit)
+    return per_time_integral(disc, squared_misfit)
 
 
 def whole_boundary(x, y):

@@ -238,6 +238,28 @@ def test_energy_extension_solves_interior_block():
         assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(rhs)
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [lambda z: z[:, 2] * 1.01, lambda z: z[:, 2] + 1e-6 * z[:, 0]],
+    ids=["scaled", "mixed"],
+)
+def test_a_faulty_time_mode_stops_set_up_with_its_number(monkeypatch, fault):
+    """``setup_problem`` at 8x6 raises an ``AssemblyError`` that names mode
+    2 when ``scipy.linalg.eigh`` returns it 1% too long, or mixed with 1e-6
+    of mode 0; unperturbed, the same set-up passes the check."""
+    eigh = sla.eigh
+
+    def faulty(a, b):
+        theta, modes = eigh(a, b)
+        modes[:, 2] = fault(modes)
+        return theta, modes
+
+    setup_problem(8, 6, bump_case())
+    monkeypatch.setattr(sla, "eigh", faulty)
+    with pytest.raises(AssemblyError, match="time mode 2 of the extension"):
+        setup_problem(8, 6, bump_case())
+
+
 def _band_solver(matrix, order):
     """Solve with ``matrix`` through its band Cholesky factor in ``order``,
     built and applied by the GIL-free kernels alone."""
@@ -509,16 +531,28 @@ def test_block_quadratures_match_the_per_time_oracles(level):
         assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
+def _assert_slice_points(x, y, nq):
+    """x and y are the C-contiguous, read-only float64 points of a slice,
+    (nq, triangles)."""
+    for a in (x, y):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert not a.flags.writeable
+        assert a.shape == (nq, y.shape[1])
+
+
 @pytest.mark.parametrize("rule", ["degree 4", "degree 8"])
 def test_no_block_holds_more_than_the_block_values(rule, monkeypatch):
     """At 64x46 ``integrate`` calls its integrand on every Gauss time and
     triangle exactly once, with t of shape (c, 1, 1), in blocks of at most
     ``_BLOCK_VALUES`` point values, with the 6-point rule and the 25-point
-    one.  It calls it from the calling thread alone, also with two CPUs."""
+    one.  It calls it from the calling thread alone, also with two CPUs.
+    Each slice's points are C-contiguous float64, and so are the x and y
+    with which ``time_loads`` and the three norms call the data and the
+    exact solution, on the 6-point rule at 16x12."""
     mesh = build_space_time_mesh(64, 46)
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
     q = Quadrature(mesh, assembly._TRI_RULE_4 if rule == "degree 4" else TRI_RULE_8, 2)
-    nq, nt = q.x.shape
+    nq, nt = len(q.bary), len(q.triangles)
     seen = np.zeros(q.times.shape + (nt,), dtype=int)
     sizes = []
 
@@ -526,14 +560,45 @@ def test_no_block_holds_more_than_the_block_values(rule, monkeypatch):
         assert threading.get_ident() == threading.main_thread().ident
         assert t.shape == (len(m), 1, 1)
         assert np.array_equal(t.ravel(), q.times[m, j])
+        x, y = q.points(cells)
+        _assert_slice_points(x, y, nq)
         seen[m, j, cells] += 1
-        values = np.ones((len(m), nq, len(range(nt)[cells])))
+        values = np.ones((len(m),) + x.shape)
         sizes.append(values.size)
         return values
 
     assert q.integrate(count) == pytest.approx(1.0, rel=1e-12)  # |Omega| * T
     assert (seen == 1).all()
     assert max(sizes) <= assembly._BLOCK_VALUES
+
+    calls = []
+
+    def contiguous(g):
+        def checked(x, y, t):
+            _assert_slice_points(x, y, len(assembly._TRI_RULE_4[1]))
+            calls.append(g)
+            return g(x, y, t)
+
+        return checked
+
+    case = bump_case()
+    checked = dataclasses.replace(
+        case,
+        **{
+            name: contiguous(getattr(case, name))
+            for name in ("source", "target", "state_grad", "adjoint_grad",
+                         "control_t", "control_grad")
+        },
+    )
+    problem = setup_problem(16, 12, checked)
+    result = pdas_solve(problem, tol=1e-9)
+    disc = problem.disc
+    energy_error_state(disc, checked, result.state, result.control)
+    energy_error_adjoint(disc, checked, result.adjoint)
+    control_error(disc, checked, result.control)
+    assert {g.__name__ for g in calls} == {
+        "_f", "_u_target", "_u_grad", "_phi_grad", "_u_t"
+    }
 
 
 @pytest.mark.parametrize("level", ["8x6", "nonuniform"])
@@ -756,7 +821,7 @@ def _quadrature_coupling_form(disc, control, v_values):
     full = np.zeros((mesh.num_slabs, mesh.num_nodes))
     full[:, disc.interior] = v_values
     bary, ws = assembly._TRI_RULE_4
-    areas = tri.signed_areas
+    grads, areas = assembly.triangle_geometry(tri)
     total = 0.0
     for m in range(mesh.num_slabs):
         k = pts[m + 1] - pts[m]
@@ -767,10 +832,10 @@ def _quadrature_coupling_form(disc, control, v_values):
             lo = (pts[m + 1] - t) / k
             hi = (t - pts[m]) / k
             q_nodal = lo * pad[m] + hi * pad[m + 1]
-            qx = np.einsum("ti,ti->t", q_nodal[tt], disc.grads[0].T)
-            qy = np.einsum("ti,ti->t", q_nodal[tt], disc.grads[1].T)
-            vx = np.einsum("ti,ti->t", v_nodal[tt], disc.grads[0].T)
-            vy = np.einsum("ti,ti->t", v_nodal[tt], disc.grads[1].T)
+            qx = np.einsum("ti,ti->t", q_nodal[tt], grads[:, :, 0])
+            qy = np.einsum("ti,ti->t", q_nodal[tt], grads[:, :, 1])
+            vx = np.einsum("ti,ti->t", v_nodal[tt], grads[:, :, 0])
+            vy = np.einsum("ti,ti->t", v_nodal[tt], grads[:, :, 1])
             total += wt * float(areas @ (qx * vx + qy * vy))
             for lam, w in zip(bary, ws):
                 dq = sum(lam[i] * dt_nodal[tt[:, i]] for i in range(3))
@@ -871,9 +936,8 @@ def test_time_loads_match_one_load_vector_per_time(
         assert square == disc.misfit_quadrature(zero_state, zero_control, g)
 
         def squared(m, j, t, cells):
-            values = np.broadcast_to(
-                g(q.x[:, cells], q.y[:, cells], t), (len(m),) + q.x[:, cells].shape
-            )
+            x, y = q.points(cells)
+            values = np.broadcast_to(g(x, y, t), (len(m),) + x.shape)
             return values * values
 
         assert square == q.integrate(squared)

@@ -19,8 +19,9 @@ from dbc.manufactured import (
     run_study,
     setup_problem,
 )
+from dbc import assembly
 from dbc.assembly import Discretization, Quadrature
-from dbc.spaces import AdjointField, StateField, interpolate_control
+from dbc.spaces import AdjointField, ControlField, StateField, interpolate_control
 
 
 def _d1(f, x, e=1e-3):
@@ -194,6 +195,139 @@ def test_error_norms_reject_foreign_mesh(case):
         energy_error_adjoint(disc, case, AdjointField(other, slabs))
     with pytest.raises(MeshMismatchError):
         control_error(disc, case, zero_control(other))
+
+
+def _random_fields(mesh, seed):
+    rng = np.random.default_rng(seed)
+    slabs = (mesh.num_slabs, mesh.num_interior)
+    return (
+        StateField(mesh, rng.standard_normal(slabs)),
+        AdjointField(mesh, rng.standard_normal(slabs)),
+        ControlField(
+            mesh, rng.standard_normal((mesh.num_control_levels, mesh.num_nodes))
+        ),
+    )
+
+
+def _norms(disc, case, fields):
+    state, adjoint, control = fields
+    return (
+        energy_error_state(disc, case, state, control),
+        energy_error_adjoint(disc, case, adjoint),
+        control_error(disc, case, control),
+    )
+
+
+_EXACT = ("state_grad", "adjoint_grad", "control_grad", "control_t")
+
+
+def _constant(values):
+    def exact(x, y, t):
+        return values
+
+    return exact
+
+
+def _returned_as(form, g, kept):
+    """g, whose values come as new arrays of the block's shape with
+    ``form`` "array", and as read-only ``np.broadcast_to`` views of such
+    arrays with "read-only"; each array that a view shows goes to
+    ``kept``, with a copy."""
+
+    def exact(x, y, t):
+        values = g(x, y, t)
+        parts = values if isinstance(values, tuple) else (values,)
+        out = []
+        for part in parts:
+            full = np.array(np.broadcast_to(part, t.shape[:1] + x.shape))
+            if form == "read-only":
+                kept.append((full, full.copy()))
+                full = np.broadcast_to(full, full.shape)
+            out.append(full)
+        return tuple(out) if isinstance(values, tuple) else out[0]
+
+    return exact
+
+
+@pytest.mark.parametrize("solution", ["bump", "constant"])
+def test_norms_are_the_same_however_the_exact_values_come(case, solution):
+    """The three norms of random fields at 8x6 are the same bits whether
+    the exact derivatives come as the case returns them (new arrays for
+    the bump, Python scalars for constant derivatives), as new arrays of
+    the block's shape, or as read-only views of such arrays; the norms
+    never write an array that a read-only view shows."""
+    disc = Discretization(build_space_time_mesh(8, 6))
+    fields = _random_fields(disc.mesh, 23)
+    if solution == "constant":
+        case = dataclasses.replace(
+            case,
+            state_grad=_constant((0.5, -1.0)),
+            adjoint_grad=_constant((2.0, 0.25)),
+            control_grad=_constant((-0.75, 1.5)),
+            control_t=_constant(3.0),
+        )
+    kept = []
+    norms = [_norms(disc, case, fields)]
+    for form in ("array", "read-only"):
+        returned = {name: _returned_as(form, getattr(case, name), kept)
+                    for name in _EXACT}
+        norms.append(_norms(disc, dataclasses.replace(case, **returned), fields))
+    assert norms[0] == norms[1] == norms[2]
+    assert kept
+    for full, copy in kept:
+        assert np.array_equal(full, copy)
+
+
+def test_each_norm_calls_its_exact_derivatives_once_per_block(case, monkeypatch):
+    """With blocks of 5 Gauss times, which straddle slabs, by slices of at
+    most 100 triangles, each norm at 16x12 calls each of its exact
+    callables once per block, on the slice's own points, so that together
+    the calls cover every Gauss time and triangle exactly once; and the
+    norms agree with those of the default blocks within 1e-14 relative."""
+    disc = Discretization(build_space_time_mesh(16, 12))
+    fields = _random_fields(disc.mesh, 29)
+    expected = _norms(disc, case, fields)
+    monkeypatch.setattr(assembly, "_BLOCK_TIMES", 5)
+    nq = len(assembly._TRI_RULE_4[1])
+    monkeypatch.setattr(assembly, "_BLOCK_VALUES", 5 * nq * 100)
+    disc = Discretization(disc.mesh)
+    q = disc.quad
+    times = q.times.ravel()
+    slice_of = {id(q.points(cells)[0]): cells for cells in q.slices}
+    assert len(slice_of) == 6
+    blocks = -(-times.size // 5) * len(q.slices)
+    seen, calls = {}, {}
+
+    def recorded(name):
+        g = getattr(case, name)
+
+        def exact(x, y, t):
+            calls[name] = calls.get(name, 0) + 1
+            rows = np.searchsorted(times, t.ravel())
+            assert np.array_equal(times[rows], t.ravel())
+            covered = seen.setdefault(name, np.zeros((times.size, len(q.triangles))))
+            covered[rows, slice_of[id(x)]] += 1
+            return g(x, y, t)
+
+        return exact
+
+    recording = dataclasses.replace(case, **{name: recorded(name) for name in _EXACT})
+    state, adjoint, control = fields
+    for norm, names, args in (
+        (energy_error_state, {"state_grad"}, (state, control)),
+        (energy_error_adjoint, {"adjoint_grad"}, (adjoint,)),
+        (control_error, {"control_grad", "control_t"}, (control,)),
+    ):
+        seen.clear()
+        calls.clear()
+        norm(disc, recording, *args)
+        assert set(seen) == names
+        assert calls == {name: blocks for name in names}
+        for covered in seen.values():
+            assert (covered == 1).all()
+    got = _norms(disc, case, fields)
+    for value, want in zip(got, expected):
+        assert value == pytest.approx(want, rel=1e-14, abs=0)
 
 
 # -- EOC helper --------------------------------------------------------------------
