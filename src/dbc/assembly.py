@@ -392,13 +392,12 @@ class Quadrature:
         self._blocks = {}
         for cells in self.slices:
             corners = np.ascontiguousarray(self.triangles[cells].T)
-            span = slice(corners.min(), corners.max() + 1)
+            flat = corners.ravel()
+            span = slice(flat.min(), flat.max() + 1)
+            columns = np.arange(flat.size)
             load_map = sp.csr_matrix(
-                (
-                    np.ones(corners.size),
-                    (corners.ravel() - span.start, np.arange(corners.size)),
-                ),
-                shape=(span.stop - span.start, corners.size),
+                (np.ones(flat.size), (flat - span.start, columns)),
+                shape=(span.stop - span.start, flat.size),
             )
             block = _Slice(
                 *(np.ascontiguousarray(a[..., cells]) for a in (x, y, weights)),
