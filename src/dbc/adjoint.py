@@ -1,9 +1,9 @@
 """Adjoint (backward) solver and the discrete duality identity.
 
-The adjoint of the dG(0) state discretization marches the same slab systems
-backward: (M + k_m S) z_m = M z_{m+1} + G_m with z_{M+1} = 0 and tracking
+The adjoint of the dG(0) state discretization marches the same slab system
+backward: (M + k S) z_m = M z_{m+1} + G_m with z_{M+1} = 0 and tracking
 load G_m = int_{I_m} (u_kh - u_d, phi_i), u_kh = w + q.  Because the slab
-matrices are symmetric, the backward sweep is the exact transpose of the
+matrix is symmetric, the backward sweep is the exact transpose of the
 forward sweep, which is what the identity check exercises.  Both sweeps are
 ``forward.march``, in opposite directions, so they share its band order and
 its residual check.
@@ -18,7 +18,7 @@ from .spaces import ControlField, pad_levels
 
 
 def sweep_backward(disc, slab_rhs):
-    """March the slab systems backward; slab_rhs has shape (M, ni)."""
+    """March the slabs backward; slab_rhs has shape (M, ni)."""
     return march(disc, slab_rhs, reverse=True)
 
 

@@ -8,7 +8,7 @@ triplets.  The control operators are ``KroneckerSum``s that keep only their
 temporal and spatial factors, so no matrix of the control-space size is
 assembled except for export.  Every interior block follows the mesh's
 reverse Cuthill-McKee ``interior_indices``, the band order in which the
-slab systems are factored; the extension's time modes are factored in the
+slab system is factored; the extension's time modes are factored in the
 level sets of the distance from the controlled edge.  The factors, the
 substitutions and the pool that splits the extension's time modes over the
 CPUs are in ``dbc.kernels``.  One space-time ``Quadrature`` per
@@ -32,6 +32,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+from .forward import RESIDUAL_TOL, SolverError
 from .kernels import (
     AssemblyError,
     SlabSystem,
@@ -112,10 +113,7 @@ def assemble_mass_stiffness(tri):
 
 def time_mass_stiffness(points):
     """1-D P1 mass and stiffness on a time partition, all M+1 levels (CSR)."""
-    points = np.asarray(points, dtype=float)
     steps = np.diff(points)
-    if np.any(steps <= 0):
-        raise AssemblyError("time points must be strictly increasing")
     M = len(steps)
     i = np.arange(M)
     rows = np.concatenate([i, i, i + 1, i + 1])
@@ -230,7 +228,7 @@ class EnergyExtension:
     half of a substitution.  The level sets of that distance set the band
     width ``kd``.  With one edge of the unit square boxed they are grid
     rows, so the band is n - 1 for ``unit_square_mesh(n)``, as narrow as
-    the slab systems'.  With the whole boundary boxed the tail is a ring
+    the slab system's.  With the whole boundary boxed the tail is a ring
     and so is every level set: at 64 the band is 303 wide and each mode
     factor holds 9.7 MB, against 63 and 2.0 MB for the bottom edge.
 
@@ -245,10 +243,21 @@ class EnergyExtension:
     caller can go on while the pool factors; the first solve waits for the
     factors, once, and raises the factorization's failure if it had one.
     Below the gate the factors are made in ``__init__``.
+
+    ``solve`` checks its answer X as the sweeps check the slab solves: a
+    relative residual ||A_ii X - rhs|| / (||rhs|| + 1) above
+    ``RESIDUAL_TOL`` raises ``SolverError``.  On the bump case's set-up
+    anchor ||A_ii X - rhs|| / ||rhs|| was 3.2e-16 at 4x4, 1.7e-15 at 8x6 and
+    6.5e-15 at 64x46.  With the factors made wrong after set-up at 16x12,
+    the returned control's check gave 6.2e-4 (every diagonal x1.5) and
+    8.2e-6 (one mode's x1.01).  At 64x46 the product with A_ii, a
+    ``KroneckerSum`` of the interior blocks, takes 1.6 ms, the solve 6.2 ms.
     """
 
     def __init__(self, disc, boxed_vertices):
-        mt, st = (a.toarray() for a in _interior_time_blocks(disc.mesh))
+        mt, st = _interior_time_blocks(disc.mesh)
+        self._interior_block = KroneckerSum((mt, disc.stiff_ii), (st, disc.mass_ii))
+        mt, st = mt.toarray(), st.toarray()
         theta, modes = sla.eigh(st, mt)
         _check_modes(mt, st, theta, modes)
         self.modes = modes
@@ -289,10 +298,20 @@ class EnergyExtension:
 
     def solve(self, rhs):
         """Solve A_ii X = rhs for a level-major rhs, flat or of shape
-        (levels, num_interior); X has shape (levels, num_interior)."""
+        (levels, num_interior); X has shape (levels, num_interior).  An X
+        that fails the residual check raises ``SolverError``."""
         work = self._to_modes(rhs.reshape(self._levels, self._size))
         substitute_bands(self._factors(), self._ranges, work, (b"N", 0), (b"T", 0))
-        return self._from_modes(work)
+        solved = self._from_modes(work)
+        # Freed first, ``work`` serves the check's temporaries: kept, it put
+        # the peak memory of a 64x46 solve 0.9 MiB higher.
+        del work
+        defect = self._interior_block @ solved.ravel()
+        defect -= rhs.ravel()
+        residual = np.linalg.norm(defect) / (np.linalg.norm(rhs) + 1.0)
+        if not residual <= RESIDUAL_TOL:
+            raise SolverError(None, float(residual))
+        return solved
 
     def solve_from_tail(self, tail_rhs):
         """``solve`` of the right-hand side that is ``tail_rhs``, level-major
@@ -329,13 +348,15 @@ _BLOCK_VALUES = 2**16
 
 
 class _Slice(NamedTuple):
-    """What a slice of triangles keeps, each array C-contiguous: the points
-    ``x`` and ``y`` and the weights, (nq, triangles); the vertices at the
-    corners, (3, triangles); the gradients of the corners' hats, (2, 3,
-    triangles), component d of corner i at [d, i]; the span of vertices the
-    corners touch, and the map that adds corner i of the k-th triangle, at
-    column i * triangles + k, onto that corner's row of the span."""
+    """What a slice of triangles keeps: its range ``cells`` of triangles;
+    each array C-contiguous, the read-only points ``x`` and ``y`` and the
+    weights, (nq, triangles); the vertices at the corners, (3, triangles);
+    the gradients of the corners' hats, (2, 3, triangles), component d of
+    corner i at [d, i]; the span of vertices the corners touch, and the map
+    that adds corner i of the k-th triangle, at column i * triangles + k,
+    onto that corner's row of the span."""
 
+    cells: slice
     x: np.ndarray
     y: np.ndarray
     weights: np.ndarray
@@ -356,17 +377,17 @@ class Quadrature:
     P1-in-time hats of the slab's left and right end at ``times``.
 
     The triangles are cut once into ``slices``, balanced and of at most
-    ``_BLOCK_VALUES // (_BLOCK_TIMES * nq)`` triangles each.  Each slice
-    keeps its rule points mapped onto its triangles, its weights (the rule
-    weights times the triangle areas), its corners and the gradients of
-    their hats, each once and C-contiguous, and a sparse map from its
-    corners to the vertices they touch; no whole-mesh array of points is
-    kept.  ``points`` gives a slice's points, read-only.
+    ``_BLOCK_VALUES // (_BLOCK_TIMES * nq)`` triangles each, kept as
+    ``_Slice`` records: the rule points mapped onto the slice's triangles,
+    its weights (the rule weights times the triangle areas), its corners and
+    the gradients of their hats, each once and C-contiguous, and a sparse
+    map from its corners to the vertices they touch; no whole-mesh array of
+    points is kept.
 
     ``integrate`` works on blocks of Gauss times by these slices.  Its
-    field layer gives a block the discrete fields on its triangles alone:
-    ``gather`` takes the rows of a field's slabs or time levels that the
-    block touches, each once, at the corners; ``gradients`` and
+    field layer gives a block the discrete fields on its slice's triangles
+    alone: ``gather`` takes the rows of a field's slabs or time levels that
+    the block touches, each once, at the corners; ``gradients`` and
     ``at_points`` make per-triangle gradients and values at the points on
     those rows; indexing by slab gives a slab field at the block's Gauss
     times, and ``in_time`` applies the hats ``lo`` and ``hi`` to level
@@ -386,11 +407,10 @@ class Quadrature:
         nq, nt = x.shape
         count = -(-nt // (_BLOCK_VALUES // (_BLOCK_TIMES * nq)))
         edges = [nt * i // count for i in range(count + 1)]
-        self.slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
         self.num_vertices = tri.num_vertices
-        # Per slice, keyed by its first triangle.
-        self._blocks = {}
-        for cells in self.slices:
+        self.slices = []
+        for first, stop in zip(edges[:-1], edges[1:]):
+            cells = slice(first, stop)
             corners = np.ascontiguousarray(self.triangles[cells].T)
             flat = corners.ravel()
             span = slice(flat.min(), flat.max() + 1)
@@ -399,16 +419,17 @@ class Quadrature:
                 (np.ones(flat.size), (flat - span.start, columns)),
                 shape=(span.stop - span.start, flat.size),
             )
-            block = _Slice(
+            part = _Slice(
+                cells,
                 *(np.ascontiguousarray(a[..., cells]) for a in (x, y, weights)),
                 corners,
                 np.ascontiguousarray(grads[..., cells]),
                 span,
                 load_map,
             )
-            block.x.flags.writeable = False
-            block.y.flags.writeable = False
-            self._blocks[cells.start] = block
+            part.x.flags.writeable = False
+            part.y.flags.writeable = False
+            self.slices.append(part)
 
         pts = mesh.time_partition.points
         left, right = pts[:-1, None], pts[1:, None]
@@ -416,28 +437,22 @@ class Quadrature:
         self.lo = (right - self.times) / (right - left)
         self.hi = (self.times - left) / (right - left)
 
-    def points(self, cells):
-        """The points of the triangles of the slice ``cells``, (x, y), each
-        (nq, triangles), C-contiguous and read-only."""
-        block = self._blocks[cells.start]
-        return block.x, block.y
-
-    def gather(self, nodal, m, cells, levels=False):
+    def gather(self, nodal, m, part, levels=False):
         """The rows of ``nodal``, (rows, nv), that a block of the Gauss
         times of the slabs m, (c,) and ascending, touches, at the corners
-        of the triangles ``cells``; (r, 3, triangles), corner i of every
-        triangle in row i.  The rows are m[0] ... m[-1] for a field with
-        one row per slab, and m[0] ... m[-1] + 1 with ``levels``, for a
+        of the triangles of the slice ``part``; (r, 3, triangles), corner i
+        of every triangle in row i.  The rows are m[0] ... m[-1] for a field
+        with one row per slab, and m[0] ... m[-1] + 1 with ``levels``, for a
         P1-in-time field whose rows are its time levels.  Each row is
         gathered once, however many Gauss times share it."""
         stop = m[-1] + (2 if levels else 1)
-        return np.take(nodal[m[0] : stop], self._blocks[cells.start].corners, axis=1)
+        return np.take(nodal[m[0] : stop], part.corners, axis=1)
 
-    def gradients(self, corners, cells):
+    def gradients(self, corners, part):
         """Per-triangle gradients of P1 fields from their ``corners``, (r,
-        3, triangles), on the triangles ``cells``; (r, 2, triangles), d/dx
-        in column 0 and d/dy in column 1."""
-        return np.einsum("rit,dit->rdt", corners, self._blocks[cells.start].grads)
+        3, triangles), on the triangles of the slice ``part``; (r, 2,
+        triangles), d/dx in column 0 and d/dy in column 1."""
+        return np.einsum("rit,dit->rdt", corners, part.grads)
 
     def in_time(self, ends, m, j):
         """The P1-in-time field at the j[i]-th Gauss time of slab m[i], (c,
@@ -456,24 +471,24 @@ class Quadrature:
         triangles)."""
         return np.matmul(self.bary, corners)
 
-    def add_loads(self, loads, values, cells):
+    def add_loads(self, loads, values, part):
         """Add to ``loads``, (c, nv), the loads of point values ``values``,
-        (c, nq, triangles), on the triangles of the slice ``cells``.  The
+        (c, nq, triangles), on the triangles of the slice ``part``.  The
         weighted values go to the corners through ``bary``, and the slice's
         map adds each vertex's corners in its stored order."""
-        block = self._blocks[cells.start]
-        corners = np.matmul(self.bary.T, values * block.weights)
-        loads[:, block.span] += (block.load_map @ corners.reshape(len(values), -1).T).T
+        corners = np.matmul(self.bary.T, values * part.weights)
+        loads[:, part.span] += (part.load_map @ corners.reshape(len(values), -1).T).T
 
     def integrate(self, integrand):
-        """Space-time integral of ``integrand(m, j, t, cells)``, the
-        integrand's values, (c, nq, triangles), at the points of the
-        triangles of the slice ``cells`` at c Gauss times: the j[i]-th Gauss
-        time t[i] of slab m[i].  m and j have shape (c,) and t (c, 1, 1), so
-        a callable of x, y and t broadcasts over the block, with x and y
-        from ``points(cells)``, and its factors that do not depend on t are
-        made once per block.  The field layer (``gather``, ``gradients``,
-        ``at_points``, ``in_time``) gives the block its discrete fields.
+        """Space-time integral of ``integrand(m, j, t, part)``, the
+        integrand's values, (c, nq, triangles), at the points of the slice
+        ``part``, a record of ``slices``, at c Gauss times: the j[i]-th
+        Gauss time t[i] of slab m[i].  m and j have shape (c,) and t (c, 1,
+        1), so a callable of x, y and t broadcasts over the block, with x
+        and y the slice's ``part.x`` and ``part.y``, and its factors that do
+        not depend on t are made once per block.  The field layer
+        (``gather``, ``gradients``, ``at_points``, ``in_time``) gives the
+        block its discrete fields.
 
         The Gauss times are taken in chunks of at most ``_BLOCK_TIMES``, and
         each chunk the triangles by ``slices``, so no block holds more than
@@ -488,9 +503,9 @@ class Quadrature:
             stop = min(start + _BLOCK_TIMES, times.size)
             m, j = np.divmod(np.arange(start, stop), per_slab)
             t = times[start:stop, None, None]
-            for cells in self.slices:
-                w = self._blocks[cells.start].weights
-                values = integrand(m, j, t, cells)
+            for part in self.slices:
+                w = part.weights
+                values = integrand(m, j, t, part)
                 if values.shape != (len(m),) + w.shape:
                     raise ValueError(
                         f"integrand values have shape {values.shape}, "
@@ -531,13 +546,12 @@ def difference(exact, discrete, shape):
     return out
 
 
-def _values(g, quad, cells, t):
-    """g at the points of the triangles ``cells`` at ``t``, a scalar or c
-    Gauss times of shape (c, 1, 1), as a float array of shape (nq,
-    triangles) or (c, nq, triangles)."""
-    x, y = quad.points(cells)
-    values = np.asarray(g(x, y, t), dtype=float)
-    return np.broadcast_to(values, np.shape(t)[:1] + x.shape)
+def _values(g, part, t):
+    """g at the points of the slice ``part`` at ``t``, a scalar or c Gauss
+    times of shape (c, 1, 1), as a float array of shape (nq, triangles) or
+    (c, nq, triangles)."""
+    values = np.asarray(g(part.x, part.y, t), dtype=float)
+    return np.broadcast_to(values, np.shape(t)[:1] + part.x.shape)
 
 
 def spatial_load_vector(quad, g, t):
@@ -545,8 +559,8 @@ def spatial_load_vector(quad, g, t):
     ``quad``, added slice by slice as ``Discretization.time_loads`` adds
     the loads at a Gauss time."""
     load = np.zeros((1, quad.num_vertices))
-    for cells in quad.slices:
-        quad.add_loads(load, _values(g, quad, cells, t)[None], cells)
+    for part in quad.slices:
+        quad.add_loads(load, _values(g, part, t)[None], part)
     return load[0]
 
 
@@ -558,10 +572,10 @@ class Discretization:
     and ``control_mass``, the space-time H1 seminorm and L2 mass of the
     control, are ``KroneckerSum``s of the temporal and spatial matrices.
     Interior blocks follow the band order of the mesh's
-    ``interior_indices``, so slab systems, built on first use by
-    ``slab_solver`` and cached on the instance, factor their matrices as
-    they are.  The sweeps share the ``sweep_buffers``; ``max_slab_residual``
-    is the largest relative residual that they have checked so far.  Every load,
+    ``interior_indices``, so the one slab system of the equal slabs, built
+    on first use by ``slab_solver``, factors its matrix as it is.  The
+    sweeps share the ``sweep_buffers``; ``max_slab_residual`` is the
+    largest relative residual that they have checked so far.  Every load,
     the misfit and the error norms integrate with one ``quad``: the
     degree-4 triangle rule times 2 Gauss points per slab.
     """
@@ -585,31 +599,20 @@ class Discretization:
         self.seminorm = KroneckerSum((mt, self.stiffness), (st, self.mass))
         self.control_mass = KroneckerSum((mt, self.mass))
         self.quad = Quadrature(mesh, _TRI_RULE_4, 2)
-        # Two steps of a uniform partition differ only by the rounding of
-        # the points T*i/M, at most one ulp of T per point.
-        self._same_step = 4.0 * np.spacing(mesh.time_partition.final_time)
-        self._slab_systems = {}
+        self._slab_system = None
         self._sweep_buffers = None
         # Largest relative residual of a checked slab solve so far.
         self.max_slab_residual = 0.0
 
-    # -- slab systems ------------------------------------------------------
+    # -- slab system -------------------------------------------------------
 
-    def slab_solver(self, k):
-        """Cached ``SlabSystem`` for M + k*S on the interior space.
-
-        A step within rounding of a cached step (``_same_step``) reuses that
-        step's system, and so its k: the steps of a uniform partition differ
-        in their last bits, and this way it factorizes exactly once."""
-        key = float(k)
-        system = self._slab_systems.get(key)
-        if system is None:
-            for step, cached in self._slab_systems.items():
-                if abs(step - key) <= self._same_step:
-                    return cached
-            system = SlabSystem(self.mass_ii + key * self.stiff_ii)
-            self._slab_systems[key] = system
-        return system
+    def slab_solver(self):
+        """The ``SlabSystem`` M + k*S of every slab, with k the first step,
+        made on first use; the equal steps differ only in their last bits."""
+        if self._slab_system is None:
+            step = float(self.mesh.time_partition.steps[0])
+            self._slab_system = SlabSystem(self.mass_ii + step * self.stiff_ii)
+        return self._slab_system
 
     def sweep_buffers(self):
         """Work arrays of a slab sweep, allocated on first use and shared by
@@ -669,10 +672,10 @@ class Discretization:
         per_slab = q.times.shape[1]
         loads = np.zeros((q.times.size, self.mesh.num_nodes))
 
-        def squares(m, j, t, cells):
-            values = _values(g, q, cells, t)
+        def squares(m, j, t, part):
+            values = _values(g, part, t)
             first = m[0] * per_slab + j[0]
-            q.add_loads(loads[first : first + len(m)], values, cells)
+            q.add_loads(loads[first : first + len(m)], values, part)
             return values * values
 
         square = q.integrate(squares)
@@ -693,13 +696,13 @@ class Discretization:
         return right[:-1] + left[1:]
 
     def project_initial(self, u0):
-        """L2 projection of u0 onto the interior P1 space; (ni,)."""
+        """L2 projection of u0 onto the interior P1 space; (ni,), by a mass
+        factor made for this one solve and not kept."""
         if u0 is None:
             return np.zeros(self.mesh.num_interior)
         rhs = spatial_load_vector(self.quad, lambda x, y, t: u0(x, y), 0.0)
-        # The mass solve is the k = 0 slab system, so it shares the cache.
         projection = rhs[self.interior]
-        self.slab_solver(0.0).solve_in_place(projection)
+        SlabSystem(self.mass_ii).solve_in_place(projection)
         return projection
 
     def misfit_from_loads(self, state_values, control_values, loads, square):
@@ -734,12 +737,11 @@ class Discretization:
         full[:, self.interior] = state_values
         pad = pad_levels(control_values)
 
-        def squared_misfit(m, j, t, cells):
-            x, y = q.points(cells)
-            nodal = q.gather(full, m, cells)[m - m[0]]
-            nodal += q.in_time(q.gather(pad, m, cells, levels=True), m, j)
+        def squared_misfit(m, j, t, part):
+            nodal = q.gather(full, m, part)[m - m[0]]
+            nodal += q.in_time(q.gather(pad, m, part, levels=True), m, j)
             values = q.at_points(nodal)
-            diff = difference(u_d(x, y, t), values, values.shape)
+            diff = difference(u_d(part.x, part.y, t), values, values.shape)
             diff *= diff
             return diff
 

@@ -190,14 +190,13 @@ def energy_error_adjoint(disc, case, adjoint):
 def _grad_error(disc, grad_exact, slab_full, control_pad):
     q = disc.quad
 
-    def squared_error(m, j, t, cells):
-        x, y = q.points(cells)
-        grad = q.gradients(q.gather(slab_full, m, cells), cells)[m - m[0]]
+    def squared_error(m, j, t, part):
+        grad = q.gradients(q.gather(slab_full, m, part), part)[m - m[0]]
         if control_pad is not None:
-            ends = q.gather(control_pad, m, cells, levels=True)
-            grad += q.in_time(q.gradients(ends, cells), m, j)
-        shape = t.shape[:1] + x.shape
-        ex, ey = grad_exact(x, y, t)
+            ends = q.gather(control_pad, m, part, levels=True)
+            grad += q.in_time(q.gradients(ends, part), m, j)
+        shape = t.shape[:1] + part.x.shape
+        ex, ey = grad_exact(part.x, part.y, t)
         return _sum_of_squares(
             difference(ex, grad[:, :1], shape), difference(ey, grad[:, 1:], shape)
         )
@@ -212,16 +211,16 @@ def control_error(disc, case, control):
     pad = pad_levels(control.values)
     steps = disc.mesh.time_partition.steps
 
-    def squared_error(m, j, t, cells):
-        x, y = q.points(cells)
+    def squared_error(m, j, t, part):
+        x, y = part.x, part.y
         shape = t.shape[:1] + x.shape
-        ends = q.gather(pad, m, cells, levels=True)
+        ends = q.gather(pad, m, part, levels=True)
         slopes = np.diff(ends, axis=0)
         slopes /= steps[m[0] : m[-1] + 1, None, None]
         dt_err = difference(
             case.control_t(x, y, t), q.at_points(slopes)[m - m[0]], shape
         )
-        grad = q.in_time(q.gradients(ends, cells), m, j)
+        grad = q.in_time(q.gradients(ends, part), m, j)
         ex, ey = case.control_grad(x, y, t)
         return _sum_of_squares(
             dt_err,

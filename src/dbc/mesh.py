@@ -132,41 +132,31 @@ def unit_square_mesh(n):
 
 
 class TimePartition:
-    """Partition 0 = t_0 < t_1 < ... < t_M = T of the time interval.
+    """The M equal slabs of [0, 1], the partitions of the paper's tests.
 
     Attributes
     ----------
-    points : (M+1,) array
-    steps : (M,) array of slab lengths k_m
+    points : (M+1,) array i/M; the endpoints are exact in floating point
+    steps : (M,) array of slab lengths, 1/M up to the rounding of the points
     k : float, the largest step
     """
 
-    def __init__(self, points):
-        self.points = np.ascontiguousarray(points, dtype=float)
-        if self.points.ndim != 1 or len(self.points) < 2:
-            raise MeshError("time partition needs at least two points")
-        if self.points[0] != 0.0:
-            raise MeshError(f"time partition must start at 0, got {self.points[0]!r}")
+    def __init__(self, num_steps):
+        if int(num_steps) != num_steps or num_steps < 1:
+            raise MeshError(f"step count must be a positive integer, got {num_steps!r}")
+        M = int(num_steps)
+        self.points = np.arange(M + 1) / M
         self.steps = np.diff(self.points)
-        if np.any(self.steps <= 0):
-            raise MeshError("time points must be strictly increasing")
         self.k = float(self.steps.max())
 
     @property
     def num_steps(self):
         return len(self.steps)
 
-    @property
-    def final_time(self):
-        return float(self.points[-1])
-
 
 def uniform_time_partition(num_steps):
-    """M equal slabs on [0, 1]; endpoints are exact in floating point."""
-    if int(num_steps) != num_steps or num_steps < 1:
-        raise MeshError(f"step count must be a positive integer, got {num_steps!r}")
-    M = int(num_steps)
-    return TimePartition(np.arange(M + 1) / M)
+    """The ``TimePartition`` of ``num_steps`` equal slabs on [0, 1]."""
+    return TimePartition(num_steps)
 
 
 class SpaceTimeMesh:

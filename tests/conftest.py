@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from dbc.assembly import EnergyExtension
 from dbc.kernels import SlabSystem
 from dbc.manufactured import StudyReport, bump_case, run_study
 
@@ -57,6 +58,31 @@ def corrupt_slab_solve(monkeypatch):
                     x += 1.0
 
         monkeypatch.setattr(SlabSystem, "solve_in_place", corrupted)
+
+    return corrupt
+
+
+@pytest.fixture
+def corrupt_extension(monkeypatch):
+    """Make the extension's mode factors wrong once they are made.
+
+    ``corrupt(scale, modes=slice(None))`` multiplies the diagonal of each
+    listed mode factor by ``scale``, once per extension, in the factors
+    that ``EnergyExtension._factors`` returns after its wait."""
+    factors = EnergyExtension._factors
+
+    def corrupt(scale, modes=slice(None)):
+        done = []
+
+        def corrupted(self):
+            bands = factors(self)
+            if not any(extension is self for extension in done):
+                done.append(self)
+                # Entry 0 of each row of a factor's band is its diagonal.
+                bands[modes, :, 0] *= scale
+            return bands
+
+        monkeypatch.setattr(EnergyExtension, "_factors", corrupted)
 
     return corrupt
 

@@ -43,7 +43,7 @@ from dbc.manufactured import (
     setup_problem,
 )
 from dbc.optimizer import pdas_solve
-from dbc.mesh import SpaceTimeMesh, TimePartition, Triangulation, unit_square_mesh
+from dbc.mesh import Triangulation, unit_square_mesh
 from dbc.spaces import (
     AdjointField,
     BoundSet,
@@ -98,8 +98,6 @@ def test_time_matrices_match_symbolic():
     mass_ref, stiff_ref = _symbolic.time_matrices(points)
     assert np.abs(mass.toarray() - mass_ref).max() < 1e-14
     assert np.abs(stiff.toarray() - stiff_ref).max() < 1e-14
-    with pytest.raises(AssemblyError):
-        time_mass_stiffness([0.0, 0.5, 0.5])
 
 
 # -- quadrature rules ----------------------------------------------------------
@@ -182,8 +180,8 @@ def test_seminorm_positive_definite(disc):
 
 def test_kronecker_operators_match_their_assembly():
     """Seminorm and control mass, applied from their factors, against the
-    ``sp.kron`` assembly on a non-uniform partition."""
-    mesh = SpaceTimeMesh(unit_square_mesh(3), TimePartition([0, 0.2, 0.5, 0.7, 1.3]))
+    ``sp.kron`` assembly."""
+    mesh = build_space_time_mesh(3, 4)
     disc = Discretization(mesh)
     M = mesh.num_slabs
     tmass, tstiff = time_mass_stiffness(mesh.time_partition.points)
@@ -217,13 +215,10 @@ def _bottom_edge(mesh):
     return BoundSet(mesh, case.q_a, case.q_b, case.control_boundary).boxed_vertices
 
 
-_NONUNIFORM = TimePartition([0, 0.2, 0.5, 0.7, 1.3])
-
-
 def test_energy_extension_solves_interior_block():
     for mesh, control_nodes in (
         (build_space_time_mesh(4, 3), bump_case().control_boundary),
-        (SpaceTimeMesh(unit_square_mesh(3), _NONUNIFORM), whole_boundary),
+        (build_space_time_mesh(3, 4), whole_boundary),
     ):
         disc = Discretization(mesh)
         boxed = BoundSet(mesh, 0.0, 1.0, control_nodes).boxed_vertices
@@ -296,7 +291,7 @@ def test_band_cholesky_matches_spsolve():
     theta = sla.eigh(
         tstiff[1:6, 1:6].toarray(), tmass[1:6, 1:6].toarray(), eigvals_only=True
     )
-    slab = disc.slab_solver(1 / 6)
+    slab = disc.slab_solver()
     slab_matrix = disc.mass_ii + (1 / 6) * disc.stiff_ii
     low, high = (disc.stiff_ii + th * disc.mass_ii for th in (theta[0], theta[-1]))
     rng = np.random.default_rng(11)
@@ -351,25 +346,17 @@ def test_gil_free_kernels_match_scipy_bit_for_bit():
 def test_slab_solves_in_place_to_the_bits_of_scipys_dtbsv():
     """``SlabSystem.solve_in_place`` overwrites its argument, also a row of a
     sweep-like buffer, with the answer of scipy's f2py dtbsv on the lower
-    band and then on the upper copy, for every cached slab system of a
-    uniform and of a graded partition."""
+    band and then on the upper copy, for the slab system at 8x6."""
     rng = np.random.default_rng(24)
-    graded = TimePartition([0, 0.1, 0.25, 0.45, 0.7, 1.0])
-    for mesh, distinct in (
-        (build_space_time_mesh(8, 6), 1),
-        (SpaceTimeMesh(unit_square_mesh(8), graded), 5),
-    ):
-        disc = Discretization(mesh)
-        systems = {disc.slab_solver(k) for k in mesh.time_partition.steps}
-        assert len(systems) == distinct
-        for system in systems:
-            rhs = rng.standard_normal((3, mesh.num_interior))
-            y = blas.dtbsv(system.kd, system._lower, rhs[1], lower=1)
-            reference = blas.dtbsv(system.kd, system._upper, y)
-            x = rhs.copy()
-            assert system.solve_in_place(x[1]) is None
-            assert np.array_equal(x[1], reference)
-            assert np.array_equal(x[::2], rhs[::2])
+    mesh = build_space_time_mesh(8, 6)
+    system = Discretization(mesh).slab_solver()
+    rhs = rng.standard_normal((3, mesh.num_interior))
+    y = blas.dtbsv(system.kd, system._lower, rhs[1], lower=1)
+    reference = blas.dtbsv(system.kd, system._upper, y)
+    x = rhs.copy()
+    assert system.solve_in_place(x[1]) is None
+    assert np.array_equal(x[1], reference)
+    assert np.array_equal(x[::2], rhs[::2])
 
 
 @pytest.mark.parametrize(
@@ -387,7 +374,7 @@ def test_band_kernels_reject_a_vector_they_cannot_read(bad):
     is taken, so it is left untouched, by the kernel and by a slab solve."""
     rng = np.random.default_rng(22)
     factor = dpbtrf(_random_band(rng, 3, 12))
-    slab = Discretization(build_space_time_mesh(4, 4)).slab_solver(0.25)
+    slab = Discretization(build_space_time_mesh(4, 4)).slab_solver()
     for solve, n in ((lambda x: dtbsv(factor, x), 12), (slab.solve_in_place, 9)):
         x = bad(rng.standard_normal(n))
         before = x.copy()
@@ -405,7 +392,7 @@ def test_band_kernels_reject_a_band_in_c_order():
 
 
 def test_tail_solves_match_full_solves():
-    mesh = SpaceTimeMesh(unit_square_mesh(6), _NONUNIFORM)
+    mesh = build_space_time_mesh(6, 4)
     disc = Discretization(mesh)
     extension = EnergyExtension(disc, _bottom_edge(mesh))
     tail = extension.tail
@@ -437,7 +424,7 @@ def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
     threads as often as it can: the factors and all three solves give the
     bits of the one-worker loop.  The split runs in a thread of its own,
     so that a deadlock fails the test instead of hanging it."""
-    mesh = SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)
+    mesh = build_space_time_mesh(8, 4)
     disc = Discretization(mesh)
     boxed = _bottom_edge(mesh)
     levels = mesh.num_control_levels
@@ -493,16 +480,16 @@ def test_mode_split_gives_the_bits_of_one_worker(monkeypatch):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("level", ["8x6", "32x23", "nonuniform"])
+@pytest.mark.parametrize("level", ["8x6", "32x23", "random-8x4"])
 def test_block_quadratures_match_the_per_time_oracles(level):
     """The three error norms and the misfit, integrated over blocks of
     Gauss times by slices of triangles, agree within 1e-14 relative with
     the oracles that integrate one Gauss time at a time over the whole
-    mesh: on the solved fields at 8x6 and 32x23, and on random fields on
-    the nonuniform partition."""
+    mesh: on the solved fields at 8x6 and 32x23, and on random fields at
+    8x4."""
     case = bump_case()
-    if level == "nonuniform":
-        mesh = SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)
+    if level == "random-8x4":
+        mesh = build_space_time_mesh(8, 4)
         disc = Discretization(mesh)
         rng = np.random.default_rng(18)
         slabs = (mesh.num_slabs, mesh.num_interior)
@@ -556,13 +543,13 @@ def test_no_block_holds_more_than_the_block_values(rule, monkeypatch):
     seen = np.zeros(q.times.shape + (nt,), dtype=int)
     sizes = []
 
-    def count(m, j, t, cells):
+    def count(m, j, t, part):
         assert threading.get_ident() == threading.main_thread().ident
         assert t.shape == (len(m), 1, 1)
         assert np.array_equal(t.ravel(), q.times[m, j])
-        x, y = q.points(cells)
+        x, y = part.x, part.y
         _assert_slice_points(x, y, nq)
-        seen[m, j, cells] += 1
+        seen[m, j, part.cells] += 1
         values = np.ones((len(m),) + x.shape)
         sizes.append(values.size)
         return values
@@ -601,14 +588,11 @@ def test_no_block_holds_more_than_the_block_values(rule, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("level", ["8x6", "nonuniform"])
+@pytest.mark.parametrize("level", ["8x6", "8x4"])
 def test_misfit_quadrature_equals_the_misfit_from_loads(level):
     """Random state and control: the misfit by quadrature and the misfit
     from the loads of u_d agree within 1e-14 relative."""
-    if level == "nonuniform":
-        mesh = SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)
-    else:
-        mesh = build_space_time_mesh(8, 6)
+    mesh = build_space_time_mesh(*map(int, level.split("x")))
     disc = Discretization(mesh)
     rng = np.random.default_rng(19)
     state = rng.standard_normal((mesh.num_slabs, mesh.num_interior))
@@ -688,7 +672,7 @@ def test_a_forked_child_splits_after_its_parent(monkeypatch):
     child forked after it has none of the pool's threads, so it makes a
     pool of its own, and its split solve finishes with the parent's bits.
     The parent waits at most 120 s for the child."""
-    mesh = SpaceTimeMesh(unit_square_mesh(8), _NONUNIFORM)
+    mesh = build_space_time_mesh(8, 4)
     cpus = kernels._usable_cpus()
     if not cpus:
         pytest.skip("the platform does not report the CPUs a process may use")
@@ -791,7 +775,7 @@ def test_tail_order_puts_the_bottom_row_last(n):
     """With the bottom edge boxed the tail is the first interior row, and
     the level sets of the distance from it are the rows, so the band of
     every mode factor is one row of n - 1 vertices wide."""
-    mesh = SpaceTimeMesh(unit_square_mesh(n), TimePartition([0, 0.5, 1]))
+    mesh = build_space_time_mesh(n, 2)
     disc = Discretization(mesh)
     extension = EnergyExtension(disc, _bottom_edge(mesh))
     tail = extension.tail
@@ -935,8 +919,8 @@ def test_time_loads_match_one_load_vector_per_time(
         assert np.array_equal(loads, np.array(expected))
         assert square == disc.misfit_quadrature(zero_state, zero_control, g)
 
-        def squared(m, j, t, cells):
-            x, y = q.points(cells)
+        def squared(m, j, t, part):
+            x, y = part.x, part.y
             values = np.broadcast_to(g(x, y, t), (len(m),) + x.shape)
             return values * values
 
@@ -1160,24 +1144,48 @@ def test_bilinear_form_is_bilinear(disc):
 
 
 def test_slab_solver_cache_and_accuracy(disc):
-    assert disc.slab_solver(0.5) is disc.slab_solver(0.5)
-    assert disc.slab_solver(0.5) is not disc.slab_solver(0.25)
+    assert disc.slab_solver() is disc.slab_solver()
     rng = np.random.default_rng(10)
     rhs = rng.standard_normal(disc.mesh.num_interior)
-    x = _solved_copy(disc.slab_solver(0.3).solve_in_place)(rhs)
-    matrix = disc.mass_ii + 0.3 * disc.stiff_ii
+    x = _solved_copy(disc.slab_solver().solve_in_place)(rhs)
+    matrix = disc.mass_ii + (1 / 3) * disc.stiff_ii
     dense = np.linalg.solve(matrix.toarray(), rhs)
     assert np.allclose(x, dense, rtol=1e-12, atol=1e-14)
 
 
 def test_uniform_partition_shares_one_slab_system():
+    """The steps of 8x6 differ in their last bits, by at most an ulp of 1
+    from 1/6, and the one slab system is M + k S with k the first step,
+    1/6."""
     disc = Discretization(build_space_time_mesh(8, 6))
     steps = disc.mesh.time_partition.steps
-    # The steps differ in their last bits, but are one step size.
     assert len(np.unique(steps)) > 1
-    systems = {id(disc.slab_solver(k)) for k in steps}
-    assert len(systems) == 1
-    assert disc.slab_solver(0.5) is not disc.slab_solver(0.5 + 1e-9)
+    assert np.abs(steps - 1 / 6).max() <= np.spacing(1.0)
+    matrix = disc.mass_ii + (1 / 6) * disc.stiff_ii
+    assert np.array_equal(disc.slab_solver().matrix.toarray(), matrix.toarray())
+
+
+def test_a_solve_factors_nothing_and_the_initial_projection_factors_once(monkeypatch):
+    """Set-up and ``pdas_solve`` at 8x6 make 5 + 1 band Cholesky factors,
+    the extension's 5 time modes and the one slab system, so the solve
+    factors nothing.  ``project_initial`` with a u0 factors the mass matrix
+    once more, and ``slab_solver()`` stays the same object."""
+    calls = []
+
+    def counted(band):
+        calls.append(band.shape)
+        return dpbtrf(band)
+
+    monkeypatch.setattr(kernels, "dpbtrf", counted)
+    problem = setup_problem(8, 6, bump_case())
+    assert len(calls) == 5 + 1
+    pdas_solve(problem, tol=1e-9)
+    assert len(calls) == 5 + 1
+    disc = problem.disc
+    system = disc.slab_solver()
+    disc.project_initial(lambda x, y: x * (1 - x) * y * (1 - y))
+    assert len(calls) == 5 + 1 + 1
+    assert disc.slab_solver() is system
 
 
 def test_export_matrix_market(disc, tmp_path):

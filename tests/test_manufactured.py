@@ -293,7 +293,7 @@ def test_each_norm_calls_its_exact_derivatives_once_per_block(case, monkeypatch)
     disc = Discretization(disc.mesh)
     q = disc.quad
     times = q.times.ravel()
-    slice_of = {id(q.points(cells)[0]): cells for cells in q.slices}
+    slice_of = {id(part.x): part.cells for part in q.slices}
     assert len(slice_of) == 6
     blocks = -(-times.size // 5) * len(q.slices)
     seen, calls = {}, {}
@@ -396,6 +396,15 @@ def test_run_study_records_failure(case):
     assert "(n=3, M=3)" in report.failure
     assert report.records == []
     assert report.rate_state_h == []
+
+
+def test_run_study_stops_at_a_wrong_extension_solve(case, corrupt_extension):
+    """Wrong mode factors fail the first level's set-up, at the extension
+    solve of its anchor, and the report names the level."""
+    corrupt_extension(1.5)
+    report = run_study([(3, 3), (6, 6)], case, tol=1e-9, max_outer=50)
+    assert report.failure.startswith("level (n=3, M=3): extension solve failed")
+    assert report.records == []
 
 
 def test_run_study_stops_at_a_corrupted_slab_solve(case, corrupt_slab_solve, tmp_path):

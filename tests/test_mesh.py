@@ -79,28 +79,16 @@ def test_single_triangle_is_all_boundary():
 def test_time_partition_uniform():
     tp = uniform_time_partition(4)
     assert tp.num_steps == 4
-    assert tp.final_time == 1.0
     assert tp.points[0] == 0.0 and tp.points[-1] == 1.0
     assert np.allclose(tp.steps, 0.25)
     assert tp.k == 0.25
 
 
-def test_time_partition_nonuniform():
-    tp = TimePartition([0.0, 0.1, 0.5, 1.2])
-    assert np.allclose(tp.steps, [0.1, 0.4, 0.7])
-    assert tp.k == pytest.approx(0.7)
-    assert tp.final_time == pytest.approx(1.2)
-
-
 def test_time_partition_rejects_bad_input():
-    with pytest.raises(MeshError):
-        TimePartition([0.0])
-    with pytest.raises(MeshError):
-        TimePartition([0.5, 1.0])  # must start at zero
-    with pytest.raises(MeshError):
-        TimePartition([0.0, 0.5, 0.5])  # not strictly increasing
-    with pytest.raises(MeshError):
-        uniform_time_partition(0)
+    for build in (TimePartition, uniform_time_partition):
+        for bad in (0, -1, 2.5):
+            with pytest.raises(MeshError, match="step count must be a positive"):
+                build(bad)
 
 
 def test_space_time_mesh_dimensions():

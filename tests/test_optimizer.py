@@ -16,6 +16,7 @@ from _oracles import (
     zero_control,
     zero_data,
 )
+from dbc.forward import SolverError
 from dbc.kernels import AssemblyError
 from dbc.manufactured import bump_case, setup_problem
 from dbc.optimizer import (
@@ -490,6 +491,22 @@ def test_diagnostics_report_the_largest_slab_residual():
     diagnostics = pdas_solve(problem, tol=1e-9).diagnostics
     assert 0.0 < diagnostics.max_slab_residual <= 1e-12
     assert diagnostics.max_slab_residual == problem.disc.max_slab_residual
+
+
+@pytest.mark.parametrize(
+    "scale,modes", [(1.5, slice(None)), (1.01, 3)], ids=["all-x1.5", "mode3-x1.01"]
+)
+def test_a_wrong_extension_factor_stops_the_solve(corrupt_extension, scale, modes):
+    """With the extension's mode factors made wrong after set-up at 16x12,
+    every diagonal 1.5 times too large or mode 3's 1% too large,
+    ``pdas_solve`` raises ``SolverError`` from the extension solve of the
+    control it would return, instead of returning it."""
+    problem = setup_problem(16, 12, bump_case())
+    corrupt_extension(scale, modes)
+    with pytest.raises(SolverError, match="^extension solve failed") as info:
+        pdas_solve(problem, tol=1e-9)
+    assert info.value.slab is None
+    assert info.value.residual > 1e-12
 
 
 def test_no_control_space_matrix_is_assembled(monkeypatch):
