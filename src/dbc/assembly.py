@@ -244,14 +244,16 @@ class EnergyExtension:
     factors, once, and raises the factorization's failure if it had one.
     Below the gate the factors are made in ``__init__``.
 
-    ``solve`` checks its answer X as the sweeps check the slab solves: a
-    relative residual ||A_ii X - rhs|| / (||rhs|| + 1) above
-    ``RESIDUAL_TOL`` raises ``SolverError``.  On the bump case's set-up
-    anchor ||A_ii X - rhs|| / ||rhs|| was 3.2e-16 at 4x4, 1.7e-15 at 8x6 and
-    6.5e-15 at 64x46.  With the factors made wrong after set-up at 16x12,
-    the returned control's check gave 6.2e-4 (every diagonal x1.5) and
-    8.2e-6 (one mode's x1.01).  At 64x46 the product with A_ii, a
-    ``KroneckerSum`` of the interior blocks, takes 1.6 ms, the solve 6.2 ms.
+    ``solve`` checks its answer X: ||A_ii X - rhs|| above ``RESIDUAL_TOL``
+    times ||rhs|| raises ``SolverError``.  Its right-hand sides are small
+    (||rhs|| is 3.8e-2 for the set-up anchor and 1.1e-3 for the returned
+    control at 16x12), so the check is relative, without the slab check's
+    + 1.  On the bump case it read 3.2e-16 and 3.2e-16 at 4x4, 1.9e-15 and
+    1.4e-15 at 16x12 and 6.5e-15 and 3.4e-15 at 64x46.  With the factors
+    made wrong after set-up at 16x12, the returned control's check gave
+    0.60 (every diagonal x1.5) and 7.7e-3 (one mode's x1.01).  At 64x46 the
+    product with A_ii, a ``KroneckerSum`` of the interior blocks, takes
+    1.6 ms, the solve 6.2 ms.
     """
 
     def __init__(self, disc, boxed_vertices):
@@ -308,9 +310,10 @@ class EnergyExtension:
         del work
         defect = self._interior_block @ solved.ravel()
         defect -= rhs.ravel()
-        residual = np.linalg.norm(defect) / (np.linalg.norm(rhs) + 1.0)
-        if not residual <= RESIDUAL_TOL:
-            raise SolverError(None, float(residual))
+        # A zero rhs solves to zero exactly, and passes.
+        defect_norm, rhs_norm = np.linalg.norm(defect), np.linalg.norm(rhs)
+        if not defect_norm <= RESIDUAL_TOL * rhs_norm:
+            raise SolverError(None, float(defect_norm / rhs_norm))
         return solved
 
     def solve_from_tail(self, tail_rhs):
@@ -348,15 +351,14 @@ _BLOCK_VALUES = 2**16
 
 
 class _Slice(NamedTuple):
-    """What a slice of triangles keeps: its range ``cells`` of triangles;
-    each array C-contiguous, the read-only points ``x`` and ``y`` and the
-    weights, (nq, triangles); the vertices at the corners, (3, triangles);
-    the gradients of the corners' hats, (2, 3, triangles), component d of
-    corner i at [d, i]; the span of vertices the corners touch, and the map
-    that adds corner i of the k-th triangle, at column i * triangles + k,
-    onto that corner's row of the span."""
+    """What a slice of triangles keeps, each array C-contiguous: the
+    read-only points ``x`` and ``y`` and the weights, (nq, triangles); the
+    vertices at the corners, (3, triangles); the gradients of the corners'
+    hats, (2, 3, triangles), component d of corner i at [d, i]; the span of
+    vertices the corners touch, and the map that adds corner i of the k-th
+    triangle, at column i * triangles + k, onto that corner's row of the
+    span."""
 
-    cells: slice
     x: np.ndarray
     y: np.ndarray
     weights: np.ndarray
@@ -420,7 +422,6 @@ class Quadrature:
                 shape=(span.stop - span.start, flat.size),
             )
             part = _Slice(
-                cells,
                 *(np.ascontiguousarray(a[..., cells]) for a in (x, y, weights)),
                 corners,
                 np.ascontiguousarray(grads[..., cells]),

@@ -22,8 +22,8 @@ import numpy as np
 
 from .spaces import StateField
 
-# Relative residual ||A x - b|| / (||b|| + 1) that each slab solve and each
-# extension solve must meet.
+# Relative residual that each slab solve, as ||A x - b|| / (||b|| + 1), and
+# each extension solve, as ||A x - b|| / ||b||, must meet.
 RESIDUAL_TOL = 1e-12
 
 

@@ -17,9 +17,12 @@ distributed control at lam = 1e-3, and the control error loses its rate.)
 
 The restriction leaves a dense-free quadratic in the trace values
 q = E v + anchor, with grad j = H v - b constant-shifted, which the PDAS
-loop exploits: every outer iteration costs at most two Hessian
-applications plus a warm-started CG solve on the inactive set,
-preconditioned by the diagonal of lam * seminorm (restricted to the trace).
+loop exploits.  Each outer iteration solves the inactive set by CG,
+preconditioned by the diagonal of lam * seminorm (restricted to the
+trace), and CG sums the Hessian actions it makes into the change of H v.
+So H v is carried from one outer iteration to the next: an iteration
+makes a Hessian action of its own only when its clamp moves a DOF, and
+the returning one makes a last, fresh action for the state and adjoint.
 """
 
 from __future__ import annotations
@@ -293,30 +296,48 @@ def _check_finite(datum, values, times):
     raise AssemblyError(f"the {datum} is not finite at t = {t:.6g}")
 
 
-def _pcg(apply_op, rhs, precond_diag, rel_tol, max_iter):
-    """Preconditioned CG from the zero start; returns (x, iterations).
+def _kkt_residuals(mu, lower, upper):
+    """Stationarity and complementarity of the multiplier estimate ``mu``:
+    its largest magnitude on the inactive DOFs, and its largest wrong-sign
+    value on the active sets (0 when there is none)."""
+    stationarity = float(np.abs(mu[~(lower | upper)]).max(initial=0.0))
+    complementarity = max(
+        0.0,
+        float((-mu[lower]).max(initial=0.0)),
+        float(mu[upper].max(initial=0.0)),
+    )
+    return stationarity, complementarity
 
-    Stops when the residual norm falls below rel_tol times the initial
-    residual norm (plus a tiny absolute floor for already-converged calls)."""
+
+def _pcg(apply_op, rows, rhs, precond_diag, target, max_iter):
+    """Preconditioned CG from the zero start; returns (x, iterations, product).
+
+    ``apply_op(p)`` gives an operator's whole product, of which the entries
+    ``rows`` are the system's; ``product`` is that whole product for x,
+    summed from the products of the search directions (0.0 when CG made
+    none).  CG stops when the residual norm is at most ``target``, checked
+    before the first product too, so a right-hand side already below it
+    costs none."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    norm0 = np.linalg.norm(r)
-    target = rel_tol * norm0 + 1e-300
-    if norm0 == 0.0:
-        return x, 0
+    product = 0.0
+    if np.linalg.norm(r) <= target:
+        return x, 0, product
     z = r / precond_diag
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
-        hp = apply_op(p)
+        whole = apply_op(p)
+        hp = whole[rows]
         php = float(p @ hp)
         if php <= 0.0:
             raise CGBreakdownError("curvature lost positive definiteness", it)
         alpha = rz / php
         x += alpha * p
         r -= alpha * hp
+        product = product + alpha * whole
         if np.linalg.norm(r) <= target:
-            return x, it
+            return x, it, product
         z = r / precond_diag
         rz_new = float(r @ z)
         beta = rz_new / rz
@@ -335,9 +356,14 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
     active set when v - mu/c falls strictly outside the bounds (ties stay
     inactive), with the scale c starting at lam.  Active DOFs are fixed at
     their bound and the remaining inactive block is solved matrix-free by
-    preconditioned CG to the relative residual min(1e-10, 1e-2 tol).
-    Convergence is declared when the active sets repeat and the
-    stationarity and complementarity residuals are below tol; after
+    preconditioned CG, from the zero step, to a residual norm of
+    min(1e-10, 1e-2 tol) times the larger of |trace_b| and the norm of the
+    block's right-hand side: never looser than the problem's scale, and
+    relative to the right-hand side where that is larger.  CG's Hessian
+    actions give H v of the next iteration too.  Convergence is declared
+    when the active sets repeat and the stationarity and complementarity
+    residuals are below tol, both for the carried H v and for a fresh
+    action, which also gives the returned state and adjoint; after
     ``max_outer`` inactive-set solves without it, ``PdasNonconvergence``
     is raised.
 
@@ -373,17 +399,19 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
     upper_prev = None
     solves = 0
     total_cg = 0
+    actions = 0
     history = []
     seen_sets = set()
+    trace_b_norm = np.linalg.norm(problem.trace_b)
 
+    def hessian(trace_values, want_fields=False):
+        nonlocal actions
+        actions += 1
+        return problem.trace_hessian(trace_values, want_fields=want_fields)
+
+    # H v, carried from one outer step to the next; H 0 = 0 needs no action.
+    hv = hessian(v) if v.any() else np.zeros(dim)
     while True:
-        if v.any():
-            hv, sens, second = problem.trace_hessian(v, want_fields=True)
-        else:
-            # H 0 = 0, and so are its state and adjoint parts, bit for bit.
-            hv = np.zeros(dim)
-            sens = np.zeros_like(problem.state_anchor)
-            second = np.zeros_like(problem.adjoint_anchor)
         mu = hv - problem.trace_b
         while True:
             indicator = v - mu / c
@@ -404,13 +432,21 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
             log.info("pdas revisited an active-set pair; raising scale to %.3e", c)
         inactive = ~(lower | upper)
 
-        stationarity = float(np.abs(mu[inactive]).max(initial=0.0))
-        complementarity = 0.0
-        if lower.any():
-            complementarity = max(complementarity, float((-mu[lower]).max()))
-        if upper.any():
-            complementarity = max(complementarity, float(mu[upper].max()))
-        complementarity = max(complementarity, 0.0)
+        stationarity, complementarity = _kkt_residuals(mu, lower, upper)
+        converged = stable_now and stationarity < tol and complementarity < tol
+        if converged:
+            # The carried product passes; a fresh action confirms it and
+            # gives the state and adjoint to return.
+            if v.any():
+                hv, sens, second = hessian(v, want_fields=True)
+            else:
+                # H 0 = 0, and so are its state and adjoint parts, bit for bit.
+                hv = np.zeros(dim)
+                sens = np.zeros_like(problem.state_anchor)
+                second = np.zeros_like(problem.adjoint_anchor)
+            mu = hv - problem.trace_b
+            stationarity, complementarity = _kkt_residuals(mu, lower, upper)
+            converged = stationarity < tol and complementarity < tol
         infeasibility = max(
             0.0,
             float((qa - v).max(initial=0.0)),
@@ -431,18 +467,19 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
         )
         log.info(
             "pdas outer=%d lower=%d upper=%d stat=%.3e comp=%.3e cg=%d "
-            "slab_res=%.1e j=%.9e",
+            "hessian=%d slab_res=%.1e j=%.9e",
             solves,
             diagnostics.num_lower_active,
             diagnostics.num_upper_active,
             stationarity,
             complementarity,
             total_cg,
+            actions,
             diagnostics.max_slab_residual,
             history[-1],
         )
 
-        if stable_now and stationarity < tol and complementarity < tol:
+        if converged:
             control = ControlField.from_flat(mesh, problem.extend(v))
             state = StateField(mesh, problem.state_anchor + sens)
             adjoint = AdjointField(mesh, problem.adjoint_anchor + second)
@@ -452,25 +489,29 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
             raise PdasNonconvergence(diagnostics)
 
         clamped = np.where(lower, qa, np.where(upper, qb, v))
-        moved = not np.array_equal(clamped, v)
+        # When the clamp moves no DOF, the carried hv is H v already.
+        if not np.array_equal(clamped, v):
+            hv = hessian(clamped)
         v = clamped
-        # When the clamp moved no DOF, hv from the top of the loop is H v.
-        defect = problem.trace_b - (problem.trace_hessian(v) if moved else hv)
+        defect = problem.trace_b - hv
         ii = np.flatnonzero(inactive)
 
         def op(x_inactive):
             d = np.zeros(dim)
             d[ii] = x_inactive
-            return problem.trace_hessian(d)[ii]
+            return hessian(d)
 
-        delta, iters = _pcg(
+        rhs = defect[ii]
+        delta, iters, product = _pcg(
             op,
-            defect[ii],
+            ii,
+            rhs,
             precond[ii],
-            cg_rel_tol,
+            cg_rel_tol * max(trace_b_norm, np.linalg.norm(rhs)),
             max_iter=min(dim + 10, 30_000),
         )
         v[ii] += delta
+        hv = hv + product
         total_cg += iters
         solves += 1
         lower_prev, upper_prev = lower, upper

@@ -15,6 +15,8 @@ the tracking misfit integrated one Gauss time at a time over the whole
 mesh, with one ``np.vdot`` per Gauss time, so tests can check the blocks
 of ``Quadrature.integrate`` against them; ``interpolate`` gives them a P1
 field at the points of every triangle.
+``triangle_ranges`` gives the range of triangles of each slice of a
+``Quadrature``.
 ``dtbsv`` calls the GIL-free BLAS kernel, the only band substitution in
 ``dbc`` (``EnergyExtension`` and ``SlabSystem`` both use it), on a whole
 band, so tests can check that kernel against scipy's.
@@ -222,3 +224,17 @@ def dtbsv(band, x, trans=False):
         kernels._address(x, (n,), "C"), ctypes.c_int(1),
     )
     return x
+
+
+def triangle_ranges(quad):
+    """The range of triangles of each of ``quad.slices``, which cut the
+    triangles in order; each range is checked against its slice's corners."""
+    ranges = []
+    start = 0
+    for part in quad.slices:
+        cells = slice(start, start + part.x.shape[1])
+        assert np.array_equal(part.corners, quad.triangles[cells].T)
+        ranges.append(cells)
+        start = cells.stop
+    assert start == len(quad.triangles)
+    return ranges

@@ -332,8 +332,9 @@ def test_unconstrained_equals_single_cg():
     precond = problem.lam * problem.disc.seminorm.diagonal()[
         problem.trace_indices
     ]
-    v_cg, _ = _pcg(
-        problem.trace_hessian, problem.trace_b, precond, 1e-13, 10_000
+    target = 1e-13 * np.linalg.norm(problem.trace_b)
+    v_cg, _, _ = _pcg(
+        problem.trace_hessian, slice(None), problem.trace_b, precond, target, 10_000
     )
     assert np.abs(v_pdas - v_cg).max() < 1e-10
     g, _, _ = problem.trace_gradient(v_pdas)
@@ -379,6 +380,20 @@ def test_a_revisited_active_set_pair_raises_the_scale(caplog, lam, raises):
         result = pdas_solve(problem, tol=1e-9)
     assert caplog.text.count("raising scale") == raises
     assert result.diagnostics.num_upper_active == 16
+    assert_matches_dense_box_oracle(problem, result)
+
+
+@pytest.mark.parametrize("q_b", [0.8, 0.045])
+def test_small_regularization_at_16x12_matches_a_dense_box_solver(q_b):
+    """At lam = 1e-5 the zero start's sets swing for several outer steps
+    (with q_b = 0.8 none is active at the optimum); PDAS still ends at the
+    dense box oracle's active sets and trace.  tol = 1e-10 puts the CG stop
+    at 1e-12 of |trace_b|, which bounds the trace's relative error by
+    cond(H) * 1e-12, about 4e-11, inside the oracle's 1e-10."""
+    case = dataclasses.replace(bump_case(), q_b=q_b, lam=1e-5)
+    problem = setup_problem(16, 12, case)
+    result = pdas_solve(problem, tol=1e-10)
+    assert result.diagnostics.outer_iterations > 1
     assert_matches_dense_box_oracle(problem, result)
 
 
@@ -467,9 +482,9 @@ def test_objective_descends_to_convergence():
 
 
 def test_unchanged_clamp_reuses_the_hessian_action(monkeypatch):
-    """Without active bounds the clamp moves no DOF, so each outer step
-    needs one Hessian action for the multiplier and one per CG iteration,
-    except at the zero start, where H 0 = 0 needs none."""
+    """Without active bounds the clamp moves no DOF, so the solve needs one
+    Hessian action per CG iteration and one more, made fresh for the
+    returned state and adjoint; the zero start needs none, as H 0 = 0."""
     problem = setup_problem(8, 6, bump_case())
     calls = []
     trace_hessian = ReducedProblem.trace_hessian
@@ -486,6 +501,54 @@ def test_unchanged_clamp_reuses_the_hessian_action(monkeypatch):
     assert len(calls) == diagnostics.cg_iterations + 1
 
 
+@pytest.mark.parametrize("seed", [None, 1])
+def test_the_carried_hessian_action_is_the_fresh_one(monkeypatch, caplog, seed):
+    """At 16x12 with q_b = 0.045 each outer step's H v, carried from the
+    CG before it, equals a fresh ``trace_hessian(v)`` to 1e-12 relative.
+    The solve makes one action per CG iteration, one per clamp that moved
+    a DOF, one for a nonzero start and one for the returned fields; the
+    last ``pdas`` log line counts them."""
+    case = dataclasses.replace(bump_case(), q_b=0.045)
+    problem = setup_problem(16, 12, case)
+    q_init = None
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        q_init = rng.uniform(case.q_a, case.q_b, problem.trace_dim)
+    steps = []
+    calls = []
+    quadratic_objective = ReducedProblem._quadratic_objective
+    trace_hessian = ReducedProblem.trace_hessian
+
+    def recorded(self, v, hv):
+        steps.append((v.copy(), hv.copy()))
+        return quadratic_objective(self, v, hv)
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return trace_hessian(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReducedProblem, "_quadratic_objective", recorded)
+    monkeypatch.setattr(ReducedProblem, "trace_hessian", counted)
+    with caplog.at_level("INFO", logger="dbc.optimizer"):
+        diagnostics = pdas_solve(problem, tol=1e-9, q_init=q_init).diagnostics
+    monkeypatch.undo()
+
+    assert len(steps) == diagnostics.outer_iterations + 1 > 2
+    for v, hv in steps:
+        fresh = problem.trace_hessian(v)
+        assert np.linalg.norm(hv - fresh) <= 1e-12 * np.linalg.norm(fresh)
+    # A clamp that moved a DOF put it on a bound it was not on.
+    qa, qb = problem.bounds.lower, problem.bounds.upper
+    moved = sum(
+        bool(np.any((after != before) & ((after == qa) | (after == qb))))
+        for (before, _), (after, _) in zip(steps, steps[1:])
+    )
+    assert moved > 0
+    start = int(q_init is not None)
+    assert len(calls) == diagnostics.cg_iterations + moved + start + 1
+    assert f" hessian={len(calls)} " in caplog.messages[-1]
+
+
 def test_diagnostics_report_the_largest_slab_residual():
     problem = setup_problem(8, 6, bump_case())
     diagnostics = pdas_solve(problem, tol=1e-9).diagnostics
@@ -494,19 +557,25 @@ def test_diagnostics_report_the_largest_slab_residual():
 
 
 @pytest.mark.parametrize(
-    "scale,modes", [(1.5, slice(None)), (1.01, 3)], ids=["all-x1.5", "mode3-x1.01"]
+    "scale,modes,reading",
+    [(1.5, slice(None), 0.1), (1.01, 3, 1e-3)],
+    ids=["all-x1.5", "mode3-x1.01"],
 )
-def test_a_wrong_extension_factor_stops_the_solve(corrupt_extension, scale, modes):
+def test_a_wrong_extension_factor_stops_the_solve(
+    corrupt_extension, scale, modes, reading
+):
     """With the extension's mode factors made wrong after set-up at 16x12,
     every diagonal 1.5 times too large or mode 3's 1% too large,
     ``pdas_solve`` raises ``SolverError`` from the extension solve of the
-    control it would return, instead of returning it."""
+    control it would return, instead of returning it.  The check is
+    relative to the small right-hand side (1.1e-3), so it reads 0.60 and
+    7.7e-3, not the 6.2e-4 and 8.2e-6 of ||r|| / (||b|| + 1)."""
     problem = setup_problem(16, 12, bump_case())
     corrupt_extension(scale, modes)
     with pytest.raises(SolverError, match="^extension solve failed") as info:
         pdas_solve(problem, tol=1e-9)
     assert info.value.slab is None
-    assert info.value.residual > 1e-12
+    assert info.value.residual > reading
 
 
 def test_no_control_space_matrix_is_assembled(monkeypatch):
@@ -637,24 +706,51 @@ def test_kkt_diagnostics_as_dict(problem33):
 
 
 def test_pcg_solves_spd_system():
+    """CG solves the system on ``rows`` of a larger operator, and returns
+    the operator's whole product for the solution alongside it."""
     rng = np.random.default_rng(6)
-    mat = rng.standard_normal((8, 8))
-    spd = mat @ mat.T + 8.0 * np.eye(8)
+    mat = rng.standard_normal((10, 10))
+    spd = mat @ mat.T + 10.0 * np.eye(10)
+    rows = np.arange(2, 10)
+    block = spd[np.ix_(rows, rows)]
+
+    def whole(p):
+        d = np.zeros(10)
+        d[rows] = p
+        return spd @ d
+
     rhs = rng.standard_normal(8)
-    x, iters = _pcg(lambda p: spd @ p, rhs, np.diag(spd), 1e-12, 100)
+    x, iters, product = _pcg(whole, rows, rhs, np.diag(block), 1e-12, 100)
     assert iters <= 8 + 1
-    assert np.allclose(spd @ x, rhs, rtol=1e-10, atol=1e-12)
-    x0, it0 = _pcg(lambda p: spd @ p, np.zeros(8), np.diag(spd), 1e-12, 100)
+    assert np.allclose(block @ x, rhs, rtol=1e-10, atol=1e-12)
+    assert np.allclose(product, whole(x), rtol=1e-12, atol=1e-12)
+
+
+def test_pcg_below_its_target_makes_no_product():
+    """A right-hand side already at or below the target returns the zero
+    solution in 0 iterations, without one call to the operator."""
+    calls = []
+
+    def op(p):
+        calls.append(1)
+        return p
+
+    rhs = np.array([3e-13, -4e-13])
+    for target in (5e-13, 1e-12):
+        x, iters, product = _pcg(op, slice(None), rhs, np.ones(2), target, 100)
+        assert iters == 0 and not x.any() and product == 0.0
+    x0, it0, _ = _pcg(op, slice(None), np.zeros(2), np.ones(2), 0.0, 100)
     assert it0 == 0 and not x0.any()
+    assert not calls
 
 
 def test_pcg_raises_on_indefinite_operator():
     with pytest.raises(CGBreakdownError) as excinfo:
-        _pcg(lambda p: -p, np.ones(4), np.ones(4), 1e-12, 100)
+        _pcg(lambda p: -p, slice(None), np.ones(4), np.ones(4), 1e-12, 100)
     assert excinfo.value.iterations == 1
 
 
 def test_pcg_raises_on_iteration_budget():
     diag = np.array([1.0, 1e6])
     with pytest.raises(CGBreakdownError):
-        _pcg(lambda p: diag * p, np.ones(2), np.ones(2), 1e-14, 1)
+        _pcg(lambda p: diag * p, slice(None), np.ones(2), np.ones(2), 1e-14, 1)

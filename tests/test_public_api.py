@@ -14,7 +14,8 @@ Uses inside a definition that fails do not count either, so code that only
 dead code calls fails with it.
 
 A public data attribute, set by ``self.<name> = ...`` in a method of a
-top-level class, fails the test when no code in ``src/dbc`` or
+top-level class or annotated in its body (a ``NamedTuple``'s or a
+dataclass's field), fails the test when no code in ``src/dbc`` or
 ``perfbench`` reads an attribute of that name.  Reads through ``self``
 count, so an attribute that only its own class reads stays.
 
@@ -24,7 +25,9 @@ array code reads all the time (``x.copy()``, ``blas.dtbsv(...)``), so a
 method or data attribute with such a name counts as used only through
 ``self`` or ``cls``; the ones that the package reads on other receivers
 are in ``ALLOWED``, each with its reader.  So are the payloads of
-exceptions, which only a caller that catches one reads.
+exceptions, which only a caller that catches one reads, and the dataclass
+fields that only ``asdict`` reads, into ``report.json`` and
+``diagnostics.json``.
 
 A defaulted parameter of a top-level function, a public method or an
 ``__init__`` fails the test unless calls in ``src/dbc`` or ``perfbench``
@@ -79,6 +82,18 @@ ALLOWED = {
     ),
     "optimizer.CGBreakdownError.iterations": (
         "exception payload: the CG iterations run before the breakdown"
+    ),
+    "optimizer.KKTDiagnostics.infeasibility": (
+        "KKTDiagnostics.as_dict writes it to report.json and diagnostics.json"
+    ),
+    "optimizer.KKTDiagnostics.cg_iterations": (
+        "KKTDiagnostics.as_dict writes it to report.json and diagnostics.json"
+    ),
+    "optimizer.KKTDiagnostics.objective_history": (
+        "KKTDiagnostics.as_dict writes it to report.json and diagnostics.json"
+    ),
+    "manufactured.LevelRecord.kkt": (
+        "StudyReport.as_dict writes each record's asdict to report.json"
     ),
 }
 
@@ -176,6 +191,16 @@ def unread_attributes():
         for node in tree.body:
             if not isinstance(node, ast.ClassDef):
                 continue
+            # Fields annotated in the class body: a NamedTuple's or a
+            # dataclass's.
+            for item in node.body:
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and not item.target.id.startswith("_")
+                ):
+                    label = f"{path.stem}.{node.name}.{item.target.id}"
+                    assigned.setdefault(label, item.target.id)
             for item in ast.walk(node):
                 if (
                     isinstance(item, ast.Attribute)
