@@ -215,9 +215,9 @@ class EnergyExtension:
     of factoring one large space-time operator we eigen-decompose the small
     interior time pencil St Z = Mt Z diag(theta) (Z^T Mt Z = I), check
     both identities once, mode by mode, and factor the 2-D operator S_ii +
-    theta_j M_ii once per time mode, as a band Cholesky factor in
-    ``order``.  A mode that fails its check is an ``AssemblyError`` that
-    names it.
+    theta_j M_ii once per time mode, as a band Cholesky factor U_j^T U_j in
+    ``order``, U_j in upper band storage.  A mode that fails its check is
+    an ``AssemblyError`` that names it.
 
     The trace reaches the interior only through ``tail``, the interior
     vertices coupled to one of ``boxed_vertices``: an extension's
@@ -225,8 +225,11 @@ class EnergyExtension:
     factor order puts the interior vertices by decreasing graph distance
     from the tail, then by vertex id, so the tail, in that order, is the
     last block and ``solve_from_tail`` and ``solve_to_tail`` skip the other
-    half of a substitution.  The level sets of that distance set the band
-    width ``kd``.  With one edge of the unit square boxed they are grid
+    half of a substitution: the forward one with U_j^T for a right-hand
+    side that lives on the tail, the backward one with U_j for an answer
+    read on the tail.  Their full passes are dtbsv ('U', 'N') and
+    ('U', 'T'), which take about as long as each other.  The level sets of
+    that distance set the band width ``kd``.  With one edge of the unit square boxed they are grid
     rows, so the band is n - 1 for ``unit_square_mesh(n)``, as narrow as
     the slab system's.  With the whole boundary boxed the tail is a ring
     and so is every level set: at 64 the band is 303 wide and each mode
@@ -245,13 +248,15 @@ class EnergyExtension:
     Below the gate the factors are made in ``__init__``.
 
     ``solve`` checks its answer X: ||A_ii X - rhs|| above ``RESIDUAL_TOL``
-    times ||rhs|| raises ``SolverError``.  Its right-hand sides are small
-    (||rhs|| is 3.8e-2 for the set-up anchor and 1.1e-3 for the returned
-    control at 16x12), so the check is relative, without the slab check's
-    + 1.  On the bump case it read 3.2e-16 and 3.2e-16 at 4x4, 1.9e-15 and
-    1.4e-15 at 16x12 and 6.5e-15 and 3.4e-15 at 64x46.  With the factors
-    made wrong after set-up at 16x12, the returned control's check gave
-    0.60 (every diagonal x1.5) and 7.7e-3 (one mode's x1.01).  At 64x46 the
+    times ||rhs|| raises ``SolverError``, and ``max_residual`` is the
+    largest ||A_ii X - rhs|| / ||rhs|| that it has checked so far.  Its
+    right-hand sides are small (||rhs|| is 3.8e-2 for the set-up anchor and
+    1.1e-3 for the returned control at 16x12), so the check is relative,
+    without the slab check's + 1.  On the bump case it read 2.8e-16 and
+    3.5e-16 at 4x4, 1.8e-15 and 1.4e-15 at 16x12 and 6.7e-15 and 3.5e-15
+    at 64x46.  With the factors made wrong after set-up at 16x12, the
+    returned control's check gave 0.60 (every diagonal x1.5) and 7.6e-3
+    (one mode's x1.01).  At 64x46 the
     product with A_ii, a ``KroneckerSum`` of the interior blocks, takes
     1.6 ms, the solve 6.2 ms.
     """
@@ -259,6 +264,7 @@ class EnergyExtension:
     def __init__(self, disc, boxed_vertices):
         mt, st = _interior_time_blocks(disc.mesh)
         self._interior_block = KroneckerSum((mt, disc.stiff_ii), (st, disc.mass_ii))
+        self.max_residual = 0.0
         mt, st = mt.toarray(), st.toarray()
         theta, modes = sla.eigh(st, mt)
         _check_modes(mt, st, theta, modes)
@@ -303,17 +309,20 @@ class EnergyExtension:
         (levels, num_interior); X has shape (levels, num_interior).  An X
         that fails the residual check raises ``SolverError``."""
         work = self._to_modes(rhs.reshape(self._levels, self._size))
-        substitute_bands(self._factors(), self._ranges, work, (b"N", 0), (b"T", 0))
+        substitute_bands(self._factors(), self._ranges, work, (b"T", 0), (b"N", 0))
         solved = self._from_modes(work)
         # Freed first, ``work`` serves the check's temporaries: kept, it put
         # the peak memory of a 64x46 solve 0.9 MiB higher.
         del work
         defect = self._interior_block @ solved.ravel()
         defect -= rhs.ravel()
-        # A zero rhs solves to zero exactly, and passes.
-        defect_norm, rhs_norm = np.linalg.norm(defect), np.linalg.norm(rhs)
-        if not defect_norm <= RESIDUAL_TOL * rhs_norm:
-            raise SolverError(None, float(defect_norm / rhs_norm))
+        # A zero defect, which a zero rhs gives, passes and is not recorded.
+        defect_norm = np.linalg.norm(defect)
+        if defect_norm:
+            residual = float(defect_norm / np.linalg.norm(rhs))
+            if not residual <= RESIDUAL_TOL:
+                raise SolverError(None, residual)
+            self.max_residual = max(self.max_residual, residual)
         return solved
 
     def solve_from_tail(self, tail_rhs):
@@ -325,7 +334,7 @@ class EnergyExtension:
         start = self._size - len(self.tail)
         work = np.zeros((self._levels, self._size))
         work[:, start:] = self.modes.T @ tail_rhs
-        substitute_bands(self._factors(), self._ranges, work, (b"N", start), (b"T", 0))
+        substitute_bands(self._factors(), self._ranges, work, (b"T", start), (b"N", 0))
         return self._from_modes(work)
 
     def solve_to_tail(self, rhs):
@@ -334,7 +343,7 @@ class EnergyExtension:
         tail alone."""
         start = self._size - len(self.tail)
         work = self._to_modes(rhs.reshape(self._levels, self._size))
-        substitute_bands(self._factors(), self._ranges, work, (b"N", 0), (b"T", start))
+        substitute_bands(self._factors(), self._ranges, work, (b"T", 0), (b"N", start))
         return self.modes @ work[:, start:]
 
 

@@ -1,11 +1,17 @@
 """Band kernels, the thread pool and the heap policy: the one module of
 ``dbc`` that touches ctypes, raw addresses, band storage or threads.
 
-Every factor in ``dbc`` is a LAPACK band Cholesky factor made by ``dpbtrf``,
-and every band substitution is a BLAS dtbsv, both called through scipy's
-Cython capsules with ctypes, which releases the GIL.  A pointer is taken
-only from an array whose dtype, shape and memory order ``_address`` has
-checked.
+Every factor in ``dbc`` is a LAPACK band Cholesky factor A = U^T U made by
+``dpbtrf`` in upper band storage, and every band substitution is a BLAS
+dtbsv, both called through scipy's Cython capsules with ctypes, which
+releases the GIL.  A pointer is taken only from an array whose dtype, shape
+and memory order ``_address`` has checked.
+
+Upper storage, because of what dtbsv costs on it: the transposed pass on
+a lower band, ('L', 'T'), was the slow one.  On the 45 mode factors of the
+extension at 64x46 (n = 3,969, kd = 63), in one thread of a 2-core host,
+('L', 'N') took 2.91 ms, ('L', 'T') 6.42 ms, ('U', 'N') 3.31 ms and
+('U', 'T') 3.19 ms over all modes.
 
 One process-wide pool, one thread kept on each CPU the process may use and
 made on first use, runs the work that ``split_ranges`` splits into
@@ -49,15 +55,16 @@ def band_width(matrix):
     return int((rows - matrix.indices).max(initial=0))
 
 
-def _lower_band(matrix, kd):
-    """LAPACK lower band storage of a symmetric sparse matrix already in its
+def _upper_band(matrix, kd):
+    """LAPACK upper band storage of a symmetric sparse matrix already in its
     band order, for a band of width ``kd`` that covers it: (kd + 1, n),
-    Fortran-ordered, row d holding the d-th subdiagonal."""
+    Fortran-ordered, row kd - d holding the d-th superdiagonal, so row kd
+    holds the diagonal."""
     matrix = matrix.tocoo()
-    lower = matrix.row >= matrix.col
-    rows, cols = matrix.row[lower], matrix.col[lower]
+    upper = matrix.row <= matrix.col
+    rows, cols = matrix.row[upper], matrix.col[upper]
     band = np.zeros((kd + 1, matrix.shape[0]), order="F")
-    band[rows - cols, cols] = matrix.data[lower]
+    band[kd + rows - cols, cols] = matrix.data[upper]
     return band
 
 
@@ -123,15 +130,15 @@ def _address(array, shape, order):
 
 
 def dpbtrf(band):
-    """Factor, in place, the symmetric positive definite matrix whose lower
+    """Factor, in place, the symmetric positive definite matrix whose upper
     band is ``band``, (kd + 1, n) float64 in Fortran order, into its
-    Cholesky factor L in the same storage (LAPACK dpbtrf, GIL released).
-    Every factor in ``dbc`` is made here."""
+    Cholesky factor U, A = U^T U, in the same storage (LAPACK dpbtrf,
+    GIL released).  Every factor in ``dbc`` is made here."""
     kd1, n = band.shape
     address = _address(band, (kd1, n), "F")
     info = ctypes.c_int()
     _DPBTRF(
-        b"L", ctypes.c_int(n), ctypes.c_int(kd1 - 1), address,
+        b"U", ctypes.c_int(n), ctypes.c_int(kd1 - 1), address,
         ctypes.c_int(kd1), ctypes.byref(info),
     )
     if info.value != 0:
@@ -144,29 +151,27 @@ def dpbtrf(band):
 
 class SlabSystem:
     """One slab system: the CSR ``matrix`` M_ii + k S_ii, in the band order
-    of the mesh's ``interior_indices``, and its Cholesky factor L, both
+    of the mesh's ``interior_indices``, and its Cholesky factor U, both
     built once.
 
-    L is kept twice, in LAPACK lower band storage and as L^T in upper band
+    U is kept twice, in LAPACK upper band storage and as U^T in lower band
     storage, so that both substitutions of a solve are non-transposed BLAS
-    dtbsv calls.  The transposed dtbsv on the lower band takes about twice
-    as long as the non-transposed one on the upper copy, because it runs
-    row-oriented dot products.  The band of a structured n x n mesh is
-    n - 1 wide, so each of the two bands holds 2.0 MB at 64x46.  Every
-    argument of the two dtbsv calls but the vector's address is made once,
-    here.
+    dtbsv calls: the transposed ones run row-oriented dot products and are
+    slower on the same bytes.  The band of a structured n x n mesh is n - 1
+    wide, so each of the two bands holds 2.0 MB at 64x46.  Every argument
+    of the two dtbsv calls but the vector's address is made once, here.
     """
 
     def __init__(self, matrix):
         self.matrix = matrix
         self.kd = band_width(matrix)
-        self._lower = dpbtrf(_lower_band(matrix, self.kd))
-        ld, n = self._lower.shape
-        # Upper band storage: row kd - d holds the d-th superdiagonal of L^T,
-        # which is the d-th subdiagonal of L.
-        self._upper = np.zeros_like(self._lower)
+        self._upper = dpbtrf(_upper_band(matrix, self.kd))
+        ld, n = self._upper.shape
+        # Lower band storage: row d holds the d-th subdiagonal of U^T,
+        # which is the d-th superdiagonal of U.
+        self._lower = np.zeros_like(self._upper)
         for d in range(self.kd + 1):
-            self._upper[self.kd - d, d:] = self._lower[d, : n - d]
+            self._lower[d, : n - d] = self._upper[self.kd - d, d:]
         self.size = n
         self._kernel = (
             ctypes.c_int(n), ctypes.c_int(self.kd), ctypes.c_int(ld),
@@ -188,11 +193,12 @@ def factor_shifted(stiff, mass, shifts, kd, ranges):
     ``shifts``, for two symmetric CSR matrices in a band order whose band
     ``kd`` covers both, and return (bands, wait).  ``bands`` is a
     (len(shifts), n, kd + 1) array whose j-th entry, transposed, is factor
-    j's lower band, formed from the two bands built once; it holds the
-    factors once ``wait()``, the wait of ``start_ranges`` with each of
-    ``ranges`` as one task, has returned."""
+    j's upper band, formed from the two bands built once, so entry kd of
+    each row is a diagonal entry; it holds the factors U_j once ``wait()``,
+    the wait of ``start_ranges`` with each of ``ranges`` as one task, has
+    returned."""
     bands = np.empty((len(shifts), stiff.shape[0], kd + 1))
-    stiff_band, mass_band = _lower_band(stiff, kd), _lower_band(mass, kd)
+    stiff_band, mass_band = _upper_band(stiff, kd), _upper_band(mass, kd)
 
     def factor(lo, hi):
         for j in range(lo, hi):
@@ -208,8 +214,10 @@ def substitute_bands(bands, ranges, work, *steps):
     """Apply ``steps`` in place to every row j of ``ranges`` in ``work``, a
     C-contiguous (len(bands), n) array, with factor j of ``bands`` as
     ``factor_shifted`` makes them.  A step (trans, start) substitutes the
-    entries from ``start`` on with the trailing block of L_j (trans b"N")
-    or of L_j^T (b"T")."""
+    entries from ``start`` on with the trailing block of U_j^T (trans b"T",
+    the forward substitution of A_j = U_j^T U_j) or of U_j (b"N", the
+    backward one).  In upper storage a trailing block's band starts at its
+    first column and reads no entry above the block."""
     levels, n, ld = bands.shape
     factors = _address(bands, bands.shape, "C")
     rows = _address(work, (levels, n), "C")
@@ -221,7 +229,7 @@ def substitute_bands(bands, ranges, work, *steps):
             for trans, size, start in calls:
                 first = j * n + start
                 _DTBSV(
-                    b"L", trans, b"N", size, kd,
+                    b"U", trans, b"N", size, kd,
                     factors + first * ld * _DOUBLE, ldab,
                     rows + first * _DOUBLE, _ONE,
                 )

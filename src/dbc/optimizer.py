@@ -17,7 +17,10 @@ distributed control at lam = 1e-3, and the control error loses its rate.)
 
 The restriction leaves a dense-free quadratic in the trace values
 q = E v + anchor, with grad j = H v - b constant-shifted, which the PDAS
-loop exploits.  Each outer iteration solves the inactive set by CG,
+loop exploits.  A trace Hessian action E^T H E v restricts the tracking
+part of H E v and adds lam E^T A E v, which it reads from the trace rows
+of A E v: the extension makes every interior row of A E v zero, so the
+action makes no space-time seminorm product.  Each outer iteration solves the inactive set by CG,
 preconditioned by the diagonal of lam * seminorm (restricted to the
 trace), and CG sums the Hessian actions it makes into the change of H v.
 So H v is carried from one outer iteration to the next: an iteration
@@ -69,7 +72,9 @@ class KKTDiagnostics:
     inactive DOFs, complementarity as the wrong-sign multiplier magnitude on
     the active sets, infeasibility as the bound violation.
     ``max_slab_residual`` is the largest relative residual of a slab solve
-    on the problem's discretization, set-up included."""
+    on the problem's discretization, set-up included, and
+    ``max_extension_residual`` that of a checked extension solve: the
+    anchor's, and the returned control's once the solve has converged."""
 
     stationarity: float
     complementarity: float
@@ -79,6 +84,7 @@ class KKTDiagnostics:
     outer_iterations: int
     cg_iterations: int
     max_slab_residual: float
+    max_extension_residual: float
     objective_history: list
 
     def as_dict(self):
@@ -102,8 +108,11 @@ class ReducedProblem:
     extension anchored at q_d, and the optimization runs in the remaining
     trace unknowns v with q = extend(v).  ``trace_dim``, ``trace_b`` and
     ``trace_hessian`` describe that quadratic; ``trace_hessian`` composes
-    ``hessian_apply``, the Hessian action on all prismatic control DOFs,
-    with ``extend_direction`` and its transpose ``restrict_gradient``.  Its
+    the tracking part of the Hessian action on all prismatic control DOFs
+    with ``extend_direction`` and its transpose ``restrict_gradient``, and
+    adds the regularization term lam (A_tt v + A_t,tail q_tail) from the
+    seminorm blocks of the trace rows, kept from set-up.  ``hessian_apply``
+    is the whole action on all prismatic DOFs, seminorm product included.  Its
     optimum solves the variational inequality over the extension subspace
     only (see the module docstring).  ``dim`` stays the full control-space
     dimension.
@@ -157,11 +166,15 @@ class ReducedProblem:
         self.interior_indices = (levels_start + disc.interior).ravel()
         self.trace_dim = len(self.trace_indices)
         # The trace DOFs are every level of the boxed vertices, and only the
-        # extension's tail couples to them, so this is the seminorm block of
-        # the tail rows and the trace columns.
-        self._A_tail_trace = disc.seminorm.block(
-            disc.interior[self.extension.tail], bounds.boxed_vertices
+        # extension's tail couples to them, so these are the seminorm blocks
+        # of the trace rows and columns and of the tail rows and the trace
+        # columns.
+        tail = disc.interior[self.extension.tail]
+        self._tail_indices = (levels_start + tail).ravel()
+        self._A_trace_trace = disc.seminorm.block(
+            bounds.boxed_vertices, bounds.boxed_vertices
         )
+        self._A_tail_trace = disc.seminorm.block(tail, bounds.boxed_vertices)
         self.anchor = self.extend(np.zeros(self.trace_dim))
         anchor = self.anchor.reshape(levels, mesh.num_nodes)
 
@@ -193,20 +206,25 @@ class ReducedProblem:
 
     # -- full-space layer ----------------------------------------------------
 
-    def hessian_apply(self, flat, want_fields=False):
-        """Full-space H v via one sensitivity and one second-adjoint sweep."""
+    def hessian_apply(self, flat):
+        """Full-space H v: lam A v, one seminorm product, plus the tracking
+        part.  ``trace_hessian`` does not call it."""
+        out = self._tracking_hessian(flat)[0]
+        out += self.lam * (self.disc.seminorm @ flat)
+        return out
+
+    def _tracking_hessian(self, flat):
+        """H v without its regularization term lam A v, through one
+        sensitivity and one second-adjoint sweep; (out, sens, second)."""
         disc = self.disc
         mesh = disc.mesh
         values = flat.reshape(mesh.num_control_levels, mesh.num_nodes)
         sens = sweep_forward(disc, -disc.coupling_all(values))
         second = sweep_backward(disc, tracking_slabs(disc, sens, values))
-        out = self.lam * (disc.seminorm @ flat)
-        out += disc.control_mass @ flat
+        out = disc.control_mass @ flat
         out += disc.pair_state_control(sens).ravel()
         out -= disc.coupling_transpose(second).ravel()
-        if want_fields:
-            return out, sens, second
-        return out
+        return out, sens, second
 
     # -- trace layer -----------------------------------------------------------
 
@@ -238,19 +256,32 @@ class ReducedProblem:
         return full_grad[self.trace_indices] - self._A_tail_trace.T @ lifted.ravel()
 
     def trace_hessian(self, trace_values, want_fields=False):
-        """Reduced Hessian E^T H E applied to trace unknowns."""
-        full = self.hessian_apply(
-            self.extend_direction(trace_values), want_fields=want_fields
-        )
+        """Reduced Hessian E^T H E applied to trace unknowns v: the tracking
+        part restricted by ``restrict_gradient``, plus lam E^T A E v from
+        the trace rows (see ``trace_seminorm``), so the action makes no
+        seminorm product.  With ``want_fields`` also the sensitivity and
+        the second adjoint of E v."""
+        q = self.extend_direction(trace_values)
+        tracking, sens, second = self._tracking_hessian(q)
+        out = self.restrict_gradient(tracking)
+        out += self.lam * self._seminorm_trace_rows(trace_values, q)
         if want_fields:
-            out, sens, second = full
-            return self.restrict_gradient(out), sens, second
-        return self.restrict_gradient(full)
+            return out, sens, second
+        return out
 
     def trace_seminorm(self, trace_values):
         """E^T A E applied to trace unknowns (the reduced seminorm)."""
-        return self.restrict_gradient(
-            self.disc.seminorm @ self.extend_direction(trace_values)
+        return self._seminorm_trace_rows(
+            trace_values, self.extend_direction(trace_values)
+        )
+
+    def _seminorm_trace_rows(self, trace_values, q):
+        """E^T A E v as the trace rows of A q, for q = ``extend_direction(v)``:
+        (A q)[interior] = A_ii q_i + A_it v = 0 by the extension's
+        definition, so E^T A q = (A q)[trace] = A_tt v + A_t,tail q_tail."""
+        return (
+            self._A_trace_trace @ trace_values
+            + self._A_tail_trace.T @ q[self._tail_indices]
         )
 
     def trace_gradient(self, trace_values):
@@ -453,6 +484,11 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
             float((v - qb).max(initial=0.0)),
         )
         history.append(problem._quadratic_objective(v, hv))
+        # The returned control's extension solve is checked before the
+        # diagnostics read the largest extension residual.
+        control = (
+            ControlField.from_flat(mesh, problem.extend(v)) if converged else None
+        )
 
         diagnostics = KKTDiagnostics(
             stationarity=stationarity,
@@ -463,6 +499,7 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
             outer_iterations=solves,
             cg_iterations=total_cg,
             max_slab_residual=problem.disc.max_slab_residual,
+            max_extension_residual=problem.extension.max_residual,
             objective_history=history,
         )
         log.info(
@@ -480,7 +517,6 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
         )
 
         if converged:
-            control = ControlField.from_flat(mesh, problem.extend(v))
             state = StateField(mesh, problem.state_anchor + sens)
             adjoint = AdjointField(mesh, problem.adjoint_anchor + second)
             return PdasResult(control, adjoint, state, diagnostics)

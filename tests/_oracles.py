@@ -213,13 +213,13 @@ TRI_RULE_8 = collapsed_triangle_rule(5)
 
 
 def dtbsv(band, x, trans=False):
-    """x <- L^-1 x, or L^-T x with ``trans``, in place, for the lower band
-    ``band`` of L, (kd + 1, n) float64 in Fortran order, and x float64 and
+    """x <- U^-1 x, or U^-T x with ``trans``, in place, for the upper band
+    ``band`` of U, (kd + 1, n) float64 in Fortran order, and x float64 and
     contiguous of length n (BLAS dtbsv through ``kernels._DTBSV``)."""
     kd1, n = band.shape
     a = kernels._address(band, (kd1, n), "F")
     kernels._DTBSV(
-        b"L", b"T" if trans else b"N", b"N", ctypes.c_int(n),
+        b"U", b"T" if trans else b"N", b"N", ctypes.c_int(n),
         ctypes.c_int(kd1 - 1), a, ctypes.c_int(kd1),
         kernels._address(x, (n,), "C"), ctypes.c_int(1),
     )

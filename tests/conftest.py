@@ -67,7 +67,7 @@ def corrupt_extension(monkeypatch):
     """Make the extension's mode factors wrong once they are made.
 
     ``corrupt(scale, modes=slice(None))`` multiplies the diagonal of each
-    listed mode factor by ``scale``, once per extension, in the factors
+    listed mode factor U by ``scale``, once per extension, in the factors
     that ``EnergyExtension._factors`` returns after its wait."""
     factors = EnergyExtension._factors
 
@@ -78,8 +78,9 @@ def corrupt_extension(monkeypatch):
             bands = factors(self)
             if not any(extension is self for extension in done):
                 done.append(self)
-                # Entry 0 of each row of a factor's band is its diagonal.
-                bands[modes, :, 0] *= scale
+                # Entry kd, the last, of each row of a factor's upper band
+                # is its diagonal.
+                bands[modes, :, self.kd] *= scale
             return bands
 
         monkeypatch.setattr(EnergyExtension, "_factors", corrupted)

@@ -259,11 +259,11 @@ def _band_solver(matrix, order):
     """Solve with ``matrix`` through its band Cholesky factor in ``order``,
     built and applied by the GIL-free kernels alone."""
     permuted = assembly._reorder(matrix, order)
-    band = dpbtrf(kernels._lower_band(permuted, kernels.band_width(permuted)))
+    band = dpbtrf(kernels._upper_band(permuted, kernels.band_width(permuted)))
 
     def solve(rhs):
         x = rhs[order]
-        dtbsv(band, dtbsv(band, x), trans=True)
+        dtbsv(band, dtbsv(band, x, trans=True))
         out = np.empty_like(x)
         out[order] = x
         return out
@@ -314,45 +314,52 @@ def test_band_cholesky_rejects_indefinite_matrix():
         np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 2.0]])
     )
     with pytest.raises(AssemblyError, match="not positive definite"):
-        dpbtrf(kernels._lower_band(matrix, 1))
+        dpbtrf(kernels._upper_band(matrix, 1))
 
 
 def _random_band(rng, kd, n):
-    """Lower band (kd + 1, n) of a diagonally dominant SPD band matrix."""
+    """Upper band (kd + 1, n) of a diagonally dominant SPD band matrix."""
     band = rng.uniform(-1.0, 1.0, (kd + 1, n))
-    band[0] = 2.0 * (kd + 1)
+    band[kd] = 2.0 * (kd + 1)
     return np.asfortranarray(band)
 
 
 def test_gil_free_kernels_match_scipy_bit_for_bit():
     """``dpbtrf`` and ``dtbsv`` against scipy's f2py wrappers of the same
-    routines: lower band, both transposes, and a trailing block."""
+    routines: upper band, both transposes, and a trailing block."""
     rng = np.random.default_rng(21)
     kd, n, start = 4, 37, 29
     band = _random_band(rng, kd, n)
-    expected, info = lapack.dpbtrf(band, lower=1)
+    expected, info = lapack.dpbtrf(band, lower=0)
     assert info == 0
     factor = dpbtrf(band.copy(order="F"))
     assert np.array_equal(factor, expected)
     x = rng.standard_normal(n)
     for trans in (False, True):
-        reference = blas.dtbsv(kd, factor, x, lower=1, trans=int(trans))
+        reference = blas.dtbsv(kd, factor, x, lower=0, trans=int(trans))
         assert np.array_equal(dtbsv(factor, x.copy(), trans=trans), reference)
         block, tail = factor[:, start:], x[start:].copy()
-        reference = blas.dtbsv(kd, block, tail, lower=1, trans=int(trans))
+        reference = blas.dtbsv(kd, block, tail, lower=0, trans=int(trans))
         assert np.array_equal(dtbsv(block, tail, trans=trans), reference)
 
 
 def test_slab_solves_in_place_to_the_bits_of_scipys_dtbsv():
     """``SlabSystem.solve_in_place`` overwrites its argument, also a row of a
     sweep-like buffer, with the answer of scipy's f2py dtbsv on the lower
-    band and then on the upper copy, for the slab system at 8x6."""
+    copy of U^T and then on the upper band of U, for the slab system at
+    8x6; the copy holds U^T exactly."""
     rng = np.random.default_rng(24)
     mesh = build_space_time_mesh(8, 6)
     system = Discretization(mesh).slab_solver()
+    kd, n = system.kd, system.size
+    upper = sum(
+        np.diag(system._upper[kd - d, d:], d) for d in range(kd + 1)
+    )
+    lower = sum(np.diag(system._lower[d, : n - d], -d) for d in range(kd + 1))
+    assert np.array_equal(lower, upper.T)
     rhs = rng.standard_normal((3, mesh.num_interior))
-    y = blas.dtbsv(system.kd, system._lower, rhs[1], lower=1)
-    reference = blas.dtbsv(system.kd, system._upper, y)
+    y = blas.dtbsv(kd, system._lower, rhs[1], lower=1, trans=0)
+    reference = blas.dtbsv(kd, system._upper, y, lower=0, trans=0)
     x = rhs.copy()
     assert system.solve_in_place(x[1]) is None
     assert np.array_equal(x[1], reference)

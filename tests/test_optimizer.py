@@ -16,6 +16,7 @@ from _oracles import (
     zero_control,
     zero_data,
 )
+from dbc.assembly import EnergyExtension
 from dbc.forward import SolverError
 from dbc.kernels import AssemblyError
 from dbc.manufactured import bump_case, setup_problem
@@ -207,6 +208,60 @@ def test_restrict_gradient_is_extension_transpose(problem33):
         lhs = float(problem33.extend_direction(v) @ w)
         rhs = float(v @ problem33.restrict_gradient(w))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
+
+
+@pytest.fixture(scope="module")
+def active16():
+    return setup_problem(16, 12, dataclasses.replace(bump_case(), q_b=0.045))
+
+
+def test_trace_hessian_is_the_restricted_full_hessian(active16):
+    """The trace action, whose regularization term comes from the trace
+    rows, equals E^T H E v composed from the full-space ``hessian_apply``."""
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        v = rng.standard_normal(active16.trace_dim)
+        full = active16.restrict_gradient(
+            active16.hessian_apply(active16.extend_direction(v))
+        )
+        action = active16.trace_hessian(v)
+        assert np.linalg.norm(action - full) <= 1e-13 * np.linalg.norm(full)
+
+
+def test_trace_seminorm_is_the_restricted_seminorm(active16):
+    rng = np.random.default_rng(32)
+    seminorm = active16.disc.seminorm
+    for _ in range(3):
+        v = rng.standard_normal(active16.trace_dim)
+        full = active16.restrict_gradient(seminorm @ active16.extend_direction(v))
+        reduced = active16.trace_seminorm(v)
+        assert np.linalg.norm(reduced - full) <= 1e-13 * np.linalg.norm(full)
+
+
+class _CountedProducts:
+    """An operator that counts its ``@`` products."""
+
+    def __init__(self, operator):
+        self.operator = operator
+        self.products = 0
+
+    def __matmul__(self, flat):
+        self.products += 1
+        return self.operator @ flat
+
+
+def test_a_trace_hessian_action_makes_no_seminorm_product(active16, monkeypatch):
+    """Neither form of the trace action, nor the reduced seminorm, applies
+    the space-time seminorm; the full-space action does, once."""
+    spy = _CountedProducts(active16.disc.seminorm)
+    monkeypatch.setattr(active16.disc, "seminorm", spy)
+    v = np.random.default_rng(33).standard_normal(active16.trace_dim)
+    active16.trace_hessian(v)
+    active16.trace_hessian(v, want_fields=True)
+    active16.trace_seminorm(v)
+    assert spy.products == 0
+    active16.hessian_apply(active16.extend_direction(v))
+    assert spy.products == 1
 
 
 def test_trace_gradient_matches_full_composition(problem33):
@@ -556,6 +611,27 @@ def test_diagnostics_report_the_largest_slab_residual():
     assert diagnostics.max_slab_residual == problem.disc.max_slab_residual
 
 
+def test_diagnostics_report_the_largest_extension_residual(monkeypatch):
+    """At 16x12 ``EnergyExtension.solve`` checks two solves, the set-up
+    anchor's and the returned control's, and the diagnostics report the
+    larger of their relative residuals, recomputed here the same way."""
+    residuals = []
+    solve = EnergyExtension.solve
+
+    def recorded(self, rhs):
+        solved = solve(self, rhs)
+        defect = self._interior_block @ solved.ravel()
+        defect -= rhs.ravel()
+        residuals.append(float(np.linalg.norm(defect) / np.linalg.norm(rhs)))
+        return solved
+
+    monkeypatch.setattr(EnergyExtension, "solve", recorded)
+    diagnostics = pdas_solve(setup_problem(16, 12, bump_case()), tol=1e-9).diagnostics
+    assert len(residuals) == 2
+    assert 0.0 < diagnostics.max_extension_residual <= 1e-12
+    assert diagnostics.max_extension_residual == max(residuals)
+
+
 @pytest.mark.parametrize(
     "scale,modes,reading",
     [(1.5, slice(None), 0.1), (1.01, 3, 1e-3)],
@@ -569,7 +645,7 @@ def test_a_wrong_extension_factor_stops_the_solve(
     ``pdas_solve`` raises ``SolverError`` from the extension solve of the
     control it would return, instead of returning it.  The check is
     relative to the small right-hand side (1.1e-3), so it reads 0.60 and
-    7.7e-3, not the 6.2e-4 and 8.2e-6 of ||r|| / (||b|| + 1)."""
+    7.6e-3, not the 6.2e-4 and 8.2e-6 of ||r|| / (||b|| + 1)."""
     problem = setup_problem(16, 12, bump_case())
     corrupt_extension(scale, modes)
     with pytest.raises(SolverError, match="^extension solve failed") as info:
@@ -697,6 +773,7 @@ def test_kkt_diagnostics_as_dict(problem33):
         "outer_iterations",
         "cg_iterations",
         "max_slab_residual",
+        "max_extension_residual",
         "objective_history",
     }
     assert isinstance(payload["objective_history"], list)

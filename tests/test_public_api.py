@@ -89,6 +89,9 @@ ALLOWED = {
     "optimizer.KKTDiagnostics.cg_iterations": (
         "KKTDiagnostics.as_dict writes it to report.json and diagnostics.json"
     ),
+    "optimizer.KKTDiagnostics.max_extension_residual": (
+        "KKTDiagnostics.as_dict writes it to report.json and diagnostics.json"
+    ),
     "optimizer.KKTDiagnostics.objective_history": (
         "KKTDiagnostics.as_dict writes it to report.json and diagnostics.json"
     ),
