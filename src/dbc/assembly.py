@@ -247,18 +247,23 @@ class EnergyExtension:
     factors, once, and raises the factorization's failure if it had one.
     Below the gate the factors are made in ``__init__``.
 
-    ``solve`` checks its answer X: ||A_ii X - rhs|| above ``RESIDUAL_TOL``
-    times ||rhs|| raises ``SolverError``, and ``max_residual`` is the
-    largest ||A_ii X - rhs|| / ||rhs|| that it has checked so far.  Its
+    ``check`` checks a solve X by its residual: ||A_ii X - rhs|| above
+    ``RESIDUAL_TOL`` times ||rhs|| raises ``SolverError`` naming the time
+    mode whose residual is largest, and ``max_residual`` is the largest
+    ||A_ii X - rhs|| / ||rhs|| checked so far.  ``solve`` checks its answer
+    by one product with A_ii, a ``KroneckerSum`` of the interior blocks,
+    which takes 1.6 ms at 64x46, the solve 6.2 ms.  A trace Hessian action
+    checks its ``solve_from_tail`` from the spatial products that it makes
+    anyway, for 0.05 / 0.18 / 0.55 ms at 32x23 / 48x34 / 64x46.  The
     right-hand sides are small (||rhs|| is 3.8e-2 for the set-up anchor and
-    1.1e-3 for the returned control at 16x12), so the check is relative,
-    without the slab check's + 1.  On the bump case it read 2.8e-16 and
-    3.5e-16 at 4x4, 1.8e-15 and 1.4e-15 at 16x12 and 6.7e-15 and 3.5e-15
-    at 64x46.  With the factors made wrong after set-up at 16x12, the
-    returned control's check gave 0.60 (every diagonal x1.5) and 7.6e-3
-    (one mode's x1.01).  At 64x46 the
-    product with A_ii, a ``KroneckerSum`` of the interior blocks, takes
-    1.6 ms, the solve 6.2 ms.
+    1.1e-3 for the returned control at 16x12, and down to 1e-12 for late
+    CG directions), so the check is relative, without the slab check's
+    + 1.  On the bump case it read 2.8e-16 and 3.5e-16 at 4x4, 1.8e-15 and
+    1.4e-15 at 16x12 and 6.7e-15 and 3.5e-15 at 64x46 for the anchor and the
+    returned control, and 2.5e-16 (4x4) to 1.8e-15 (64x46) for the actions
+    of random directions.  With the factors made wrong after set-up at
+    16x12, the returned control's check gave 0.60 (every diagonal x1.5) and
+    7.6e-3 (one mode's x1.01), and an action's 0.53 and 5.4e-3 to 6.3e-3.
     """
 
     def __init__(self, disc, boxed_vertices):
@@ -316,14 +321,25 @@ class EnergyExtension:
         del work
         defect = self._interior_block @ solved.ravel()
         defect -= rhs.ravel()
-        # A zero defect, which a zero rhs gives, passes and is not recorded.
-        defect_norm = np.linalg.norm(defect)
-        if defect_norm:
-            residual = float(defect_norm / np.linalg.norm(rhs))
-            if not residual <= RESIDUAL_TOL:
-                raise SolverError(None, residual)
-            self.max_residual = max(self.max_residual, residual)
+        self.check(defect, np.linalg.norm(rhs))
         return solved
+
+    def check(self, defect, rhs_norm):
+        """Check a solve by its residual ``defect`` = A_ii X - rhs, level-major,
+        flat or of shape (levels, num_interior), and ``rhs_norm`` = ||rhs||:
+        a relative residual above ``RESIDUAL_TOL`` raises ``SolverError``
+        naming the time mode whose row of Z^T defect, the residual of that
+        mode's system, is largest; else ``max_residual`` keeps it.  A zero
+        defect, which a zero rhs gives, passes and is not recorded."""
+        defect_norm = np.linalg.norm(defect)
+        if not defect_norm:
+            return
+        residual = float(defect_norm / rhs_norm)
+        if not residual <= RESIDUAL_TOL:
+            modal = self.modes.T @ defect.reshape(self._levels, self._size)
+            mode = int(np.argmax(np.linalg.norm(modal, axis=1)))
+            raise SolverError(None, residual, mode)
+        self.max_residual = max(self.max_residual, residual)
 
     def solve_from_tail(self, tail_rhs):
         """``solve`` of the right-hand side that is ``tail_rhs``, level-major
@@ -634,6 +650,11 @@ class Discretization:
                 np.empty(shape), np.empty(shape), np.empty(shape[::-1])
             )
         return self._sweep_buffers
+
+    def vertex_blocks(self, vertices):
+        """The spatial mass and stiffness matrices on the rows and columns
+        ``vertices``, in that order (CSR)."""
+        return _reorder(self.mass, vertices), _reorder(self.stiffness, vertices)
 
     # -- control coupling and pairings --------------------------------------
 

@@ -29,12 +29,16 @@ RESIDUAL_TOL = 1e-12
 
 class SolverError(RuntimeError):
     """Linear solver failure: of the solve on slab ``slab``, or of an
-    extension solve when ``slab`` is None."""
+    extension solve when ``slab`` is None, whose residual is then largest
+    in time mode ``mode`` (None for a slab solve)."""
 
-    def __init__(self, slab, residual):
-        solve = "extension solve" if slab is None else f"slab {slab} solve"
+    def __init__(self, slab, residual, mode):
+        if slab is None:
+            solve = f"extension solve failed in time mode {mode}"
+        else:
+            solve = f"slab {slab} solve failed"
         super().__init__(
-            f"{solve} failed: relative residual {residual:.3e} "
+            f"{solve}: relative residual {residual:.3e} "
             f"exceeds {RESIDUAL_TOL:.0e}"
         )
         self.slab = slab
@@ -78,7 +82,7 @@ def _check_residuals(disc, system, rhs, xt, slabs):
     disc.max_slab_residual = float(marched.max(initial=disc.max_slab_residual))
     if failed.size:
         slab = int(slabs[failed[0]])
-        raise SolverError(slab + 1, float(residual[slab]))
+        raise SolverError(slab + 1, float(residual[slab]), None)
 
 
 def sweep_forward(disc, slab_rhs, w0=None):

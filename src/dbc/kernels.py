@@ -11,7 +11,13 @@ Upper storage, because of what dtbsv costs on it: the transposed pass on
 a lower band, ('L', 'T'), was the slow one.  On the 45 mode factors of the
 extension at 64x46 (n = 3,969, kd = 63), in one thread of a 2-core host,
 ('L', 'N') took 2.91 ms, ('L', 'T') 6.42 ms, ('U', 'N') 3.31 ms and
-('U', 'T') 3.19 ms over all modes.
+('U', 'T') 3.19 ms over all modes.  So the slab system, too, keeps U alone
+and solves with ('U', 'T') and then ('U', 'N').  Against a second, lower
+band holding U^T, which made both passes non-transposed, a forward sweep
+(medians of 60, three alternating runs) took 8.3-9.0 -> 7.7-8.0 ms at
+64x46 and 2.85-2.96 -> 2.75-2.81 ms at 48x34, but 0.73-0.74 -> 0.76-0.77
+ms at 32x23 and 0.142-0.144 -> 0.144-0.146 ms at 16x12; the second band
+held 2.0 MB at 64x46.
 
 One process-wide pool, one thread kept on each CPU the process may use and
 made on first use, runs the work that ``split_ranges`` splits into
@@ -154,12 +160,11 @@ class SlabSystem:
     of the mesh's ``interior_indices``, and its Cholesky factor U, both
     built once.
 
-    U is kept twice, in LAPACK upper band storage and as U^T in lower band
-    storage, so that both substitutions of a solve are non-transposed BLAS
-    dtbsv calls: the transposed ones run row-oriented dot products and are
-    slower on the same bytes.  The band of a structured n x n mesh is n - 1
-    wide, so each of the two bands holds 2.0 MB at 64x46.  Every argument
-    of the two dtbsv calls but the vector's address is made once, here.
+    U is kept once, in LAPACK upper band storage, and a solve is two BLAS
+    dtbsv calls on it: ('U', 'T') with U^T, then ('U', 'N') with U.  The
+    band of a structured n x n mesh is n - 1 wide, so it holds 2.0 MB at
+    64x46.  Every argument of the two dtbsv calls but the vector's address
+    is made once, here.
     """
 
     def __init__(self, matrix):
@@ -167,24 +172,18 @@ class SlabSystem:
         self.kd = band_width(matrix)
         self._upper = dpbtrf(_upper_band(matrix, self.kd))
         ld, n = self._upper.shape
-        # Lower band storage: row d holds the d-th subdiagonal of U^T,
-        # which is the d-th superdiagonal of U.
-        self._lower = np.zeros_like(self._upper)
-        for d in range(self.kd + 1):
-            self._lower[d, : n - d] = self._upper[self.kd - d, d:]
         self.size = n
         self._kernel = (
             ctypes.c_int(n), ctypes.c_int(self.kd), ctypes.c_int(ld),
-            _address(self._lower, (ld, n), "F"),
             _address(self._upper, (ld, n), "F"),
         )
 
     def solve_in_place(self, x):
         """Overwrite ``x``, a writeable contiguous float64 vector of ``size``
         entries, with the solution of ``matrix`` y = x."""
-        n, kd, ld, lower, upper = self._kernel
+        n, kd, ld, upper = self._kernel
         address = _address(x, (self.size,), "C")
-        _DTBSV(b"L", b"N", b"N", n, kd, lower, ld, address, _ONE)
+        _DTBSV(b"U", b"T", b"N", n, kd, upper, ld, address, _ONE)
         _DTBSV(b"U", b"N", b"N", n, kd, upper, ld, address, _ONE)
 
 

@@ -17,10 +17,13 @@ distributed control at lam = 1e-3, and the control error loses its rate.)
 
 The restriction leaves a dense-free quadratic in the trace values
 q = E v + anchor, with grad j = H v - b constant-shifted, which the PDAS
-loop exploits.  A trace Hessian action E^T H E v restricts the tracking
+loop exploits.  A trace Hessian action E^T H E v runs on the interior and
+boxed vertices only, where E v can be nonzero: it restricts the tracking
 part of H E v and adds lam E^T A E v, which it reads from the trace rows
-of A E v: the extension makes every interior row of A E v zero, so the
-action makes no space-time seminorm product.  Each outer iteration solves the inactive set by CG,
+of A E v, made from the action's own spatial products, so it makes no
+space-time seminorm product.  The extension makes every interior row of
+A E v zero, so those rows check the action's extension solve.  Each outer
+iteration solves the inactive set by CG,
 preconditioned by the diagonal of lam * seminorm (restricted to the
 trace), and CG sums the Hessian actions it makes into the change of H v.
 So H v is carried from one outer iteration to the next: an iteration
@@ -39,7 +42,13 @@ from .adjoint import sweep_backward, tracking_slabs
 from .assembly import EnergyExtension
 from .forward import sweep_forward
 from .kernels import AssemblyError
-from .spaces import AdjointField, ControlField, StateField, interpolate_control
+from .spaces import (
+    AdjointField,
+    ControlField,
+    StateField,
+    interpolate_control,
+    pad_levels,
+)
 
 log = logging.getLogger("dbc.optimizer")
 
@@ -107,15 +116,19 @@ class ReducedProblem:
     interior vertices follow the trace through the minimal-seminorm
     extension anchored at q_d, and the optimization runs in the remaining
     trace unknowns v with q = extend(v).  ``trace_dim``, ``trace_b`` and
-    ``trace_hessian`` describe that quadratic; ``trace_hessian`` composes
-    the tracking part of the Hessian action on all prismatic control DOFs
-    with ``extend_direction`` and its transpose ``restrict_gradient``, and
-    adds the regularization term lam (A_tt v + A_t,tail q_tail) from the
-    seminorm blocks of the trace rows, kept from set-up.  ``hessian_apply``
-    is the whole action on all prismatic DOFs, seminorm product included.  Its
-    optimum solves the variational inequality over the extension subspace
-    only (see the module docstring).  ``dim`` stays the full control-space
-    dimension.
+    ``trace_hessian`` describe that quadratic.  A direction E v is zero on
+    the pinned vertices, so ``trace_hessian`` runs on the movable ones
+    alone, the interior vertices and then the boxed ones, with the spatial
+    mass and stiffness on them, kept from set-up: it extends v by
+    ``EnergyExtension.solve_from_tail``, applies the tracking part of the
+    Hessian and A by one composition of five sparse products and two
+    sweeps, restricts the first by ``solve_to_tail`` and reads lam E^T A E v
+    from the boxed columns of the second.  The interior columns of A E v
+    are zero by the extension's definition, so they check its solve.
+    ``hessian_apply`` is the whole action on all prismatic DOFs: the same
+    composition on every vertex, plus one seminorm product.  Its optimum
+    solves the variational inequality over the extension subspace only (see
+    the module docstring).  ``dim`` stays the full control-space dimension.
 
     Set-up fixes the quadratic's affine data at ``anchor = extend(0)``:
     ``state_anchor`` from one forward sweep, ``adjoint_anchor`` from one
@@ -165,16 +178,18 @@ class ReducedProblem:
         levels_start = np.arange(levels)[:, None] * mesh.num_nodes
         self.interior_indices = (levels_start + disc.interior).ravel()
         self.trace_dim = len(self.trace_indices)
-        # The trace DOFs are every level of the boxed vertices, and only the
-        # extension's tail couples to them, so these are the seminorm blocks
-        # of the trace rows and columns and of the tail rows and the trace
-        # columns.
-        tail = disc.interior[self.extension.tail]
-        self._tail_indices = (levels_start + tail).ravel()
-        self._A_trace_trace = disc.seminorm.block(
-            bounds.boxed_vertices, bounds.boxed_vertices
+        # A direction is zero on the pinned vertices, so a trace Hessian
+        # action runs on the spatial matrices of the movable ones: the
+        # interior vertices, then the boxed ones.  The extension's right-hand
+        # side is minus the seminorm block of the tail rows and the trace
+        # columns times v.
+        self._movable = np.concatenate([disc.interior, bounds.boxed_vertices])
+        self._movable_blocks = disc.vertex_blocks(self._movable)
+        (mt, _), (st, _) = disc.seminorm.terms
+        self._time_blocks = mt, st
+        self._A_tail_trace = disc.seminorm.block(
+            disc.interior[self.extension.tail], bounds.boxed_vertices
         )
-        self._A_tail_trace = disc.seminorm.block(tail, bounds.boxed_vertices)
         self.anchor = self.extend(np.zeros(self.trace_dim))
         anchor = self.anchor.reshape(levels, mesh.num_nodes)
 
@@ -207,24 +222,79 @@ class ReducedProblem:
     # -- full-space layer ----------------------------------------------------
 
     def hessian_apply(self, flat):
-        """Full-space H v: lam A v, one seminorm product, plus the tracking
-        part.  ``trace_hessian`` does not call it."""
-        out = self._tracking_hessian(flat)[0]
-        out += self.lam * (self.disc.seminorm @ flat)
-        return out
-
-    def _tracking_hessian(self, flat):
-        """H v without its regularization term lam A v, through one
-        sensitivity and one second-adjoint sweep; (out, sens, second)."""
+        """Full-space H v: the tracking part by the composition of
+        ``trace_hessian``, on the spatial matrices of all vertices, made for
+        this call and not kept, plus lam A v, one seminorm product."""
         disc = self.disc
         mesh = disc.mesh
+        boundary = np.flatnonzero(mesh.triangulation.boundary_vertex_flags)
+        order = np.concatenate([disc.interior, boundary])
         values = flat.reshape(mesh.num_control_levels, mesh.num_nodes)
-        sens = sweep_forward(disc, -disc.coupling_all(values))
-        second = sweep_backward(disc, tracking_slabs(disc, sens, values))
-        out = disc.control_mass @ flat
-        out += disc.pair_state_control(sens).ravel()
-        out -= disc.coupling_transpose(second).ravel()
-        return out, sens, second
+        tracking = self._tracking(disc.vertex_blocks(order), values.T[order])[0]
+        out = np.empty_like(values)
+        out[:, order] = tracking
+        out = out.ravel()
+        out += self.lam * (disc.seminorm @ flat)
+        return out
+
+    def _tracking(self, blocks, columns):
+        """The tracking part of H q, and A q, for a q that is zero off a set
+        of vertices: ``blocks`` are the spatial mass and stiffness on those
+        vertices, the interior ones first in ``disc.interior`` order, and
+        ``columns`` holds q there, (vertices, levels), C-contiguous.
+
+        Five sparse products: M q and S q give the sensitivity's slab loads,
+        q's part of the second adjoint's loads, the control mass term and
+        A q; M_ii times the sensitivity gives the rest of those loads; M and
+        S times the pairings of the sensitivity and the second adjoint,
+        zero off the interior, give the rest of the tracking part.  Returns
+        (tracking, seminorm, sens, second): H q's tracking part and A q on
+        the vertices, each (levels, vertices), and the two sweeps."""
+        disc = self.disc
+        mass, stiffness = blocks
+        mt, st = self._time_blocks
+        ni = disc.mesh.num_interior
+        k = disc.mesh.time_partition.steps[:, None]
+        # Each stack is freed after its last use, and the two pairings below
+        # share one buffer: held to the end, the stacks raised the peak
+        # memory of a 64x46 solve by 2.1 MiB.
+        mass_q = pad_levels((mass @ columns).T)
+        stiff_q = pad_levels((stiffness @ columns).T)
+        seminorm = mt @ stiff_q[1:-1]
+        seminorm += st @ mass_q[1:-1]
+        tracking = mt @ mass_q[1:-1]
+        # q's slab loads, as ``coupling_all`` makes them, and its part of the
+        # tracking loads, as ``tracking_slabs`` does, on the interior.
+        loads = stiff_q[:-1, :ni] + stiff_q[1:, :ni]
+        del stiff_q
+        loads *= -0.5 * k
+        loads += mass_q[:-1, :ni]
+        loads -= mass_q[1:, :ni]
+        tracking_loads = mass_q[:-1, :ni] + mass_q[1:, :ni]
+        del mass_q
+        sens = sweep_forward(disc, loads)
+        del loads
+        tracking_loads *= 0.5
+        tracking_loads += (disc.mass_ii @ sens.T).T
+        tracking_loads *= k
+        second = sweep_backward(disc, tracking_loads)
+        del tracking_loads
+        # The time pairings of ``pair_state_control`` and then of
+        # ``coupling_transpose``, before their spatial products, in one
+        # buffer that is zero off the interior.
+        paired = np.zeros_like(tracking)
+        pairing = paired[:, :ni]
+        weighted = k * sens
+        np.add(weighted[:-1], weighted[1:], out=pairing)
+        pairing *= 0.5
+        pairing += second[1:]
+        pairing -= second[:-1]
+        tracking += (mass @ paired.T).T
+        np.multiply(k, second, out=weighted)
+        np.add(weighted[:-1], weighted[1:], out=pairing)
+        pairing *= 0.5
+        tracking -= (stiffness @ paired.T).T
+        return tracking, seminorm, sens, second
 
     # -- trace layer -----------------------------------------------------------
 
@@ -242,47 +312,66 @@ class ReducedProblem:
         )
         return q
 
-    def extend_direction(self, trace_values):
-        """Homogeneous extension (the linear part of ``extend``)."""
-        q = np.zeros(self.dim)
-        q[self.trace_indices] = trace_values
-        rhs = -(self._A_tail_trace @ trace_values)
-        q[self.interior_indices] = self.extension.solve_from_tail(rhs).ravel()
-        return q
+    def _extend_direction(self, trace_values):
+        """The homogeneous extension E v (the linear part of ``extend``) on
+        the movable vertices, as ``_tracking`` takes it, and the norm of its
+        extension solve's right-hand side."""
+        tail_rhs = -(self._A_tail_trace @ trace_values)
+        interior = self.extension.solve_from_tail(tail_rhs)
+        levels = len(interior)
+        columns = np.vstack([interior.T, trace_values.reshape(levels, -1).T])
+        return columns, np.linalg.norm(tail_rhs)
+
+    def _reduced_seminorm(self, seminorm, rhs_norm):
+        """E^T A E v from A E v on the movable vertices: its boxed columns.
+        Its interior columns are zero by the extension's definition, so they
+        are the residual of the extension solve, which
+        ``EnergyExtension.check`` checks first."""
+        ni = self.disc.mesh.num_interior
+        self.extension.check(seminorm[:, :ni], rhs_norm)
+        return seminorm[:, ni:].ravel()
 
     def restrict_gradient(self, full_grad):
-        """Transpose of ``extend_direction``: trace components of a gradient."""
-        lifted = self.extension.solve_to_tail(full_grad[self.interior_indices])
-        return full_grad[self.trace_indices] - self._A_tail_trace.T @ lifted.ravel()
+        """Transpose of the homogeneous extension: trace components of a
+        gradient on all control DOFs."""
+        mesh = self.disc.mesh
+        values = full_grad.reshape(mesh.num_control_levels, mesh.num_nodes)
+        return self._restrict(values[:, self._movable])
+
+    def _restrict(self, movable):
+        """``restrict_gradient`` of a gradient's values on the movable
+        vertices, (levels, movable): the extension's transpose reads the
+        interior columns and the trace term the boxed ones."""
+        ni = self.disc.mesh.num_interior
+        lifted = self.extension.solve_to_tail(movable[:, :ni])
+        return movable[:, ni:].ravel() - self._A_tail_trace.T @ lifted.ravel()
 
     def trace_hessian(self, trace_values, want_fields=False):
-        """Reduced Hessian E^T H E applied to trace unknowns v: the tracking
-        part restricted by ``restrict_gradient``, plus lam E^T A E v from
-        the trace rows (see ``trace_seminorm``), so the action makes no
-        seminorm product.  With ``want_fields`` also the sensitivity and
-        the second adjoint of E v."""
-        q = self.extend_direction(trace_values)
-        tracking, sens, second = self._tracking_hessian(q)
-        out = self.restrict_gradient(tracking)
-        out += self.lam * self._seminorm_trace_rows(trace_values, q)
+        """Reduced Hessian E^T H E applied to trace unknowns v, on the
+        movable vertices alone: ``_tracking`` of E v, restricted by the
+        transpose of the extension, plus lam E^T A E v from the same
+        products (see ``_reduced_seminorm``), so the action makes no
+        seminorm product and checks its extension solve.  With
+        ``want_fields`` also the sensitivity and the second adjoint of
+        E v."""
+        columns, rhs_norm = self._extend_direction(trace_values)
+        tracking, seminorm, sens, second = self._tracking(
+            self._movable_blocks, columns
+        )
+        out = self._restrict(tracking)
+        out += self.lam * self._reduced_seminorm(seminorm, rhs_norm)
         if want_fields:
             return out, sens, second
         return out
 
     def trace_seminorm(self, trace_values):
-        """E^T A E applied to trace unknowns (the reduced seminorm)."""
-        return self._seminorm_trace_rows(
-            trace_values, self.extend_direction(trace_values)
-        )
-
-    def _seminorm_trace_rows(self, trace_values, q):
-        """E^T A E v as the trace rows of A q, for q = ``extend_direction(v)``:
-        (A q)[interior] = A_ii q_i + A_it v = 0 by the extension's
-        definition, so E^T A q = (A q)[trace] = A_tt v + A_t,tail q_tail."""
-        return (
-            self._A_trace_trace @ trace_values
-            + self._A_tail_trace.T @ q[self._tail_indices]
-        )
+        """E^T A E applied to trace unknowns (the reduced seminorm), from A
+        E v on the movable vertices by two sparse products."""
+        mt, st = self._time_blocks
+        mass, stiffness = self._movable_blocks
+        columns, rhs_norm = self._extend_direction(trace_values)
+        seminorm = mt @ (stiffness @ columns).T + st @ (mass @ columns).T
+        return self._reduced_seminorm(seminorm, rhs_norm)
 
     def trace_gradient(self, trace_values):
         """Trace-space grad j(v) = H_t v - b_t, plus the state/adjoint."""

@@ -4,7 +4,10 @@ The solver reaches the state, the adjoint and the gradient only through the
 trace-space ``ReducedProblem``.  The functions here take the other road: a
 whole forward or backward solve from the data, and the gradient on all
 prismatic control DOFs from those two solves, so tests can check the trace
-path against them.
+path against them.  ``extend_direction`` and ``full_hessian`` take that
+road for the trace Hessian action: the homogeneous extension by the whole
+extension solve, and the Hessian action on all prismatic control DOFs from
+the helpers that act on all vertices.
 ``TRI_RULE_8`` is a higher-degree triangle rule for reference integrals,
 ``whole_boundary`` the control boundary predicate that selects every
 boundary vertex, and ``zero_data`` and ``zero_control`` the zero source,
@@ -86,6 +89,36 @@ def full_gradient(disc, case, flat):
         - disc.control_pairing(disc.time_loads(case.target)[0]).ravel()
     )
     return gradient, state.values, adjoint.values
+
+
+def extend_direction(problem, trace_values):
+    """The homogeneous extension E v of ``problem``'s trace unknowns on all
+    prismatic control DOFs, by the checked whole extension solve: v on the
+    trace, zero on the pinned DOFs, and A_ii q_i = -(A q)_i on the
+    interior."""
+    q = np.zeros(problem.dim)
+    q[problem.trace_indices] = trace_values
+    rhs = -(problem.disc.seminorm @ q)[problem.interior_indices]
+    q[problem.interior_indices] = problem.extension.solve(rhs).ravel()
+    return q
+
+
+def full_hessian(problem, flat):
+    """H q on all prismatic control DOFs, composed from the helpers on all
+    vertices, one sensitivity and one second-adjoint sweep and one seminorm
+    product: lam A q + M_c q + P^T s - C^T z, with s the sensitivity of q
+    and z the second adjoint of the tracking load of s + q."""
+    disc = problem.disc
+    mesh = disc.mesh
+    values = flat.reshape(mesh.num_control_levels, mesh.num_nodes)
+    sens = sweep_forward(disc, -disc.coupling_all(values))
+    second = sweep_backward(disc, tracking_slabs(disc, sens, values))
+    return (
+        problem.lam * (disc.seminorm @ flat)
+        + disc.control_mass @ flat
+        + disc.pair_state_control(sens).ravel()
+        - disc.coupling_transpose(second).ravel()
+    )
 
 
 def per_time_integral(disc, integrand):

@@ -82,7 +82,7 @@ def test_fixed_control_state_converges():
 
 
 def test_solver_error_reports_slab():
-    err = SolverError(3, 1e-5)
+    err = SolverError(3, 1e-5, None)
     assert err.slab == 3
     assert err.residual == 1e-5
     assert "slab 3" in str(err)

@@ -9,13 +9,16 @@ import scipy.sparse as sp
 from scipy.optimize import lsq_linear
 
 from _oracles import (
+    extend_direction,
     full_gradient,
+    full_hessian,
     solve_adjoint,
     solve_state,
     whole_boundary,
     zero_control,
     zero_data,
 )
+from dbc import optimizer
 from dbc.assembly import EnergyExtension
 from dbc.forward import SolverError
 from dbc.kernels import AssemblyError
@@ -193,7 +196,7 @@ def test_extension_is_affine(problem33):
     v1 = rng.standard_normal(problem33.trace_dim)
     v2 = rng.standard_normal(problem33.trace_dim)
     lhs = problem33.extend(v1 + 0.5 * v2)
-    rhs = problem33.extend(v1) + 0.5 * problem33.extend_direction(v2)
+    rhs = problem33.extend(v1) + 0.5 * extend_direction(problem33, v2)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
     assert np.allclose(
         problem33.extend(np.zeros(problem33.trace_dim)), problem33.anchor
@@ -205,7 +208,7 @@ def test_restrict_gradient_is_extension_transpose(problem33):
     for _ in range(5):
         v = rng.standard_normal(problem33.trace_dim)
         w = rng.standard_normal(problem33.dim)
-        lhs = float(problem33.extend_direction(v) @ w)
+        lhs = float(extend_direction(problem33, v) @ w)
         rhs = float(v @ problem33.restrict_gradient(w))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
@@ -222,7 +225,7 @@ def test_trace_hessian_is_the_restricted_full_hessian(active16):
     for _ in range(3):
         v = rng.standard_normal(active16.trace_dim)
         full = active16.restrict_gradient(
-            active16.hessian_apply(active16.extend_direction(v))
+            active16.hessian_apply(extend_direction(active16, v))
         )
         action = active16.trace_hessian(v)
         assert np.linalg.norm(action - full) <= 1e-13 * np.linalg.norm(full)
@@ -233,7 +236,7 @@ def test_trace_seminorm_is_the_restricted_seminorm(active16):
     seminorm = active16.disc.seminorm
     for _ in range(3):
         v = rng.standard_normal(active16.trace_dim)
-        full = active16.restrict_gradient(seminorm @ active16.extend_direction(v))
+        full = active16.restrict_gradient(seminorm @ extend_direction(active16, v))
         reduced = active16.trace_seminorm(v)
         assert np.linalg.norm(reduced - full) <= 1e-13 * np.linalg.norm(full)
 
@@ -250,18 +253,61 @@ class _CountedProducts:
         return self.operator @ flat
 
 
+def test_trace_hessian_is_the_restricted_oracle_hessian(active16):
+    """The trace action equals E^T H E v with H v composed by the oracle from
+    the helpers on all vertices and one seminorm product."""
+    rng = np.random.default_rng(34)
+    for _ in range(3):
+        v = rng.standard_normal(active16.trace_dim)
+        full = active16.restrict_gradient(
+            full_hessian(active16, extend_direction(active16, v))
+        )
+        action = active16.trace_hessian(v)
+        assert np.linalg.norm(action - full) <= 1e-13 * np.linalg.norm(full)
+
+
 def test_a_trace_hessian_action_makes_no_seminorm_product(active16, monkeypatch):
     """Neither form of the trace action, nor the reduced seminorm, applies
     the space-time seminorm; the full-space action does, once."""
+    v = np.random.default_rng(33).standard_normal(active16.trace_dim)
+    q = extend_direction(active16, v)
     spy = _CountedProducts(active16.disc.seminorm)
     monkeypatch.setattr(active16.disc, "seminorm", spy)
-    v = np.random.default_rng(33).standard_normal(active16.trace_dim)
     active16.trace_hessian(v)
     active16.trace_hessian(v, want_fields=True)
     active16.trace_seminorm(v)
     assert spy.products == 0
-    active16.hessian_apply(active16.extend_direction(v))
+    active16.hessian_apply(q)
     assert spy.products == 1
+
+
+def test_hessian_actions_call_no_helper_on_all_vertices(active16, monkeypatch):
+    """Both forms of the trace action, and the full-space action, run the
+    one composition on their vertex layout: none of the helpers that act
+    on all vertices, which set-up and the oracles use, is called."""
+    calls = []
+
+    def spy(name, function):
+        def counted(*args):
+            calls.append(name)
+            return function(*args)
+
+        return counted
+
+    disc = active16.disc
+    for name in ("coupling_all", "coupling_transpose", "pair_state_control"):
+        monkeypatch.setattr(disc, name, spy(name, getattr(disc, name)))
+    monkeypatch.setattr(
+        optimizer, "tracking_slabs", spy("tracking_slabs", optimizer.tracking_slabs)
+    )
+    v = np.random.default_rng(35).standard_normal(active16.trace_dim)
+    active16.trace_hessian(v)
+    active16.trace_hessian(v, want_fields=True)
+    active16.hessian_apply(extend_direction(active16, v))
+    assert calls == []
+    # The spies see the oracle's calls of the helpers on the discretization.
+    full_hessian(active16, extend_direction(active16, v))
+    assert sorted(calls) == ["coupling_all", "coupling_transpose", "pair_state_control"]
 
 
 def test_trace_gradient_matches_full_composition(problem33):
@@ -612,46 +658,97 @@ def test_diagnostics_report_the_largest_slab_residual():
 
 
 def test_diagnostics_report_the_largest_extension_residual(monkeypatch):
-    """At 16x12 ``EnergyExtension.solve`` checks two solves, the set-up
-    anchor's and the returned control's, and the diagnostics report the
-    larger of their relative residuals, recomputed here the same way."""
-    residuals = []
-    solve = EnergyExtension.solve
+    """At 16x12 ``EnergyExtension.check`` checks two ``solve`` calls, the
+    set-up anchor's and the returned control's, whose relative residuals
+    are recomputed here the same way, and the extension of every Hessian
+    action; the diagnostics report the largest residual checked."""
+    solves, checks, actions = [], [], []
+    solve, check = EnergyExtension.solve, EnergyExtension.check
+    trace_hessian = ReducedProblem.trace_hessian
 
-    def recorded(self, rhs):
+    def recorded_solve(self, rhs):
         solved = solve(self, rhs)
         defect = self._interior_block @ solved.ravel()
         defect -= rhs.ravel()
-        residuals.append(float(np.linalg.norm(defect) / np.linalg.norm(rhs)))
+        solves.append(float(np.linalg.norm(defect) / np.linalg.norm(rhs)))
         return solved
 
-    monkeypatch.setattr(EnergyExtension, "solve", recorded)
+    def recorded_check(self, defect, rhs_norm):
+        check(self, defect, rhs_norm)
+        checks.append(float(np.linalg.norm(defect) / rhs_norm))
+
+    def counted_action(self, *args, **kwargs):
+        actions.append(None)
+        return trace_hessian(self, *args, **kwargs)
+
+    monkeypatch.setattr(EnergyExtension, "solve", recorded_solve)
+    monkeypatch.setattr(EnergyExtension, "check", recorded_check)
+    monkeypatch.setattr(ReducedProblem, "trace_hessian", counted_action)
     diagnostics = pdas_solve(setup_problem(16, 12, bump_case()), tol=1e-9).diagnostics
-    assert len(residuals) == 2
+    assert len(solves) == 2
+    assert len(checks) == len(solves) + len(actions) > 2
+    assert set(solves) <= set(checks)
     assert 0.0 < diagnostics.max_extension_residual <= 1e-12
-    assert diagnostics.max_extension_residual == max(residuals)
+    assert diagnostics.max_extension_residual == max(checks)
 
 
 @pytest.mark.parametrize(
-    "scale,modes,reading",
-    [(1.5, slice(None), 0.1), (1.01, 3, 1e-3)],
+    "scale,modes,reading,named",
+    [(1.5, slice(None), 0.1, r"\d+"), (1.01, 3, 1e-4, "3")],
     ids=["all-x1.5", "mode3-x1.01"],
 )
 def test_a_wrong_extension_factor_stops_the_solve(
-    corrupt_extension, scale, modes, reading
+    corrupt_extension, scale, modes, reading, named
 ):
     """With the extension's mode factors made wrong after set-up at 16x12,
     every diagonal 1.5 times too large or mode 3's 1% too large,
-    ``pdas_solve`` raises ``SolverError`` from the extension solve of the
-    control it would return, instead of returning it.  The check is
-    relative to the small right-hand side (1.1e-3), so it reads 0.60 and
-    7.6e-3, not the 6.2e-4 and 8.2e-6 of ||r|| / (||b|| + 1)."""
+    ``pdas_solve`` raises ``SolverError`` from the extension check of its
+    first Hessian action, naming mode 3 when it alone is wrong, instead of
+    going on.  The check is relative to the small right-hand side; it reads
+    0.61 and 1.5e-4 on that action's direction, whose mode 3 part is
+    small (the returned control's extension solve, which the solve no
+    longer reaches, read 0.60 and 7.6e-3)."""
     problem = setup_problem(16, 12, bump_case())
     corrupt_extension(scale, modes)
-    with pytest.raises(SolverError, match="^extension solve failed") as info:
+    with pytest.raises(
+        SolverError, match=f"^extension solve failed in time mode {named}:"
+    ) as info:
         pdas_solve(problem, tol=1e-9)
     assert info.value.slab is None
     assert info.value.residual > reading
+
+
+@pytest.mark.parametrize(
+    "scale,modes,reading,named",
+    [(1.5, slice(None), 0.1, r"\d+"), (1.01, 3, 1e-3, "3")],
+    ids=["all-x1.5", "mode3-x1.01"],
+)
+def test_a_wrong_extension_factor_stops_a_hessian_action(
+    corrupt_extension, scale, modes, reading, named
+):
+    """The same corruptions make a trace Hessian action of a random
+    direction raise ``SolverError`` naming the time mode, mode 3 when it
+    alone is wrong, with the relative residual of its extension solve, as
+    the interior block recomputes it here."""
+    problem = setup_problem(16, 12, bump_case())
+    corrupt_extension(scale, modes)
+    v = np.random.default_rng(36).standard_normal(problem.trace_dim)
+    with pytest.raises(
+        SolverError, match=f"^extension solve failed in time mode {named}:"
+    ) as info:
+        problem.trace_hessian(v)
+    assert info.value.slab is None
+    assert info.value.residual > reading
+
+    extension = problem.extension
+    q = np.zeros(problem.dim)
+    q[problem.trace_indices] = v
+    rhs = -(problem.disc.seminorm @ q)[problem.interior_indices]
+    rhs = rhs.reshape(problem.disc.mesh.num_control_levels, -1)
+    solved = extension.solve_from_tail(rhs[:, extension.tail])
+    defect = extension._interior_block @ solved.ravel() - rhs.ravel()
+    residual = np.linalg.norm(defect) / np.linalg.norm(rhs)
+    assert info.value.residual == pytest.approx(residual, rel=1e-9)
 
 
 def test_no_control_space_matrix_is_assembled(monkeypatch):
