@@ -249,7 +249,8 @@ class EnergyExtension:
 
     ``check`` checks a solve X by its residual: ||A_ii X - rhs|| above
     ``RESIDUAL_TOL`` times ||rhs|| raises ``SolverError`` naming the time
-    mode whose residual is largest, and ``max_residual`` is the largest
+    mode whose residual is largest, with that mode's own relative residual
+    when it is the larger, and ``max_residual`` is the largest
     ||A_ii X - rhs|| / ||rhs|| checked so far.  ``solve`` checks its answer
     by one product with A_ii, a ``KroneckerSum`` of the interior blocks,
     which takes 1.6 ms at 64x46, the solve 6.2 ms.  A trace Hessian action
@@ -263,7 +264,10 @@ class EnergyExtension:
     returned control, and 2.5e-16 (4x4) to 1.8e-15 (64x46) for the actions
     of random directions.  With the factors made wrong after set-up at
     16x12, the returned control's check gave 0.60 (every diagonal x1.5) and
-    7.6e-3 (one mode's x1.01), and an action's 0.53 and 5.4e-3 to 6.3e-3.
+    7.6e-3 (one mode's x1.01), an action's 0.53 and 5.4e-3 to 6.3e-3, and
+    the first action of a solve 0.61 and 1.5e-4: one wrong mode is diluted
+    by the others' right-hand side.  Its own relative residual, which the
+    error reports then, read 1.8e-2 to 2.5e-2 on those actions.
     """
 
     def __init__(self, disc, boxed_vertices):
@@ -321,24 +325,32 @@ class EnergyExtension:
         del work
         defect = self._interior_block @ solved.ravel()
         defect -= rhs.ravel()
-        self.check(defect, np.linalg.norm(rhs))
+        self.check(defect, rhs)
         return solved
 
-    def check(self, defect, rhs_norm):
+    def check(self, defect, rhs):
         """Check a solve by its residual ``defect`` = A_ii X - rhs, level-major,
-        flat or of shape (levels, num_interior), and ``rhs_norm`` = ||rhs||:
-        a relative residual above ``RESIDUAL_TOL`` raises ``SolverError``
-        naming the time mode whose row of Z^T defect, the residual of that
-        mode's system, is largest; else ``max_residual`` keeps it.  A zero
-        defect, which a zero rhs gives, passes and is not recorded."""
+        flat or of shape (levels, num_interior); ``rhs`` may hold only the
+        columns where it is nonzero, level-major, flat or (levels, columns).
+        A relative residual ||defect|| / ||rhs|| above ``RESIDUAL_TOL``
+        raises ``SolverError`` naming the time mode whose row of Z^T defect,
+        the residual of that mode's system, is largest, with that mode's own
+        relative residual, the row's norm over that of its row of Z^T rhs,
+        when it is the larger: the overall reading dilutes one wrong mode by
+        the right-hand side of the others.  Else ``max_residual`` keeps it.
+        A zero defect, which a zero rhs gives, passes and is not recorded."""
         defect_norm = np.linalg.norm(defect)
         if not defect_norm:
             return
-        residual = float(defect_norm / rhs_norm)
+        residual = float(defect_norm / np.linalg.norm(rhs))
         if not residual <= RESIDUAL_TOL:
             modal = self.modes.T @ defect.reshape(self._levels, self._size)
-            mode = int(np.argmax(np.linalg.norm(modal, axis=1)))
-            raise SolverError(None, residual, mode)
+            modal = np.linalg.norm(modal, axis=1)
+            mode = int(np.argmax(modal))
+            modal_rhs = self.modes[:, mode] @ rhs.reshape(self._levels, -1)
+            with np.errstate(divide="ignore"):
+                own = float(modal[mode] / np.linalg.norm(modal_rhs))
+            raise SolverError(None, max(residual, own), mode)
         self.max_residual = max(self.max_residual, residual)
 
     def solve_from_tail(self, tail_rhs):

@@ -30,7 +30,8 @@ RESIDUAL_TOL = 1e-12
 class SolverError(RuntimeError):
     """Linear solver failure: of the solve on slab ``slab``, or of an
     extension solve when ``slab`` is None, whose residual is then largest
-    in time mode ``mode`` (None for a slab solve)."""
+    in time mode ``mode`` (None for a slab solve), and ``residual`` the
+    larger of the solve's relative residual and that mode's own."""
 
     def __init__(self, slab, residual, mode):
         if slab is None:

@@ -126,7 +126,7 @@ class ReducedProblem:
     from the boxed columns of the second.  The interior columns of A E v
     are zero by the extension's definition, so they check its solve.
     ``hessian_apply`` is the whole action on all prismatic DOFs: the same
-    composition on every vertex, plus one seminorm product.  Its optimum
+    composition on every vertex, lam A v included.  Its optimum
     solves the variational inequality over the extension subspace only (see
     the module docstring).  ``dim`` stays the full control-space dimension.
 
@@ -222,20 +222,20 @@ class ReducedProblem:
     # -- full-space layer ----------------------------------------------------
 
     def hessian_apply(self, flat):
-        """Full-space H v: the tracking part by the composition of
-        ``trace_hessian``, on the spatial matrices of all vertices, made for
-        this call and not kept, plus lam A v, one seminorm product."""
+        """Full-space H v by the composition of ``trace_hessian``, on the
+        spatial matrices of all vertices, made for this call and not kept:
+        the tracking part plus lam A v from the same products."""
         disc = self.disc
         mesh = disc.mesh
         boundary = np.flatnonzero(mesh.triangulation.boundary_vertex_flags)
         order = np.concatenate([disc.interior, boundary])
         values = flat.reshape(mesh.num_control_levels, mesh.num_nodes)
-        tracking = self._tracking(disc.vertex_blocks(order), values.T[order])[0]
+        blocks = disc.vertex_blocks(order)
+        tracking, seminorm = self._tracking(blocks, values.T[order])[:2]
+        tracking += self.lam * seminorm
         out = np.empty_like(values)
         out[:, order] = tracking
-        out = out.ravel()
-        out += self.lam * (disc.seminorm @ flat)
-        return out
+        return out.ravel()
 
     def _tracking(self, blocks, columns):
         """The tracking part of H q, and A q, for a q that is zero off a set
@@ -252,7 +252,7 @@ class ReducedProblem:
         the vertices, each (levels, vertices), and the two sweeps."""
         disc = self.disc
         mass, stiffness = blocks
-        mt, st = self._time_blocks
+        mt = self._time_blocks[0]
         ni = disc.mesh.num_interior
         k = disc.mesh.time_partition.steps[:, None]
         # Each stack is freed after its last use, and the two pairings below
@@ -260,8 +260,7 @@ class ReducedProblem:
         # memory of a 64x46 solve by 2.1 MiB.
         mass_q = pad_levels((mass @ columns).T)
         stiff_q = pad_levels((stiffness @ columns).T)
-        seminorm = mt @ stiff_q[1:-1]
-        seminorm += st @ mass_q[1:-1]
+        seminorm = self._seminorm(mass_q[1:-1], stiff_q[1:-1])
         tracking = mt @ mass_q[1:-1]
         # q's slab loads, as ``coupling_all`` makes them, and its part of the
         # tracking loads, as ``tracking_slabs`` does, on the interior.
@@ -296,6 +295,14 @@ class ReducedProblem:
         tracking -= (stiffness @ paired.T).T
         return tracking, seminorm, sens, second
 
+    def _seminorm(self, mass_q, stiff_q):
+        """A q on a set of vertices from the spatial products M q and S q
+        there, each (levels, vertices): Mt (S q) + St (M q)."""
+        mt, st = self._time_blocks
+        seminorm = mt @ stiff_q
+        seminorm += st @ mass_q
+        return seminorm
+
     # -- trace layer -----------------------------------------------------------
 
     def extend(self, trace_values):
@@ -314,21 +321,21 @@ class ReducedProblem:
 
     def _extend_direction(self, trace_values):
         """The homogeneous extension E v (the linear part of ``extend``) on
-        the movable vertices, as ``_tracking`` takes it, and the norm of its
-        extension solve's right-hand side."""
+        the movable vertices, as ``_tracking`` takes it, and its extension
+        solve's right-hand side on the tail, level-major."""
         tail_rhs = -(self._A_tail_trace @ trace_values)
         interior = self.extension.solve_from_tail(tail_rhs)
         levels = len(interior)
         columns = np.vstack([interior.T, trace_values.reshape(levels, -1).T])
-        return columns, np.linalg.norm(tail_rhs)
+        return columns, tail_rhs
 
-    def _reduced_seminorm(self, seminorm, rhs_norm):
+    def _reduced_seminorm(self, seminorm, tail_rhs):
         """E^T A E v from A E v on the movable vertices: its boxed columns.
         Its interior columns are zero by the extension's definition, so they
         are the residual of the extension solve, which
         ``EnergyExtension.check`` checks first."""
         ni = self.disc.mesh.num_interior
-        self.extension.check(seminorm[:, :ni], rhs_norm)
+        self.extension.check(seminorm[:, :ni], tail_rhs)
         return seminorm[:, ni:].ravel()
 
     def restrict_gradient(self, full_grad):
@@ -354,12 +361,12 @@ class ReducedProblem:
         seminorm product and checks its extension solve.  With
         ``want_fields`` also the sensitivity and the second adjoint of
         E v."""
-        columns, rhs_norm = self._extend_direction(trace_values)
+        columns, tail_rhs = self._extend_direction(trace_values)
         tracking, seminorm, sens, second = self._tracking(
             self._movable_blocks, columns
         )
         out = self._restrict(tracking)
-        out += self.lam * self._reduced_seminorm(seminorm, rhs_norm)
+        out += self.lam * self._reduced_seminorm(seminorm, tail_rhs)
         if want_fields:
             return out, sens, second
         return out
@@ -367,11 +374,10 @@ class ReducedProblem:
     def trace_seminorm(self, trace_values):
         """E^T A E applied to trace unknowns (the reduced seminorm), from A
         E v on the movable vertices by two sparse products."""
-        mt, st = self._time_blocks
         mass, stiffness = self._movable_blocks
-        columns, rhs_norm = self._extend_direction(trace_values)
-        seminorm = mt @ (stiffness @ columns).T + st @ (mass @ columns).T
-        return self._reduced_seminorm(seminorm, rhs_norm)
+        columns, tail_rhs = self._extend_direction(trace_values)
+        seminorm = self._seminorm((mass @ columns).T, (stiffness @ columns).T)
+        return self._reduced_seminorm(seminorm, tail_rhs)
 
     def trace_gradient(self, trace_values):
         """Trace-space grad j(v) = H_t v - b_t, plus the state/adjoint."""
