@@ -25,7 +25,9 @@ def sweep_backward(disc, slab_rhs):
 def tracking_slabs(disc, state_values, control_values):
     """Slab loads int_{I_m} (w + q, phi_i); (M, ni).  The tracking load of
     the adjoint subtracts those of u_d, ``source_slabs`` of its
-    ``time_loads``."""
+    ``time_loads``.  No solve path calls it: the trace Hessian action and
+    set-up make these loads on the movable vertices alone, and it stays as
+    the all-vertex reference that the tests compose."""
     k = disc.mesh.time_partition.steps
     out = k[:, None] * (disc.mass_ii @ state_values.T).T
     pad = pad_levels(control_values)

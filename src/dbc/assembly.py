@@ -1,19 +1,19 @@
 """Finite-element operators for the space-time discretization.
 
 Spatial P1 mass/stiffness matrices, 1-D temporal P1 matrices, the Kronecker
-operators acting on the control (space-time seminorm and mass), the coupling
-between boundary control and interior state, and quadrature-based load
-vectors.  Matrices are scipy CSR assembled from vectorized per-element
-triplets.  The control operators are ``KroneckerSum``s that keep only their
-temporal and spatial factors, so no matrix of the control-space size is
-assembled except for export.  Every interior block follows the mesh's
-reverse Cuthill-McKee ``interior_indices``, the band order in which the
-slab system is factored; the extension's time modes are factored in the
-level sets of the distance from the controlled edge.  The factors, the
-substitutions and the pool that splits the extension's time modes over the
-CPUs are in ``dbc.kernels``.  One space-time ``Quadrature`` per
-discretization serves every load, the tracking misfit and the error norms,
-on the same blocks and in the calling thread.
+operator of the control's space-time seminorm, the coupling between
+boundary control and interior state, and quadrature-based load vectors.
+Matrices are scipy CSR assembled from vectorized per-element triplets.  The
+seminorm is a ``KroneckerSum`` that keeps only its temporal and spatial
+factors, so no matrix of the control-space size is assembled except for
+export.  Every interior block follows the mesh's reverse Cuthill-McKee
+``interior_indices``, the band order in which the slab system is factored;
+the extension's time modes are factored in the level sets of the distance
+from the controlled edge.  The factors, the substitutions and the pool that
+splits the extension's time modes over the CPUs are in ``dbc.kernels``.
+One space-time ``Quadrature`` per discretization serves every load, the
+tracking misfit and the error norms, on the same blocks and in the calling
+thread.
 
 Conventions: control coefficient arrays have shape (M-1, num_nodes) with
 level l (0-based) sitting at time t_{l+1}; state-type arrays have shape
@@ -174,12 +174,10 @@ def _interior_time_blocks(mesh):
     return mt[1:M, 1:M], st[1:M, 1:M]
 
 
-# Tolerances of the check of the extension's time modes.  On uniform
-# partitions, max |Z^T Mt Z - I| was at most 2.4e-15 from 4x4 to 128x92.
-# The residual |St z - theta Mt z|_inf / |St z|_inf, largest for the lowest
-# mode, was 1.7e-15 at 4x4, 1.8e-14 at 8x6, 6.2e-14 at 16x12, 2.5e-13 at
-# 32x23, 9.8e-13 at 48x34, 2.0e-12 at 64x46 and 8.6e-12 at 128x92: about
-# 3.6 ulp times theta_max / theta_min, so it grows as M^2.
+# Tolerances of the check of the extension's time modes.  The residual
+# |St z - theta Mt z|_inf / |St z|_inf grows as M^2, about 3.6 ulp times
+# theta_max / theta_min: 8.6e-12 at 128x92.  max |Z^T Mt Z - I| does not
+# grow: at most 2.4e-15 from 4x4 to 128x92.
 _MODE_ORTHONORMALITY = 1e-12
 _MODE_RESIDUAL = 1e-9
 
@@ -229,11 +227,11 @@ class EnergyExtension:
     side that lives on the tail, the backward one with U_j for an answer
     read on the tail.  Their full passes are dtbsv ('U', 'N') and
     ('U', 'T'), which take about as long as each other.  The level sets of
-    that distance set the band width ``kd``.  With one edge of the unit square boxed they are grid
-    rows, so the band is n - 1 for ``unit_square_mesh(n)``, as narrow as
-    the slab system's.  With the whole boundary boxed the tail is a ring
-    and so is every level set: at 64 the band is 303 wide and each mode
-    factor holds 9.7 MB, against 63 and 2.0 MB for the bottom edge.
+    that distance set the band width ``kd``.  With one edge of the unit
+    square boxed they are grid rows, so the band is n - 1 for
+    ``unit_square_mesh(n)``, as narrow as the slab system's.  With the
+    whole boundary boxed the tail is a ring and so is every level set: at
+    64 the band is 303 wide, against 63 for the bottom edge.
 
     The modes are independent, so the factorization and every solve split
     them into contiguous ranges, one per CPU, on the pool of ``dbc.kernels``
@@ -252,22 +250,11 @@ class EnergyExtension:
     mode whose residual is largest, with that mode's own relative residual
     when it is the larger, and ``max_residual`` is the largest
     ||A_ii X - rhs|| / ||rhs|| checked so far.  ``solve`` checks its answer
-    by one product with A_ii, a ``KroneckerSum`` of the interior blocks,
-    which takes 1.6 ms at 64x46, the solve 6.2 ms.  A trace Hessian action
-    checks its ``solve_from_tail`` from the spatial products that it makes
-    anyway, for 0.05 / 0.18 / 0.55 ms at 32x23 / 48x34 / 64x46.  The
-    right-hand sides are small (||rhs|| is 3.8e-2 for the set-up anchor and
-    1.1e-3 for the returned control at 16x12, and down to 1e-12 for late
-    CG directions), so the check is relative, without the slab check's
-    + 1.  On the bump case it read 2.8e-16 and 3.5e-16 at 4x4, 1.8e-15 and
-    1.4e-15 at 16x12 and 6.7e-15 and 3.5e-15 at 64x46 for the anchor and the
-    returned control, and 2.5e-16 (4x4) to 1.8e-15 (64x46) for the actions
-    of random directions.  With the factors made wrong after set-up at
-    16x12, the returned control's check gave 0.60 (every diagonal x1.5) and
-    7.6e-3 (one mode's x1.01), an action's 0.53 and 5.4e-3 to 6.3e-3, and
-    the first action of a solve 0.61 and 1.5e-4: one wrong mode is diluted
-    by the others' right-hand side.  Its own relative residual, which the
-    error reports then, read 1.8e-2 to 2.5e-2 on those actions.
+    by one product with A_ii, a ``KroneckerSum`` of the interior blocks; a
+    trace Hessian action checks its ``solve_from_tail`` from the spatial
+    products that it makes anyway.  The right-hand sides are small, down to
+    1e-12 for late CG directions, so the check is relative, without the
+    slab check's + 1.
     """
 
     def __init__(self, disc, boxed_vertices):
@@ -379,10 +366,8 @@ class EnergyExtension:
 # most _BLOCK_TIMES Gauss times by a slice of triangles, at most
 # _BLOCK_VALUES point values in all, 512 KiB per array of them, and the
 # factors of a case callable that do not depend on t are made once per
-# block.  On a 2-core host the three norms in one thread took, at 2**14 /
-# 2**15 / 2**16 / 2**17 values, 31 / 23 / 22 / 20 ms at 32x23, 93 / 74 / 69
-# / 65 ms at 48x34 and 252 / 198 / 183 / 172 ms at 64x46; 2**17 raised the
-# peak memory of a 64x46 solve by 6 MiB, 2**16 by none.
+# block.  2**16 values is the largest block that leaves the peak memory of
+# a 64x46 solve as it is; 2**17 raised it by 6 MiB.
 _BLOCK_TIMES = 8
 _BLOCK_VALUES = 2**16
 
@@ -606,15 +591,14 @@ class Discretization:
     """All operators for one space-time mesh.
 
     Heavy objects (spatial matrices, quadrature geometry) are built once and
-    shared by the forward, adjoint and optimization routines.  ``seminorm``
-    and ``control_mass``, the space-time H1 seminorm and L2 mass of the
-    control, are ``KroneckerSum``s of the temporal and spatial matrices.
-    Interior blocks follow the band order of the mesh's
-    ``interior_indices``, so the one slab system of the equal slabs, built
-    on first use by ``slab_solver``, factors its matrix as it is.  The
-    sweeps share the ``sweep_buffers``; ``max_slab_residual`` is the
-    largest relative residual that they have checked so far.  Every load,
-    the misfit and the error norms integrate with one ``quad``: the
+    shared by the forward, adjoint and optimization routines.  ``seminorm``,
+    the space-time H1 seminorm of the control, is a ``KroneckerSum`` of the
+    temporal and spatial matrices.  Interior blocks follow the band order of
+    the mesh's ``interior_indices``, so the one slab system of the equal
+    slabs, built on first use by ``slab_solver``, factors its matrix as it
+    is.  The sweeps share the ``sweep_buffers``; ``max_slab_residual`` is
+    the largest relative residual that they have checked so far.  Every
+    load, the misfit and the error norms integrate with one ``quad``: the
     degree-4 triangle rule times 2 Gauss points per slab.
     """
 
@@ -628,14 +612,11 @@ class Discretization:
         self.stiff_ii = _reorder(self.stiffness, idx)
         self.mass_if = self.mass[idx, :].tocsr()
         self.stiff_if = self.stiffness[idx, :].tocsr()
-        self.mass_fi = self.mass_if.T.tocsr()
-        self.stiff_fi = self.stiff_if.T.tocsr()
-        # Space-time H1 seminorm and L2 mass on the control space, with the
-        # t_0 and t_M levels eliminated; both symmetric positive definite,
-        # and both kept as their temporal and spatial factors.
+        # Space-time H1 seminorm on the control space, with the t_0 and t_M
+        # levels eliminated; symmetric positive definite, and kept as its
+        # temporal and spatial factors.
         mt, st = _interior_time_blocks(mesh)
         self.seminorm = KroneckerSum((mt, self.stiffness), (st, self.mass))
-        self.control_mass = KroneckerSum((mt, self.mass))
         self.quad = Quadrature(mesh, _TRI_RULE_4, 2)
         self._slab_system = None
         self._sweep_buffers = None
@@ -683,19 +664,15 @@ class Discretization:
 
     def coupling_transpose(self, slab_values):
         """Adjoint of coupling_all: state-type (M, ni) -> control-type
-        (M-1, nv)."""
+        (M-1, nv).  No solve path calls it: the trace Hessian action and
+        set-up make its time pairing on the movable vertices alone, and it
+        stays as the all-vertex reference that the tests compose."""
         phi = slab_values
         k = self.mesh.time_partition.steps
         w = k[:, None] * phi
-        out = (self.mass_fi @ (phi[:-1] - phi[1:]).T).T
-        out += 0.5 * (self.stiff_fi @ (w[:-1] + w[1:]).T).T
+        out = (self.mass_if.T @ (phi[:-1] - phi[1:]).T).T
+        out += 0.5 * (self.stiff_if.T @ (w[:-1] + w[1:]).T).T
         return out
-
-    def pair_state_control(self, slab_values):
-        """L2(space-time) pairing of a state-type field with every control
-        basis function; (M, ni) -> (M-1, nv)."""
-        wk = self.mesh.time_partition.steps[:, None] * slab_values
-        return 0.5 * (self.mass_fi @ (wk[:-1] + wk[1:]).T).T
 
     # -- quadrature loads ----------------------------------------------------
 

@@ -7,17 +7,11 @@ dtbsv, both called through scipy's Cython capsules with ctypes, which
 releases the GIL.  A pointer is taken only from an array whose dtype, shape
 and memory order ``_address`` has checked.
 
-Upper storage, because of what dtbsv costs on it: the transposed pass on
-a lower band, ('L', 'T'), was the slow one.  On the 45 mode factors of the
-extension at 64x46 (n = 3,969, kd = 63), in one thread of a 2-core host,
-('L', 'N') took 2.91 ms, ('L', 'T') 6.42 ms, ('U', 'N') 3.31 ms and
-('U', 'T') 3.19 ms over all modes.  So the slab system, too, keeps U alone
-and solves with ('U', 'T') and then ('U', 'N').  Against a second, lower
-band holding U^T, which made both passes non-transposed, a forward sweep
-(medians of 60, three alternating runs) took 8.3-9.0 -> 7.7-8.0 ms at
-64x46 and 2.85-2.96 -> 2.75-2.81 ms at 48x34, but 0.73-0.74 -> 0.76-0.77
-ms at 32x23 and 0.142-0.144 -> 0.144-0.146 ms at 16x12; the second band
-held 2.0 MB at 64x46.
+Upper storage, because the transposed pass on a lower band, dtbsv
+('L', 'T'), was the slow one: 6.42 ms over the 45 mode factors of the
+extension at 64x46, against 3.19 ms for ('U', 'T').  So the slab system,
+too, keeps U alone and solves with ('U', 'T') and then ('U', 'N'), with no
+second band holding U^T.
 
 One process-wide pool, one thread kept on each CPU the process may use and
 made on first use, runs the work that ``split_ranges`` splits into

@@ -15,20 +15,24 @@ faster than h^2, so the restricted problem is consistent.  (Optimizing over
 all prismatic DOFs instead lets the interior act as a nearly free
 distributed control at lam = 1e-3, and the control error loses its rate.)
 
-The restriction leaves a dense-free quadratic in the trace values
-q = E v + anchor, with grad j = H v - b constant-shifted, which the PDAS
-loop exploits.  A trace Hessian action E^T H E v runs on the interior and
-boxed vertices only, where E v can be nonzero: it restricts the tracking
-part of H E v and adds lam E^T A E v, which it reads from the trace rows
-of A E v, made from the action's own spatial products, so it makes no
-space-time seminorm product.  The extension makes every interior row of
-A E v zero, so those rows check the action's extension solve.  Each outer
-iteration solves the inactive set by CG,
-preconditioned by the diagonal of lam * seminorm (restricted to the
-trace), and CG sums the Hessian actions it makes into the change of H v.
-So H v is carried from one outer iteration to the next: an iteration
-makes a Hessian action of its own only when its clamp moves a DOF, and
-the returning one makes a last, fresh action for the state and adjoint.
+The restriction leaves a dense-free quadratic in the trace values q = E v +
+anchor, with grad j = H v - b constant-shifted, which the PDAS loop
+exploits.  A trace Hessian action E^T H E v runs on the interior and boxed
+vertices only, where E v can be nonzero: it restricts the tracking part of
+H E v and adds lam E^T A E v, which it reads from the trace rows of A E v,
+made from the action's own spatial products, so it makes no space-time
+seminorm product.  The extension makes every interior row of A E v zero, so
+those rows check the action's extension solve.  Set-up makes b, and the
+state and adjoint at the anchor, by the same composition with the data
+added, so the dG(0)-in-time state and adjoint and their coupling to the
+cG(1) control are written once (the discretize-then-optimize structure of
+Meidner & Vexler, SIAM J. Control Optim. 47, 2008).  Each outer iteration
+solves the inactive set by CG, preconditioned by the diagonal of lam *
+seminorm (restricted to the trace), and CG sums the Hessian actions it
+makes into the change of H v.  So H v is carried from one outer iteration
+to the next: an iteration makes a Hessian action of its own only when its
+clamp moves a DOF, and the returning one makes a last, fresh action for the
+state and adjoint.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adjoint import sweep_backward, tracking_slabs
+from .adjoint import sweep_backward
 from .assembly import EnergyExtension
 from .forward import sweep_forward
 from .kernels import AssemblyError
@@ -130,16 +134,20 @@ class ReducedProblem:
     solves the variational inequality over the extension subspace only (see
     the module docstring).  ``dim`` stays the full control-space dimension.
 
-    Set-up fixes the quadratic's affine data at ``anchor = extend(0)``:
-    ``state_anchor`` from one forward sweep, ``adjoint_anchor`` from one
-    backward sweep, ``trace_b`` as minus the restricted gradient there, and
-    ``objective_at_anchor`` as j(anchor) from discrete L2 products and the
+    Set-up fixes the quadratic's affine data at ``anchor = extend(0)``.  The
+    anchor, like a direction, is zero on the pinned vertices, so set-up runs
+    the action's composition on the movable vertices with the data added:
+    the source's loads and w0 in the forward sweep give ``state_anchor``,
+    the u_d loads in the backward sweep ``adjoint_anchor``, and the tracking
+    part, plus lam A (anchor - q_d) and minus the pairing of u_d with the
+    control, restricted by ``solve_to_tail``, is minus ``trace_b``.
+    ``objective_at_anchor`` is j(anchor) from discrete L2 products and the
     u_d loads (``Discretization.misfit_from_loads``).  f and u_d are each
     evaluated once, by ``time_loads``; data that is not finite raises
     ``AssemblyError``.  Set-up makes the extension first: from the split
-    gate of ``dbc.kernels`` up, its mode factors run on the pool while
-    this thread evaluates q_d, f, u0 and u_d, and the anchor's extension
-    solve waits for them.  ``objective`` stays the independent path: a forward
+    gate of ``dbc.kernels`` up, its mode factors run on the pool while this
+    thread evaluates q_d, f, u0 and u_d, and the anchor's extension solve
+    waits for them.  ``objective`` stays the independent path: a forward
     sweep and a space-time quadrature of u_d per call.
 
     The data are the source f(x, y, t), the initial state u0(x, y) (None
@@ -191,27 +199,21 @@ class ReducedProblem:
             disc.interior[self.extension.tail], bounds.boxed_vertices
         )
         self.anchor = self.extend(np.zeros(self.trace_dim))
+        # The anchor, like a direction, is zero on the pinned vertices, so
+        # its state, adjoint and tracking gradient come from the action's
+        # composition on the movable vertices, with the data added.
         anchor = self.anchor.reshape(levels, mesh.num_nodes)
-
-        # State and adjoint at the anchor, one sweep each.
-        self.state_anchor = sweep_forward(
-            disc, self._source - disc.coupling_all(anchor), self._w0
-        )
-        self.adjoint_anchor = sweep_backward(
-            disc,
-            tracking_slabs(disc, self.state_anchor, anchor)
-            - disc.source_slabs(target),
+        data = (self._source, self._w0, disc.source_slabs(target))
+        tracking, _, self.state_anchor, self.adjoint_anchor = self._tracking(
+            self._movable_blocks, anchor.T[self._movable], data
         )
 
-        # grad j(anchor) on all control DOFs, restricted to the trace.
+        # grad j(anchor) on the movable vertices, restricted to the trace.
         shifted = self.anchor - self.q_shift
         seminorm_shifted = disc.seminorm @ shifted
-        gradient = self.lam * seminorm_shifted
-        gradient += disc.control_mass @ self.anchor
-        gradient += disc.pair_state_control(self.state_anchor).ravel()
-        gradient -= disc.coupling_transpose(self.adjoint_anchor).ravel()
-        gradient -= disc.control_pairing(target).ravel()
-        self.trace_b = -self.restrict_gradient(gradient)
+        tracking += self.lam * seminorm_shifted.reshape(anchor.shape)[:, self._movable]
+        tracking -= disc.control_pairing(target)[:, self._movable]
+        self.trace_b = -self._restrict(tracking)
         misfit = disc.misfit_from_loads(
             self.state_anchor, anchor, target, target_square
         )
@@ -237,7 +239,7 @@ class ReducedProblem:
         out[:, order] = tracking
         return out.ravel()
 
-    def _tracking(self, blocks, columns):
+    def _tracking(self, blocks, columns, data=None):
         """The tracking part of H q, and A q, for a q that is zero off a set
         of vertices: ``blocks`` are the spatial mass and stiffness on those
         vertices, the interior ones first in ``disc.interior`` order, and
@@ -249,7 +251,14 @@ class ReducedProblem:
         S times the pairings of the sensitivity and the second adjoint,
         zero off the interior, give the rest of the tracking part.  Returns
         (tracking, seminorm, sens, second): H q's tracking part and A q on
-        the vertices, each (levels, vertices), and the two sweeps."""
+        the vertices, each (levels, vertices), and the two sweeps.
+
+        ``data`` is None for a direction.  Set-up passes the source's slab
+        loads, the initial state w0 and the target's slab loads: the source
+        joins the forward loads, the march starts from w0 and the target
+        leaves the backward loads, so the sweeps give the state and the
+        adjoint at q and the tracking part lacks only the target's pairing
+        with the control."""
         disc = self.disc
         mass, stiffness = blocks
         mt = self._time_blocks[0]
@@ -271,16 +280,22 @@ class ReducedProblem:
         loads -= mass_q[1:, :ni]
         tracking_loads = mass_q[:-1, :ni] + mass_q[1:, :ni]
         del mass_q
-        sens = sweep_forward(disc, loads)
+        source, w0, target = data or (None, None, None)
+        if source is not None:
+            loads += source
+        sens = sweep_forward(disc, loads, w0)
         del loads
         tracking_loads *= 0.5
         tracking_loads += (disc.mass_ii @ sens.T).T
         tracking_loads *= k
+        if target is not None:
+            tracking_loads -= target
         second = sweep_backward(disc, tracking_loads)
         del tracking_loads
-        # The time pairings of ``pair_state_control`` and then of
-        # ``coupling_transpose``, before their spatial products, in one
-        # buffer that is zero off the interior.
+        # The L2 pairing of the sensitivity with the control basis, and then
+        # the time pairing of ``coupling_transpose`` of the second adjoint,
+        # before their spatial products, in one buffer that is zero off the
+        # interior.
         paired = np.zeros_like(tracking)
         pairing = paired[:, :ni]
         weighted = k * sens
@@ -338,17 +353,11 @@ class ReducedProblem:
         self.extension.check(seminorm[:, :ni], tail_rhs)
         return seminorm[:, ni:].ravel()
 
-    def restrict_gradient(self, full_grad):
-        """Transpose of the homogeneous extension: trace components of a
-        gradient on all control DOFs."""
-        mesh = self.disc.mesh
-        values = full_grad.reshape(mesh.num_control_levels, mesh.num_nodes)
-        return self._restrict(values[:, self._movable])
-
     def _restrict(self, movable):
-        """``restrict_gradient`` of a gradient's values on the movable
-        vertices, (levels, movable): the extension's transpose reads the
-        interior columns and the trace term the boxed ones."""
+        """Transpose of the homogeneous extension: the trace components of a
+        gradient from its values on the movable vertices, (levels, movable).
+        The extension's transpose reads the interior columns and the trace
+        term the boxed ones."""
         ni = self.disc.mesh.num_interior
         lifted = self.extension.solve_to_tail(movable[:, :ni])
         return movable[:, ni:].ravel() - self._A_tail_trace.T @ lifted.ravel()

@@ -1,13 +1,21 @@
 """Independent oracles for the solver, built from the package's pieces.
 
 The solver reaches the state, the adjoint and the gradient only through the
-trace-space ``ReducedProblem``.  The functions here take the other road: a
-whole forward or backward solve from the data, and the gradient on all
-prismatic control DOFs from those two solves, so tests can check the trace
-path against them.  ``extend_direction`` and ``full_hessian`` take that
-road for the trace Hessian action: the homogeneous extension by the whole
-extension solve, and the Hessian action on all prismatic control DOFs from
-the helpers that act on all vertices.
+trace-space ``ReducedProblem``, whose set-up and Hessian action run one
+composition on the movable vertices.  The functions here take the other
+road, on all vertices: ``solve_state`` and ``solve_adjoint`` are whole
+forward and backward solves from the data, and ``full_gradient`` the
+gradient on all prismatic control DOFs from those two solves, so tests can
+check the trace path against them.  ``extend_direction`` and
+``full_hessian`` take that road for the trace Hessian action: the
+homogeneous extension by the whole extension solve, and the Hessian action
+on all prismatic control DOFs.  ``restrict_gradient``, the transpose of
+``extend_direction``, takes a gradient on all control DOFs to the trace by
+the same whole solve.  The gradient and the Hessian are composed from the
+helpers that act on all vertices: ``coupling_all``, ``coupling_transpose``
+and ``tracking_slabs`` of the package, and ``pair_state_control`` and
+``control_mass`` here, the pairing of a state-type field with the control
+basis and the control's space-time L2 mass.
 ``TRI_RULE_8`` is a higher-degree triangle rule for reference integrals,
 ``whole_boundary`` the control boundary predicate that selects every
 boundary vertex, and ``zero_data`` and ``zero_control`` the zero source,
@@ -67,6 +75,22 @@ def solve_adjoint(disc, state, control, u_d):
     return AdjointField(disc.mesh, sweep_backward(disc, rhs))
 
 
+def pair_state_control(disc, slab_values):
+    """L2(space-time) pairing of a state-type field with every control
+    basis function; (M, ni) -> (M-1, nv)."""
+    wk = disc.mesh.time_partition.steps[:, None] * slab_values
+    return 0.5 * (disc.mass_if.T @ (wk[:-1] + wk[1:]).T).T
+
+
+def control_mass(disc):
+    """The space-time L2 mass of the control, kron(Mt, M), with the t_0 and
+    t_M levels eliminated, as a ``KroneckerSum``."""
+    mesh = disc.mesh
+    M = mesh.num_slabs
+    tmass, _ = assembly.time_mass_stiffness(mesh.time_partition.points)
+    return assembly.KroneckerSum((tmass[1:M, 1:M], disc.mass))
+
+
 def full_gradient(disc, case, flat):
     """Gradient of the reduced objective of ``case`` on all prismatic control
     DOFs at the control ``flat``, plus the state and adjoint there, from one
@@ -83,8 +107,8 @@ def full_gradient(disc, case, flat):
     shifted = control.ravel() - interpolate_control(mesh, case.control_shift).ravel()
     gradient = (
         case.lam * (disc.seminorm @ shifted)
-        + disc.control_mass @ control.ravel()
-        + disc.pair_state_control(state.values).ravel()
+        + control_mass(disc) @ control.ravel()
+        + pair_state_control(disc, state.values).ravel()
         - disc.coupling_transpose(adjoint.values).ravel()
         - disc.control_pairing(disc.time_loads(case.target)[0]).ravel()
     )
@@ -103,6 +127,17 @@ def extend_direction(problem, trace_values):
     return q
 
 
+def restrict_gradient(problem, full_grad):
+    """Transpose of ``extend_direction``: the trace components of a gradient
+    g on all prismatic control DOFs of ``problem``, g_t - A_ti A_ii^-1 g_i
+    with A the seminorm, by the checked whole extension solve."""
+    lifted = np.zeros(problem.dim)
+    interior = problem.interior_indices
+    lifted[interior] = problem.extension.solve(full_grad[interior]).ravel()
+    trace = problem.trace_indices
+    return full_grad[trace] - (problem.disc.seminorm @ lifted)[trace]
+
+
 def full_hessian(problem, flat):
     """H q on all prismatic control DOFs, composed from the helpers on all
     vertices, one sensitivity and one second-adjoint sweep and one seminorm
@@ -115,8 +150,8 @@ def full_hessian(problem, flat):
     second = sweep_backward(disc, tracking_slabs(disc, sens, values))
     return (
         problem.lam * (disc.seminorm @ flat)
-        + disc.control_mass @ flat
-        + disc.pair_state_control(sens).ravel()
+        + control_mass(disc) @ flat
+        + pair_state_control(disc, sens).ravel()
         - disc.coupling_transpose(second).ravel()
     )
 

@@ -1,6 +1,7 @@
 """Reduced problem, trace elimination, and the active-set solver."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -8,18 +9,20 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.optimize import lsq_linear
 
+import _oracles
 from _oracles import (
     extend_direction,
     full_gradient,
     full_hessian,
+    restrict_gradient,
     solve_adjoint,
     solve_state,
     whole_boundary,
     zero_control,
     zero_data,
 )
-from dbc import optimizer
-from dbc.assembly import EnergyExtension
+from dbc.adjoint import tracking_slabs
+from dbc.assembly import Discretization, EnergyExtension
 from dbc.forward import SolverError
 from dbc.kernels import AssemblyError
 from dbc.manufactured import bump_case, setup_problem
@@ -204,12 +207,14 @@ def test_extension_is_affine(problem33):
 
 
 def test_restrict_gradient_is_extension_transpose(problem33):
+    """The oracles' restriction, by which the tests check set-up's trace
+    gradient and the trace actions, is the transpose of their extension."""
     rng = np.random.default_rng(2)
     for _ in range(5):
         v = rng.standard_normal(problem33.trace_dim)
         w = rng.standard_normal(problem33.dim)
         lhs = float(extend_direction(problem33, v) @ w)
-        rhs = float(v @ problem33.restrict_gradient(w))
+        rhs = float(v @ restrict_gradient(problem33, w))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
@@ -224,8 +229,8 @@ def test_trace_hessian_is_the_restricted_full_hessian(active16):
     rng = np.random.default_rng(31)
     for _ in range(3):
         v = rng.standard_normal(active16.trace_dim)
-        full = active16.restrict_gradient(
-            active16.hessian_apply(extend_direction(active16, v))
+        full = restrict_gradient(
+            active16, active16.hessian_apply(extend_direction(active16, v))
         )
         action = active16.trace_hessian(v)
         assert np.linalg.norm(action - full) <= 1e-13 * np.linalg.norm(full)
@@ -236,7 +241,7 @@ def test_trace_seminorm_is_the_restricted_seminorm(active16):
     seminorm = active16.disc.seminorm
     for _ in range(3):
         v = rng.standard_normal(active16.trace_dim)
-        full = active16.restrict_gradient(seminorm @ extend_direction(active16, v))
+        full = restrict_gradient(active16, seminorm @ extend_direction(active16, v))
         reduced = active16.trace_seminorm(v)
         assert np.linalg.norm(reduced - full) <= 1e-13 * np.linalg.norm(full)
 
@@ -259,8 +264,8 @@ def test_trace_hessian_is_the_restricted_oracle_hessian(active16):
     rng = np.random.default_rng(34)
     for _ in range(3):
         v = rng.standard_normal(active16.trace_dim)
-        full = active16.restrict_gradient(
-            full_hessian(active16, extend_direction(active16, v))
+        full = restrict_gradient(
+            active16, full_hessian(active16, extend_direction(active16, v))
         )
         action = active16.trace_hessian(v)
         assert np.linalg.norm(action - full) <= 1e-13 * np.linalg.norm(full)
@@ -281,10 +286,12 @@ def test_a_trace_hessian_action_makes_no_seminorm_product(active16, monkeypatch)
     assert spy.products == 0
 
 
-def test_hessian_actions_call_no_helper_on_all_vertices(active16, monkeypatch):
-    """Both forms of the trace action, and the full-space action, run the
-    one composition on their vertex layout: none of the helpers that act
-    on all vertices, which set-up and the oracles use, is called."""
+def _spy_on_all_vertex_helpers(monkeypatch):
+    """Record the calls of the helpers that act on all vertices: the
+    ``Discretization`` methods ``coupling_all`` and ``coupling_transpose``,
+    ``tracking_slabs`` wherever a module of ``dbc`` or the oracles binds it,
+    and the oracles' ``pair_state_control``.  Returns the list of the names
+    called, in call order."""
     calls = []
 
     def spy(name, function):
@@ -294,20 +301,50 @@ def test_hessian_actions_call_no_helper_on_all_vertices(active16, monkeypatch):
 
         return counted
 
-    disc = active16.disc
-    for name in ("coupling_all", "coupling_transpose", "pair_state_control"):
-        monkeypatch.setattr(disc, name, spy(name, getattr(disc, name)))
+    for name in ("coupling_all", "coupling_transpose"):
+        function = getattr(Discretization, name)
+        monkeypatch.setattr(Discretization, name, spy(name, function))
+    for key, module in list(sys.modules.items()):
+        if key == "_oracles" or key == "dbc" or key.startswith("dbc."):
+            if getattr(module, "tracking_slabs", None) is tracking_slabs:
+                monkeypatch.setattr(
+                    module, "tracking_slabs", spy("tracking_slabs", tracking_slabs)
+                )
     monkeypatch.setattr(
-        optimizer, "tracking_slabs", spy("tracking_slabs", optimizer.tracking_slabs)
+        _oracles,
+        "pair_state_control",
+        spy("pair_state_control", _oracles.pair_state_control),
     )
+    return calls
+
+
+def test_hessian_actions_call_no_helper_on_all_vertices(active16, monkeypatch):
+    """Both forms of the trace action, and the full-space action, run the
+    one composition on their vertex layout: none of the helpers that act
+    on all vertices, which the oracles use, is called."""
+    calls = _spy_on_all_vertex_helpers(monkeypatch)
     v = np.random.default_rng(35).standard_normal(active16.trace_dim)
     active16.trace_hessian(v)
     active16.trace_hessian(v, want_fields=True)
     active16.hessian_apply(extend_direction(active16, v))
     assert calls == []
-    # The spies see the oracle's calls of the helpers on the discretization.
+    # The spies see the oracle's calls of the helpers.
     full_hessian(active16, extend_direction(active16, v))
-    assert sorted(calls) == ["coupling_all", "coupling_transpose", "pair_state_control"]
+    assert sorted(calls) == [
+        "coupling_all",
+        "coupling_transpose",
+        "pair_state_control",
+        "tracking_slabs",
+    ]
+
+
+def test_setup_calls_no_helper_on_all_vertices(monkeypatch):
+    """Set-up makes the anchor's state, adjoint and trace gradient by the
+    trace action's composition on the movable vertices, with the data
+    added: none of the helpers that act on all vertices is called."""
+    calls = _spy_on_all_vertex_helpers(monkeypatch)
+    setup_problem(8, 6, bump_case())
+    assert calls == []
 
 
 def test_trace_gradient_matches_full_composition(problem33):
@@ -318,7 +355,7 @@ def test_trace_gradient_matches_full_composition(problem33):
         problem33.disc, bump_case(), problem33.extend(v)
     )
     assert np.allclose(
-        g_trace, problem33.restrict_gradient(g_full), rtol=1e-10, atol=1e-14
+        g_trace, restrict_gradient(problem33, g_full), rtol=1e-10, atol=1e-14
     )
     assert np.allclose(state, state_full, rtol=1e-12, atol=1e-14)
     assert np.allclose(adjoint, adjoint_full, rtol=1e-12, atol=1e-14)
@@ -338,14 +375,17 @@ def _initial(x, y):
         (8, 6, bump_case()),
         (4, 4, dataclasses.replace(bump_case(), initial=_initial)),
         (8, 6, dataclasses.replace(bump_case(), target=zero_data)),
+        (8, 6, dataclasses.replace(bump_case(), control_boundary=whole_boundary)),
     ],
-    ids=["bump-4x4", "bump-8x6", "initial-4x4", "no-target-8x6"],
+    ids=["bump-4x4", "bump-8x6", "initial-4x4", "no-target-8x6", "whole-boundary-8x6"],
 )
 def test_anchor_data_match_the_oracles(n, M, case):
     """Set-up's state, adjoint, trace gradient and objective at the anchor
     equal whole solves from the data, the full-space gradient oracle and
     ``objective``, to 1e-12 relative.  Nonzero initial data reaches
-    ``project_initial`` and the start of the forward march."""
+    ``project_initial`` and the start of the forward march.  With the whole
+    boundary boxed no vertex is pinned, so set-up runs on every vertex, and
+    the extension's tail is a ring."""
     problem = setup_problem(n, M, case)
     disc = problem.disc
     if case.initial is not None:
@@ -360,7 +400,7 @@ def test_anchor_data_match_the_oracles(n, M, case):
 
     assert_close(problem.state_anchor, state.values)
     assert_close(problem.adjoint_anchor, adjoint.values)
-    assert_close(problem.trace_b, -problem.restrict_gradient(gradient))
+    assert_close(problem.trace_b, -restrict_gradient(problem, gradient))
     assert problem.objective_at_anchor == pytest.approx(
         problem.objective(problem.anchor), rel=1e-12
     )
@@ -444,7 +484,7 @@ def test_unconstrained_equals_single_cg():
     g_full, _, _ = full_gradient(
         problem.disc, wide_case(), result.control.ravel()
     )
-    assert np.abs(problem.restrict_gradient(g_full)).max() < 1e-9
+    assert np.abs(restrict_gradient(problem, g_full)).max() < 1e-9
 
 
 @pytest.mark.parametrize("n,M,q_b", [(2, 2, 0.02), (3, 3, 0.03), (4, 4, 0.045)])
@@ -554,7 +594,7 @@ def test_interior_gradient_is_not_stationary_and_decays():
         problem = setup_problem(n, M, bump_case())
         control = pdas_solve(problem, tol=1e-9).control.ravel()
         gradient, _, _ = full_gradient(problem.disc, bump_case(), control)
-        assert np.abs(problem.restrict_gradient(gradient)).max() < 1e-14
+        assert np.abs(restrict_gradient(problem, gradient)).max() < 1e-14
         measured.append(np.abs(gradient[problem.interior_indices]).max())
     assert measured == pytest.approx([1.5e-4, 1.6e-5, 8.2e-7, 4.9e-8], rel=0.05)
     assert all(coarse > 4.0 * fine for coarse, fine in zip(measured, measured[1:]))
