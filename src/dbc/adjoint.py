@@ -23,16 +23,13 @@ def sweep_backward(disc, slab_rhs):
 
 
 def tracking_slabs(disc, state_values, control_values):
-    """Slab loads int_{I_m} (w + q, phi_i); (M, ni).  The tracking load of
-    the adjoint subtracts those of u_d, ``source_slabs`` of its
-    ``time_loads``.  No solve path calls it: the trace Hessian action and
-    set-up make these loads on the movable vertices alone, and it stays as
-    the all-vertex reference that the tests compose."""
-    k = disc.mesh.time_partition.steps
-    out = k[:, None] * (disc.mass_ii @ state_values.T).T
-    pad = pad_levels(control_values)
-    out += 0.5 * k[:, None] * (disc.mass_if @ (pad[:-1] + pad[1:]).T).T
-    return out
+    """Slab loads int_{I_m} (w + q, phi_i); (M, ni): ``tracking_loads`` of
+    the products of all vertices.  The adjoint's tracking load subtracts
+    those of u_d.  No solve path calls it: it stays as the all-vertex
+    reference that the tests compose."""
+    mass_q = pad_levels((disc.mass_if @ control_values.T).T)
+    mass_w = (disc.mass_ii @ state_values.T).T
+    return disc.tracking_loads(mass_q[:-1] + mass_q[1:], mass_w)
 
 
 def adjoint_identity_check(disc, seed):
@@ -50,10 +47,8 @@ def adjoint_identity_check(disc, seed):
     g = rng.standard_normal((mesh.num_slabs, mesh.num_interior))
 
     s = solve_state_sensitivity(disc, dq)
-    k = mesh.time_partition.steps
-    inner = float(
-        np.sum(k[:, None] * g * (disc.mass_ii @ s.values.T).T)
-    )
-    z = sweep_backward(disc, k[:, None] * (disc.mass_ii @ g.T).T)
+    load = tracking_slabs(disc, g, np.zeros_like(dq.values))
+    inner = float(np.sum(load * s.values))
+    z = sweep_backward(disc, load)
     pairing = float(np.sum(disc.coupling_all(dq.values) * z))
     return abs(inner + pairing)

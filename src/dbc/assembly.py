@@ -1,8 +1,9 @@
 """Finite-element operators for the space-time discretization.
 
 Spatial P1 mass/stiffness matrices, 1-D temporal P1 matrices, the Kronecker
-operator of the control's space-time seminorm, the coupling between
-boundary control and interior state, and quadrature-based load vectors.
+operator of the control's space-time seminorm, quadrature-based load
+vectors, and ``Discretization``, which owns the time discretization: the
+time blocks, the slab system and the dG(0)-cG(1) coupling rules.
 Matrices are scipy CSR assembled from vectorized per-element triplets.  The
 seminorm is a ``KroneckerSum`` that keeps only its temporal and spatial
 factors, so no matrix of the control-space size is assembled except for
@@ -168,12 +169,6 @@ class KroneckerSum:
         return self.block(slice(None), slice(None))
 
 
-def _interior_time_blocks(mesh):
-    mt, st = time_mass_stiffness(mesh.time_partition.points)
-    M = mesh.num_slabs
-    return mt[1:M, 1:M], st[1:M, 1:M]
-
-
 # Tolerances of the check of the extension's time modes.  The residual
 # |St z - theta Mt z|_inf / |St z|_inf grows as M^2, about 3.6 ulp times
 # theta_max / theta_min: 8.6e-12 at 128x92.  max |Z^T Mt Z - I| does not
@@ -258,7 +253,7 @@ class EnergyExtension:
     """
 
     def __init__(self, disc, boxed_vertices):
-        mt, st = _interior_time_blocks(disc.mesh)
+        mt, st = disc.time_mass, disc.time_stiffness
         self._interior_block = KroneckerSum((mt, disc.stiff_ii), (st, disc.mass_ii))
         self.max_residual = 0.0
         mt, st = mt.toarray(), st.toarray()
@@ -588,18 +583,25 @@ def spatial_load_vector(quad, g, t):
 
 
 class Discretization:
-    """All operators for one space-time mesh.
+    """All operators for one space-time mesh, its time discretization
+    included, built once in ``__init__`` and shared by every routine.
 
-    Heavy objects (spatial matrices, quadrature geometry) are built once and
-    shared by the forward, adjoint and optimization routines.  ``seminorm``,
-    the space-time H1 seminorm of the control, is a ``KroneckerSum`` of the
-    temporal and spatial matrices.  Interior blocks follow the band order of
-    the mesh's ``interior_indices``, so the one slab system of the equal
-    slabs, built on first use by ``slab_solver``, factors its matrix as it
-    is.  The sweeps share the ``sweep_buffers``; ``max_slab_residual`` is
-    the largest relative residual that they have checked so far.  Every
-    load, the misfit and the error norms integrate with one ``quad``: the
-    degree-4 triangle rule times 2 Gauss points per slab.
+    ``time_mass`` and ``time_stiffness`` are Mt and St on the interior time
+    levels, and ``seminorm``, the control's space-time H1 seminorm, is the
+    SPD ``KroneckerSum`` kron(Mt, S) + kron(St, M).  ``slab_solver`` hands
+    out the one slab system of the equal slabs, M + k S with k the first
+    step (the steps differ in their last bits only).  The sweeps share the
+    ``sweep_buffers``: right-hand sides and solutions, (M, ni) each, and
+    the solutions transposed, (ni, M), for the residual check;
+    ``max_slab_residual`` is the largest relative residual that they have
+    checked so far.  ``quad`` is the degree-4 triangle rule times 2 Gauss
+    points per slab.
+
+    The dG(0) state couples to the cG(1) control by three rules on stacks
+    of spatial products of any vertex set, ``control_loads``,
+    ``tracking_loads`` and ``pair_hats``: the trace Hessian action and
+    set-up pass them the movable vertices' products, and ``coupling_all``,
+    ``coupling_transpose`` and ``dbc.adjoint.tracking_slabs`` all vertices'.
     """
 
     def __init__(self, mesh):
@@ -610,68 +612,83 @@ class Discretization:
         self.interior = idx
         self.mass_ii = _reorder(self.mass, idx)
         self.stiff_ii = _reorder(self.stiffness, idx)
+        # The slab system and the sweep buffers come first: made after the
+        # quadrature, the slab system raised the peak memory of the 64x46 and
+        # 48x34 solves by 0.2-0.7 MiB.
+        self._steps = mesh.time_partition.steps[:, None]
+        shape = (mesh.num_slabs, mesh.num_interior)
+        self.sweep_buffers = (np.empty(shape), np.empty(shape), np.empty(shape[::-1]))
+        self._slab_system = SlabSystem(self.mass_ii + self._steps[0, 0] * self.stiff_ii)
         self.mass_if = self.mass[idx, :].tocsr()
         self.stiff_if = self.stiffness[idx, :].tocsr()
-        # Space-time H1 seminorm on the control space, with the t_0 and t_M
-        # levels eliminated; symmetric positive definite, and kept as its
-        # temporal and spatial factors.
-        mt, st = _interior_time_blocks(mesh)
-        self.seminorm = KroneckerSum((mt, self.stiffness), (st, self.mass))
+        mt, st = time_mass_stiffness(mesh.time_partition.points)
+        M = mesh.num_slabs
+        self.time_mass, self.time_stiffness = mt[1:M, 1:M], st[1:M, 1:M]
+        self.seminorm = KroneckerSum(
+            (self.time_mass, self.stiffness), (self.time_stiffness, self.mass)
+        )
         self.quad = Quadrature(mesh, _TRI_RULE_4, 2)
-        self._slab_system = None
-        self._sweep_buffers = None
-        # Largest relative residual of a checked slab solve so far.
         self.max_slab_residual = 0.0
 
     # -- slab system -------------------------------------------------------
 
     def slab_solver(self):
-        """The ``SlabSystem`` M + k*S of every slab, with k the first step,
-        made on first use; the equal steps differ only in their last bits."""
-        if self._slab_system is None:
-            step = float(self.mesh.time_partition.steps[0])
-            self._slab_system = SlabSystem(self.mass_ii + step * self.stiff_ii)
+        """The ``SlabSystem`` of every slab; ``march`` asks for it once per
+        slab, which is how the benchmark's trace counts slab solves."""
         return self._slab_system
-
-    def sweep_buffers(self):
-        """Work arrays of a slab sweep, allocated on first use and shared by
-        every sweep: right-hand sides and solutions, (M, ni) each, and the
-        solutions transposed, (ni, M), for the residual check."""
-        if self._sweep_buffers is None:
-            shape = (self.mesh.num_slabs, self.mesh.num_interior)
-            self._sweep_buffers = (
-                np.empty(shape), np.empty(shape), np.empty(shape[::-1])
-            )
-        return self._sweep_buffers
 
     def vertex_blocks(self, vertices):
         """The spatial mass and stiffness matrices on the rows and columns
         ``vertices``, in that order (CSR)."""
         return _reorder(self.mass, vertices), _reorder(self.stiffness, vertices)
 
-    # -- control coupling and pairings --------------------------------------
+    # -- the dG(0)-cG(1) coupling rules --------------------------------------
+
+    def control_loads(self, mass_q, stiff_q):
+        """-C(q), the control's slab loads in the state equation, from M q
+        and S q padded to (M+1, r): row m is M(q_{m-1} - q_m) - (k_m/2)
+        S(q_{m-1} + q_m); (M, r)."""
+        loads = stiff_q[:-1] + stiff_q[1:]
+        loads *= -0.5 * self._steps
+        loads += mass_q[:-1]
+        loads -= mass_q[1:]
+        return loads
+
+    def tracking_loads(self, sums, mass_w):
+        """The adjoint's slab loads of w + q, in place of ``sums``, the slab
+        sums M q_{m-1} + M q_m, with ``mass_w`` = M w: row m is k_m (M w_m
+        + (M q_{m-1} + M q_m) / 2); (M, r)."""
+        sums *= 0.5
+        sums += mass_w
+        sums *= self._steps
+        return sums
+
+    def pair_hats(self, slabs, out, work):
+        """The pairing of a slab stack x, (M, r), with the control's hats in
+        time, into ``out``, (M-1, r), by way of ``work``, (M, r): row l is
+        (k_l x_l + k_{l+1} x_{l+1}) / 2."""
+        np.multiply(self._steps, slabs, out=work)
+        np.add(work[:-1], work[1:], out=out)
+        out *= 0.5
+        return out
 
     def coupling_all(self, control_values):
-        """Slab loads of the control: row m is M(q_m - q_{m-1}) +
-        (k_m/2) S (q_{m-1} + q_m) on interior test functions; (M, ni)."""
-        pad = pad_levels(control_values)
-        diff = pad[1:] - pad[:-1]
-        ssum = pad[1:] + pad[:-1]
-        k = self.mesh.time_partition.steps
-        return (self.mass_if @ diff.T).T + 0.5 * k[:, None] * (
-            self.stiff_if @ ssum.T
-        ).T
+        """Slab loads of the control, C(q), on interior test functions: row m
+        is M(q_m - q_{m-1}) + (k_m/2) S (q_{m-1} + q_m); (M, ni).  Minus
+        ``control_loads`` of the products of all vertices."""
+        mass_q = pad_levels((self.mass_if @ control_values.T).T)
+        stiff_q = pad_levels((self.stiff_if @ control_values.T).T)
+        return -self.control_loads(mass_q, stiff_q)
 
     def coupling_transpose(self, slab_values):
         """Adjoint of coupling_all: state-type (M, ni) -> control-type
-        (M-1, nv).  No solve path calls it: the trace Hessian action and
-        set-up make its time pairing on the movable vertices alone, and it
-        stays as the all-vertex reference that the tests compose."""
-        phi = slab_values
-        k = self.mesh.time_partition.steps
-        w = k[:, None] * phi
-        out = (self.mass_if.T @ (phi[:-1] - phi[1:]).T).T
-        out += 0.5 * (self.stiff_if.T @ (w[:-1] + w[1:]).T).T
+        (M-1, nv), with its time pairing by ``pair_hats``.  No solve path
+        calls it: it stays as the all-vertex reference that the tests
+        compose."""
+        paired = np.empty((len(slab_values) - 1, slab_values.shape[1]))
+        self.pair_hats(slab_values, paired, np.empty_like(slab_values))
+        out = (self.mass_if.T @ (slab_values[:-1] - slab_values[1:]).T).T
+        out += (self.stiff_if.T @ paired.T).T
         return out
 
     # -- quadrature loads ----------------------------------------------------

@@ -3,8 +3,9 @@
 The dG(0)-in-time discretization decouples into one backward-Euler-type slab
 system per step: (M + k S) w_m = M w_{m-1} + F_m - C_m(q), with w_0 the L2
 projection of the initial datum.  The slabs are equal, so every slab has
-the same system; ``Discretization.slab_solver`` hands out that one
-``SlabSystem``, holding the slab matrix and its band Cholesky factor.
+the same system: the slab matrix and its band Cholesky factor, one
+``SlabSystem`` that ``Discretization`` builds with the rest of the time
+discretization, C_m(q) among it, and that ``slab_solver`` hands out.
 
 ``march`` runs the slabs in either direction.  Its arrays are in the
 band order of the mesh's ``interior_indices``, the order in which the slab
@@ -51,7 +52,7 @@ def march(disc, slab_rhs, start=None, reverse=False):
     x_prev = start (zero for None), or from slab M backward when
     ``reverse``; returns the (M, ni) array x."""
     slabs = np.arange(disc.mesh.num_slabs)[:: -1 if reverse else 1]
-    rhs, x, xt = disc.sweep_buffers()
+    rhs, x, xt = disc.sweep_buffers
     np.copyto(rhs, slab_rhs)
     prev = start
     for m in slabs:

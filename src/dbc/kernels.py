@@ -281,30 +281,22 @@ def _openblas_thread_setters():
 
 
 # ``dbc`` keeps every usable CPU busy with its own pool, so OpenBLAS threads
-# would only compete with it (with two BLAS threads on a 2-core host the error
-# norms at 64x46, then split over the pool, took 0.63-0.73 s against
-# 0.35-0.47 s in one thread).
-# A threaded product also sums in an order that depends on the thread count:
-# the extension's mode transforms did, and the state's last bits then
-# differed between one and two CPUs.  So every OpenBLAS loaded by now,
-# numpy's and scipy's, runs on one thread from this import on.
+# would only compete with it, and a threaded product sums in an order that
+# depends on the thread count: with two, the state's last bits differed
+# between one and two CPUs.  So every OpenBLAS loaded by now, numpy's and
+# scipy's, runs on one thread from this import on.
 for _setter in _openblas_thread_setters():
     _setter(1)
 
 
-# glibc's malloc serves a block of 128 KiB or more with mmap and trims the
-# top of the heap once 128 KiB lie free there, and it raises both thresholds,
-# up to 32 MiB, only when a larger mmapped block is freed.  So the thresholds,
-# and the page faults of a solve, depended on what set-up had freed and in
-# which order: a Hessian action's temporaries, 128 KiB to 1.5 MB, were
-# unmapped or trimmed and faulted back in at the next action.  Fixed, the
-# thresholds keep every block below 32 MiB in the heap and trim only 64 MiB
-# of free top.  A fresh-process ``pdas_solve`` after set-up took 5,960 /
-# 31k / 41,137 minor faults at 32x23 / 48x34 with q_b = 0.045 / 64x46, and
-# takes 42 / 141 / 344; set-up at 64x46 took 29k and takes 11k-12k.  The
-# peak memory of a 64x46 solve rose 0.4 MiB for it.  Each pair is
-# (M_MMAP_THRESHOLD or M_TRIM_THRESHOLD, value); 32 MiB is the largest mmap
-# threshold glibc accepts.
+# glibc's malloc moves its mmap and trim thresholds (128 KiB at first, 32
+# MiB at most) by what was freed before, so a Hessian action's temporaries,
+# 128 KiB to 1.5 MB, could be unmapped or trimmed and faulted back in at the
+# next action.  Fixed, the thresholds keep every block below 32 MiB in the heap
+# and trim only 64 MiB of free top: a 64x46 ``pdas_solve`` takes 344 minor
+# faults instead of 41,137.  Each pair is (M_MMAP_THRESHOLD or
+# M_TRIM_THRESHOLD, value); 32 MiB is the largest mmap threshold glibc
+# accepts.
 _HEAP_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
 
 
@@ -353,21 +345,12 @@ if hasattr(os, "register_at_fork"):
 
 # Below this much work a split runs in the calling thread: handing the
 # ranges to the pool and waiting for it cost about as much as the split
-# saves.  Above it the pool also factors while its caller goes on: set-up
-# starts the extension's factorization and evaluates the data meanwhile,
-# which alone took set-up at 64x46 from 0.203 to 0.183 s (medians of 8
-# fresh processes).  The work is band entries over all time modes,
-# levels * n * (kd + 1), of the extension, the only split.  On a 2-core
-# host, one thread against two: two extension solves took 0.73 -> 0.99 ms
-# at 24x17 (0.2 M entries), 2.0 -> 1.75 ms at 32x23 (0.68 M), 11.4 -> 6.8
-# ms at 48x34 (3.5 M).  The quadrature's blocks do not split, since two
-# threads that hand the GIL back and forth between the blocks' small numpy
-# calls gain little: a load took 7.6-9.0 -> 6.4-6.5 ms at 32x23, 15.9-19.3 ->
-# 16.1-16.7 ms at 48x34 and 40-47 -> 33-37 ms at 64x46, and set-up as a
-# whole 130 -> 123 ms at 48x34 and 338 -> 344 ms at 64x46; the three error
-# norms, on blocks of 2**15 values, took 22 -> 29 ms at 32x23, 80 -> 79 ms
-# at 48x34 and 187 -> 170 ms at 64x46.  Larger blocks, which split better,
-# grew each pool thread's malloc arena by their size.
+# saves.  Above it the pool also factors while its caller goes on.  The work
+# is band entries over all time modes, levels * n * (kd + 1), of the
+# extension, the only split: two threads lost at 0.2 M entries (24x17) and
+# gained at 0.68 M (32x23).  The quadrature's blocks do not split: two
+# threads that hand the GIL back and forth between their small numpy calls
+# gain little.
 _SPLIT_WORK = 400_000
 
 

@@ -24,15 +24,15 @@ made from the action's own spatial products, so it makes no space-time
 seminorm product.  The extension makes every interior row of A E v zero, so
 those rows check the action's extension solve.  Set-up makes b, and the
 state and adjoint at the anchor, by the same composition with the data
-added, so the dG(0)-in-time state and adjoint and their coupling to the
-cG(1) control are written once (the discretize-then-optimize structure of
-Meidner & Vexler, SIAM J. Control Optim. 47, 2008).  Each outer iteration
-solves the inactive set by CG, preconditioned by the diagonal of lam *
-seminorm (restricted to the trace), and CG sums the Hessian actions it
-makes into the change of H v.  So H v is carried from one outer iteration
-to the next: an iteration makes a Hessian action of its own only when its
-clamp moves a DOF, and the returning one makes a last, fresh action for the
-state and adjoint.
+added.  It couples the dG(0)-in-time state and adjoint to the cG(1) control
+by the rules of ``Discretization``, written once there (the
+discretize-then-optimize structure of Meidner & Vexler, SIAM J. Control
+Optim. 47, 2008).  Each outer iteration solves the inactive set by CG,
+preconditioned by the diagonal of lam * seminorm (restricted to the
+trace), and CG sums the Hessian actions it makes into the change of H v.
+So H v is carried from one outer iteration to the next: an iteration makes
+a Hessian action of its own only when its clamp moves a DOF, and the
+returning one makes a last, fresh action for the state and adjoint.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class KKTDiagnostics:
     ``max_slab_residual`` is the largest relative residual of a slab solve
     on the problem's discretization, set-up included, and
     ``max_extension_residual`` that of a checked extension solve: the
-    anchor's, and the returned control's once the solve has converged."""
+    anchor's, every trace Hessian action's and the returned control's."""
 
     stationarity: float
     complementarity: float
@@ -193,8 +193,6 @@ class ReducedProblem:
         # columns times v.
         self._movable = np.concatenate([disc.interior, bounds.boxed_vertices])
         self._movable_blocks = disc.vertex_blocks(self._movable)
-        (mt, _), (st, _) = disc.seminorm.terms
-        self._time_blocks = mt, st
         self._A_tail_trace = disc.seminorm.block(
             disc.interior[self.extension.tail], bounds.boxed_vertices
         )
@@ -249,9 +247,11 @@ class ReducedProblem:
         q's part of the second adjoint's loads, the control mass term and
         A q; M_ii times the sensitivity gives the rest of those loads; M and
         S times the pairings of the sensitivity and the second adjoint,
-        zero off the interior, give the rest of the tracking part.  Returns
-        (tracking, seminorm, sens, second): H q's tracking part and A q on
-        the vertices, each (levels, vertices), and the two sweeps.
+        zero off the interior, give the rest of the tracking part.  Their
+        time coupling is the discretization's Mt, ``control_loads``,
+        ``tracking_loads`` and ``pair_hats``.  Returns (tracking, seminorm,
+        sens, second): H q's tracking part and A q on the vertices, each
+        (levels, vertices), and the two sweeps.
 
         ``data`` is None for a direction.  Set-up passes the source's slab
         loads, the initial state w0 and the target's slab loads: the source
@@ -261,23 +261,16 @@ class ReducedProblem:
         with the control."""
         disc = self.disc
         mass, stiffness = blocks
-        mt = self._time_blocks[0]
         ni = disc.mesh.num_interior
-        k = disc.mesh.time_partition.steps[:, None]
         # Each stack is freed after its last use, and the two pairings below
         # share one buffer: held to the end, the stacks raised the peak
         # memory of a 64x46 solve by 2.1 MiB.
         mass_q = pad_levels((mass @ columns).T)
         stiff_q = pad_levels((stiffness @ columns).T)
         seminorm = self._seminorm(mass_q[1:-1], stiff_q[1:-1])
-        tracking = mt @ mass_q[1:-1]
-        # q's slab loads, as ``coupling_all`` makes them, and its part of the
-        # tracking loads, as ``tracking_slabs`` does, on the interior.
-        loads = stiff_q[:-1, :ni] + stiff_q[1:, :ni]
+        tracking = disc.time_mass @ mass_q[1:-1]
+        loads = disc.control_loads(mass_q[:, :ni], stiff_q[:, :ni])
         del stiff_q
-        loads *= -0.5 * k
-        loads += mass_q[:-1, :ni]
-        loads -= mass_q[1:, :ni]
         tracking_loads = mass_q[:-1, :ni] + mass_q[1:, :ni]
         del mass_q
         source, w0, target = data or (None, None, None)
@@ -285,37 +278,31 @@ class ReducedProblem:
             loads += source
         sens = sweep_forward(disc, loads, w0)
         del loads
-        tracking_loads *= 0.5
-        tracking_loads += (disc.mass_ii @ sens.T).T
-        tracking_loads *= k
+        disc.tracking_loads(tracking_loads, (disc.mass_ii @ sens.T).T)
         if target is not None:
             tracking_loads -= target
         second = sweep_backward(disc, tracking_loads)
         del tracking_loads
-        # The L2 pairing of the sensitivity with the control basis, and then
-        # the time pairing of ``coupling_transpose`` of the second adjoint,
-        # before their spatial products, in one buffer that is zero off the
-        # interior.
+        # The sensitivity's pairing with the control's hats plus the mass
+        # part of -C^T of the second adjoint, then the second adjoint's
+        # pairing, before their spatial products, in one buffer that is zero
+        # off the interior.
         paired = np.zeros_like(tracking)
         pairing = paired[:, :ni]
-        weighted = k * sens
-        np.add(weighted[:-1], weighted[1:], out=pairing)
-        pairing *= 0.5
+        work = np.empty_like(sens)
+        disc.pair_hats(sens, pairing, work)
         pairing += second[1:]
         pairing -= second[:-1]
         tracking += (mass @ paired.T).T
-        np.multiply(k, second, out=weighted)
-        np.add(weighted[:-1], weighted[1:], out=pairing)
-        pairing *= 0.5
+        disc.pair_hats(second, pairing, work)
         tracking -= (stiffness @ paired.T).T
         return tracking, seminorm, sens, second
 
     def _seminorm(self, mass_q, stiff_q):
         """A q on a set of vertices from the spatial products M q and S q
         there, each (levels, vertices): Mt (S q) + St (M q)."""
-        mt, st = self._time_blocks
-        seminorm = mt @ stiff_q
-        seminorm += st @ mass_q
+        seminorm = self.disc.time_mass @ stiff_q
+        seminorm += self.disc.time_stiffness @ mass_q
         return seminorm
 
     # -- trace layer -----------------------------------------------------------

@@ -15,7 +15,16 @@ the same whole solve.  The gradient and the Hessian are composed from the
 helpers that act on all vertices: ``coupling_all``, ``coupling_transpose``
 and ``tracking_slabs`` of the package, and ``pair_state_control`` and
 ``control_mass`` here, the pairing of a state-type field with the control
-basis and the control's space-time L2 mass.
+basis and the control's space-time L2 mass.  The three package helpers pass
+the products of all vertices through ``Discretization``'s coupling rules
+(``control_loads``, ``pair_hats`` and ``tracking_loads``), which the trace
+action and set-up share, so an agreement of the two roads cannot see a
+wrong rule; each rule is checked against a form that does not use it by
+``test_coupling_matches_quadrature``,
+``test_coupling_transpose_is_exact_adjoint`` and
+``test_tracking_slabs_match_midpoint_mass_oracle``.  ``pair_state_control``
+and ``control_mass`` keep their own formulas, the time steps and
+``time_mass_stiffness``.
 ``TRI_RULE_8`` is a higher-degree triangle rule for reference integrals,
 ``whole_boundary`` the control boundary predicate that selects every
 boundary vertex, and ``zero_data`` and ``zero_control`` the zero source,

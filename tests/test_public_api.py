@@ -40,8 +40,9 @@ every keyword, and a keyword in a call through a dict, such as
 is defined.
 
 The same parse keeps ctypes, threads and scipy's Cython capsules in
-``dbc.kernels`` alone, and keeps every module from importing another's
-``_``-prefixed names.
+``dbc.kernels`` alone, keeps every module from importing another's
+``_``-prefixed names, and keeps the time steps and the seminorm's time
+blocks with ``dbc.assembly``, the owner of the time discretization.
 """
 
 import ast
@@ -399,4 +400,33 @@ def test_only_kernels_import_ctypes_or_threads_and_no_private_name_leaks():
     faults = {name: found for name, found in faults.items() if found}
     assert not faults, (
         f"move these into dbc.kernels or give them a public name: {faults}"
+    )
+
+
+# The modules that may read each attribute of the time discretization's
+# parts: a time partition's ``steps``, which ``manufactured`` also reads for
+# the control norm's slope, and a ``KroneckerSum``'s ``terms``.
+TIME_OWNERS = {
+    "steps": {"assembly", "mesh", "manufactured"},
+    "terms": {"assembly"},
+}
+
+
+def _time_reads(path):
+    """The attributes of ``TIME_OWNERS`` that ``path`` reads but may not."""
+    return sorted(
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr in TIME_OWNERS
+        and path.stem not in TIME_OWNERS[node.attr]
+    )
+
+
+def test_only_the_discretization_reads_the_time_steps_and_time_blocks():
+    faults = {path.name: _time_reads(path) for path in SOURCES}
+    faults = {name: found for name, found in faults.items() if found}
+    assert not faults, (
+        "take the time steps and the time blocks from dbc.assembly's "
+        f"Discretization and its coupling rules: {faults}"
     )
