@@ -589,13 +589,11 @@ class Discretization:
     ``time_mass`` and ``time_stiffness`` are Mt and St on the interior time
     levels, and ``seminorm``, the control's space-time H1 seminorm, is the
     SPD ``KroneckerSum`` kron(Mt, S) + kron(St, M).  ``slab_solver`` hands
-    out the one slab system of the equal slabs, M + k S with k the first
-    step (the steps differ in their last bits only).  The sweeps share the
-    ``sweep_buffers``: right-hand sides and solutions, (M, ni) each, and
-    the solutions transposed, (ni, M), for the residual check;
-    ``max_slab_residual`` is the largest relative residual that they have
-    checked so far.  ``quad`` is the degree-4 triangle rule times 2 Gauss
-    points per slab.
+    out the one slab system of the equal slabs, M + k S with k the
+    partition's step 1/M, and the three coupling rules below scale by the
+    same k.  ``max_slab_residual`` is the largest relative residual that
+    the sweeps have checked so far.  ``quad`` is the degree-4 triangle rule
+    times 2 Gauss points per slab.
 
     The dG(0) state couples to the cG(1) control by three rules on stacks
     of spatial products of any vertex set, ``control_loads``,
@@ -612,13 +610,11 @@ class Discretization:
         self.interior = idx
         self.mass_ii = _reorder(self.mass, idx)
         self.stiff_ii = _reorder(self.stiffness, idx)
-        # The slab system and the sweep buffers come first: made after the
-        # quadrature, the slab system raised the peak memory of the 64x46 and
-        # 48x34 solves by 0.2-0.7 MiB.
-        self._steps = mesh.time_partition.steps[:, None]
-        shape = (mesh.num_slabs, mesh.num_interior)
-        self.sweep_buffers = (np.empty(shape), np.empty(shape), np.empty(shape[::-1]))
-        self._slab_system = SlabSystem(self.mass_ii + self._steps[0, 0] * self.stiff_ii)
+        # The slab system comes first: made after the quadrature, it raised
+        # the peak memory of the 48x34 solve with q_b = 0.045 by 0.4 MiB and
+        # left that of the 64x46 solve within 0.1 MiB.
+        self._k = mesh.time_partition.k
+        self._slab_system = SlabSystem(self.mass_ii + self._k * self.stiff_ii)
         self.mass_if = self.mass[idx, :].tocsr()
         self.stiff_if = self.stiffness[idx, :].tocsr()
         mt, st = time_mass_stiffness(mesh.time_partition.points)
@@ -646,35 +642,33 @@ class Discretization:
 
     def control_loads(self, mass_q, stiff_q):
         """-C(q), the control's slab loads in the state equation, from M q
-        and S q padded to (M+1, r): row m is M(q_{m-1} - q_m) - (k_m/2)
+        and S q padded to (M+1, r): row m is M(q_{m-1} - q_m) - (k/2)
         S(q_{m-1} + q_m); (M, r)."""
         loads = stiff_q[:-1] + stiff_q[1:]
-        loads *= -0.5 * self._steps
+        loads *= -0.5 * self._k
         loads += mass_q[:-1]
         loads -= mass_q[1:]
         return loads
 
     def tracking_loads(self, sums, mass_w):
         """The adjoint's slab loads of w + q, in place of ``sums``, the slab
-        sums M q_{m-1} + M q_m, with ``mass_w`` = M w: row m is k_m (M w_m
+        sums M q_{m-1} + M q_m, with ``mass_w`` = M w: row m is k (M w_m
         + (M q_{m-1} + M q_m) / 2); (M, r)."""
         sums *= 0.5
         sums += mass_w
-        sums *= self._steps
+        sums *= self._k
         return sums
 
-    def pair_hats(self, slabs, out, work):
+    def pair_hats(self, slabs, out):
         """The pairing of a slab stack x, (M, r), with the control's hats in
-        time, into ``out``, (M-1, r), by way of ``work``, (M, r): row l is
-        (k_l x_l + k_{l+1} x_{l+1}) / 2."""
-        np.multiply(self._steps, slabs, out=work)
-        np.add(work[:-1], work[1:], out=out)
-        out *= 0.5
+        time, into ``out``, (M-1, r): row l is k (x_l + x_{l+1}) / 2."""
+        np.add(slabs[:-1], slabs[1:], out=out)
+        out *= 0.5 * self._k
         return out
 
     def coupling_all(self, control_values):
         """Slab loads of the control, C(q), on interior test functions: row m
-        is M(q_m - q_{m-1}) + (k_m/2) S (q_{m-1} + q_m); (M, ni).  Minus
+        is M(q_m - q_{m-1}) + (k/2) S (q_{m-1} + q_m); (M, ni).  Minus
         ``control_loads`` of the products of all vertices."""
         mass_q = pad_levels((self.mass_if @ control_values.T).T)
         stiff_q = pad_levels((self.stiff_if @ control_values.T).T)
@@ -686,7 +680,7 @@ class Discretization:
         calls it: it stays as the all-vertex reference that the tests
         compose."""
         paired = np.empty((len(slab_values) - 1, slab_values.shape[1]))
-        self.pair_hats(slab_values, paired, np.empty_like(slab_values))
+        self.pair_hats(slab_values, paired)
         out = (self.mass_if.T @ (slab_values[:-1] - slab_values[1:]).T).T
         out += (self.stiff_if.T @ paired.T).T
         return out
@@ -796,10 +790,10 @@ def bilinear_form(disc, v_values, w_values):
     matrices, no quadrature."""
     V = np.asarray(v_values, dtype=float)
     W = np.asarray(w_values, dtype=float)
-    k = disc.mesh.time_partition.steps
+    k = disc.mesh.time_partition.k
     total = float(V[0] @ (disc.mass_ii @ W[0]))
-    for m in range(len(k)):
-        total += k[m] * float(V[m] @ (disc.stiff_ii @ W[m]))
+    for m in range(len(V)):
+        total += k * float(V[m] @ (disc.stiff_ii @ W[m]))
         if m >= 1:
             total += float((V[m] - V[m - 1]) @ (disc.mass_ii @ W[m]))
     return total
@@ -809,10 +803,8 @@ def coercivity_gap(disc, v_values):
     """B(v, v) minus the slab-summed gradient seminorm; nonnegative for every
     discrete state."""
     V = np.asarray(v_values, dtype=float)
-    k = disc.mesh.time_partition.steps
-    grad = sum(
-        k[m] * float(V[m] @ (disc.stiff_ii @ V[m])) for m in range(len(k))
-    )
+    k = disc.mesh.time_partition.k
+    grad = k * sum(float(v @ (disc.stiff_ii @ v)) for v in V)
     return bilinear_form(disc, V, V) - grad
 
 

@@ -102,7 +102,7 @@ def check_adjoint(seed):
 
 
 def check_coercivity(seed):
-    """B(v, v) >= sum_m k_m |grad v_m|^2 over 33 random discrete states at
+    """B(v, v) >= k sum_m |grad v_m|^2 over 33 random discrete states at
     each of 2x2, 3x3 and 4x4.
 
     The gap equals the telescoped jump terms plus boundary values, all

@@ -2,19 +2,20 @@
 
 The dG(0)-in-time discretization decouples into one backward-Euler-type slab
 system per step: (M + k S) w_m = M w_{m-1} + F_m - C_m(q), with w_0 the L2
-projection of the initial datum.  The slabs are equal, so every slab has
-the same system: the slab matrix and its band Cholesky factor, one
-``SlabSystem`` that ``Discretization`` builds with the rest of the time
-discretization, C_m(q) among it, and that ``slab_solver`` hands out.
+projection of the initial datum.  The slabs are equal, with the one step
+k = 1/M, so every slab has the same system: the slab matrix and its band
+Cholesky factor, one ``SlabSystem`` that ``Discretization`` builds with the
+rest of the time discretization, C_m(q) among it, and that
+``slab_solver`` hands out.
 
 ``march`` runs the slabs in either direction.  Its arrays are in the
 band order of the mesh's ``interior_indices``, the order in which the slab
 factor is made, so it permutes nothing: it copies the right-hand sides
-into the sweep buffers and solves each slab in place in its row.  Every
-slab solve is checked after the march, with one sparse product for the
-whole sweep; the first slab in march order whose relative residual
-exceeds ``RESIDUAL_TOL`` raises ``SolverError``.  The largest residual
-checked is kept on the discretization as ``max_slab_residual``.
+and solves each slab in place in its row of a new array.  A sweep keeps
+nothing on the discretization but ``max_slab_residual``, the largest
+residual checked.  Every slab solve is checked after the march, with one
+sparse product for the whole sweep; the first slab in march order whose
+relative residual exceeds ``RESIDUAL_TOL`` raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def march(disc, slab_rhs, start=None, reverse=False):
     x_prev = start (zero for None), or from slab M backward when
     ``reverse``; returns the (M, ni) array x."""
     slabs = np.arange(disc.mesh.num_slabs)[:: -1 if reverse else 1]
-    rhs, x, xt = disc.sweep_buffers
-    np.copyto(rhs, slab_rhs)
+    rhs = np.array(slab_rhs, dtype=float)
+    x = np.empty_like(rhs)
     prev = start
     for m in slabs:
         system = disc.slab_solver()
@@ -62,17 +63,16 @@ def march(disc, slab_rhs, start=None, reverse=False):
         x[m] = rhs[m]
         system.solve_in_place(x[m])
         prev = x[m]
-    np.copyto(xt, x.T)
-    _check_residuals(disc, system, rhs, xt, slabs)
-    return x.copy()
+    _check_residuals(disc, system, rhs, x, slabs)
+    return x
 
 
-def _check_residuals(disc, system, rhs, xt, slabs):
+def _check_residuals(disc, system, rhs, x, slabs):
     """Relative residual ||K x_m - b_m|| / (||b_m|| + 1) of every slab, with
-    K the matrix of ``system``, b_m the rows of ``rhs`` and x_m the columns
-    of ``xt``, by one sparse product; raises ``SolverError`` for the first
-    slab in march order ``slabs`` above the tolerance."""
-    defect = system.matrix @ xt
+    K the matrix of ``system`` and b_m and x_m the rows of ``rhs`` and
+    ``x``, by one sparse product; raises ``SolverError`` for the first slab
+    in march order ``slabs`` above the tolerance."""
+    defect = system.matrix @ x.T
     defect -= rhs.T
     residual = np.sqrt(np.einsum("ij,ij->j", defect, defect)) / (
         np.sqrt(np.einsum("ij,ij->i", rhs, rhs)) + 1.0

@@ -209,14 +209,14 @@ def control_error(disc, case, control):
     _check_same_mesh(disc, control)
     q = disc.quad
     pad = pad_levels(control.values)
-    steps = disc.mesh.time_partition.steps
+    k = disc.mesh.time_partition.k
 
     def squared_error(m, j, t, part):
         x, y = part.x, part.y
         shape = t.shape[:1] + x.shape
         ends = q.gather(pad, m, part, levels=True)
         slopes = np.diff(ends, axis=0)
-        slopes /= steps[m[0] : m[-1] + 1, None, None]
+        slopes /= k
         dt_err = difference(
             case.control_t(x, y, t), q.at_points(slopes)[m - m[0]], shape
         )

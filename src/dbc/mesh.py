@@ -137,21 +137,16 @@ class TimePartition:
     Attributes
     ----------
     points : (M+1,) array i/M; the endpoints are exact in floating point
-    steps : (M,) array of slab lengths, 1/M up to the rounding of the points
-    k : float, the largest step
+    k : float, the one step 1/M of every slab
+    num_steps : int, M
     """
 
     def __init__(self, num_steps):
         if int(num_steps) != num_steps or num_steps < 1:
             raise MeshError(f"step count must be a positive integer, got {num_steps!r}")
-        M = int(num_steps)
-        self.points = np.arange(M + 1) / M
-        self.steps = np.diff(self.points)
-        self.k = float(self.steps.max())
-
-    @property
-    def num_steps(self):
-        return len(self.steps)
+        self.num_steps = int(num_steps)
+        self.points = np.arange(self.num_steps + 1) / self.num_steps
+        self.k = 1.0 / self.num_steps
 
 
 def uniform_time_partition(num_steps):
@@ -163,7 +158,7 @@ class SpaceTimeMesh:
     """Prismatic product of a triangulation and a time partition.
 
     ``sigma = sqrt(width^2 + k^2)`` combines the spatial cell width 1/n of a
-    ``unit_square_mesh`` with the largest time step; it is the single
+    ``unit_square_mesh`` with the time step k; it is the single
     discretization parameter of the control space.  A triangulation without
     a cell width raises ``MeshError``.
     """

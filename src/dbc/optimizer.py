@@ -289,12 +289,11 @@ class ReducedProblem:
         # off the interior.
         paired = np.zeros_like(tracking)
         pairing = paired[:, :ni]
-        work = np.empty_like(sens)
-        disc.pair_hats(sens, pairing, work)
+        disc.pair_hats(sens, pairing)
         pairing += second[1:]
         pairing -= second[:-1]
         tracking += (mass @ paired.T).T
-        disc.pair_hats(second, pairing, work)
+        disc.pair_hats(second, pairing)
         tracking -= (stiffness @ paired.T).T
         return tracking, seminorm, sens, second
 

@@ -23,7 +23,7 @@ wrong rule; each rule is checked against a form that does not use it by
 ``test_coupling_matches_quadrature``,
 ``test_coupling_transpose_is_exact_adjoint`` and
 ``test_tracking_slabs_match_midpoint_mass_oracle``.  ``pair_state_control``
-and ``control_mass`` keep their own formulas, the time steps and
+and ``control_mass`` keep their own formulas, the time step k and
 ``time_mass_stiffness``.
 ``TRI_RULE_8`` is a higher-degree triangle rule for reference integrals,
 ``whole_boundary`` the control boundary predicate that selects every
@@ -87,8 +87,9 @@ def solve_adjoint(disc, state, control, u_d):
 def pair_state_control(disc, slab_values):
     """L2(space-time) pairing of a state-type field with every control
     basis function; (M, ni) -> (M-1, nv)."""
-    wk = disc.mesh.time_partition.steps[:, None] * slab_values
-    return 0.5 * (disc.mass_if.T @ (wk[:-1] + wk[1:]).T).T
+    k = disc.mesh.time_partition.k
+    sums = slab_values[:-1] + slab_values[1:]
+    return 0.5 * k * (disc.mass_if.T @ sums.T).T
 
 
 def control_mass(disc):
@@ -230,11 +231,11 @@ def per_time_control_error(disc, case, control):
     """``control_error`` one Gauss time at a time."""
     q = disc.quad
     pad = pad_levels(control.values)
-    steps = disc.mesh.time_partition.steps
+    k = disc.mesh.time_partition.k
 
     def squared_error(m, j, t, x, y):
         dt_err = case.control_t(x, y, t) - interpolate(
-            q, (pad[m + 1] - pad[m]) / steps[m]
+            q, (pad[m + 1] - pad[m]) / k
         )
         gx, gy = _gradient(disc, q.lo[m, j] * pad[m] + q.hi[m, j] * pad[m + 1])
         ex, ey = case.control_grad(x, y, t)

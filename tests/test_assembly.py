@@ -873,9 +873,9 @@ def test_pair_state_control_is_l2_pairing(disc):
     pad[1:-1] = q
     full = np.zeros((mesh.num_slabs, mesh.num_nodes))
     full[:, disc.interior] = v
-    k = mesh.time_partition.steps
+    k = mesh.time_partition.k
     oracle = sum(
-        0.5 * k[m] * float(full[m] @ (disc.mass @ (pad[m] + pad[m + 1])))
+        0.5 * k * float(full[m] @ (disc.mass @ (pad[m] + pad[m + 1])))
         for m in range(mesh.num_slabs)
     )
     assert paired == pytest.approx(oracle, rel=1e-13)
@@ -1060,7 +1060,7 @@ def test_a_data_error_while_the_pool_factors_leaves_the_pool_working(monkeypatch
 
 
 def test_source_slabs_constant(disc):
-    k = disc.mesh.time_partition.steps[0]
+    k = disc.mesh.time_partition.k
     h = disc.mesh.triangulation.cell_width
     loads, square = disc.time_loads(lambda x, y, t: np.ones_like(x))
     slabs = disc.source_slabs(loads)
@@ -1163,15 +1163,15 @@ def test_slab_solver_cache_and_accuracy(disc):
 
 
 def test_uniform_partition_shares_one_slab_system():
-    """The steps of 8x6 differ in their last bits, by at most an ulp of 1
-    from 1/6, and the one slab system is M + k S with k the first step,
-    1/6."""
-    disc = Discretization(build_space_time_mesh(8, 6))
-    steps = disc.mesh.time_partition.steps
-    assert len(np.unique(steps)) > 1
-    assert np.abs(steps - 1 / 6).max() <= np.spacing(1.0)
-    matrix = disc.mass_ii + (1 / 6) * disc.stiff_ii
-    assert np.array_equal(disc.slab_solver().matrix.toarray(), matrix.toarray())
+    """Every slab's system is M + k S with the partition's one step k, and k
+    is 1/M to the last bit, at the time levels of the study levels."""
+    for M in (4, 6, 23, 34, 46):
+        disc = Discretization(build_space_time_mesh(4, M))
+        k = disc.mesh.time_partition.k
+        assert k == 1.0 / M
+        matrix = disc.mass_ii + k * disc.stiff_ii
+        system = disc.slab_solver().matrix.toarray()
+        assert np.array_equal(system, matrix.toarray())
 
 
 def test_a_solve_factors_nothing_and_the_initial_projection_factors_once(monkeypatch):

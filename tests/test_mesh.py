@@ -77,11 +77,15 @@ def test_single_triangle_is_all_boundary():
 
 
 def test_time_partition_uniform():
-    tp = uniform_time_partition(4)
-    assert tp.num_steps == 4
-    assert tp.points[0] == 0.0 and tp.points[-1] == 1.0
-    assert np.allclose(tp.steps, 0.25)
-    assert tp.k == 0.25
+    """One step k, 1/M to the last bit, and M + 1 levels i/M from 0 to 1, at
+    the time levels of the study levels."""
+    for M in (4, 6, 23, 34, 46):
+        tp = uniform_time_partition(M)
+        assert tp.num_steps == M
+        assert tp.k == 1.0 / M
+        assert tp.points[0] == 0.0 and tp.points[-1] == 1.0
+        assert np.array_equal(tp.points, np.arange(M + 1) / M)
+        assert np.abs(np.diff(tp.points) - tp.k).max() <= np.spacing(1.0)
 
 
 def test_time_partition_rejects_bad_input():

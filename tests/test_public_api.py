@@ -41,7 +41,7 @@ is defined.
 
 The same parse keeps ctypes, threads and scipy's Cython capsules in
 ``dbc.kernels`` alone, keeps every module from importing another's
-``_``-prefixed names, and keeps the time steps and the seminorm's time
+``_``-prefixed names, and keeps the time step and the seminorm's time
 blocks with ``dbc.assembly``, the owner of the time discretization.
 """
 
@@ -404,10 +404,11 @@ def test_only_kernels_import_ctypes_or_threads_and_no_private_name_leaks():
 
 
 # The modules that may read each attribute of the time discretization's
-# parts: a time partition's ``steps``, which ``manufactured`` also reads for
-# the control norm's slope, and a ``KroneckerSum``'s ``terms``.
+# parts: a time partition's step ``k``, which ``mesh`` reads for sigma and
+# ``manufactured`` for the control norm's slope and the table, and a
+# ``KroneckerSum``'s ``terms``.
 TIME_OWNERS = {
-    "steps": {"assembly", "mesh", "manufactured"},
+    "k": {"assembly", "mesh", "manufactured"},
     "terms": {"assembly"},
 }
 
@@ -427,6 +428,6 @@ def test_only_the_discretization_reads_the_time_steps_and_time_blocks():
     faults = {path.name: _time_reads(path) for path in SOURCES}
     faults = {name: found for name, found in faults.items() if found}
     assert not faults, (
-        "take the time steps and the time blocks from dbc.assembly's "
+        "take the time step and the time blocks from dbc.assembly's "
         f"Discretization and its coupling rules: {faults}"
     )
