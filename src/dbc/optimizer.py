@@ -28,8 +28,9 @@ added.  It couples the dG(0)-in-time state and adjoint to the cG(1) control
 by the rules of ``Discretization``, written once there (the
 discretize-then-optimize structure of Meidner & Vexler, SIAM J. Control
 Optim. 47, 2008).  Each outer iteration solves the inactive set by CG,
-preconditioned by the diagonal of lam * seminorm (restricted to the
-trace), and CG sums the Hessian actions it makes into the change of H v.
+preconditioned by a block circulant in time that one Hessian action
+builds (``_trace_preconditioner``), and CG sums the Hessian actions it
+makes into the change of H v.
 So H v is carried from one outer iteration to the next: an iteration makes
 a Hessian action of its own only when its clamp moves a DOF, and the
 returning one makes a last, fresh action for the state and adjoint.
@@ -41,6 +42,7 @@ import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .adjoint import sweep_backward
 from .assembly import EnergyExtension
@@ -430,21 +432,23 @@ def _kkt_residuals(mu, lower, upper):
     return stationarity, complementarity
 
 
-def _pcg(apply_op, rows, rhs, precond_diag, target, max_iter):
+def _pcg(apply_op, rows, rhs, precondition, target, max_iter):
     """Preconditioned CG from the zero start; returns (x, iterations, product).
 
     ``apply_op(p)`` gives an operator's whole product, of which the entries
-    ``rows`` are the system's; ``product`` is that whole product for x,
-    summed from the products of the search directions (0.0 when CG made
-    none).  CG stops when the residual norm is at most ``target``, checked
-    before the first product too, so a right-hand side already below it
-    costs none."""
+    ``rows`` are the system's; ``precondition(r)`` applies an SPD
+    preconditioner's inverse to a residual of the system.  ``product`` is
+    the whole product for x, summed from the products of the search
+    directions (0.0 when CG made none).  CG stops when the residual norm is
+    at most ``target``, checked before the first product and before the
+    first preconditioning too, so a right-hand side already below it costs
+    neither."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
     product = 0.0
     if np.linalg.norm(r) <= target:
         return x, 0, product
-    z = r / precond_diag
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
@@ -459,7 +463,7 @@ def _pcg(apply_op, rows, rhs, precond_diag, target, max_iter):
         product = product + alpha * whole
         if np.linalg.norm(r) <= target:
             return x, it, product
-        z = r / precond_diag
+        z = precondition(r)
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
@@ -467,6 +471,91 @@ def _pcg(apply_op, rows, rhs, precond_diag, target, max_iter):
     raise CGBreakdownError(
         f"residual {np.linalg.norm(r):.3e} above target {target:.3e}", max_iter
     )
+
+
+def _trace_preconditioner(problem, hessian):
+    """The inverse of a preconditioner for the trace Hessian, as a function
+    of a whole trace vector, built by one call of ``hessian``.
+
+    With uniform slabs and the boxed vertices one evenly spaced run, the
+    trace Hessian is nearly block Toeplitz in the level offset and each
+    block nearly Toeplitz along the run.  Its column at the middle level
+    and the middle boxed vertex gives the kernel K(d, s) of level offset d
+    and vertex offset s (``_circulant_kernel``).  Strang's block circulant
+    over the levels with these Toeplitz blocks along the run is
+    diagonalized by an FFT over the levels (Strang, Stud. Appl. Math. 74,
+    1986; McDonald, Pestana & Wathen, SIAM J. Sci. Comput. 40, 2018): its
+    symbol is one Hermitian nb x nb block per frequency of ``rfft``, nb the
+    boxed vertices per level.  Only the inverses of the blocks' Cholesky
+    factors are kept, so applying P^-1 is an ``rfft``, two batched products
+    and an ``irfft``.  P is SPD, and so is each of its principal blocks,
+    which CG on an inactive set uses.
+
+    Jacobi, the diagonal of lam * seminorm, takes its place, with no
+    action made, when the trace is empty or the boxed vertices, by their
+    coordinates, are not one evenly spaced run; and, after the action,
+    when a symbol block has no Cholesky factor.  Logs the choice at INFO."""
+    boxed = problem.bounds.boxed_vertices
+    steps = np.diff(problem.disc.mesh.triangulation.vertices[boxed], axis=0)
+    if problem.trace_dim == 0:
+        reason = "empty trace"
+    elif len(steps) and not np.allclose(
+        steps, steps[0], rtol=0.0, atol=1e-8 * np.linalg.norm(steps[0])
+    ):
+        reason = "boxed vertices not one evenly spaced run"
+    else:
+        levels, nb = problem.disc.mesh.num_control_levels, len(boxed)
+        delta = np.zeros((levels, nb))
+        delta[levels // 2, nb // 2] = 1.0
+        column = hessian(delta.ravel()).reshape(levels, nb)
+        symbol = np.fft.rfft(_circulant_kernel(column), axis=0)
+        offsets = np.subtract.outer(np.arange(nb), np.arange(nb)) + nb - 1
+        blocks = symbol[:, offsets]
+        blocks += blocks.conj().transpose(0, 2, 1)
+        blocks *= 0.5
+        try:
+            factors = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            reason = "symbol not positive definite"
+        else:
+            pivot = float((factors.diagonal(axis1=1, axis2=2).real ** 2).min())
+            log.info("pdas preconditioner=circulant min_pivot=%.3e", pivot)
+            inverse_factors = sla.solve_triangular(
+                factors, np.broadcast_to(np.eye(nb), factors.shape), lower=True
+            )
+
+            def inverse(whole):
+                # P^-1 = F^-1 W^H W F with W the inverse factors, F the FFT.
+                spectrum = np.fft.rfft(whole.reshape(levels, nb), axis=0)
+                half = np.matmul(inverse_factors, spectrum[:, :, None])
+                # W^H y = conj(y^H W), with no copy of W.
+                solved = np.matmul(half.conj().transpose(0, 2, 1), inverse_factors)
+                return np.fft.irfft(solved[:, 0].conj(), n=levels, axis=0).ravel()
+
+            return inverse
+    log.info("pdas preconditioner=jacobi reason=%s", reason)
+    jacobi = problem.lam * problem.disc.seminorm.diagonal()[problem.trace_indices]
+    return lambda whole: whole / jacobi
+
+
+def _circulant_kernel(column):
+    """The first block column of Strang's symmetric block circulant from a
+    trace Hessian column at the middle level and vertex, (levels, nb).
+
+    Row j holds level offset j mod levels: the middle column reaches each
+    residue once, so rolling it by the middle level is Strang's wrap.
+    Entry nb - 1 + s holds vertex offset s; the offsets the middle vertex
+    does not reach are zero.  The result is symmetrized as
+    (K(d, s) + K(-d, -s)) / 2, so the circulant is symmetric."""
+    levels, nb = column.shape
+    middle = nb // 2
+    kernel = np.zeros((levels, 2 * nb - 1))
+    kernel[:, nb - 1 - middle : 2 * nb - 1 - middle] = np.roll(
+        column, -(levels // 2), axis=0
+    )
+    kernel += np.roll(kernel[::-1, ::-1], 1, axis=0)
+    kernel *= 0.5
+    return kernel
 
 
 def pdas_solve(problem, tol, q_init=None, max_outer=50):
@@ -480,7 +569,11 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
     preconditioned CG, from the zero step, to a residual norm of
     min(1e-10, 1e-2 tol) times the larger of |trace_b| and the norm of the
     block's right-hand side: never looser than the problem's scale, and
-    relative to the right-hand side where that is larger.  CG's Hessian
+    relative to the right-hand side where that is larger.  CG is
+    preconditioned by ``_trace_preconditioner``'s inverse restricted to the
+    inactive rows; the first CG that gets past its first target check
+    builds it, by one Hessian action that the solve counts, so a solve
+    whose CG makes no product builds none.  CG's Hessian
     actions give H v of the next iteration too.  Convergence is declared
     when the active sets repeat and the stationarity and complementarity
     residuals are below tol, both for the carried H v and for a fresh
@@ -503,9 +596,6 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
     mesh = problem.disc.mesh
     qa, qb = bounds.lower, bounds.upper
     dim = problem.trace_dim
-    precond = (
-        problem.lam * problem.disc.seminorm.diagonal()[problem.trace_indices]
-    )
 
     if q_init is None:
         v = np.zeros(dim)
@@ -529,6 +619,9 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
         nonlocal actions
         actions += 1
         return problem.trace_hessian(trace_values, want_fields=want_fields)
+
+    # P^-1 on the whole trace, built by the first CG that preconditions.
+    inverse = None
 
     # H v, carried from one outer step to the next; H 0 = 0 needs no action.
     hv = hessian(v) if v.any() else np.zeros(dim)
@@ -627,12 +720,20 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
             d[ii] = x_inactive
             return hessian(d)
 
+        def precondition(r_inactive):
+            nonlocal inverse
+            if inverse is None:
+                inverse = _trace_preconditioner(problem, hessian)
+            d = np.zeros(dim)
+            d[ii] = r_inactive
+            return inverse(d)[ii]
+
         rhs = defect[ii]
         delta, iters, product = _pcg(
             op,
             ii,
             rhs,
-            precond[ii],
+            precondition,
             cg_rel_tol * max(trace_b_norm, np.linalg.norm(rhs)),
             max_iter=min(dim + 10, 30_000),
         )

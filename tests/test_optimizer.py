@@ -30,7 +30,9 @@ from dbc.optimizer import (
     CGBreakdownError,
     PdasNonconvergence,
     ReducedProblem,
+    _circulant_kernel,
     _pcg,
+    _trace_preconditioner,
     pdas_solve,
 )
 from dbc.spaces import BoundSet, ControlField
@@ -475,7 +477,12 @@ def test_unconstrained_equals_single_cg():
     ]
     target = 1e-13 * np.linalg.norm(problem.trace_b)
     v_cg, _, _ = _pcg(
-        problem.trace_hessian, slice(None), problem.trace_b, precond, target, 10_000
+        problem.trace_hessian,
+        slice(None),
+        problem.trace_b,
+        lambda r: r / precond,
+        target,
+        10_000,
     )
     assert np.abs(v_pdas - v_cg).max() < 1e-10
     g, _, _ = problem.trace_gradient(v_pdas)
@@ -624,8 +631,9 @@ def test_objective_descends_to_convergence():
 
 def test_unchanged_clamp_reuses_the_hessian_action(monkeypatch):
     """Without active bounds the clamp moves no DOF, so the solve needs one
-    Hessian action per CG iteration and one more, made fresh for the
-    returned state and adjoint; the zero start needs none, as H 0 = 0."""
+    Hessian action per CG iteration, one that builds the preconditioner
+    and one more, made fresh for the returned state and adjoint; the zero
+    start needs none, as H 0 = 0."""
     problem = setup_problem(8, 6, bump_case())
     calls = []
     trace_hessian = ReducedProblem.trace_hessian
@@ -639,7 +647,7 @@ def test_unchanged_clamp_reuses_the_hessian_action(monkeypatch):
     diagnostics = result.diagnostics
     assert diagnostics.num_lower_active == diagnostics.num_upper_active == 0
     assert diagnostics.outer_iterations == 1
-    assert len(calls) == diagnostics.cg_iterations + 1
+    assert len(calls) == diagnostics.cg_iterations + 2
 
 
 @pytest.mark.parametrize("seed", [None, 1])
@@ -647,8 +655,8 @@ def test_the_carried_hessian_action_is_the_fresh_one(monkeypatch, caplog, seed):
     """At 16x12 with q_b = 0.045 each outer step's H v, carried from the
     CG before it, equals a fresh ``trace_hessian(v)`` to 1e-12 relative.
     The solve makes one action per CG iteration, one per clamp that moved
-    a DOF, one for a nonzero start and one for the returned fields; the
-    last ``pdas`` log line counts them."""
+    a DOF, one for a nonzero start, one that builds the preconditioner and
+    one for the returned fields; the last ``pdas`` log line counts them."""
     case = dataclasses.replace(bump_case(), q_b=0.045)
     problem = setup_problem(16, 12, case)
     q_init = None
@@ -686,7 +694,7 @@ def test_the_carried_hessian_action_is_the_fresh_one(monkeypatch, caplog, seed):
     )
     assert moved > 0
     start = int(q_init is not None)
-    assert len(calls) == diagnostics.cg_iterations + moved + start + 1
+    assert len(calls) == diagnostics.cg_iterations + moved + start + 2
     assert f" hessian={len(calls)} " in caplog.messages[-1]
 
 
@@ -940,7 +948,8 @@ def test_pcg_solves_spd_system():
         return spd @ d
 
     rhs = rng.standard_normal(8)
-    x, iters, product = _pcg(whole, rows, rhs, np.diag(block), 1e-12, 100)
+    jacobi = np.diag(block)
+    x, iters, product = _pcg(whole, rows, rhs, lambda r: r / jacobi, 1e-12, 100)
     assert iters <= 8 + 1
     assert np.allclose(block @ x, rhs, rtol=1e-10, atol=1e-12)
     assert np.allclose(product, whole(x), rtol=1e-12, atol=1e-12)
@@ -948,29 +957,142 @@ def test_pcg_solves_spd_system():
 
 def test_pcg_below_its_target_makes_no_product():
     """A right-hand side already at or below the target returns the zero
-    solution in 0 iterations, without one call to the operator."""
+    solution in 0 iterations, without one call to the operator or the
+    preconditioner."""
     calls = []
 
     def op(p):
         calls.append(1)
         return p
 
+    def identity(r):
+        calls.append(1)
+        return r
+
     rhs = np.array([3e-13, -4e-13])
     for target in (5e-13, 1e-12):
-        x, iters, product = _pcg(op, slice(None), rhs, np.ones(2), target, 100)
+        x, iters, product = _pcg(op, slice(None), rhs, identity, target, 100)
         assert iters == 0 and not x.any() and product == 0.0
-    x0, it0, _ = _pcg(op, slice(None), np.zeros(2), np.ones(2), 0.0, 100)
+    x0, it0, _ = _pcg(op, slice(None), np.zeros(2), identity, 0.0, 100)
     assert it0 == 0 and not x0.any()
     assert not calls
 
 
 def test_pcg_raises_on_indefinite_operator():
     with pytest.raises(CGBreakdownError) as excinfo:
-        _pcg(lambda p: -p, slice(None), np.ones(4), np.ones(4), 1e-12, 100)
+        _pcg(lambda p: -p, slice(None), np.ones(4), lambda r: r, 1e-12, 100)
     assert excinfo.value.iterations == 1
 
 
 def test_pcg_raises_on_iteration_budget():
     diag = np.array([1.0, 1e6])
     with pytest.raises(CGBreakdownError):
-        _pcg(lambda p: diag * p, slice(None), np.ones(2), np.ones(2), 1e-14, 1)
+        _pcg(lambda p: diag * p, slice(None), np.ones(2), lambda r: r, 1e-14, 1)
+
+
+# -- trace preconditioner -----------------------------------------------------
+
+
+def built_preconditioner(problem):
+    """``_trace_preconditioner`` of ``problem`` and the number of Hessian
+    actions its build made."""
+    actions = []
+
+    def hessian(trace_values):
+        actions.append(1)
+        return problem.trace_hessian(trace_values)
+
+    return _trace_preconditioner(problem, hessian), len(actions)
+
+
+def jacobi_diagonal(problem):
+    return problem.lam * problem.disc.seminorm.diagonal()[problem.trace_indices]
+
+
+@pytest.mark.parametrize("n,M", [(8, 6), (16, 12)])
+def test_circulant_inverse_is_symmetric_positive_definite(n, M, caplog):
+    """One action builds the circulant, and P^-1, applied to the identity's
+    columns, is symmetric to 1e-12 relative and positive definite."""
+    problem = setup_problem(n, M, bump_case())
+    with caplog.at_level("INFO", logger="dbc.optimizer"):
+        inverse, actions = built_preconditioner(problem)
+    assert actions == 1
+    assert caplog.messages[-1].startswith("pdas preconditioner=circulant min_pivot=")
+    matrix = np.column_stack([inverse(col) for col in np.eye(problem.trace_dim)])
+    assert np.abs(matrix - matrix.T).max() <= 1e-12 * np.abs(matrix).max()
+    assert np.linalg.eigvalsh(0.5 * (matrix + matrix.T)).min() > 0.0
+
+
+@pytest.mark.parametrize(
+    "n,M,boundary,reason",
+    [
+        (4, 1, None, "empty trace"),
+        (8, 6, whole_boundary, "boxed vertices not one evenly spaced run"),
+    ],
+    ids=["empty-trace", "whole-boundary"],
+)
+def test_preconditioner_falls_back_to_jacobi_with_no_action(
+    n, M, boundary, reason, caplog
+):
+    case = bump_case()
+    if boundary is not None:
+        case = dataclasses.replace(case, control_boundary=boundary)
+    problem = setup_problem(n, M, case)
+    with caplog.at_level("INFO", logger="dbc.optimizer"):
+        inverse, actions = built_preconditioner(problem)
+    assert actions == 0
+    assert caplog.messages == [f"pdas preconditioner=jacobi reason={reason}"]
+    residual = np.random.default_rng(2).standard_normal(problem.trace_dim)
+    assert np.array_equal(inverse(residual), residual / jacobi_diagonal(problem))
+
+
+def test_an_indefinite_symbol_falls_back_to_jacobi(monkeypatch, caplog):
+    """A kernel whose symbol has no Cholesky factor gives Jacobi, after the
+    one build action; the solve still converges and counts that action."""
+    monkeypatch.setattr(
+        "dbc.optimizer._circulant_kernel", lambda column: -_circulant_kernel(column)
+    )
+    problem = setup_problem(8, 6, bump_case())
+    inverse, actions = built_preconditioner(problem)
+    assert actions == 1
+    residual = np.random.default_rng(3).standard_normal(problem.trace_dim)
+    assert np.array_equal(inverse(residual), residual / jacobi_diagonal(problem))
+    with caplog.at_level("INFO", logger="dbc.optimizer"):
+        diagnostics = pdas_solve(problem, tol=1e-9).diagnostics
+    assert diagnostics.outer_iterations == 1
+    assert "pdas preconditioner=jacobi reason=symbol not positive definite" in (
+        caplog.messages
+    )
+    assert f" hessian={diagnostics.cg_iterations + 2} " in caplog.messages[-1]
+
+
+def test_each_solve_logs_its_preconditioner_once(caplog):
+    """A cold solve writes one preconditioner line; a warm start at the
+    optimum makes no CG product, so it builds none: two actions, the start's
+    and the returned fields'."""
+    problem = setup_problem(8, 6, bump_case())
+    with caplog.at_level("INFO", logger="dbc.optimizer"):
+        cold = pdas_solve(problem, tol=1e-9)
+    lines = [m for m in caplog.messages if "preconditioner=" in m]
+    assert len(lines) == 1 and "preconditioner=circulant" in lines[0]
+    caplog.clear()
+    v0 = cold.control.ravel()[problem.trace_indices]
+    with caplog.at_level("INFO", logger="dbc.optimizer"):
+        warm = pdas_solve(problem, tol=1e-9, q_init=v0)
+    assert warm.diagnostics.cg_iterations == 0
+    assert not [m for m in caplog.messages if "preconditioner=" in m]
+    assert " hessian=2 " in caplog.messages[-1]
+
+
+@pytest.mark.parametrize(
+    "n,M,lam,most,outer", [(16, 12, 1e-5, 52, 5), (32, 23, 1e-4, 20, 1)]
+)
+def test_circulant_cg_counts_at_small_lambda(n, M, lam, most, outer):
+    """The circulant sees the misfit as well as the regularization, so CG
+    needs far fewer iterations than Jacobi's 80 and 36 at these levels,
+    with the same outer steps."""
+    problem = setup_problem(n, M, dataclasses.replace(bump_case(), lam=lam))
+    diagnostics = pdas_solve(problem, tol=1e-9).diagnostics
+    assert diagnostics.num_lower_active == diagnostics.num_upper_active == 0
+    assert diagnostics.outer_iterations == outer
+    assert diagnostics.cg_iterations <= most

@@ -67,7 +67,7 @@ for _container in (dict, list, set, str, tuple):
 
 ALLOWED = {
     "assembly.KroneckerSum.diagonal": (
-        "pdas_solve preconditions CG with seminorm.diagonal()"
+        "the trace preconditioner's Jacobi fallback is seminorm.diagonal()"
     ),
     "assembly.KroneckerSum.tocsr": "export_matrix_market writes seminorm.tocsr()",
     "spaces.ControlField.ravel": (
