@@ -591,9 +591,13 @@ class Discretization:
     SPD ``KroneckerSum`` kron(Mt, S) + kron(St, M).  ``slab_solver`` hands
     out the one slab system of the equal slabs, M + k S with k the
     partition's step 1/M, and the three coupling rules below scale by the
-    same k.  ``max_slab_residual`` is the largest relative residual that
-    the sweeps have checked so far.  ``quad`` is the degree-4 triangle rule
-    times 2 Gauss points per slab.
+    same k.  Mt and St alone come from the partition's points, by
+    ``time_mass_stiffness``, which acceptance criterion 10 checks on
+    non-uniform points, so a second builder from k would fork it; on equal
+    slabs the two differ by at most 4.5e-15 relative up to M = 92.
+    ``max_slab_residual`` is the largest relative residual that the sweeps
+    have checked so far.  ``quad`` is the degree-4 triangle rule times 2
+    Gauss points per slab.
 
     The dG(0) state couples to the cG(1) control by three rules on stacks
     of spatial products of any vertex set, ``control_loads``,

@@ -27,10 +27,11 @@ state and adjoint at the anchor, by the same composition with the data
 added.  It couples the dG(0)-in-time state and adjoint to the cG(1) control
 by the rules of ``Discretization``, written once there (the
 discretize-then-optimize structure of Meidner & Vexler, SIAM J. Control
-Optim. 47, 2008).  Each outer iteration solves the inactive set by CG,
-preconditioned by a block circulant in time that one Hessian action
-builds (``_trace_preconditioner``), and CG sums the Hessian actions it
-makes into the change of H v.
+Optim. 47, 2008).  Each outer iteration solves the inactive set by CG on
+whole trace vectors masked by that set, preconditioned by a block
+circulant in time that one Hessian action builds
+(``_trace_preconditioner``), and CG sums the Hessian actions it makes into
+the change of H v.
 So H v is carried from one outer iteration to the next: an iteration makes
 a Hessian action of its own only when its clamp moves a DOF, and the
 returning one makes a last, fresh action for the state and adjoint.
@@ -432,28 +433,31 @@ def _kkt_residuals(mu, lower, upper):
     return stationarity, complementarity
 
 
-def _pcg(apply_op, rows, rhs, precondition, target, max_iter):
-    """Preconditioned CG from the zero start; returns (x, iterations, product).
+def _pcg(apply_op, inactive, rhs, precondition, target, max_iter):
+    """Preconditioned CG from the zero start, on whole vectors, for the rows
+    of an operator that the boolean mask ``inactive`` marks; returns (x,
+    iterations, product).
 
-    ``apply_op(p)`` gives an operator's whole product, of which the entries
-    ``rows`` are the system's; ``precondition(r)`` applies an SPD
-    preconditioner's inverse to a residual of the system.  ``product`` is
-    the whole product for x, summed from the products of the search
-    directions (0.0 when CG made none).  CG stops when the residual norm is
-    at most ``target``, checked before the first product and before the
-    first preconditioning too, so a right-hand side already below it costs
-    neither."""
+    ``apply_op(p)`` gives the operator's whole product and
+    ``precondition(r)`` applies an SPD preconditioner's inverse to a whole
+    residual; CG keeps both on the mask, as it does ``rhs``, so x is zero
+    off it.
+    ``product`` is the whole product for x, summed from the products of the
+    search directions (0.0 when CG made none).  CG stops when the residual
+    norm is at most ``target``, checked before the first product and before
+    the first preconditioning too, so a right-hand side already below it
+    costs neither."""
     x = np.zeros_like(rhs)
-    r = rhs.copy()
+    r = np.where(inactive, rhs, 0.0)
     product = 0.0
     if np.linalg.norm(r) <= target:
         return x, 0, product
-    z = precondition(r)
-    p = z.copy()
+    z = np.where(inactive, precondition(r), 0.0)
+    p = z
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
         whole = apply_op(p)
-        hp = whole[rows]
+        hp = np.where(inactive, whole, 0.0)
         php = float(p @ hp)
         if php <= 0.0:
             raise CGBreakdownError("curvature lost positive definiteness", it)
@@ -463,7 +467,7 @@ def _pcg(apply_op, rows, rhs, precondition, target, max_iter):
         product = product + alpha * whole
         if np.linalg.norm(r) <= target:
             return x, it, product
-        z = precondition(r)
+        z = np.where(inactive, precondition(r), 0.0)
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
@@ -488,18 +492,19 @@ def _trace_preconditioner(problem, hessian):
     symbol is one Hermitian nb x nb block per frequency of ``rfft``, nb the
     boxed vertices per level.  Only the inverses of the blocks' Cholesky
     factors are kept, so applying P^-1 is an ``rfft``, two batched products
-    and an ``irfft``.  P is SPD, and so is each of its principal blocks,
-    which CG on an inactive set uses.
+    and an ``irfft``.  P is SPD, and so is P^-1.  CG on an inactive set
+    masks the residual and the result, so it applies the inactive block of
+    P^-1, not the inverse of a block of P: a principal block of an SPD
+    matrix, so SPD too.  The trace is not empty: CG on an empty trace stops
+    before it preconditions.
 
     Jacobi, the diagonal of lam * seminorm, takes its place, with no
-    action made, when the trace is empty or the boxed vertices, by their
-    coordinates, are not one evenly spaced run; and, after the action,
-    when a symbol block has no Cholesky factor.  Logs the choice at INFO."""
+    action made, when the boxed vertices, by their coordinates, are not
+    one evenly spaced run; and, after the action, when a symbol block has
+    no Cholesky factor.  Logs the choice at INFO."""
     boxed = problem.bounds.boxed_vertices
     steps = np.diff(problem.disc.mesh.triangulation.vertices[boxed], axis=0)
-    if problem.trace_dim == 0:
-        reason = "empty trace"
-    elif len(steps) and not np.allclose(
+    if len(steps) and not np.allclose(
         steps, steps[0], rtol=0.0, atol=1e-8 * np.linalg.norm(steps[0])
     ):
         reason = "boxed vertices not one evenly spaced run"
@@ -569,11 +574,12 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
     preconditioned CG, from the zero step, to a residual norm of
     min(1e-10, 1e-2 tol) times the larger of |trace_b| and the norm of the
     block's right-hand side: never looser than the problem's scale, and
-    relative to the right-hand side where that is larger.  CG is
-    preconditioned by ``_trace_preconditioner``'s inverse restricted to the
-    inactive rows; the first CG that gets past its first target check
-    builds it, by one Hessian action that the solve counts, so a solve
-    whose CG makes no product builds none.  CG's Hessian
+    relative to the right-hand side where that is larger.  CG runs on whole
+    trace vectors masked by the inactive set, so it takes the counted
+    Hessian action as it is, and applies the inactive block of
+    ``_trace_preconditioner``'s inverse; the first CG that gets past its
+    first target check builds that, by one Hessian action that the solve
+    counts, so a solve whose CG makes no product builds none.  CG's Hessian
     actions give H v of the next iteration too.  Convergence is declared
     when the active sets repeat and the stationarity and complementarity
     residuals are below tol, both for the carried H v and for a fresh
@@ -606,8 +612,7 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
     else:
         v = np.clip(q_init, qa, qb)
 
-    lower_prev = None
-    upper_prev = None
+    prev_key = None
     solves = 0
     total_cg = 0
     actions = 0
@@ -623,6 +628,12 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
     # P^-1 on the whole trace, built by the first CG that preconditions.
     inverse = None
 
+    def precondition(residual):
+        nonlocal inverse
+        if inverse is None:
+            inverse = _trace_preconditioner(problem, hessian)
+        return inverse(residual)
+
     # H v, carried from one outer step to the next; H 0 = 0 needs no action.
     hv = hessian(v) if v.any() else np.zeros(dim)
     while True:
@@ -632,11 +643,7 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
             lower = indicator < qa
             upper = indicator > qb
             key = (lower.tobytes(), upper.tobytes())
-            stable_now = (
-                lower_prev is not None
-                and np.array_equal(lower, lower_prev)
-                and np.array_equal(upper, upper_prev)
-            )
+            stable_now = key == prev_key
             if stable_now or key not in seen_sets:
                 seen_sets.add(key)
                 break
@@ -712,33 +719,17 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
         if not np.array_equal(clamped, v):
             hv = hessian(clamped)
         v = clamped
-        defect = problem.trace_b - hv
-        ii = np.flatnonzero(inactive)
-
-        def op(x_inactive):
-            d = np.zeros(dim)
-            d[ii] = x_inactive
-            return hessian(d)
-
-        def precondition(r_inactive):
-            nonlocal inverse
-            if inverse is None:
-                inverse = _trace_preconditioner(problem, hessian)
-            d = np.zeros(dim)
-            d[ii] = r_inactive
-            return inverse(d)[ii]
-
-        rhs = defect[ii]
+        rhs = np.where(inactive, problem.trace_b - hv, 0.0)
         delta, iters, product = _pcg(
-            op,
-            ii,
+            hessian,
+            inactive,
             rhs,
             precondition,
             cg_rel_tol * max(trace_b_norm, np.linalg.norm(rhs)),
             max_iter=min(dim + 10, 30_000),
         )
-        v[ii] += delta
+        v += delta
         hv = hv + product
         total_cg += iters
         solves += 1
-        lower_prev, upper_prev = lower, upper
+        prev_key = key

@@ -5,13 +5,14 @@ attribute name from outside the package.  A rename inside ``dbc`` would
 only show when a traced benchmark run crashes; this test catches it first.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from dbc import adjoint, forward, kernels
+from dbc import adjoint, forward, kernels, optimizer
 from dbc.assembly import Discretization
 from dbc.manufactured import bump_case, setup_problem
 
@@ -90,3 +91,19 @@ def test_setup_sweeps_once_each_way_and_evaluates_the_data_once(monkeypatch):
     assert marches == [False, True]
     assert loads == [case.source, case.target]
     assert not misfits
+
+
+def test_cg_spans_count_the_outer_steps_and_cg_iterations(monkeypatch):
+    """The benchmark's ``optimizer.cg`` spans read the iterations from
+    ``_pcg``'s result: on an 8x6 solve with active bounds there is one span
+    per outer step, and their iterations sum to the solve's CG count."""
+    spans = _load_spans()
+    recorder = spans.Recorder(0)
+    wrapped = recorder.wrap("optimizer.cg", optimizer._pcg, spans._cg_iterations)
+    monkeypatch.setattr(optimizer, "_pcg", wrapped)
+    problem = setup_problem(8, 6, dataclasses.replace(bump_case(), q_b=0.045))
+    diagnostics = optimizer.pdas_solve(problem, tol=1e-9).diagnostics
+    assert diagnostics.num_upper_active > 0
+    cg = [span for span in recorder.spans if span["name"] == "optimizer.cg"]
+    assert len(cg) == diagnostics.outer_iterations
+    assert sum(span["iterations"] for span in cg) == diagnostics.cg_iterations

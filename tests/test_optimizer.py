@@ -478,7 +478,7 @@ def test_unconstrained_equals_single_cg():
     target = 1e-13 * np.linalg.norm(problem.trace_b)
     v_cg, _, _ = _pcg(
         problem.trace_hessian,
-        slice(None),
+        np.ones(problem.trace_dim, dtype=bool),
         problem.trace_b,
         lambda r: r / precond,
         target,
@@ -504,15 +504,26 @@ def test_matches_projected_gradient_oracle(n, M, q_b):
     assert result.diagnostics.num_upper_active > 0
 
 
-@pytest.mark.parametrize("q_b,num_upper", [(0.045, 61), (0.02, 144)])
-def test_active_sets_at_16x12_match_a_dense_box_solver(q_b, num_upper):
+@pytest.mark.parametrize(
+    "n,M,q_b,trace_dim,num_upper,outer",
+    [
+        pytest.param(16, 12, 0.045, 165, 61, 4, id="0.045-61"),
+        pytest.param(16, 12, 0.02, 165, 144, 3, id="0.02-144"),
+        pytest.param(32, 23, 0.045, 682, 208, 3, id="32x23-0.045-208"),
+    ],
+)
+def test_active_sets_at_16x12_match_a_dense_box_solver(
+    n, M, q_b, trace_dim, num_upper, outer
+):
     """With bounds active on 61 and 144 of the 165 trace DOFs at 16x12,
-    PDAS finds the upper-active set and the trace of a dense solve of the
-    box-constrained quadratic."""
-    problem = setup_problem(16, 12, dataclasses.replace(bump_case(), q_b=q_b))
+    and on 208 of the 682 at 32x23, a study level, PDAS finds in 4, 3 and
+    3 outer steps the upper-active set and the trace of a dense solve of
+    the box-constrained quadratic."""
+    problem = setup_problem(n, M, dataclasses.replace(bump_case(), q_b=q_b))
     result = pdas_solve(problem, tol=1e-9)
-    assert problem.trace_dim == 165
+    assert problem.trace_dim == trace_dim
     assert result.diagnostics.num_upper_active == num_upper
+    assert result.diagnostics.outer_iterations == outer
     assert_matches_dense_box_oracle(problem, result)
 
 
@@ -842,13 +853,18 @@ def test_unshifted_regularizer_solves_to_tolerance():
     assert np.abs(result.control.values - shifted.control.values).max() > 1e-3
 
 
-def test_one_slab_has_no_control_levels():
+def test_one_slab_has_no_control_levels(caplog):
     """With one slab the control space is empty, and so is every trace
-    vector; set-up and the solve still go through."""
+    vector; set-up and the solve still go through, and CG, whose empty
+    right-hand side meets its target, makes no iteration and builds no
+    preconditioner."""
     problem = setup_problem(4, 1, bump_case())
     assert problem.disc.mesh.num_control_levels == 0
     assert problem.dim == problem.trace_dim == 0
-    result = pdas_solve(problem, tol=1e-9)
+    with caplog.at_level("INFO", logger="dbc.optimizer"):
+        result = pdas_solve(problem, tol=1e-9)
+    assert result.diagnostics.cg_iterations == 0
+    assert not [m for m in caplog.messages if "pdas preconditioner=" in m]
     assert result.control.values.shape == (0, problem.disc.mesh.num_nodes)
     assert result.state.values.shape == (1, problem.disc.mesh.num_interior)
 
@@ -934,25 +950,23 @@ def test_kkt_diagnostics_as_dict(problem33):
 
 
 def test_pcg_solves_spd_system():
-    """CG solves the system on ``rows`` of a larger operator, and returns
-    the operator's whole product for the solution alongside it."""
+    """CG solves the system on the rows of a larger operator that a mask
+    marks, with x exactly zero off the mask, and returns the operator's
+    whole product for the solution alongside it."""
     rng = np.random.default_rng(6)
     mat = rng.standard_normal((10, 10))
     spd = mat @ mat.T + 10.0 * np.eye(10)
-    rows = np.arange(2, 10)
-    block = spd[np.ix_(rows, rows)]
-
-    def whole(p):
-        d = np.zeros(10)
-        d[rows] = p
-        return spd @ d
-
-    rhs = rng.standard_normal(8)
-    jacobi = np.diag(block)
-    x, iters, product = _pcg(whole, rows, rhs, lambda r: r / jacobi, 1e-12, 100)
+    mask = np.arange(10) >= 2
+    block = spd[np.ix_(mask, mask)]
+    rhs = rng.standard_normal(10)
+    jacobi = np.diag(spd)
+    x, iters, product = _pcg(
+        lambda p: spd @ p, mask, rhs, lambda r: r / jacobi, 1e-12, 100
+    )
     assert iters <= 8 + 1
-    assert np.allclose(block @ x, rhs, rtol=1e-10, atol=1e-12)
-    assert np.allclose(product, whole(x), rtol=1e-12, atol=1e-12)
+    assert not x[~mask].any()
+    assert np.allclose(block @ x[mask], rhs[mask], rtol=1e-10, atol=1e-12)
+    assert np.allclose(product, spd @ x, rtol=1e-12, atol=1e-12)
 
 
 def test_pcg_below_its_target_makes_no_product():
@@ -970,24 +984,26 @@ def test_pcg_below_its_target_makes_no_product():
         return r
 
     rhs = np.array([3e-13, -4e-13])
+    every = np.ones(2, dtype=bool)
     for target in (5e-13, 1e-12):
-        x, iters, product = _pcg(op, slice(None), rhs, identity, target, 100)
+        x, iters, product = _pcg(op, every, rhs, identity, target, 100)
         assert iters == 0 and not x.any() and product == 0.0
-    x0, it0, _ = _pcg(op, slice(None), np.zeros(2), identity, 0.0, 100)
+    x0, it0, _ = _pcg(op, every, np.zeros(2), identity, 0.0, 100)
     assert it0 == 0 and not x0.any()
     assert not calls
 
 
 def test_pcg_raises_on_indefinite_operator():
+    ones = np.ones(4)
     with pytest.raises(CGBreakdownError) as excinfo:
-        _pcg(lambda p: -p, slice(None), np.ones(4), lambda r: r, 1e-12, 100)
+        _pcg(lambda p: -p, ones > 0, ones, lambda r: r, 1e-12, 100)
     assert excinfo.value.iterations == 1
 
 
 def test_pcg_raises_on_iteration_budget():
     diag = np.array([1.0, 1e6])
     with pytest.raises(CGBreakdownError):
-        _pcg(lambda p: diag * p, slice(None), np.ones(2), lambda r: r, 1e-14, 1)
+        _pcg(lambda p: diag * p, diag > 0, np.ones(2), lambda r: r, 1e-14, 1)
 
 
 # -- trace preconditioner -----------------------------------------------------
@@ -1023,25 +1039,18 @@ def test_circulant_inverse_is_symmetric_positive_definite(n, M, caplog):
     assert np.linalg.eigvalsh(0.5 * (matrix + matrix.T)).min() > 0.0
 
 
-@pytest.mark.parametrize(
-    "n,M,boundary,reason",
-    [
-        (4, 1, None, "empty trace"),
-        (8, 6, whole_boundary, "boxed vertices not one evenly spaced run"),
-    ],
-    ids=["empty-trace", "whole-boundary"],
-)
-def test_preconditioner_falls_back_to_jacobi_with_no_action(
-    n, M, boundary, reason, caplog
-):
-    case = bump_case()
-    if boundary is not None:
-        case = dataclasses.replace(case, control_boundary=boundary)
-    problem = setup_problem(n, M, case)
+def test_preconditioner_falls_back_to_jacobi_with_no_action(caplog):
+    """With the whole boundary boxed the boxed vertices are no evenly
+    spaced run, so the preconditioner is Jacobi and its build makes no
+    action."""
+    case = dataclasses.replace(bump_case(), control_boundary=whole_boundary)
+    problem = setup_problem(8, 6, case)
     with caplog.at_level("INFO", logger="dbc.optimizer"):
         inverse, actions = built_preconditioner(problem)
     assert actions == 0
-    assert caplog.messages == [f"pdas preconditioner=jacobi reason={reason}"]
+    assert caplog.messages == [
+        "pdas preconditioner=jacobi reason=boxed vertices not one evenly spaced run"
+    ]
     residual = np.random.default_rng(2).standard_normal(problem.trace_dim)
     assert np.array_equal(inverse(residual), residual / jacobi_diagonal(problem))
 
