@@ -28,8 +28,8 @@ added.  It couples the dG(0)-in-time state and adjoint to the cG(1) control
 by the rules of ``Discretization``, written once there (the
 discretize-then-optimize structure of Meidner & Vexler, SIAM J. Control
 Optim. 47, 2008).  Each outer iteration solves the inactive set by CG on
-whole trace vectors masked by that set, preconditioned by a block
-circulant in time that one Hessian action builds
+whole trace vectors masked by that set, preconditioned by a matrix
+diagonal in the 2-D sine basis that one Hessian action builds
 (``_trace_preconditioner``), and CG sums the Hessian actions it makes into
 the change of H v.
 So H v is carried from one outer iteration to the next: an iteration makes
@@ -43,7 +43,6 @@ import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .adjoint import sweep_backward
 from .assembly import EnergyExtension
@@ -482,26 +481,29 @@ def _trace_preconditioner(problem, hessian):
     of a whole trace vector, built by one call of ``hessian``.
 
     With uniform slabs and the boxed vertices one evenly spaced run, the
-    trace Hessian is nearly block Toeplitz in the level offset and each
-    block nearly Toeplitz along the run.  Its column at the middle level
-    and the middle boxed vertex gives the kernel K(d, s) of level offset d
-    and vertex offset s (``_circulant_kernel``).  Strang's block circulant
-    over the levels with these Toeplitz blocks along the run is
-    diagonalized by an FFT over the levels (Strang, Stud. Appl. Math. 74,
-    1986; McDonald, Pestana & Wathen, SIAM J. Sci. Comput. 40, 2018): its
-    symbol is one Hermitian nb x nb block per frequency of ``rfft``, nb the
-    boxed vertices per level.  Only the inverses of the blocks' Cholesky
-    factors are kept, so applying P^-1 is an ``rfft``, two batched products
-    and an ``irfft``.  P is SPD, and so is P^-1.  CG on an inactive set
-    masks the residual and the result, so it applies the inactive block of
-    P^-1, not the inverse of a block of P: a principal block of an SPD
-    matrix, so SPD too.  The trace is not empty: CG on an empty trace stops
-    before it preconditions.
+    trace Hessian is nearly two-level Toeplitz: in the level offset d and,
+    within a level, in the vertex offset s.  Its column at the middle level
+    and the middle boxed vertex gives the kernel K(d, s), and P is the
+    two-level tau matrix, diagonal in the orthonormal 2-D DST-I basis,
+    whose symbol sigma ``_sine_symbol`` evaluates from that kernel
+    (Bini & Di Benedetto, SPAA 1990; Chan & Ng, SIAM Rev. 38, 1996).  The
+    trace vanishes at t = 0 and T and next to the pinned corners, so these
+    Dirichlet ends suit the sine basis better than a circulant's wrap.  With
+    S_t and S_x the dense orthonormal sine matrices, which are symmetric and
+    their own inverses, P^-1 w = S_t ((S_t W S_x) / sigma) S_x, W being w as
+    a (levels, nb) array, nb the boxed vertices per level.  The extreme
+    eigenvalues of P are min sigma and max sigma: P is SPD exactly when min
+    sigma > 0, and then so is P^-1.  CG on an inactive set masks the
+    residual and the result, so it applies the inactive block of P^-1, not
+    the inverse of a block of P: a principal block of an SPD matrix, so SPD
+    too.  The trace is not empty: CG on an empty trace stops before it
+    preconditions.
 
     Jacobi, the diagonal of lam * seminorm, takes its place, with no
     action made, when the boxed vertices, by their coordinates, are not
-    one evenly spaced run; and, after the action, when a symbol block has
-    no Cholesky factor.  Logs the choice at INFO."""
+    one evenly spaced run; and, after the action, when min sigma <= 0.
+    Logs the choice at INFO, for the sine preconditioner with min sigma
+    and max sigma as the line's arguments."""
     boxed = problem.bounds.boxed_vertices
     steps = np.diff(problem.disc.mesh.triangulation.vertices[boxed], axis=0)
     if len(steps) and not np.allclose(
@@ -512,55 +514,48 @@ def _trace_preconditioner(problem, hessian):
         levels, nb = problem.disc.mesh.num_control_levels, len(boxed)
         delta = np.zeros((levels, nb))
         delta[levels // 2, nb // 2] = 1.0
-        column = hessian(delta.ravel()).reshape(levels, nb)
-        symbol = np.fft.rfft(_circulant_kernel(column), axis=0)
-        offsets = np.subtract.outer(np.arange(nb), np.arange(nb)) + nb - 1
-        blocks = symbol[:, offsets]
-        blocks += blocks.conj().transpose(0, 2, 1)
-        blocks *= 0.5
-        try:
-            factors = np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError:
-            reason = "symbol not positive definite"
-        else:
-            pivot = float((factors.diagonal(axis1=1, axis2=2).real ** 2).min())
-            log.info("pdas preconditioner=circulant min_pivot=%.3e", pivot)
-            inverse_factors = sla.solve_triangular(
-                factors, np.broadcast_to(np.eye(nb), factors.shape), lower=True
+        symbol = _sine_symbol(hessian(delta.ravel()).reshape(levels, nb))
+        if symbol.min() > 0.0:
+            log.info(
+                "pdas preconditioner=sine lambda_min=%.3e lambda_max=%.3e",
+                symbol.min(),
+                symbol.max(),
             )
+            sine_t, sine_x = _sine_matrix(levels), _sine_matrix(nb)
 
             def inverse(whole):
-                # P^-1 = F^-1 W^H W F with W the inverse factors, F the FFT.
-                spectrum = np.fft.rfft(whole.reshape(levels, nb), axis=0)
-                half = np.matmul(inverse_factors, spectrum[:, :, None])
-                # W^H y = conj(y^H W), with no copy of W.
-                solved = np.matmul(half.conj().transpose(0, 2, 1), inverse_factors)
-                return np.fft.irfft(solved[:, 0].conj(), n=levels, axis=0).ravel()
+                spectrum = sine_t @ whole.reshape(levels, nb) @ sine_x
+                return (sine_t @ (spectrum / symbol) @ sine_x).ravel()
 
             return inverse
+        reason = "symbol not positive"
     log.info("pdas preconditioner=jacobi reason=%s", reason)
     jacobi = problem.lam * problem.disc.seminorm.diagonal()[problem.trace_indices]
     return lambda whole: whole / jacobi
 
 
-def _circulant_kernel(column):
-    """The first block column of Strang's symmetric block circulant from a
-    trace Hessian column at the middle level and vertex, (levels, nb).
+def _sine_symbol(column):
+    """The eigenvalues sigma(i, j) of the two-level tau matrix, (levels, nb),
+    from a column at the middle level and vertex, (levels, nb), read as the
+    kernel K(d, s) of the offsets from that middle:
 
-    Row j holds level offset j mod levels: the middle column reaches each
-    residue once, so rolling it by the middle level is Strang's wrap.
-    Entry nb - 1 + s holds vertex offset s; the offsets the middle vertex
-    does not reach are zero.  The result is symmetrized as
-    (K(d, s) + K(-d, -s)) / 2, so the circulant is symmetric."""
-    levels, nb = column.shape
-    middle = nb // 2
-    kernel = np.zeros((levels, 2 * nb - 1))
-    kernel[:, nb - 1 - middle : 2 * nb - 1 - middle] = np.roll(
-        column, -(levels // 2), axis=0
-    )
-    kernel += np.roll(kernel[::-1, ::-1], 1, axis=0)
-    kernel *= 0.5
-    return kernel
+        sigma(i, j) = sum_d sum_s K(d, s) cos(d theta_i) cos(s phi_j),
+
+    theta_i = i pi / (levels + 1) and phi_j = j pi / (nb + 1), i and j from
+    1.  Cosine is even, so these are the sums of K averaged over the signs
+    of d and of s, an offset that the middle reaches on one side only
+    counting as zero on the other."""
+    angles = [
+        np.outer(np.arange(n) - n // 2, np.arange(1, n + 1) * np.pi / (n + 1))
+        for n in column.shape
+    ]
+    return np.cos(angles[0]).T @ column @ np.cos(angles[1])
+
+
+def _sine_matrix(n):
+    """The orthonormal DST-I matrix of order n: symmetric, its own inverse."""
+    k = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, k) * np.pi / (n + 1))
 
 
 def pdas_solve(problem, tol, q_init=None, max_outer=50):
@@ -576,8 +571,9 @@ def pdas_solve(problem, tol, q_init=None, max_outer=50):
     block's right-hand side: never looser than the problem's scale, and
     relative to the right-hand side where that is larger.  CG runs on whole
     trace vectors masked by the inactive set, so it takes the counted
-    Hessian action as it is, and applies the inactive block of
-    ``_trace_preconditioner``'s inverse; the first CG that gets past its
+    Hessian action as it is, and applies the inactive block of the inverse
+    of ``_trace_preconditioner``, diagonal in the 2-D sine basis where the
+    grid allows and Jacobi where not; the first CG that gets past its
     first target check builds that, by one Hessian action that the solve
     counts, so a solve whose CG makes no product builds none.  CG's Hessian
     actions give H v of the next iteration too.  Convergence is declared

@@ -30,8 +30,8 @@ from dbc.optimizer import (
     CGBreakdownError,
     PdasNonconvergence,
     ReducedProblem,
-    _circulant_kernel,
     _pcg,
+    _sine_symbol,
     _trace_preconditioner,
     pdas_solve,
 )
@@ -1026,17 +1026,49 @@ def jacobi_diagonal(problem):
 
 
 @pytest.mark.parametrize("n,M", [(8, 6), (16, 12)])
-def test_circulant_inverse_is_symmetric_positive_definite(n, M, caplog):
-    """One action builds the circulant, and P^-1, applied to the identity's
-    columns, is symmetric to 1e-12 relative and positive definite."""
+def test_sine_inverse_is_symmetric_positive_definite(n, M, caplog):
+    """One action builds the sine preconditioner, and P^-1, applied to the
+    identity's columns, is symmetric to 1e-12 relative and positive
+    definite.  The preconditioner line's arguments, min sigma and max sigma,
+    are the extreme eigenvalues of P, the inverse of that dense P^-1, to
+    1e-10 relative."""
     problem = setup_problem(n, M, bump_case())
     with caplog.at_level("INFO", logger="dbc.optimizer"):
         inverse, actions = built_preconditioner(problem)
     assert actions == 1
-    assert caplog.messages[-1].startswith("pdas preconditioner=circulant min_pivot=")
+    record = caplog.records[-1]
+    assert record.getMessage().startswith("pdas preconditioner=sine lambda_min=")
     matrix = np.column_stack([inverse(col) for col in np.eye(problem.trace_dim)])
     assert np.abs(matrix - matrix.T).max() <= 1e-12 * np.abs(matrix).max()
-    assert np.linalg.eigvalsh(0.5 * (matrix + matrix.T)).min() > 0.0
+    eigenvalues = np.linalg.eigvalsh(np.linalg.inv(0.5 * (matrix + matrix.T)))
+    assert eigenvalues[0] > 0.0
+    np.testing.assert_allclose(
+        record.args, eigenvalues[[0, -1]], rtol=1e-10, atol=0.0
+    )
+
+
+def dirichlet_laplacian(size):
+    return 2.0 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
+
+
+@pytest.mark.parametrize("n,M,shape", [(8, 6, (5, 7)), (9, 7, (6, 8)), (9, 6, (5, 8))])
+def test_sine_preconditioner_inverts_its_own_algebra(n, M, shape):
+    """Built from the middle column of I (x) T_x + T_t (x) I + c I, T_t and
+    T_x the 1-D Dirichlet Laplacians over the levels and the boxed vertices,
+    the preconditioner is that operator, so P^-1 inverts it to 1e-12; with
+    odd and even counts of levels and of vertices."""
+    problem = setup_problem(n, M, bump_case())
+    levels = problem.disc.mesh.num_control_levels
+    nb = len(problem.bounds.boxed_vertices)
+    assert (levels, nb) == shape
+    operator = (
+        np.kron(np.eye(levels), dirichlet_laplacian(nb))
+        + np.kron(dirichlet_laplacian(levels), np.eye(nb))
+        + 0.3 * np.eye(levels * nb)
+    )
+    inverse = _trace_preconditioner(problem, lambda v: operator @ v)
+    product = np.column_stack([inverse(col) for col in operator.T])
+    assert np.abs(product - np.eye(levels * nb)).max() <= 1e-12
 
 
 def test_preconditioner_falls_back_to_jacobi_with_no_action(caplog):
@@ -1056,10 +1088,10 @@ def test_preconditioner_falls_back_to_jacobi_with_no_action(caplog):
 
 
 def test_an_indefinite_symbol_falls_back_to_jacobi(monkeypatch, caplog):
-    """A kernel whose symbol has no Cholesky factor gives Jacobi, after the
-    one build action; the solve still converges and counts that action."""
+    """A symbol that is not positive gives Jacobi, after the one build
+    action; the solve still converges and counts that action."""
     monkeypatch.setattr(
-        "dbc.optimizer._circulant_kernel", lambda column: -_circulant_kernel(column)
+        "dbc.optimizer._sine_symbol", lambda column: -_sine_symbol(column)
     )
     problem = setup_problem(8, 6, bump_case())
     inverse, actions = built_preconditioner(problem)
@@ -1069,7 +1101,7 @@ def test_an_indefinite_symbol_falls_back_to_jacobi(monkeypatch, caplog):
     with caplog.at_level("INFO", logger="dbc.optimizer"):
         diagnostics = pdas_solve(problem, tol=1e-9).diagnostics
     assert diagnostics.outer_iterations == 1
-    assert "pdas preconditioner=jacobi reason=symbol not positive definite" in (
+    assert "pdas preconditioner=jacobi reason=symbol not positive" in (
         caplog.messages
     )
     assert f" hessian={diagnostics.cg_iterations + 2} " in caplog.messages[-1]
@@ -1083,7 +1115,7 @@ def test_each_solve_logs_its_preconditioner_once(caplog):
     with caplog.at_level("INFO", logger="dbc.optimizer"):
         cold = pdas_solve(problem, tol=1e-9)
     lines = [m for m in caplog.messages if "preconditioner=" in m]
-    assert len(lines) == 1 and "preconditioner=circulant" in lines[0]
+    assert len(lines) == 1 and "preconditioner=sine" in lines[0]
     caplog.clear()
     v0 = cold.control.ravel()[problem.trace_indices]
     with caplog.at_level("INFO", logger="dbc.optimizer"):
@@ -1094,12 +1126,12 @@ def test_each_solve_logs_its_preconditioner_once(caplog):
 
 
 @pytest.mark.parametrize(
-    "n,M,lam,most,outer", [(16, 12, 1e-5, 52, 5), (32, 23, 1e-4, 20, 1)]
+    "n,M,lam,most,outer", [(16, 12, 1e-5, 34, 5), (32, 23, 1e-4, 9, 1)]
 )
-def test_circulant_cg_counts_at_small_lambda(n, M, lam, most, outer):
-    """The circulant sees the misfit as well as the regularization, so CG
-    needs far fewer iterations than Jacobi's 80 and 36 at these levels,
-    with the same outer steps."""
+def test_sine_cg_counts_at_small_lambda(n, M, lam, most, outer):
+    """The sine preconditioner sees the misfit as well as the
+    regularization, so CG needs far fewer iterations than Jacobi's 80 and 36
+    at these levels, with the same outer steps."""
     problem = setup_problem(n, M, dataclasses.replace(bump_case(), lam=lam))
     diagnostics = pdas_solve(problem, tol=1e-9).diagnostics
     assert diagnostics.num_lower_active == diagnostics.num_upper_active == 0
