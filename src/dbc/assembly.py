@@ -10,8 +10,10 @@ factors, so no matrix of the control-space size is assembled except for
 export.  Every interior block follows the mesh's reverse Cuthill-McKee
 ``interior_indices``, the band order in which the slab system is factored;
 the extension's time modes are factored in the level sets of the distance
-from the controlled edge.  The factors, the substitutions and the pool that
-splits the extension's time modes over the CPUs are in ``dbc.kernels``.
+from the controlled edge, or, on a large enough symmetric mesh, in the
+symmetry-adapted basis of the square's two diagonal reflections.  The
+factors, the substitutions and the pool that splits the extension's time
+modes over the CPUs are in ``dbc.kernels``.
 One space-time ``Quadrature`` per discretization serves every load, the
 tracking misfit and the error norms, on the same blocks and in the calling
 thread.
@@ -198,6 +200,160 @@ def _check_modes(mt, st, theta, modes):
             )
 
 
+# From this much band work, levels * n * (kd + 1) in the band layout, up,
+# the extension factors its modes in the folded layout of ``_SquareFold``
+# where the mesh has the square's symmetry.  Measured on bump solves (lam
+# = 1e-3), set-up plus solve, medians of 7 to 9 fresh processes per layout
+# on a 2-core host, folded against band: 16x12 (band work 0.04 M entries)
+# +13%; 32x23 (0.68 M) +2%, and +9% with q_b = 0.045; 40x28 (1.64 M) -5%,
+# and +1% with q_b = 0.045; 48x34 (3.5 M) -9%, and -7% with q_b = 0.045;
+# 64x46 (11.4 M) -13%.  Below the crossover the fold's build, about 8 ms
+# at 64, and its transforms, which cost the tail solves their partial
+# passes, outweigh the smaller factors.
+_FOLD_WORK = 2_000_000
+# The fold keeps S_ii and M_ii only where their off-block part in the
+# folded basis is at most this much of their largest folded entry: zero
+# exactly when the matrix commutes with both reflections, as it does at
+# n = 2^k; rounding at n = 48 leaves 8.1e-15 in S and 1.2e-18 in M.
+_FOLD_INVARIANCE = 1e-13
+
+# The characters chi of D2 = {I, R, R', RR'}, one row each, chi(g) in
+# column g: (chi(R), chi(R')) = (+, +), (+, -), (-, +), (-, -).  The table
+# is symmetric, so one product with it maps an orbit's values at its images
+# to its four characters and back.
+_CHARACTERS = np.array(
+    [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
+     [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
+)
+
+
+def _matching(points, images):
+    """The permutation p with points[p[i]] at images[i], to 1e-9 of the
+    largest coordinate, or None where some image is no point."""
+    scale = 1e-9 * max(float(np.abs(points).max(initial=0.0)), 1.0)
+    keys = [np.rint(a / scale).astype(np.int64) for a in (points, images)]
+    sorts = [np.lexsort(k.T[::-1]) for k in keys]
+    if not np.array_equal(keys[0][sorts[0]], keys[1][sorts[1]]):
+        return None
+    perm = np.empty(len(points), dtype=np.intp)
+    perm[sorts[1]] = sorts[0]
+    return perm
+
+
+class _SquareFold:
+    """The extension's interior unknowns in the symmetry-adapted basis of the
+    unit square's diagonal reflections, R: (x, y) -> (y, x) and R': (x, y)
+    -> (1 - y, 1 - x), given as the permutations ``r`` and ``r2`` of the
+    interior positions; ``of`` finds them from the vertex coordinates.
+
+    The orbits of D2 = {I, R, R', RR'} come in the order of their graph
+    distance from the vertices on the diagonal y = x, then of their smallest
+    vertex id.  Column (chi, o) of the basis U is the sum over the distinct
+    members w = g o of chi(g) e_w, kept where chi is 1 on the orbit's
+    stabilizer, so U is square, its entries are +-1 and U^T U is diagonal.
+    ``stiff`` and ``mass`` are U^T S_ii U and U^T M_ii U on their diagonal
+    blocks, one per character, each in the orbit order, made exactly
+    symmetric from their upper triangle; ``defect`` is the largest part off
+    the blocks relative to the largest entry.  On ``unit_square_mesh(n)``
+    the distance's level sets are the lines x - y = d folded into a quarter
+    of the square, at most ceil((n - 1) / 2) orbits each, so that is the
+    band ``kd`` of every block: 32 at 64, against 63 for the bottom edge in
+    the band layout.
+
+    ``fold`` maps vertex rows, (n + 1, levels) with a last row of zeros, to
+    U^T times them, (levels, n) in the folded order, by one gather of the
+    orbits' images and one product with ``_CHARACTERS``; ``unfold`` maps
+    folded values back to the rows of some vertices, U times them, by the
+    same product and one gather."""
+
+    def __init__(self, disc, r, r2):
+        n = disc.mesh.num_interior
+        ids = disc.interior
+        images = np.stack([np.arange(n), r, r2, r[r2]])
+        reps = np.flatnonzero(ids == ids[images].min(axis=0))
+        distance = csgraph.dijkstra(
+            disc.mass_ii, unweighted=True,
+            indices=np.flatnonzero(r == np.arange(n)), min_only=True,
+        )
+        images = images[:, reps[np.lexsort((ids[reps], distance[reps]))]]
+        keep = ~((_CHARACTERS[:, :, None] < 0) & (images == images[0])).any(axis=1)
+        # Each distinct member once: a repeated image reads the zero row n.
+        self._gather = images.copy()
+        for g in range(1, 4):
+            self._gather[g, (images[:g] == images[g]).any(axis=0)] = n
+        member = self._gather != n
+        self._select = np.flatnonzero(keep.ravel())
+        self._missing = np.flatnonzero(~keep.ravel())
+        # Where each vertex's value is, among the orbits' images.
+        self._spread = np.empty(n, dtype=np.intp)
+        self._spread[self._gather[member]] = np.flatnonzero(member.ravel())
+
+        column = np.full(keep.shape, -1)
+        column[keep] = np.arange(n)
+        on = member[None] & keep[:, None]  # [chi, g, orbit]
+        chi, g, _ = np.nonzero(on)
+        self.basis = sp.csr_matrix(
+            (_CHARACTERS[chi, g],
+             (np.broadcast_to(self._gather, on.shape)[on],
+              np.broadcast_to(column[:, None], on.shape)[on])),
+            shape=(n, n),
+        )
+        self._block_of = np.repeat(np.arange(4), keep.sum(axis=1))
+        (self.stiff, stiff_defect), (self.mass, mass_defect) = (
+            self._blocks(a) for a in (disc.stiff_ii, disc.mass_ii)
+        )
+        self.defect = max(stiff_defect, mass_defect)
+        self.kd = max(band_width(self.stiff), band_width(self.mass))
+
+    @classmethod
+    def of(cls, disc):
+        """The fold of ``disc``'s interior, or None where R or R' maps an
+        interior vertex to no interior vertex, no interior vertex lies on
+        y = x, or the fold's ``defect`` is above ``_FOLD_INVARIANCE``."""
+        points = disc.mesh.triangulation.vertices[disc.interior]
+        swapped = points[:, ::-1]
+        r, r2 = _matching(points, swapped), _matching(points, 1.0 - swapped)
+        if r is None or r2 is None or not (r == np.arange(len(r))).any():
+            return None
+        fold = cls(disc, r, r2)
+        return fold if fold.defect <= _FOLD_INVARIANCE else None
+
+    def _blocks(self, matrix):
+        """U^T A U on its diagonal blocks, symmetric from its upper triangle,
+        and its largest entry off them relative to its largest entry."""
+        folded = (self.basis.T @ matrix @ self.basis).tocoo()
+        block = self._block_of
+        inside = block[folded.row] == block[folded.col]
+        magnitude = np.abs(folded.data)
+        defect = magnitude[~inside].max(initial=0.0) / magnitude.max(initial=1.0)
+        upper = inside & (folded.row <= folded.col)
+        upper = sp.csr_matrix(
+            (folded.data[upper], (folded.row[upper], folded.col[upper])),
+            shape=folded.shape,
+        )
+        symmetric = (upper + sp.triu(upper, 1).T).tocsr()
+        symmetric.sort_indices()
+        return symmetric, defect
+
+    def fold(self, rows):
+        """U^T V for vertex rows V, (n + 1, levels) with row n zero, as
+        (levels, n), C-contiguous, in the folded order."""
+        levels = rows.shape[1]
+        gathered = np.take(rows, self._gather, axis=0).reshape(4, -1)
+        sums = (_CHARACTERS @ gathered).reshape(-1, levels)
+        return np.ascontiguousarray(np.take(sums, self._select, axis=0).T)
+
+    def unfold(self, folded, vertices):
+        """U Y for folded values Y, (levels, n), at the interior positions
+        ``vertices``; (len(vertices), levels)."""
+        levels = len(folded)
+        spread = np.empty((len(self._select) + len(self._missing), levels))
+        spread[self._select] = folded.T
+        spread[self._missing] = 0.0
+        signed = (_CHARACTERS @ spread.reshape(4, -1)).reshape(-1, levels)
+        return np.take(signed, self._spread[vertices], axis=0)
+
+
 class EnergyExtension:
     """Exact solver for the interior-vertex block of the control seminorm.
 
@@ -208,17 +364,17 @@ class EnergyExtension:
     of factoring one large space-time operator we eigen-decompose the small
     interior time pencil St Z = Mt Z diag(theta) (Z^T Mt Z = I), check
     both identities once, mode by mode, and factor the 2-D operator S_ii +
-    theta_j M_ii once per time mode, as a band Cholesky factor U_j^T U_j in
-    ``order``, U_j in upper band storage.  A mode that fails its check is
-    an ``AssemblyError`` that names it.
+    theta_j M_ii once per time mode, as a band Cholesky factor U_j^T U_j,
+    U_j in upper band storage, in one of two layouts.  A mode that fails
+    its check is an ``AssemblyError`` that names it.
 
     The trace reaches the interior only through ``tail``, the interior
     vertices coupled to one of ``boxed_vertices``: an extension's
     right-hand side lives there, and its transpose reads only there.  The
-    factor order puts the interior vertices by decreasing graph distance
-    from the tail, then by vertex id, so the tail, in that order, is the
-    last block and ``solve_from_tail`` and ``solve_to_tail`` skip the other
-    half of a substitution: the forward one with U_j^T for a right-hand
+    band layout factors in ``order``, which puts the interior vertices by
+    decreasing graph distance from the tail, then by vertex id, so the
+    tail, in that order, is the last block and ``solve_from_tail`` and
+    ``solve_to_tail`` skip the other half of a substitution: the forward one with U_j^T for a right-hand
     side that lives on the tail, the backward one with U_j for an answer
     read on the tail.  Their full passes are dtbsv ('U', 'N') and
     ('U', 'T'), which take about as long as each other.  The level sets of
@@ -226,19 +382,31 @@ class EnergyExtension:
     square boxed they are grid rows, so the band is n - 1 for
     ``unit_square_mesh(n)``, as narrow as the slab system's.  With the
     whole boundary boxed the tail is a ring and so is every level set: at
-    64 the band is 303 wide, against 63 for the bottom edge.
+    64 the band is 303 wide, against 63 for the bottom edge.  The factors
+    take levels * n * (kd + 1) doubles: 87.2 MiB at 64x46.
 
-    The modes are independent, so the factorization and every solve split
-    them into contiguous ranges, one per CPU, on the pool of ``dbc.kernels``
-    from its split gate of band entries up.  A mode's arithmetic does not
-    depend on the split, so the answers are the same bits on any number of
-    CPUs.  The time transforms and the permutation into ``order`` are
-    applied to all modes at once, outside the ranges.
+    From the fold gate ``_FOLD_WORK`` of band work up, on a mesh with the
+    unit square's diagonal symmetry, the folded layout of ``_SquareFold``
+    factors each mode's system in the symmetry-adapted basis instead: four
+    independent blocks, one band of ``kd`` = ceil((n - 1) / 2) whatever the
+    tail, 32 at 64x46, so the factors take 45.0 MiB there and a quarter of
+    the band layout's flops.  The tail's orbits are spread through the
+    folded order, so its tail solves run full passes; ``tail`` is the same
+    in both layouts.
 
-    ``__init__`` only starts the factorization there and returns, so its
-    caller can go on while the pool factors; the first solve waits for the
-    factors, once, and raises the factorization's failure if it had one.
-    Below the gate the factors are made in ``__init__``.
+    The modes are independent, so every solve splits them into contiguous
+    ranges, one per CPU, on the pool of ``dbc.kernels`` from its split gate
+    of levels * n * (kd + 1) entries, in the layout's own band, up.  A
+    mode's arithmetic does not depend on the split, so the answers are the
+    same bits on any number of CPUs.  The time transforms and the map into
+    the layout are applied to all modes at once, outside the ranges.
+
+    ``__init__`` only starts the factorization on the pool and returns, so
+    its caller can go on while the pool factors: one task per range in the
+    band layout, one task for all the modes in the folded one.  The first
+    solve waits for the factors, once, and raises the factorization's
+    failure if it had one.  Below the split gate the factors are made in
+    ``__init__``.
 
     ``check`` checks a solve X by its residual: ||A_ii X - rhs|| above
     ``RESIDUAL_TOL`` times ||rhs|| raises ``SolverError`` naming the time
@@ -275,9 +443,18 @@ class EnergyExtension:
         stiff = _reorder(disc.stiff_ii, self.order)
         mass = _reorder(disc.mass_ii, self.order)
         self.kd = max(band_width(stiff), band_width(mass))
+        self._fold = None
+        if levels * n * (self.kd + 1) >= _FOLD_WORK:
+            self._fold = _SquareFold.of(disc)
+        # The band layout's tail solves skip the half of a pass that lies
+        # before the tail; the folded layout spreads the tail's orbits.
+        self._tail_start = n - len(touched)
+        if self._fold is not None:
+            stiff, mass, self.kd = self._fold.stiff, self._fold.mass, self._fold.kd
+            self._tail_start = 0
         self._ranges = split_ranges(levels, levels * n * (self.kd + 1))
         self._bands, self._factoring = factor_shifted(
-            stiff, mass, theta, self.kd, self._ranges
+            stiff, mass, theta, self.kd, self._ranges, self._fold is not None
         )
 
     def _factors(self):
@@ -289,11 +466,21 @@ class EnergyExtension:
         return self._bands
 
     def _to_modes(self, rhs):
-        """The (levels, n) ``rhs`` in the time modes and in ``order``."""
-        return np.take(self.modes.T @ rhs, self.order, axis=1)
+        """The (levels, n) ``rhs`` in the time modes and in the factor
+        layout."""
+        if self._fold is None:
+            return np.take(self.modes.T @ rhs, self.order, axis=1)
+        rows = np.empty((self._size + 1, self._levels))
+        np.matmul(rhs.T, self.modes, out=rows[:-1])
+        rows[-1] = 0.0
+        return self._fold.fold(rows)
 
-    def _from_modes(self, solved):
-        return self.modes @ np.take(solved, self._unorder, axis=1)
+    def _from_modes(self, solved, vertices=slice(None)):
+        """The interior ``vertices`` of the answer whose time modes, in the
+        factor layout, are ``solved``; (levels, len(vertices))."""
+        if self._fold is None:
+            return self.modes @ np.take(solved, self._unorder[vertices], axis=1)
+        return self.modes @ self._fold.unfold(solved, vertices).T
 
     def solve(self, rhs):
         """Solve A_ii X = rhs for a level-major rhs, flat or of shape
@@ -339,22 +526,29 @@ class EnergyExtension:
         """``solve`` of the right-hand side that is ``tail_rhs``, level-major
         over the tail, on the tail and zero elsewhere; (levels,
         num_interior).  Zero off the tail, the right-hand side makes the
-        forward substitution zero until the tail."""
+        band layout's forward substitution zero until the tail."""
         tail_rhs = tail_rhs.reshape(self._levels, len(self.tail))
-        start = self._size - len(self.tail)
-        work = np.zeros((self._levels, self._size))
-        work[:, start:] = self.modes.T @ tail_rhs
+        start = self._tail_start
+        if self._fold is None:
+            work = np.zeros((self._levels, self._size))
+            work[:, start:] = self.modes.T @ tail_rhs
+        else:
+            rows = np.zeros((self._size + 1, self._levels))
+            rows[self.tail] = tail_rhs.T @ self.modes
+            work = self._fold.fold(rows)
         substitute_bands(self._factors(), self._ranges, work, (b"T", start), (b"N", 0))
         return self._from_modes(work)
 
     def solve_to_tail(self, rhs):
         """The tail columns of ``solve(rhs)``; (levels, len(tail)).  Read
-        only on the tail, the answer needs the backward substitution on the
-        tail alone."""
-        start = self._size - len(self.tail)
+        only on the tail, the answer needs the band layout's backward
+        substitution on the tail alone."""
+        start = self._tail_start
         work = self._to_modes(rhs.reshape(self._levels, self._size))
         substitute_bands(self._factors(), self._ranges, work, (b"T", 0), (b"N", start))
-        return self.modes @ work[:, start:]
+        if self._fold is None:
+            return self.modes @ work[:, start:]
+        return self._from_modes(work, self.tail)
 
 
 # ``Quadrature`` evaluates every integrand and every load on blocks of at

@@ -13,14 +13,20 @@ extension at 64x46, against 3.19 ms for ('U', 'T').  So the slab system,
 too, keeps U alone and solves with ('U', 'T') and then ('U', 'N'), with no
 second band holding U^T.
 
+The extension's mode factors are bands of one of two layouts (see
+``dbc.assembly.EnergyExtension``): at 64x46 the band layout's are 63 wide
+and take 87.2 MiB, the folded layout's four blocks per mode 32 wide and
+45.0 MiB.  The kernels see one band either way.
+
 One process-wide pool, one thread kept on each CPU the process may use and
 made on first use, runs the work that ``split_ranges`` splits into
 independent ranges: the extension's time modes, from one gate of work up,
 and nothing else.  Below the gate, with one CPU, or on a pool thread, the
 work runs in the calling thread.  ``start_ranges`` hands the ranges to the
 pool and returns their wait, so the caller goes on while the pool works:
-set-up evaluates the data while the pool factors the extension's modes.
-``run_ranges`` is that start followed by its wait.  The ranges write
+set-up evaluates the data while the pool factors the extension's modes,
+in one task per range, or, for the folded layout, in one task for all of
+them.  ``run_ranges`` is that start followed by its wait.  The ranges write
 disjoint results, which the caller combines in a fixed order, so every
 answer is the same bits on any number of CPUs.
 
@@ -181,15 +187,20 @@ class SlabSystem:
         _DTBSV(b"U", b"N", b"N", n, kd, upper, ld, address, _ONE)
 
 
-def factor_shifted(stiff, mass, shifts, kd, ranges):
+def factor_shifted(stiff, mass, shifts, kd, ranges, one_task):
     """Start the band Cholesky factors of stiff + s mass for every s in
     ``shifts``, for two symmetric CSR matrices in a band order whose band
     ``kd`` covers both, and return (bands, wait).  ``bands`` is a
     (len(shifts), n, kd + 1) array whose j-th entry, transposed, is factor
     j's upper band, formed from the two bands built once, so entry kd of
     each row is a diagonal entry; it holds the factors U_j once ``wait()``,
-    the wait of ``start_ranges`` with each of ``ranges`` as one task, has
-    returned."""
+    the wait of ``start_ranges``, has returned.  Each of ``ranges`` is one
+    task, or with ``one_task`` and more than one range, all of them are one
+    pool task that factors the modes in order.  With the folded layout's
+    factors at 64x46, one task overlapped with the data's evaluation gave
+    set-up 0.18-0.22 s, against 0.21-0.31 s with a task per range, whose
+    second range shares a CPU with the data (4 alternating benchmark pairs
+    on a 2-core host)."""
     bands = np.empty((len(shifts), stiff.shape[0], kd + 1))
     stiff_band, mass_band = _upper_band(stiff, kd), _upper_band(mass, kd)
 
@@ -200,6 +211,8 @@ def factor_shifted(stiff, mass, shifts, kd, ranges):
             band += stiff_band
             dpbtrf(band)
 
+    if one_task and len(ranges) > 1:
+        return bands, start_ranges(factor, [(0, len(shifts))], pooled=True)
     return bands, start_ranges(factor, ranges)
 
 
@@ -347,10 +360,15 @@ if hasattr(os, "register_at_fork"):
 # ranges to the pool and waiting for it cost about as much as the split
 # saves.  Above it the pool also factors while its caller goes on.  The work
 # is band entries over all time modes, levels * n * (kd + 1), of the
-# extension, the only split: two threads lost at 0.2 M entries (24x17) and
-# gained at 0.68 M (32x23).  The quadrature's blocks do not split: two
-# threads that hand the GIL back and forth between their small numpy calls
-# gain little.
+# extension, the only split, in the band of its layout.  Band layout: two
+# threads lost at 0.2 M entries (24x17) and gained at 0.68 M (32x23).
+# Folded layout, with the tail solves of an action timed: two threads lost
+# 12% at 0.11 M (24x17 folded), broke even at 0.36 M (32x23 folded) and
+# gained 12% at 1.8 M (48x34), so the same gate serves.  With the bottom
+# edge boxed no level folds below 1 M; with the whole boundary, whose band
+# layout is five times as wide, 32x23 folds at 0.36 M and stays in one
+# thread.  The quadrature's blocks do not split: two threads that hand the
+# GIL back and forth between their small numpy calls gain little.
 _SPLIT_WORK = 400_000
 
 
@@ -364,14 +382,14 @@ def split_ranges(size, work):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def start_ranges(task, ranges):
+def start_ranges(task, ranges, pooled=False):
     """Start ``task(lo, hi)`` on every range and return a wait, a function of
     no arguments that returns once every range is done and then raises the
-    failure of the first range that failed, if one did.  With one range, or
-    on a pool thread, the ranges run now, in the calling thread, and the
-    wait does nothing; else each range is one pool task, and the caller
-    goes on while they run."""
-    if len(ranges) == 1 or getattr(_pool_thread, "active", False):
+    failure of the first range that failed, if one did.  With one range,
+    unless ``pooled``, or on a pool thread, the ranges run now, in the
+    calling thread, and the wait does nothing; else each range is one pool
+    task, and the caller goes on while they run."""
+    if (len(ranges) == 1 and not pooled) or getattr(_pool_thread, "active", False):
         for lo, hi in ranges:
             task(lo, hi)
         return lambda: None

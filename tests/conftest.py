@@ -68,7 +68,8 @@ def corrupt_extension(monkeypatch):
 
     ``corrupt(scale, modes=slice(None))`` multiplies the diagonal of each
     listed mode factor U by ``scale``, once per extension, in the factors
-    that ``EnergyExtension._factors`` returns after its wait."""
+    that ``EnergyExtension._factors`` returns after its wait: the band
+    layout's or the folded one's, whose band is ``kd`` wide alike."""
     factors = EnergyExtension._factors
 
     def corrupt(scale, modes=slice(None)):

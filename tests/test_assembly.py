@@ -50,7 +50,12 @@ from dbc.manufactured import (
     setup_problem,
 )
 from dbc.optimizer import pdas_solve
-from dbc.mesh import Triangulation, unit_square_mesh
+from dbc.mesh import (
+    SpaceTimeMesh,
+    Triangulation,
+    uniform_time_partition,
+    unit_square_mesh,
+)
 from dbc.spaces import (
     AdjointField,
     BoundSet,
@@ -798,6 +803,137 @@ def test_tail_order_puts_the_bottom_row_last(n):
     assert same_row.sum() == len(ys) - (n - 1)
     assert np.all(np.diff(disc.interior[extension.order])[same_row] > 0)
     assert extension.kd == n - 1
+
+
+# -- the folded layout of the extension ------------------------------------------
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 12, 24, 64])
+@pytest.mark.parametrize("boxed_set", ["bottom", "whole"])
+def test_folded_solves_match_the_band_layout(monkeypatch, n, boxed_set):
+    """``solve``, ``solve_from_tail`` and ``solve_to_tail`` in the folded
+    layout, forced by the fold gate, give the band layout's answers to
+    1e-13 relative, for odd and even n, with the bottom edge or the whole
+    boundary boxed, on the same tail; the folded band is at most
+    ceil((n - 1) / 2) wide on both."""
+    mesh = build_space_time_mesh(n, 4)
+    disc = Discretization(mesh)
+    if boxed_set == "bottom":
+        boxed = _bottom_edge(mesh)
+    else:
+        boxed = BoundSet(mesh, 0.0, 1.0, whole_boundary).boxed_vertices
+    monkeypatch.setattr(assembly, "_FOLD_WORK", np.inf)
+    band = EnergyExtension(disc, boxed)
+    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    folded = EnergyExtension(disc, boxed)
+    assert band._fold is None and folded._fold is not None
+    assert np.array_equal(folded.tail, band.tail)
+    assert folded.kd <= -(-(n - 1) // 2) < band.kd
+    rng = np.random.default_rng(n)
+    rhs = rng.standard_normal((mesh.num_control_levels, mesh.num_interior))
+    tail_rhs = rng.standard_normal((mesh.num_control_levels, len(band.tail)))
+    for solve in (
+        lambda e: e.solve(rhs),
+        lambda e: e.solve_from_tail(tail_rhs),
+        lambda e: e.solve_to_tail(rhs),
+    ):
+        expected = solve(band)
+        error = np.linalg.norm(solve(folded) - expected)
+        assert error <= 1e-13 * np.linalg.norm(expected)
+    assert 0.0 < folded.max_residual <= 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_the_fold_leaves_nothing_off_its_blocks_at_a_power_of_two(n):
+    """At n = 2^k S_ii and M_ii commute with both reflections exactly, so
+    U^T A U has no entry off its four blocks, and the folded blocks are
+    exactly symmetric and equal to U^T A U on the blocks."""
+    disc = Discretization(build_space_time_mesh(n, 2))
+    fold = assembly._SquareFold.of(disc)
+    assert fold.defect == 0.0
+    basis = fold.basis
+    assert np.array_equal(
+        (basis.T @ basis).toarray(), np.diag((basis.T @ basis).diagonal())
+    )
+    for matrix, folded in ((disc.stiff_ii, fold.stiff), (disc.mass_ii, fold.mass)):
+        assert (folded != folded.T).nnz == 0
+        assert (basis.T @ matrix @ basis != folded).nnz == 0
+
+
+def test_a_jittered_mesh_keeps_the_band_layout(monkeypatch):
+    """Interior vertices moved by up to a tenth of a cell, as in the mesh
+    tests, break the reflections, so even with the fold gate at 0 the
+    extension keeps the band layout."""
+    square = unit_square_mesh(8)
+    jitter = np.random.default_rng(8).uniform(-0.0125, 0.0125, square.vertices.shape)
+    jitter[square.boundary_vertex_flags] = 0.0
+    tri = Triangulation(square.vertices + jitter, square.triangles)
+    tri.cell_width = square.cell_width
+    mesh = SpaceTimeMesh(tri, uniform_time_partition(6))
+    disc = Discretization(mesh)
+    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    assert assembly._SquareFold.of(disc) is None
+    extension = EnergyExtension(disc, _bottom_edge(mesh))
+    assert extension._fold is None
+    assert extension.kd == 7
+
+
+def test_the_fold_gate_folds_the_bottom_edge_from_48x34_up():
+    """With the bottom edge boxed, the band work of 16x12, 32x23 and 40x28
+    is below the fold gate, so those levels keep the band layout, and that
+    of 48x34 above it, so it folds, as 64x46 does below."""
+    for n, M, folded in ((16, 12, False), (32, 23, False), (40, 28, False), (48, 34, True)):
+        mesh = build_space_time_mesh(n, M)
+        extension = EnergyExtension(Discretization(mesh), _bottom_edge(mesh))
+        assert (extension._fold is not None) == folded
+        work = (M - 1) * mesh.num_interior * n
+        assert (work >= assembly._FOLD_WORK) == folded
+
+
+def test_the_64x46_mode_factors_take_at_most_46_mib():
+    """At 64x46 the extension folds, and its 45 mode factors hold a band of
+    33 doubles per unknown, 45.0 MiB; the band layout's 64 took 87.2 MiB."""
+    mesh = build_space_time_mesh(64, 46)
+    extension = EnergyExtension(Discretization(mesh), _bottom_edge(mesh))
+    assert extension.kd == 32
+    assert extension._factors().nbytes <= 46 * 2**20
+
+
+def test_a_failed_folded_mode_factor_stops_set_up(monkeypatch):
+    """In the folded layout with two CPUs, set-up factors every mode in one
+    pool task, on one pool thread, while it evaluates the data; a failed
+    mode factor there stops set-up with its failure, as a failed band
+    factor does, and no mode factor runs after it."""
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
+    monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    threads = set()
+
+    def recorded(band):
+        if getattr(kernels._pool_thread, "active", False):
+            threads.add(threading.get_ident())
+        return dpbtrf(band)
+
+    monkeypatch.setattr(kernels, "dpbtrf", recorded)
+    problem = setup_problem(16, 12, bump_case())
+    assert problem.extension._fold is not None
+    assert len(problem.extension._ranges) == 2
+    assert len(threads) == 1
+
+    calls = []
+
+    def failing(band):
+        if not getattr(kernels._pool_thread, "active", False):
+            return dpbtrf(band)
+        calls.append(None)
+        if len(calls) == 1:
+            raise AssemblyError("the first mode factor failed")
+        return dpbtrf(band)
+
+    monkeypatch.setattr(kernels, "dpbtrf", failing)
+    with pytest.raises(AssemblyError, match="the first mode factor failed"):
+        setup_problem(16, 12, bump_case())
+    assert len(calls) == 1
 
 
 # -- coupling, pairings, loads --------------------------------------------------

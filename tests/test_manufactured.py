@@ -407,6 +407,15 @@ def test_run_study_stops_at_a_wrong_extension_solve(case, corrupt_extension):
     assert report.records == []
 
 
+def test_run_study_stops_at_a_wrong_folded_extension_solve(
+    monkeypatch, case, corrupt_extension
+):
+    """The same with the extension in the folded layout, forced by the fold
+    gate."""
+    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    test_run_study_stops_at_a_wrong_extension_solve(case, corrupt_extension)
+
+
 def test_run_study_stops_at_a_corrupted_slab_solve(case, corrupt_slab_solve, tmp_path):
     """A wrong slab solve on the second level (6x6 has 25 interior vertices)
     fails the study there, and the table keeps the first level."""

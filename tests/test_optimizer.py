@@ -21,6 +21,7 @@ from _oracles import (
     zero_control,
     zero_data,
 )
+from dbc import assembly
 from dbc.adjoint import tracking_slabs
 from dbc.assembly import Discretization, EnergyExtension
 from dbc.forward import SolverError
@@ -815,6 +816,38 @@ def test_a_wrong_extension_factor_stops_a_hessian_action(
     assert str(info.value).startswith(f"extension solve failed in time mode {mode}:")
     own = modal[mode] / np.linalg.norm(extension.modes[:, mode] @ rhs)
     assert info.value.residual == pytest.approx(max(residual, own), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "scale,modes,reading,named",
+    [(1.5, slice(None), 0.1, r"\d+"), (1.01, 3, 1e-3, "3")],
+    ids=["all-x1.5", "mode3-x1.01"],
+)
+def test_a_wrong_folded_factor_stops_the_solve(
+    monkeypatch, corrupt_extension, scale, modes, reading, named
+):
+    """The same corruptions of the extension's mode factors in the folded
+    layout, forced by the fold gate, stop the solve alike."""
+    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    test_a_wrong_extension_factor_stops_the_solve(
+        corrupt_extension, scale, modes, reading, named
+    )
+
+
+@pytest.mark.parametrize(
+    "scale,modes,reading,named",
+    [(1.5, slice(None), 0.1, r"\d+"), (1.01, 3, 1e-3, "3")],
+    ids=["all-x1.5", "mode3-x1.01"],
+)
+def test_a_wrong_folded_factor_stops_a_hessian_action(
+    monkeypatch, corrupt_extension, scale, modes, reading, named
+):
+    """The same corruptions in the folded layout stop a trace Hessian
+    action alike, naming the mode with the same residual reading."""
+    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    test_a_wrong_extension_factor_stops_a_hessian_action(
+        corrupt_extension, scale, modes, reading, named
+    )
 
 
 def test_no_control_space_matrix_is_assembled(monkeypatch):
