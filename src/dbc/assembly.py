@@ -136,6 +136,13 @@ def _reorder(matrix, order):
     return permuted
 
 
+def _reordered_band_width(matrix, position):
+    """``band_width`` of a symmetric CSR matrix reordered so that row i
+    goes to ``position[i]``, without building the reordered matrix."""
+    rows = np.repeat(position, np.diff(matrix.indptr))
+    return int(np.abs(rows - position[matrix.indices]).max(initial=0))
+
+
 class KroneckerSum:
     """The operator sum_k kron(T_k, S_k) on level-major vectors, kept as its
     temporal factors T_k (levels x levels) and spatial factors S_k (nv x nv).
@@ -202,15 +209,19 @@ def _check_modes(mt, st, theta, modes):
 
 # From this much band work, levels * n * (kd + 1) in the band layout, up,
 # the extension factors its modes in the folded layout of ``_SquareFold``
-# where the mesh has the square's symmetry.  Measured on bump solves (lam
-# = 1e-3), set-up plus solve, medians of 7 to 9 fresh processes per layout
-# on a 2-core host, folded against band: 16x12 (band work 0.04 M entries)
+# where the mesh has the square's symmetry.  Bump solves (lam = 1e-3),
+# set-up plus solve, folded against band, medians of 7 to 9 fresh
+# processes per layout on a 2-core host: 16x12 (band work 0.04 M entries)
 # +13%; 32x23 (0.68 M) +2%, and +9% with q_b = 0.045; 40x28 (1.64 M) -5%,
-# and +1% with q_b = 0.045; 48x34 (3.5 M) -9%, and -7% with q_b = 0.045;
-# 64x46 (11.4 M) -13%.  Below the crossover the fold's build, about 8 ms
-# at 64, and its transforms, which cost the tail solves their partial
-# passes, outweigh the smaller factors.
-_FOLD_WORK = 2_000_000
+# and +1% with q_b = 0.045.  At 48x34 (3.5 M), with q_b = 0.045, 10
+# alternating benchmark pairs gave no gain beyond the spread: solve_s 0.454
+# -> 0.459 s, faster folded in 4 of 10, total_s faster in 7 of 10 inside
+# the spread.  At 64x46 (11.4 M) 10 pairs gave peak RSS 189.5 -> 149.5 MiB
+# and setup_s 0.318 -> 0.217 s, each in 10 of 10.  So the gate lies
+# between the two, and 48x34 keeps the band layout.  Below the crossover
+# the fold's build, about 8 ms at 64, and its transforms, which cost the
+# tail solves their partial passes, outweigh the smaller factors.
+_FOLD_WORK = 6_000_000
 # The fold keeps S_ii and M_ii only where their off-block part in the
 # folded basis is at most this much of their largest folded entry: zero
 # exactly when the matrix commutes with both reflections, as it does at
@@ -402,9 +413,8 @@ class EnergyExtension:
     the layout are applied to all modes at once, outside the ranges.
 
     ``__init__`` only starts the factorization on the pool and returns, so
-    its caller can go on while the pool factors: one task per range in the
-    band layout, one task for all the modes in the folded one.  The first
-    solve waits for the factors, once, and raises the factorization's
+    its caller can go on while the pool factors, one task per range in
+    either layout.  The first solve waits for the factors, once, and raises the factorization's
     failure if it had one.  Below the split gate the factors are made in
     ``__init__``.
 
@@ -440,21 +450,24 @@ class EnergyExtension:
         self.order = np.lexsort((disc.interior, -distance))
         self.tail = self.order[n - len(touched) :]
         self._unorder = np.argsort(self.order)
-        stiff = _reorder(disc.stiff_ii, self.order)
-        mass = _reorder(disc.mass_ii, self.order)
-        self.kd = max(band_width(stiff), band_width(mass))
+        self.kd = max(
+            _reordered_band_width(a, self._unorder) for a in (disc.stiff_ii, disc.mass_ii)
+        )
         self._fold = None
         if levels * n * (self.kd + 1) >= _FOLD_WORK:
             self._fold = _SquareFold.of(disc)
         # The band layout's tail solves skip the half of a pass that lies
         # before the tail; the folded layout spreads the tail's orbits.
-        self._tail_start = n - len(touched)
-        if self._fold is not None:
+        if self._fold is None:
+            stiff = _reorder(disc.stiff_ii, self.order)
+            mass = _reorder(disc.mass_ii, self.order)
+            self._tail_start = n - len(touched)
+        else:
             stiff, mass, self.kd = self._fold.stiff, self._fold.mass, self._fold.kd
             self._tail_start = 0
         self._ranges = split_ranges(levels, levels * n * (self.kd + 1))
         self._bands, self._factoring = factor_shifted(
-            stiff, mass, theta, self.kd, self._ranges, self._fold is not None
+            stiff, mass, theta, self.kd, self._ranges
         )
 
     def _factors(self):

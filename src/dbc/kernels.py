@@ -25,8 +25,8 @@ and nothing else.  Below the gate, with one CPU, or on a pool thread, the
 work runs in the calling thread.  ``start_ranges`` hands the ranges to the
 pool and returns their wait, so the caller goes on while the pool works:
 set-up evaluates the data while the pool factors the extension's modes,
-in one task per range, or, for the folded layout, in one task for all of
-them.  ``run_ranges`` is that start followed by its wait.  The ranges write
+in one task per range.  ``run_ranges`` is that start followed by its wait.
+The ranges write
 disjoint results, which the caller combines in a fixed order, so every
 answer is the same bits on any number of CPUs.
 
@@ -187,20 +187,21 @@ class SlabSystem:
         _DTBSV(b"U", b"N", b"N", n, kd, upper, ld, address, _ONE)
 
 
-def factor_shifted(stiff, mass, shifts, kd, ranges, one_task):
+def factor_shifted(stiff, mass, shifts, kd, ranges):
     """Start the band Cholesky factors of stiff + s mass for every s in
     ``shifts``, for two symmetric CSR matrices in a band order whose band
     ``kd`` covers both, and return (bands, wait).  ``bands`` is a
     (len(shifts), n, kd + 1) array whose j-th entry, transposed, is factor
     j's upper band, formed from the two bands built once, so entry kd of
     each row is a diagonal entry; it holds the factors U_j once ``wait()``,
-    the wait of ``start_ranges``, has returned.  Each of ``ranges`` is one
-    task, or with ``one_task`` and more than one range, all of them are one
-    pool task that factors the modes in order.  With the folded layout's
-    factors at 64x46, one task overlapped with the data's evaluation gave
-    set-up 0.18-0.22 s, against 0.21-0.31 s with a task per range, whose
-    second range shares a CPU with the data (4 alternating benchmark pairs
-    on a 2-core host)."""
+    the wait of ``start_ranges`` with each of ``ranges`` as one task, has
+    returned.  A task per range, not one pool task for all the modes: with
+    set-up evaluating the data meanwhile, 12 alternating pairs of fresh
+    processes on a 2-core host timed set-up of the band layout at 32x23 at
+    a median 35.4 ms with two ranges against 37.8 ms with one task (one
+    task faster in 3 of 12), and 10 pairs of the folded layout at 64x46 at
+    244 against 252 ms (3 of 10), whole 64x46 solves at 0.680 against
+    0.648 s (6 of 10, inside a spread of 0.08 s)."""
     bands = np.empty((len(shifts), stiff.shape[0], kd + 1))
     stiff_band, mass_band = _upper_band(stiff, kd), _upper_band(mass, kd)
 
@@ -211,8 +212,6 @@ def factor_shifted(stiff, mass, shifts, kd, ranges, one_task):
             band += stiff_band
             dpbtrf(band)
 
-    if one_task and len(ranges) > 1:
-        return bands, start_ranges(factor, [(0, len(shifts))], pooled=True)
     return bands, start_ranges(factor, ranges)
 
 
@@ -364,11 +363,12 @@ if hasattr(os, "register_at_fork"):
 # threads lost at 0.2 M entries (24x17) and gained at 0.68 M (32x23).
 # Folded layout, with the tail solves of an action timed: two threads lost
 # 12% at 0.11 M (24x17 folded), broke even at 0.36 M (32x23 folded) and
-# gained 12% at 1.8 M (48x34), so the same gate serves.  With the bottom
-# edge boxed no level folds below 1 M; with the whole boundary, whose band
-# layout is five times as wide, 32x23 folds at 0.36 M and stays in one
-# thread.  The quadrature's blocks do not split: two threads that hand the
-# GIL back and forth between their small numpy calls gain little.
+# gained 12% at 1.8 M (48x34), so the same gate serves.  No level folds
+# below the split gate: with the bottom edge boxed the first to fold is
+# 64x46, at 5.9 M, and with the whole boundary, whose band layout is four
+# times as wide, 40x28, at 0.86 M.  The quadrature's blocks do not split:
+# two threads that hand the GIL back and forth between their small numpy
+# calls gain little.
 _SPLIT_WORK = 400_000
 
 
@@ -382,14 +382,14 @@ def split_ranges(size, work):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def start_ranges(task, ranges, pooled=False):
+def start_ranges(task, ranges):
     """Start ``task(lo, hi)`` on every range and return a wait, a function of
     no arguments that returns once every range is done and then raises the
-    failure of the first range that failed, if one did.  With one range,
-    unless ``pooled``, or on a pool thread, the ranges run now, in the
-    calling thread, and the wait does nothing; else each range is one pool
-    task, and the caller goes on while they run."""
-    if (len(ranges) == 1 and not pooled) or getattr(_pool_thread, "active", False):
+    failure of the first range that failed, if one did.  With one range, or
+    on a pool thread, the ranges run now, in the calling thread, and the
+    wait does nothing; else each range is one pool task, and the caller
+    goes on while they run."""
+    if len(ranges) == 1 or getattr(_pool_thread, "active", False):
         for lo, hi in ranges:
             task(lo, hi)
         return lambda: None

@@ -805,6 +805,25 @@ def test_tail_order_puts_the_bottom_row_last(n):
     assert extension.kd == n - 1
 
 
+@pytest.mark.parametrize("n", [7, 12])
+@pytest.mark.parametrize("boxed_set", ["bottom", "whole"])
+def test_the_band_layout_width_is_that_of_the_reordered_matrices(n, boxed_set):
+    """The band layout's ``kd``, read from the order without reordering
+    S_ii and M_ii, is the band width of the two reordered matrices."""
+    mesh = build_space_time_mesh(n, 3)
+    disc = Discretization(mesh)
+    if boxed_set == "bottom":
+        boxed = _bottom_edge(mesh)
+    else:
+        boxed = BoundSet(mesh, 0.0, 1.0, whole_boundary).boxed_vertices
+    extension = EnergyExtension(disc, boxed)
+    assert extension._fold is None
+    assert extension.kd == max(
+        kernels.band_width(assembly._reorder(a, extension.order))
+        for a in (disc.stiff_ii, disc.mass_ii)
+    )
+
+
 # -- the folded layout of the extension ------------------------------------------
 
 
@@ -878,11 +897,13 @@ def test_a_jittered_mesh_keeps_the_band_layout(monkeypatch):
     assert extension.kd == 7
 
 
-def test_the_fold_gate_folds_the_bottom_edge_from_48x34_up():
-    """With the bottom edge boxed, the band work of 16x12, 32x23 and 40x28
-    is below the fold gate, so those levels keep the band layout, and that
-    of 48x34 above it, so it folds, as 64x46 does below."""
-    for n, M, folded in ((16, 12, False), (32, 23, False), (40, 28, False), (48, 34, True)):
+def test_the_fold_gate_folds_the_bottom_edge_at_64x46_and_not_below():
+    """With the bottom edge boxed, the band work of 16x12, 32x23, 40x28 and
+    48x34 is below the fold gate, so those levels keep the band layout, and
+    that of 64x46 above it, so it folds."""
+    levels = ((16, 12, False), (32, 23, False), (40, 28, False), (48, 34, False),
+              (64, 46, True))
+    for n, M, folded in levels:
         mesh = build_space_time_mesh(n, M)
         extension = EnergyExtension(Discretization(mesh), _bottom_edge(mesh))
         assert (extension._fold is not None) == folded
@@ -900,40 +921,14 @@ def test_the_64x46_mode_factors_take_at_most_46_mib():
 
 
 def test_a_failed_folded_mode_factor_stops_set_up(monkeypatch):
-    """In the folded layout with two CPUs, set-up factors every mode in one
-    pool task, on one pool thread, while it evaluates the data; a failed
-    mode factor there stops set-up with its failure, as a failed band
-    factor does, and no mode factor runs after it."""
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
+    """In the folded layout, forced by the fold gate, with two CPUs and the
+    split gate at 0, set-up factors the modes on the pool in two ranges, as
+    in the band layout, and a failed mode factor there stops set-up as a
+    failed band factor does."""
     monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
     monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
-    threads = set()
-
-    def recorded(band):
-        if getattr(kernels._pool_thread, "active", False):
-            threads.add(threading.get_ident())
-        return dpbtrf(band)
-
-    monkeypatch.setattr(kernels, "dpbtrf", recorded)
-    problem = setup_problem(16, 12, bump_case())
+    problem = _fail_the_first_pool_factor(monkeypatch, 16, 12)
     assert problem.extension._fold is not None
-    assert len(problem.extension._ranges) == 2
-    assert len(threads) == 1
-
-    calls = []
-
-    def failing(band):
-        if not getattr(kernels._pool_thread, "active", False):
-            return dpbtrf(band)
-        calls.append(None)
-        if len(calls) == 1:
-            raise AssemblyError("the first mode factor failed")
-        return dpbtrf(band)
-
-    monkeypatch.setattr(kernels, "dpbtrf", failing)
-    with pytest.raises(AssemblyError, match="the first mode factor failed"):
-        setup_problem(16, 12, bump_case())
-    assert len(calls) == 1
 
 
 # -- coupling, pairings, loads --------------------------------------------------
@@ -1133,8 +1128,20 @@ def test_a_failed_mode_factor_stops_set_up_once_every_range_is_done(monkeypatch)
     """The first mode factor on the pool fails while the other range goes on
     slowly: ``setup_problem`` raises the failure, and only when no mode
     factor is running any more and the other range is factored."""
+    problem = _fail_the_first_pool_factor(monkeypatch, 32, 23)
+    assert problem.extension._fold is None
+
+
+def _fail_the_first_pool_factor(monkeypatch, n, M):
+    """Set up the bump case at n x M with two CPUs, where the extension
+    factors its modes on the pool in two ranges, then again with the first
+    mode factor on the pool failing while the other range goes on slowly:
+    check that set-up raises the failure once no mode factor runs any more
+    and the other range is factored.  Return the first problem."""
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
-    ranges = setup_problem(32, 23, bump_case()).extension._ranges
+    problem = setup_problem(n, M, bump_case())
+    ranges = problem.extension._ranges
+    assert len(ranges) == 2
     sizes = {hi - lo for lo, hi in ranges}
     lock = threading.Lock()
     calls = {"started": 0, "running": 0, "factored": 0}
@@ -1159,9 +1166,10 @@ def test_a_failed_mode_factor_stops_set_up_once_every_range_is_done(monkeypatch)
 
     monkeypatch.setattr(kernels, "dpbtrf", factor)
     with pytest.raises(AssemblyError, match="the first mode factor failed"):
-        setup_problem(32, 23, bump_case())
+        setup_problem(n, M, bump_case())
     assert calls["running"] == 0
     assert calls["factored"] in sizes
+    return problem
 
 
 def test_a_data_error_while_the_pool_factors_leaves_the_pool_working(monkeypatch):
