@@ -385,16 +385,17 @@ class EnergyExtension:
     band layout factors in ``order``, which puts the interior vertices by
     decreasing graph distance from the tail, then by vertex id, so the
     tail, in that order, is the last block and ``solve_from_tail`` and
-    ``solve_to_tail`` skip the other half of a substitution: the forward one with U_j^T for a right-hand
-    side that lives on the tail, the backward one with U_j for an answer
-    read on the tail.  Their full passes are dtbsv ('U', 'N') and
-    ('U', 'T'), which take about as long as each other.  The level sets of
-    that distance set the band width ``kd``.  With one edge of the unit
-    square boxed they are grid rows, so the band is n - 1 for
-    ``unit_square_mesh(n)``, as narrow as the slab system's.  With the
-    whole boundary boxed the tail is a ring and so is every level set: at
-    64 the band is 303 wide, against 63 for the bottom edge.  The factors
-    take levels * n * (kd + 1) doubles: 87.2 MiB at 64x46.
+    ``solve_to_tail`` skip the other half of a substitution: the forward
+    one with U_j^T for a right-hand side that lives on the tail, the
+    backward one with U_j for an answer read on the tail.  Their full
+    passes are dtbsv ('U', 'N') and ('U', 'T'), which take about as long
+    as each other.  The level sets of that distance set the band width
+    ``kd``.  With one edge of the unit square boxed they are grid rows, so
+    the band is n - 1 for ``unit_square_mesh(n)``, as narrow as the slab
+    system's.  With the whole boundary boxed the tail is a ring and so is
+    every level set: at 64 the band is 303 wide, against 63 for the bottom
+    edge.  The factors take levels * n * (kd + 1) doubles: 87.2 MiB at
+    64x46.
 
     From the fold gate ``_FOLD_WORK`` of band work up, on a mesh with the
     unit square's diagonal symmetry, the folded layout of ``_SquareFold``
@@ -414,9 +415,9 @@ class EnergyExtension:
 
     ``__init__`` only starts the factorization on the pool and returns, so
     its caller can go on while the pool factors, one task per range in
-    either layout.  The first solve waits for the factors, once, and raises the factorization's
-    failure if it had one.  Below the split gate the factors are made in
-    ``__init__``.
+    either layout.  The first solve waits for the factors, once, and raises
+    the factorization's failure if it had one.  Below the split gate the
+    factors are made in ``__init__``.
 
     ``check`` checks a solve X by its residual: ||A_ii X - rhs|| above
     ``RESIDUAL_TOL`` times ||rhs|| raises ``SolverError`` naming the time
@@ -451,7 +452,8 @@ class EnergyExtension:
         self.tail = self.order[n - len(touched) :]
         self._unorder = np.argsort(self.order)
         self.kd = max(
-            _reordered_band_width(a, self._unorder) for a in (disc.stiff_ii, disc.mass_ii)
+            _reordered_band_width(a, self._unorder)
+            for a in (disc.stiff_ii, disc.mass_ii)
         )
         self._fold = None
         if levels * n * (self.kd + 1) >= _FOLD_WORK:
