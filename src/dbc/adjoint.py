@@ -5,8 +5,8 @@ backward: (M + k S) z_m = M z_{m+1} + G_m with z_{M+1} = 0 and tracking
 load G_m = int_{I_m} (u_kh - u_d, phi_i), u_kh = w + q.  Because the slab
 matrix is symmetric, the backward sweep is the exact transpose of the
 forward sweep, which is what the identity check exercises.  Both sweeps are
-``forward.march``, in opposite directions, so they share its band order and
-its residual check.
+``forward.march``, in opposite directions, so they share its basis and its
+residual check.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from .spaces import ControlField, pad_levels
 
 
 def sweep_backward(disc, slab_rhs):
-    """March the slabs backward; slab_rhs has shape (M, ni)."""
-    return march(disc, slab_rhs, reverse=True)
+    """March the slabs backward; slab_rhs has shape (M, ni), and it and the
+    answer are in the vertex basis."""
+    return disc.unfold_values(march(disc, disc.fold_loads(slab_rhs), reverse=True))
 
 
 def tracking_slabs(disc, state_values, control_values):

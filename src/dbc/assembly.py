@@ -136,13 +136,6 @@ def _reorder(matrix, order):
     return permuted
 
 
-def _reordered_band_width(matrix, position):
-    """``band_width`` of a symmetric CSR matrix reordered so that row i
-    goes to ``position[i]``, without building the reordered matrix."""
-    rows = np.repeat(position, np.diff(matrix.indptr))
-    return int(np.abs(rows - position[matrix.indices]).max(initial=0))
-
-
 class KroneckerSum:
     """The operator sum_k kron(T_k, S_k) on level-major vectors, kept as its
     temporal factors T_k (levels x levels) and spatial factors S_k (nv x nv).
@@ -207,21 +200,17 @@ def _check_modes(mt, st, theta, modes):
             )
 
 
-# From this much band work, levels * n * (kd + 1) in the band layout, up,
-# the extension factors its modes in the folded layout of ``_SquareFold``
-# where the mesh has the square's symmetry.  Bump solves (lam = 1e-3),
-# set-up plus solve, folded against band, medians of 7 to 9 fresh
-# processes per layout on a 2-core host: 16x12 (band work 0.04 M entries)
-# +13%; 32x23 (0.68 M) +2%, and +9% with q_b = 0.045; 40x28 (1.64 M) -5%,
-# and +1% with q_b = 0.045.  At 48x34 (3.5 M), with q_b = 0.045, 10
-# alternating benchmark pairs gave no gain beyond the spread: solve_s 0.454
-# -> 0.459 s, faster folded in 4 of 10, total_s faster in 7 of 10 inside
-# the spread.  At 64x46 (11.4 M) 10 pairs gave peak RSS 189.5 -> 149.5 MiB
-# and setup_s 0.318 -> 0.217 s, each in 10 of 10.  So the gate lies
-# between the two, and 48x34 keeps the band layout.  Below the crossover
-# the fold's build, about 8 ms at 64, and its transforms, which cost the
-# tail solves their partial passes, outweigh the smaller factors.
-_FOLD_WORK = 6_000_000
+# From this much band work of the slab system, num_slabs * n * (kd + 1) in
+# the band order, up, ``Discretization`` folds the interior unknowns into
+# the symmetry-adapted basis of ``_SquareFold`` where the mesh has the
+# square's symmetry, so the slab factor, the sweeps and the extension all
+# run there.  The gate lies between 40x28 (1.7 M), where folding the
+# extension alone gave no resolved gain, and 48x34 (3.6 M).  There a slab
+# solve, its two dtbsv passes, took 49 us folded against 88 us in the band
+# order, and 137 against 177 us at 64x46 (9.3 M).  Below the gate the
+# fold's build, 4 to 9 ms, and the tail solves' lost partial passes
+# outweigh the narrower bands.
+_FOLD_WORK = 2_000_000
 # The fold keeps S_ii and M_ii only where their off-block part in the
 # folded basis is at most this much of their largest folded entry: zero
 # exactly when the matrix commutes with both reflections, as it does at
@@ -252,30 +241,29 @@ def _matching(points, images):
 
 
 class _SquareFold:
-    """The extension's interior unknowns in the symmetry-adapted basis of the
-    unit square's diagonal reflections, R: (x, y) -> (y, x) and R': (x, y)
-    -> (1 - y, 1 - x), given as the permutations ``r`` and ``r2`` of the
-    interior positions; ``of`` finds them from the vertex coordinates.
+    """The interior unknowns in the symmetry-adapted basis of the unit
+    square's diagonal reflections, R: (x, y) -> (y, x) and R': (x, y) -> (1
+    - y, 1 - x), given as the permutations ``r`` and ``r2`` of the interior
+    positions; ``of`` finds them from the vertex coordinates.
 
     The orbits of D2 = {I, R, R', RR'} come in the order of their graph
     distance from the vertices on the diagonal y = x, then of their smallest
     vertex id.  Column (chi, o) of the basis U is the sum over the distinct
     members w = g o of chi(g) e_w, kept where chi is 1 on the orbit's
-    stabilizer, so U is square, its entries are +-1 and U^T U is diagonal.
+    stabilizer, so U is square, its entries are +-1 and D = U^T U is
+    diagonal, each column's orbit size; ``weights`` is D^-1.
     ``stiff`` and ``mass`` are U^T S_ii U and U^T M_ii U on their diagonal
     blocks, one per character, each in the orbit order, made exactly
     symmetric from their upper triangle; ``defect`` is the largest part off
     the blocks relative to the largest entry.  On ``unit_square_mesh(n)``
     the distance's level sets are the lines x - y = d folded into a quarter
     of the square, at most ceil((n - 1) / 2) orbits each, so that is the
-    band ``kd`` of every block: 32 at 64, against 63 for the bottom edge in
-    the band layout.
+    band ``kd`` of every block: 24 at 48 and 32 at 64, against 47 and 63 in
+    the band order.
 
-    ``fold`` maps vertex rows, (n + 1, levels) with a last row of zeros, to
-    U^T times them, (levels, n) in the folded order, by one gather of the
-    orbits' images and one product with ``_CHARACTERS``; ``unfold`` maps
-    folded values back to the rows of some vertices, U times them, by the
-    same product and one gather."""
+    A value x in the vertex basis is U y in the folded one, and a load b,
+    tested against the vertex hats, is U^T b: ``fold`` applies U^T to the
+    rows of a stack and ``unfold`` U."""
 
     def __init__(self, disc, r, r2):
         n = disc.mesh.num_interior
@@ -288,27 +276,20 @@ class _SquareFold:
         )
         images = images[:, reps[np.lexsort((ids[reps], distance[reps]))]]
         keep = ~((_CHARACTERS[:, :, None] < 0) & (images == images[0])).any(axis=1)
-        # Each distinct member once: a repeated image reads the zero row n.
-        self._gather = images.copy()
+        # Each distinct member once.
+        member = np.ones(images.shape, dtype=bool)
         for g in range(1, 4):
-            self._gather[g, (images[:g] == images[g]).any(axis=0)] = n
-        member = self._gather != n
-        self._select = np.flatnonzero(keep.ravel())
-        self._missing = np.flatnonzero(~keep.ravel())
-        # Where each vertex's value is, among the orbits' images.
-        self._spread = np.empty(n, dtype=np.intp)
-        self._spread[self._gather[member]] = np.flatnonzero(member.ravel())
-
+            member[g] = ~(images[:g] == images[g]).any(axis=0)
         column = np.full(keep.shape, -1)
         column[keep] = np.arange(n)
         on = member[None] & keep[:, None]  # [chi, g, orbit]
-        chi, g, _ = np.nonzero(on)
+        chi, g, orbit = np.nonzero(on)
         self.basis = sp.csr_matrix(
-            (_CHARACTERS[chi, g],
-             (np.broadcast_to(self._gather, on.shape)[on],
-              np.broadcast_to(column[:, None], on.shape)[on])),
+            (_CHARACTERS[chi, g], (images[g, orbit], column[chi, orbit])),
             shape=(n, n),
         )
+        self._transpose = self.basis.T.tocsr()
+        self.weights = 1.0 / np.broadcast_to(member.sum(axis=0), keep.shape)[keep]
         self._block_of = np.repeat(np.arange(4), keep.sum(axis=1))
         (self.stiff, stiff_defect), (self.mass, mass_defect) = (
             self._blocks(a) for a in (disc.stiff_ii, disc.mass_ii)
@@ -346,23 +327,12 @@ class _SquareFold:
         symmetric.sort_indices()
         return symmetric, defect
 
-    def fold(self, rows):
-        """U^T V for vertex rows V, (n + 1, levels) with row n zero, as
-        (levels, n), C-contiguous, in the folded order."""
-        levels = rows.shape[1]
-        gathered = np.take(rows, self._gather, axis=0).reshape(4, -1)
-        sums = (_CHARACTERS @ gathered).reshape(-1, levels)
-        return np.ascontiguousarray(np.take(sums, self._select, axis=0).T)
-
-    def unfold(self, folded, vertices):
-        """U Y for folded values Y, (levels, n), at the interior positions
-        ``vertices``; (len(vertices), levels)."""
-        levels = len(folded)
-        spread = np.empty((len(self._select) + len(self._missing), levels))
-        spread[self._select] = folded.T
-        spread[self._missing] = 0.0
-        signed = (_CHARACTERS @ spread.reshape(4, -1)).reshape(-1, levels)
-        return np.take(signed, self._spread[vertices], axis=0)
+    def fold(self, stack):
+        """U^T applied to each row of ``stack``, (..., n); C-contiguous."""
+        return np.ascontiguousarray((self._transpose @ stack.T).T)
+    def unfold(self, stack):
+        """U applied to each row of ``stack``, (..., n); C-contiguous."""
+        return np.ascontiguousarray((self.basis @ stack.T).T)
 
 
 class EnergyExtension:
@@ -380,11 +350,11 @@ class EnergyExtension:
     its check is an ``AssemblyError`` that names it.
 
     The trace reaches the interior only through ``tail``, the interior
-    vertices coupled to one of ``boxed_vertices``: an extension's
-    right-hand side lives there, and its transpose reads only there.  The
-    band layout factors in ``order``, which puts the interior vertices by
-    decreasing graph distance from the tail, then by vertex id, so the
-    tail, in that order, is the last block and ``solve_from_tail`` and
+    vertices coupled to one of ``boxed_vertices``, by vertex id: an
+    extension's right-hand side lives there, and its transpose reads only
+    there.  The band layout factors in ``order``, which puts the interior
+    vertices by decreasing graph distance from the tail, then by vertex id,
+    so the tail is the last block and ``solve_from_tail`` and
     ``solve_to_tail`` skip the other half of a substitution: the forward
     one with U_j^T for a right-hand side that lives on the tail, the
     backward one with U_j for an answer read on the tail.  Their full
@@ -397,14 +367,20 @@ class EnergyExtension:
     edge.  The factors take levels * n * (kd + 1) doubles: 87.2 MiB at
     64x46.
 
-    From the fold gate ``_FOLD_WORK`` of band work up, on a mesh with the
-    unit square's diagonal symmetry, the folded layout of ``_SquareFold``
-    factors each mode's system in the symmetry-adapted basis instead: four
-    independent blocks, one band of ``kd`` = ceil((n - 1) / 2) whatever the
-    tail, 32 at 64x46, so the factors take 45.0 MiB there and a quarter of
-    the band layout's flops.  The tail's orbits are spread through the
-    folded order, so its tail solves run full passes; ``tail`` is the same
-    in both layouts.
+    Where ``disc`` folds (its ``fold``, see ``Discretization``), the folded
+    layout factors each mode's system in the fold's symmetry-adapted basis
+    instead: four independent blocks, one band of ``kd`` = ceil((n - 1) /
+    2) whatever the tail, 24 at 48x34 and 32 at 64x46, so the factors take
+    about 14 MiB at 48x34, against 26.7 MiB in the band layout, and 45.0
+    MiB at 64x46, with a quarter of the band layout's flops.  The tail's
+    orbits are spread through the folded order, so its tail solves run
+    full passes; ``tail`` is the same in both layouts.
+
+    ``solve`` takes and returns arrays in the vertex basis.  The tail
+    solves work in the discretization's basis, as the sweeps do: in the
+    folded layout ``solve_from_tail`` returns the folded answer Y, X = U
+    Y, and ``solve_to_tail`` takes the folded right-hand side U^T rhs, so
+    a trace Hessian action folds and unfolds only the tail's columns.
 
     The modes are independent, so every solve splits them into contiguous
     ranges, one per CPU, on the pool of ``dbc.kernels`` from its split gate
@@ -426,9 +402,10 @@ class EnergyExtension:
     ||A_ii X - rhs|| / ||rhs|| checked so far.  ``solve`` checks its answer
     by one product with A_ii, a ``KroneckerSum`` of the interior blocks; a
     trace Hessian action checks its ``solve_from_tail`` from the spatial
-    products that it makes anyway.  The right-hand sides are small, down to
-    1e-12 for late CG directions, so the check is relative, without the
-    slab check's + 1.
+    products that it makes anyway, in the discretization's basis, with the
+    norm of the vertex basis (``Discretization.isometric``).  The
+    right-hand sides are small, down to 1e-12 for late CG directions, so
+    the check is relative, without the slab check's + 1.
     """
 
     def __init__(self, disc, boxed_vertices):
@@ -441,32 +418,38 @@ class EnergyExtension:
         self.modes = modes
         levels, n = len(theta), disc.mesh.num_interior
         self._levels, self._size = levels, n
+        self._disc = disc
+        self._fold = disc.fold
         coupled = disc.mass_if[:, boxed_vertices]
         touched = np.flatnonzero(np.diff(coupled.indptr))
-        distance = csgraph.dijkstra(
-            disc.mass_ii, unweighted=True, indices=touched, min_only=True
-        )
-        # Farthest first, then by vertex id, whatever the interior order;
-        # the tail, at distance 0, comes last.
-        self.order = np.lexsort((disc.interior, -distance))
-        self.tail = self.order[n - len(touched) :]
-        self._unorder = np.argsort(self.order)
-        self.kd = max(
-            _reordered_band_width(a, self._unorder)
-            for a in (disc.stiff_ii, disc.mass_ii)
-        )
-        self._fold = None
-        if levels * n * (self.kd + 1) >= _FOLD_WORK:
-            self._fold = _SquareFold.of(disc)
-        # The band layout's tail solves skip the half of a pass that lies
-        # before the tail; the folded layout spreads the tail's orbits.
+        self.tail = touched[np.argsort(disc.interior[touched], kind="stable")]
         if self._fold is None:
+            distance = csgraph.dijkstra(
+                disc.mass_ii, unweighted=True, indices=touched, min_only=True
+            )
+            # Farthest first, then by vertex id, whatever the interior
+            # order; the tail, at distance 0, comes last.
+            self.order = np.lexsort((disc.interior, -distance))
+            self._unorder = np.argsort(self.order)
             stiff = _reorder(disc.stiff_ii, self.order)
             mass = _reorder(disc.mass_ii, self.order)
+            self.kd = max(band_width(stiff), band_width(mass))
             self._tail_start = n - len(touched)
         else:
             stiff, mass, self.kd = self._fold.stiff, self._fold.mass, self._fold.kd
             self._tail_start = 0
+            # The tail's rows of U, for the tail-sized fold and unfold: as a
+            # CSR matrix, transposed, and as at most four (column, sign)
+            # pairs per row, padded with sign 0.
+            rows = self._fold.basis[self.tail]
+            self._tail_fold = rows.T.tocsr()
+            width = np.diff(rows.indptr)
+            at = (np.repeat(np.arange(len(self.tail)), width),
+                  np.arange(rows.nnz) - np.repeat(rows.indptr[:-1], width))
+            self._tail_columns = np.zeros((len(self.tail), 4), dtype=np.intp)
+            self._tail_signs = np.zeros((len(self.tail), 4))
+            self._tail_columns[at] = rows.indices
+            self._tail_signs[at] = rows.data
         self._ranges = split_ranges(levels, levels * n * (self.kd + 1))
         self._bands, self._factoring = factor_shifted(
             stiff, mass, theta, self.kd, self._ranges
@@ -481,29 +464,28 @@ class EnergyExtension:
         return self._bands
 
     def _to_modes(self, rhs):
-        """The (levels, n) ``rhs`` in the time modes and in the factor
-        layout."""
+        """The (levels, n) ``rhs``, in the discretization's basis, in the
+        time modes and in the factor layout."""
         if self._fold is None:
             return np.take(self.modes.T @ rhs, self.order, axis=1)
-        rows = np.empty((self._size + 1, self._levels))
-        np.matmul(rhs.T, self.modes, out=rows[:-1])
-        rows[-1] = 0.0
-        return self._fold.fold(rows)
+        return self.modes.T @ rhs
 
-    def _from_modes(self, solved, vertices=slice(None)):
-        """The interior ``vertices`` of the answer whose time modes, in the
-        factor layout, are ``solved``; (levels, len(vertices))."""
+    def _from_modes(self, solved):
+        """The answer, in the discretization's basis, whose time modes, in
+        the factor layout, are ``solved``; (levels, n)."""
         if self._fold is None:
-            return self.modes @ np.take(solved, self._unorder[vertices], axis=1)
-        return self.modes @ self._fold.unfold(solved, vertices).T
+            return self.modes @ np.take(solved, self._unorder, axis=1)
+        return self.modes @ solved
 
     def solve(self, rhs):
         """Solve A_ii X = rhs for a level-major rhs, flat or of shape
-        (levels, num_interior); X has shape (levels, num_interior).  An X
-        that fails the residual check raises ``SolverError``."""
-        work = self._to_modes(rhs.reshape(self._levels, self._size))
+        (levels, num_interior); X has shape (levels, num_interior).  Both
+        are in the vertex basis.  An X that fails the residual check raises
+        ``SolverError``."""
+        disc = self._disc
+        work = self._to_modes(disc.fold_loads(rhs.reshape(self._levels, self._size)))
         substitute_bands(self._factors(), self._ranges, work, (b"T", 0), (b"N", 0))
-        solved = self._from_modes(work)
+        solved = disc.unfold_values(self._from_modes(work))
         # Freed first, ``work`` serves the check's temporaries: kept, it put
         # the peak memory of a 64x46 solve 0.9 MiB higher.
         del work
@@ -514,8 +496,9 @@ class EnergyExtension:
 
     def check(self, defect, rhs):
         """Check a solve by its residual ``defect`` = A_ii X - rhs, level-major,
-        flat or of shape (levels, num_interior); ``rhs`` may hold only the
-        columns where it is nonzero, level-major, flat or (levels, columns).
+        flat or of shape (levels, num_interior), with the Euclidean norm of
+        the vertex basis; ``rhs`` may hold only the columns where it is
+        nonzero, level-major, flat or (levels, columns).
         A relative residual ||defect|| / ||rhs|| above ``RESIDUAL_TOL``
         raises ``SolverError`` naming the time mode whose row of Z^T defect,
         the residual of that mode's system, is largest, with that mode's own
@@ -539,31 +522,34 @@ class EnergyExtension:
 
     def solve_from_tail(self, tail_rhs):
         """``solve`` of the right-hand side that is ``tail_rhs``, level-major
-        over the tail, on the tail and zero elsewhere; (levels,
-        num_interior).  Zero off the tail, the right-hand side makes the
-        band layout's forward substitution zero until the tail."""
+        over the tail, on the tail and zero elsewhere, in the
+        discretization's basis; (levels, num_interior).  Zero off the tail,
+        the right-hand side makes the band layout's forward substitution
+        zero until the tail; the folded layout folds the tail's columns
+        alone."""
         tail_rhs = tail_rhs.reshape(self._levels, len(self.tail))
         start = self._tail_start
         if self._fold is None:
             work = np.zeros((self._levels, self._size))
             work[:, start:] = self.modes.T @ tail_rhs
         else:
-            rows = np.zeros((self._size + 1, self._levels))
-            rows[self.tail] = tail_rhs.T @ self.modes
-            work = self._fold.fold(rows)
+            work = self.modes.T @ (self._tail_fold @ tail_rhs.T).T
         substitute_bands(self._factors(), self._ranges, work, (b"T", start), (b"N", 0))
         return self._from_modes(work)
 
     def solve_to_tail(self, rhs):
-        """The tail columns of ``solve(rhs)``; (levels, len(tail)).  Read
-        only on the tail, the answer needs the band layout's backward
-        substitution on the tail alone."""
+        """The tail columns of the answer, in the vertex basis, of ``solve``
+        for the right-hand side ``rhs``, (levels, num_interior), given in
+        the discretization's basis; (levels, len(tail)).  Read only on the
+        tail, the answer needs the band layout's backward substitution on
+        the tail alone, and the folded layout unfolds the tail alone."""
         start = self._tail_start
-        work = self._to_modes(rhs.reshape(self._levels, self._size))
+        work = self._to_modes(rhs)
         substitute_bands(self._factors(), self._ranges, work, (b"T", 0), (b"N", start))
         if self._fold is None:
             return self.modes @ work[:, start:]
-        return self._from_modes(work, self.tail)
+        tail = np.einsum("ltj,tj->lt", work[:, self._tail_columns], self._tail_signs)
+        return self.modes @ tail
 
 
 # ``Quadrature`` evaluates every integrand and every load on blocks of at
@@ -827,7 +813,15 @@ class Discretization:
         # the peak memory of the 48x34 solve with q_b = 0.045 by 0.4 MiB and
         # left that of the 64x46 solve within 0.1 MiB.
         self._k = mesh.time_partition.k
-        self._slab_system = SlabSystem(self.mass_ii + self._k * self.stiff_ii)
+        slab = self.mass_ii + self._k * self.stiff_ii
+        self.fold = None
+        if mesh.num_slabs * len(idx) * (band_width(slab) + 1) >= _FOLD_WORK:
+            self.fold = _SquareFold.of(self)
+        self.slab_mass = self.mass_ii
+        if self.fold is not None:
+            self.slab_mass = self.fold.mass
+            slab = self.fold.mass + self._k * self.fold.stiff
+        self._slab_system = SlabSystem(slab)
         self.mass_if = self.mass[idx, :].tocsr()
         self.stiff_if = self.stiffness[idx, :].tocsr()
         mt, st = time_mass_stiffness(mesh.time_partition.points)
@@ -846,10 +840,65 @@ class Discretization:
         slab, which is how the benchmark's trace counts slab solves."""
         return self._slab_system
 
-    def vertex_blocks(self, vertices):
-        """The spatial mass and stiffness matrices on the rows and columns
-        ``vertices``, in that order (CSR)."""
-        return _reorder(self.mass, vertices), _reorder(self.stiffness, vertices)
+    # -- the basis of the interior unknowns ----------------------------------
+
+    def fold_loads(self, loads):
+        """Loads b on the interior vertices, the rows of (..., ni), in the
+        sweeps' basis: U^T b where the discretization folds, else ``loads``
+        itself."""
+        return loads if self.fold is None else self.fold.fold(loads)
+
+    def fold_values(self, values):
+        """Interior values x, the rows of (..., ni), in the sweeps' basis:
+        the y with U y = x, D^-1 U^T x, where the discretization folds, else
+        ``values`` itself."""
+        if self.fold is None:
+            return values
+        folded = self.fold.fold(values)
+        folded *= self.fold.weights
+        return folded
+
+    def unfold_values(self, values):
+        """The vertex values U y of values y in the sweeps' basis, the rows
+        of (..., ni); ``values`` itself where the discretization does not
+        fold."""
+        return values if self.fold is None else self.fold.unfold(values)
+
+    def unfold_loads(self, loads):
+        """The vertex loads U D^-1 b' of loads b' = U^T b in the sweeps'
+        basis, the rows of (..., ni); ``loads`` itself where the
+        discretization does not fold."""
+        if self.fold is None:
+            return loads
+        return self.fold.unfold(loads * self.fold.weights)
+
+    def isometric(self, loads):
+        """Loads U^T b in the sweeps' basis, the rows of (..., ni), scaled by
+        D^-1/2, so each row has the Euclidean norm of its b: |b|^2 = (U^T
+        b)^T D^-1 (U^T b), since U D^-1 U^T = I.  ``loads`` itself where the
+        discretization does not fold."""
+        if self.fold is None:
+            return loads
+        return loads * np.sqrt(self.fold.weights)
+
+    def slab_blocks(self, others):
+        """The spatial mass and stiffness matrices on the interior vertices,
+        in the sweeps' basis, and then on the vertices ``others``, in that
+        order (CSR): P^T A P with P = diag(U, I), the fold's blocks on the
+        interior, where the discretization folds."""
+        vertices = np.concatenate([self.interior, others])
+        if self.fold is None:
+            return _reorder(self.mass, vertices), _reorder(self.stiffness, vertices)
+        blocks = []
+        for matrix, folded in ((self.mass, self.fold.mass), (self.stiffness, self.fold.stiff)):
+            coupling = self.fold.basis.T @ matrix[self.interior][:, others]
+            block = sp.bmat(
+                [[folded, coupling], [coupling.T, matrix[others][:, others]]],
+                format="csr",
+            )
+            block.sort_indices()
+            blocks.append(block)
+        return tuple(blocks)
 
     # -- the dG(0)-cG(1) coupling rules --------------------------------------
 

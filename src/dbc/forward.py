@@ -8,14 +8,21 @@ Cholesky factor, one ``SlabSystem`` that ``Discretization`` builds with the
 rest of the time discretization, C_m(q) among it, and that
 ``slab_solver`` hands out.
 
-``march`` runs the slabs in either direction.  Its arrays are in the
-band order of the mesh's ``interior_indices``, the order in which the slab
-factor is made, so it permutes nothing: it copies the right-hand sides
-and solves each slab in place in its row of a new array.  A sweep keeps
+``march`` runs the slabs in either direction, in the discretization's
+basis of the interior unknowns: the vertex basis in the band order of the
+mesh's ``interior_indices``, or, where the discretization folds, the
+square's symmetry-adapted basis, whose slab factor is four blocks of half
+the band (see ``Discretization``).  It copies the right-hand sides and
+solves each slab in place in its row of a new array.  A sweep keeps
 nothing on the discretization but ``max_slab_residual``, the largest
 residual checked.  Every slab solve is checked after the march, with one
-sparse product for the whole sweep; the first slab in march order whose
-relative residual exceeds ``RESIDUAL_TOL`` raises ``SolverError``.
+sparse product for the whole sweep, and with the norm of the vertex
+basis, ``Discretization.isometric``, so a folded sweep reads the
+residual of the same solve in the band order, to rounding; the first slab
+in march order whose relative residual exceeds ``RESIDUAL_TOL`` raises
+``SolverError``.  ``sweep_forward`` and ``dbc.adjoint.sweep_backward`` take
+and return arrays in the vertex basis; the trace Hessian action marches in
+the discretization's basis and converts nothing.
 """
 
 from __future__ import annotations
@@ -51,7 +58,9 @@ class SolverError(RuntimeError):
 def march(disc, slab_rhs, start=None, reverse=False):
     """Solve K x_m = M x_prev + slab_rhs[m] slab by slab, from slab 1 with
     x_prev = start (zero for None), or from slab M backward when
-    ``reverse``; returns the (M, ni) array x."""
+    ``reverse``; returns the (M, ni) array x.  Every array is in the
+    discretization's basis, and so are K and M, the ``slab_solver()``
+    matrix and ``slab_mass``."""
     slabs = np.arange(disc.mesh.num_slabs)[:: -1 if reverse else 1]
     rhs = np.array(slab_rhs, dtype=float)
     x = np.empty_like(rhs)
@@ -59,7 +68,7 @@ def march(disc, slab_rhs, start=None, reverse=False):
     for m in slabs:
         system = disc.slab_solver()
         if prev is not None:
-            rhs[m] += disc.mass_ii @ prev
+            rhs[m] += disc.slab_mass @ prev
         x[m] = rhs[m]
         system.solve_in_place(x[m])
         prev = x[m]
@@ -70,10 +79,12 @@ def march(disc, slab_rhs, start=None, reverse=False):
 def _check_residuals(disc, system, rhs, x, slabs):
     """Relative residual ||K x_m - b_m|| / (||b_m|| + 1) of every slab, with
     K the matrix of ``system`` and b_m and x_m the rows of ``rhs`` and
-    ``x``, by one sparse product; raises ``SolverError`` for the first slab
-    in march order ``slabs`` above the tolerance."""
+    ``x``, by one sparse product, each norm that of the vertex basis;
+    raises ``SolverError`` for the first slab in march order ``slabs``
+    above the tolerance."""
     defect = system.matrix @ x.T
     defect -= rhs.T
+    defect, rhs = disc.isometric(defect.T).T, disc.isometric(rhs)
     residual = np.sqrt(np.einsum("ij,ij->j", defect, defect)) / (
         np.sqrt(np.einsum("ij,ij->i", rhs, rhs)) + 1.0
     )
@@ -91,8 +102,10 @@ def sweep_forward(disc, slab_rhs, w0=None):
     """March the slabs forward.
 
     slab_rhs has shape (M, ni) and already contains source minus coupling;
-    returns the (M, ni) coefficient array."""
-    return march(disc, slab_rhs, w0)
+    returns the (M, ni) coefficient array.  All three are in the vertex
+    basis."""
+    start = None if w0 is None else disc.fold_values(w0)
+    return disc.unfold_values(march(disc, disc.fold_loads(slab_rhs), start))
 
 
 def solve_state_sensitivity(disc, delta_control):

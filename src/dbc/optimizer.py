@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adjoint import sweep_backward
+from . import forward
 from .assembly import EnergyExtension
 from .forward import sweep_forward
 from .kernels import AssemblyError
@@ -194,7 +194,7 @@ class ReducedProblem:
         # side is minus the seminorm block of the tail rows and the trace
         # columns times v.
         self._movable = np.concatenate([disc.interior, bounds.boxed_vertices])
-        self._movable_blocks = disc.vertex_blocks(self._movable)
+        self._movable_blocks = disc.slab_blocks(bounds.boxed_vertices)
         self._A_tail_trace = disc.seminorm.block(
             disc.interior[self.extension.tail], bounds.boxed_vertices
         )
@@ -203,16 +203,25 @@ class ReducedProblem:
         # its state, adjoint and tracking gradient come from the action's
         # composition on the movable vertices, with the data added.
         anchor = self.anchor.reshape(levels, mesh.num_nodes)
-        data = (self._source, self._w0, disc.source_slabs(target))
-        tracking, _, self.state_anchor, self.adjoint_anchor = self._tracking(
-            self._movable_blocks, anchor.T[self._movable], data
+        data = (
+            disc.fold_loads(self._source),
+            disc.fold_values(self._w0),
+            disc.fold_loads(disc.source_slabs(target)),
         )
+        tracking, _, sens, second = self._tracking(
+            self._movable_blocks, self._fold_columns(anchor.T[self._movable]), data
+        )
+        self.state_anchor = disc.unfold_values(sens)
+        self.adjoint_anchor = disc.unfold_values(second)
+        del sens, second
 
         # grad j(anchor) on the movable vertices, restricted to the trace.
         shifted = self.anchor - self.q_shift
         seminorm_shifted = disc.seminorm @ shifted
-        tracking += self.lam * seminorm_shifted.reshape(anchor.shape)[:, self._movable]
-        tracking -= disc.control_pairing(target)[:, self._movable]
+        tracking += self._fold_loads(
+            self.lam * seminorm_shifted.reshape(anchor.shape)[:, self._movable]
+        )
+        tracking -= self._fold_loads(disc.control_pairing(target)[:, self._movable])
         self.trace_b = -self._restrict(tracking)
         misfit = disc.misfit_from_loads(
             self.state_anchor, anchor, target, target_square
@@ -226,18 +235,37 @@ class ReducedProblem:
     def hessian_apply(self, flat):
         """Full-space H v by the composition of ``trace_hessian``, on the
         spatial matrices of all vertices, made for this call and not kept:
-        the tracking part plus lam A v from the same products."""
+        the tracking part plus lam A v from the same products.  ``flat``
+        and H v are in the vertex basis."""
         disc = self.disc
         mesh = disc.mesh
+        ni = mesh.num_interior
         boundary = np.flatnonzero(mesh.triangulation.boundary_vertex_flags)
         order = np.concatenate([disc.interior, boundary])
         values = flat.reshape(mesh.num_control_levels, mesh.num_nodes)
-        blocks = disc.vertex_blocks(order)
-        tracking, seminorm = self._tracking(blocks, values.T[order])[:2]
+        blocks = disc.slab_blocks(boundary)
+        tracking, seminorm = self._tracking(
+            blocks, self._fold_columns(values.T[order])
+        )[:2]
         tracking += self.lam * seminorm
         out = np.empty_like(values)
-        out[:, order] = tracking
+        out[:, disc.interior] = disc.unfold_loads(tracking[:, :ni])
+        out[:, boundary] = tracking[:, ni:]
         return out.ravel()
+
+    def _fold_columns(self, columns):
+        """``columns``, values on the movable vertices, (movable, levels),
+        with the interior rows in the sweeps' basis, in place."""
+        ni = self.disc.mesh.num_interior
+        columns[:ni] = self.disc.fold_values(columns[:ni].T).T
+        return columns
+
+    def _fold_loads(self, loads):
+        """``loads`` on the movable vertices, (levels, movable), with the
+        interior columns in the sweeps' basis, in place."""
+        ni = self.disc.mesh.num_interior
+        loads[:, :ni] = self.disc.fold_loads(loads[:, :ni])
+        return loads
 
     def _tracking(self, blocks, columns, data=None):
         """The tracking part of H q, and A q, for a q that is zero off a set
@@ -278,12 +306,12 @@ class ReducedProblem:
         source, w0, target = data or (None, None, None)
         if source is not None:
             loads += source
-        sens = sweep_forward(disc, loads, w0)
+        sens = forward.march(disc, loads, w0)
         del loads
-        disc.tracking_loads(tracking_loads, (disc.mass_ii @ sens.T).T)
+        disc.tracking_loads(tracking_loads, (disc.slab_mass @ sens.T).T)
         if target is not None:
             tracking_loads -= target
-        second = sweep_backward(disc, tracking_loads)
+        second = forward.march(disc, tracking_loads, reverse=True)
         del tracking_loads
         # The sensitivity's pairing with the control's hats plus the mass
         # part of -C^T of the second adjoint, then the second adjoint's
@@ -338,7 +366,7 @@ class ReducedProblem:
         are the residual of the extension solve, which
         ``EnergyExtension.check`` checks first."""
         ni = self.disc.mesh.num_interior
-        self.extension.check(seminorm[:, :ni], tail_rhs)
+        self.extension.check(self.disc.isometric(seminorm[:, :ni]), tail_rhs)
         return seminorm[:, ni:].ravel()
 
     def _restrict(self, movable):
@@ -365,7 +393,7 @@ class ReducedProblem:
         out = self._restrict(tracking)
         out += self.lam * self._reduced_seminorm(seminorm, tail_rhs)
         if want_fields:
-            return out, sens, second
+            return out, self.disc.unfold_values(sens), self.disc.unfold_values(second)
         return out
 
     def trace_seminorm(self, trace_values):

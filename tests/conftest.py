@@ -9,8 +9,10 @@ terminal summary so the full pass/fail table is visible in one place.
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from dbc import assembly
 from dbc.assembly import EnergyExtension
 from dbc.kernels import SlabSystem
 from dbc.manufactured import StudyReport, bump_case, run_study
@@ -35,6 +37,22 @@ def study():
     assert report.failure is None, f"study failed: {report.failure}"
     assert len(report.records) == len(STUDY_LEVELS)
     return StudyRun(report=report, seconds=seconds)
+
+
+@pytest.fixture
+def layout(monkeypatch):
+    """Force the basis of the interior unknowns by the one fold gate.
+
+    ``layout(name)`` applies to every ``Discretization`` made after the
+    call: "band" keeps the vertex basis in the band order at every size,
+    and "folded" folds into the square's symmetry-adapted basis at every
+    size where the mesh has the symmetry."""
+
+    def force(name):
+        gate = {"band": np.inf, "folded": 0}[name]
+        monkeypatch.setattr(assembly, "_FOLD_WORK", gate)
+
+    return force
 
 
 @pytest.fixture

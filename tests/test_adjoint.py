@@ -79,3 +79,19 @@ def test_duality_identity(mesh):
     disc = Discretization(mesh)
     for seed in range(10):
         assert adjoint_identity_check(disc, seed=seed) < 1e-10
+
+
+@pytest.mark.parametrize("n", [7, 12, 16])
+def test_duality_identity_in_the_folded_basis(layout, n):
+    """The identity holds to rounding, 1e-15 on data of order one, alike in
+    the vertex basis and with both sweeps in the folded basis, forced by
+    the fold gate, at odd and even n."""
+    mesh = build_space_time_mesh(n, 5)
+    layout("band")
+    band = Discretization(mesh)
+    layout("folded")
+    folded = Discretization(mesh)
+    assert band.fold is None and folded.fold is not None
+    for seed in range(3):
+        assert adjoint_identity_check(band, seed=seed) <= 1e-15
+        assert adjoint_identity_check(folded, seed=seed) <= 1e-15

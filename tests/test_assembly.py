@@ -829,35 +829,38 @@ def test_the_band_layout_width_is_that_of_the_reordered_matrices(n, boxed_set):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 12, 24, 64])
 @pytest.mark.parametrize("boxed_set", ["bottom", "whole"])
-def test_folded_solves_match_the_band_layout(monkeypatch, n, boxed_set):
+def test_folded_solves_match_the_band_layout(layout, n, boxed_set):
     """``solve``, ``solve_from_tail`` and ``solve_to_tail`` in the folded
     layout, forced by the fold gate, give the band layout's answers to
     1e-13 relative, for odd and even n, with the bottom edge or the whole
-    boundary boxed, on the same tail; the folded band is at most
+    boundary boxed, on the same tail; the tail solves take and give the
+    folded basis's arrays, converted here.  The folded band is at most
     ceil((n - 1) / 2) wide on both."""
     mesh = build_space_time_mesh(n, 4)
-    disc = Discretization(mesh)
     if boxed_set == "bottom":
         boxed = _bottom_edge(mesh)
     else:
         boxed = BoundSet(mesh, 0.0, 1.0, whole_boundary).boxed_vertices
-    monkeypatch.setattr(assembly, "_FOLD_WORK", np.inf)
-    band = EnergyExtension(disc, boxed)
-    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    layout("band")
+    band = EnergyExtension(Discretization(mesh), boxed)
+    layout("folded")
+    disc = Discretization(mesh)
     folded = EnergyExtension(disc, boxed)
-    assert band._fold is None and folded._fold is not None
+    assert band._fold is None and folded._fold is disc.fold is not None
     assert np.array_equal(folded.tail, band.tail)
     assert folded.kd <= -(-(n - 1) // 2) < band.kd
     rng = np.random.default_rng(n)
     rhs = rng.standard_normal((mesh.num_control_levels, mesh.num_interior))
     tail_rhs = rng.standard_normal((mesh.num_control_levels, len(band.tail)))
-    for solve in (
-        lambda e: e.solve(rhs),
-        lambda e: e.solve_from_tail(tail_rhs),
-        lambda e: e.solve_to_tail(rhs),
+    for solve, convert in (
+        (lambda e: e.solve(rhs), lambda e: e.solve(rhs)),
+        (lambda e: e.solve_from_tail(tail_rhs),
+         lambda e: disc.unfold_values(e.solve_from_tail(tail_rhs))),
+        (lambda e: e.solve_to_tail(rhs),
+         lambda e: e.solve_to_tail(disc.fold_loads(rhs))),
     ):
         expected = solve(band)
-        error = np.linalg.norm(solve(folded) - expected)
+        error = np.linalg.norm(convert(folded) - expected)
         assert error <= 1e-13 * np.linalg.norm(expected)
     assert 0.0 < folded.max_residual <= 1e-13
 
@@ -879,36 +882,41 @@ def test_the_fold_leaves_nothing_off_its_blocks_at_a_power_of_two(n):
         assert (basis.T @ matrix @ basis != folded).nnz == 0
 
 
-def test_a_jittered_mesh_keeps_the_band_layout(monkeypatch):
+def test_a_jittered_mesh_keeps_the_band_layout(layout):
     """Interior vertices moved by up to a tenth of a cell, as in the mesh
     tests, break the reflections, so even with the fold gate at 0 the
-    extension keeps the band layout."""
+    discretization and the extension keep the band layout."""
     square = unit_square_mesh(8)
     jitter = np.random.default_rng(8).uniform(-0.0125, 0.0125, square.vertices.shape)
     jitter[square.boundary_vertex_flags] = 0.0
     tri = Triangulation(square.vertices + jitter, square.triangles)
     tri.cell_width = square.cell_width
     mesh = SpaceTimeMesh(tri, uniform_time_partition(6))
+    layout("folded")
     disc = Discretization(mesh)
-    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    assert disc.fold is None
     assert assembly._SquareFold.of(disc) is None
     extension = EnergyExtension(disc, _bottom_edge(mesh))
     assert extension._fold is None
     assert extension.kd == 7
 
 
-def test_the_fold_gate_folds_the_bottom_edge_at_64x46_and_not_below():
-    """With the bottom edge boxed, the band work of 16x12, 32x23, 40x28 and
-    48x34 is below the fold gate, so those levels keep the band layout, and
-    that of 64x46 above it, so it folds."""
-    levels = ((16, 12, False), (32, 23, False), (40, 28, False), (48, 34, False),
+def test_the_fold_gate_folds_from_48x34_and_not_below():
+    """The slab system's band work, M * n_interior * n, of 16x12, 32x23 and
+    40x28 is below the fold gate, so those levels keep the vertex basis,
+    and that of 48x34 and 64x46 above it, so they fold: the slab factor and
+    the extension, here with the bottom edge boxed, alike."""
+    levels = ((16, 12, False), (32, 23, False), (40, 28, False), (48, 34, True),
               (64, 46, True))
     for n, M, folded in levels:
         mesh = build_space_time_mesh(n, M)
-        extension = EnergyExtension(Discretization(mesh), _bottom_edge(mesh))
-        assert (extension._fold is not None) == folded
-        work = (M - 1) * mesh.num_interior * n
+        disc = Discretization(mesh)
+        extension = EnergyExtension(disc, _bottom_edge(mesh))
+        assert (disc.fold is not None) == (extension._fold is not None) == folded
+        work = M * mesh.num_interior * n
         assert (work >= assembly._FOLD_WORK) == folded
+        half = -(-(n - 1) // 2)
+        assert disc.slab_solver().kd == (half if folded else n - 1)
 
 
 def test_the_64x46_mode_factors_take_at_most_46_mib():
@@ -920,13 +928,13 @@ def test_the_64x46_mode_factors_take_at_most_46_mib():
     assert extension._factors().nbytes <= 46 * 2**20
 
 
-def test_a_failed_folded_mode_factor_stops_set_up(monkeypatch):
+def test_a_failed_folded_mode_factor_stops_set_up(monkeypatch, layout):
     """In the folded layout, forced by the fold gate, with two CPUs and the
     split gate at 0, set-up factors the modes on the pool in two ranges, as
     in the band layout, and a failed mode factor there stops set-up as a
     failed band factor does."""
     monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
-    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    layout("folded")
     problem = _fail_the_first_pool_factor(monkeypatch, 16, 12)
     assert problem.extension._fold is not None
 

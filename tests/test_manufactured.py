@@ -408,11 +408,11 @@ def test_run_study_stops_at_a_wrong_extension_solve(case, corrupt_extension):
 
 
 def test_run_study_stops_at_a_wrong_folded_extension_solve(
-    monkeypatch, case, corrupt_extension
+    layout, case, corrupt_extension
 ):
     """The same with the extension in the folded layout, forced by the fold
     gate."""
-    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    layout("folded")
     test_run_study_stops_at_a_wrong_extension_solve(case, corrupt_extension)
 
 

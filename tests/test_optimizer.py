@@ -21,7 +21,6 @@ from _oracles import (
     zero_control,
     zero_data,
 )
-from dbc import assembly
 from dbc.adjoint import tracking_slabs
 from dbc.assembly import Discretization, EnergyExtension
 from dbc.forward import SolverError
@@ -410,6 +409,59 @@ def test_anchor_data_match_the_oracles(n, M, case):
     )
 
 
+# -- the folded basis -------------------------------------------------------------
+
+
+def _assert_close(got, want, rel):
+    assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n,M", [(7, 5), (12, 8), (16, 12)])
+def test_the_folded_problem_matches_the_vertex_basis(layout, n, M):
+    """In the folded basis, forced by the fold gate, at odd and even n and
+    with initial data, set-up's anchor data, trace Hessian actions with and
+    without their fields, the full-space action and ``objective`` match the
+    vertex basis's to 1e-12 relative; the folded actions' extension solves
+    pass their check."""
+    case = dataclasses.replace(bump_case(), q_b=0.045, initial=_initial)
+    layout("band")
+    band = setup_problem(n, M, case)
+    layout("folded")
+    folded = setup_problem(n, M, case)
+    assert band.disc.fold is None and folded.disc.fold is not None
+    for name in ("anchor", "trace_b", "state_anchor", "adjoint_anchor"):
+        _assert_close(getattr(folded, name), getattr(band, name), 1e-12)
+    assert folded.objective_at_anchor == pytest.approx(
+        band.objective_at_anchor, rel=1e-12
+    )
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(band.trace_dim)
+    _assert_close(folded.trace_hessian(v), band.trace_hessian(v), 1e-12)
+    for got, want in zip(
+        folded.trace_hessian(v, want_fields=True), band.trace_hessian(v, want_fields=True)
+    ):
+        _assert_close(got, want, 1e-12)
+    _assert_close(folded.trace_seminorm(v), band.trace_seminorm(v), 1e-12)
+    q = rng.standard_normal(band.dim)
+    _assert_close(folded.hessian_apply(q), band.hessian_apply(q), 1e-12)
+    assert folded.objective(q) == pytest.approx(band.objective(q), rel=1e-12)
+    assert 0.0 < folded.extension.max_residual <= 1e-12
+
+
+def test_folded_active_sets_at_16x12_match_a_dense_box_solver(layout):
+    """In the folded basis, forced by the fold gate, the 16x12 solve with
+    q_b = 0.045 ends as in the vertex basis: after 4 outer steps, with 61
+    of the 165 trace DOFs upper-active, at the active sets and the trace of
+    the dense box solver."""
+    layout("folded")
+    problem = setup_problem(16, 12, dataclasses.replace(bump_case(), q_b=0.045))
+    assert problem.disc.fold is not None
+    result = pdas_solve(problem, tol=1e-9)
+    assert result.diagnostics.num_upper_active == 61
+    assert result.diagnostics.outer_iterations == 4
+    assert_matches_dense_box_oracle(problem, result)
+
+
 # -- gradients and Hessians --------------------------------------------------------
 
 
@@ -555,6 +607,27 @@ def test_small_regularization_at_16x12_matches_a_dense_box_solver(q_b):
     problem = setup_problem(16, 12, case)
     result = pdas_solve(problem, tol=1e-10)
     assert result.diagnostics.outer_iterations > 1
+    assert_matches_dense_box_oracle(problem, result)
+
+
+@pytest.mark.parametrize(
+    "q_b,outer,cg,num_upper", [(0.8, 7, 32, 0), (0.045, 17, 163, 65)]
+)
+def test_lam_1e_6_at_16x12_matches_a_dense_box_solver(q_b, outer, cg, num_upper):
+    """At lam = 1e-6, the smallest lam of the tests, PDAS from the zero
+    start at tol = 1e-9 still ends at the dense box oracle's active sets and
+    trace, 1.7e-12 and 2.6e-11 off it, and within the outer steps and CG
+    iterations that it took when this test was written: 7 and 32 with q_b
+    = 0.8, where no bound is active at the optimum, and 17 and 163 with q_b
+    = 0.045, where 65 of the 165 trace DOFs end upper-active."""
+    case = dataclasses.replace(bump_case(), q_b=q_b, lam=1e-6)
+    problem = setup_problem(16, 12, case)
+    result = pdas_solve(problem, tol=1e-9)
+    diagnostics = result.diagnostics
+    assert diagnostics.outer_iterations <= outer
+    assert diagnostics.cg_iterations <= cg
+    assert diagnostics.num_upper_active == num_upper
+    assert diagnostics.num_lower_active == 0
     assert_matches_dense_box_oracle(problem, result)
 
 
@@ -808,7 +881,7 @@ def test_a_wrong_extension_factor_stops_a_hessian_action(
     q[problem.trace_indices] = v
     rhs = -(problem.disc.seminorm @ q)[problem.interior_indices]
     rhs = rhs.reshape(problem.disc.mesh.num_control_levels, -1)
-    solved = extension.solve_from_tail(rhs[:, extension.tail])
+    solved = problem.disc.unfold_values(extension.solve_from_tail(rhs[:, extension.tail]))
     defect = extension._interior_block @ solved.ravel() - rhs.ravel()
     residual = np.linalg.norm(defect) / np.linalg.norm(rhs)
     modal = np.linalg.norm(extension.modes.T @ defect.reshape(rhs.shape), axis=1)
@@ -824,11 +897,11 @@ def test_a_wrong_extension_factor_stops_a_hessian_action(
     ids=["all-x1.5", "mode3-x1.01"],
 )
 def test_a_wrong_folded_factor_stops_the_solve(
-    monkeypatch, corrupt_extension, scale, modes, reading, named
+    layout, corrupt_extension, scale, modes, reading, named
 ):
     """The same corruptions of the extension's mode factors in the folded
     layout, forced by the fold gate, stop the solve alike."""
-    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    layout("folded")
     test_a_wrong_extension_factor_stops_the_solve(
         corrupt_extension, scale, modes, reading, named
     )
@@ -840,11 +913,11 @@ def test_a_wrong_folded_factor_stops_the_solve(
     ids=["all-x1.5", "mode3-x1.01"],
 )
 def test_a_wrong_folded_factor_stops_a_hessian_action(
-    monkeypatch, corrupt_extension, scale, modes, reading, named
+    layout, corrupt_extension, scale, modes, reading, named
 ):
     """The same corruptions in the folded layout stop a trace Hessian
     action alike, naming the mode with the same residual reading."""
-    monkeypatch.setattr(assembly, "_FOLD_WORK", 0)
+    layout("folded")
     test_a_wrong_extension_factor_stops_a_hessian_action(
         corrupt_extension, scale, modes, reading, named
     )
