@@ -211,10 +211,10 @@ def _check_modes(mt, st, theta, modes):
 # fold's build, 4 to 9 ms, and the tail solves' lost partial passes
 # outweigh the narrower bands.
 _FOLD_WORK = 2_000_000
-# The fold keeps S_ii and M_ii only where their off-block part in the
-# folded basis is at most this much of their largest folded entry: zero
-# exactly when the matrix commutes with both reflections, as it does at
-# n = 2^k; rounding at n = 48 leaves 8.1e-15 in S and 1.2e-18 in M.
+# The fold keeps S_ii and M_ii only where R and R' move no entry of either
+# by more than this much of the matrix's largest entry: zero exactly when
+# the matrix commutes with both reflections, as it does at n = 2^k;
+# rounding at n = 48 leaves 2.0e-15 in S and 1.2e-18 in M.
 _FOLD_INVARIANCE = 1e-13
 
 # The characters chi of D2 = {I, R, R', RR'}, one row each, chi(g) in
@@ -225,6 +225,22 @@ _CHARACTERS = np.array(
     [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
      [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
 )
+
+
+def _moved(matrix, perm):
+    """The largest change of an entry of a CSR ``matrix`` with sorted
+    indices under the permutation ``perm`` of its rows and columns,
+    relative to its largest entry; inf where some entry moves off the
+    pattern."""
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    keys = rows * n + matrix.indices
+    images = perm[rows] * n + perm[matrix.indices]
+    at = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
+    if not np.array_equal(keys[at], images):
+        return np.inf
+    change = np.abs(matrix.data[at] - matrix.data).max(initial=0.0)
+    return change / np.abs(matrix.data).max(initial=1.0)
 
 
 def _matching(points, images):
@@ -254,8 +270,13 @@ class _SquareFold:
     diagonal, each column's orbit size; ``weights`` is D^-1.
     ``stiff`` and ``mass`` are U^T S_ii U and U^T M_ii U on their diagonal
     blocks, one per character, each in the orbit order, made exactly
-    symmetric from their upper triangle; ``defect`` is the largest part off
-    the blocks relative to the largest entry.  On ``unit_square_mesh(n)``
+    symmetric from their upper triangle; ``defect`` is the largest change of
+    an entry of S_ii or M_ii under R or R', relative to the matrix's
+    largest entry.  Where it is zero, U^T A U has nothing off the blocks,
+    and block chi's row of orbit o is the orbit's size times row o of A U:
+    so the blocks are gathered from the representatives' rows of A U, one
+    sparse product with U, not made by the triple product.  On
+    ``unit_square_mesh(n)``
     the distance's level sets are the lines x - y = d folded into a quarter
     of the square, at most ceil((n - 1) / 2) orbits each, so that is the
     band ``kd`` of every block: 24 at 48 and 32 at 64, against 47 and 63 in
@@ -289,12 +310,14 @@ class _SquareFold:
             shape=(n, n),
         )
         self._transpose = self.basis.T.tocsr()
-        self.weights = 1.0 / np.broadcast_to(member.sum(axis=0), keep.shape)[keep]
+        size = member.sum(axis=0)
+        self.weights = 1.0 / np.broadcast_to(size, keep.shape)[keep]
         self._block_of = np.repeat(np.arange(4), keep.sum(axis=1))
-        (self.stiff, stiff_defect), (self.mass, mass_defect) = (
-            self._blocks(a) for a in (disc.stiff_ii, disc.mass_ii)
+        self._orbits = (images[0], size, column)
+        self.stiff, self.mass = (self._blocks(a) for a in (disc.stiff_ii, disc.mass_ii))
+        self.defect = max(
+            _moved(a, p) for a in (disc.stiff_ii, disc.mass_ii) for p in (r, r2)
         )
-        self.defect = max(stiff_defect, mass_defect)
         self.kd = max(band_width(self.stiff), band_width(self.mass))
 
     @classmethod
@@ -312,20 +335,21 @@ class _SquareFold:
 
     def _blocks(self, matrix):
         """U^T A U on its diagonal blocks, symmetric from its upper triangle,
-        and its largest entry off them relative to its largest entry."""
-        folded = (self.basis.T @ matrix @ self.basis).tocoo()
-        block = self._block_of
-        inside = block[folded.row] == block[folded.col]
-        magnitude = np.abs(folded.data)
-        defect = magnitude[~inside].max(initial=0.0) / magnitude.max(initial=1.0)
-        upper = inside & (folded.row <= folded.col)
-        upper = sp.csr_matrix(
-            (folded.data[upper], (folded.row[upper], folded.col[upper])),
-            shape=folded.shape,
+        gathered from the representatives' rows of A U (see the class)."""
+        reps, size, column = self._orbits
+        rows = (matrix[reps] @ self.basis).tocoo()
+        target = column[self._block_of[rows.col], rows.row]
+        upper = (target >= 0) & (target <= rows.col)
+        row, col = target[upper], rows.col[upper]
+        values = rows.data[upper] * size[rows.row[upper]]
+        strict = row < col
+        symmetric = sp.csr_matrix(
+            (np.concatenate([values, values[strict]]),
+             (np.concatenate([row, col[strict]]), np.concatenate([col, row[strict]]))),
+            shape=matrix.shape,
         )
-        symmetric = (upper + sp.triu(upper, 1).T).tocsr()
         symmetric.sort_indices()
-        return symmetric, defect
+        return symmetric
 
     def fold(self, stack):
         """U^T applied to each row of ``stack``, (..., n); C-contiguous."""

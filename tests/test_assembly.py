@@ -917,6 +917,9 @@ def test_the_fold_gate_folds_from_48x34_and_not_below():
         assert (work >= assembly._FOLD_WORK) == folded
         half = -(-(n - 1) // 2)
         assert disc.slab_solver().kd == (half if folded else n - 1)
+        # Waited for, the mode factors leave no task on the pool for the
+        # tests that count the pool's factor calls.
+        extension._factors()
 
 
 def test_the_64x46_mode_factors_take_at_most_46_mib():
