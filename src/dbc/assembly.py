@@ -8,10 +8,12 @@ Matrices are scipy CSR assembled from vectorized per-element triplets.  The
 seminorm is a ``KroneckerSum`` that keeps only its temporal and spatial
 factors, so no matrix of the control-space size is assembled except for
 export.  Every interior block follows the mesh's reverse Cuthill-McKee
-``interior_indices``, the band order in which the slab system is factored;
-the extension's time modes are factored in the level sets of the distance
-from the controlled edge, or, on a large enough symmetric mesh, in the
-symmetry-adapted basis of the square's two diagonal reflections.  The
+``interior_indices``, the band order in which the slab system is factored,
+and the extension's time modes in the level sets of the distance from the
+controlled edge; on a large enough symmetric mesh the discretization folds
+the interior unknowns once into the symmetry-adapted basis of the square's
+two diagonal reflections, and the slab system, the sweeps and the
+extension all work there.  The
 factors, the substitutions and the pool that splits the extension's time
 modes over the CPUs are in ``dbc.kernels``.
 One space-time ``Quadrature`` per discretization serves every load, the
@@ -227,20 +229,27 @@ _CHARACTERS = np.array(
 )
 
 
-def _moved(matrix, perm):
-    """The largest change of an entry of a CSR ``matrix`` with sorted
-    indices under the permutation ``perm`` of its rows and columns,
-    relative to its largest entry; inf where some entry moves off the
-    pattern."""
-    n = matrix.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-    keys = rows * n + matrix.indices
-    images = perm[rows] * n + perm[matrix.indices]
+def _moved(matrices, perm):
+    """The largest change of an entry of any of ``matrices``, CSR with one
+    pattern and sorted indices, under the permutation ``perm`` of their rows
+    and columns, relative to that matrix's largest entry; inf where some
+    entry moves off the pattern or the patterns differ."""
+    first = matrices[0]
+    n = first.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(first.indptr))
+    keys = rows * n + first.indices
+    images = perm[rows] * n + perm[first.indices]
     at = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
     if not np.array_equal(keys[at], images):
         return np.inf
-    change = np.abs(matrix.data[at] - matrix.data).max(initial=0.0)
-    return change / np.abs(matrix.data).max(initial=1.0)
+    worst = 0.0
+    for matrix in matrices:
+        if not (np.array_equal(matrix.indptr, first.indptr)
+                and np.array_equal(matrix.indices, first.indices)):
+            return np.inf
+        change = np.abs(matrix.data[at] - matrix.data).max(initial=0.0)
+        worst = max(worst, change / np.abs(matrix.data).max(initial=1.0))
+    return worst
 
 
 def _matching(points, images):
@@ -309,15 +318,12 @@ class _SquareFold:
             (_CHARACTERS[chi, g], (images[g, orbit], column[chi, orbit])),
             shape=(n, n),
         )
-        self._transpose = self.basis.T.tocsr()
         size = member.sum(axis=0)
         self.weights = 1.0 / np.broadcast_to(size, keep.shape)[keep]
         self._block_of = np.repeat(np.arange(4), keep.sum(axis=1))
         self._orbits = (images[0], size, column)
         self.stiff, self.mass = (self._blocks(a) for a in (disc.stiff_ii, disc.mass_ii))
-        self.defect = max(
-            _moved(a, p) for a in (disc.stiff_ii, disc.mass_ii) for p in (r, r2)
-        )
+        self.defect = max(_moved((disc.stiff_ii, disc.mass_ii), p) for p in (r, r2))
         self.kd = max(band_width(self.stiff), band_width(self.mass))
 
     @classmethod
@@ -353,7 +359,8 @@ class _SquareFold:
 
     def fold(self, stack):
         """U^T applied to each row of ``stack``, (..., n); C-contiguous."""
-        return np.ascontiguousarray((self._transpose @ stack.T).T)
+        return np.ascontiguousarray((self.basis.T @ stack.T).T)
+
     def unfold(self, stack):
         """U applied to each row of ``stack``, (..., n); C-contiguous."""
         return np.ascontiguousarray((self.basis @ stack.T).T)
@@ -446,7 +453,7 @@ class EnergyExtension:
         self._fold = disc.fold
         coupled = disc.mass_if[:, boxed_vertices]
         touched = np.flatnonzero(np.diff(coupled.indptr))
-        self.tail = touched[np.argsort(disc.interior[touched], kind="stable")]
+        self.tail = touched[np.argsort(disc.interior[touched])]
         if self._fold is None:
             distance = csgraph.dijkstra(
                 disc.mass_ii, unweighted=True, indices=touched, min_only=True
@@ -818,6 +825,23 @@ class Discretization:
     have checked so far.  ``quad`` is the degree-4 triangle rule times 2
     Gauss points per slab.
 
+    The sweeps run in the basis of the interior unknowns that ``__init__``
+    chooses once.  ``mass_ii``, ``stiff_ii`` and every array that a public
+    routine takes or returns are in the vertex basis, in the band order of
+    the mesh's ``interior_indices``.  From the fold gate ``_FOLD_WORK`` of
+    slab band work up, where the mesh has the unit square's diagonal
+    symmetry, ``fold`` is the one ``_SquareFold`` of the interior, and the
+    slab system and ``slab_mass`` are in its symmetry-adapted basis: the
+    slab factor is made on the four blocks of U^T (M_ii + k S_ii) U, each
+    ceil((n - 1) / 2) wide, and the sweeps march on folded stacks.  Else
+    ``fold`` is None and the sweeps' basis is the vertex basis.
+    ``fold_loads``, ``fold_values``, ``unfold_values`` and ``unfold_loads``
+    convert between the two, a value x as U y and a load b as U^T b, and
+    are the identity where nothing folds; ``isometric`` scales folded loads
+    to the vertex basis's Euclidean norm; ``slab_blocks`` gives the
+    spatial blocks of the interior, in the sweeps' basis, and of further
+    vertices.
+
     The dG(0) state couples to the cG(1) control by three rules on stacks
     of spatial products of any vertex set, ``control_loads``,
     ``tracking_loads`` and ``pair_hats``: the trace Hessian action and
@@ -914,8 +938,12 @@ class Discretization:
         if self.fold is None:
             return _reorder(self.mass, vertices), _reorder(self.stiffness, vertices)
         blocks = []
-        for matrix, folded in ((self.mass, self.fold.mass), (self.stiffness, self.fold.stiff)):
-            coupling = self.fold.basis.T @ matrix[self.interior][:, others]
+        pairs = (
+            (self.mass, self.mass_if, self.fold.mass),
+            (self.stiffness, self.stiff_if, self.fold.stiff),
+        )
+        for matrix, rows, folded in pairs:
+            coupling = self.fold.basis.T @ rows[:, others]
             block = sp.bmat(
                 [[folded, coupling], [coupling.T, matrix[others][:, others]]],
                 format="csr",

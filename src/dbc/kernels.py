@@ -13,10 +13,13 @@ extension at 64x46, against 3.19 ms for ('U', 'T').  So the slab system,
 too, keeps U alone and solves with ('U', 'T') and then ('U', 'N'), with no
 second band holding U^T.
 
-The extension's mode factors are bands of one of two layouts (see
-``dbc.assembly.EnergyExtension``): at 64x46 the band layout's are 63 wide
-and take 87.2 MiB, the folded layout's four blocks per mode 32 wide and
-45.0 MiB.  The kernels see one band either way.
+The slab factor and the extension's mode factors are bands of one of two
+layouts, the layouts of the discretization's basis (see
+``dbc.assembly.Discretization`` and ``EnergyExtension``): the band order of
+the vertex basis, or from 48x34 up the square's symmetry-adapted basis,
+four blocks of half the band.  At 64x46 the extension's band layout is 63
+wide and takes 87.2 MiB, the folded one 32 wide and 45.0 MiB, and the slab
+factor 63 and 32 wide.  The kernels see one band either way.
 
 One process-wide pool, one thread kept on each CPU the process may use and
 made on first use, runs the work that ``split_ranges`` splits into
@@ -156,15 +159,17 @@ def dpbtrf(band):
 
 
 class SlabSystem:
-    """One slab system: the CSR ``matrix`` M_ii + k S_ii, in the band order
-    of the mesh's ``interior_indices``, and its Cholesky factor U, both
-    built once.
+    """One slab system: the CSR ``matrix`` M_ii + k S_ii, in the
+    discretization's basis (the band order of the mesh's
+    ``interior_indices``, or the four blocks of the folded basis), and its
+    Cholesky factor U, both built once.
 
     U is kept once, in LAPACK upper band storage, and a solve is two BLAS
     dtbsv calls on it: ('U', 'T') with U^T, then ('U', 'N') with U.  The
-    band of a structured n x n mesh is n - 1 wide, so it holds 2.0 MB at
-    64x46.  Every argument of the two dtbsv calls but the vector's address
-    is made once, here.
+    band of a structured n x n mesh is n - 1 wide in the band order, and
+    ceil((n - 1) / 2) in the folded basis, so it holds 1.0 MB at 64x46,
+    where the band order's held 2.0 MB.  Every argument of the two dtbsv
+    calls but the vector's address is made once, here.
     """
 
     def __init__(self, matrix):
@@ -364,9 +369,8 @@ if hasattr(os, "register_at_fork"):
 # Folded layout, with the tail solves of an action timed: two threads lost
 # 12% at 0.11 M (24x17 folded), broke even at 0.36 M (32x23 folded) and
 # gained 12% at 1.8 M (48x34), so the same gate serves.  No level folds
-# below the split gate: with the bottom edge boxed the first to fold is
-# 64x46, at 5.9 M, and with the whole boundary, whose band layout is four
-# times as wide, 40x28, at 0.86 M.  The quadrature's blocks do not split:
+# below the split gate: the first to fold is 48x34, whatever the boxed
+# set, at 1.8 M in the folded layout.  The quadrature's blocks do not split:
 # two threads that hand the GIL back and forth between their small numpy
 # calls gain little.
 _SPLIT_WORK = 400_000

@@ -131,6 +131,14 @@ class ReducedProblem:
     sweeps, restricts the first by ``solve_to_tail`` and reads lam E^T A E v
     from the boxed columns of the second.  The interior columns of A E v
     are zero by the extension's definition, so they check its solve.
+    Where the discretization folds (see ``dbc.assembly.Discretization``),
+    the movable blocks are P^T A P with P = diag(U, I), and every interior
+    stack of an action stays in the sweeps' basis, from
+    ``solve_from_tail`` through the sweeps to ``solve_to_tail``: an action
+    folds and unfolds only the tail's columns, and checks its extension
+    solve with the vertex basis's norm.  Set-up folds its data and unfolds
+    the anchor's state and adjoint once; ``hessian_apply``, ``objective``
+    and the fields that ``trace_hessian`` returns are in the vertex basis.
     ``hessian_apply`` is the whole action on all prismatic DOFs: the same
     composition on every vertex, lam A v included.  Its optimum
     solves the variational inequality over the extension subspace only (see
@@ -270,8 +278,10 @@ class ReducedProblem:
     def _tracking(self, blocks, columns, data=None):
         """The tracking part of H q, and A q, for a q that is zero off a set
         of vertices: ``blocks`` are the spatial mass and stiffness on those
-        vertices, the interior ones first in ``disc.interior`` order, and
-        ``columns`` holds q there, (vertices, levels), C-contiguous.
+        vertices, the interior ones first in the sweeps' basis
+        (``Discretization.slab_blocks``), and ``columns`` holds q there,
+        (vertices, levels), C-contiguous.  The interior columns of every
+        stack, in and out, are in the sweeps' basis.
 
         Five sparse products: M q and S q give the sensitivity's slab loads,
         q's part of the second adjoint's loads, the control mass term and
@@ -284,7 +294,8 @@ class ReducedProblem:
         (levels, vertices), and the two sweeps.
 
         ``data`` is None for a direction.  Set-up passes the source's slab
-        loads, the initial state w0 and the target's slab loads: the source
+        loads, the initial state w0 and the target's slab loads, in the
+        sweeps' basis: the source
         joins the forward loads, the march starts from w0 and the target
         leaves the backward loads, so the sweeps give the state and the
         adjoint at q and the tracking part lacks only the target's pairing
@@ -371,9 +382,10 @@ class ReducedProblem:
 
     def _restrict(self, movable):
         """Transpose of the homogeneous extension: the trace components of a
-        gradient from its values on the movable vertices, (levels, movable).
-        The extension's transpose reads the interior columns and the trace
-        term the boxed ones."""
+        gradient from its values on the movable vertices, (levels, movable),
+        the interior columns in the sweeps' basis.  The extension's
+        transpose reads the interior columns and the trace term the boxed
+        ones."""
         ni = self.disc.mesh.num_interior
         lifted = self.extension.solve_to_tail(movable[:, :ni])
         return movable[:, ni:].ravel() - self._A_tail_trace.T @ lifted.ravel()
