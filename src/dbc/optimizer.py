@@ -211,17 +211,14 @@ class ReducedProblem:
         # its state, adjoint and tracking gradient come from the action's
         # composition on the movable vertices, with the data added.
         anchor = self.anchor.reshape(levels, mesh.num_nodes)
-        data = (
-            disc.fold_loads(self._source),
-            disc.fold_values(self._w0),
-            disc.fold_loads(disc.source_slabs(target)),
-        )
+        data = (self._source, self._w0, disc.source_slabs(target))
         tracking, _, sens, second = self._tracking(
             self._movable_blocks, self._fold_columns(anchor.T[self._movable]), data
         )
         self.state_anchor = disc.unfold_values(sens)
+        del sens
         self.adjoint_anchor = disc.unfold_values(second)
-        del sens, second
+        del second
 
         # grad j(anchor) on the movable vertices, restricted to the trace.
         shifted = self.anchor - self.q_shift
@@ -295,7 +292,7 @@ class ReducedProblem:
 
         ``data`` is None for a direction.  Set-up passes the source's slab
         loads, the initial state w0 and the target's slab loads, in the
-        sweeps' basis: the source
+        vertex basis, each folded where it joins: the source
         joins the forward loads, the march starts from w0 and the target
         leaves the backward loads, so the sweeps give the state and the
         adjoint at q and the tracking part lacks only the target's pairing
@@ -314,14 +311,16 @@ class ReducedProblem:
         del stiff_q
         tracking_loads = mass_q[:-1, :ni] + mass_q[1:, :ni]
         del mass_q
-        source, w0, target = data or (None, None, None)
-        if source is not None:
-            loads += source
+        w0 = None
+        if data is not None:
+            source, w0, target = data
+            loads += disc.fold_loads(source)
+            w0 = disc.fold_values(w0)
         sens = forward.march(disc, loads, w0)
         del loads
         disc.tracking_loads(tracking_loads, (disc.slab_mass @ sens.T).T)
-        if target is not None:
-            tracking_loads -= target
+        if data is not None:
+            tracking_loads -= disc.fold_loads(target)
         second = forward.march(disc, tracking_loads, reverse=True)
         del tracking_loads
         # The sensitivity's pairing with the control's hats plus the mass
