@@ -905,7 +905,8 @@ def test_the_fold_gate_folds_from_48x34_and_not_below():
     """The slab system's band work, M * n_interior * n, of 16x12, 32x23 and
     40x28 is below the fold gate, so those levels keep the vertex basis,
     and that of 48x34 and 64x46 above it, so they fold: the slab factor and
-    the extension, here with the bottom edge boxed, alike."""
+    the extension, here with the bottom edge boxed, alike.  At 48x34 the
+    folded mode factors take at most 14 MiB."""
     levels = ((16, 12, False), (32, 23, False), (40, 28, False), (48, 34, True),
               (64, 46, True))
     for n, M, folded in levels:
@@ -919,7 +920,11 @@ def test_the_fold_gate_folds_from_48x34_and_not_below():
         assert disc.slab_solver().kd == (half if folded else n - 1)
         # Waited for, the mode factors leave no task on the pool for the
         # tests that count the pool's factor calls.
-        extension._factors()
+        bands = extension._factors()
+        if (n, M) == (48, 34):
+            # 33 modes, 2,209 unknowns, a band of 25: 13.9 MiB, against
+            # 26.7 MiB in the band layout's band of 48.
+            assert bands.nbytes <= 14 * 2**20
 
 
 def test_the_64x46_mode_factors_take_at_most_46_mib():
