@@ -28,8 +28,10 @@ vectors are level-major, matching kron(time, space) ordering.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +50,7 @@ from .kernels import (
 )
 from .spaces import pad_levels
 
+log = logging.getLogger("dbc.assembly")
 
 # 6-point triangle rule, exact to polynomial degree 4.  Barycentric points
 # and weights normalized to sum to one; multiply by the element area.
@@ -421,9 +424,11 @@ class EnergyExtension:
     the layout are applied to all modes at once, outside the ranges.
 
     ``__init__`` only starts the factorization on the pool and returns, so
-    its caller can go on while the pool factors, one task per range in
-    either layout.  The first solve waits for the factors, once, and raises
-    the factorization's failure if it had one.  Below the split gate the
+    its caller can go on while the pool factors, all the modes in one pool
+    task in either layout: two threads that factor at once are slower than
+    one (see ``kernels.factor_shifted``).  The first solve waits for the
+    factors, once, logs at DEBUG how long it waited, and raises the
+    factorization's failure if it had one.  Below the split gate the
     factors are made in ``__init__``.
 
     ``check`` checks a solve X by its residual: ||A_ii X - rhs|| above
@@ -481,17 +486,22 @@ class EnergyExtension:
             self._tail_signs = np.zeros((len(self.tail), 4))
             self._tail_columns[at] = rows.indices
             self._tail_signs[at] = rows.data
-        self._ranges = split_ranges(levels, levels * n * (self.kd + 1))
-        self._bands, self._factoring = factor_shifted(
-            stiff, mass, theta, self.kd, self._ranges
-        )
+        self._bands, self._factoring = factor_shifted(stiff, mass, theta, self.kd)
+        self._ranges = split_ranges(levels, self._bands.size)
 
     def _factors(self):
         """The mode factors, once the factorization that ``__init__``
-        started has ended."""
+        started has ended.  The first call logs, at DEBUG, the modes, the
+        pool tasks that factored them and how long it waited for them."""
         if self._factoring is not None:
+            start = time.perf_counter()
             self._factoring()
             self._factoring = None
+            log.debug(
+                "extension: %d time modes factored in %d pool task(s), "
+                "waited %.1f ms", self._levels, len(self._ranges) > 1,
+                1e3 * (time.perf_counter() - start),
+            )
         return self._bands
 
     def _to_modes(self, rhs):
@@ -838,7 +848,7 @@ class Discretization:
     ``fold_loads``, ``fold_values``, ``unfold_values`` and ``unfold_loads``
     convert between the two, a value x as U y and a load b as U^T b, and
     are the identity where nothing folds; ``isometric`` scales folded loads
-    to the vertex basis's Euclidean norm; ``slab_blocks`` gives the
+    in place to the vertex basis's Euclidean norm; ``slab_blocks`` gives the
     spatial blocks of the interior, in the sweeps' basis, and of further
     vertices.
 
@@ -921,13 +931,13 @@ class Discretization:
         return self.fold.unfold(loads * self.fold.weights)
 
     def isometric(self, loads):
-        """Loads U^T b in the sweeps' basis, the rows of (..., ni), scaled by
-        D^-1/2, so each row has the Euclidean norm of its b: |b|^2 = (U^T
-        b)^T D^-1 (U^T b), since U D^-1 U^T = I.  ``loads`` itself where the
-        discretization does not fold."""
-        if self.fold is None:
-            return loads
-        return loads * np.sqrt(self.fold.weights)
+        """Loads U^T b in the sweeps' basis, the rows of (..., ni), scaled in
+        place by D^-1/2, so each row has the Euclidean norm of its b: |b|^2
+        = (U^T b)^T D^-1 (U^T b), since U D^-1 U^T = I; returns ``loads``,
+        left as it is where the discretization does not fold."""
+        if self.fold is not None:
+            loads *= np.sqrt(self.fold.weights)
+        return loads
 
     def slab_blocks(self, others):
         """The spatial mass and stiffness matrices on the interior vertices,

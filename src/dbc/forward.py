@@ -81,10 +81,13 @@ def _check_residuals(disc, system, rhs, x, slabs):
     K the matrix of ``system`` and b_m and x_m the rows of ``rhs`` and
     ``x``, by one sparse product, each norm that of the vertex basis;
     raises ``SolverError`` for the first slab in march order ``slabs``
-    above the tolerance."""
+    above the tolerance.  ``rhs`` is the march's own copy, so it and the
+    defect are scaled to the vertex basis's norm in place, with no copy of
+    a whole stack."""
     defect = system.matrix @ x.T
     defect -= rhs.T
-    defect, rhs = disc.isometric(defect.T).T, disc.isometric(rhs)
+    disc.isometric(defect.T)
+    disc.isometric(rhs)
     residual = np.sqrt(np.einsum("ij,ij->j", defect, defect)) / (
         np.sqrt(np.einsum("ij,ij->i", rhs, rhs)) + 1.0
     )

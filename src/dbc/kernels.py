@@ -22,16 +22,17 @@ wide and takes 87.2 MiB, the folded one 32 wide and 45.0 MiB, and the slab
 factor 63 and 32 wide.  The kernels see one band either way.
 
 One process-wide pool, one thread kept on each CPU the process may use and
-made on first use, runs the work that ``split_ranges`` splits into
-independent ranges: the extension's time modes, from one gate of work up,
-and nothing else.  Below the gate, with one CPU, or on a pool thread, the
-work runs in the calling thread.  ``start_ranges`` hands the ranges to the
-pool and returns their wait, so the caller goes on while the pool works:
-set-up evaluates the data while the pool factors the extension's modes,
-in one task per range.  ``run_ranges`` is that start followed by its wait.
-The ranges write
-disjoint results, which the caller combines in a fixed order, so every
-answer is the same bits on any number of CPUs.
+made on first use, runs the extension's time modes, from one gate of work
+up, and nothing else.  Below the gate, with one CPU, or on a pool thread,
+the work runs in the calling thread.  ``start_ranges`` hands ranges to the
+pool as one task each and returns their wait, so the caller goes on while
+the pool works: set-up evaluates the data while the pool factors all the
+extension's modes in one task.  ``run_ranges`` runs the ranges that
+``split_ranges`` splits, one per CPU, and waits: the extension's
+substitutions.  The ranges write disjoint results, which the caller
+combines in a fixed order, and a mode's factor does not depend on the
+thread that makes it, so every answer is the same bits on any number of
+CPUs.
 
 Importing the module sets every OpenBLAS that the process has loaded to one
 thread for good, so no BLAS threads compete with the pool, and every
@@ -192,32 +193,55 @@ class SlabSystem:
         _DTBSV(b"U", b"N", b"N", n, kd, upper, ld, address, _ONE)
 
 
-def factor_shifted(stiff, mass, shifts, kd, ranges):
+def factor_shifted(stiff, mass, shifts, kd):
     """Start the band Cholesky factors of stiff + s mass for every s in
     ``shifts``, for two symmetric CSR matrices in a band order whose band
     ``kd`` covers both, and return (bands, wait).  ``bands`` is a
     (len(shifts), n, kd + 1) array whose j-th entry, transposed, is factor
     j's upper band, formed from the two bands built once, so entry kd of
-    each row is a diagonal entry; it holds the factors U_j once ``wait()``,
-    the wait of ``start_ranges`` with each of ``ranges`` as one task, has
-    returned.  A task per range, not one pool task for all the modes: with
-    set-up evaluating the data meanwhile, 12 alternating pairs of fresh
-    processes on a 2-core host timed set-up of the band layout at 32x23 at
-    a median 35.4 ms with two ranges against 37.8 ms with one task (one
-    task faster in 3 of 12), and 10 pairs of the folded layout at 64x46 at
-    244 against 252 ms (3 of 10), whole 64x46 solves at 0.680 against
-    0.648 s (6 of 10, inside a spread of 0.08 s)."""
+    each row is a diagonal entry; it holds the factors U_j once ``wait()``
+    has returned.  Where ``split_ranges`` splits the modes by the work
+    ``bands.size``, one pool task makes every factor while the caller goes
+    on, and ``wait`` is that of ``start_ranges``; else the factors are made
+    now and ``wait`` does nothing.
+
+    One task, not one per range as the substitutions split: dpbtrf does not
+    scale across threads.  On a 2-core host with one BLAS thread, 44 calls
+    on the folded 64x46 band (kd 32) took 57.7 ms in one thread and 107.8
+    ms as two threads of 22 at once, and the 45 mode factors through the
+    pool 67.7 ms as one task against 107.3 ms in two ranges (medians of
+    10).  So the calling thread keeps a core for the data: in 10
+    alternating pairs of fresh processes set-up took a median 55.6 ms
+    against 69.0 ms in two ranges at 32x23 (faster in 9 of 10) and 321.5
+    against 364.4 ms at 64x46 (7 of 10)."""
     bands = np.empty((len(shifts), stiff.shape[0], kd + 1))
-    stiff_band, mass_band = _upper_band(stiff, kd), _upper_band(mass, kd)
+    # The task reads the two bands through ``sources``, which the wait
+    # empties once the task has ended, so the caller frees them at a point
+    # of its own: freed by the pool thread, whenever the task happened to
+    # end, they left a 64x46 solve's heap, and its peak memory, 2 MiB
+    # larger in about half the runs.
+    sources = [_upper_band(stiff, kd), _upper_band(mass, kd)]
 
     def factor(lo, hi):
+        stiff_band, mass_band = sources
         for j in range(lo, hi):
             band = bands[j].T
             np.multiply(mass_band, shifts[j], out=band)
             band += stiff_band
             dpbtrf(band)
 
-    return bands, start_ranges(factor, ranges)
+    if len(split_ranges(len(shifts), bands.size)) == 1:
+        factor(0, len(shifts))
+        return bands, lambda: None
+    factoring = start_ranges(factor, [(0, len(shifts))])
+
+    def wait():
+        try:
+            factoring()
+        finally:
+            sources.clear()
+
+    return bands, wait
 
 
 def substitute_bands(bands, ranges, work, *steps):
@@ -362,10 +386,13 @@ if hasattr(os, "register_at_fork"):
 
 # Below this much work a split runs in the calling thread: handing the
 # ranges to the pool and waiting for it cost about as much as the split
-# saves.  Above it the pool also factors while its caller goes on.  The work
-# is band entries over all time modes, levels * n * (kd + 1), of the
-# extension, the only split, in the band of its layout.  Band layout: two
-# threads lost at 0.2 M entries (24x17) and gained at 0.68 M (32x23).
+# saves.  Above it the extension's substitutions split, one range per CPU,
+# and its factors run as one pool task while the caller goes on (see
+# ``factor_shifted``).  The work is band entries over all time modes,
+# levels * n * (kd + 1), of the extension, the only split, in the band of
+# its layout.  Band layout: two threads lost at 0.2 M entries (24x17) and
+# gained at 0.68 M (32x23), where set-up with the factors as one pool task
+# also beats set-up with them in two ranges (see ``factor_shifted``).
 # Folded layout, with the tail solves of an action timed: two threads lost
 # 12% at 0.11 M (24x17 folded), broke even at 0.36 M (32x23 folded) and
 # gained 12% at 1.8 M (48x34), so the same gate serves.  No level folds
@@ -387,13 +414,12 @@ def split_ranges(size, work):
 
 
 def start_ranges(task, ranges):
-    """Start ``task(lo, hi)`` on every range and return a wait, a function of
-    no arguments that returns once every range is done and then raises the
-    failure of the first range that failed, if one did.  With one range, or
-    on a pool thread, the ranges run now, in the calling thread, and the
-    wait does nothing; else each range is one pool task, and the caller
-    goes on while they run."""
-    if len(ranges) == 1 or getattr(_pool_thread, "active", False):
+    """Start ``task(lo, hi)`` on every range, each range one pool task, and
+    return a wait, a function of no arguments that returns once every range
+    is done and then raises the failure of the first range that failed, if
+    one did; the caller goes on while they run.  On a pool thread the
+    ranges run now, in the calling thread, and the wait does nothing."""
+    if getattr(_pool_thread, "active", False):
         for lo, hi in ranges:
             task(lo, hi)
         return lambda: None
@@ -409,6 +435,9 @@ def start_ranges(task, ranges):
 
 
 def run_ranges(task, ranges):
-    """``task(lo, hi)`` on every range, as ``start_ranges`` runs them, while
-    the caller waits."""
-    start_ranges(task, ranges)()
+    """``task(lo, hi)`` on every range while the caller waits: one range in
+    the calling thread, more as ``start_ranges`` runs them."""
+    if len(ranges) == 1:
+        task(*ranges[0])
+    else:
+        start_ranges(task, ranges)()

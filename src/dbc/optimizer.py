@@ -374,7 +374,8 @@ class ReducedProblem:
         """E^T A E v from A E v on the movable vertices: its boxed columns.
         Its interior columns are zero by the extension's definition, so they
         are the residual of the extension solve, which
-        ``EnergyExtension.check`` checks first."""
+        ``EnergyExtension.check`` checks first, once ``isometric`` has
+        scaled them in place."""
         ni = self.disc.mesh.num_interior
         self.extension.check(self.disc.isometric(seminorm[:, :ni]), tail_rhs)
         return seminorm[:, ni:].ravel()

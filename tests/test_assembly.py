@@ -3,7 +3,9 @@
 import ctypes
 import dataclasses
 import json
+import logging
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -938,12 +940,12 @@ def test_the_64x46_mode_factors_take_at_most_46_mib():
 
 def test_a_failed_folded_mode_factor_stops_set_up(monkeypatch, layout):
     """In the folded layout, forced by the fold gate, with two CPUs and the
-    split gate at 0, set-up factors the modes on the pool in two ranges, as
-    in the band layout, and a failed mode factor there stops set-up as a
-    failed band factor does."""
+    split gate at 0, set-up factors the modes in one pool task, as in the
+    band layout, and a failed mode factor there stops set-up as a failed
+    band factor does."""
     monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
     layout("folded")
-    problem = _fail_the_first_pool_factor(monkeypatch, 16, 12)
+    problem = _fail_a_pool_factor(monkeypatch, 16, 12)
     assert problem.extension._fold is not None
 
 
@@ -1141,37 +1143,59 @@ def test_set_up_factors_the_extension_while_it_evaluates_the_source(monkeypatch)
 
 
 def test_a_failed_mode_factor_stops_set_up_once_every_range_is_done(monkeypatch):
-    """The first mode factor on the pool fails while the other range goes on
-    slowly: ``setup_problem`` raises the failure, and only when no mode
-    factor is running any more and the other range is factored."""
-    problem = _fail_the_first_pool_factor(monkeypatch, 32, 23)
+    """The one pool task that factors the modes fails at its second mode
+    after a slow first one: ``setup_problem`` raises the failure, and only
+    when no mode factor is running any more."""
+    problem = _fail_a_pool_factor(monkeypatch, 32, 23)
     assert problem.extension._fold is None
 
 
-def _fail_the_first_pool_factor(monkeypatch, n, M):
+def _route_pool_factors(monkeypatch, factor):
+    """Send every dpbtrf call that a pool thread makes on the bands of the
+    next extension built to ``factor(band)``, and every other call on to
+    dpbtrf, so that a factor task an earlier test left on the shared pool
+    neither counts nor fails."""
+    built, made = threading.Event(), []
+
+    def factor_shifted(*args):
+        bands, wait = kernels.factor_shifted(*args)
+        made.append(bands)
+        built.set()
+        return bands, wait
+
+    def route(band):
+        if (
+            getattr(kernels._pool_thread, "active", False)
+            and built.wait(timeout=5)
+            and np.may_share_memory(band, made[0])
+        ):
+            return factor(band)
+        return dpbtrf(band)
+
+    monkeypatch.setattr(assembly, "factor_shifted", factor_shifted)
+    monkeypatch.setattr(kernels, "dpbtrf", route)
+
+
+def _fail_a_pool_factor(monkeypatch, n, M):
     """Set up the bump case at n x M with two CPUs, where the extension
-    factors its modes on the pool in two ranges, then again with the first
-    mode factor on the pool failing while the other range goes on slowly:
-    check that set-up raises the failure once no mode factor runs any more
-    and the other range is factored.  Return the first problem."""
+    factors its modes in one pool task, then again with that extension's
+    second mode factor failing after a slow first one: check that set-up
+    raises the failure once no mode factor runs any more, and that the
+    task stopped at the failed mode.  Return the first problem."""
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
     problem = setup_problem(n, M, bump_case())
-    ranges = problem.extension._ranges
-    assert len(ranges) == 2
-    sizes = {hi - lo for lo, hi in ranges}
+    assert len(problem.extension._ranges) == 2
     lock = threading.Lock()
     calls = {"started": 0, "running": 0, "factored": 0}
 
     def factor(band):
-        if not getattr(kernels._pool_thread, "active", False):
-            return dpbtrf(band)
         with lock:
             calls["started"] += 1
             calls["running"] += 1
             first = calls["started"] == 1
         try:
-            if first:
-                raise AssemblyError("the first mode factor failed")
+            if not first:
+                raise AssemblyError("the second mode factor failed")
             time.sleep(0.02)
             dpbtrf(band)
             with lock:
@@ -1180,12 +1204,85 @@ def _fail_the_first_pool_factor(monkeypatch, n, M):
             with lock:
                 calls["running"] -= 1
 
-    monkeypatch.setattr(kernels, "dpbtrf", factor)
-    with pytest.raises(AssemblyError, match="the first mode factor failed"):
+    _route_pool_factors(monkeypatch, factor)
+    with pytest.raises(AssemblyError, match="the second mode factor failed"):
         setup_problem(n, M, bump_case())
-    assert calls["running"] == 0
-    assert calls["factored"] in sizes
+    assert calls == {"started": 2, "running": 0, "factored": 1}
     return problem
+
+
+def test_set_up_factors_every_mode_in_one_pool_task_and_solves_in_two_ranges(
+    monkeypatch,
+):
+    """With two CPUs and the split gate at 0, set-up at 16x12 makes every
+    mode factor of its extension on one pool thread, while the extension's
+    solves, the anchor's and a later one, substitute in two ranges on the
+    pool.  The factors, the trace data and both anchors are the bits of a
+    one-CPU set-up."""
+    monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0])
+    serial = setup_problem(16, 12, bump_case())
+    levels = serial.extension.modes.shape[0]
+    assert serial.extension._ranges == [(0, levels)]
+    factor_threads, substituted = [], []
+
+    def factor(band):
+        factor_threads.append(threading.get_ident())
+        return dpbtrf(band)
+
+    run_ranges = kernels.run_ranges
+
+    def recorded(task, ranges):
+        def ranged(lo, hi):
+            pooled = getattr(kernels._pool_thread, "active", False)
+            substituted.append((lo, hi, pooled))
+            task(lo, hi)
+
+        run_ranges(ranged, ranges)
+
+    _route_pool_factors(monkeypatch, factor)
+    monkeypatch.setattr(kernels, "run_ranges", recorded)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0, 1])
+    split = setup_problem(16, 12, bump_case())
+    extension = split.extension
+    assert len(factor_threads) == levels
+    assert len(set(factor_threads)) == 1
+    assert factor_threads[0] != threading.get_ident()
+    ranges = extension._ranges
+    assert len(ranges) == 2
+    # Set-up's solves: the anchor's and the restriction of its gradient.
+    assert set(substituted) == {(lo, hi, True) for lo, hi in ranges}
+    rhs = np.random.default_rng(36).standard_normal((levels, split.disc.mesh.num_interior))
+    expected = serial.extension.solve(rhs)
+    substituted.clear()
+    assert np.array_equal(extension.solve(rhs), expected)
+    assert sorted(substituted) == sorted((lo, hi, True) for lo, hi in ranges)
+    assert np.array_equal(extension._factors(), serial.extension._factors())
+    for name in ("trace_b", "state_anchor", "adjoint_anchor"):
+        assert np.array_equal(getattr(split, name), getattr(serial, name))
+
+
+@pytest.mark.parametrize("cpus, tasks", [([0], 0), ([0, 1], 1)])
+def test_the_first_extension_solve_logs_its_wait_for_the_factors(
+    monkeypatch, caplog, cpus, tasks
+):
+    """With the split gate at 0, set-up's anchor solve, the extension's
+    first, logs one DEBUG line on ``dbc.assembly``: the modes factored, the
+    pool tasks that factored them, none on one CPU and one on two, and its
+    wait; later solves log nothing."""
+    monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+    caplog.set_level(logging.DEBUG, logger="dbc.assembly")
+    problem = setup_problem(8, 6, bump_case())
+    problem.extend(np.zeros(problem.trace_dim))
+    lines = [r.getMessage() for r in caplog.records if r.name == "dbc.assembly"]
+    levels = problem.extension.modes.shape[0]
+    assert len(lines) == 1
+    assert re.fullmatch(
+        rf"extension: {levels} time modes factored in {tasks} pool task\(s\), "
+        r"waited \d+\.\d ms",
+        lines[0],
+    )
 
 
 def test_a_data_error_while_the_pool_factors_leaves_the_pool_working(monkeypatch):
