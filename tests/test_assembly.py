@@ -1216,9 +1216,9 @@ def test_set_up_factors_every_mode_in_one_pool_task_and_solves_in_two_ranges(
 ):
     """With two CPUs and the split gate at 0, set-up at 16x12 makes every
     mode factor of its extension on one pool thread, while the extension's
-    solves, the anchor's and a later one, substitute in two ranges on the
-    pool.  The factors, the trace data and both anchors are the bits of a
-    one-CPU set-up."""
+    solves, set-up's and a later one, substitute in two ranges on the pool.
+    The factors, the trace data and both anchors are the bits of a one-CPU
+    set-up."""
     monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: [0])
     serial = setup_problem(16, 12, bump_case())
@@ -1252,7 +1252,9 @@ def test_set_up_factors_every_mode_in_one_pool_task_and_solves_in_two_ranges(
     assert len(ranges) == 2
     # Set-up's solves: the anchor's and the restriction of its gradient.
     assert set(substituted) == {(lo, hi, True) for lo, hi in ranges}
-    rhs = np.random.default_rng(36).standard_normal((levels, split.disc.mesh.num_interior))
+    rhs = np.random.default_rng(36).standard_normal(
+        (levels, split.disc.mesh.num_interior)
+    )
     expected = serial.extension.solve(rhs)
     substituted.clear()
     assert np.array_equal(extension.solve(rhs), expected)
