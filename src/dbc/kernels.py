@@ -219,7 +219,8 @@ def factor_shifted(stiff, mass, shifts, kd):
     # empties once the task has ended, so the caller frees them at a point
     # of its own: freed by the pool thread, whenever the task happened to
     # end, they left a 64x46 solve's heap, and its peak memory, 2 MiB
-    # larger in about half the runs.
+    # larger in about half the runs.  Held through the data pass, they
+    # raise the peak of a 48x34 solve, which that pass sets, by 0.7 MiB.
     sources = [_upper_band(stiff, kd), _upper_band(mass, kd)]
 
     def factor(lo, hi):
